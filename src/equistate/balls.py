@@ -60,9 +60,6 @@ class BallReal:
     def overlaps(self, other: "BallReal") -> bool:
         return self.lower() <= other.upper() and other.lower() <= self.upper()
 
-    def is_exact(self) -> bool:
-        return self.rad == 0
-
     def __float__(self) -> float:
         return float(self.mid)
 
@@ -127,15 +124,6 @@ def ball_sum(terms: Iterable[BallReal]) -> BallReal:
         mid += t.mid
         rad += t.rad
     return BallReal(mid, rad)
-
-
-def ball_hull(balls: Iterable[BallReal]) -> BallReal:
-    balls = list(balls)
-    if not balls:
-        raise ValueError("hull of no balls")
-    lo = min(b.lower() for b in balls)
-    hi = max(b.upper() for b in balls)
-    return BallReal.from_endpoints(lo, hi)
 
 
 # -- certified square roots -------------------------------------------

@@ -90,6 +90,15 @@ def _write(args, name: str, result: dict, started: float, extra_outputs=()) -> N
     print(result_path)
 
 
+def _missing(what: str, args, *names: str) -> bool:
+    """Report the first of the named options that was not given."""
+    for name in names:
+        if getattr(args, name) is None:
+            print(f"{what} requires --{name}", file=sys.stderr)
+            return True
+    return False
+
+
 def _parse_jacobian(text: str) -> JacobianSpec:
     if text.startswith("const:"):
         return JacobianSpec.const(Fraction(text.split(":", 1)[1]))
@@ -104,8 +113,7 @@ def cmd_pressure(args) -> int:
     f = parse_map(args.map)
     phi = parse_potential(args.potential)
     if args.mode == "certified":
-        if args.c0 is None:
-            print("pressure: certified mode requires --c0", file=sys.stderr)
+        if _missing("pressure: certified mode", args, "c0"):
             return EXIT_PRECONDITION
         c0 = Fraction(args.c0)
         if args.R is not None:
@@ -114,8 +122,7 @@ def cmd_pressure(args) -> int:
             # Default: the potential's explicit chordal bound scaled by the
             # configured visual-metric constant (configuration, not computed).
             R = Fraction(args.visual_c) * holder_bound(phi)
-        res = pressure(f, phi, args.n, c0=c0, R=R,
-                       alpha=Fraction(args.alpha), mode="certified")
+        res = pressure(f, phi, args.n, c0=c0, R=R, mode="certified")
     else:
         res = pressure(f, phi, args.n, mode="empirical")
     result = {
@@ -136,9 +143,13 @@ def cmd_pressure(args) -> int:
 def cmd_mme(args) -> int:
     started = time.time()
     if args.rule:
+        if _missing("mme --rule", args, "level"):
+            return EXIT_PRECONDITION
         mu = mme_tile_measure(args.rule, args.level)
         name = f"mme_{args.rule}_level{args.level}"
     else:
+        if _missing("mme without --rule", args, "map", "depth"):
+            return EXIT_PRECONDITION
         f = parse_map(args.map)
         anchor = parse_sphere_point(args.anchor)
         phi = parse_potential(args.potential) if args.potential else None
@@ -186,6 +197,8 @@ def _random_regular_points(f, count: int):
 
 
 def _verify_jacobian(args, started: float) -> int:
+    if _missing("verify jacobian", args, "map", "J"):
+        return EXIT_PRECONDITION
     f = parse_map(args.map)
     J = _parse_jacobian(args.J)
     tol = Fraction(args.tol) if args.tol else Fraction(1, 1 << 20)
@@ -229,6 +242,8 @@ def _default_tests(mu: FiniteMeasure) -> list[TestFunction]:
 
 
 def _verify_membership(args, started: float) -> int:
+    if _missing("verify membership", args, "measure", "map", "J"):
+        return EXIT_PRECONDITION
     mu = measure_from_json(load_json(args.measure))
     f = parse_map(args.map)
     J = _parse_jacobian(args.J)
@@ -260,6 +275,8 @@ def _verify_membership(args, started: float) -> int:
 
 
 def _verify_tangent(args, started: float) -> int:
+    if _missing("verify tangent", args, "measure", "phi", "witnesses"):
+        return EXIT_PRECONDITION
     mu = measure_from_json(load_json(args.measure))
     phi = parse_potential(args.phi)
     tol = Fraction(args.tol) if args.tol else Fraction(1, 1 << 10)
@@ -394,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="precision bits")
     p.add_argument("--c0", default=None, help="iterate-distortion constant")
     p.add_argument("--R", default=None, help="Hoelder-seminorm bound")
-    p.add_argument("--alpha", default="1")
     p.add_argument("--visual-c", default="1", dest="visual_c",
                    help="configured metric-comparison constant for default R")
     p.add_argument("--mode", choices=("certified", "empirical"),
@@ -469,7 +485,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ExcludedPoint, ExcludedAnchor, ValueError) as exc:
+    except (ParseError, ExcludedPoint, ExcludedAnchor, ValueError, OSError) as exc:
         print(f"equistate: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except PrecisionExhausted as exc:

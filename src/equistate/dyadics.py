@@ -36,11 +36,6 @@ def round_to_dyadic(q: Fraction, bits: int) -> Fraction:
     return Fraction(m, 1 << bits)
 
 
-def floor_to_dyadic(q: Fraction, bits: int) -> Fraction:
-    scaled = q * (1 << bits)
-    return Fraction(scaled.numerator // scaled.denominator, 1 << bits)
-
-
 def ceil_to_dyadic(q: Fraction, bits: int) -> Fraction:
     scaled = q * (1 << bits)
     return Fraction(-((-scaled.numerator) // scaled.denominator), 1 << bits)

@@ -36,9 +36,6 @@ class GaussRat:
             self.re * other.im + self.im * other.re,
         )
 
-    def conj(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 

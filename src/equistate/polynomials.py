@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .gauss import G_ONE, G_ZERO, GaussRat
+from .gauss import G_ZERO, GaussRat
 
 
 def _strip(coeffs: tuple[GaussRat, ...]) -> tuple[GaussRat, ...]:
@@ -37,10 +37,6 @@ class Polynomial:
     @staticmethod
     def zero() -> "Polynomial":
         return Polynomial(())
-
-    @staticmethod
-    def monomial(degree: int, coeff: GaussRat = G_ONE) -> "Polynomial":
-        return Polynomial(_strip((G_ZERO,) * degree + (coeff,)))
 
     @property
     def degree(self) -> int:
@@ -115,14 +111,6 @@ class Polynomial:
                 for j, b in enumerate(other.coeffs):
                     rem[j + k] = rem[j + k] - c * b
         return Polynomial(_strip(tuple(quot))), Polynomial(_strip(tuple(rem)))
-
-    def evaluate_reversed(self, degree: int, z: GaussRat) -> GaussRat:
-        """Value of z^degree * p(1/z), the degree-d reversal, at z."""
-        acc = G_ZERO
-        padded = self.coeffs + (G_ZERO,) * (degree + 1 - len(self.coeffs))
-        for c in padded:
-            acc = acc * z + c
-        return acc
 
     def reversal(self, degree: int) -> "Polynomial":
         """Coefficient-reversed polynomial z^degree * p(1/z)."""

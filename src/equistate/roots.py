@@ -1,7 +1,7 @@
 """Certified complex polynomial root clusters.
 
 Strategy: exact square-free decomposition splits multiplicities, floating
-seeds (quadratic formula or numpy.roots) start a dyadic Newton iteration,
+seeds (the linear formula or numpy.roots) start a dyadic Newton iteration,
 and an exact a-posteriori bound certifies containment: for a square-free
 polynomial q of degree d, every z has a root of q within Euclidean
 distance d*|q(z)/q'(z)|.  When the d discs so produced are pairwise
@@ -57,35 +57,10 @@ def _newton_step(q: Polynomial, dq: Polynomial, z: GaussRat, bits: int) -> Gauss
 
 
 def _float_seeds(q: Polynomial) -> list[complex]:
-    deg = q.degree
-    if deg == 1:
+    if q.degree == 1:
         return [complex(-q.coeffs[0] / q.coeffs[1])]
     coeffs = [complex(c) for c in reversed(q.coeffs)]
-    try:
-        roots = np.roots(coeffs)
-        return [complex(r) for r in roots]
-    except Exception:
-        # Durand-Kerner fallback from a generic circle.
-        seeds = [complex(0.4, 0.9) ** k for k in range(deg)]
-        lead = coeffs[0]
-        mon = [c / lead for c in coeffs]
-
-        def val(z: complex) -> complex:
-            acc = 0j
-            for c in mon:
-                acc = acc * z + c
-            return acc
-
-        for _ in range(200):
-            new = []
-            for i, z in enumerate(seeds):
-                denom = 1.0 + 0j
-                for j, w in enumerate(seeds):
-                    if i != j:
-                        denom *= z - w
-                new.append(z - val(z) / denom if denom != 0 else z + 0.01)
-            seeds = new
-        return seeds
+    return [complex(r) for r in np.roots(coeffs)]
 
 
 def _gauss_from_complex(z: complex, bits: int) -> GaussRat:
@@ -118,9 +93,10 @@ def _snap_to_exact_root(q: Polynomial, z: GaussRat, rad: Fraction) -> GaussRat |
 
 def _solve_square_free(q: Polynomial, target: Fraction, bits: int
                        ) -> list[tuple[GaussRat, Fraction]] | None:
-    """Certified (midpoint, euclid radius <= target) pairs for square-free q."""
-    deg = q.degree
-    if deg == 1:
+    """(midpoint, euclid radius <= target) pairs for square-free q; each
+    disc holds a root, and one root each once the caller has checked the
+    discs pairwise disjoint."""
+    if q.degree == 1:
         return [(-q.coeffs[0] / q.coeffs[1], ZERO)]
     dq = q.derivative()
     approx = [_gauss_from_complex(z, 60) for z in _float_seeds(q)]
@@ -137,13 +113,6 @@ def _solve_square_free(q: Polynomial, target: Fraction, bits: int
             out.append((snapped, ZERO))
         else:
             out.append((z, r))
-    # Pairwise disjoint Euclidean discs certify one root per disc.
-    for i in range(deg):
-        zi, ri = out[i]
-        for j in range(i + 1, deg):
-            zj, rj = out[j]
-            if (zi - zj).abs2() <= (ri + rj) * (ri + rj):
-                return None
     return out
 
 

@@ -11,7 +11,8 @@ preimage) is only accepted on exactly stored parents, where the certified
 cluster radius itself is the displacement.
 
 Pressure follows the iterate-and-log recipe: pick N beyond 2^(n+1)*C0*R,
-take an anchor off the forward orbit of infinity, and return
+take an anchor off the forward orbit of infinity with more than one
+preimage (so never an exceptional point), and return
 (1/N) log L_phi^N(1)(anchor) with the truncation allowance C0*R/N added
 to the radius.  With a constant potential the truncation term vanishes
 and the enclosure is as tight as the evaluation.
@@ -27,13 +28,16 @@ from .dyadics import ZERO, sqrt_lower, sqrt_upper
 from .errors import ExcludedAnchor, ExcludedPoint, PrecisionExhausted
 from .gauss import GaussRat
 from .measures import SPHERE, FiniteMeasure
-from .polynomials import Polynomial
+from .polynomials import Polynomial, poly_gcd
 from .potentials import Potential
 from .ratmap import RationalMapRec, preimage_polynomial
 from .roots import certified_roots
 from .sphere import INF, SpherePoint, chordal_disc_radius, chordal_sq, ideal_enumerate
 
 _MAX_TREE_LEAVES = 1 << 19
+_MAX_PRESSURE_DEPTH = 18
+_ANCHOR_CLEARANCE = Fraction(1, 1 << 10)
+_ANCHOR_SEARCH_LIMIT = 20000
 
 
 @dataclass
@@ -197,28 +201,33 @@ class PressureResult:
     mode: str  # "certified" | "empirical"
 
 
-def _select_anchor(f: RationalMapRec, N: int, clearance: Fraction,
-                   search_limit: int = 20000) -> SpherePoint:
+def _single_preimage(f: RationalMapRec, s: SpherePoint) -> bool:
+    """True when f^-1(s) is one point.  Every exceptional point is such a
+    point, and its backward orbit never reaches the Julia set."""
+    g = preimage_polynomial(f, s)
+    return g.degree >= 2 and poly_gcd(g, g.derivative()).degree == g.degree - 1
+
+
+def _select_anchor(f: RationalMapRec, N: int) -> SpherePoint:
     """First enumerated ideal point with chordal clearance from the exact
-    forward orbit of infinity."""
+    forward orbit of infinity and more than one preimage."""
     orbit = f.infinity_orbit(N)
-    c2 = clearance * clearance
-    for k in range(1, search_limit + 1):
+    c2 = _ANCHOR_CLEARANCE * _ANCHOR_CLEARANCE
+    for k in range(1, _ANCHOR_SEARCH_LIMIT + 1):
         s = ideal_enumerate(k)
-        if all(chordal_sq(s, o) > c2 for o in orbit):
+        if all(chordal_sq(s, o) > c2 for o in orbit) and not _single_preimage(f, s):
             return s
     raise ExcludedAnchor("no ideal anchor clears the forward orbit of infinity")
 
 
 def pressure(f: RationalMapRec, phi: Potential, n: int,
              c0: Fraction | None = None, R: Fraction | None = None,
-             alpha: Fraction = Fraction(1), mode: str = "certified",
-             anchor_clearance: Fraction = Fraction(1, 1 << 10),
-             max_depth: int = 18) -> PressureResult:
+             mode: str = "certified") -> PressureResult:
     """Topological pressure P(f, phi) to within 2^-n.
 
-    Certified mode needs c0 (the iterate-distortion constant for (f, alpha))
-    and R >= the alpha-Hoelder seminorm of phi in the metric c0 refers to;
+    Certified mode needs c0 (the iterate-distortion constant of f for the
+    Hoelder exponent in use) and R >= the Hoelder seminorm of phi for that
+    exponent, in the metric c0 refers to;
     it picks N > 2^(n+1)*c0*R, so the truncation error C0*R/N stays below
     2^-(n+1), and adds it to the radius.  The exponential preimage tree
     caps N: if the required N is out of reach the error says exactly what
@@ -233,12 +242,12 @@ def pressure(f: RationalMapRec, phi: Potential, n: int,
         if c0 < 0 or R < 0:
             raise ValueError("c0 and R must be nonnegative")
         N = int(Fraction(2) ** (n + 1) * c0 * R) + 1
-        if N > max_depth or f.degree ** N > _MAX_TREE_LEAVES:
+        if N > _MAX_PRESSURE_DEPTH or f.degree ** N > _MAX_TREE_LEAVES:
             raise PrecisionExhausted(
                 f"certified pressure needs N = {N} transfer-operator steps; "
                 f"the degree-{f.degree} preimage tree is out of desk range"
             )
-        anchor = _select_anchor(f, N, anchor_clearance)
+        anchor = _select_anchor(f, N)
         eval_bits = n + 2
         for _ in range(6):
             big = ruelle_apply(f, phi, None, anchor, N, eval_bits + N.bit_length())
@@ -253,10 +262,10 @@ def pressure(f: RationalMapRec, phi: Potential, n: int,
     agree = Fraction(1, 1 << (n + 2))
     prev: BallReal | None = None
     prev_N = 0
-    for N in range(1, max_depth + 1):
+    for N in range(1, _MAX_PRESSURE_DEPTH + 1):
         if f.degree ** N > _MAX_TREE_LEAVES:
             break
-        anchor = _select_anchor(f, N, anchor_clearance)
+        anchor = _select_anchor(f, N)
         big = ruelle_apply(f, phi, None, anchor, N, n + 6 + N.bit_length())
         logball = ball_log(big, n + 8 + N.bit_length())
         cur = BallReal(logball.mid / N, logball.rad / N)

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .balls import BallReal, sqrt_of_rational
 from .dyadics import ZERO
 from .errors import NotAVertex, RuleMismatch
 from .measures import TRI, FiniteMeasure
-from .trisphere import BACK, FRONT, Coords, TilePoint, barycenter, dist2_tri, tile_point
+from .trisphere import BACK, FRONT, Coords, TilePoint, dist2_tri, tile_point
 
 CORNERS = ("A", "B", "C")
 
@@ -44,7 +44,9 @@ class RuleTable:
     colors: dict[str, str]
 
     def validate(self) -> None:
-        assert len(self.children) == self.degree
+        if len(self.children) != self.degree:
+            raise ValueError(f"{self.name}: {len(self.children)} children for "
+                             f"degree {self.degree}")
         for tri in self.children:
             cols = {self.colors[v] for v in tri}
             if cols != set(CORNERS):
@@ -57,13 +59,15 @@ class RuleTable:
             raise ValueError(f"{self.name}: children do not tile the face")
 
 
+def _cross(q: Coords, r: Coords) -> Coords:
+    return (q[1] * r[2] - q[2] * r[1],
+            q[2] * r[0] - q[0] * r[2],
+            q[0] * r[1] - q[1] * r[0])
+
+
 def _det3(p: Coords, q: Coords, r: Coords) -> Fraction:
     """Signed area of (p, q, r) relative to the face (A, B, C)."""
-    return (
-        p[0] * (q[1] * r[2] - q[2] * r[1])
-        - p[1] * (q[0] * r[2] - q[2] * r[0])
-        + p[2] * (q[0] * r[1] - q[1] * r[0])
-    )
+    return sum(a * b for a, b in zip(p, _cross(q, r)))
 
 
 _G1 = RuleTable(
@@ -152,12 +156,44 @@ class Tile:
     parent_id: int | None
     container_id: int | None
 
-    def vert_coords(self) -> tuple[Coords, Coords, Coords]:
-        return tuple(v.coords for v in self.verts)  # type: ignore[return-value]
-
     def barycenter(self) -> TilePoint:
         sums = [sum(v.coords[k] for v in self.verts) for k in range(3)]
         return tile_point(self.face, *(s / 3 for s in sums))
+
+    @cached_property
+    def chart(self) -> tuple[Coords, Coords, Coords]:
+        """Rows of the affine chart onto target_face, one per corner A, B, C.
+
+        The barycentric weight of p on vertex j is p . cross(v[j+1], v[j+2])
+        / det(v0, v1, v2) (Cramer's rule), and that weight lands on the
+        corner colors[j].
+        """
+        v = [p.coords for p in self.verts]
+        d = _det3(*v)
+        rows = {c: tuple(x / d for x in _cross(v[(j + 1) % 3], v[(j + 2) % 3]))
+                for j, c in enumerate(self.colors)}
+        return tuple(rows[c] for c in CORNERS)  # type: ignore[return-value]
+
+    def image(self, p: TilePoint) -> TilePoint | None:
+        """Chart image of p, or None when p is not in this closed tile.
+
+        The colors permute the corners, so p lies in the tile exactly when
+        every coordinate of its image is nonnegative.
+        """
+        if p.face != self.face and not p.on_boundary:
+            return None
+        a, b, c = p.coords
+        q = tuple(ra * a + rb * b + rc * c for ra, rb, rc in self.chart)
+        if min(q) < 0:
+            return None
+        return tile_point(self.target_face, *q)
+
+    def pullback(self, q: TilePoint) -> TilePoint:
+        """The point of this tile that the chart sends to q on target_face."""
+        by_color = dict(zip(self.colors, self.verts))
+        a, b, c = (by_color[k].coords for k in CORNERS)
+        wa, wb, wc = q.coords
+        return tile_point(self.face, *(wa * x + wb * y + wc * z for x, y, z in zip(a, b, c)))
 
 
 @dataclass
@@ -206,33 +242,6 @@ def _level_one_tiles(table: RuleTable) -> list[Tile]:
     return tiles
 
 
-def _solve_barycentric(verts: tuple[Coords, Coords, Coords], p: Coords
-                       ) -> tuple[Fraction, Fraction, Fraction]:
-    """Coefficients lambda with p = sum lambda_j verts_j (Cramer, exact)."""
-    d = _det3(*verts)
-    l1 = _det3(p, verts[1], verts[2]) / d
-    l2 = _det3(verts[0], p, verts[2]) / d
-    l3 = _det3(verts[0], verts[1], p) / d
-    return (l1, l2, l3)
-
-
-def _apply_chart(colors: tuple[str, str, str], lam, target_face: str) -> TilePoint:
-    out = {"A": ZERO, "B": ZERO, "C": ZERO}
-    for c, l in zip(colors, lam):
-        out[c] += l
-    return tile_point(target_face, out["A"], out["B"], out["C"])
-
-
-def _pullback(tile: Tile, q: Coords) -> Coords:
-    """Preimage in `tile` of the point with coords q on tile.target_face."""
-    weight = dict(zip(tile.colors, tile.verts))
-    by_color = {c: weight[c].coords for c in CORNERS}
-    return tuple(
-        q[0] * by_color["A"][k] + q[1] * by_color["B"][k] + q[2] * by_color["C"][k]
-        for k in range(3)
-    )  # type: ignore[return-value]
-
-
 @lru_cache(maxsize=None)
 def tile_complex(rule: str, level: int) -> TileComplex:
     """The level-n cell structure, built by pulling level-(n-1) tiles back
@@ -256,7 +265,7 @@ def tile_complex(rule: str, level: int) -> TileComplex:
         prev = tile_complex(rule, 0)
         return TileComplex(rule, 1, _level_one_tiles(table), prev)
     prev = tile_complex(rule, level - 1)
-    ones = _level_one_tiles(table)
+    ones = tile_complex(rule, 1).tiles
     child_of: dict[tuple[int, int], int] = {}
     tiles: list[Tile] = []
     tid = 0
@@ -264,9 +273,7 @@ def tile_complex(rule: str, level: int) -> TileComplex:
         for x in prev.tiles:
             if x.face != u.target_face:
                 continue
-            verts = tuple(
-                tile_point(u.face, *_pullback(u, v.coords)) for v in x.verts
-            )
+            verts = tuple(u.pullback(v) for v in x.verts)
             # The container is the pullback through u of x's own container,
             # recorded when prev was built (u itself at the base level).
             if prev.level == 1:
@@ -300,23 +307,35 @@ class SubdivisionMap:
     def __call__(self, p: TilePoint) -> TilePoint:
         return self.eval(p)
 
-    def eval(self, p: TilePoint, level_hint: int | None = None) -> TilePoint:
+    def eval(self, p: TilePoint) -> TilePoint:
         """Image of p: locate p in a level-1 tile and apply its chart.
 
         Boundary points are located consistently from any incident tile
         (lowest tile id wins; the charts agree on shared edges, so the
-        tie-break never changes the value).  level_hint is accepted for
-        interface parity and unused: location always happens at level 1.
+        tie-break never changes the value).
         """
-        del level_hint
-        ones = tile_complex(self.rule, 1)
-        for t in ones.tiles:
-            if t.face != p.face and not p.on_boundary:
-                continue
-            lam = _solve_barycentric(t.vert_coords(), p.coords)
-            if all(l >= 0 for l in lam):
-                return _apply_chart(t.colors, lam, t.target_face)
+        for t in tile_complex(self.rule, 1).tiles:
+            img = t.image(p)
+            if img is not None:
+                return img
         raise ValueError(f"point {p!r} not located in any level-1 tile")
+
+    def preimages(self, x: TilePoint) -> list[tuple[TilePoint, int]]:
+        """All preimages of x with their local degrees, exactly.
+
+        Each level-1 tile mapping onto x's face holds one preimage (its
+        chart pullback); the local degree at y is the number of those
+        tiles whose closure holds y, since all charts agree at shared
+        points.
+        """
+        matching = [t for t in tile_complex(self.rule, 1).tiles
+                    if t.target_face == x.face]
+        ys: list[TilePoint] = []
+        for t in matching:
+            y = t.pullback(x)
+            if y not in ys:
+                ys.append(y)
+        return [(y, sum(1 for t in matching if t.image(y) is not None)) for y in ys]
 
 
 def vertex_image(rule: str, v: TilePoint) -> TilePoint:
@@ -327,14 +346,12 @@ def vertex_image(rule: str, v: TilePoint) -> TilePoint:
 def vertex_local_degree(rule: str, v: TilePoint, level: int = 1) -> Fraction:
     """Local degree at a level-`level` vertex, from incidence counts:
     (tiles at v in level n) / (tiles at the image of v in level n-1)."""
-    c = tile_complex(rule, level)
-    if v not in c.vertex_set():
+    up = tile_complex(rule, level).incident_tiles(v)
+    if not up:
         raise NotAVertex(f"{v!r} is not a level-{level} vertex")
     below = tile_complex(rule, level - 1)
-    img = vertex_image(rule, v)
-    up = len(c.incident_tiles(v))
-    down = len(below.incident_tiles(img))
-    return Fraction(up, down)
+    down = below.incident_tiles(vertex_image(rule, v))
+    return Fraction(len(up), len(down))
 
 
 def mme_tile_measure(rule: str, n: int) -> FiniteMeasure:
@@ -354,9 +371,10 @@ def flower(c: TileComplex, v: TilePoint, n: int | None = None) -> set[int]:
     """Ids of the level-n tiles whose closure contains the vertex v."""
     if n is not None and n != c.level:
         c = tile_complex(c.rule, n)
-    if v not in c.vertex_set():
+    ids = c.incident_tiles(v)
+    if not ids:
         raise NotAVertex(f"{v!r} is not a vertex of the level-{c.level} complex")
-    return set(c.incident_tiles(v))
+    return set(ids)
 
 
 def flower_mass(rule: str, v: TilePoint, n: int) -> Fraction:

@@ -62,11 +62,6 @@ def tile_point(face: str, a: Fraction | int, b: Fraction | int, c: Fraction | in
     return TilePoint(face, coords)
 
 
-VERTEX_A = tile_point(FRONT, 1, 0, 0)
-VERTEX_B = tile_point(FRONT, 0, 1, 0)
-VERTEX_C = tile_point(FRONT, 0, 0, 1)
-
-
 def barycenter(points: list[TilePoint]) -> TilePoint:
     faces = {p.face for p in points}
     if len(faces) != 1:

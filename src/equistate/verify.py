@@ -36,8 +36,8 @@ from .measures import (
 from .potentials import Potential, sup_bound
 from .ratmap import RationalMapRec, preimages
 from .sphere import SpherePoint, chordal_sq
-from .thurston import SubdivisionMap, tile_complex, _solve_barycentric, _pullback
-from .trisphere import TilePoint, dist2_tri
+from .thurston import SubdivisionMap
+from .trisphere import dist2_tri
 from .balls import DirectedReal
 
 MapLike = Union[RationalMapRec, SubdivisionMap, Callable[[Point], Point]]
@@ -239,32 +239,8 @@ def enumerate_preimages(f: MapLike, x: Point, l: int = 40) -> list[PreimagePoint
             for c in preimages(f, x, l)
         ]
     if isinstance(f, SubdivisionMap):
-        from .trisphere import tile_point
-
-        ones = tile_complex(f.rule, 1)
-        # One preimage per level-1 tile mapping onto x's face (its chart
-        # pullback); the local degree at y is the number of such tiles
-        # whose closure holds y, since all charts agree at shared points.
-        matching = [t for t in ones.tiles if t.target_face == x.face]
-        ys: list[TilePoint] = []
-        for t in matching:
-            y = tile_point(t.face, *_pullback(t, x.coords))
-            if y not in ys:
-                ys.append(y)
-        return [
-            PreimagePoint(
-                y, ZERO, sum(1 for t in matching if _contains_exact(t, y))
-            )
-            for y in ys
-        ]
+        return [PreimagePoint(y, ZERO, deg) for y, deg in f.preimages(x)]
     raise TypeError("unsupported map type for preimage enumeration")
-
-
-def _contains_exact(tile, y: TilePoint) -> bool:
-    if tile.face != y.face and not y.on_boundary:
-        return False
-    lam = _solve_barycentric(tile.vert_coords(), y.coords)
-    return all(l >= 0 for l in lam)
 
 
 # -- checks -------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,29 @@ def test_pressure_missing_c0_usage_error(tmp_path):
     rc = main(["pressure", "--map", "z^2", "--potential", "const:0",
                "--n", "8", "--out", str(tmp_path)])
     assert rc == 3
+
+
+def test_pressure_z2_chordal_potential(tmp_path):
+    run_cli(["pressure", "--map", "z^2", "--potential", "scale:1/8:basis:0,0",
+             "--n", "1", "--c0", "1"], tmp_path)
+    res = read_json(tmp_path, "pressure_result.json")
+    mid, rad = Fraction(res["value"]["mid"]), Fraction(res["value"]["rad"])
+    assert abs(mid - Fraction(math.log(2) + math.sqrt(2) / 8)) <= rad
+
+
+@pytest.mark.parametrize("argv", [
+    ["mme"],
+    ["mme", "--map", "z^2"],
+    ["mme", "--rule", "g1"],
+    ["verify", "jacobian"],
+    ["verify", "jacobian", "--map", "z^2"],
+    ["verify", "membership", "--map", "z^2"],
+    ["verify", "membership", "--measure", "{missing}", "--map", "z^2", "--J", "const:2"],
+    ["verify", "tangent"],
+])
+def test_missing_or_unreadable_input_exits_3(argv, tmp_path):
+    argv = [a.replace("{missing}", str(tmp_path / "absent.json")) for a in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == 3
 
 
 def test_pressure_oversized_N_precision_exit(tmp_path):

@@ -118,6 +118,14 @@ def test_pressure_constant_shift():
         assert diff.contains(c)
 
 
+def test_pressure_z2_anchor_avoids_exceptional_point():
+    """0 is totally invariant under z^2, so an anchor there never samples
+    the Julia set (the unit circle, where sigma(., 0) = sqrt 2)."""
+    res = pressure(Z2, scale(F(1, 8), basis(S(0))), 1, c0=F(1), R=F(1, 8))
+    assert res.anchor != S(0)
+    assert res.value.contains(F(math.log(2) + math.sqrt(2) / 8))
+
+
 def test_pressure_refuses_oversized_N():
     phi = basis(S(0))  # Hoelder bound 1
     with pytest.raises(PrecisionExhausted):

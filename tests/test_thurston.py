@@ -136,14 +136,38 @@ def test_eval_map_edge_continuity():
             u, v = sorted(edge, key=lambda p: p.sort_key())
             for t_id in ids:
                 t = c.tiles[t_id]
-                mid_coords = tuple((a + b) / 2 for a, b in zip(u.coords, v.coords))
+                mid = tile_point(t.face, *((a + b) / 2 for a, b in zip(u.coords, v.coords)))
                 # evaluate through this tile's chart directly
-                from equistate.thurston import _apply_chart, _solve_barycentric
+                img = t.image(mid)
+                assert img is not None
+                assert img == g.eval(mid)
 
-                lam = _solve_barycentric(t.vert_coords(), mid_coords)
-                assert all(l >= 0 for l in lam)
-                img = _apply_chart(t.colors, lam, t.target_face)
-                assert img == g.eval(tile_point(t.face, *mid_coords))
+
+@pytest.mark.parametrize("rule", ["g1", "g2"])
+def test_preimages_round_trip(rule):
+    """Every enumerated preimage maps back, local degrees sum to the
+    degree, and each level-1 chart inverts its pullback."""
+    g = SubdivisionMap(rule)
+    c = tile_complex(rule, 2)
+    points = c.vertex_set() | {t.barycenter() for t in c.tiles}
+    for x in points:
+        pres = g.preimages(x)
+        assert all(g.eval(y) == x for y, _ in pres)
+        assert sum(d for _, d in pres) == rule_degree(rule)
+    for t in tile_complex(rule, 1).tiles:
+        for q in points:
+            if q.face == t.target_face or q.on_boundary:
+                assert t.image(t.pullback(q)) == q
+
+
+def test_rule_table_validate_raises_on_child_count():
+    import dataclasses
+
+    from equistate.thurston import RULES
+
+    bad = dataclasses.replace(RULES["g1"], degree=7)
+    with pytest.raises(ValueError):
+        bad.validate()
 
 
 def test_fixed_critical_points_exist():

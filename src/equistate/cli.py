@@ -99,6 +99,14 @@ def _missing(what: str, args, *names: str) -> bool:
     return False
 
 
+def _below_one(what: str, args, name: str) -> bool:
+    """Report a count option that would make the check vacuous."""
+    if getattr(args, name) < 1:
+        print(f"{what} requires --{name.replace('_', '-')} >= 1", file=sys.stderr)
+        return True
+    return False
+
+
 def _parse_jacobian(text: str) -> JacobianSpec:
     if text.startswith("const:"):
         return JacobianSpec.const(Fraction(text.split(":", 1)[1]))
@@ -197,7 +205,8 @@ def _random_regular_points(f, count: int):
 
 
 def _verify_jacobian(args, started: float) -> int:
-    if _missing("verify jacobian", args, "map", "J"):
+    if (_missing("verify jacobian", args, "map", "J")
+            or _below_one("verify jacobian", args, "points")):
         return EXIT_PRECONDITION
     f = parse_map(args.map)
     J = _parse_jacobian(args.J)
@@ -242,7 +251,8 @@ def _default_tests(mu: FiniteMeasure) -> list[TestFunction]:
 
 
 def _verify_membership(args, started: float) -> int:
-    if _missing("verify membership", args, "measure", "map", "J"):
+    if (_missing("verify membership", args, "measure", "map", "J")
+            or _below_one("verify membership", args, "max_patches")):
         return EXIT_PRECONDITION
     mu = measure_from_json(load_json(args.measure))
     f = parse_map(args.map)
@@ -281,16 +291,19 @@ def _verify_tangent(args, started: float) -> int:
     phi = parse_potential(args.phi)
     tol = Fraction(args.tol) if args.tol else Fraction(1, 1 << 10)
     spec = load_json(args.witnesses)
-    witnesses = []
-    for entry in spec["witnesses"]:
-        psi = potential_from_json(entry["psi"])
-        upper = DirectedReal(
-            tuple(Fraction(t) for t in entry["upper"]), "upper"
+    try:
+        witnesses = []
+        for entry in spec["witnesses"]:
+            psi = potential_from_json(entry["psi"])
+            upper = DirectedReal(
+                tuple(Fraction(t) for t in entry["upper"]), "upper"
+            )
+            witnesses.append((psi, upper))
+        p_lower = DirectedReal(
+            tuple(Fraction(t) for t in spec["p_lower"]), "lower"
         )
-        witnesses.append((psi, upper))
-    p_lower = DirectedReal(
-        tuple(Fraction(t) for t in spec["p_lower"]), "lower"
-    )
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad witnesses JSON: {exc}") from exc
     res = tangent_certificate(mu, phi, witnesses, p_lower, tol)
     result = {
         "check": "tangent",

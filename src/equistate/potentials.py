@@ -113,9 +113,6 @@ def const(q: Fraction | int) -> Potential:
 
 
 def basis(s: SpherePoint) -> Potential:
-    if s.is_infinity:
-        # sigma(x, inf) is a fine 1-Lipschitz function; allow it.
-        pass
     return Potential("basis", point=s)
 
 

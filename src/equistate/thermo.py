@@ -94,6 +94,8 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
     exact; euclid_err/chordal_err bound their distance to the true
     preimages; phi sums accumulate along paths when a potential is given.
     """
+    if depth < 0:
+        raise ValueError(f"tree depth must be nonnegative, got {depth}")
     if f.degree ** depth > _MAX_TREE_LEAVES:
         raise PrecisionExhausted(
             f"preimage tree of depth {depth} for degree {f.degree} exceeds the leaf cap"
@@ -149,6 +151,8 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
 def birkhoff_sum(f: RationalMapRec, phi: Potential, x: SpherePoint, n: int,
                  prec: int = 40) -> BallReal:
     """Enclosure of phi(x) + phi(f x) + ... + phi(f^(n-1) x); zero for n = 0."""
+    if n < 0:
+        raise ValueError(f"step count must be nonnegative, got {n}")
     if n == 0:
         return BallReal.exact(0)
     return ball_sum(phi.evaluate(p, prec + n.bit_length() + 1) for p in f.orbit(x, n))

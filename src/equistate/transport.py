@@ -1,19 +1,22 @@
 """Exact minimum-cost transport on a dense bipartite graph.
 
-Transportation simplex over exact rationals with a spanning-tree basis.
-Entering arcs follow Bland's rule in lexicographic (row, column) order,
-which is deterministic and cannot cycle, so the returned optimum is the
-exact LP value for the given (pinned) rational costs.  The dual potentials
-are returned so callers can verify optimality independently: every
-reduced cost c_ij - u_i - v_j is nonnegative at the optimum.
+Transportation simplex on integers: masses and costs are each scaled once
+by the lcm of their denominators, which changes none of the simplex's
+comparisons, and only the result is scaled back.  The basis is one
+spanning tree; each pivot walks it once for the dual potentials and reads
+the pivot cycle off its parent paths.  Entering arcs follow Bland's rule
+in lexicographic (row, column) order, which is deterministic and cannot
+cycle, so the returned optimum is the exact LP value for the given
+(pinned) rational costs.  The dual potentials are returned so callers can
+verify optimality independently: every reduced cost c_ij - u_i - v_j is
+nonnegative at the optimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .dyadics import ZERO
+from math import lcm
 
 Cost = list[list[Fraction]]
 
@@ -37,6 +40,12 @@ class TransportResult:
         return True
 
 
+def _scaled(xs: list[Fraction]) -> tuple[list[int], int]:
+    """The integers s*x for s the lcm of the denominators, and s."""
+    s = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (s // x.denominator) for x in xs], s
+
+
 def min_cost_transport(supplies: list[Fraction], demands: list[Fraction], cost: Cost
                        ) -> TransportResult:
     """Solve min sum f_ij c_ij with row sums = supplies, col sums = demands.
@@ -48,18 +57,22 @@ def min_cost_transport(supplies: list[Fraction], demands: list[Fraction], cost: 
         raise ValueError("unbalanced transport problem")
     if n == 0 or m == 0:
         raise ValueError("empty transport problem")
+    masses, ws = _scaled([*supplies, *demands])
+    flat, cs = _scaled([x for row in cost for x in row])
+    c = [flat[i * m:(i + 1) * m] for i in range(n)]
 
-    # Northwest-corner initial basic feasible solution; the basis always
-    # holds exactly n + m - 1 arcs (degenerate zero flows included).
-    flow: dict[tuple[int, int], Fraction] = {}
-    basis: list[tuple[int, int]] = []
-    a = [Fraction(s) for s in supplies]
-    b = [Fraction(d) for d in demands]
+    # Northwest-corner initial basic feasible solution; the keys of `flow`
+    # are the basis, always n + m - 1 arcs (degenerate zero flows included),
+    # and `tree` holds the same arcs as adjacency between nodes.
+    flow: dict[tuple[int, int], int] = {}
+    tree: list[set[int]] = [set() for _ in range(n + m)]
+    a, b = masses[:n], masses[n:]
     i = j = 0
-    while len(basis) < n + m - 1:
+    while len(flow) < n + m - 1:
         t = min(a[i], b[j])
         flow[(i, j)] = t
-        basis.append((i, j))
+        tree[i].add(n + j)
+        tree[n + j].add(i)
         a[i] -= t
         b[j] -= t
         if i == n - 1 and j == m - 1:
@@ -71,96 +84,65 @@ def min_cost_transport(supplies: list[Fraction], demands: list[Fraction], cost: 
         else:
             i += 1
 
-    basis_set = set(basis)
-
-    def duals() -> tuple[list, list]:
-        u: list = [None] * n
-        v: list = [None] * m
-        u[0] = ZERO
-        adj_rows: dict[int, list[int]] = {}
-        adj_cols: dict[int, list[int]] = {}
-        for (bi, bj) in basis_set:
-            adj_rows.setdefault(bi, []).append(bj)
-            adj_cols.setdefault(bj, []).append(bi)
-        stack = [("r", 0)]
-        while stack:
-            kind, k = stack.pop()
-            if kind == "r":
-                for bj in adj_rows.get(k, ()):
-                    if v[bj] is None:
-                        v[bj] = cost[k][bj] - u[k]
-                        stack.append(("c", bj))
-            else:
-                for bi in adj_cols.get(k, ()):
-                    if u[bi] is None:
-                        u[bi] = cost[bi][k] - v[k]
-                        stack.append(("r", bi))
-        return u, v
-
-    def cycle_through(enter: tuple[int, int]) -> list[tuple[int, int]]:
-        """Alternating row/column cycle the entering arc closes in the tree."""
-        ei, ej = enter
-        adj_rows: dict[int, list[tuple[int, int]]] = {}
-        adj_cols: dict[int, list[tuple[int, int]]] = {}
-        for arc in basis_set:
-            adj_rows.setdefault(arc[0], []).append(arc)
-            adj_cols.setdefault(arc[1], []).append(arc)
-        # BFS from column node ej back to row node ei through basis arcs.
-        parent: dict[tuple[str, int], tuple[tuple[str, int], tuple[int, int]]] = {}
-        start = ("c", ej)
-        goal = ("r", ei)
-        frontier = [start]
-        seen = {start}
-        while frontier and goal not in parent:
-            nxt = []
-            for node in frontier:
-                kind, k = node
-                arcs_here = adj_cols.get(k, ()) if kind == "c" else adj_rows.get(k, ())
-                for arc in arcs_here:
-                    other = ("r", arc[0]) if kind == "c" else ("c", arc[1])
-                    if other not in seen:
-                        seen.add(other)
-                        parent[other] = (node, arc)
-                        nxt.append(other)
-            frontier = nxt
-        arcs = [enter]
-        node = goal
-        while node != start:
-            prev, arc = parent[node]
-            arcs.append(arc)
-            node = prev
-        return arcs
-
     max_iters = 12 * (n + m) * (n + m) + 400
     for _ in range(max_iters):
-        u, v = duals()
+        # One walk from row 0 gives each node its potential (u_0 = 0 and
+        # c_ij = u_i + v_j on basis arcs), parent, depth and the basis arc
+        # up to its parent.
+        pot = [0] * (n + m)
+        parent = [-1] * (n + m)
+        depth = [0] * (n + m)
+        up: list[tuple[int, int]] = [(-1, -1)] * (n + m)
+        stack = [0]
+        while stack:
+            k = stack.pop()
+            for x in tree[k]:
+                if x != parent[k]:
+                    parent[x] = k
+                    depth[x] = depth[k] + 1
+                    up[x] = (k, x - n) if k < n else (x, k - n)
+                    pot[x] = c[up[x][0]][up[x][1]] - pot[k]
+                    stack.append(x)
+        u, v = pot[:n], pot[n:]
+        # Basis arcs have reduced cost exactly 0, so they are never chosen.
         enter = None
         for ei in range(n):
-            ui = u[ei]
-            row = cost[ei]
+            ui, row = u[ei], c[ei]
             for ej in range(m):
-                if (ei, ej) in basis_set:
-                    continue
                 if row[ej] - ui - v[ej] < 0:
                     enter = (ei, ej)
                     break
             if enter:
                 break
         if enter is None:
-            value = sum(flow[arc] * cost[arc[0]][arc[1]] for arc in basis_set)
-            plan = {arc: f for arc, f in flow.items() if f > 0}
-            return TransportResult(value, plan, u, v)
-        arcs = cycle_through(enter)
-        # Even positions gain flow, odd positions lose it.
-        losers = arcs[1::2]
+            value = Fraction(sum(f * c[i][j] for (i, j), f in flow.items()), ws * cs)
+            plan = {arc: Fraction(f, ws) for arc, f in flow.items() if f > 0}
+            return TransportResult(value, plan, [Fraction(x, cs) for x in u],
+                                   [Fraction(x, cs) for x in v])
+        # The cycle is the entering arc plus the tree paths from its two ends
+        # up to their common ancestor; on each path, counted from the entering
+        # arc, the 1st, 3rd, 5th ... arcs lose flow and the others gain it.
+        x, y = enter[0], n + enter[1]
+        from_row: list[tuple[int, int]] = []
+        from_col: list[tuple[int, int]] = []
+        while x != y:
+            if depth[x] >= depth[y]:
+                from_row.append(up[x])
+                x = parent[x]
+            else:
+                from_col.append(up[y])
+                y = parent[y]
+        losers = from_row[::2] + from_col[::2]
         theta = min(flow[arc] for arc in losers)
         leave = min(arc for arc in losers if flow[arc] == theta)
-        for pos, arc in enumerate(arcs):
-            if pos % 2 == 0:
-                flow[arc] = flow.get(arc, ZERO) + theta
-            else:
-                flow[arc] -= theta
-        basis_set.remove(leave)
-        basis_set.add(enter)
+        for arc in losers:
+            flow[arc] -= theta
+        for arc in from_row[1::2] + from_col[1::2]:
+            flow[arc] += theta
+        flow[enter] = theta
         del flow[leave]
+        tree[enter[0]].add(n + enter[1])
+        tree[n + enter[1]].add(enter[0])
+        tree[leave[0]].discard(n + leave[1])
+        tree[n + leave[1]].discard(leave[0])
     raise RuntimeError("transport simplex exceeded its iteration bound")

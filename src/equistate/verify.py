@@ -46,6 +46,11 @@ MapLike = Union[RationalMapRec, SubdivisionMap, Callable[[Point], Point]]
 # -- patches -----------------------------------------------------------
 
 
+def _dist2(space: str, x: Point, y: Point) -> Fraction:
+    """Exact squared distance in the given space."""
+    return chordal_sq(x, y) if space == SPHERE else dist2_tri(x, y)
+
+
 @dataclass(frozen=True)
 class BallPatch:
     """Open metric ball used as an admissible (injectivity) patch."""
@@ -54,25 +59,20 @@ class BallPatch:
     center: Point
     radius: Fraction
 
-    def _dist2(self, x: Point) -> Fraction:
-        if self.space == SPHERE:
-            return chordal_sq(self.center, x)
-        return dist2_tri(self.center, x)
-
     def contains_point(self, x: Point) -> bool:
-        return self._dist2(x) < self.radius * self.radius
+        return _dist2(self.space, self.center, x) < self.radius * self.radius
 
     def contains_disc(self, x: Point, disc_rad: Fraction, bits: int = 40) -> bool:
         """Certified: the whole disc around x lies inside the patch."""
         if disc_rad >= self.radius:
             return False
-        d = sqrt_upper(self._dist2(x), bits)
+        d = sqrt_upper(_dist2(self.space, self.center, x), bits)
         return d + disc_rad < self.radius
 
     def excludes_disc(self, x: Point, disc_rad: Fraction) -> bool:
         """Certified: the disc around x misses the patch entirely."""
         slack = self.radius + disc_rad
-        return self._dist2(x) > slack * slack
+        return _dist2(self.space, self.center, x) > slack * slack
 
 
 @dataclass
@@ -88,14 +88,8 @@ class PatchSystem:
         return [k for k, p in enumerate(self.patches) if p.contains_point(x)]
 
     def near_excluded(self, x: Point, disc_rad: Fraction) -> bool:
-        for e in self.excluded:
-            if self.space == SPHERE:
-                d2 = chordal_sq(e, x)
-            else:
-                d2 = dist2_tri(e, x)
-            if d2 <= disc_rad * disc_rad:
-                return True
-        return False
+        return any(_dist2(self.space, e, x) <= disc_rad * disc_rad
+                   for e in self.excluded)
 
     def validate_injectivity(self, f: MapLike, samples_per_patch: int = 12) -> bool:
         """Sample-grid injectivity check (exact comparisons on exact points).
@@ -124,7 +118,6 @@ def _sample_points(patch: BallPatch, count: int) -> list[Point]:
         return [patch.center]
     z = patch.center.as_gauss()
     out = [patch.center]
-    k = 1
     # Dyadic offsets shrinking into the patch; sigma <= 2|dz| keeps them in.
     step = patch.radius / 4
     offsets = [(step, ZERO), (ZERO, step), (-step, ZERO), (ZERO, -step),
@@ -138,7 +131,6 @@ def _sample_points(patch: BallPatch, count: int) -> list[Point]:
         cand = SpherePoint(GaussRat(z.re + dx / 2, z.im + dy / 2))
         if patch.contains_point(cand):
             out.append(cand)
-        k += 1
     return out
 
 

@@ -11,6 +11,9 @@ from pathlib import Path
 import pytest
 
 from equistate.cli import main
+from equistate.measures import SPHERE, FiniteMeasure
+from equistate.serialize import measure_to_json
+from equistate.sphere import SpherePoint
 
 
 def run_cli(args, tmp_path, expect=0):
@@ -53,6 +56,17 @@ def test_pressure_z2_chordal_potential(tmp_path):
     assert abs(mid - Fraction(math.log(2) + math.sqrt(2) / 8)) <= rad
 
 
+_TANGENT = ["verify", "tangent", "--measure", "{measure}", "--phi", "const:0",
+            "--witnesses"]
+_BAD_WITNESSES = {
+    "no_witnesses": {"p_lower": ["0"]},
+    "no_p_lower": {"witnesses": []},
+    "no_psi": {"witnesses": [{"upper": ["1"]}], "p_lower": ["0"]},
+    "no_upper": {"witnesses": [{"psi": {"op": "const", "value": "1"}}],
+                 "p_lower": ["0"]},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["mme"],
     ["mme", "--map", "z^2"],
@@ -62,9 +76,24 @@ def test_pressure_z2_chordal_potential(tmp_path):
     ["verify", "membership", "--map", "z^2"],
     ["verify", "membership", "--measure", "{missing}", "--map", "z^2", "--J", "const:2"],
     ["verify", "tangent"],
+    ["mme", "--map", "z^2", "--depth", "-1"],
+    ["birkhoff", "--map", "z^2", "--potential", "const:3", "--point", "1", "--steps", "-2"],
+    ["verify", "jacobian", "--map", "z^2", "--J", "const:2", "--points", "0"],
+    ["verify", "jacobian", "--map", "z^2", "--J", "const:2", "--points", "-1"],
+    ["verify", "membership", "--measure", "{measure}", "--map", "z^2", "--J", "const:2",
+     "--max-patches", "0"],
+    ["verify", "membership", "--measure", "{measure}", "--map", "z^2", "--J", "const:2",
+     "--max-patches", "-1"],
+    *([*_TANGENT, "{%s}" % name] for name in _BAD_WITNESSES),
 ])
 def test_missing_or_unreadable_input_exits_3(argv, tmp_path):
-    argv = [a.replace("{missing}", str(tmp_path / "absent.json")) for a in argv]
+    files = {"missing": tmp_path / "absent.json", "measure": tmp_path / "measure.json"}
+    one_atom = FiniteMeasure.from_atoms(SPHERE, [(SpherePoint.finite(1), Fraction(1))])
+    files["measure"].write_text(json.dumps(measure_to_json(one_atom)))
+    for name, spec in _BAD_WITNESSES.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(spec))
+    argv = [a.format(**files) for a in argv]
     assert main([*argv, "--out", str(tmp_path)]) == 3
 
 

@@ -187,6 +187,34 @@ def test_lp_degenerate_supplies():
     assert res.verify_optimal(cost)
 
 
+def _composition(rng, k, den):
+    """k nonnegative multiples of 1/den summing to 1, zeros included."""
+    cuts = sorted(rng.randint(0, den) for _ in range(k - 1))
+    return [F(b - a, den) for a, b in zip([0, *cuts], [*cuts, den])]
+
+
+def test_transport_exact_certificate_random():
+    """Exact marginals, value, strong duality and reduced costs on seeded
+    rectangular problems whose masses and costs have unlike denominators."""
+    rng = random.Random(4)
+    for _ in range(80):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        supplies = _composition(rng, n, rng.choice([3, 5, 7]))
+        demands = _composition(rng, m, rng.choice([3, 5, 7]))
+        cost = [[F(rng.randint(0, 12), rng.choice([3, 9, 1 << 40])) for _ in range(m)]
+                for _ in range(n)]
+        res = min_cost_transport(supplies, demands, cost)
+        assert all(f > 0 for f in res.plan.values())
+        for i in range(n):
+            assert sum(res.plan.get((i, j), 0) for j in range(m)) == supplies[i]
+        for j in range(m):
+            assert sum(res.plan.get((i, j), 0) for i in range(n)) == demands[j]
+        assert res.value == sum(f * cost[i][j] for (i, j), f in res.plan.items())
+        assert res.value == (sum(u * s for u, s in zip(res.potentials_u, supplies))
+                             + sum(v * d for v, d in zip(res.potentials_v, demands)))
+        assert res.verify_optimal(cost)
+
+
 # -- hats and compare_ge --------------------------------------------------
 
 

@@ -23,17 +23,22 @@ def is_dyadic(q: Fraction) -> bool:
 
 
 def round_to_dyadic(q: Fraction, bits: int) -> Fraction:
-    """Nearest multiple of 2^-bits; ties round toward zero.
+    """Nearest multiple of 2^-bits; ties round away from zero.
 
     |result - q| <= 2^-(bits+1).
     """
-    scaled = q * (1 << bits)
-    n, d = scaled.numerator, scaled.denominator
+    return Fraction(dyadic_numerator(q.numerator, q.denominator, bits), 1 << bits)
+
+
+def dyadic_numerator(n: int, d: int, bits: int) -> int:
+    """The m with m/2^bits = round_to_dyadic(n/d, bits), for d > 0.
+
+    The rule depends on the value n/d only, so n/d need not be in lowest
+    terms.
+    """
     if n >= 0:
-        m = (2 * n + d) // (2 * d)
-    else:
-        m = -((-2 * n + d) // (2 * d))
-    return Fraction(m, 1 << bits)
+        return ((n << (bits + 1)) + d) // (2 * d)
+    return -((((-n) << (bits + 1)) + d) // (2 * d))
 
 
 def ceil_to_dyadic(q: Fraction, bits: int) -> Fraction:

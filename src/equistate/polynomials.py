@@ -3,14 +3,19 @@
 Supports the exact algebra the dynamics needs: Horner evaluation,
 derivatives, Euclidean division, monic gcd, and Yun square-free
 decomposition (characteristic zero, so gcd-based multiplicity splitting
-is exact).
+is exact).  Hot evaluations run on integers instead: the coefficients
+with their denominators cleared, at a point held as Gaussian-integer
+numerators over one denominator (`integer_coeffs`, `integer_point`,
+`horner_int`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .dyadics import ZERO
 from .gauss import G_ZERO, GaussRat
 
 
@@ -159,3 +164,49 @@ def poly_from_roots(roots: list[GaussRat]) -> Polynomial:
     for r in roots:
         p = p * Polynomial.of(-r, 1)
     return p
+
+
+def integer_coeffs(p: Polynomial) -> tuple[list[tuple[int, int]], int]:
+    """(coefficients of D*p as (re, im) integer pairs, lowest first, D),
+    with D the lcm of the denominators of all coefficient parts."""
+    D = 1
+    for c in p.coeffs:
+        D = math.lcm(D, c.re.denominator, c.im.denominator)
+    return [(c.re.numerator * (D // c.re.denominator),
+             c.im.numerator * (D // c.im.denominator)) for c in p.coeffs], D
+
+
+def integer_point(z: GaussRat) -> tuple[int, int, int]:
+    """(a, b, c) with z = (a + b*i)/c and c > 0 the lcm of the denominators."""
+    c = math.lcm(z.re.denominator, z.im.denominator)
+    return (z.re.numerator * (c // z.re.denominator),
+            z.im.numerator * (c // z.im.denominator), c)
+
+
+def horner_int(coeffs: list[tuple[int, int]], a: int, b: int, c: int
+               ) -> tuple[int, int, int, int]:
+    """Homogeneous Horner for P(z) = sum coeffs[k] z^k at z = (a + b*i)/c.
+
+    Returns (re, im) of c^d * P(z) and then of c^(d-1) * P'(z), all
+    integers, where d = len(coeffs) - 1 >= 0.
+    """
+    nr, ni = coeffs[-1]
+    mr = mi = 0
+    scale = 1
+    for qr, qi in reversed(coeffs[:-1]):
+        mr, mi = mr * a - mi * b + nr, mr * b + mi * a + ni
+        scale *= c
+        nr, ni = nr * a - ni * b + qr * scale, nr * b + ni * a + qi * scale
+    return nr, ni, mr, mi
+
+
+def abs2_at(p: Polynomial, z: GaussRat) -> tuple[Fraction, Fraction]:
+    """Exact |p(z)|^2 and |p'(z)|^2 from one integer Horner pass."""
+    coeffs, D = integer_coeffs(p)
+    a, b, c = integer_point(z)
+    nr, ni, mr, mi = horner_int(coeffs, a, b, c)
+    scale = D * c ** p.degree
+    value2 = Fraction(nr * nr + ni * ni, scale * scale)
+    if p.degree < 1:
+        return value2, ZERO
+    return value2, Fraction((mr * mr + mi * mi) * c * c, scale * scale)

@@ -28,7 +28,7 @@ from .dyadics import ZERO, sqrt_lower, sqrt_upper
 from .errors import ExcludedAnchor, ExcludedPoint, PrecisionExhausted
 from .gauss import GaussRat
 from .measures import SPHERE, FiniteMeasure
-from .polynomials import Polynomial, poly_gcd
+from .polynomials import Polynomial, abs2_at, poly_gcd
 from .potentials import Potential
 from .ratmap import RationalMapRec, preimage_polynomial
 from .roots import certified_roots
@@ -76,10 +76,12 @@ def _perturbed_child_displacement(g: Polynomial, den: Polynomial, z: GaussRat,
     degenerated and the caller should retry at higher precision.
     """
     d = g.degree
-    g_at = sqrt_upper(g(z).abs2(), bits)
-    dg_at = sqrt_lower(g.derivative()(z).abs2(), bits)
-    den_at = sqrt_upper(den(z).abs2(), bits)
-    dden_at = sqrt_upper(den.derivative()(z).abs2(), bits)
+    g2, dg2 = abs2_at(g, z)
+    den2, dden2 = abs2_at(den, z)
+    g_at = sqrt_upper(g2, bits)
+    dg_at = sqrt_lower(dg2, bits)
+    den_at = sqrt_upper(den2, bits)
+    dden_at = sqrt_upper(dden2, bits)
     denom = dg_at - delta * dden_at
     if denom <= 0:
         return None

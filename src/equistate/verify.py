@@ -409,26 +409,22 @@ def tangent_certificate(nu: FiniteMeasure, phi: Potential,
 
     Upper bounds use the witnesses' current terms; enlarging the witness
     family can only lower the minimum, so a fail is monotone under
-    refinement.
+    refinement.  An empty witness family tests nothing and is a ValueError.
     """
     if p_lower.direction != "lower":
         raise ValueError("p_lower must be a lower directed real")
+    if not witnesses:
+        raise ValueError("a tangency test needs at least one witness")
     phi_int = integrate(nu, lambda p: phi.evaluate(p, prec), prec)
     gaps: list[BallReal] = []
-    worst: tuple[Fraction, int] | None = None
-    for idx, (psi, p_upper) in enumerate(witnesses):
+    for psi, p_upper in witnesses:
         if p_upper.direction != "upper":
             raise ValueError("witness pressures must be upper directed reals")
         psi_int = integrate(nu, lambda p: psi.evaluate(p, prec), prec)
-        gap = BallReal.exact(p_upper.current) - psi_int + phi_int \
-            - BallReal.exact(p_lower.current)
-        gaps.append(gap)
-        if worst is None or gap.lower() < worst[0]:
-            worst = (gap.lower(), idx)
-    if not gaps:
-        return TangentResult(True, None, BallReal.exact(0), [])
-    lo, idx = worst
-    if lo >= -tol:
+        gaps.append(BallReal.exact(p_upper.current) - psi_int + phi_int
+                    - BallReal.exact(p_lower.current))
+    idx = min(range(len(gaps)), key=lambda k: gaps[k].lower())  # first minimum
+    if gaps[idx].lower() >= -tol:
         return TangentResult(True, None, gaps[idx], gaps)
     return TangentResult(False, idx, gaps[idx], gaps)
 

@@ -64,6 +64,7 @@ _BAD_WITNESSES = {
     "no_psi": {"witnesses": [{"upper": ["1"]}], "p_lower": ["0"]},
     "no_upper": {"witnesses": [{"psi": {"op": "const", "value": "1"}}],
                  "p_lower": ["0"]},
+    "empty_witnesses": {"witnesses": [], "p_lower": ["0"]},
 }
 
 

@@ -1,0 +1,323 @@
+"""Certified roots: the integer Newton kernel, identity with the Fraction
+algorithm it replaced, an mpmath oracle, and the `roots` exit codes."""
+
+import contextlib
+import io
+import json
+import math
+import os
+import random
+import tempfile
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from equistate.cli import main
+from equistate.dyadics import ZERO, sqrt_upper
+from equistate.errors import PrecisionExhausted
+from equistate.gauss import GaussRat
+from equistate.polynomials import (
+    Polynomial,
+    abs2_at,
+    integer_coeffs,
+    integer_point,
+    poly_from_roots,
+    square_free_decomposition,
+)
+from equistate.roots import _int_newton_step, certified_roots
+from equistate.sphere import SpherePoint, chordal_disc_radius, chordal_sq
+
+G = GaussRat.of
+
+
+# -- the Fraction algorithm as first written: Yun first, then a fixed
+# number of Newton steps per root, the residual, the snap and the
+# disjointness check --------------------------------------------------------
+
+_SNAP_DENOMS = (1, 2, 3, 4, 6, 8, 16, 64, 256)
+
+
+def _ref_newton_step(q, dq, z, bits):
+    d = dq(z)
+    if d.is_zero():
+        return (z + G(F(1, 1 << (bits // 2)))).round(bits)
+    return (z - q(z) / d).round(bits)
+
+
+def _ref_seed(z):
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        z = 0j
+    return GaussRat(F(z.real).limit_denominator(1 << 60), F(z.imag).limit_denominator(1 << 60))
+
+
+def _ref_solve(q, target, bits):
+    if q.degree == 1:
+        return [(-q.coeffs[0] / q.coeffs[1], ZERO)]
+    dq = q.derivative()
+    approx = [_ref_seed(complex(r)) for r in np.roots([complex(c) for c in reversed(q.coeffs)])]
+    for _ in range(max(6, bits.bit_length() + 2)):
+        approx = [_ref_newton_step(q, dq, z, bits) for z in approx]
+    out = []
+    for z in approx:
+        num2 = q(z).abs2()
+        if num2 == 0:
+            r = ZERO
+        else:
+            den2 = dq(z).abs2()
+            if den2 == 0:
+                return None
+            r = sqrt_upper(q.degree * q.degree * num2 / den2, bits)
+        if r > target:
+            return None
+        for d in _SNAP_DENOMS:
+            cand = GaussRat(z.re.limit_denominator(d), z.im.limit_denominator(d))
+            if (cand - z).abs2() <= r * r and q(cand).is_zero():
+                out.append((cand, ZERO))
+                break
+        else:
+            out.append((z, r))
+    return out
+
+
+def _ref_disjoint(solved, l):
+    for i, (zi, ri, _) in enumerate(solved):
+        ci = chordal_disc_radius(zi, ri, l + 4)
+        for zj, rj, _ in solved[i + 1:]:
+            if (zi - zj).abs2() <= (ri + rj) * (ri + rj):
+                return False
+            cj = chordal_disc_radius(zj, rj, l + 4)
+            if chordal_sq(SpherePoint(zi), SpherePoint(zj)) <= (ci + cj) * (ci + cj):
+                return False
+    return True
+
+
+def _ref_certified_roots(p, l):
+    factors = square_free_decomposition(p)
+    target = F(1, 1 << (l + 2))
+    bits = max(2 * (l + 8), 64)
+    for _ in range(10):
+        solved = []
+        for q, mult in factors:
+            got = _ref_solve(q, target, bits)
+            if got is None:
+                solved = None
+                break
+            solved.extend((z, r, mult) for z, r in got)
+        if solved is not None and _ref_disjoint(solved, l):
+            out = [(z, m, r, chordal_disc_radius(z, r, l + 4)) for z, r, m in solved]
+            return sorted(out, key=lambda t: t[0].sort_key())
+        bits *= 2
+        target /= 2
+    raise PrecisionExhausted(f"certified_roots at 2^-{l}")
+
+
+# -- seeded polynomials --------------------------------------------------------
+
+
+def _chordal(a: complex, b: complex) -> float:
+    return 2 * abs(a - b) / math.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
+
+
+def _separated(zs) -> bool:
+    # Roots chordally closer than about 2^-(l+3) are never separated at
+    # l = 10 (the chordal radii are rounded at l + 4 bits), and both
+    # algorithms then spend all ten attempts before giving up.
+    zs = [complex(z) for z in zs]
+    return all(_chordal(a, b) > 2 ** -9 for i, a in enumerate(zs) for b in zs[i + 1:])
+
+
+def _float_roots(p):
+    return np.roots([complex(c) for c in reversed(p.coeffs)])
+
+
+def _seeded_polynomials():
+    """About 200 polynomials of four kinds: planted double and triple roots,
+    exact roots with denominators 1 to 256, perturbed (irrational) roots,
+    and non-dyadic Gaussian coefficients."""
+    rng = random.Random(5)
+    out = []
+
+    def root(den):
+        return GaussRat(F(rng.randint(-12, 12), den), F(rng.randint(-12, 12), den))
+
+    while len(out) < 200:
+        kind = len(out) % 4
+        if kind == 0:  # planted double and triple roots
+            roots = [root(rng.choice((1, 2, 3, 4, 7, 12, 16, 256))) for _ in range(rng.randint(1, 3))]
+            mults = [rng.choice((1, 2, 3)) for _ in roots]
+            mults[0] = rng.choice((2, 3))
+            p = poly_from_roots([r for r, m in zip(roots, mults) for _ in range(m)])
+            ok = len(set(roots)) == len(roots) and _separated(roots)
+        elif kind == 1:  # exact simple roots, denominators 1 to 256
+            roots = [root(rng.randint(1, 256)) for _ in range(rng.randint(2, 4))]
+            p = poly_from_roots(roots)
+            ok = len(set(roots)) == len(roots) and _separated(roots)
+        elif kind == 2:  # planted clusters perturbed off the rationals
+            roots = [root(rng.choice((1, 2, 3, 5))) for _ in range(rng.randint(1, 2))]
+            p = poly_from_roots([r for r in roots for _ in range(2)])
+            p = p + Polynomial.of(GaussRat(F(rng.choice((1, -1, 3)), 1 << rng.randint(3, 8)),
+                                           F(rng.randint(-1, 1), 7)))
+            ok = len(set(roots)) == len(roots) and _separated(_float_roots(p))
+        else:  # non-dyadic Gaussian coefficients
+            coeffs = [GaussRat(F(rng.randint(-9, 9), rng.choice((1, 3, 5, 7))),
+                               F(rng.randint(-9, 9), rng.choice((1, 3, 9))))
+                      for _ in range(rng.randint(2, 5))]
+            p = Polynomial.of(*coeffs, GaussRat(F(rng.randint(1, 5), rng.choice((1, 3))),
+                                                F(rng.randint(-2, 2), 5)))
+            ok = _separated(_float_roots(p))
+        if ok:
+            out.append(p)
+    return out
+
+
+_POLYS = _seeded_polynomials()
+
+
+def _summary(clusters):
+    return [(c.midpoint, c.multiplicity, c.euclid_rad, c.center.rad) for c in clusters]
+
+
+@pytest.mark.parametrize("l", [10, 30, 60])
+def test_certified_roots_match_fraction_reference(l):
+    multiple = exact = 0
+    for p in _POLYS:
+        got = _summary(certified_roots(p, l))
+        assert got == _ref_certified_roots(p, l), (p, l)
+        multiple += any(m > 1 for _, m, _, _ in got)
+        exact += any(r == 0 for _, _, r, _ in got)
+    assert multiple >= 50 and exact >= 100  # the planted kinds took effect
+
+
+# -- the integer Newton kernel ---------------------------------------------------
+
+
+def _kernel_step(q, z, bits):
+    coeffs, _ = integer_coeffs(q)
+    a, b, c = integer_point(z)
+    a2, b2, _ = _int_newton_step(coeffs, a, b, c, bits)
+    return GaussRat(F(a2, 1 << bits), F(b2, 1 << bits))
+
+
+@pytest.mark.parametrize("bits", [8, 64, 97])
+@pytest.mark.parametrize("q, z", [
+    # non-dyadic coefficients and seeds, negative parts
+    (Polynomial.of(G(F(-2, 7), F(1, 3)), G(F(1, 3), F(-1, 5)), 1), G(F(-5, 3), F(-7, 11))),
+    (Polynomial.of(G(F(9, 5)), 0, 0, G(F(3, 7), F(2, 3))), G(F(1, 3), F(2, 7))),
+    (Polynomial.of(-2, 0, 1), G(F(-10, 7), F(-1, 1 << 70))),
+    (Polynomial.of(G(1, 1), 0, 0, 0, 1), G(F(-3, 5), F(4, 9))),
+])
+def test_int_newton_step_matches_fraction_step(q, z, bits):
+    assert _kernel_step(q, z, bits) == _ref_newton_step(q, q.derivative(), z, bits)
+
+
+@pytest.mark.parametrize("bits", [8, 64])
+@pytest.mark.parametrize("t", [
+    G(F(3, 1 << 9), F(-5, 1 << 9)),
+    G(F(-7, 1 << 9), F(1, 1 << 9)),
+    G(F(1, 1 << 65), F(-1, 1 << 65)),
+    G(F(-(2 ** 66 + 1), 1 << 65), F(2 ** 66 + 3, 1 << 65)),
+])
+def test_int_newton_step_rounds_exact_ties_like_round_to_dyadic(t, bits):
+    """q = z - t sends every z to t in one step; these t sit exactly halfway
+    between two multiples of 2^-bits for bits = 8 or 64."""
+    q = Polynomial.of(-t, 1)
+    for z in (G(F(1, 3), F(-2, 3)), G(F(-5, 1 << 90), F(0))):
+        got = _kernel_step(q, z, bits)
+        assert got == _ref_newton_step(q, q.derivative(), z, bits) == t.round(bits)
+
+
+@pytest.mark.parametrize("bits", [8, 63, 64])
+@pytest.mark.parametrize("q, z", [
+    (Polynomial.of(-2, 0, 1), G(0)),
+    (poly_from_roots([G(F(1, 3), 1), G(F(1, 3), 1)]) + Polynomial.of(-5), G(F(1, 3), 1)),
+    (Polynomial.of(G(F(1, 7), F(-2, 3)), 0, 0, 1), G(0)),
+])
+def test_int_newton_step_nudges_off_a_critical_point(q, z, bits):
+    dq = q.derivative()
+    assert dq(z).is_zero()
+    expected = (z + G(F(1, 1 << (bits // 2)))).round(bits)
+    assert _kernel_step(q, z, bits) == expected == _ref_newton_step(q, dq, z, bits)
+
+
+def test_abs2_at_matches_fraction_evaluation():
+    rng = random.Random(3)
+    for _ in range(200):
+        p = Polynomial.of(*[G(F(rng.randint(-9, 9), rng.choice((1, 3, 8))),
+                              F(rng.randint(-9, 9), rng.choice((1, 5))))
+                            for _ in range(rng.randint(1, 5))])
+        if p.is_zero():
+            continue
+        z = G(F(rng.randint(-99, 99), rng.choice((1, 7, 1 << 40))),
+              F(rng.randint(-99, 99), rng.choice((1, 3, 1 << 33))))
+        assert abs2_at(p, z) == (p(z).abs2(), p.derivative()(z).abs2())
+
+
+# -- mpmath oracle ---------------------------------------------------------------
+
+
+def test_clusters_hold_mpmath_roots():
+    """At 50 digits, each cluster's Euclidean disc holds exactly
+    `multiplicity` of the roots mpmath finds.  The coefficients are
+    scaled to Gaussian integers, which mpmath holds exactly, so even
+    triple roots come out within 1e-50 or so of the true ones; discs are
+    widened by 1e-25, far less than the clusters' spacing."""
+    mpmath = pytest.importorskip("mpmath")
+    slack = mpmath.mpf(10) ** -25
+    with mpmath.workdps(50):
+        for p in _POLYS[::5]:
+            den = math.lcm(*(c.re.denominator * c.im.denominator for c in p.coeffs))
+            coeffs = [mpmath.mpc(int(c.re * den), int(c.im * den)) for c in reversed(p.coeffs)]
+            # Near a multiple root the iteration stalls at about the cube
+            # root of its working precision; 600 extra bits keep that far
+            # below mpmath's 50-digit stopping test.
+            true_roots = mpmath.polyroots(coeffs, maxsteps=2000, extraprec=600)
+            clusters = certified_roots(p, 30)
+            assert sum(c.multiplicity for c in clusters) == p.degree
+            for c in clusters:
+                mid = mpmath.mpc(mpmath.mpf(c.midpoint.re.numerator) / c.midpoint.re.denominator,
+                                 mpmath.mpf(c.midpoint.im.numerator) / c.midpoint.im.denominator)
+                rad = mpmath.mpf(c.euclid_rad.numerator) / c.euclid_rad.denominator
+                inside = sum(1 for r in true_roots if abs(r - mid) <= rad + slack)
+                assert inside == c.multiplicity, (p, c)
+
+
+# -- the `roots` command keeps the exit-code contract ------------------------------
+
+
+def _factor(r: int) -> str:
+    return "z" if r == 0 else f"(z{-r:+d})"
+
+
+_int_polys = st.one_of(
+    # expanded integer coefficients, degree 0 to 5 (possibly the zero polynomial)
+    st.lists(st.integers(-30, 30), min_size=1, max_size=6).map(
+        lambda cs: ("+".join(f"({c})*z^{k}" for k, c in enumerate(cs)),
+                    max((k for k, c in enumerate(cs) if c), default=-1))),
+    # products with repeated integer roots, degree 1 to 5
+    st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 3)), min_size=1, max_size=3)
+    .filter(lambda fs: sum(m for _, m in fs) <= 5)
+    .flatmap(lambda fs: st.integers(1, 9).map(
+        lambda lead: (f"{lead}*" + "*".join(f"{_factor(r)}^{m}" for r, m in fs),
+                      sum(m for _, m in fs)))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_polys, st.integers(-3, 40))
+def test_roots_command_exit_codes(poly, k):
+    text, degree = poly
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["roots", "--poly", text, "--l", str(k), "--out", out])
+        if rc == 0:
+            with open(os.path.join(out, "roots_result.json"), encoding="utf-8") as fh:
+                clusters = json.load(fh)["clusters"]
+            assert sum(c["multiplicity"] for c in clusters) == degree
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if rc in (3, 4):
+        assert len(err.getvalue().strip().splitlines()) == 1

@@ -214,6 +214,12 @@ def test_tangent_constant_witnesses_pass():
     assert res.gap.contains(F(0))
 
 
+def test_tangent_empty_witness_list_raises():
+    nu = FiniteMeasure.dirac(SPHERE, S(1))
+    with pytest.raises(ValueError, match="at least one witness"):
+        tangent_certificate(nu, const(0), [], DirectedReal((LOG2,), "lower"))
+
+
 def test_tangent_tautological_witness():
     nu = FiniteMeasure.dirac(SPHERE, S(1))
     phi = scale(F(1, 2), basis(S(0)))

@@ -5,22 +5,25 @@ represents; every operation preserves that enclosure.  Midpoints are kept
 dyadic by explicit rounding steps whose error is absorbed into the radius,
 so nothing is ever silently lost.
 
-exp and log are computed by argument reduction plus truncated series with
-the remainder added to the radius; the adaptive drivers re-run with more
-guard bits until the requested 2^-prec radius is met.
+exp and log run in one pass on integer mantissas at a fixed-point scale
+2^-W: the argument is floored to that scale once, reduced (halved for
+exp; split as 2^e * m with m in [1, 2) and a shared ln 2 for log), and
+the Taylor or atanh series is summed and squared back with shifts.  Every
+floor, series tail and the input flooring add a counted number of units
+2^-W to an integer radius, and W is chosen from that count so that the
+radius is at most 2^-(prec + 24).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from . import dyadics
-from .dyadics import ZERO, ONE, round_to_dyadic, sqrt_exact, sqrt_lower, sqrt_upper
-from .errors import MonotonicityViolation, NonPositiveArgument, PrecisionExhausted
-
-_MAX_ADAPTIVE_ROUNDS = 12
+from .dyadics import ZERO, round_to_dyadic, sqrt_exact, sqrt_lower, sqrt_upper
+from .errors import MonotonicityViolation, NonPositiveArgument
 
 
 @dataclass(frozen=True)
@@ -147,57 +150,69 @@ def ball_sqrt(a: BallReal, prec: int) -> BallReal:
     return BallReal.from_endpoints(sqrt_lower(lo, prec + 1), sqrt_upper(hi, prec + 1))
 
 
-# -- exponential ------------------------------------------------------
+# -- exponential and logarithm on integer mantissas ---------------------
+#
+# Both kernels run in fixed point at one scale 2^-W: a real v is held as
+# an int V with |v - V/2^W| <= R/2^W for an int R.  A product is floored
+# back to the scale with a shift, which moves it down by less than 1.
+#
+# Each kernel's docstring shows R < 2^g * (W + 9) * (1 + 2^-15) for its
+# own g.  W = p + bitlen(p) + 2 with p = prec + 24 + g then gives
+# rad <= 2^-(prec + 24), because (W + 9) * 2^-W <= 2^-(p + 1) for p >= 8.
 
 
-def _exp_point_once(q: Fraction, guard: int) -> BallReal:
-    """One enclosure pass for e^q with `guard` working bits."""
-    if q == 0:
-        return BallReal.exact(1)
-    # Halve until |y| <= 1/4, sum the series, square back up.
-    s = 0
-    absq = abs(q)
-    if absq > Fraction(1, 4):
-        s = dyadics.bit_floor_log2(absq) + 3
-    y = q / (1 << s) if s else q
-    # Truncated Taylor sum with remainder bound (4/3)|y|^(N+1)/(N+1)!.
-    term = ONE
-    total = ONE
-    tail = abs(y)  # |y|^(n+1)/(n+1)! maintained incrementally
-    n = 0
-    target = Fraction(1, 1 << guard)
-    while Fraction(4, 3) * tail > target:
-        n += 1
-        term = term * y / n
-        total += term
-        tail = tail * abs(y) / (n + 1)
-        if n > 4 * guard + 64:  # unreachable for |y| <= 1/4
-            raise PrecisionExhausted("exp series failed to converge")
-    v = BallReal(total, Fraction(4, 3) * tail).round(guard)
-    for _ in range(s):
-        v = (v * v).round(guard)
-    return v
+_SPARE_BITS = 24
+
+
+def _working_bits(p: int) -> int:
+    return p + p.bit_length() + 2
 
 
 def exp_point(q: Fraction, prec: int) -> BallReal:
-    """Ball containing e^q with rad <= 2^-prec."""
-    target = Fraction(1, 1 << prec)
-    extra = 0
-    if q > 0:
-        extra = int(q) * 2 + 4  # e^q < 2^(1.5q + 2)
-    guard = prec + extra + 16
-    for _ in range(_MAX_ADAPTIVE_ROUNDS):
-        ball = _exp_point_once(q, guard)
-        if ball.rad <= target:
-            return ball
-        guard *= 2
-    raise PrecisionExhausted(f"exp_point({q}, {prec})")
+    """Ball containing e^q with rad <= 2^-(prec + 24); exact for q = 0.
+
+    Halve s times so that |y| = |q|/2^s <= 1/4, and floor Y = y*2^W
+    (y - Y/2^W in [0, 2^-W), which moves e^y by less than 2^-W * e^(1/4)
+    * (1 + 2^-W) < 2 units of 2^-W).  The Taylor terms
+    t_k = floor(t_(k-1)*Y / (k*2^W)) each miss Y^k/(k! 2^(W(k-1))) by less
+    than 2: the miss of t_(k-1) shrinks by |Y|/(k 2^W) <= 1/4 and the floor
+    adds less than 1.  The sum stops at the first t_N in {0, -1}; the exact
+    terms beyond are then below 3 * (1/4)/(N+1) * 4/3 <= 1/2 together.  So
+    R = 2N + 3 bounds the reduced value.  Squaring V with radius R gives
+    floor(V^2/2^W) with radius ((2V + R)R >> W) + 2: the floor and the
+    rounding-up of the shifted error add 1 each.
+
+    The sum has N <= W/2 + 2 terms, so R <= W + 7 before squaring.  Each
+    squaring at most doubles R + 2 relative to the value, up to a factor
+    1 + 2^-20, so the final R is below 2^s * max(1, e^q) * (W + 9) *
+    (1 + 2^-15): g = s + 2*ceil(max(q, 0)) covers it.
+    """
+    if q == 0:
+        return BallReal.exact(1)
+    a, b = q.numerator, q.denominator
+    s = dyadics.bit_floor_log2(abs(q)) + 3 if 4 * abs(a) > b else 0
+    p = prec + _SPARE_BITS + s + (-2 * (-a // b) if a > 0 else 0)
+    w = _working_bits(p)
+    y = (a << w) // (b << s)
+    t = total = 1 << w
+    n = 0
+    while t not in (0, -1):
+        n += 1
+        t = (t * y) // (n << w)
+        total += t
+    r = 2 * n + 3
+    for _ in range(s):
+        r = (((2 * total + r) * r) >> w) + 2
+        total = (total * total) >> w
+    return BallReal(Fraction(total, 1 << w), Fraction(r, 1 << w))
 
 
 def ball_exp(a: BallReal, prec: int) -> BallReal:
     """Ball containing e^x for every x in a.
 
-    rad <= 2^-prec + e^(a.mid + a.rad) * a.rad, by monotonicity of exp.
+    The hull of the two endpoint balls, by monotonicity of exp: its
+    half-width is at most e^mid * sinh(rad) + 2^-(prec+2), never wider
+    than the midpoint form e^mid * (e^rad - 1).
     """
     if a.rad == 0:
         return exp_point(a.mid, prec)
@@ -206,54 +221,62 @@ def ball_exp(a: BallReal, prec: int) -> BallReal:
     return BallReal.from_endpoints(lo.lower(), hi.upper())
 
 
-# -- logarithm --------------------------------------------------------
+def _two_atanh(num: int, den: int, w: int) -> tuple[int, int]:
+    """(V, R) at scale 2^-W for 2*atanh(t), t = num/den in [0, 1/3].
+
+    T = floor(t*2^W) is off by less than one unit, which moves atanh by
+    less than 9/8 units (atanh' = 1/(1 - t^2) <= 9/8).  The powers
+    P_k = floor(P_(k-1) * floor(T^2/2^W) / 2^W) miss T^(2k+1)/2^(2kW) by
+    at most 3/2 (the miss shrinks by 1/9, the two floors add less than
+    1/3 + 1), so each P_k // (2k+1) misses by less than 3/2.  The sum stops
+    at the first P_N = 0, past which the exact terms add less than 1.  So
+    atanh(t) is within 2N + 3 units of the sum, and twice that holds for
+    2*atanh.
+    """
+    if not num:
+        return 0, 0
+    t = (num << w) // den
+    t2 = (t * t) >> w
+    power = total = t
+    n = 0
+    while power:
+        n += 1
+        power = (power * t2) >> w
+        total += power // (2 * n + 1)
+    return 2 * total, 4 * n + 6
 
 
-def _atanh_series(t: Fraction, guard: int) -> BallReal:
-    """2*atanh(t) for 0 <= t <= 1/3, certified remainder."""
-    if t == 0:
-        return BallReal.exact(0)
-    total = ZERO
-    power = t
-    t2 = t * t
-    k = 0
-    while True:
-        total += power / (2 * k + 1)
-        power *= t2
-        k += 1
-        # Tail: 2 * t^(2k+1) / ((2k+1)(1-t^2)) <= (9/4) * t^(2k+1) / (2k+1)
-        bound = Fraction(9, 4) * t ** (2 * k + 1) / (2 * k + 1)
-        if bound <= Fraction(1, 1 << guard):
-            break
-        if k > 2000:
-            raise PrecisionExhausted("atanh series failed to converge")
-    return BallReal(2 * total, 2 * bound).round(guard)
-
-
-def _log_point_once(q: Fraction, guard: int) -> BallReal:
-    e = dyadics.bit_floor_log2(q)
-    m = q / (Fraction(2) ** e)  # in [1, 2)
-    log_m = _atanh_series((m - 1) / (m + 1), guard)
-    if e == 0:
-        return log_m
-    log2 = _atanh_series(Fraction(1, 3), guard + abs(e).bit_length() + 1)
-    return (log_m + log2.scale(e)).round(guard)
+@lru_cache(maxsize=64)
+def _ln2(w: int) -> tuple[int, int]:
+    """ln 2 = 2*atanh(1/3) at scale 2^-w, shared by every log at that scale."""
+    return _two_atanh(1, 3, w)
 
 
 def log_point(q: Fraction, prec: int) -> BallReal:
-    """Ball containing log(q) with rad <= 2^-prec.  Requires q > 0."""
+    """Ball containing log(q) with rad <= 2^-(prec + 24).  Requires q > 0.
+
+    Write q = 2^e * m with m in [1, 2); then log q = e*ln 2 + 2*atanh(t)
+    with t = (m - 1)/(m + 1) in [0, 1/3), summed by `_two_atanh` on ints.
+    Each sum has N <= W/3 + 1 terms, so R <= (1 + |e|) * (4W/3 + 10),
+    below (W + 9) * 2^g for g = bitlen(|e|) + 1.
+    """
     if q <= 0:
         raise NonPositiveArgument("log of a nonpositive rational")
     if q == 1:
         return BallReal.exact(0)
-    target = Fraction(1, 1 << prec)
-    guard = prec + 8
-    for _ in range(_MAX_ADAPTIVE_ROUNDS):
-        ball = _log_point_once(q, guard)
-        if ball.rad <= target:
-            return ball
-        guard *= 2
-    raise PrecisionExhausted(f"log_point({q}, {prec})")
+    e = dyadics.bit_floor_log2(q)
+    a, b = q.numerator, q.denominator
+    if e >= 0:
+        b <<= e
+    else:
+        a <<= -e
+    w = _working_bits(prec + _SPARE_BITS + abs(e).bit_length() + 1)
+    total, r = _two_atanh(a - b, a + b, w)
+    if e:
+        ln2, r2 = _ln2(w)
+        total += e * ln2
+        r += abs(e) * r2
+    return BallReal(Fraction(total, 1 << w), Fraction(r, 1 << w))
 
 
 def ball_log(a: BallReal, prec: int) -> BallReal:

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+
 from .balls import BallReal, ball_sum
 from .dyadics import ZERO, format_rational
 from .errors import ParseError
@@ -61,15 +63,18 @@ class Potential:
 
     def normal_form(self) -> list[NormalTerm]:
         """Expanded sum-of-products with like terms combined."""
-        terms = self._expand()
+        return list(self._normal_terms)
+
+    @cached_property
+    def _normal_terms(self) -> tuple[NormalTerm, ...]:
+        """The normal form, expanded once per (immutable) potential."""
         combined: dict[tuple, Fraction] = {}
-        for q, basis in terms:
+        for q, basis in self._expand():
             key = tuple(sorted(basis, key=lambda s: s.sort_key()))
             combined[key] = combined.get(key, ZERO) + q
-        out = [(q, key) for key, q in sorted(combined.items(),
-                                             key=lambda kv: (len(kv[0]),))
-               if q != 0]
-        return out
+        return tuple((q, key) for key, q in sorted(combined.items(),
+                                                   key=lambda kv: (len(kv[0]),))
+                     if q != 0)
 
     def _expand(self) -> list[NormalTerm]:
         if self.op == "const":
@@ -94,11 +99,11 @@ class Potential:
         raise ValueError(f"unknown op {self.op!r}")
 
     def is_zero(self) -> bool:
-        return not self.normal_form()
+        return not self._normal_terms
 
     def constant_value(self) -> Fraction | None:
         """The exact constant this potential equals, or None if nonconstant."""
-        nf = self.normal_form()
+        nf = self._normal_terms
         if not nf:
             return ZERO
         if len(nf) == 1 and not nf[0][1]:
@@ -131,7 +136,7 @@ def scale(q: Fraction | int, child: Potential) -> Potential:
 def holder_bound(phi: Potential) -> Fraction:
     """Explicit bound F >= |phi|_{1,sigma} from the normal form."""
     total = ZERO
-    for q, basis_pts in phi.normal_form():
+    for q, basis_pts in phi._normal_terms:
         m = len(basis_pts)
         if m == 0:
             continue  # constants have zero variation
@@ -142,8 +147,21 @@ def holder_bound(phi: Potential) -> Fraction:
 def sup_bound(phi: Potential) -> Fraction:
     """Bound on sup |phi|: each basis factor is at most 2."""
     total = ZERO
-    for q, basis_pts in phi.normal_form():
+    for q, basis_pts in phi._normal_terms:
         total += abs(q) * Fraction(2) ** len(basis_pts)
+    return total
+
+
+def upper_bound(phi: Potential) -> Fraction:
+    """Bound on sup phi itself, with its sign: constant terms count
+    exactly, a nonconstant term q * prod sigma counts q * 2^(factors) when
+    q > 0 and 0 when q < 0, since each factor lies in [0, 2]."""
+    total = ZERO
+    for q, basis_pts in phi._normal_terms:
+        if not basis_pts:
+            total += q
+        elif q > 0:
+            total += q * Fraction(2) ** len(basis_pts)
     return total
 
 

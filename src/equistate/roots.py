@@ -172,16 +172,17 @@ def _solve_square_free(q: Polynomial, target: Fraction, bits: int
 
 
 def _solve_factors(factors: list[tuple[Polynomial, int]], target: Fraction, bits: int,
-                   l: int) -> list[RootCluster] | None:
+                   chordal_bits: int) -> list[RootCluster] | None:
     """Certified clusters of all factors, or None when a solve fails or two
-    discs meet."""
+    discs meet.  Chordal radii are rounded up at `chordal_bits`."""
     clusters: list[RootCluster] = []
     for q, mult in factors:
         got = _solve_square_free(q, target, bits)
         if got is None:
             return None
         clusters.extend(
-            RootCluster(PointBall(SpherePoint(z), chordal_disc_radius(z, r, l + 4)), mult, r)
+            RootCluster(PointBall(SpherePoint(z), chordal_disc_radius(z, r, chordal_bits)),
+                        mult, r)
             for z, r in got
         )
     return clusters if _clusters_disjoint(clusters) else None
@@ -193,16 +194,22 @@ def certified_roots(p: Polynomial, l: int) -> list[RootCluster]:
     Multiplicities sum to deg p; distinct clusters have disjoint chordal
     discs.  Raises PrecisionExhausted if the internal precision cap is
     reached before certification.
+
+    Chordal radii are rounded up at l + 4 bits, plus the bits each retry
+    adds to the working precision: roots chordally closer than about
+    2^-(l+3) then separate once Newton has resolved them.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
+    if l < 0:
+        raise ValueError(f"chordal precision l must be nonnegative, got {l}")
     euclid_target = Fraction(1, 1 << (l + 2))
-    bits = max(2 * (l + 8), 64)
-    clusters = _solve_factors([(p, 1)], euclid_target, bits, l)
+    bits = first_bits = max(2 * (l + 8), 64)
+    clusters = _solve_factors([(p, 1)], euclid_target, bits, l + 4)
     if clusters is None:
         factors = square_free_decomposition(p)
         for _attempt in range(10):
-            clusters = _solve_factors(factors, euclid_target, bits, l)
+            clusters = _solve_factors(factors, euclid_target, bits, l + 4 + bits - first_bits)
             if clusters is not None:
                 break
             bits *= 2

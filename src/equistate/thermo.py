@@ -20,6 +20,7 @@ and the enclosure is as tight as the evaluation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from .errors import ExcludedAnchor, ExcludedPoint, PrecisionExhausted
 from .gauss import GaussRat
 from .measures import SPHERE, FiniteMeasure
 from .polynomials import Polynomial, abs2_at, poly_gcd
-from .potentials import Potential
+from .potentials import Potential, upper_bound
 from .ratmap import RationalMapRec, preimage_polynomial
 from .roots import certified_roots
 from .sphere import INF, SpherePoint, chordal_disc_radius, chordal_sq, ideal_enumerate
@@ -38,6 +39,7 @@ _MAX_TREE_LEAVES = 1 << 19
 _MAX_PRESSURE_DEPTH = 18
 _ANCHOR_CLEARANCE = Fraction(1, 1 << 10)
 _ANCHOR_SEARCH_LIMIT = 20000
+_LOG2_E_UPPER = Fraction(1442695040888963408, 10 ** 18)  # > log2(e) = 1.44269504088896340735...
 
 
 @dataclass
@@ -150,11 +152,17 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
     return PreimageTree(f, levels)
 
 
+def _check_precision(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"precision n must be nonnegative, got {n}")
+
+
 def birkhoff_sum(f: RationalMapRec, phi: Potential, x: SpherePoint, n: int,
                  prec: int = 40) -> BallReal:
     """Enclosure of phi(x) + phi(f x) + ... + phi(f^(n-1) x); zero for n = 0."""
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
+    _check_precision(prec)
     if n == 0:
         return BallReal.exact(0)
     return ball_sum(phi.evaluate(p, prec + n.bit_length() + 1) for p in f.orbit(x, n))
@@ -167,13 +175,31 @@ def ruelle_apply(f: RationalMapRec, phi: Potential | None, u: Potential | None,
     L_phi^m(u)(x) = sum over f^-m-preimages y (with local degrees) of
     deg(y) * u(y) * exp(S_m phi(y)).  u = None means the constant 1.
     Requires x outside {f^i(inf) : 1 <= i <= m}.
+
+    Attempts step through (l, eval_prec) = (l0 * 2^k, e0 * 2^k) and start
+    at the first k with eval_prec >= n + bitlen(d^m) + ceil(m * sup+ *
+    log2 e) + bitlen(m) + 2.  Each leaf term deg(y) * e^(S_m phi(y)) is
+    known to a few units of 2^-eval_prec relative to its size, and the
+    terms add up to L^m 1(x) <= d^m * e^(m * sup phi), so the budget covers
+    the radius of the sum.  sup+ = max(0, upper_bound(phi)) keeps the sign
+    of phi: its negative terms only make L^m 1 smaller, and counting them
+    as positive, as sup |phi| does, would start above the precision that
+    the target needs.  Later members of the sequence are retried when a
+    tree or the radius still falls short.
     """
+    _check_precision(n)
     if m == 0:
         base = u.evaluate(x, n + 2) if u is not None else BallReal.exact(1)
         return base
     target = Fraction(1, 1 << n)
     l = n + 8 + 2 * m
     eval_prec = n + 10 + m + (f.degree ** m).bit_length()
+    sup = max(ZERO, upper_bound(phi)) if phi is not None else ZERO
+    budget = (n + (f.degree ** m).bit_length() + math.ceil(m * sup * _LOG2_E_UPPER)
+              + m.bit_length() + 2)
+    while eval_prec < budget:
+        l *= 2
+        eval_prec *= 2
     for _attempt in range(8):
         try:
             tree = build_preimage_tree(f, x, m, l, phi, eval_prec)
@@ -242,6 +268,7 @@ def pressure(f: RationalMapRec, phi: Potential, n: int,
     Empirical mode iterates N until successive estimates agree to
     2^-(n+2); the result is labeled and NOT certified.
     """
+    _check_precision(n)
     if mode == "certified":
         if c0 is None or R is None:
             raise ValueError("certified mode requires c0 and R")

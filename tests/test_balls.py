@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equistate.dyadics import bit_floor_log2
 from equistate.balls import (
     BallReal,
     DirectedReal,
@@ -154,3 +156,145 @@ def test_directed_push_upper():
 def test_directed_invalid_sequence():
     with pytest.raises(MonotonicityViolation):
         DirectedReal((F(0), F(-1)), "lower")
+
+
+# -- the integer exp/log kernels against mpmath and the Fraction kernels
+# they replaced --------------------------------------------------------------
+#
+# The reference below is the earlier Fraction implementation: Taylor and
+# atanh series on Fractions, rounded at `guard` bits, with the guard
+# doubled until the radius meets 2^-prec.
+
+
+def _ref_exp_once(q, guard):
+    if q == 0:
+        return BallReal.exact(1)
+    s = bit_floor_log2(abs(q)) + 3 if abs(q) > F(1, 4) else 0
+    y = q / (1 << s)
+    term = total = F(1)
+    tail = abs(y)
+    n = 0
+    while F(4, 3) * tail > F(1, 1 << guard):
+        n += 1
+        term = term * y / n
+        total += term
+        tail = tail * abs(y) / (n + 1)
+    v = BallReal(total, F(4, 3) * tail).round(guard)
+    for _ in range(s):
+        v = (v * v).round(guard)
+    return v
+
+
+def _ref_exp_point(q, prec):
+    guard = prec + (int(q) * 2 + 4 if q > 0 else 0) + 16
+    while True:
+        ball = _ref_exp_once(q, guard)
+        if ball.rad <= F(1, 1 << prec):
+            return ball
+        guard *= 2
+
+
+def _ref_two_atanh(t, guard):
+    if t == 0:
+        return BallReal.exact(0)
+    total, power, k = F(0), t, 0
+    while True:
+        total += power / (2 * k + 1)
+        power *= t * t
+        k += 1
+        bound = F(9, 4) * t ** (2 * k + 1) / (2 * k + 1)
+        if bound <= F(1, 1 << guard):
+            return BallReal(2 * total, 2 * bound).round(guard)
+
+
+def _ref_log_point(q, prec):
+    if q == 1:
+        return BallReal.exact(0)
+    guard = prec + 8
+    while True:
+        e = bit_floor_log2(q)
+        m = q / F(2) ** e
+        ball = _ref_two_atanh((m - 1) / (m + 1), guard)
+        if e:
+            ln2 = _ref_two_atanh(F(1, 3), guard + abs(e).bit_length() + 1)
+            ball = (ball + ln2.scale(e)).round(guard)
+        if ball.rad <= F(1, 1 << prec):
+            return ball
+        guard *= 2
+
+
+def _ref_hull(point, a, prec):
+    if a.rad == 0:
+        return point(a.mid, prec)
+    lo, hi = point(a.lower(), prec + 2), point(a.upper(), prec + 2)
+    return BallReal.from_endpoints(lo.lower(), hi.upper())
+
+
+def _kernel_cases():
+    """(q, prec) pairs: 177-bit denominators with |q| <= 40, both signs,
+    the halving threshold +-1/4 and its neighbours, powers of 2, and
+    arguments near 0 and 1."""
+    rng = random.Random(11)
+    qs = [F(rng.randint(-40 << 177, 40 << 177), (1 << 177) - rng.randrange(1 << 176))
+          for _ in range(40)]
+    for t in (F(1, 4), F(-1, 4)):
+        qs += [t, t + F(1, 1 << 90), t - F(1, 1 << 90)]
+    qs += [sign * F(2) ** k for k in (-30, -3, -1, 0, 1, 3, 5) for sign in (1, -1)]
+    qs += [F(1) + F(1, 1 << 100), F(1) - F(3, 1 << 80), F(1, 1 << 80), F(-40), F(40),
+           F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6))]
+    return [(q, p) for q, p in zip(qs, [5, 200] + [rng.randint(5, 200) for _ in qs[2:]])]
+
+
+_KERNEL_CASES = _kernel_cases()
+
+
+def _check_kernel(mpmath, got, want, mp_fn, a, prec):
+    """`got` holds mp_fn on all of a, exceeds the exact half-width of the
+    image by at most 2^-prec, and is no wider than the reference `want`."""
+    def mp(x):
+        return mpmath.mpf(x.numerator) / x.denominator
+
+    ends = [mp_fn(mp(a.lower())), mp_fn(mp(a.upper()))]
+    assert mp(got.lower()) <= min(ends) and max(ends) <= mp(got.upper()), (a, prec)
+    assert mp(got.rad) <= abs(ends[1] - ends[0]) / 2 + mpmath.ldexp(1, -prec), (a, prec)
+    assert got.rad <= want.rad, (a, prec, float(got.rad), float(want.rad))
+
+
+@pytest.mark.parametrize("q, prec", _KERNEL_CASES)
+def test_exp_kernel_against_mpmath_and_fraction_kernel(q, prec):
+    mpmath = pytest.importorskip("mpmath")
+    a = BallReal(q, F(1, 1 << (prec % 50 + 1)))
+    with mpmath.workprec(600):
+        _check_kernel(mpmath, exp_point(q, prec), _ref_exp_point(q, prec), mpmath.exp,
+                      BallReal.exact(q), prec)
+        _check_kernel(mpmath, ball_exp(a, prec), _ref_hull(_ref_exp_point, a, prec),
+                      mpmath.exp, a, prec)
+
+
+@pytest.mark.parametrize("q, prec", [(abs(q), p) for q, p in _KERNEL_CASES if q])
+def test_log_kernel_against_mpmath_and_fraction_kernel(q, prec):
+    mpmath = pytest.importorskip("mpmath")
+    a = BallReal(q, q / (1 << (prec % 50 + 2)))
+    with mpmath.workprec(600):
+        _check_kernel(mpmath, log_point(q, prec), _ref_log_point(q, prec), mpmath.log,
+                      BallReal.exact(q), prec)
+        _check_kernel(mpmath, ball_log(a, prec), _ref_hull(_ref_log_point, a, prec),
+                      mpmath.log, a, prec)
+
+
+def _documented_scale(p):
+    return p + p.bit_length() + 2
+
+
+@pytest.mark.parametrize("prec", [5, 40, 82, 200])
+def test_kernels_run_at_their_documented_scale(prec):
+    """W = p + bitlen(p) + 2, with p = prec + 24 + 2*ceil(q) for exp at
+    0 < q <= 1/4 (no halving) and p = prec + 25 for log on [1, 2).  There
+    the radii are (2N + 3)/2^W and (4N + 6)/2^W, so their denominators
+    show W."""
+    for q in (F(1, 3) / 2, F(1, 4), F(1, 7 << 60)):
+        w = _documented_scale(prec + 24 + 2)
+        assert exp_point(q, prec).rad.denominator == 1 << w
+    for q in (F(3, 2), F(1) + F(1, 1 << 70)):
+        w = _documented_scale(prec + 25)
+        assert log_point(q, prec).rad.denominator == 1 << (w - 1)

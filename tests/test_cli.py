@@ -1,18 +1,24 @@
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equistate import potentials as pot
 from equistate.cli import main
 from equistate.measures import SPHERE, FiniteMeasure
-from equistate.serialize import measure_to_json
+from equistate.serialize import measure_to_json, parse_sphere_point
 from equistate.sphere import SpherePoint
 
 
@@ -96,6 +102,22 @@ def test_missing_or_unreadable_input_exits_3(argv, tmp_path):
         files[name].write_text(json.dumps(spec))
     argv = [a.format(**files) for a in argv]
     assert main([*argv, "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["roots", "--poly", "z^2-1", "--l", "-3"], "l"),
+    (["preimages", "--map", "z^2", "--point", "2", "--l", "-4"], "l"),
+    (["pressure", "--map", "z^2", "--potential", "const:0", "--n", "-1", "--c0", "1",
+      "--R", "0"], "n"),
+    (["pressure", "--map", "z^2", "--potential", "const:0", "--n", "-2", "--mode",
+      "empirical"], "n"),
+    (["birkhoff", "--map", "z^2", "--potential", "const:3", "--point", "1", "--steps", "2",
+      "--n", "-5"], "n"),
+])
+def test_negative_precision_exits_3_naming_the_option(argv, name, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f" {name} must be nonnegative" in err[0], err
 
 
 def test_pressure_oversized_N_precision_exit(tmp_path):
@@ -278,3 +300,53 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == equistate.__version__
+
+
+# -- the pressure path keeps the exit-code contract on fuzzed argv ------------
+
+_POINTS = ("0", "1", "0,1", "-1/2,3")
+_SCALES = (Fraction(1, 8), Fraction(-1, 2), Fraction(0))
+_factors = st.sampled_from(_POINTS).map(lambda p: pot.basis(parse_sphere_point(p))).flatmap(
+    lambda b: st.one_of(st.just(b), st.sampled_from(_SCALES).map(lambda q: pot.scale(q, b))))
+_terms = st.one_of(_factors, st.tuples(_factors, _factors).map(lambda t: pot.pprod(*t)))
+# Constants stay at the top: a large constant inside a product makes the
+# empirical mode iterate for tens of seconds.
+_potentials = st.one_of(
+    st.sampled_from((Fraction(0), Fraction(1, 2), Fraction(-3))).map(pot.const),
+    _terms,
+    st.tuples(st.sampled_from(_SCALES), _terms).map(lambda t: pot.scale(*t)),
+)
+_SMALL_RATIONALS = ("0", "-1", "1/8", "100")
+
+
+def _exit_contract(argv, phi):
+    """Run argv with phi written to a file for --potential."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        path = os.path.join(out, "phi.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(pot.potential_to_json(phi), fh)
+        rc = main([*argv, "--potential", "@" + path, "--out", out])
+    assert rc in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if rc in (3, 4):
+        assert len(err.getvalue().strip().splitlines()) == 1
+    return rc
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("z^2", "z^2-2")), _potentials, st.integers(-3, 4),
+       st.sampled_from(("certified", "empirical")),
+       st.sampled_from((None,) + _SMALL_RATIONALS), st.sampled_from(_SMALL_RATIONALS))
+def test_pressure_command_exit_codes(fmap, phi, n, mode, c0, R):
+    argv = ["pressure", "--map", fmap, "--n", str(n), "--mode", mode, "--R", R]
+    _exit_contract(argv + (["--c0", c0] if c0 is not None else []), phi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("z^2", "z^2-2", "(z^2+1)/(z^2-1)")), _potentials,
+       st.sampled_from(_POINTS + ("inf",)), st.integers(-3, 6), st.integers(-5, 40))
+def test_birkhoff_command_exit_codes(fmap, phi, point, steps, n):
+    _exit_contract(["birkhoff", "--map", fmap, f"--point={point}", "--steps", str(steps),
+                    "--n", str(n)], phi)

@@ -9,6 +9,8 @@ from equistate.potentials import (
     psum,
     scale,
     sup_bound,
+    upper_bound,
+    Potential,
     potential_from_json,
     potential_to_json,
 )
@@ -102,6 +104,43 @@ def test_sup_bound_dominates_samples():
         cap = sup_bound(phi)
         x = S(F(rng.randint(-20, 20), rng.randint(1, 5)), 0)
         assert phi.evaluate(x, 40).abs().upper() <= cap + F(1, 1 << 30)
+
+
+def test_upper_bound_keeps_signs():
+    """Constants count with their sign, negative nonconstant terms count 0."""
+    assert upper_bound(const(-3)) == -3
+    assert upper_bound(scale(-2, pprod(basis(S(0)), basis(S(0, 1))))) == 0
+    assert upper_bound(psum(basis(S(0)), scale(F(1, 2), pprod(basis(S(1)), basis(S(0, 1)))))) == 4
+    assert upper_bound(psum(const(1), scale(F(-1, 3), basis(S(1))))) == 1
+
+
+def test_upper_bound_dominates_samples():
+    rng = random.Random(6)
+    for _ in range(20):
+        phi = psum(const(F(rng.randint(-4, 4), 3)), _random_potential(rng))
+        cap = upper_bound(phi)
+        x = S(F(rng.randint(-20, 20), rng.randint(1, 5)), F(rng.randint(-3, 3), 2))
+        assert phi.evaluate(x, 40).upper() <= cap + F(1, 1 << 30)
+
+
+def test_normal_form_is_expanded_once(monkeypatch):
+    expansions = []
+    expand = Potential._expand
+
+    def counting(self):
+        expansions.append(self)
+        return expand(self)
+
+    monkeypatch.setattr(Potential, "_expand", counting)
+    phi = psum(const(F(1, 3)), scale(F(-2, 5), pprod(basis(S(0)), basis(S(1, 2)))))
+    first = phi.normal_form()
+    top_level = len(expansions)
+    for use in (Potential.normal_form, Potential.is_zero, Potential.constant_value,
+                holder_bound, sup_bound, upper_bound,
+                lambda p: p.evaluate_with_displacement(S(1), F(1, 64), 30)):
+        use(phi)
+    assert phi.normal_form() == first
+    assert len(expansions) == top_level
 
 
 def test_json_roundtrip():

@@ -255,6 +255,29 @@ def test_abs2_at_matches_fraction_evaluation():
         assert abs2_at(p, z) == (p(z).abs2(), p.derivative()(z).abs2())
 
 
+# -- chordally close roots ------------------------------------------------------
+
+
+@pytest.mark.parametrize("p, roots", [
+    # two roots 1.2e-4 apart near -11/3 + 35/3 i (chordal distance 1.6e-6)
+    (poly_from_roots([G(F(-11, 3), F(35, 3))] * 2) - Polynomial.of(F(3601, 10 ** 12)),
+     [complex(-11 / 3 - 3601e-12 ** 0.5, 35 / 3), complex(-11 / 3 + 3601e-12 ** 0.5, 35 / 3)]),
+    # 22.999 + 27.986 i and 22.988 + 28.008 i, chordal distance 3.7e-5
+    (poly_from_roots([G(F(22999, 1000), F(27986, 1000)), G(F(22988, 1000), F(28008, 1000)),
+                      G(1), G(-2, 1), G(0, 3)]),
+     [22.999 + 27.986j, 22.988 + 28.008j, 1, -2 + 1j, 3j]),
+])
+def test_chordally_close_roots_separate_on_retry(p, roots):
+    """Chordal radii rounded at l + 4 bits on every attempt could never
+    separate these at l = 10; the retries' extra bits do."""
+    clusters = certified_roots(p, 10)
+    assert [c.multiplicity for c in clusters] == [1] * p.degree
+    for r in roots:
+        assert sum(abs(complex(c.midpoint) - r) <= float(c.euclid_rad) + 1e-12
+                   for c in clusters) == 1
+    assert all(c.center.rad <= F(1, 1 << 10) for c in clusters)
+
+
 # -- mpmath oracle ---------------------------------------------------------------
 
 

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from equistate import thermo
 from equistate.balls import BallReal, exp_point, log_point
 from equistate.errors import ExcludedPoint, PrecisionExhausted
 from equistate.measures import SPHERE, pushforward, wasserstein
 from equistate.polynomials import Polynomial
-from equistate.potentials import basis, const, psum, scale
+from equistate.potentials import basis, const, pprod, psum, scale
 from equistate.ratmap import RationalMapRec
 from equistate.sphere import INF, SpherePoint, chordal
 from equistate.thermo import (
@@ -60,6 +61,28 @@ def test_ruelle_weighted_two_terms():
     expected = 2 * math.exp(s2)
     assert abs(float(v.mid) - expected) < 1e-8
     assert v.rad <= F(1, 1 << 30)
+
+
+def test_ruelle_builds_one_tree_at_its_budget(monkeypatch):
+    """sup phi <= 4 here, so L^5 1 <= 2^5 e^20 needs eval_prec >= 60: the
+    first attempt at (l, eval_prec) = (38, 41) would be thrown away."""
+    phi = psum(basis(S(0)), scale(F(1, 2), pprod(basis(S(1)), basis(S(0, 1)))))
+    builds = []
+    build = thermo.build_preimage_tree
+
+    def counting(f, x, depth, l, phi=None, eval_prec=60):
+        builds.append((l, eval_prec))
+        return build(f, x, depth, l, phi, eval_prec)
+
+    monkeypatch.setattr(thermo, "build_preimage_tree", counting)
+    v = ruelle_apply(Z2M2, phi, None, S(0), 5, 20)
+    assert builds == [(76, 82)]
+    assert v.rad <= F(1, 1 << 20)
+
+
+def test_ruelle_rejects_negative_precision():
+    with pytest.raises(ValueError, match="precision n must be nonnegative"):
+        ruelle_apply(Z2, None, None, S(3), 1, -1)
 
 
 def test_ruelle_excluded_point():

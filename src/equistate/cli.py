@@ -4,7 +4,8 @@ Every command writes a result JSON (exact rationals as "p/q" strings, so
 outputs are byte-identical across runs) plus a manifest recording the full
 parameter set, tool version, tolerances, and timing.  Exit codes:
 0 computed, 2 verification FAIL (computed, negative verdict),
-3 precondition or parse failure, 4 precision exhausted.
+3 precondition or parse failure (usage errors included), 4 precision or
+iteration budget exhausted.
 """
 
 from __future__ import annotations
@@ -255,6 +256,8 @@ def _verify_membership(args, started: float) -> int:
             or _below_one("verify membership", args, "max_patches")):
         return EXIT_PRECONDITION
     mu = measure_from_json(load_json(args.measure))
+    if mu.space != SPHERE:
+        raise ParseError(f"verify membership needs a measure on {SPHERE}, not {mu.space}")
     f = parse_map(args.map)
     J = _parse_jacobian(args.J)
     tol = Fraction(args.tol) if args.tol else Fraction(1, 1 << 10)
@@ -404,8 +407,17 @@ def cmd_birkhoff(args) -> int:
 # -- argument wiring ----------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become a ParseError, which `main` reports in one line
+    with exit 3; argparse's own exit 2 is the code of a FAIL verdict here.
+    Subparsers are made from the same class."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="equistate",
         description="Certified thermodynamic quantities of complex dynamics",
     )
@@ -494,15 +506,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, ExcludedPoint, ExcludedAnchor, ValueError, OSError) as exc:
         print(f"equistate: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except PrecisionExhausted as exc:
-        print(f"equistate: precision exhausted: {exc}", file=sys.stderr)
+        print(f"equistate: precision or iteration budget exhausted: {exc}",
+              file=sys.stderr)
         return EXIT_PRECISION
     except EquistateError as exc:
         print(f"equistate: {exc}", file=sys.stderr)

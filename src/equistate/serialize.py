@@ -10,7 +10,7 @@ import json
 import re
 from fractions import Fraction
 
-from .dyadics import format_rational
+from .dyadics import format_rational, parse_rational
 from .errors import ParseError
 from .gauss import GaussRat, format_gauss, parse_gauss
 from .measures import SPHERE, TRI, FiniteMeasure
@@ -234,7 +234,7 @@ class _ExprParser:
         if t == "i":
             return _RatFun.const(GaussRat.of(0, 1))
         if t is not None and (t[0].isdigit()):
-            return _RatFun.const(GaussRat.of(Fraction(t), 0))
+            return _RatFun.const(GaussRat.of(parse_rational(t), 0))
         raise ParseError(f"unexpected token {t!r} in map expression")
 
 

@@ -19,27 +19,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from .balls import BallReal, sqrt_of_rational
 from .dyadics import ZERO
 from .errors import NotAVertex, RuleMismatch
 from .measures import TRI, FiniteMeasure
-from .trisphere import BACK, FRONT, Coords, TilePoint, dist2_tri, tile_point
+from .trisphere import (BACK, FRONT, TilePoint, Triple, barycenter, dist2_tri,
+                        homogeneous_point)
 
 CORNERS = ("A", "B", "C")
-
-_F = Fraction
-
-
-def _coords(a, b, c) -> Coords:
-    return (_F(a), _F(b), _F(c))
 
 
 @dataclass(frozen=True)
 class RuleTable:
+    """Child triangles of one face; vertices are homogeneous integer
+    triples, as in `trisphere` ((0, 1, 1) is the midpoint of BC)."""
+
     name: str
     degree: int
-    vertices: dict[str, Coords]
+    vertices: dict[str, Triple]
     children: tuple[tuple[str, str, str], ...]
     colors: dict[str, str]
 
@@ -53,35 +52,32 @@ class RuleTable:
                 raise ValueError(f"{self.name}: child {tri} misses a color")
             if _det3(*(self.vertices[v] for v in tri)) == 0:
                 raise ValueError(f"{self.name}: degenerate child {tri}")
-        total = sum(abs(_det3(*(self.vertices[v] for v in tri)))
-                    for tri in self.children)
+        total = sum(Fraction(abs(_det3(*vs)), sum(vs[0]) * sum(vs[1]) * sum(vs[2]))
+                    for vs in ([self.vertices[v] for v in tri] for tri in self.children))
         if total != 1:
             raise ValueError(f"{self.name}: children do not tile the face")
 
 
-def _cross(q: Coords, r: Coords) -> Coords:
+def _cross(q, r):
     return (q[1] * r[2] - q[2] * r[1],
             q[2] * r[0] - q[0] * r[2],
             q[0] * r[1] - q[1] * r[0])
 
 
-def _det3(p: Coords, q: Coords, r: Coords) -> Fraction:
-    """Signed area of (p, q, r) relative to the face (A, B, C)."""
+def _det3(p, q, r):
+    """det(p, q, r); for barycentric rows, the signed area of (p, q, r)
+    relative to the face (A, B, C)."""
     return sum(a * b for a, b in zip(p, _cross(q, r)))
 
+
+# The corners A, B, C and the midpoints D, E, F of the opposite edges.
+_EDGE_POINTS = {"A": (1, 0, 0), "B": (0, 1, 0), "C": (0, 0, 1),
+                "D": (0, 1, 1), "E": (1, 0, 1), "F": (1, 1, 0)}
 
 _G1 = RuleTable(
     name="g1",
     degree=6,
-    vertices={
-        "A": _coords(1, 0, 0),
-        "B": _coords(0, 1, 0),
-        "C": _coords(0, 0, 1),
-        "D": _coords(0, _F(1, 2), _F(1, 2)),
-        "E": _coords(_F(1, 2), 0, _F(1, 2)),
-        "F": _coords(_F(1, 2), _F(1, 2), 0),
-        "G": _coords(_F(1, 3), _F(1, 3), _F(1, 3)),
-    },
+    vertices={**_EDGE_POINTS, "G": (1, 1, 1)},
     children=(
         ("A", "F", "G"), ("F", "B", "G"), ("B", "D", "G"),
         ("D", "C", "G"), ("C", "E", "G"), ("E", "A", "G"),
@@ -92,16 +88,7 @@ _G1 = RuleTable(
 _G2 = RuleTable(
     name="g2",
     degree=8,
-    vertices={
-        "A": _coords(1, 0, 0),
-        "B": _coords(0, 1, 0),
-        "C": _coords(0, 0, 1),
-        "D": _coords(0, _F(1, 2), _F(1, 2)),
-        "E": _coords(_F(1, 2), 0, _F(1, 2)),
-        "F": _coords(_F(1, 2), _F(1, 2), 0),
-        "U": _coords(_F(1, 2), _F(1, 4), _F(1, 4)),
-        "L": _coords(_F(1, 4), _F(3, 8), _F(3, 8)),
-    },
+    vertices={**_EDGE_POINTS, "U": (2, 1, 1), "L": (2, 3, 3)},
     children=(
         ("A", "F", "U"), ("A", "U", "E"), ("F", "L", "U"), ("U", "L", "E"),
         ("F", "B", "L"), ("B", "D", "L"), ("D", "C", "L"), ("C", "E", "L"),
@@ -134,7 +121,7 @@ def _parity(colors: tuple[str, str, str]) -> int:
     return 1 if colors in (("A", "B", "C"), ("B", "C", "A"), ("C", "A", "B")) else -1
 
 
-def _sign(x: Fraction) -> int:
+def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
@@ -157,43 +144,54 @@ class Tile:
     container_id: int | None
 
     def barycenter(self) -> TilePoint:
-        sums = [sum(v.coords[k] for v in self.verts) for k in range(3)]
-        return tile_point(self.face, *(s / 3 for s in sums))
+        return barycenter(self.verts, self.face)
 
     @cached_property
-    def chart(self) -> tuple[Coords, Coords, Coords]:
-        """Rows of the affine chart onto target_face, one per corner A, B, C.
+    def chart(self) -> tuple[Triple, Triple, Triple]:
+        """Integer rows of the chart onto target_face, one per corner A, B, C.
 
-        The barycentric weight of p on vertex j is p . cross(v[j+1], v[j+2])
-        / det(v0, v1, v2) (Cramer's rule), and that weight lands on the
-        corner colors[j].
+        With V_j the vertex triples and D_j = sum(V_j), the row for the
+        color of vertex j is sign(det V) D_j cross(V_{j+1}, V_{j+2}).  This
+        is Cramer's rule for the weight of p on vertex j, times the positive
+        scale |det V| sum(P) / (D_0 D_1 D_2), which a homogeneous image
+        does not see; so nothing is divided.
         """
-        v = [p.coords for p in self.verts]
-        d = _det3(*v)
-        rows = {c: tuple(x / d for x in _cross(v[(j + 1) % 3], v[(j + 2) % 3]))
+        v = [p.abc for p in self.verts]
+        s = _sign(_det3(*v))
+        rows = {c: tuple(s * sum(v[j]) * x for x in _cross(v[(j + 1) % 3], v[(j + 2) % 3]))
                 for j, c in enumerate(self.colors)}
         return tuple(rows[c] for c in CORNERS)  # type: ignore[return-value]
 
+    @cached_property
+    def _pullback_rows(self) -> tuple[Triple, Triple, Triple]:
+        """Rows of the integer matrix whose columns are (L/D_k) V_k, for V_k
+        the vertex of color k (A, B, C), D_k = sum(V_k) and L = lcm(D_k)."""
+        by_color = dict(zip(self.colors, self.verts))
+        v = [by_color[k].abc for k in CORNERS]
+        big = lcm(*(sum(x) for x in v))
+        return tuple(zip(*(tuple(big // sum(x) * y for y in x) for x in v)))  # type: ignore
+
     def image(self, p: TilePoint) -> TilePoint | None:
-        """Chart image of p, or None when p is not in this closed tile.
+        """Chart image of p (one integer mat-vec), or None when p is not in
+        this closed tile.
 
         The colors permute the corners, so p lies in the tile exactly when
-        every coordinate of its image is nonnegative.
+        every entry of its image is nonnegative.
         """
         if p.face != self.face and not p.on_boundary:
             return None
-        a, b, c = p.coords
-        q = tuple(ra * a + rb * b + rc * c for ra, rb, rc in self.chart)
+        a, b, c = p.abc
+        q = [ra * a + rb * b + rc * c for ra, rb, rc in self.chart]
         if min(q) < 0:
             return None
-        return tile_point(self.target_face, *q)
+        return homogeneous_point(self.target_face, *q)
 
     def pullback(self, q: TilePoint) -> TilePoint:
-        """The point of this tile that the chart sends to q on target_face."""
-        by_color = dict(zip(self.colors, self.verts))
-        a, b, c = (by_color[k].coords for k in CORNERS)
-        wa, wb, wc = q.coords
-        return tile_point(self.face, *(wa * x + wb * y + wc * z for x, y, z in zip(a, b, c)))
+        """The point of this tile that the chart sends to q on target_face:
+        sum_k Q_k (L/D_k) V_k, one integer mat-vec."""
+        a, b, c = q.abc
+        return homogeneous_point(self.face, *(x * a + y * b + z * c
+                                              for x, y, z in self._pullback_rows))
 
 
 @dataclass
@@ -231,7 +229,7 @@ def _level_one_tiles(table: RuleTable) -> list[Tile]:
     tid = 0
     for face in (FRONT, BACK):
         for tri in table.children:
-            verts = tuple(tile_point(face, *table.vertices[v]) for v in tri)
+            verts = tuple(homogeneous_point(face, *table.vertices[v]) for v in tri)
             colors = tuple(table.colors[v] for v in tri)
             orient = _sign(_det3(*(table.vertices[v] for v in tri)))
             target = FRONT if orient * _face_sign(face) * _parity(colors) == 1 else BACK
@@ -250,17 +248,9 @@ def tile_complex(rule: str, level: int) -> TileComplex:
     if level < 0:
         raise ValueError("level must be >= 0")
     if level == 0:
-        tiles = [
-            Tile(0, FRONT,
-                 (tile_point(FRONT, 1, 0, 0), tile_point(FRONT, 0, 1, 0),
-                  tile_point(FRONT, 0, 0, 1)),
-                 ("A", "B", "C"), FRONT, None, None),
-            Tile(1, BACK,
-                 (tile_point(BACK, 1, 0, 0), tile_point(BACK, 0, 1, 0),
-                  tile_point(BACK, 0, 0, 1)),
-                 ("A", "B", "C"), BACK, None, None),
-        ]
-        return TileComplex(rule, 0, tiles, None)
+        corners = tuple(homogeneous_point(FRONT, *_EDGE_POINTS[k]) for k in CORNERS)
+        return TileComplex(rule, 0, [Tile(i, face, corners, CORNERS, face, None, None)
+                                     for i, face in enumerate((FRONT, BACK))], None)
     if level == 1:
         prev = tile_complex(rule, 0)
         return TileComplex(rule, 1, _level_one_tiles(table), prev)
@@ -386,12 +376,8 @@ def flower_mass(rule: str, v: TilePoint, n: int) -> Fraction:
 
 def max_tile_diameter(c: TileComplex, prec: int = 40) -> BallReal:
     """Largest tile diameter (longest edge; tiles are flat triangles)."""
-    best = ZERO
-    for t in c.tiles:
-        for a, b in ((0, 1), (1, 2), (0, 2)):
-            d2 = dist2_tri(t.verts[a], t.verts[b])
-            if d2 > best:
-                best = d2
+    best = max((dist2_tri(t.verts[a], t.verts[b]) for t in c.tiles
+                for a, b in ((0, 1), (1, 2), (0, 2))), default=ZERO)
     return sqrt_of_rational(best, prec)
 
 
@@ -401,13 +387,8 @@ def tile_complex_to_json(c: TileComplex):
     return {
         "rule": c.rule,
         "level": c.level,
-        "tiles": [
-            {
-                "id": t.id,
-                "face": t.face,
-                "verts": [[format_rational(x) for x in v.coords] for v in t.verts],
-            }
-            for t in c.tiles
-        ],
+        "tiles": [{"id": t.id, "face": t.face,
+                   "verts": [[format_rational(x) for x in v.coords] for v in t.verts]}
+                  for t in c.tiles],
         "parent": [t.parent_id for t in c.tiles],
     }

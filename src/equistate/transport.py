@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .errors import PrecisionExhausted
+
 Cost = list[list[Fraction]]
 
 
@@ -46,11 +48,17 @@ def _scaled(xs: list[Fraction]) -> tuple[list[int], int]:
     return [x.numerator * (s // x.denominator) for x in xs], s
 
 
+def _pivot_bound(n: int, m: int) -> int:
+    """Pivots allowed on an n x m problem before the solve gives up."""
+    return 12 * (n + m) * (n + m) + 400
+
+
 def min_cost_transport(supplies: list[Fraction], demands: list[Fraction], cost: Cost
                        ) -> TransportResult:
     """Solve min sum f_ij c_ij with row sums = supplies, col sums = demands.
 
     Requires sum(supplies) == sum(demands), all entries exact Fractions.
+    Raises PrecisionExhausted after `_pivot_bound(n, m)` pivots.
     """
     n, m = len(supplies), len(demands)
     if sum(supplies) != sum(demands):
@@ -84,7 +92,7 @@ def min_cost_transport(supplies: list[Fraction], demands: list[Fraction], cost: 
         else:
             i += 1
 
-    max_iters = 12 * (n + m) * (n + m) + 400
+    max_iters = _pivot_bound(n, m)
     for _ in range(max_iters):
         # One walk from row 0 gives each node its potential (u_0 = 0 and
         # c_ij = u_i + v_j on basis arcs), parent, depth and the basis arc
@@ -145,4 +153,5 @@ def min_cost_transport(supplies: list[Fraction], demands: list[Fraction], cost: 
         tree[n + enter[1]].add(enter[0])
         tree[leave[0]].discard(n + leave[1])
         tree[n + leave[1]].discard(leave[0])
-    raise RuntimeError("transport simplex exceeded its iteration bound")
+    raise PrecisionExhausted(f"transport simplex exceeded its bound of {max_iters} "
+                             f"pivots on a {n} x {m} problem")

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 from equistate import potentials as pot
 from equistate.cli import main
-from equistate.measures import SPHERE, FiniteMeasure
+from equistate.measures import SPHERE, TRI, FiniteMeasure
 from equistate.serialize import measure_to_json, parse_sphere_point
 from equistate.sphere import SpherePoint
+from equistate.thurston import mme_tile_measure
 
 
 def run_cli(args, tmp_path, expect=0):
@@ -92,11 +93,15 @@ _BAD_WITNESSES = {
     ["verify", "membership", "--measure", "{measure}", "--map", "z^2", "--J", "const:2",
      "--max-patches", "-1"],
     *([*_TANGENT, "{%s}" % name] for name in _BAD_WITNESSES),
+    ["mme", "--map", "1/0", "--depth", "1"],
+    ["verify", "membership", "--measure", "{tri_measure}", "--map", "z^2", "--J", "const:2"],
 ])
 def test_missing_or_unreadable_input_exits_3(argv, tmp_path):
-    files = {"missing": tmp_path / "absent.json", "measure": tmp_path / "measure.json"}
+    files = {"missing": tmp_path / "absent.json", "measure": tmp_path / "measure.json",
+             "tri_measure": tmp_path / "tri_measure.json"}
     one_atom = FiniteMeasure.from_atoms(SPHERE, [(SpherePoint.finite(1), Fraction(1))])
     files["measure"].write_text(json.dumps(measure_to_json(one_atom)))
+    files["tri_measure"].write_text(json.dumps(measure_to_json(mme_tile_measure("g1", 1))))
     for name, spec in _BAD_WITNESSES.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(spec))
@@ -319,20 +324,29 @@ _potentials = st.one_of(
 _SMALL_RATIONALS = ("0", "-1", "1/8", "100")
 
 
-def _exit_contract(argv, phi):
-    """Run argv with phi written to a file for --potential."""
+def _contract(argv, files=None):
+    """Run argv in a fresh output directory and check the exit-code
+    contract.  Each entry name -> obj of `files` is written there as JSON,
+    and "{name}" in argv becomes its path."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
-        path = os.path.join(out, "phi.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(pot.potential_to_json(phi), fh)
-        rc = main([*argv, "--potential", "@" + path, "--out", out])
+        paths = {}
+        for name, obj in (files or {}).items():
+            paths[name] = os.path.join(out, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(obj, fh)
+        rc = main([*(a.format(**paths) for a in argv), "--out", out])
     assert rc in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     if rc in (3, 4):
-        assert len(err.getvalue().strip().splitlines()) == 1
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
     return rc
+
+
+def _exit_contract(argv, phi):
+    """Run argv with phi written to a file for --potential."""
+    return _contract([*argv, "--potential", "@{phi}"], {"phi": pot.potential_to_json(phi)})
 
 
 @settings(max_examples=40, deadline=None)
@@ -350,3 +364,181 @@ def test_pressure_command_exit_codes(fmap, phi, n, mode, c0, R):
 def test_birkhoff_command_exit_codes(fmap, phi, point, steps, n):
     _exit_contract(["birkhoff", "--map", fmap, f"--point={point}", "--steps", str(steps),
                     "--n", str(n)], phi)
+
+
+# -- usage errors and the remaining commands keep the contract too -----------
+
+
+@pytest.mark.parametrize("argv", [
+    ["roots", "--poly", "z^2-1", "--l", "abc"],
+    ["birkhoff", "--map", "z^2", "--potential", "const:1", "--point", "-1/2,3", "--steps", "2"],
+    ["tiles", "--rule", "g3", "--level", "1"],
+    ["mme", "--depth", "2.5"],
+    ["bogus"],
+    [],
+    ["roots"],
+    ["roots", "--poly", "z^2-1", "--frobnicate"],
+])
+def test_usage_errors_exit_3_with_one_line(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("equistate: "), err
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["-h"], ["roots", "-h"], ["verify", "--help"]])
+def test_version_and_help_exit_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_simplex_iteration_bound_exits_4(tmp_path, monkeypatch, capsys):
+    from equistate import transport
+    from equistate.errors import PrecisionExhausted
+    from equistate.serialize import dump_json
+
+    monkeypatch.setattr(transport, "_pivot_bound", lambda n, m: 0)
+    with pytest.raises(PrecisionExhausted, match="bound of 0 pivots on a 1 x 2 problem"):
+        transport.min_cost_transport([Fraction(1)], [Fraction(1, 2)] * 2,
+                                     [[Fraction(0), Fraction(1)]])
+    half = Fraction(1, 2)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    dump_json(measure_to_json(FiniteMeasure.dirac(SPHERE, SpherePoint.finite(0))), str(a))
+    dump_json(measure_to_json(FiniteMeasure.from_atoms(
+        SPHERE, [(SpherePoint.finite(1), half), (SpherePoint.finite(-1), half)])), str(b))
+    assert main(["wasserstein", "--a", str(a), "--b", str(b), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "iteration budget" in err[0] and "0 pivots" in err[0], err
+
+
+def _mostly(valid, bad=()):
+    """A valid value in most draws, else a bad one (or None, a left-out
+    option), so that most drawn command lines get past parsing."""
+    valid = st.sampled_from(tuple(valid))
+    if not bad:
+        return valid
+    return st.tuples(st.integers(0, 5), valid, st.sampled_from(tuple(bad))).map(
+        lambda t: t[2] if t[0] == 0 else t[1])
+
+
+def _opt(name, value):
+    """argv for an option that may be left out; values may start with '-'."""
+    return [] if value is None else [f"--{name}={value}"]
+
+
+_MAPS = _mostly(("z^2", "z^2-2", "(z^2+1)/(z^2-1)"), ("z^", "1/0", "(z"))
+_SPHERE_POINTS = _mostly(("0", "1", "-1/2,3", "inf", "1/2+3*i"), ("x", "1/0", "1,"))
+_FORMATS = st.sampled_from(("json", "csv", "both"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_MAPS, _mostly(range(4), (None, -1, -2)), _SPHERE_POINTS, _FORMATS)
+def test_mme_map_command_exit_codes(fmap, depth, anchor, fmt):
+    _contract(["mme", "--map", fmap, *_opt("depth", depth), f"--anchor={anchor}",
+               "--format", fmt])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_mostly(("g1", "g2"), ("g3",)), _mostly(range(4), (None, -1, -2)), _FORMATS,
+       st.sampled_from(("mme", "tiles")))
+def test_rule_commands_exit_codes(rule, level, fmt, command):
+    _contract([command, "--rule", rule, *_opt("level", level), "--format", fmt])
+
+
+@settings(max_examples=30, deadline=None)
+@given(_MAPS, _SPHERE_POINTS, _mostly((0, 1, 8, 24), (-1, -2, "x")))
+def test_preimages_command_exit_codes(fmap, point, l):
+    _contract(["preimages", "--map", fmap, f"--point={point}", f"--l={l}"])
+
+
+_GOOD_POINTS = {
+    SPHERE: ("inf", {"re": "1", "im": "0"}, {"re": "-1/2", "im": "3"}, {"re": "0", "im": "0"}),
+    TRI: ({"face": "front", "coords": ["1/3", "1/3", "1/3"]},
+          {"face": "back", "coords": ["1/2", "1/4", "1/4"]},
+          {"face": "back", "coords": ["0", "1/2", "1/2"]},
+          {"face": "front", "coords": ["1", "0", "0"]}),
+}
+# A zero denominator, a sum other than 1, a negative entry, two entries, a
+# face that is not one; and for the sphere a zero denominator and a missing
+# part.
+_BAD_POINTS = {
+    SPHERE: ({"re": "1/0", "im": "0"}, {"re": "1"}, "x"),
+    TRI: tuple({"face": f, "coords": c} for f, c in (
+        ("front", ["1/0", "0", "1"]), ("back", ["1/2", "1/2", "1/2"]),
+        ("front", ["-1/2", "1", "1/2"]), ("back", ["1/2", "1/2"]),
+        ("side", ["1/3", "1/3", "1/3"]))),
+}
+
+
+@st.composite
+def _measure_json(draw, space):
+    """A probability measure on 1-3 valid points, sometimes with one bad
+    point or one bad weight."""
+    points = draw(st.lists(st.sampled_from(_GOOD_POINTS[space]), min_size=1, max_size=3))
+    weights = [f"1/{len(points)}"] * len(points)
+    flaw = draw(st.integers(0, 5))
+    if flaw == 0:
+        points[0] = draw(st.sampled_from(_BAD_POINTS[space]))
+    elif flaw == 1:
+        weights[0] = draw(st.sampled_from(("0", "-1/2", "2", "x")))
+    return {"space": space, "atom_error": "0",
+            "atoms": [{"point": p, "weight": w} for p, w in zip(points, weights)]}
+
+
+_SPACES = st.sampled_from((SPHERE, TRI))
+_measures = _SPACES.flatmap(_measure_json)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_SPACES.flatmap(lambda s: st.tuples(_measure_json(s), _measure_json(s))),
+                 st.tuples(_measures, _measures)),
+       _mostly((0, 8, 30), (-2, "x")))
+def test_wasserstein_command_exit_codes(ab, prec):
+    _contract(["wasserstein", "--a", "{a}", "--b", "{b}", f"--prec={prec}"],
+              dict(zip("ab", ab)))
+
+
+_J = _mostly(("const:2", "const:1", "const:1/2"), ("const:x", "exp:2", None))
+_TOLS = _mostly((None, "0", "1/1024", "-1"), ("x",))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_MAPS, _J, _mostly((1, 2, 3), (0, -1)), _TOLS)
+def test_verify_jacobian_exit_codes(fmap, J, points, tol):
+    _contract(["verify", "jacobian", "--map", fmap, *_opt("J", J), f"--points={points}",
+               *_opt("tol", tol)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(_measure_json(SPHERE), _measures), _MAPS, _J, _TOLS,
+       _mostly((None, "0", "1/8"), ("-1", "x")),
+       _mostly((1, 2, 3), (0, -1)))
+def test_verify_membership_exit_codes(measure, fmap, J, tol, mesh, max_patches):
+    _contract(["verify", "membership", "--measure", "{measure}", "--map", fmap,
+               *_opt("J", J), *_opt("tol", tol), *_opt("mesh", mesh),
+               f"--max-patches={max_patches}"], {"measure": measure})
+
+
+_witness_specs = _mostly((
+    {"witnesses": [{"psi": {"op": "const", "value": "1"}, "upper": ["2"]}], "p_lower": ["0"]},
+    {"witnesses": [{"psi": {"op": "const", "value": "0"}, "upper": ["1", "2"]}],
+     "p_lower": ["1"]},
+), (
+    {"witnesses": [{"psi": {"op": "const", "value": "1/0"}, "upper": ["2"]}],
+     "p_lower": ["0"]},
+    {"witnesses": [{"psi": {"op": "nope"}, "upper": ["2"]}], "p_lower": ["0"]},
+    {"witnesses": [{"psi": {"op": "const", "value": "0"}, "upper": []}], "p_lower": ["0"]},
+    {"witnesses": "x", "p_lower": ["0"]},
+    [],
+    *_BAD_WITNESSES.values(),
+))
+
+
+@settings(max_examples=25, deadline=None)
+@given(_measures, _mostly(("const:0", "const:1/2", "basis:0,0"), ("basis:x", "y")),
+       _witness_specs, _TOLS)
+def test_verify_tangent_exit_codes(measure, phi, witnesses, tol):
+    _contract(["verify", "tangent", "--measure", "{measure}", "--phi", phi,
+               "--witnesses", "{witnesses}", *_opt("tol", tol)],
+              {"measure": measure, "witnesses": witnesses})

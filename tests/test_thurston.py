@@ -1,9 +1,16 @@
+import hashlib
+import json
+import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equistate.errors import NotAVertex, RuleMismatch
 from equistate.measures import pushforward, wasserstein
+from equistate.serialize import measure_to_json
 from equistate.thurston import (
     SubdivisionMap,
     flower,
@@ -13,10 +20,19 @@ from equistate.thurston import (
     rule_degree,
     subdivide,
     tile_complex,
+    tile_complex_to_json,
     vertex_image,
     vertex_local_degree,
 )
-from equistate.trisphere import BACK, FRONT, TilePoint, barycenter, dist2_tri, tile_point
+from equistate.trisphere import (
+    BACK,
+    FRONT,
+    TilePoint,
+    barycenter,
+    dist2_tri,
+    homogeneous_point,
+    tile_point,
+)
 
 A = tile_point(FRONT, 1, 0, 0)
 B = tile_point(FRONT, 0, 1, 0)
@@ -302,3 +318,170 @@ def test_wasserstein_cauchy_small_levels():
             if n == 1:  # the exact LP stays desk-sized at the first level
                 w_exact = wasserstein(mu_child, mu_parent, 25)
                 assert w_exact.lower() <= cost.upper()
+
+
+# -- integer tiles against Fraction references ------------------------------
+#
+# The references below are the Fraction formulas the integer code replaced:
+# the direct quadratic form plus nine reflected images for the metric, and
+# Cramer's rule for the charts.
+
+
+def _ref_quad(p, q):
+    d1, d2, d3 = (x - y for x, y in zip(p, q))
+    return -(d1 * d2 + d1 * d3 + d2 * d3)
+
+
+def _ref_reflect_bc(q):
+    a, b, c = q
+    return (-a, b + a, c + a)
+
+
+def _ref_reflect_ca(q):
+    a, b, c = q
+    return (a + b, -b, c + b)
+
+
+def _ref_reflect_ab(q):
+    a, b, c = q
+    return (a + c, b + c, -c)
+
+
+def _ref_dist2(p, q):
+    if p.face == q.face or 0 in p.coords or 0 in q.coords:
+        return _ref_quad(p.coords, q.coords)
+    reflections = (_ref_reflect_bc, _ref_reflect_ca, _ref_reflect_ab)
+    images = []
+    for r1 in reflections:
+        images.append(r1(q.coords))
+        images += [r2(r1(q.coords)) for r2 in reflections if r2 is not r1]
+    assert len(images) == 9
+    return min(_ref_quad(p.coords, img) for img in images)
+
+
+_points = st.builds(
+    lambda face, abc: tile_point(face, *(F(x, sum(abc)) for x in abc)),
+    st.sampled_from((FRONT, BACK)),
+    st.tuples(*[st.integers(0, 40)] * 3).filter(any))
+_interior = _points.filter(lambda p: not p.on_boundary)
+_boundary = _points.filter(lambda p: p.on_boundary)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_points, _boundary), st.one_of(_points, _boundary))
+def test_dist2_tri_matches_fraction_reference(p, q):
+    assert dist2_tri(p, q) == _ref_dist2(p, q) == dist2_tri(q, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_interior, _interior)
+def test_dist2_tri_cross_face_matches_fraction_reference(p, q):
+    q = tile_point(BACK if p.face == FRONT else FRONT, *q.coords)
+    assert dist2_tri(p, q) == _ref_dist2(p, q) > 0
+
+
+def test_dist2_tri_cross_face_grid_matches_fraction_reference():
+    """Every pair of interior points with triples in 1..4, on opposite
+    faces: the three one-edge images give the nine-image minimum."""
+    pts = [tile_point(FRONT, *(F(x, a + b + c) for x in (a, b, c)))
+           for a in range(1, 5) for b in range(1, 5) for c in range(1, 5)]
+    pts = list({p.abc: p for p in pts}.values())
+    for p in pts:
+        for q in pts:
+            q = tile_point(BACK, *q.coords)
+            assert dist2_tri(p, q) == _ref_dist2(p, q)
+
+
+def _ref_det(p, q, r):
+    return (p[0] * (q[1] * r[2] - q[2] * r[1]) - p[1] * (q[0] * r[2] - q[2] * r[0])
+            + p[2] * (q[0] * r[1] - q[1] * r[0]))
+
+
+def _ref_weights(t, p):
+    """Barycentric weights of p on t's vertices by Cramer's rule."""
+    v = [x.coords for x in t.verts]
+    d = _ref_det(*v)
+    return [_ref_det(*(p.coords if k == j else v[k] for k in range(3))) / d
+            for j in range(3)]
+
+
+@pytest.mark.parametrize("rule, level", [("g1", 1), ("g1", 2), ("g2", 1), ("g2", 2)])
+def test_chart_and_pullback_match_cramer(rule, level):
+    rng = random.Random(f"{rule}{level}")
+    tiles = tile_complex(rule, level).tiles
+    for t in tiles:
+        by_color = dict(zip(t.colors, t.verts))
+        for _ in range(3):
+            ws = [F(rng.randint(1, 50)) for _ in range(3)]
+            ws = [w / sum(ws) for w in ws]
+            p = tile_point(t.face, *(sum(w * v.coords[k] for w, v in zip(ws, t.verts))
+                                     for k in range(3)))
+            assert _ref_weights(t, p) == ws
+            img = t.image(p)
+            expected = dict(zip(t.colors, ws))
+            assert img == tile_point(t.target_face, *(expected[k] for k in "ABC"))
+            assert t.pullback(img) == p
+            assert t.pullback(img).coords == tuple(
+                sum(img.coords[i] * by_color[k].coords[j] for i, k in enumerate("ABC"))
+                for j in range(3))
+            # Any other tile of the level holds p only on its boundary.
+            other = tiles[(t.id + 1) % len(tiles)]
+            holds = other.image(p) is not None
+            assert holds == ((p.face == other.face or p.on_boundary)
+                             and min(_ref_weights(other, p)) >= 0)
+
+
+def test_canonical_triples_equal_and_hash_alike():
+    u = tile_complex("g2", 1).tiles[0]  # (A, F, U), colors (A, B, C)
+    from_chart = u.pullback(C)
+    from_input = tile_point(FRONT, F(2, 4), F(1, 4), F(1, 4))
+    assert from_chart == from_input and hash(from_chart) == hash(from_input)
+    assert from_input.abc == (2, 1, 1) and from_input.coords == (F(1, 2), F(1, 4), F(1, 4))
+    assert homogeneous_point(FRONT, 6, 3, 3) == from_input != homogeneous_point(BACK, 6, 3, 3)
+    assert homogeneous_point(BACK, 0, 4, 4) == tile_point(BACK, 0, F(1, 2), F(1, 2))
+    for rule in ("g1", "g2"):
+        for v in tile_complex(rule, 2).vertex_set():
+            assert gcd(*v.abc) == 1 and min(v.abc) >= 0
+            assert v == tile_point(v.face, *v.coords)
+            if v.on_boundary:
+                assert v.face == FRONT
+
+
+@pytest.mark.parametrize("args", [
+    (FRONT, F(-1, 2), 1, F(1, 2)), (FRONT, F(1, 2), F(1, 2), F(1, 2)),
+    ("side", F(1, 3), F(1, 3), F(1, 3)), ("side", 0, F(1, 2), F(1, 2)),
+])
+def test_tile_point_rejects_invalid_input(args):
+    with pytest.raises(ValueError):
+        tile_point(*args)
+
+
+@pytest.mark.parametrize("abc", [(0, 0, 0), (-1, 1, 1)])
+def test_homogeneous_point_rejects_invalid_triples(abc):
+    with pytest.raises(ValueError):
+        homogeneous_point(FRONT, *abc)
+
+
+def test_barycenters_agree_with_fraction_means():
+    for t in tile_complex("g2", 2).tiles:
+        mean = [sum(v.coords[k] for v in t.verts) / 3 for k in range(3)]
+        assert t.barycenter() == tile_point(t.face, *mean)
+    pts = [tile_point(BACK, F(1, 3), F(1, 3), F(1, 3)),
+           tile_point(BACK, F(1, 2), F(1, 4), F(1, 4))]
+    assert barycenter(pts) == tile_point(BACK, F(5, 12), F(7, 24), F(7, 24))
+
+
+# SHA-256 of the level-3 tile complex and tile measure JSON, recorded with
+# the Fraction implementation of the charts, pullbacks and barycenters.
+_GOLDEN = {
+    "g1": "454e1465c7a8fa684a1b9159f5e56ab0d1f9ec3a43c238e91ecab5c4481368eb",
+    "g2": "d246751e8a290d86fbbe92644cd4cfcf91ad059427ae553bcf9251f1818e71e2",
+}
+
+
+@pytest.mark.parametrize("rule", ["g1", "g2"])
+def test_level3_json_matches_golden_hash(rule):
+    obj = {"tiles": tile_complex_to_json(tile_complex(rule, 3)),
+           "mme": measure_to_json(mme_tile_measure(rule, 3))}
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN[rule]

@@ -5,61 +5,86 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
-from .dyadics import ZERO, format_rational, round_to_dyadic
+from .dyadics import dyadic_numerator, format_rational
 from .errors import ParseError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussRat:
-    """a + b*i with exact rational a, b."""
+    """The point (x + y*i)/d of Q(i).
 
-    re: Fraction
-    im: Fraction
+    (x, y, d) is the reduced triple: d > 0 and gcd(x, y, d) = 1, so every
+    value has exactly one triple, and equality and hashing compare
+    integers.  Build values with `GaussRat.of` (rational parts) or
+    `gauss_ratio` (any integer triple), which keep these invariants.
+    `re` and `im` are Fraction views of the same value.
+    """
+
+    x: int
+    y: int
+    d: int
 
     @staticmethod
     def of(re: Fraction | int, im: Fraction | int = 0) -> "GaussRat":
-        return GaussRat(Fraction(re), Fraction(im))
+        # Over d = lcm of the reduced denominators no prime divides all
+        # of x, y and d, so the triple is already reduced.
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        return GaussRat(re.numerator * (d // re.denominator),
+                        im.numerator * (d // im.denominator), d)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.x, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.y, self.d)
 
     def __add__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re + other.re, self.im + other.im)
+        d1, d2 = self.d, other.d
+        return gauss_ratio(self.x * d2 + other.x * d1, self.y * d2 + other.y * d1, d1 * d2)
 
     def __sub__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(self.re - other.re, self.im - other.im)
+        d1, d2 = self.d, other.d
+        return gauss_ratio(self.x * d2 - other.x * d1, self.y * d2 - other.y * d1, d1 * d2)
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
+        return GaussRat(-self.x, -self.y, self.d)
 
     def __mul__(self, other: "GaussRat") -> "GaussRat":
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        x1, y1, x2, y2 = self.x, self.y, other.x, other.y
+        return gauss_ratio(x1 * x2 - y1 * y2, x1 * y2 + y1 * x2, self.d * other.d)
 
     def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return Fraction(self.x * self.x + self.y * self.y, self.d * self.d)
 
     def inverse(self) -> "GaussRat":
-        n = self.abs2()
-        if n == 0:
+        x, y = self.x, self.y
+        if x == 0 and y == 0:
             raise ZeroDivisionError("inverse of 0")
-        return GaussRat(self.re / n, -self.im / n)
+        return gauss_ratio(self.d * x, -self.d * y, x * x + y * y)
 
     def __truediv__(self, other: "GaussRat") -> "GaussRat":
         return self * other.inverse()
 
     def scale(self, q: Fraction | int) -> "GaussRat":
-        q = Fraction(q)
-        return GaussRat(self.re * q, self.im * q)
+        n = q.numerator  # an int is its own numerator, over 1
+        return gauss_ratio(self.x * n, self.y * n, self.d * q.denominator)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.x == 0 and self.y == 0
 
     def round(self, bits: int) -> "GaussRat":
-        return GaussRat(round_to_dyadic(self.re, bits), round_to_dyadic(self.im, bits))
+        """Both parts as `dyadics.round_to_dyadic` rounds them."""
+        return gauss_ratio(dyadic_numerator(self.x, self.d, bits),
+                           dyadic_numerator(self.y, self.d, bits), 1 << bits)
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int is correctly rounded, as float(Fraction) is.
+        return complex(self.x / self.d, self.y / self.d)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return format_gauss(self)
@@ -68,9 +93,17 @@ class GaussRat:
         return (self.re, self.im)
 
 
-G_ZERO = GaussRat(ZERO, ZERO)
-G_ONE = GaussRat(Fraction(1), ZERO)
-G_I = GaussRat(ZERO, Fraction(1))
+def gauss_ratio(x: int, y: int, d: int) -> GaussRat:
+    """The point (x + y*i)/d for d != 0: the triple is divided by its gcd
+    and its sign fixed so that d > 0."""
+    if d == 0:
+        raise ZeroDivisionError("Gaussian rational with denominator 0")
+    g = gcd(x, y, d) if d > 0 else -gcd(x, y, d)
+    return GaussRat(x // g, y // g, d // g)
+
+
+G_ZERO = GaussRat(0, 0, 1)
+G_I = GaussRat(0, 1, 1)
 
 
 def format_gauss(z: GaussRat) -> str:
@@ -93,12 +126,12 @@ def parse_gauss(text: str) -> GaussRat:
         im = Fraction(m.group("im"))
         if m.group("sign") == "-":
             im = -im
-        return GaussRat(Fraction(m.group("re")), im)
+        return GaussRat.of(Fraction(m.group("re")), im)
     if t in ("i", "+i"):
         return G_I
     if t == "-i":
         return -G_I
     try:
-        return GaussRat(Fraction(t), ZERO)
+        return GaussRat.of(Fraction(t))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a Gaussian rational: {text!r}") from exc

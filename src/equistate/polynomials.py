@@ -3,10 +3,11 @@
 Supports the exact algebra the dynamics needs: Horner evaluation,
 derivatives, Euclidean division, monic gcd, and Yun square-free
 decomposition (characteristic zero, so gcd-based multiplicity splitting
-is exact).  Hot evaluations run on integers instead: the coefficients
-with their denominators cleared, at a point held as Gaussian-integer
-numerators over one denominator (`integer_coeffs`, `integer_point`,
-`horner_int`).
+is exact).  Coefficients and points are `GaussRat` integer triples, so
+every operation is integer arithmetic with one gcd per result.  Newton's
+hot loop skips even those gcds: `horner_int` evaluates the coefficients
+with their denominators cleared (`integer_coeffs`) at a point given by
+the numerators x, y over the denominator d of its triple.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadics import ZERO
 from .gauss import G_ZERO, GaussRat
 
 
@@ -166,21 +166,13 @@ def poly_from_roots(roots: list[GaussRat]) -> Polynomial:
     return p
 
 
-def integer_coeffs(p: Polynomial) -> tuple[list[tuple[int, int]], int]:
-    """(coefficients of D*p as (re, im) integer pairs, lowest first, D),
-    with D the lcm of the denominators of all coefficient parts."""
+def integer_coeffs(p: Polynomial) -> list[tuple[int, int]]:
+    """Coefficients of D*p as (re, im) integer pairs, lowest first, with D
+    the lcm of the coefficients' denominators."""
     D = 1
     for c in p.coeffs:
-        D = math.lcm(D, c.re.denominator, c.im.denominator)
-    return [(c.re.numerator * (D // c.re.denominator),
-             c.im.numerator * (D // c.im.denominator)) for c in p.coeffs], D
-
-
-def integer_point(z: GaussRat) -> tuple[int, int, int]:
-    """(a, b, c) with z = (a + b*i)/c and c > 0 the lcm of the denominators."""
-    c = math.lcm(z.re.denominator, z.im.denominator)
-    return (z.re.numerator * (c // z.re.denominator),
-            z.im.numerator * (c // z.im.denominator), c)
+        D = math.lcm(D, c.d)
+    return [(c.x * (D // c.d), c.y * (D // c.d)) for c in p.coeffs]
 
 
 def horner_int(coeffs: list[tuple[int, int]], a: int, b: int, c: int
@@ -198,15 +190,3 @@ def horner_int(coeffs: list[tuple[int, int]], a: int, b: int, c: int
         scale *= c
         nr, ni = nr * a - ni * b + qr * scale, nr * b + ni * a + qi * scale
     return nr, ni, mr, mi
-
-
-def abs2_at(p: Polynomial, z: GaussRat) -> tuple[Fraction, Fraction]:
-    """Exact |p(z)|^2 and |p'(z)|^2 from one integer Horner pass."""
-    coeffs, D = integer_coeffs(p)
-    a, b, c = integer_point(z)
-    nr, ni, mr, mi = horner_int(coeffs, a, b, c)
-    scale = D * c ** p.degree
-    value2 = Fraction(nr * nr + ni * ni, scale * scale)
-    if p.degree < 1:
-        return value2, ZERO
-    return value2, Fraction((mr * mr + mi * mi) * c * c, scale * scale)

@@ -30,14 +30,8 @@ import numpy as np
 
 from .dyadics import ZERO, dyadic_numerator, sqrt_upper
 from .errors import PrecisionExhausted
-from .gauss import GaussRat
-from .polynomials import (
-    Polynomial,
-    horner_int,
-    integer_coeffs,
-    integer_point,
-    square_free_decomposition,
-)
+from .gauss import GaussRat, gauss_ratio
+from .polynomials import Polynomial, horner_int, integer_coeffs, square_free_decomposition
 from .sphere import PointBall, SpherePoint, chordal_disc_radius, chordal_sq
 
 _SNAP_DENOMS = (1, 2, 3, 4, 6, 8, 16, 64, 256)
@@ -110,8 +104,8 @@ def _float_seeds(coeffs: list[tuple[int, int]]) -> list[complex]:
 def _gauss_from_complex(z: complex, bits: int) -> GaussRat:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         z = 0j
-    return GaussRat(Fraction(z.real).limit_denominator(1 << bits),
-                    Fraction(z.imag).limit_denominator(1 << bits))
+    return GaussRat.of(Fraction(z.real).limit_denominator(1 << bits),
+                       Fraction(z.imag).limit_denominator(1 << bits))
 
 
 def _residual_radius(degree: int, c: int, at: tuple[int, int, int, int], bits: int
@@ -137,10 +131,10 @@ def _snap_to_exact_root(q: Polynomial, z: GaussRat, rad: Fraction) -> GaussRat |
     """
     r2 = rad * rad
     d = _SNAP_DENOMS[-1]
-    if (GaussRat(z.re.limit_denominator(d), z.im.limit_denominator(d)) - z).abs2() > r2:
+    if (GaussRat.of(z.re.limit_denominator(d), z.im.limit_denominator(d)) - z).abs2() > r2:
         return None
     for d in _SNAP_DENOMS:
-        cand = GaussRat(z.re.limit_denominator(d), z.im.limit_denominator(d))
+        cand = GaussRat.of(z.re.limit_denominator(d), z.im.limit_denominator(d))
         if (cand - z).abs2() <= r2 and q(cand).is_zero():
             return cand
     return None
@@ -153,21 +147,18 @@ def _solve_square_free(q: Polynomial, target: Fraction, bits: int
     caller has checked the discs pairwise disjoint."""
     if q.degree == 1:
         return [(-q.coeffs[0] / q.coeffs[1], ZERO)]
-    coeffs, _ = integer_coeffs(q)
+    coeffs = integer_coeffs(q)
     steps = max(6, bits.bit_length() + 2)
     out: list[tuple[GaussRat, Fraction]] = []
     for seed in _float_seeds(coeffs):
-        a, b, c = integer_point(_gauss_from_complex(seed, 60))
-        a, b, c, at = _newton(coeffs, a, b, c, bits, steps)
+        z0 = _gauss_from_complex(seed, 60)
+        a, b, c, at = _newton(coeffs, z0.x, z0.y, z0.d, bits, steps)
         r = _residual_radius(q.degree, c, at, bits)
         if r is None or r > target:
             return None
-        z = GaussRat(Fraction(a, c), Fraction(b, c))
+        z = gauss_ratio(a, b, c)
         snapped = _snap_to_exact_root(q, z, r)
-        if snapped is not None:
-            out.append((snapped, ZERO))
-        else:
-            out.append((z, r))
+        out.append((z, r) if snapped is None else (snapped, ZERO))
     return out
 
 

@@ -12,12 +12,13 @@ index decomposes recoverably and `ideal_index` inverts `ideal_enumerate`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .balls import BallReal, sqrt_of_rational
-from .dyadics import ZERO
+from .dyadics import ZERO, format_rational, sqrt_lower, sqrt_upper
 from .gauss import GaussRat
 from .errors import ParseError
 
@@ -31,10 +32,6 @@ class SpherePoint:
     @staticmethod
     def finite(re: Fraction | int, im: Fraction | int = 0) -> "SpherePoint":
         return SpherePoint(GaussRat.of(re, im))
-
-    @staticmethod
-    def of(z: GaussRat) -> "SpherePoint":
-        return SpherePoint(z)
 
     @staticmethod
     def infinity() -> "SpherePoint":
@@ -88,15 +85,22 @@ class Oracle:
 
 
 def chordal_sq(z: SpherePoint, w: SpherePoint) -> Fraction:
-    """Exact rational sigma(z, w)^2."""
-    if z.is_infinity and w.is_infinity:
-        return ZERO
-    if z.is_infinity:
-        return Fraction(4) / (1 + w.as_gauss().abs2())
-    if w.is_infinity:
-        return Fraction(4) / (1 + z.as_gauss().abs2())
-    a, b = z.as_gauss(), w.as_gauss()
-    return 4 * (a - b).abs2() / ((1 + a.abs2()) * (1 + b.abs2()))
+    """Exact rational sigma(z, w)^2, one Fraction from integers: with
+    z = (x1 + y1*i)/d1, w = (x2 + y2*i)/d2 and n = d^2 + x^2 + y^2, it is
+    4((x1 d2 - x2 d1)^2 + (y1 d2 - y2 d1)^2) / (n1 n2), and 4 d1^2 / n1
+    when w is infinity."""
+    a, b = z.value, w.value
+    if a is None:
+        a, b = b, a
+        if a is None:
+            return ZERO
+    x1, y1, d1 = a.x, a.y, a.d
+    n1 = d1 * d1 + x1 * x1 + y1 * y1
+    if b is None:
+        return Fraction(4 * d1 * d1, n1)
+    x2, y2, d2 = b.x, b.y, b.d
+    ex, ey = x1 * d2 - x2 * d1, y1 * d2 - y2 * d1
+    return Fraction(4 * (ex * ex + ey * ey), n1 * (d2 * d2 + x2 * x2 + y2 * y2))
 
 
 def chordal(z: SpherePoint, w: SpherePoint, prec: int = 53) -> BallReal:
@@ -165,8 +169,6 @@ def _cantor_pair(i: int, j: int) -> int:
 
 
 def _cantor_unpair(k: int) -> tuple[int, int]:
-    import math
-
     d = (math.isqrt(8 * k - 7) - 1) // 2
     while d * (d + 1) // 2 >= k:
         d -= 1
@@ -181,7 +183,7 @@ def ideal_enumerate(k: int) -> SpherePoint:
     if k < 1:
         raise ValueError("enumeration index must be >= 1")
     i, j = _cantor_unpair(k)
-    return SpherePoint(GaussRat(_rat_enumerate(i), _rat_enumerate(j)))
+    return SpherePoint(GaussRat.of(_rat_enumerate(i), _rat_enumerate(j)))
 
 
 def ideal_index(p: SpherePoint) -> int:
@@ -215,8 +217,6 @@ def chordal_disc_radius(z: GaussRat, euclid_rad: Fraction, bits: int = 40) -> Fr
     Tighter than the crude sigma <= 2|z - w| for large |z|, where the
     chordal metric contracts.
     """
-    from .dyadics import sqrt_lower, sqrt_upper
-
     if euclid_rad == 0:
         return ZERO
     a2 = z.abs2()
@@ -249,8 +249,6 @@ def sphere_point_to_json(p: SpherePoint):
     if p.is_infinity:
         return "inf"
     z = p.as_gauss()
-    from .dyadics import format_rational
-
     return {"re": format_rational(z.re), "im": format_rational(z.im)}
 
 

@@ -23,9 +23,9 @@ from .errors import (
     NotInjectiveOnPatch,
     NotInjectiveOnSupport,
 )
+from .gauss import GaussRat
 from .measures import (
     SPHERE,
-    TRI,
     FiniteMeasure,
     Point,
     TestFunction,
@@ -123,12 +123,10 @@ def _sample_points(patch: BallPatch, count: int) -> list[Point]:
     offsets = [(step, ZERO), (ZERO, step), (-step, ZERO), (ZERO, -step),
                (step, step), (-step, -step), (step / 2, -step / 2),
                (-step / 4, step / 4)]
-    from .gauss import GaussRat
-
     for dx, dy in offsets:
         if len(out) >= count:
             break
-        cand = SpherePoint(GaussRat(z.re + dx / 2, z.im + dy / 2))
+        cand = SpherePoint(z + GaussRat.of(dx / 2, dy / 2))
         if patch.contains_point(cand):
             out.append(cand)
     return out

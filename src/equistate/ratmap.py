@@ -3,7 +3,9 @@
 Evaluation, preimages with local degrees, critical and postcritical data.
 Preimages of x are the roots of num - x*den (or den - num/x when |x| > 1,
 which keeps coefficients small); the excluded value x = f(inf) is the one
-point where that polynomial's degree collapses, and is rejected.
+point where that polynomial's degree collapses, and is rejected.  The
+same chart rule gives `preimage_perturbation`: how far the polynomial can
+move when x is only known to within a Euclidean distance.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .dyadics import ZERO, ceil_to_dyadic, sqrt_lower
 from .errors import ChartFailure, ExcludedPoint
 from .gauss import GaussRat
 from .polynomials import Polynomial, poly_gcd
@@ -92,13 +95,44 @@ def preimage_polynomial(f: RationalMapRec, x: SpherePoint) -> Polynomial:
         g = f.den
     else:
         z = x.as_gauss()
-        if z.abs2() <= 1:
+        if _num_chart(z):
             g = f.num - f.den.scale(z)
         else:
             g = f.den - f.num.scale(z.inverse())
     if g.degree != f.degree:
         raise ChartFailure("unexpected degree collapse")  # defensive; unreachable
     return g
+
+
+def _num_chart(z: GaussRat) -> bool:
+    """The chart rule: num - z*den for |z| <= 1, den - num/z otherwise."""
+    return z.abs2() <= 1
+
+
+def preimage_perturbation(f: RationalMapRec, x: SpherePoint, delta: Fraction,
+                          bits: int) -> tuple[Polynomial, Fraction] | None:
+    """(P, eps) such that for every x' within Euclidean distance delta of
+    x, the polynomial of x' in the chart `preimage_polynomial` uses for x
+    is preimage_polynomial(f, x) + c*P with |c| <= eps.
+
+    In the num - x*den chart, c = x - x' and P = den, so eps = delta.  In
+    the den - num/x chart, c = 1/x - 1/x' = (x' - x)/(x x') and P = num;
+    with L = sqrt_lower(|x|^2) <= |x| and |x'| >= L - delta this gives
+    eps = delta / (L (L - delta)), rounded up to a multiple of 2^-(2 bits)
+    so that errors derived from it do not double their denominators from
+    one tree level to the next; None when L <= delta, where x' may be 0.
+    An exactly stored x (delta = 0, the only way infinity is stored) gets
+    the zero polynomial.
+    """
+    if delta == 0:
+        return Polynomial.zero(), ZERO
+    z = x.as_gauss()
+    if _num_chart(z):
+        return f.den, delta
+    low = sqrt_lower(z.abs2(), bits)
+    if low <= delta:
+        return None
+    return f.num, ceil_to_dyadic(delta / (low * (low - delta)), 2 * bits)
 
 
 def preimages(f: RationalMapRec, x: SpherePoint, l: int) -> list[RootCluster]:

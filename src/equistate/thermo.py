@@ -3,12 +3,16 @@
 The central object is a certified preimage tree: level k holds the
 f^-k-preimages of the anchor as exact stored points, each with a bound on
 its Euclidean (and chordal) distance to the true preimage it stands for.
-Displacement propagates soundly through each solve: the stored parent p~
-perturbs the preimage polynomial g* = num - p*.den by at most
-delta*|den|, so the Newton-style residual bound evaluated with that
-perturbation encloses the true child.  Critical branching (a multiple
-preimage) is only accepted on exactly stored parents, where the certified
-cluster radius itself is the displacement.
+Displacement propagates soundly through each solve: a true parent within
+delta of the stored parent p~ has the preimage polynomial g + c*P of p~'s
+chart, with (P, |c| <= eps) from `ratmap.preimage_perturbation` (P = den
+and eps = delta when |p~| <= 1, P = num and eps about delta/|p~|^2
+otherwise), so the Newton-style residual bound evaluated with that
+perturbation encloses a true child.  Sibling discs must be disjoint, so
+each holds exactly one true child and the matching of stored to true
+points is a bijection.  Critical branching (a multiple preimage) is only
+accepted on exactly stored parents, where the certified cluster radius
+itself is the displacement.
 
 Pressure follows the iterate-and-log recipe: pick N beyond 2^(n+1)*C0*R,
 take an anchor off the forward orbit of infinity with more than one
@@ -31,7 +35,7 @@ from .gauss import GaussRat
 from .measures import SPHERE, FiniteMeasure
 from .polynomials import Polynomial, poly_gcd
 from .potentials import Potential, upper_bound
-from .ratmap import RationalMapRec, preimage_polynomial
+from .ratmap import RationalMapRec, preimage_perturbation, preimage_polynomial
 from .roots import certified_roots
 from .sphere import INF, SpherePoint, chordal_disc_radius, chordal_sq, ideal_enumerate
 
@@ -69,23 +73,24 @@ class PreimageTree:
         return max((n.chordal_err for n in self.leaves()), default=ZERO)
 
 
-def _perturbed_child_displacement(g: Polynomial, den: Polynomial, z: GaussRat,
-                                  delta: Fraction, bits: int) -> Fraction | None:
-    """Distance bound from z to the true simple preimage it represents.
+def _perturbed_child_displacement(g: Polynomial, p: Polynomial, z: GaussRat,
+                                  eps: Fraction, bits: int) -> Fraction | None:
+    """Distance bound from z to a true simple preimage.
 
-    g is the preimage polynomial of the stored parent; the true parent
-    moves the polynomial by at most delta * |den|.  None means the bound
-    degenerated and the caller should retry at higher precision.
+    g is the preimage polynomial of the stored parent; the true parent's
+    is g + c*p with |c| <= eps, so it has a root within
+    d (|g(z)| + eps |p(z)|) / (|g'(z)| - eps |p'(z)|) of z.  None means the
+    bound degenerated and the caller should retry at higher precision.
     """
     d = g.degree
     g_at = sqrt_upper(g(z).abs2(), bits)
     dg_at = sqrt_lower(g.derivative()(z).abs2(), bits)
-    den_at = sqrt_upper(den(z).abs2(), bits)
-    dden_at = sqrt_upper(den.derivative()(z).abs2(), bits)
-    denom = dg_at - delta * dden_at
+    p_at = sqrt_upper(p(z).abs2(), bits)
+    dp_at = sqrt_upper(p.derivative()(z).abs2(), bits)
+    denom = dg_at - eps * dp_at
     if denom <= 0:
         return None
-    return d * (g_at + delta * den_at) / denom
+    return d * (g_at + eps * p_at) / denom
 
 
 def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
@@ -119,6 +124,11 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
                 raise PrecisionExhausted("stored tree node collided with f(inf)")
             g = preimage_polynomial(f, node.point)
             clusters = certified_roots(g, l)
+            chart = preimage_perturbation(f, node.point, node.euclid_err, l + 8)
+            if chart is None:
+                raise PrecisionExhausted("stored tree node too close to 0 for its chart")
+            p, eps = chart
+            siblings = len(children)
             for cl in clusters:
                 z = cl.midpoint
                 if cl.multiplicity > 1 and node.euclid_err != 0:
@@ -128,9 +138,7 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
                 if cl.multiplicity > 1 or (node.euclid_err == 0 and cl.euclid_rad == 0):
                     delta = cl.euclid_rad
                 else:
-                    delta = _perturbed_child_displacement(
-                        g, f.den, z, node.euclid_err, l + 8
-                    )
+                    delta = _perturbed_child_displacement(g, p, z, eps, l + 8)
                     if delta is None:
                         raise PrecisionExhausted("displacement bound degenerated")
                     delta = max(delta, cl.euclid_rad)
@@ -146,8 +154,19 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
                     point, delta, chordal_err, cl.multiplicity,
                     node.degree_product * cl.multiplicity, idx, phi_here,
                 ))
+            _check_disjoint(children[siblings:])
         levels.append(children)
     return PreimageTree(f, levels)
+
+
+def _check_disjoint(siblings: list[TreeNode]) -> None:
+    """Raise PrecisionExhausted unless the siblings' Euclidean discs are
+    pairwise disjoint: |z_i - z_j| > delta_i + delta_j."""
+    for i, a in enumerate(siblings):
+        for b in siblings[i + 1:]:
+            reach = a.euclid_err + b.euclid_err
+            if (a.point.as_gauss() - b.point.as_gauss()).abs2() <= reach * reach:
+                raise PrecisionExhausted("sibling preimage discs meet")
 
 
 def _check_precision(n: int) -> None:

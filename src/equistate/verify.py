@@ -22,6 +22,7 @@ from .errors import (
     NonPositiveJacobian,
     NotInjectiveOnPatch,
     NotInjectiveOnSupport,
+    SpaceMismatch,
 )
 from .gauss import GaussRat
 from .measures import (
@@ -339,44 +340,49 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
     prescribed-Jacobian class at this scale.  slack = sup J * Lip(tau) *
     mesh, where mesh is the caller's transport bound between mu and its
     one-step refinement (0 when no refinement argument is intended).
+    The patch tests, T(a) and J(a) run once per (patch, atom), with the
+    tests looped over inside.
     """
     entries: list[ResidualEntry] = []
     sup_j = J.sup_over_patches()
-    pre_cache: dict[Point, list[PreimagePoint]] = {}
-    for a, _ in mu.atoms:
-        pre_cache[a] = enumerate_preimages(T, a, prec + 8)
+    if not tests:
+        return entries
+    apply = _as_callable(T)
+    pre_cache = {a: enumerate_preimages(T, a, prec + 8) for a, _ in mu.atoms}
+    jac: dict[Point, BallReal] = {}  # J at the atoms that lie in some patch
     for k, patch in enumerate(patches.patches):
-        for t_idx, tau in enumerate(tests):
-            v_terms = []
-            w_terms = []
-            for a, w in mu.atoms:
-                # V side: atoms of mu inside the patch.
-                if patch.contains_point(a):
-                    v_terms.append(
-                        (tau(a, prec) * J.value_at(a, _as_callable(T)(a),
-                                                   mu.atom_error, prec)).scale(w)
-                    )
-                # W side: the (at most one) preimage inside the patch.
-                inside: list[BallReal] = []
-                ambiguous: list[BallReal] = []
-                for p in pre_cache[a]:
-                    if patch.contains_disc(p.point, p.disc_rad):
-                        inside.append(tau(p.point, prec).widen(
-                            tau.lipschitz * p.disc_rad))
-                    elif not patch.excludes_disc(p.point, p.disc_rad):
-                        ambiguous.append(tau(p.point, prec).widen(
-                            tau.lipschitz * p.disc_rad))
-                if len(inside) > 1:
-                    raise NotInjectiveOnPatch(
-                        f"patch {k} holds {len(inside)} preimages of one point"
-                    )
-                if inside or ambiguous:
-                    candidates = inside + ambiguous
-                    hi = max(c.upper() for c in candidates)
-                    lo = max(c.lower() for c in inside) if inside else ZERO
-                    w_terms.append(BallReal.from_endpoints(min(lo, hi), hi).scale(w))
-            v = ball_sum(v_terms) if v_terms else BallReal.exact(0)
-            wv = ball_sum(w_terms) if w_terms else BallReal.exact(0)
+        v_terms: list[list[BallReal]] = [[] for _ in tests]
+        w_terms: list[list[BallReal]] = [[] for _ in tests]
+        for a, w in mu.atoms:
+            # V side: atoms of mu inside the patch.
+            if patch.contains_point(a):
+                if a not in jac:
+                    jac[a] = J.value_at(a, apply(a), mu.atom_error, prec)
+                for terms, tau in zip(v_terms, tests):
+                    terms.append((tau(a, prec) * jac[a]).scale(w))
+            # W side: the (at most one) preimage inside the patch.
+            inside: list[PreimagePoint] = []
+            ambiguous: list[PreimagePoint] = []
+            for p in pre_cache[a]:
+                if patch.contains_disc(p.point, p.disc_rad):
+                    inside.append(p)
+                elif not patch.excludes_disc(p.point, p.disc_rad):
+                    ambiguous.append(p)
+            if len(inside) > 1:
+                raise NotInjectiveOnPatch(
+                    f"patch {k} holds {len(inside)} preimages of one point"
+                )
+            if not (inside or ambiguous):
+                continue
+            for terms, tau in zip(w_terms, tests):
+                vals = [tau(p.point, prec).widen(tau.lipschitz * p.disc_rad)
+                        for p in inside + ambiguous]
+                hi = max(c.upper() for c in vals)
+                lo = vals[0].lower() if inside else ZERO
+                terms.append(BallReal.from_endpoints(min(lo, hi), hi).scale(w))
+        for t_idx, (tau, vt, wt) in enumerate(zip(tests, v_terms, w_terms)):
+            v = ball_sum(vt) if vt else BallReal.exact(0)
+            wv = ball_sum(wt) if wt else BallReal.exact(0)
             slack = sup_j * tau.lipschitz * mesh \
                 + sup_j * tau.lipschitz * mu.atom_error * 2
             entries.append(ResidualEntry(k, t_idx, v - wv, slack))
@@ -408,11 +414,17 @@ def tangent_certificate(nu: FiniteMeasure, phi: Potential,
     Upper bounds use the witnesses' current terms; enlarging the witness
     family can only lower the minimum, so a fail is monotone under
     refinement.  An empty witness family tests nothing and is a ValueError.
+    Nonconstant potentials are functions on the sphere, so with any of
+    them a measure on another space is a SpaceMismatch.
     """
     if p_lower.direction != "lower":
         raise ValueError("p_lower must be a lower directed real")
     if not witnesses:
         raise ValueError("a tangency test needs at least one witness")
+    potentials = [phi] + [psi for psi, _ in witnesses]
+    if nu.space != SPHERE and any(q.constant_value() is None for q in potentials):
+        raise SpaceMismatch(f"nonconstant potentials live on {SPHERE}; "
+                            f"the measure is on {nu.space}")
     phi_int = integrate(nu, lambda p: phi.evaluate(p, prec), prec)
     gaps: list[BallReal] = []
     for psi, p_upper in witnesses:

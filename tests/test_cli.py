@@ -211,6 +211,27 @@ def test_verify_tangent_constant_witnesses(tmp_path):
     assert res["verdict"] == "PASS"
 
 
+@pytest.mark.parametrize("phi, psi, expect", [
+    ("basis:0,0", {"op": "const", "value": "0"}, 3),
+    ("const:0", {"op": "basis", "point": {"re": "0/1", "im": "0/1"}}, 3),
+    ("const:0", {"op": "const", "value": "0"}, 0),
+])
+def test_verify_tangent_on_tile_measure(tmp_path, phi, psi, expect):
+    """A nonconstant potential on a tile measure exits 3 naming the
+    measure's space; constant ones still integrate."""
+    m_path, w_path = tmp_path / "tiles.json", tmp_path / "w.json"
+    m_path.write_text(json.dumps(measure_to_json(mme_tile_measure("g1", 1))))
+    w_path.write_text(json.dumps({"witnesses": [{"psi": psi, "upper": ["1"]}],
+                                  "p_lower": ["0"]}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["verify", "tangent", "--measure", str(m_path), "--phi", phi,
+                   "--witnesses", str(w_path), "--out", str(tmp_path)])
+    assert rc == expect
+    if expect == 3:
+        assert err.getvalue().count("\n") == 1 and TRI in err.getvalue()
+
+
 def test_roots_command(tmp_path):
     run_cli(["roots", "--poly", "z^2-1", "--l", "12"], tmp_path)
     res = read_json(tmp_path, "roots_result.json")

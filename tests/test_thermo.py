@@ -1,16 +1,21 @@
+import importlib.util
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from equistate import thermo
 from equistate.balls import BallReal, exp_point, log_point
+from equistate.dyadics import ZERO
 from equistate.errors import ExcludedPoint, PrecisionExhausted
+from equistate.gauss import GaussRat
 from equistate.measures import SPHERE, pushforward, wasserstein
 from equistate.polynomials import Polynomial
 from equistate.potentials import basis, const, pprod, psum, scale
-from equistate.ratmap import RationalMapRec
+from equistate.ratmap import RationalMapRec, preimage_perturbation, preimage_polynomial
+from equistate.roots import certified_roots
 from equistate.sphere import INF, SpherePoint, chordal
 from equistate.thermo import (
     backward_orbit_measure,
@@ -213,3 +218,99 @@ def test_backward_depth_measures_converge():
     ]
     assert dists[0] > dists[-1]
     assert dists[-1] < 0.3
+
+
+# -- soundness of the tree displacement -------------------------------------
+
+RAT = RationalMapRec(Polynomial.of(1, 0, 1), Polynomial.of(-1, 0, 1))
+
+
+def _oracles(monkeypatch):
+    """perfbench's independent tree oracles, at 200 digits."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    monkeypatch.setattr(oracles, "DPS", 200)
+    return oracles
+
+
+@pytest.mark.parametrize("f, num, den", [
+    (Z2M2, [-2, 0, 1], [1]),
+    (RAT, [1, 0, 1], [-1, 0, 1]),
+])
+@pytest.mark.parametrize("depth, l", [(6, 52), (5, 12)])
+def test_tree_levels_hold_mpmath_preimages(monkeypatch, f, num, den, depth, l):
+    """Anchor 3 puts the parents in the den - num/x chart.  On every level
+    each stored point lies within the level's largest chordal error of a
+    distinct true preimage, computed with mpmath at 200 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    oracles = _oracles(monkeypatch)
+    tree = build_preimage_tree(f, S(3), depth, l)
+    with mpmath.workdps(mpmath.mp.dps):  # the oracles set mp.dps
+        for k, level in enumerate(tree.levels[1:], 1):
+            leaves = oracles.true_tree_leaves(num, den, mpmath.mpf(3), k)
+            atoms = [(n.point.as_gauss().re, n.point.as_gauss().im) for n in level]
+            err = max(n.chordal_err for n in level)
+            assert oracles.check_tree_atoms(atoms, err, leaves) == [], (k, err)
+
+
+def test_preimage_perturbation_bounds_the_true_polynomial():
+    """For x' within delta of x the polynomial of x' in x's chart is
+    g + c*P with |c| <= eps, checked exactly on both charts."""
+    rng = random.Random(8)
+    G = GaussRat.of
+    for f in (Z2M2, RAT):
+        for _ in range(100):
+            x = G(F(rng.randint(-40, 40), rng.randint(1, 12)), F(rng.randint(-40, 40), 7))
+            delta = F(rng.randint(1, 60), 64)  # < 1, so x' != 0 when |x| > 1
+            P, eps = preimage_perturbation(f, S(x.re, x.im), delta, 40)
+            g = preimage_polynomial(f, S(x.re, x.im))
+            for _ in range(4):
+                x2 = x + G(delta * F(rng.randint(-10, 10), 15), delta * F(rng.randint(-10, 10), 15))
+                if x.abs2() <= 1:
+                    c = x - x2
+                    g2 = f.num - f.den.scale(x2)
+                else:
+                    c = x.inverse() - x2.inverse()
+                    g2 = f.den - f.num.scale(x2.inverse())
+                assert g2 == g + P.scale(c)
+                assert c.abs2() <= eps * eps
+    assert preimage_perturbation(Z2M2, S(F(3, 2)), F(3, 2), 40) is None  # x' may be 0
+    assert preimage_perturbation(Z2M2, INF, ZERO, 40) == (Polynomial.zero(), ZERO)
+
+
+@pytest.mark.parametrize("f, x", [
+    (Z2M2, GaussRat.of(3)), (Z2M2, GaussRat.of(F(1, 3), F(-1, 2))),
+    (RAT, GaussRat.of(F(-5, 2), F(7, 3))), (RAT, GaussRat.of(F(2, 7), F(1, 5))),
+])
+def test_displacement_reaches_the_moved_preimages(f, x):
+    """Move the parent by delta = 2^-20 in eight directions: every stored
+    child of the old parent has a root of the moved polynomial within the
+    displacement bound, which is far larger than the Newton radius."""
+    mpmath = pytest.importorskip("mpmath")
+    delta, bits = F(1, 1 << 20), 68
+    g = preimage_polynomial(f, S(x.re, x.im))
+    P, eps = preimage_perturbation(f, S(x.re, x.im), delta, bits)
+    children = [cl.midpoint for cl in certified_roots(g, 60)]
+    bounds = [thermo._perturbed_child_displacement(g, P, z, eps, bits) for z in children]
+    assert all(b > 2 ** -40 for b in bounds)
+    with mpmath.workdps(50):
+        for u in (GaussRat.of(*uv) for uv in ((1, 0), (-1, 0), (0, 1), (0, -1),
+                                              (F(3, 5), F(4, 5)), (F(-3, 5), F(4, 5)),
+                                              (F(3, 5), F(-4, 5)), (F(-4, 5), F(-3, 5)))):
+            moved = x + u.scale(delta)
+            q = f.num - f.den.scale(moved)
+            roots = mpmath.polyroots([mpmath.mpc(mpmath.mpf(c.x) / c.d, mpmath.mpf(c.y) / c.d)
+                                      for c in reversed(q.coeffs)], extraprec=100)
+            for z, b in zip(children, bounds):
+                w = mpmath.mpc(mpmath.mpf(z.x) / z.d, mpmath.mpf(z.y) / z.d)
+                assert min(abs(r - w) for r in roots) <= mpmath.mpf(b.numerator) / b.denominator
+
+
+def test_meeting_sibling_discs_exhaust_precision(monkeypatch):
+    """A displacement that lets the discs of +-sqrt(5) meet cannot be
+    matched one-to-one with the true preimages."""
+    monkeypatch.setattr(thermo, "_perturbed_child_displacement", lambda *args: F(3))
+    with pytest.raises(PrecisionExhausted, match="sibling preimage discs meet"):
+        build_preimage_tree(Z2M2, S(3), 1, 30)

@@ -4,8 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from equistate.balls import BallReal, DirectedReal, log_point
-from equistate.errors import NonPositiveJacobian, NotInjectiveOnSupport
+from equistate.balls import BallReal, DirectedReal, ball_sum, log_point
+from equistate.errors import (
+    NonPositiveJacobian,
+    NotInjectiveOnPatch,
+    NotInjectiveOnSupport,
+    SpaceMismatch,
+)
 from equistate.measures import SPHERE, FiniteMeasure, TestFunction
 from equistate.polynomials import Polynomial
 from equistate.potentials import basis, const, scale
@@ -204,6 +209,70 @@ def test_membership_tile_measure_passes_within_refinement_mesh():
     assert membership_verdict(entries)
 
 
+def _ref_membership_residual(mu, T, patches, J, tests, mesh=F(0), prec=40):
+    """The residual loop as first written: tests outside the atoms, and the
+    patch tests, T(a) and J recomputed for every test."""
+    entries = []
+    sup_j = J.sup_over_patches()
+    apply = T.apply if isinstance(T, RationalMapRec) else T
+    pre_cache = {a: enumerate_preimages(T, a, prec + 8) for a, _ in mu.atoms}
+    for k, patch in enumerate(patches.patches):
+        for t_idx, tau in enumerate(tests):
+            v_terms, w_terms = [], []
+            for a, w in mu.atoms:
+                if patch.contains_point(a):
+                    v_terms.append((tau(a, prec) * J.value_at(a, apply(a), mu.atom_error,
+                                                              prec)).scale(w))
+                inside, ambiguous = [], []
+                for p in pre_cache[a]:
+                    if patch.contains_disc(p.point, p.disc_rad):
+                        inside.append(tau(p.point, prec).widen(tau.lipschitz * p.disc_rad))
+                    elif not patch.excludes_disc(p.point, p.disc_rad):
+                        ambiguous.append(tau(p.point, prec).widen(tau.lipschitz * p.disc_rad))
+                if len(inside) > 1:
+                    raise NotInjectiveOnPatch(f"patch {k}")
+                if inside or ambiguous:
+                    hi = max(c.upper() for c in inside + ambiguous)
+                    lo = max(c.lower() for c in inside) if inside else F(0)
+                    w_terms.append(BallReal.from_endpoints(min(lo, hi), hi).scale(w))
+            v = ball_sum(v_terms) if v_terms else BallReal.exact(0)
+            wv = ball_sum(w_terms) if w_terms else BallReal.exact(0)
+            slack = sup_j * tau.lipschitz * mesh + sup_j * tau.lipschitz * mu.atom_error * 2
+            entries.append((k, t_idx, v - wv, slack))
+    return entries
+
+
+@pytest.mark.parametrize("J", [
+    JacobianSpec.const(2),
+    JacobianSpec.potential_form(BallReal(LOG2, F(1, 1 << 40)), scale(F(1, 8), basis(S(0))),
+                                scale(F(-1, 4), basis(S(1)))),
+])
+def test_membership_entries_match_per_test_loop(J):
+    mu = backward_orbit_measure(Z2M2, None, S(3), 4)
+    anchors = [p for p, _ in mu.atoms[:6]]
+    patches = standard_sphere_patches(Z2M2, anchors, F(1, 2))
+    tests = [TestFunction(SPHERE, p, F(0), eps) for p in anchors[:3]
+             for eps in (F(1, 4), F(1, 16))]
+    got = [(e.patch, e.test, e.residual, e.slack)
+           for e in membership_residual(mu, Z2M2, patches, J, tests, mesh=F(1, 64))]
+    assert got == _ref_membership_residual(mu, Z2M2, patches, J, tests, F(1, 64))
+    assert len(got) == len(anchors) * len(tests)
+    assert membership_residual(mu, Z2M2, patches, J, []) == []
+
+
+def test_membership_entries_with_preimages_on_a_patch_boundary():
+    """sigma(0, +-3/4) = 6/5 exactly, so the exact preimages +-3/4 of 9/16
+    sit on the boundary of the patch: neither inside nor outside."""
+    mu = FiniteMeasure.from_atoms(SPHERE, [(S(F(9, 16)), F(1, 2)), (S(4), F(1, 2))])
+    patches = PatchSystem(SPHERE, [BallPatch(SPHERE, S(0), F(6, 5)),
+                                   BallPatch(SPHERE, S(2), F(1, 4))])
+    tests = [TestFunction(SPHERE, S(F(-3, 4)), F(0), F(1, 2)),
+             TestFunction(SPHERE, S(F(1, 2)), F(1, 8), F(1))]
+    got = [(e.patch, e.test, e.residual, e.slack)
+           for e in membership_residual(mu, Z2, patches, JacobianSpec.const(2), tests)]
+    assert got == _ref_membership_residual(mu, Z2, patches, JacobianSpec.const(2), tests)
+
+
 # -- tangent certificates -----------------------------------------------------
 
 
@@ -308,3 +377,14 @@ def test_enumerate_preimages_subdivision_degrees():
     pres = enumerate_preimages(g, corner)
     assert sum(p.local_degree for p in pres) == 6
     assert sorted(p.local_degree for p in pres) == [2, 2, 2]
+
+
+def test_tangent_nonconstant_potential_on_tile_measure_is_a_space_mismatch():
+    nu = mme_tile_measure("g1", 1)
+    wit = _const_witnesses(LOG2, (F(0),))
+    with pytest.raises(SpaceMismatch, match="tri_sphere"):
+        tangent_certificate(nu, basis(S(0)), wit, DirectedReal((LOG2,), "lower"))
+    with pytest.raises(SpaceMismatch, match="tri_sphere"):
+        tangent_certificate(nu, const(0), wit + [(basis(S(1)), DirectedReal((LOG2,), "upper"))],
+                            DirectedReal((LOG2,), "lower"))
+    assert tangent_certificate(nu, const(0), wit, DirectedReal((LOG2,), "lower")).passed

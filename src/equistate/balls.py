@@ -142,14 +142,6 @@ def sqrt_of_rational(q: Fraction, prec: int) -> BallReal:
     return BallReal.from_endpoints(sqrt_lower(q, prec + 1), sqrt_upper(q, prec + 1))
 
 
-def ball_sqrt(a: BallReal, prec: int) -> BallReal:
-    """Ball containing sqrt(x) for every x in a; requires a.lower() >= 0."""
-    lo, hi = a.lower(), a.upper()
-    if lo < 0:
-        raise NonPositiveArgument("ball_sqrt needs a nonnegative interval")
-    return BallReal.from_endpoints(sqrt_lower(lo, prec + 1), sqrt_upper(hi, prec + 1))
-
-
 # -- exponential and logarithm on integer mantissas ---------------------
 #
 # Both kernels run in fixed point at one scale 2^-W: a real v is held as

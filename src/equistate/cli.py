@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import os
+import random
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
 from .balls import DirectedReal
-from .dyadics import format_rational
+from .dyadics import format_rational, parse_rational
 from .errors import (
     EquistateError,
     ExcludedAnchor,
@@ -42,11 +43,13 @@ from .serialize import (
     parse_sphere_point,
     point_to_json,
 )
-from .sphere import sphere_point_to_json
+from .sphere import INF, SpherePoint, sphere_point_to_json
 from .thermo import backward_orbit_measure, birkhoff_sum, pressure
 from .thurston import mme_tile_measure, max_tile_diameter, tile_complex, tile_complex_to_json
 from .verify import (
+    BallPatch,
     JacobianSpec,
+    PatchSystem,
     jacobian_unitarity,
     membership_residual,
     membership_verdict,
@@ -60,12 +63,6 @@ EXIT_PRECONDITION = 3
 EXIT_PRECISION = 4
 
 
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get("EQUISTATE_OUT_DIR") or "."
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _ball_json(b):
     return {
         "mid": format_rational(b.mid),
@@ -74,8 +71,16 @@ def _ball_json(b):
     }
 
 
-def _write(args, name: str, result: dict, started: float, extra_outputs=()) -> None:
-    out = _out_dir(args)
+def _write(args, name: str, result: dict, started: float, csv=None) -> None:
+    """Write the CSV files ({file name: text}), the result JSON and the
+    manifest; print the result path."""
+    out = args.out or os.environ.get("EQUISTATE_OUT_DIR") or "."
+    os.makedirs(out, exist_ok=True)
+    extra = []
+    for csv_name, text in (csv or {}).items():
+        extra.append(os.path.join(out, csv_name))
+        with open(extra[-1], "w", encoding="utf-8") as fh:
+            fh.write(text)
     result_path = os.path.join(out, f"{name}_result.json")
     dump_json(result, result_path)
     manifest = {
@@ -85,56 +90,39 @@ def _write(args, name: str, result: dict, started: float, extra_outputs=()) -> N
         "tool_version": __version__,
         "seeds": None,
         "timing": {"started": started, "elapsed_s": time.time() - started},
-        "outputs": [result_path, *extra_outputs],
+        "outputs": [result_path, *extra],
     }
     dump_json(manifest, os.path.join(out, f"{name}_manifest.json"))
     print(result_path)
 
 
-def _missing(what: str, args, *names: str) -> bool:
-    """Report the first of the named options that was not given."""
+def _require(what: str, args, *names: str) -> None:
+    """Raise for the first of the named options that was not given."""
     for name in names:
         if getattr(args, name) is None:
-            print(f"{what} requires --{name}", file=sys.stderr)
-            return True
-    return False
-
-
-def _below_one(what: str, args, name: str) -> bool:
-    """Report a count option that would make the check vacuous."""
-    if getattr(args, name) < 1:
-        print(f"{what} requires --{name.replace('_', '-')} >= 1", file=sys.stderr)
-        return True
-    return False
+            raise ParseError(f"{what} requires --{name}")
 
 
 def _parse_jacobian(text: str) -> JacobianSpec:
     if text.startswith("const:"):
-        return JacobianSpec.const(Fraction(text.split(":", 1)[1]))
+        return JacobianSpec.const(parse_rational(text.split(":", 1)[1]))
     raise ParseError(f"unsupported Jacobian spec {text!r} (use const:q)")
 
 
-# -- commands -----------------------------------------------------------
+# -- commands: each returns (name, result JSON[, {csv name: text}]) --------
 
 
-def cmd_pressure(args) -> int:
-    started = time.time()
+def cmd_pressure(args):
     f = parse_map(args.map)
     phi = parse_potential(args.potential)
     if args.mode == "certified":
-        if _missing("pressure: certified mode", args, "c0"):
-            return EXIT_PRECONDITION
-        c0 = Fraction(args.c0)
-        if args.R is not None:
-            R = Fraction(args.R)
-        else:
-            # Default: the potential's explicit chordal bound scaled by the
-            # configured visual-metric constant (configuration, not computed).
-            R = Fraction(args.visual_c) * holder_bound(phi)
-        res = pressure(f, phi, args.n, c0=c0, R=R, mode="certified")
+        _require("pressure: certified mode", args, "c0")
+        # Default R: the potential's explicit chordal Hoelder bound.
+        R = holder_bound(phi) if args.R is None else args.R
+        res = pressure(f, phi, args.n, c0=args.c0, R=R, mode="certified")
     else:
         res = pressure(f, phi, args.n, mode="empirical")
-    result = {
+    return "pressure", {
         "value": _ball_json(res.value),
         "n_bits": res.n_bits,
         "N_used": res.N_used,
@@ -145,53 +133,25 @@ def cmd_pressure(args) -> int:
         "map": map_to_json(f),
         "potential": potential_to_json(phi),
     }
-    _write(args, "pressure", result, started)
-    return EXIT_OK
 
 
-def cmd_mme(args) -> int:
-    started = time.time()
+def cmd_mme(args):
     if args.rule:
-        if _missing("mme --rule", args, "level"):
-            return EXIT_PRECONDITION
+        _require("mme --rule", args, "level")
         mu = mme_tile_measure(args.rule, args.level)
         name = f"mme_{args.rule}_level{args.level}"
     else:
-        if _missing("mme without --rule", args, "map", "depth"):
-            return EXIT_PRECONDITION
+        _require("mme without --rule", args, "map", "depth")
         f = parse_map(args.map)
         anchor = parse_sphere_point(args.anchor)
         phi = parse_potential(args.potential) if args.potential else None
         mu = backward_orbit_measure(f, phi, anchor, args.depth)
         name = f"mme_depth{args.depth}"
-    out = _out_dir(args)
-    extra = []
-    if args.format in ("csv", "both"):
-        csv_path = os.path.join(out, f"{name}.csv")
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(measure_to_csv(mu))
-        extra.append(csv_path)
-    _write(args, name, measure_to_json(mu), started, extra)
-    return EXIT_OK
-
-
-def cmd_verify(args) -> int:
-    started = time.time()
-    if args.check == "jacobian":
-        return _verify_jacobian(args, started)
-    if args.check == "membership":
-        return _verify_membership(args, started)
-    if args.check == "tangent":
-        return _verify_tangent(args, started)
-    print(f"verify: unknown check {args.check!r}", file=sys.stderr)
-    return EXIT_PRECONDITION
+    csv = {f"{name}.csv": measure_to_csv(mu)} if args.format != "json" else {}
+    return name, measure_to_json(mu), csv
 
 
 def _random_regular_points(f, count: int):
-    import random
-
-    from .sphere import INF, SpherePoint
-
     rng = random.Random(20250809)
     out = []
     f_inf = f.apply(INF)
@@ -205,22 +165,14 @@ def _random_regular_points(f, count: int):
     return out
 
 
-def _verify_jacobian(args, started: float) -> int:
-    if (_missing("verify jacobian", args, "map", "J")
-            or _below_one("verify jacobian", args, "points")):
-        return EXIT_PRECONDITION
+def cmd_verify_jacobian(args):
     f = parse_map(args.map)
     J = _parse_jacobian(args.J)
-    tol = Fraction(args.tol) if args.tol else Fraction(1, 1 << 20)
-    points = _random_regular_points(f, args.points)
     rows = []
     worst = Fraction(0)
-    for x in points:
-        pres = preimages(f, x, 40)
-        from .verify import BallPatch, PatchSystem
-
+    for x in _random_regular_points(f, args.points):
         patches = PatchSystem(SPHERE, [
-            BallPatch(SPHERE, c.center.center, Fraction(1, 4)) for c in pres
+            BallPatch(SPHERE, c.center.center, Fraction(1, 4)) for c in preimages(f, x, 40)
         ])
         res = jacobian_unitarity(f, J, x, patches, prec=40)
         worst = max(worst, res.upper())
@@ -228,17 +180,14 @@ def _verify_jacobian(args, started: float) -> int:
             "point": sphere_point_to_json(x),
             "residual": _ball_json(res),
         })
-    verdict = "PASS" if worst <= tol else "FAIL"
-    result = {
+    return "verify_jacobian", {
         "check": "jacobian",
         "inputs": {"map": map_to_json(f), "J": args.J, "points": args.points},
         "residuals": rows,
         "worst_residual": format_rational(worst),
-        "verdict": verdict,
-        "tolerances": {"tol": format_rational(tol)},
+        "verdict": "PASS" if worst <= args.tol else "FAIL",
+        "tolerances": {"tol": format_rational(args.tol)},
     }
-    _write(args, "verify_jacobian", result, started)
-    return EXIT_OK if verdict == "PASS" else EXIT_FAIL
 
 
 def _default_tests(mu: FiniteMeasure) -> list[TestFunction]:
@@ -251,23 +200,16 @@ def _default_tests(mu: FiniteMeasure) -> list[TestFunction]:
     ]
 
 
-def _verify_membership(args, started: float) -> int:
-    if (_missing("verify membership", args, "measure", "map", "J")
-            or _below_one("verify membership", args, "max_patches")):
-        return EXIT_PRECONDITION
+def cmd_verify_membership(args):
     mu = measure_from_json(load_json(args.measure))
     if mu.space != SPHERE:
         raise ParseError(f"verify membership needs a measure on {SPHERE}, not {mu.space}")
     f = parse_map(args.map)
     J = _parse_jacobian(args.J)
-    tol = Fraction(args.tol) if args.tol else Fraction(1, 1 << 10)
-    mesh = Fraction(args.mesh) if args.mesh else Fraction(0)
     anchors = [p for p, _ in mu.atoms[: args.max_patches]]
     patches = standard_sphere_patches(f, anchors, Fraction(1, 2))
-    tests = _default_tests(mu)
-    entries = membership_residual(mu, f, patches, J, tests, mesh=mesh)
-    ok = membership_verdict(entries, tol)
-    result = {
+    entries = membership_residual(mu, f, patches, J, _default_tests(mu), mesh=args.mesh)
+    return "verify_membership", {
         "check": "membership",
         "inputs": {"measure": args.measure, "map": map_to_json(f), "J": args.J},
         "residuals": [
@@ -280,19 +222,14 @@ def _verify_membership(args, started: float) -> int:
             }
             for e in entries
         ],
-        "verdict": "PASS" if ok else "FAIL",
-        "tolerances": {"tol": format_rational(tol), "mesh": format_rational(mesh)},
+        "verdict": "PASS" if membership_verdict(entries, args.tol) else "FAIL",
+        "tolerances": {"tol": format_rational(args.tol), "mesh": format_rational(args.mesh)},
     }
-    _write(args, "verify_membership", result, started)
-    return EXIT_OK if ok else EXIT_FAIL
 
 
-def _verify_tangent(args, started: float) -> int:
-    if _missing("verify tangent", args, "measure", "phi", "witnesses"):
-        return EXIT_PRECONDITION
+def cmd_verify_tangent(args):
     mu = measure_from_json(load_json(args.measure))
     phi = parse_potential(args.phi)
-    tol = Fraction(args.tol) if args.tol else Fraction(1, 1 << 10)
     spec = load_json(args.witnesses)
     try:
         witnesses = []
@@ -307,8 +244,8 @@ def _verify_tangent(args, started: float) -> int:
         )
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad witnesses JSON: {exc}") from exc
-    res = tangent_certificate(mu, phi, witnesses, p_lower, tol)
-    result = {
+    res = tangent_certificate(mu, phi, witnesses, p_lower, args.tol)
+    return "verify_tangent", {
         "check": "tangent",
         "inputs": {"measure": args.measure, "phi": potential_to_json(phi),
                    "witnesses": args.witnesses},
@@ -317,20 +254,16 @@ def _verify_tangent(args, started: float) -> int:
         ],
         "verdict": "PASS" if res.passed else "FAIL",
         "failing_witness": res.witness_index,
-        "tolerances": {"tol": format_rational(tol)},
+        "tolerances": {"tol": format_rational(args.tol)},
     }
-    _write(args, "verify_tangent", result, started)
-    return EXIT_OK if res.passed else EXIT_FAIL
 
 
-def cmd_roots(args) -> int:
-    started = time.time()
+def cmd_roots(args):
     f = parse_map(args.poly)
     if f.den.degree > 0:
-        print("roots: expected a polynomial, got a rational map", file=sys.stderr)
-        return EXIT_PRECONDITION
+        raise ParseError("roots: expected a polynomial, got a rational map")
     clusters = certified_roots(f.num, args.l)
-    result = {
+    return "roots", {
         "poly": map_to_json(f)["num"],
         "l": args.l,
         "clusters": [
@@ -342,16 +275,13 @@ def cmd_roots(args) -> int:
             for c in clusters
         ],
     }
-    _write(args, "roots", result, started)
-    return EXIT_OK
 
 
-def cmd_preimages(args) -> int:
-    started = time.time()
+def cmd_preimages(args):
     f = parse_map(args.map)
     x = parse_sphere_point(args.point)
     clusters = preimages(f, x, args.l)
-    result = {
+    return "preimages", {
         "map": map_to_json(f),
         "point": sphere_point_to_json(x),
         "l": args.l,
@@ -364,44 +294,34 @@ def cmd_preimages(args) -> int:
             for c in clusters
         ],
     }
-    _write(args, "preimages", result, started)
-    return EXIT_OK
 
 
-def cmd_wasserstein(args) -> int:
-    started = time.time()
+def cmd_wasserstein(args):
     mu = measure_from_json(load_json(args.a))
     nu = measure_from_json(load_json(args.b))
     w = wasserstein(mu, nu, args.prec)
-    result = {"a": args.a, "b": args.b, "distance": _ball_json(w)}
-    _write(args, "wasserstein", result, started)
-    return EXIT_OK
+    return "wasserstein", {"a": args.a, "b": args.b, "distance": _ball_json(w)}
 
 
-def cmd_tiles(args) -> int:
-    started = time.time()
+def cmd_tiles(args):
     c = tile_complex(args.rule, args.level)
     result = tile_complex_to_json(c)
     result["max_tile_diameter"] = _ball_json(max_tile_diameter(c, 40))
-    _write(args, f"tiles_{args.rule}_level{args.level}", result, started)
-    return EXIT_OK
+    return f"tiles_{args.rule}_level{args.level}", result
 
 
-def cmd_birkhoff(args) -> int:
-    started = time.time()
+def cmd_birkhoff(args):
     f = parse_map(args.map)
     phi = parse_potential(args.potential)
     x = parse_sphere_point(args.point)
     s = birkhoff_sum(f, phi, x, args.steps, args.n)
-    result = {
+    return "birkhoff", {
         "map": map_to_json(f),
         "potential": potential_to_json(phi),
         "point": sphere_point_to_json(x),
         "steps": args.steps,
         "sum": _ball_json(s),
     }
-    _write(args, "birkhoff", result, started)
-    return EXIT_OK
 
 
 # -- argument wiring ----------------------------------------------------
@@ -416,6 +336,26 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _rational(text: str) -> Fraction:
+    """Option type: a rational read by `parse_rational`, so that a bad one
+    (such as 1/0) is a usage error naming the option."""
+    try:
+        return parse_rational(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _count(text: str) -> int:
+    """Option type: an integer >= 1, for counts that 0 would make vacuous."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, not {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="equistate",
@@ -424,83 +364,77 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(parent, name, func, summary):
+        p = parent.add_parser(name, help=summary)
         p.add_argument("--out", default=None, help="output directory "
                        "(default: $EQUISTATE_OUT_DIR or cwd)")
-        p.add_argument("--format", choices=("json", "csv", "both"),
-                       default="json")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("pressure", help="topological pressure to 2^-n")
+    p = command(sub, "pressure", cmd_pressure, "topological pressure to 2^-n")
     p.add_argument("--map", required=True)
     p.add_argument("--potential", required=True)
     p.add_argument("--n", type=int, required=True, help="precision bits")
-    p.add_argument("--c0", default=None, help="iterate-distortion constant")
-    p.add_argument("--R", default=None, help="Hoelder-seminorm bound")
-    p.add_argument("--visual-c", default="1", dest="visual_c",
-                   help="configured metric-comparison constant for default R")
+    p.add_argument("--c0", type=_rational, default=None, help="iterate-distortion constant")
+    p.add_argument("--R", type=_rational, default=None,
+                   help="Hoelder-seminorm bound (default: the potential's structural bound)")
     p.add_argument("--mode", choices=("certified", "empirical"),
                    default="certified")
-    common(p)
-    p.set_defaults(func=cmd_pressure)
 
-    p = sub.add_parser("mme", help="maximal-entropy measure approximants")
+    p = command(sub, "mme", cmd_mme, "maximal-entropy measure approximants")
     p.add_argument("--map", default=None)
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--anchor", default="3")
     p.add_argument("--potential", default=None)
     p.add_argument("--rule", choices=("g1", "g2"), default=None)
     p.add_argument("--level", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_mme)
+    p.add_argument("--format", choices=("json", "csv", "both"), default="json")
 
-    p = sub.add_parser("verify", help="equilibrium-state verification checks")
-    p.add_argument("check", choices=("jacobian", "membership", "tangent"))
-    p.add_argument("--map", default=None)
-    p.add_argument("--J", default=None)
-    p.add_argument("--points", type=int, default=25)
-    p.add_argument("--measure", default=None)
-    p.add_argument("--phi", default=None)
-    p.add_argument("--witnesses", default=None)
-    p.add_argument("--tol", default=None)
-    p.add_argument("--mesh", default=None)
-    p.add_argument("--max-patches", type=int, default=8, dest="max_patches")
-    common(p)
-    p.set_defaults(func=cmd_verify)
+    verify = sub.add_parser("verify", help="equilibrium-state verification checks")
+    checks = verify.add_subparsers(dest="check", required=True)
+    p = command(checks, "jacobian", cmd_verify_jacobian, "Jacobian unitarity residuals")
+    p.add_argument("--map", required=True)
+    p.add_argument("--J", required=True)
+    p.add_argument("--points", type=_count, default=25)
+    p.add_argument("--tol", type=_rational, default=Fraction(1, 1 << 20))
+    p = command(checks, "membership", cmd_verify_membership,
+                "prescribed-Jacobian membership residuals")
+    p.add_argument("--measure", required=True)
+    p.add_argument("--map", required=True)
+    p.add_argument("--J", required=True)
+    p.add_argument("--tol", type=_rational, default=Fraction(1, 1 << 10))
+    p.add_argument("--mesh", type=_rational, default=Fraction(0))
+    p.add_argument("--max-patches", type=_count, default=8, dest="max_patches")
+    p = command(checks, "tangent", cmd_verify_tangent, "tangent-functional certificate")
+    p.add_argument("--measure", required=True)
+    p.add_argument("--phi", required=True)
+    p.add_argument("--witnesses", required=True)
+    p.add_argument("--tol", type=_rational, default=Fraction(1, 1 << 10))
 
-    p = sub.add_parser("roots", help="certified polynomial roots")
+    p = command(sub, "roots", cmd_roots, "certified polynomial roots")
     p.add_argument("--poly", required=True)
     p.add_argument("--l", type=int, default=30, help="chordal precision bits")
-    common(p)
-    p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("preimages", help="certified preimages with local degrees")
+    p = command(sub, "preimages", cmd_preimages, "certified preimages with local degrees")
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--l", type=int, default=30)
-    common(p)
-    p.set_defaults(func=cmd_preimages)
 
-    p = sub.add_parser("wasserstein", help="transport distance between measures")
+    p = command(sub, "wasserstein", cmd_wasserstein, "transport distance between measures")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--prec", type=int, default=30)
-    common(p)
-    p.set_defaults(func=cmd_wasserstein)
 
-    p = sub.add_parser("tiles", help="subdivision tile complexes")
+    p = command(sub, "tiles", cmd_tiles, "subdivision tile complexes")
     p.add_argument("--rule", choices=("g1", "g2"), required=True)
     p.add_argument("--level", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_tiles)
 
-    p = sub.add_parser("birkhoff", help="certified Birkhoff sums")
+    p = command(sub, "birkhoff", cmd_birkhoff, "certified Birkhoff sums")
     p.add_argument("--map", required=True)
     p.add_argument("--potential", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--n", type=int, default=30)
-    common(p)
-    p.set_defaults(func=cmd_birkhoff)
 
     return top
 
@@ -508,7 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        started = time.time()
+        name, result, *csv = args.func(args)
+        _write(args, name, result, started, *csv)
+        return EXIT_FAIL if result.get("verdict") == "FAIL" else EXIT_OK
     except (ParseError, ExcludedPoint, ExcludedAnchor, ValueError, OSError) as exc:
         print(f"equistate: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -2,7 +2,7 @@
 
 Everything here is integer arithmetic underneath: no floats are consulted
 for any value that feeds a certified bound.  Rationals serialize as "p/q"
-(lowest terms, q > 0) and dyadics as "m*2^e".
+(lowest terms, q > 0) and parse through `parse_rational`.
 """
 
 from __future__ import annotations
@@ -14,12 +14,6 @@ from .errors import ParseError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def is_dyadic(q: Fraction) -> bool:
-    """True if q has a power-of-two denominator."""
-    d = q.denominator
-    return d & (d - 1) == 0
 
 
 def round_to_dyadic(q: Fraction, bits: int) -> Fraction:
@@ -93,29 +87,6 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"not a rational: {text!r}") from exc
-
-
-def format_dyadic(q: Fraction) -> str:
-    """Render a dyadic rational as "m*2^e" with odd m (or 0)."""
-    if not is_dyadic(q):
-        raise ValueError(f"{q} is not dyadic")
-    if q == 0:
-        return "0*2^0"
-    n = q.numerator
-    e = -(q.denominator.bit_length() - 1)
-    while n % 2 == 0:
-        n //= 2
-        e += 1
-    return f"{n}*2^{e}"
-
-
-def parse_dyadic(text: str) -> Fraction:
-    try:
-        m_str, e_str = text.strip().split("*2^")
-        m, e = int(m_str), int(e_str)
-    except ValueError as exc:
-        raise ParseError(f"not a dyadic: {text!r}") from exc
-    return Fraction(m) * Fraction(2) ** e
 
 
 def bit_floor_log2(q: Fraction) -> int:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .dyadics import dyadic_numerator, format_rational
+from .dyadics import dyadic_numerator, format_rational, parse_rational
 from .errors import ParseError
 
 
@@ -123,10 +123,10 @@ def parse_gauss(text: str) -> GaussRat:
     t = text.strip()
     m = _GAUSS_RE.match(t)
     if m:
-        im = Fraction(m.group("im"))
+        im = parse_rational(m.group("im"))
         if m.group("sign") == "-":
             im = -im
-        return GaussRat.of(Fraction(m.group("re")), im)
+        return GaussRat.of(parse_rational(m.group("re")), im)
     if t in ("i", "+i"):
         return G_I
     if t == "-i":

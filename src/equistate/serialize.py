@@ -47,7 +47,7 @@ def parse_sphere_point(text: str) -> SpherePoint:
         return INF
     if "," in t:
         re_s, im_s = t.split(",", 1)
-        return SpherePoint.finite(Fraction(re_s), Fraction(im_s))
+        return SpherePoint.finite(parse_rational(re_s), parse_rational(im_s))
     return SpherePoint(parse_gauss(t))
 
 
@@ -112,8 +112,8 @@ def map_to_json(f: RationalMapRec):
 
 def map_from_json(obj) -> RationalMapRec:
     try:
-        num = Polynomial(tuple(parse_gauss(c) for c in obj["num"]))
-        den = Polynomial(tuple(parse_gauss(c) for c in obj["den"]))
+        num = Polynomial.of(*(parse_gauss(c) for c in obj["num"]))
+        den = Polynomial.of(*(parse_gauss(c) for c in obj["den"]))
         return RationalMapRec(num, den)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad map JSON: {exc}") from exc
@@ -259,12 +259,12 @@ def parse_potential(text: str) -> Potential:
         with open(t[1:], "r", encoding="utf-8") as fh:
             return potential_from_json(json.load(fh))
     if t.startswith("const:"):
-        return pot.const(Fraction(t.split(":", 1)[1]))
+        return pot.const(parse_rational(t.split(":", 1)[1]))
     if t.startswith("basis:"):
         return pot.basis(parse_sphere_point(t.split(":", 1)[1]))
     if t.startswith("scale:"):
         _, q, inner = t.split(":", 2)
-        return pot.scale(Fraction(q), parse_potential(inner))
+        return pot.scale(parse_rational(q), parse_potential(inner))
     raise ParseError(f"bad potential spec {text!r}")
 
 

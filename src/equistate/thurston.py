@@ -199,7 +199,6 @@ class TileComplex:
     rule: str
     level: int
     tiles: list[Tile]
-    parent_complex: "TileComplex | None"
     # (level-1 tile id, level-(n-1) tile id) -> id of the tile obtained by
     # pulling the latter back through the former; drives container lookups
     # in the next subdivision round.
@@ -250,10 +249,9 @@ def tile_complex(rule: str, level: int) -> TileComplex:
     if level == 0:
         corners = tuple(homogeneous_point(FRONT, *_EDGE_POINTS[k]) for k in CORNERS)
         return TileComplex(rule, 0, [Tile(i, face, corners, CORNERS, face, None, None)
-                                     for i, face in enumerate((FRONT, BACK))], None)
+                                     for i, face in enumerate((FRONT, BACK))])
     if level == 1:
-        prev = tile_complex(rule, 0)
-        return TileComplex(rule, 1, _level_one_tiles(table), prev)
+        return TileComplex(rule, 1, _level_one_tiles(table))
     prev = tile_complex(rule, level - 1)
     ones = tile_complex(rule, 1).tiles
     child_of: dict[tuple[int, int], int] = {}
@@ -274,7 +272,7 @@ def tile_complex(rule: str, level: int) -> TileComplex:
             tiles.append(Tile(tid, u.face, verts, x.colors, x.target_face,
                               parent_id=x.id, container_id=container))
             tid += 1
-    return TileComplex(rule, level, tiles, prev, child_of)
+    return TileComplex(rule, level, tiles, child_of)
 
 
 def subdivide(c: TileComplex, rule: str) -> TileComplex:

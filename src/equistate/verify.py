@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .balls import BallReal, ball_exp, ball_sum, log_point
-from .dyadics import ZERO, sqrt_upper
+from .dyadics import ZERO
 from .errors import (
     ExcludedPoint,
     NonPositiveJacobian,
@@ -63,12 +63,11 @@ class BallPatch:
     def contains_point(self, x: Point) -> bool:
         return _dist2(self.space, self.center, x) < self.radius * self.radius
 
-    def contains_disc(self, x: Point, disc_rad: Fraction, bits: int = 40) -> bool:
-        """Certified: the whole disc around x lies inside the patch."""
-        if disc_rad >= self.radius:
-            return False
-        d = sqrt_upper(_dist2(self.space, self.center, x), bits)
-        return d + disc_rad < self.radius
+    def contains_disc(self, x: Point, disc_rad: Fraction) -> bool:
+        """Exact: the whole disc around x lies inside the patch, that is
+        dist + disc_rad < radius, decided on squares."""
+        gap = self.radius - disc_rad
+        return gap > 0 and _dist2(self.space, self.center, x) < gap * gap
 
     def excludes_disc(self, x: Point, disc_rad: Fraction) -> bool:
         """Certified: the disc around x misses the patch entirely."""

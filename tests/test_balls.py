@@ -12,7 +12,6 @@ from equistate.balls import (
     DirectedReal,
     ball_exp,
     ball_log,
-    ball_sqrt,
     directed_push,
     exp_point,
     log_point,
@@ -128,13 +127,6 @@ def test_sum_enclosure_property(x, y):
     for dx in (-a.rad, 0, a.rad):
         for dy in (-b.rad, 0, b.rad):
             assert s.contains((x + dx) + (y + dy))
-
-
-def test_ball_sqrt_interval():
-    a = BallReal(F(9, 4), F(1, 4))
-    b = ball_sqrt(a, 30)
-    assert b.lower() ** 2 <= 2 <= b.upper() ** 2 + 1  # contains sqrt(2..2.5)
-    assert b.contains(F(3, 2))
 
 
 def test_directed_push_lower():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import importlib
@@ -5,6 +6,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equistate import potentials as pot
-from equistate.cli import main
+from equistate.cli import build_parser, main
 from equistate.measures import SPHERE, TRI, FiniteMeasure
 from equistate.serialize import measure_to_json, parse_sphere_point
 from equistate.sphere import SpherePoint
@@ -342,7 +345,9 @@ _potentials = st.one_of(
     _terms,
     st.tuples(st.sampled_from(_SCALES), _terms).map(lambda t: pot.scale(*t)),
 )
-_SMALL_RATIONALS = ("0", "-1", "1/8", "100")
+_SMALL_RATIONALS = ("0", "-1", "1/8", "100", "1/0")
+# Text potentials with a zero denominator, given on the command line.
+_BAD_POTENTIALS = ("const:1/0", "scale:1/0:basis:0", "basis:1/0,0")
 
 
 def _contract(argv, files=None):
@@ -361,17 +366,22 @@ def _contract(argv, files=None):
     assert rc in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     if rc in (3, 4):
-        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+        lines = err.getvalue().strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("equistate: "), err.getvalue()
     return rc
 
 
 def _exit_contract(argv, phi):
-    """Run argv with phi written to a file for --potential."""
+    """Run argv with --potential phi: a text spec as it is, a Potential
+    written to a file."""
+    if isinstance(phi, str):
+        return _contract([*argv, f"--potential={phi}"])
     return _contract([*argv, "--potential", "@{phi}"], {"phi": pot.potential_to_json(phi)})
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(("z^2", "z^2-2")), _potentials, st.integers(-3, 4),
+@given(st.sampled_from(("z^2", "z^2-2")),
+       st.one_of(_potentials, st.sampled_from(_BAD_POTENTIALS)), st.integers(-3, 4),
        st.sampled_from(("certified", "empirical")),
        st.sampled_from((None,) + _SMALL_RATIONALS), st.sampled_from(_SMALL_RATIONALS))
 def test_pressure_command_exit_codes(fmap, phi, n, mode, c0, R):
@@ -380,14 +390,23 @@ def test_pressure_command_exit_codes(fmap, phi, n, mode, c0, R):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(("z^2", "z^2-2", "(z^2+1)/(z^2-1)")), _potentials,
-       st.sampled_from(_POINTS + ("inf",)), st.integers(-3, 6), st.integers(-5, 40))
+@given(st.sampled_from(("z^2", "z^2-2", "(z^2+1)/(z^2-1)")),
+       st.one_of(_potentials, st.sampled_from(_BAD_POTENTIALS)),
+       st.sampled_from(_POINTS + ("inf", "1/0,0")), st.integers(-3, 6), st.integers(-5, 40))
 def test_birkhoff_command_exit_codes(fmap, phi, point, steps, n):
     _exit_contract(["birkhoff", "--map", fmap, f"--point={point}", "--steps", str(steps),
                     "--n", str(n)], phi)
 
 
 # -- usage errors and the remaining commands keep the contract too -----------
+
+
+def _rejected(argv, capsys):
+    """stderr of argv, which must exit 3 with one `equistate: ` line."""
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("equistate: "), err
+    return err[0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -399,11 +418,98 @@ def test_birkhoff_command_exit_codes(fmap, phi, point, steps, n):
     [],
     ["roots"],
     ["roots", "--poly", "z^2-1", "--frobnicate"],
+    ["pressure", "--map", "z^2", "--potential", "const:0", "--n", "8", "--c0", "1",
+     "--visual-c", "2"],
 ])
 def test_usage_errors_exit_3_with_one_line(argv, tmp_path, capsys):
-    assert main([*argv, "--out", str(tmp_path)]) == 3
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("equistate: "), err
+    _rejected([*argv, "--out", str(tmp_path)], capsys)
+
+
+_VERIFY = {
+    "jacobian": ["--map", "z^2", "--J", "const:2", "--points", "1"],
+    "membership": ["--measure", "m.json", "--map", "z^2", "--J", "const:2"],
+    "tangent": ["--measure", "m.json", "--phi", "const:0", "--witnesses", "w.json"],
+}
+_VERIFY_VALUES = {"--map": "z^2", "--J": "const:2", "--points": "2", "--tol": "0",
+                  "--measure": "m.json", "--mesh": "0", "--max-patches": "2",
+                  "--phi": "const:0", "--witnesses": "w.json"}
+_VERIFY_OPTIONS = {"jacobian": {"--map", "--J", "--points", "--tol"},
+                   "membership": {"--measure", "--map", "--J", "--tol", "--mesh",
+                                  "--max-patches"},
+                   "tangent": {"--measure", "--phi", "--witnesses", "--tol"}}
+
+
+@pytest.mark.parametrize("check, option", [
+    (check, option) for check in _VERIFY
+    for option in sorted(set(_VERIFY_VALUES) - _VERIFY_OPTIONS[check])])
+def test_verify_rejects_the_options_of_other_checks(check, option, tmp_path, capsys):
+    argv = ["verify", check, *_VERIFY[check], option, _VERIFY_VALUES[option],
+            "--out", str(tmp_path)]
+    assert f"unrecognized arguments: {option}" in _rejected(argv, capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pressure", "--map", "z^2", "--potential", "const:0", "--n", "8", "--c0", "1"],
+    *(["verify", check, *opts] for check, opts in _VERIFY.items()),
+    ["roots", "--poly", "z^2-1"],
+    ["preimages", "--map", "z^2", "--point", "2"],
+    ["wasserstein", "--a", "a.json", "--b", "b.json"],
+    ["tiles", "--rule", "g1", "--level", "1"],
+    ["birkhoff", "--map", "z^2", "--potential", "const:3", "--point", "2", "--steps", "1"],
+], ids=lambda argv: "-".join(a for a in argv[:2] if not a.startswith("-")))
+def test_format_belongs_to_mme_only(argv, tmp_path, capsys):
+    err = _rejected([*argv, "--format", "csv", "--out", str(tmp_path)], capsys)
+    assert "unrecognized arguments: --format" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "jacobian", "--map", "z^2", "--J", "const:2", "--tol", "1/0"],
+    ["verify", "jacobian", "--map", "z^2", "--J", "const:1/0", "--points", "1"],
+    ["verify", "membership", "--measure", "m.json", "--map", "z^2", "--J", "const:2",
+     "--mesh", "1/0"],
+    ["pressure", "--map", "z^2", "--potential", "const:0", "--n", "8", "--c0", "1/0"],
+    ["pressure", "--map", "z^2", "--potential", "const:0", "--n", "8", "--c0", "1",
+     "--R", "1/0"],
+    ["pressure", "--map", "z^2", "--potential", "const:1/0", "--n", "8", "--c0", "1"],
+    ["birkhoff", "--map", "z^2", "--potential", "const:3", "--point=1/0,0", "--steps", "1"],
+    ["mme", "--map", "z^2", "--depth", "1", "--anchor=1/0,0"],
+])
+def test_zero_denominator_exits_3(argv, tmp_path, capsys):
+    assert "1/0" in _rejected([*argv, "--out", str(tmp_path)], capsys)
+
+
+def _readme_command_line_section():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    lines = [line for line in _readme_command_line_section().splitlines()
+             if line.startswith("equistate ")]
+    assert len(lines) >= 12
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
+def _subparsers(parser):
+    """{command name: parser}, with `verify` spelled out per check."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                nested = _subparsers(sub)
+                out.update({f"{name} {k}": v for k, v in nested.items()} or {name: sub})
+    return out
+
+
+def test_readme_option_table_matches_the_parser():
+    rows = re.findall(r"^\| `([a-z ]+)` \|(.*)$", _readme_command_line_section(), re.M)
+    documented = {name: set(re.findall(r"--[A-Za-z0-9-]+", rest)) for name, rest in rows}
+    declared = {name: {o for a in p._actions for o in a.option_strings
+                       if o.startswith("--") and o not in ("--help", "--out")}
+                for name, p in _subparsers(build_parser()).items()}
+    assert documented == declared
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["-h"], ["roots", "-h"], ["verify", "--help"]])
@@ -449,7 +555,8 @@ def _opt(name, value):
 
 
 _MAPS = _mostly(("z^2", "z^2-2", "(z^2+1)/(z^2-1)"), ("z^", "1/0", "(z"))
-_SPHERE_POINTS = _mostly(("0", "1", "-1/2,3", "inf", "1/2+3*i"), ("x", "1/0", "1,"))
+_SPHERE_POINTS = _mostly(("0", "1", "-1/2,3", "inf", "1/2+3*i"),
+                         ("x", "1/0", "1,", "1/0,0", "1/0+1*i"))
 _FORMATS = st.sampled_from(("json", "csv", "both"))
 
 
@@ -464,7 +571,9 @@ def test_mme_map_command_exit_codes(fmap, depth, anchor, fmt):
 @given(_mostly(("g1", "g2"), ("g3",)), _mostly(range(4), (None, -1, -2)), _FORMATS,
        st.sampled_from(("mme", "tiles")))
 def test_rule_commands_exit_codes(rule, level, fmt, command):
-    _contract([command, "--rule", rule, *_opt("level", level), "--format", fmt])
+    # Only mme writes CSV, so only mme takes --format.
+    _contract([command, "--rule", rule, *_opt("level", level),
+               *(["--format", fmt] if command == "mme" else [])])
 
 
 @settings(max_examples=30, deadline=None)
@@ -520,8 +629,8 @@ def test_wasserstein_command_exit_codes(ab, prec):
               dict(zip("ab", ab)))
 
 
-_J = _mostly(("const:2", "const:1", "const:1/2"), ("const:x", "exp:2", None))
-_TOLS = _mostly((None, "0", "1/1024", "-1"), ("x",))
+_J = _mostly(("const:2", "const:1", "const:1/2"), ("const:x", "exp:2", None, "const:1/0"))
+_TOLS = _mostly((None, "0", "1/1024", "-1"), ("x", "1/0"))
 
 
 @settings(max_examples=25, deadline=None)
@@ -533,7 +642,7 @@ def test_verify_jacobian_exit_codes(fmap, J, points, tol):
 
 @settings(max_examples=25, deadline=None)
 @given(st.one_of(_measure_json(SPHERE), _measures), _MAPS, _J, _TOLS,
-       _mostly((None, "0", "1/8"), ("-1", "x")),
+       _mostly((None, "0", "1/8"), ("-1", "x", "1/0")),
        _mostly((1, 2, 3), (0, -1)))
 def test_verify_membership_exit_codes(measure, fmap, J, tol, mesh, max_patches):
     _contract(["verify", "membership", "--measure", "{measure}", "--map", fmap,

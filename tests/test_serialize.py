@@ -2,12 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from equistate.dyadics import (
-    format_dyadic,
-    format_rational,
-    parse_dyadic,
-    parse_rational,
-)
+from equistate.dyadics import format_rational, parse_rational
 from equistate.errors import ParseError
 from equistate.gauss import format_gauss, parse_gauss
 from equistate.measures import SPHERE, TRI, FiniteMeasure
@@ -34,13 +29,19 @@ def test_rational_strings():
         parse_rational("one half")
 
 
-def test_dyadic_strings():
-    assert format_dyadic(F(3, 8)) == "3*2^-3"
-    assert format_dyadic(F(0)) == "0*2^0"
-    assert format_dyadic(F(12)) == "3*2^2"
-    assert parse_dyadic("3*2^-3") == F(3, 8)
-    with pytest.raises(ValueError):
-        format_dyadic(F(1, 3))
+@pytest.mark.parametrize("parse, text", [
+    (parse_rational, "1/0"),
+    (parse_gauss, "1/0+1*i"),
+    (parse_gauss, "1-1/0*i"),
+    (parse_sphere_point, "1/0,0"),
+    (parse_sphere_point, "0,-3/0"),
+    (parse_potential, "const:1/0"),
+    (parse_potential, "scale:1/0:basis:0"),
+    (parse_potential, "scale:1/2:const:2/0"),
+])
+def test_zero_denominator_is_a_parse_error(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)
 
 
 def test_gauss_strings():
@@ -113,6 +114,21 @@ def test_map_json_roundtrip():
     again = map_from_json(map_to_json(f))
     assert again.num.coeffs == f.num.coeffs
     assert again.den.coeffs == f.den.coeffs
+
+
+_ZERO, _ONE = "0/1+0/1*i", "1/1+0/1*i"
+
+
+@pytest.mark.parametrize("obj", [
+    {"num": [_ZERO, _ZERO, _ONE, _ZERO], "den": [_ONE]},
+    {"num": [_ZERO, _ZERO, _ONE], "den": [_ONE, _ZERO]},
+], ids=["num", "den"])
+def test_map_json_strips_trailing_zero_coefficients(obj):
+    from equistate.thermo import backward_orbit_measure
+
+    f = map_from_json(obj)
+    assert f == parse_map("z^2") and f.degree == 2
+    assert len(backward_orbit_measure(f, None, S(3), 2)) == 4
 
 
 def test_potential_cli_specs(tmp_path):

@@ -55,6 +55,17 @@ def _preimage_patches(f, x, radius=F(1, 4)):
 # -- jacobian unitarity ----------------------------------------------------
 
 
+@pytest.mark.parametrize("slack, inside", [
+    (F(1, 1 << 60), True), (F(0), False), (-F(1, 1 << 60), False)])
+def test_contains_disc_is_exact_at_the_boundary(slack, inside):
+    """d(0, 3/4) = 6/5 exactly; a disc of radius 1/8 there lies in the
+    patch iff 6/5 + 1/8 < radius, also when they differ by 2^-60."""
+    r = F(1, 8)
+    patch = BallPatch(SPHERE, S(0), F(6, 5) + r + slack)
+    assert patch.contains_disc(S(F(3, 4)), r) is inside
+    assert not BallPatch(SPHERE, S(0), r).contains_disc(S(0), r)
+
+
 def test_unitarity_constant_two():
     res = jacobian_unitarity(Z2, JacobianSpec.const(2), S(4),
                              _preimage_patches(Z2, S(4)))

@@ -44,7 +44,7 @@ from .serialize import (
     point_to_json,
 )
 from .sphere import INF, SpherePoint, sphere_point_to_json
-from .thermo import backward_orbit_measure, birkhoff_sum, pressure
+from .thermo import backward_orbit_measure, birkhoff_sum, empirical_pressure, pressure
 from .thurston import mme_tile_measure, max_tile_diameter, tile_complex, tile_complex_to_json
 from .verify import (
     BallPatch,
@@ -103,6 +103,14 @@ def _require(what: str, args, *names: str) -> None:
             raise ParseError(f"{what} requires --{name}")
 
 
+def _reject(what: str, args, *names: str) -> None:
+    """Raise for the first of the named options that was given: the mode
+    in use does not read it."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ParseError(f"{what} does not read --{name}")
+
+
 def _parse_jacobian(text: str) -> JacobianSpec:
     if text.startswith("const:"):
         return JacobianSpec.const(parse_rational(text.split(":", 1)[1]))
@@ -119,17 +127,20 @@ def cmd_pressure(args):
         _require("pressure: certified mode", args, "c0")
         # Default R: the potential's explicit chordal Hoelder bound.
         R = holder_bound(phi) if args.R is None else args.R
-        res = pressure(f, phi, args.n, c0=args.c0, R=R, mode="certified")
+        res = pressure(f, phi, args.n, c0=args.c0, R=R)
+        c0_used, R_used = format_rational(args.c0), format_rational(R)
     else:
-        res = pressure(f, phi, args.n, mode="empirical")
+        _reject("pressure --mode empirical", args, "c0", "R")
+        res = empirical_pressure(f, phi, args.n)
+        c0_used = R_used = None
     return "pressure", {
         "value": _ball_json(res.value),
-        "n_bits": res.n_bits,
+        "n_bits": args.n,
         "N_used": res.N_used,
         "anchor": sphere_point_to_json(res.anchor),
-        "c0_used": format_rational(res.c0_used) if res.c0_used is not None else None,
-        "R_used": format_rational(res.R_used) if res.R_used is not None else None,
-        "mode": res.mode,
+        "c0_used": c0_used,
+        "R_used": R_used,
+        "mode": args.mode,
         "map": map_to_json(f),
         "potential": potential_to_json(phi),
     }
@@ -137,13 +148,15 @@ def cmd_pressure(args):
 
 def cmd_mme(args):
     if args.rule:
+        _reject("mme --rule", args, "map", "depth", "anchor", "potential")
         _require("mme --rule", args, "level")
         mu = mme_tile_measure(args.rule, args.level)
         name = f"mme_{args.rule}_level{args.level}"
     else:
         _require("mme without --rule", args, "map", "depth")
+        _reject("mme --map", args, "level")
         f = parse_map(args.map)
-        anchor = parse_sphere_point(args.anchor)
+        anchor = parse_sphere_point("3" if args.anchor is None else args.anchor)
         phi = parse_potential(args.potential) if args.potential else None
         mu = backward_orbit_measure(f, phi, anchor, args.depth)
         name = f"mme_depth{args.depth}"
@@ -384,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "mme", cmd_mme, "maximal-entropy measure approximants")
     p.add_argument("--map", default=None)
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--anchor", default="3")
+    p.add_argument("--anchor", default=None)
     p.add_argument("--potential", default=None)
     p.add_argument("--rule", choices=("g1", "g2"), default=None)
     p.add_argument("--level", type=int, default=None)

@@ -75,19 +75,11 @@ class FiniteMeasure:
     def total(self) -> Fraction:
         return sum(w for _, w in self.atoms)
 
-    def support(self) -> list[Point]:
-        return [p for p, _ in self.atoms]
-
-    def scale(self, q: Fraction) -> "FiniteMeasure":
-        return FiniteMeasure(
-            self.space, tuple((p, w * q) for p, w in self.atoms), self.atom_error
-        )
-
     def __len__(self) -> int:
         return len(self.atoms)
 
 
-def integrate(mu: FiniteMeasure, f: Callable[[Point], BallReal], prec: int = 53) -> BallReal:
+def integrate(mu: FiniteMeasure, f: Callable[[Point], BallReal]) -> BallReal:
     """Ball enclosing sum w_i f(p_i); weights are exact so only the
     integrand's enclosure widths enter the radius."""
     terms = []
@@ -250,8 +242,8 @@ def compare_ge(mu: FiniteMeasure, nu: FiniteMeasure,
     """Setwise domination test: violated only on a certified witness with
     <mu, tau+> < <nu, tau+> - tol; holds otherwise."""
     for tau in family:
-        a = integrate(mu, lambda p: tau(p, prec), prec)
-        b = integrate(nu, lambda p: tau(p, prec), prec)
+        a = integrate(mu, lambda p: tau(p, prec))
+        b = integrate(nu, lambda p: tau(p, prec))
         if a.upper() < b.lower() - tol:
             return ComparisonResult(False, tau, (a, b))
     return ComparisonResult(True)

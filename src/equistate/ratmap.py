@@ -20,6 +20,8 @@ from .polynomials import Polynomial, poly_gcd
 from .roots import RootCluster, certified_roots
 from .sphere import INF, SpherePoint
 
+_MAX_POSTCRITICAL_ORBIT = 64
+
 
 @dataclass(frozen=True)
 class RationalMapRec:
@@ -57,11 +59,6 @@ class RationalMapRec:
         if d.is_zero():
             return INF
         return SpherePoint(self.num(z) / d)
-
-    def iterate(self, p: SpherePoint, n: int) -> SpherePoint:
-        for _ in range(n):
-            p = self.apply(p)
-        return p
 
     def orbit(self, p: SpherePoint, n: int) -> list[SpherePoint]:
         """[p, f(p), ..., f^(n-1)(p)] computed exactly."""
@@ -210,9 +207,10 @@ class PostcriticalResult:
         return self.status == "finite"
 
 
-def postcritical_orbit(f: RationalMapRec, maxlen: int = 64) -> PostcriticalResult:
+def postcritical_orbit(f: RationalMapRec) -> PostcriticalResult:
     """Exact postcritical set when every critical point is exact and every
-    critical orbit closes up within maxlen steps; "undecided" otherwise.
+    critical orbit closes up within _MAX_POSTCRITICAL_ORBIT steps;
+    "undecided" otherwise.
 
     No floating heuristics: a "finite" verdict is backed by exact equality
     of Gaussian-rational iterates.
@@ -230,7 +228,7 @@ def postcritical_orbit(f: RationalMapRec, maxlen: int = 64) -> PostcriticalResul
         index: dict[SpherePoint, int] = {}
         x = f.apply(c)
         while x not in index:
-            if len(trail) >= maxlen:
+            if len(trail) >= _MAX_POSTCRITICAL_ORBIT:
                 return PostcriticalResult("undecided", frozenset(), {}, {})
             index[x] = len(trail)
             trail.append(x)
@@ -244,9 +242,9 @@ def postcritical_orbit(f: RationalMapRec, maxlen: int = 64) -> PostcriticalResul
     return PostcriticalResult("finite", frozenset(post), orbits, periods)
 
 
-def is_misiurewicz_thurston(f: RationalMapRec, maxlen: int = 64) -> bool | None:
+def is_misiurewicz_thurston(f: RationalMapRec) -> bool | None:
     """True/False when decidable under exact arithmetic, None if undecided."""
-    res = postcritical_orbit(f, maxlen)
+    res = postcritical_orbit(f)
     if not res.is_finite:
         return None
     # A critical point is periodic iff it reappears in its own forward orbit.

@@ -75,8 +75,11 @@ def measure_from_json(obj) -> FiniteMeasure:
         err = Fraction(obj.get("atom_error", 0))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad measure JSON: {exc}") from exc
-    return FiniteMeasure.from_atoms(space, atoms, atom_error=err,
-                                    require_probability=False)
+    mu = FiniteMeasure.from_atoms(space, atoms, atom_error=err, require_probability=False)
+    if not mu.atoms:
+        # Every check on a measure with no atoms would pass vacuously.
+        raise ParseError("bad measure JSON: no atom of positive weight")
+    return mu
 
 
 def measure_to_csv(mu: FiniteMeasure) -> str:

@@ -211,7 +211,7 @@ def ideal_near(p: SpherePoint, n: int) -> int:
     return ideal_index(candidate)
 
 
-def chordal_disc_radius(z: GaussRat, euclid_rad: Fraction, bits: int = 40) -> Fraction:
+def chordal_disc_radius(z: GaussRat, euclid_rad: Fraction, bits: int) -> Fraction:
     """Upper bound on sup {sigma(z, w) : |w - z| <= euclid_rad} (Euclidean).
 
     Tighter than the crude sigma <= 2|z - w| for large |z|, where the
@@ -237,7 +237,7 @@ def oracle_of(p: SpherePoint) -> Oracle:
         def query(n: int) -> SpherePoint:
             return SpherePoint.finite(Fraction(1 << (n + 1)), 0)
     else:
-        def query(n: int) -> SpherePoint:
+        def query(_n: int) -> SpherePoint:
             return p
     return Oracle(query=query)
 

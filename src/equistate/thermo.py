@@ -51,20 +51,13 @@ class TreeNode:
     point: SpherePoint
     euclid_err: Fraction
     chordal_err: Fraction
-    local_degree: int
     degree_product: int
-    parent: int | None
     phi_path: BallReal  # S_k(phi) along the orbit from this node up to depth 1
 
 
 @dataclass
 class PreimageTree:
-    map: RationalMapRec
     levels: list[list[TreeNode]]
-
-    @property
-    def depth(self) -> int:
-        return len(self.levels) - 1
 
     def leaves(self) -> list[TreeNode]:
         return self.levels[-1]
@@ -112,12 +105,11 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
         raise ExcludedPoint(f"anchor {x!r} lies on the forward orbit of infinity")
     f_of_inf = f.apply(INF)
     zero_phi = phi is None or phi.is_zero()
-    root = TreeNode(x, ZERO, ZERO, 1, 1, None, BallReal.exact(0))
+    root = TreeNode(x, ZERO, ZERO, 1, BallReal.exact(0))
     levels = [[root]]
     for _level in range(depth):
-        current = levels[-1]
         children: list[TreeNode] = []
-        for idx, node in enumerate(current):
+        for node in levels[-1]:
             if node.point == f_of_inf:
                 # The true node differs from f(inf); the stored rounding
                 # collided with the excluded value.  Needs more precision.
@@ -151,12 +143,12 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
                         point, chordal_err, eval_prec
                     )
                 children.append(TreeNode(
-                    point, delta, chordal_err, cl.multiplicity,
-                    node.degree_product * cl.multiplicity, idx, phi_here,
+                    point, delta, chordal_err, node.degree_product * cl.multiplicity,
+                    phi_here,
                 ))
             _check_disjoint(children[siblings:])
         levels.append(children)
-    return PreimageTree(f, levels)
+    return PreimageTree(levels)
 
 
 def _check_disjoint(siblings: list[TreeNode]) -> None:
@@ -242,12 +234,8 @@ def ruelle_apply(f: RationalMapRec, phi: Potential | None, u: Potential | None,
 @dataclass
 class PressureResult:
     value: BallReal
-    n_bits: int
     N_used: int
     anchor: SpherePoint
-    c0_used: Fraction | None
-    R_used: Fraction | None
-    mode: str  # "certified" | "empirical"
 
 
 def _single_preimage(f: RationalMapRec, s: SpherePoint) -> bool:
@@ -270,45 +258,43 @@ def _select_anchor(f: RationalMapRec, N: int) -> SpherePoint:
 
 
 def pressure(f: RationalMapRec, phi: Potential, n: int,
-             c0: Fraction | None = None, R: Fraction | None = None,
-             mode: str = "certified") -> PressureResult:
-    """Topological pressure P(f, phi) to within 2^-n.
+             c0: Fraction, R: Fraction) -> PressureResult:
+    """Certified topological pressure P(f, phi) to within 2^-n.
 
-    Certified mode needs c0 (the iterate-distortion constant of f for the
-    Hoelder exponent in use) and R >= the Hoelder seminorm of phi for that
-    exponent, in the metric c0 refers to;
-    it picks N > 2^(n+1)*c0*R, so the truncation error C0*R/N stays below
-    2^-(n+1), and adds it to the radius.  The exponential preimage tree
-    caps N: if the required N is out of reach the error says exactly what
-    was needed, rather than degrading the bound.
-
-    Empirical mode iterates N until successive estimates agree to
-    2^-(n+2); the result is labeled and NOT certified.
+    c0 is the iterate-distortion constant of f for the Hoelder exponent in
+    use and R >= the Hoelder seminorm of phi for that exponent, in the
+    metric c0 refers to.  Picks N > 2^(n+1)*c0*R, so the truncation error
+    C0*R/N stays below 2^-(n+1), and adds it to the radius.  The
+    exponential preimage tree caps N: if the required N is out of reach
+    the error says exactly what was needed, rather than degrading the
+    bound.
     """
     _check_precision(n)
-    if mode == "certified":
-        if c0 is None or R is None:
-            raise ValueError("certified mode requires c0 and R")
-        if c0 < 0 or R < 0:
-            raise ValueError("c0 and R must be nonnegative")
-        N = int(Fraction(2) ** (n + 1) * c0 * R) + 1
-        if N > _MAX_PRESSURE_DEPTH or f.degree ** N > _MAX_TREE_LEAVES:
-            raise PrecisionExhausted(
-                f"certified pressure needs N = {N} transfer-operator steps; "
-                f"the degree-{f.degree} preimage tree is out of desk range"
-            )
-        anchor = _select_anchor(f, N)
-        eval_bits = n + 2
-        for _ in range(6):
-            big = ruelle_apply(f, phi, None, anchor, N, eval_bits + N.bit_length())
-            logball = ball_log(big, eval_bits + N.bit_length() + 2)
-            val = BallReal(logball.mid / N, logball.rad / N + c0 * R / Fraction(N))
-            if val.rad <= Fraction(1, 1 << n):
-                return PressureResult(val, n, N, anchor, c0, R, "certified")
-            eval_bits *= 2
-        raise PrecisionExhausted("pressure evaluation did not reach 2^-n")
-    if mode != "empirical":
-        raise ValueError("mode must be 'certified' or 'empirical'")
+    if c0 < 0 or R < 0:
+        raise ValueError("c0 and R must be nonnegative")
+    N = int(Fraction(2) ** (n + 1) * c0 * R) + 1
+    if N > _MAX_PRESSURE_DEPTH or f.degree ** N > _MAX_TREE_LEAVES:
+        raise PrecisionExhausted(
+            f"certified pressure needs N = {N} transfer-operator steps; "
+            f"the degree-{f.degree} preimage tree is out of desk range"
+        )
+    anchor = _select_anchor(f, N)
+    eval_bits = n + 2
+    for _ in range(6):
+        big = ruelle_apply(f, phi, None, anchor, N, eval_bits + N.bit_length())
+        logball = ball_log(big, eval_bits + N.bit_length() + 2)
+        val = BallReal(logball.mid / N, logball.rad / N + c0 * R / Fraction(N))
+        if val.rad <= Fraction(1, 1 << n):
+            return PressureResult(val, N, anchor)
+        eval_bits *= 2
+    raise PrecisionExhausted("pressure evaluation did not reach 2^-n")
+
+
+def empirical_pressure(f: RationalMapRec, phi: Potential, n: int) -> PressureResult:
+    """Uncertified estimate of P(f, phi): iterates N until successive
+    estimates (1/N) log L_phi^N(1)(anchor) agree to 2^-(n+2), and widens
+    the last one by that agreement.  The ball is NOT an enclosure."""
+    _check_precision(n)
     agree = Fraction(1, 1 << (n + 2))
     prev: BallReal | None = None
     prev_N = 0
@@ -320,10 +306,7 @@ def pressure(f: RationalMapRec, phi: Potential, n: int,
         logball = ball_log(big, n + 8 + N.bit_length())
         cur = BallReal(logball.mid / N, logball.rad / N)
         if prev is not None and abs(cur.mid - prev.mid) <= agree:
-            return PressureResult(
-                BallReal(cur.mid, cur.rad + agree), n, N, anchor, None, None,
-                "empirical",
-            )
+            return PressureResult(BallReal(cur.mid, cur.rad + agree), N, anchor)
         prev, prev_N = cur, N
     raise PrecisionExhausted(
         f"empirical pressure estimates did not stabilize by N = {prev_N}"

@@ -23,12 +23,14 @@ from math import lcm
 
 from .balls import BallReal, sqrt_of_rational
 from .dyadics import ZERO
-from .errors import NotAVertex, RuleMismatch
+from .errors import NotAVertex, PrecisionExhausted, RuleMismatch
 from .measures import TRI, FiniteMeasure
 from .trisphere import (BACK, FRONT, TilePoint, Triple, barycenter, dist2_tri,
                         homogeneous_point)
 
 CORNERS = ("A", "B", "C")
+# Tiles take about 1 KB each; capped as thermo caps preimage-tree leaves.
+_MAX_TILES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -246,6 +248,11 @@ def tile_complex(rule: str, level: int) -> TileComplex:
     table = _get_rule(rule)
     if level < 0:
         raise ValueError("level must be >= 0")
+    if 2 * table.degree ** level > _MAX_TILES:
+        raise PrecisionExhausted(
+            f"the level-{level} {rule} complex of {2 * table.degree ** level} tiles "
+            f"exceeds the tile cap"
+        )
     if level == 0:
         corners = tuple(homogeneous_point(FRONT, *_EDGE_POINTS[k]) for k in CORNERS)
         return TileComplex(rule, 0, [Tile(i, face, corners, CORNERS, face, None, None)
@@ -273,13 +280,6 @@ def tile_complex(rule: str, level: int) -> TileComplex:
                               parent_id=x.id, container_id=container))
             tid += 1
     return TileComplex(rule, level, tiles, child_of)
-
-
-def subdivide(c: TileComplex, rule: str) -> TileComplex:
-    """Level n+1 complex from a level-n complex of the same rule."""
-    if c.rule != rule:
-        raise RuleMismatch(f"complex was generated by {c.rule!r}, not {rule!r}")
-    return tile_complex(rule, c.level + 1)
 
 
 @dataclass(frozen=True)
@@ -331,14 +331,13 @@ def vertex_image(rule: str, v: TilePoint) -> TilePoint:
     return SubdivisionMap(rule).eval(v)
 
 
-def vertex_local_degree(rule: str, v: TilePoint, level: int = 1) -> Fraction:
-    """Local degree at a level-`level` vertex, from incidence counts:
-    (tiles at v in level n) / (tiles at the image of v in level n-1)."""
-    up = tile_complex(rule, level).incident_tiles(v)
+def vertex_local_degree(rule: str, v: TilePoint) -> Fraction:
+    """Local degree at a level-1 vertex, from incidence counts:
+    (tiles at v in level 1) / (tiles at the image of v in level 0)."""
+    up = tile_complex(rule, 1).incident_tiles(v)
     if not up:
-        raise NotAVertex(f"{v!r} is not a level-{level} vertex")
-    below = tile_complex(rule, level - 1)
-    down = below.incident_tiles(vertex_image(rule, v))
+        raise NotAVertex(f"{v!r} is not a level-1 vertex")
+    down = tile_complex(rule, 0).incident_tiles(vertex_image(rule, v))
     return Fraction(len(up), len(down))
 
 
@@ -355,10 +354,8 @@ def mme_tile_measure(rule: str, n: int) -> FiniteMeasure:
     return FiniteMeasure.from_atoms(TRI, [(t.barycenter(), w) for t in c.tiles])
 
 
-def flower(c: TileComplex, v: TilePoint, n: int | None = None) -> set[int]:
-    """Ids of the level-n tiles whose closure contains the vertex v."""
-    if n is not None and n != c.level:
-        c = tile_complex(c.rule, n)
+def flower(c: TileComplex, v: TilePoint) -> set[int]:
+    """Ids of the tiles of c whose closure contains the vertex v."""
     ids = c.incident_tiles(v)
     if not ids:
         raise NotAVertex(f"{v!r} is not a vertex of the level-{c.level} complex")

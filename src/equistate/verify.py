@@ -84,22 +84,18 @@ class PatchSystem:
     patches: list[BallPatch]
     excluded: list[Point] = field(default_factory=list)
 
-    def classify_point(self, x: Point) -> list[int]:
-        return [k for k, p in enumerate(self.patches) if p.contains_point(x)]
-
     def near_excluded(self, x: Point, disc_rad: Fraction) -> bool:
         return any(_dist2(self.space, e, x) <= disc_rad * disc_rad
                    for e in self.excluded)
 
-    def validate_injectivity(self, f: MapLike, samples_per_patch: int = 12) -> bool:
+    def validate_injectivity(self, f: MapLike) -> bool:
         """Sample-grid injectivity check (exact comparisons on exact points).
 
         A failure is definitive; a pass is desk-scale evidence, not proof.
         """
-        apply = _as_callable(f)
         for patch in self.patches:
-            pts = _sample_points(patch, samples_per_patch)
-            images = [apply(p) for p in pts]
+            pts = _sample_points(patch)
+            images = [f(p) for p in pts]
             for i in range(len(pts)):
                 for j in range(i + 1, len(pts)):
                     if pts[i] != pts[j] and images[i] == images[j]:
@@ -107,13 +103,7 @@ class PatchSystem:
         return True
 
 
-def _as_callable(f: MapLike) -> Callable[[Point], Point]:
-    if isinstance(f, RationalMapRec):
-        return f.apply
-    return f
-
-
-def _sample_points(patch: BallPatch, count: int) -> list[Point]:
+def _sample_points(patch: BallPatch) -> list[Point]:
     if patch.space != SPHERE or patch.center.is_infinity:
         return [patch.center]
     z = patch.center.as_gauss()
@@ -124,8 +114,6 @@ def _sample_points(patch: BallPatch, count: int) -> list[Point]:
                (step, step), (-step, -step), (step / 2, -step / 2),
                (-step / 4, step / 4)]
     for dx, dy in offsets:
-        if len(out) >= count:
-            break
         cand = SpherePoint(z + GaussRat.of(dx / 2, dy / 2))
         if patch.contains_point(cand):
             out.append(cand)
@@ -272,26 +260,13 @@ def jacobian_unitarity(f: MapLike, J: JacobianSpec, x: Point,
     return (base - 1).abs()
 
 
-def atomic_jacobian(mu: FiniteMeasure, T: MapLike,
-                    patches: PatchSystem | None = None) -> dict[Point, Fraction]:
+def atomic_jacobian(mu: FiniteMeasure, T: MapLike) -> dict[Point, Fraction]:
     """J(a) = mu({T a}) / mu({a}) on atoms; requires exact images and
-    injectivity of T on the support (within each patch when given)."""
-    apply = _as_callable(T)
+    injectivity of T on the support."""
     weights = dict(mu.atoms)
-    images = {a: apply(a) for a, _ in mu.atoms}
-    if patches is not None:
-        for a in images:
-            if not patches.classify_point(a):
-                raise NotInjectiveOnSupport(
-                    f"atom {a!r} lies outside every injectivity patch"
-                )
-        for k, patch in enumerate(patches.patches):
-            members = [a for a in images if patch.contains_point(a)]
-            if len({images[a] for a in members}) != len(members):
-                raise NotInjectiveOnSupport(f"atoms collide within patch {k}")
-    else:
-        if len(set(images.values())) != len(images):
-            raise NotInjectiveOnSupport("atom images collide")
+    images = {a: T(a) for a, _ in mu.atoms}
+    if len(set(images.values())) != len(images):
+        raise NotInjectiveOnSupport("atom images collide")
     return {a: weights.get(images[a], ZERO) / w for a, w in mu.atoms}
 
 
@@ -311,10 +286,7 @@ def rokhlin_lower_bound(mu: FiniteMeasure,
         return log_point(J.constant, prec)
     if T is None:
         raise ValueError("potential-form Jacobian needs the map for h(Tx)")
-    apply = _as_callable(T)
-    return integrate(
-        mu, lambda a: J.log_at(a, apply(a), mu.atom_error, prec), prec
-    )
+    return integrate(mu, lambda a: J.log_at(a, T(a), mu.atom_error, prec))
 
 
 @dataclass
@@ -346,7 +318,6 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
     sup_j = J.sup_over_patches()
     if not tests:
         return entries
-    apply = _as_callable(T)
     pre_cache = {a: enumerate_preimages(T, a, prec + 8) for a, _ in mu.atoms}
     jac: dict[Point, BallReal] = {}  # J at the atoms that lie in some patch
     for k, patch in enumerate(patches.patches):
@@ -356,7 +327,7 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
             # V side: atoms of mu inside the patch.
             if patch.contains_point(a):
                 if a not in jac:
-                    jac[a] = J.value_at(a, apply(a), mu.atom_error, prec)
+                    jac[a] = J.value_at(a, T(a), mu.atom_error, prec)
                 for terms, tau in zip(v_terms, tests):
                     terms.append((tau(a, prec) * jac[a]).scale(w))
             # W side: the (at most one) preimage inside the patch.
@@ -424,12 +395,12 @@ def tangent_certificate(nu: FiniteMeasure, phi: Potential,
     if nu.space != SPHERE and any(q.constant_value() is None for q in potentials):
         raise SpaceMismatch(f"nonconstant potentials live on {SPHERE}; "
                             f"the measure is on {nu.space}")
-    phi_int = integrate(nu, lambda p: phi.evaluate(p, prec), prec)
+    phi_int = integrate(nu, lambda p: phi.evaluate(p, prec))
     gaps: list[BallReal] = []
     for psi, p_upper in witnesses:
         if p_upper.direction != "upper":
             raise ValueError("witness pressures must be upper directed reals")
-        psi_int = integrate(nu, lambda p: psi.evaluate(p, prec), prec)
+        psi_int = integrate(nu, lambda p: psi.evaluate(p, prec))
         gaps.append(BallReal.exact(p_upper.current) - psi_int + phi_int
                     - BallReal.exact(p_lower.current))
     idx = min(range(len(gaps)), key=lambda k: gaps[k].lower())  # first minimum
@@ -441,4 +412,4 @@ def tangent_certificate(nu: FiniteMeasure, phi: Potential,
 def invariance_residual(mu: FiniteMeasure, T: MapLike, prec: int = 30) -> BallReal:
     """W(mu, T_* mu): how far mu is from exact invariance, in transport
     distance.  Requires exact images (InexactImage otherwise)."""
-    return wasserstein(mu, pushforward(mu, _as_callable(T)), prec)
+    return wasserstein(mu, pushforward(mu, T), prec)

@@ -23,7 +23,7 @@ from equistate.cli import build_parser, main
 from equistate.measures import SPHERE, TRI, FiniteMeasure
 from equistate.serialize import measure_to_json, parse_sphere_point
 from equistate.sphere import SpherePoint
-from equistate.thurston import mme_tile_measure
+from equistate.thurston import mme_tile_measure, tile_complex
 
 
 def run_cli(args, tmp_path, expect=0):
@@ -98,13 +98,23 @@ _BAD_WITNESSES = {
     *([*_TANGENT, "{%s}" % name] for name in _BAD_WITNESSES),
     ["mme", "--map", "1/0", "--depth", "1"],
     ["verify", "membership", "--measure", "{tri_measure}", "--map", "z^2", "--J", "const:2"],
+    ["verify", "membership", "--measure", "{empty_measure}", "--map", "z^2", "--J", "const:2"],
+    ["verify", "tangent", "--measure", "{empty_measure}", "--phi", "const:0",
+     "--witnesses", "{witnesses}"],
 ])
 def test_missing_or_unreadable_input_exits_3(argv, tmp_path):
     files = {"missing": tmp_path / "absent.json", "measure": tmp_path / "measure.json",
-             "tri_measure": tmp_path / "tri_measure.json"}
+             "tri_measure": tmp_path / "tri_measure.json",
+             "empty_measure": tmp_path / "empty_measure.json",
+             "witnesses": tmp_path / "witnesses.json"}
     one_atom = FiniteMeasure.from_atoms(SPHERE, [(SpherePoint.finite(1), Fraction(1))])
     files["measure"].write_text(json.dumps(measure_to_json(one_atom)))
     files["tri_measure"].write_text(json.dumps(measure_to_json(mme_tile_measure("g1", 1))))
+    files["empty_measure"].write_text(json.dumps(
+        {"space": SPHERE, "atoms": [], "atom_error": "0"}))
+    files["witnesses"].write_text(json.dumps(
+        {"witnesses": [{"psi": {"op": "const", "value": "1"}, "upper": ["2"]}],
+         "p_lower": ["0"]}))
     for name, spec in _BAD_WITNESSES.items():
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(spec))
@@ -345,7 +355,9 @@ _potentials = st.one_of(
     _terms,
     st.tuples(st.sampled_from(_SCALES), _terms).map(lambda t: pot.scale(*t)),
 )
-_SMALL_RATIONALS = ("0", "-1", "1/8", "100", "1/0")
+# Values of --c0 and --R: None, which leaves the option out, in about half
+# the draws, so that empirical runs (which reject both) still compute.
+_MAYBE_RATIONALS = st.one_of(st.none(), st.sampled_from(("0", "-1", "1/8", "100", "1/0")))
 # Text potentials with a zero denominator, given on the command line.
 _BAD_POTENTIALS = ("const:1/0", "scale:1/0:basis:0", "basis:1/0,0")
 
@@ -383,10 +395,10 @@ def _exit_contract(argv, phi):
 @given(st.sampled_from(("z^2", "z^2-2")),
        st.one_of(_potentials, st.sampled_from(_BAD_POTENTIALS)), st.integers(-3, 4),
        st.sampled_from(("certified", "empirical")),
-       st.sampled_from((None,) + _SMALL_RATIONALS), st.sampled_from(_SMALL_RATIONALS))
+       _MAYBE_RATIONALS, _MAYBE_RATIONALS)
 def test_pressure_command_exit_codes(fmap, phi, n, mode, c0, R):
-    argv = ["pressure", "--map", fmap, "--n", str(n), "--mode", mode, "--R", R]
-    _exit_contract(argv + (["--c0", c0] if c0 is not None else []), phi)
+    argv = ["pressure", "--map", fmap, "--n", str(n), "--mode", mode]
+    _exit_contract(argv + _opt("c0", c0) + _opt("R", R), phi)
 
 
 @settings(max_examples=40, deadline=None)
@@ -478,6 +490,39 @@ def test_zero_denominator_exits_3(argv, tmp_path, capsys):
     assert "1/0" in _rejected([*argv, "--out", str(tmp_path)], capsys)
 
 
+_EMPIRICAL = ["pressure", "--map", "z^2", "--potential", "const:0", "--n", "4",
+              "--mode", "empirical"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    ([*_EMPIRICAL, "--c0", "7"], "--c0"),
+    ([*_EMPIRICAL, "--R", "9"], "--R"),
+    (["mme", "--rule", "g1", "--level", "1", "--map", "z^2"], "--map"),
+    (["mme", "--rule", "g1", "--level", "1", "--depth", "2"], "--depth"),
+    (["mme", "--rule", "g1", "--level", "1", "--anchor", "5"], "--anchor"),
+    (["mme", "--rule", "g1", "--level", "1", "--potential", "const:1"], "--potential"),
+    (["mme", "--map", "z^2", "--depth", "2", "--level", "7"], "--level"),
+])
+def test_mode_foreign_options_exit_3(argv, option, tmp_path, capsys):
+    """An option that the chosen mode does not read is a usage error."""
+    assert f"does not read {option}" in _rejected([*argv, "--out", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tiles", "--rule", "g1", "--level", "7"],
+    ["mme", "--rule", "g2", "--level", "7"],
+])
+def test_tile_cap_exits_4(argv, tmp_path, capsys):
+    """2 deg^level tiles above 2^19 are refused before anything is built:
+    the one call of `tile_complex` makes no call for a lower level."""
+    before = tile_complex.cache_info()
+    assert main([*argv, "--out", str(tmp_path)]) == 4
+    after = tile_complex.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses + 1)
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("equistate: ") and "tile cap" in err[0], err
+
+
 def _readme_command_line_section():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     text = readme.read_text(encoding="utf-8")
@@ -560,20 +605,25 @@ _SPHERE_POINTS = _mostly(("0", "1", "-1/2,3", "inf", "1/2+3*i"),
 _FORMATS = st.sampled_from(("json", "csv", "both"))
 
 
+# Options that only `mme --map` reads; `mme --rule` and `tiles` reject them.
+_MAP_MODE_OPTIONS = (("--map=z^2",), ("--depth=2",), ("--anchor=5",), ("--potential=const:1",))
+
+
 @settings(max_examples=30, deadline=None)
-@given(_MAPS, _mostly(range(4), (None, -1, -2)), _SPHERE_POINTS, _FORMATS)
-def test_mme_map_command_exit_codes(fmap, depth, anchor, fmt):
+@given(_MAPS, _mostly(range(4), (None, -1, -2)), _SPHERE_POINTS, _FORMATS,
+       _mostly((None,), (1,)))
+def test_mme_map_command_exit_codes(fmap, depth, anchor, fmt, level):
     _contract(["mme", "--map", fmap, *_opt("depth", depth), f"--anchor={anchor}",
-               "--format", fmt])
+               "--format", fmt, *_opt("level", level)])
 
 
 @settings(max_examples=30, deadline=None)
 @given(_mostly(("g1", "g2"), ("g3",)), _mostly(range(4), (None, -1, -2)), _FORMATS,
-       st.sampled_from(("mme", "tiles")))
-def test_rule_commands_exit_codes(rule, level, fmt, command):
+       st.sampled_from(("mme", "tiles")), _mostly(((),), _MAP_MODE_OPTIONS))
+def test_rule_commands_exit_codes(rule, level, fmt, command, foreign):
     # Only mme writes CSV, so only mme takes --format.
     _contract([command, "--rule", rule, *_opt("level", level),
-               *(["--format", fmt] if command == "mme" else [])])
+               *(["--format", fmt] if command == "mme" else []), *foreign])
 
 
 @settings(max_examples=30, deadline=None)
@@ -604,14 +654,16 @@ _BAD_POINTS = {
 @st.composite
 def _measure_json(draw, space):
     """A probability measure on 1-3 valid points, sometimes with one bad
-    point or one bad weight."""
+    point, one bad weight or no atoms at all."""
     points = draw(st.lists(st.sampled_from(_GOOD_POINTS[space]), min_size=1, max_size=3))
     weights = [f"1/{len(points)}"] * len(points)
-    flaw = draw(st.integers(0, 5))
+    flaw = draw(st.integers(0, 6))
     if flaw == 0:
         points[0] = draw(st.sampled_from(_BAD_POINTS[space]))
     elif flaw == 1:
         weights[0] = draw(st.sampled_from(("0", "-1/2", "2", "x")))
+    elif flaw == 2:
+        points, weights = [], []
     return {"space": space, "atom_error": "0",
             "atoms": [{"point": p, "weight": w} for p, w in zip(points, weights)]}
 

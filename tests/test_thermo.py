@@ -21,6 +21,7 @@ from equistate.thermo import (
     backward_orbit_measure,
     birkhoff_sum,
     build_preimage_tree,
+    empirical_pressure,
     pressure,
     ruelle_apply,
 )
@@ -130,7 +131,6 @@ def test_pressure_z2_log2():
     res = pressure(Z2, const(0), 8, c0=F(1), R=F(0))
     assert res.value.rad <= F(1, 1 << 8)
     assert res.value.contains(LOG2)
-    assert res.mode == "certified"
 
 
 def test_pressure_z2m2_log2():
@@ -161,14 +161,8 @@ def test_pressure_refuses_oversized_N():
 
 
 def test_pressure_empirical_mode():
-    res = pressure(Z2, const(0), 8, mode="empirical")
-    assert res.mode == "empirical"
+    res = empirical_pressure(Z2, const(0), 8)
     assert abs(float(res.value.mid) - math.log(2)) < 2e-3
-
-
-def test_pressure_requires_c0():
-    with pytest.raises(ValueError):
-        pressure(Z2, const(0), 8, mode="certified")
 
 
 # -- backward orbit measures ----------------------------------------------

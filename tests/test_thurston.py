@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equistate.errors import NotAVertex, RuleMismatch
+from equistate.errors import NotAVertex
 from equistate.measures import pushforward, wasserstein
 from equistate.serialize import measure_to_json
 from equistate.thurston import (
@@ -18,7 +18,6 @@ from equistate.thurston import (
     max_tile_diameter,
     mme_tile_measure,
     rule_degree,
-    subdivide,
     tile_complex,
     tile_complex_to_json,
     vertex_image,
@@ -84,14 +83,6 @@ def test_metric_boundary_consistency():
 def test_tile_counts():
     assert [len(tile_complex("g1", n)) for n in range(4)] == [2, 12, 72, 432]
     assert [len(tile_complex("g2", n)) for n in range(4)] == [2, 16, 128, 1024]
-
-
-def test_subdivide_matches_generator():
-    c1 = tile_complex("g1", 1)
-    c2 = subdivide(c1, "g1")
-    assert c2.level == 2 and len(c2) == 72
-    with pytest.raises(RuleMismatch):
-        subdivide(c1, "g2")
 
 
 def test_parent_map_total_and_counts():

@@ -160,6 +160,17 @@ def test_rokhlin_bounded_by_pressure():
     assert r.lower() <= p.value.upper() + F(1, 1 << 8)
 
 
+def test_rokhlin_potential_form():
+    """With phi = h = 0, log J is the pressure value at every atom, so the
+    integral encloses log 2; h(T x) needs the map."""
+    J = JacobianSpec.potential_form(log_point(2, 60), const(0), const(0))
+    mu = backward_orbit_measure(Z2, None, S(3), 4)
+    r = rokhlin_lower_bound(mu, J, Z2)
+    assert r.contains(LOG2_40) and r.rad <= F(1, 1 << 40)
+    with pytest.raises(ValueError):
+        rokhlin_lower_bound(mu, J)
+
+
 # -- membership residuals -----------------------------------------------------
 
 

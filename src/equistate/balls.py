@@ -16,13 +16,14 @@ radius is at most 2^-(prec + 24).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
 from . import dyadics
-from .dyadics import ZERO, round_to_dyadic, sqrt_exact, sqrt_lower, sqrt_upper
+from .dyadics import ZERO, round_to_dyadic
 from .errors import MonotonicityViolation, NonPositiveArgument
 
 
@@ -133,13 +134,26 @@ def ball_sum(terms: Iterable[BallReal]) -> BallReal:
 
 
 def sqrt_of_rational(q: Fraction, prec: int) -> BallReal:
-    """Ball containing sqrt(q) with rad <= 2^-prec; exact for perfect squares."""
-    if q < 0:
+    """Ball containing sqrt(q) with rad <= 2^-prec; exact for perfect squares.
+
+    With q = p/d and b = prec + 1, lo = isqrt(floor(p 4^b / d)) and hi, the
+    integer square root of ceil(p 4^b / d) rounded up, bracket sqrt(q) 2^b
+    within 1 each, so the ball is (lo + hi)/2^(b+1) +- (hi - lo)/2^(b+1):
+    the endpoints of `dyadics.sqrt_lower` and `sqrt_upper` at b bits.
+    """
+    p, d = q.numerator, q.denominator
+    if p < 0:
         raise NonPositiveArgument("square root of a negative rational")
-    exact = sqrt_exact(q)
-    if exact is not None:
-        return BallReal.exact(exact)
-    return BallReal.from_endpoints(sqrt_lower(q, prec + 1), sqrt_upper(q, prec + 1))
+    rp, rd = math.isqrt(p), math.isqrt(d)
+    if rp * rp == p and rd * rd == d:
+        return BallReal(Fraction(rp, rd), ZERO)
+    scaled = p << 2 * (prec + 1)
+    lo = math.isqrt(scaled // d)
+    top = -(-scaled // d)
+    hi = math.isqrt(top)
+    if hi * hi < top:
+        hi += 1
+    return BallReal(Fraction(lo + hi, 1 << (prec + 2)), Fraction(hi - lo, 1 << (prec + 2)))
 
 
 # -- exponential and logarithm on integer mantissas ---------------------

@@ -203,6 +203,15 @@ def cmd_verify_jacobian(args):
     }
 
 
+def _probability_measure(path: str) -> FiniteMeasure:
+    """The measure in `path`; the checks that read it are stated for total mass 1."""
+    mu = measure_from_json(load_json(path))
+    if mu.total != 1:
+        raise ParseError(f"{path}: weights sum to {format_rational(mu.total)}, "
+                         "not 1, and the check needs a probability measure")
+    return mu
+
+
 def _default_tests(mu: FiniteMeasure) -> list[TestFunction]:
     """Hats at the measure's heaviest atoms, dyadic scales."""
     heavy = sorted(mu.atoms, key=lambda pw: (-pw[1],) + pw[0].sort_key())[:4]
@@ -214,7 +223,7 @@ def _default_tests(mu: FiniteMeasure) -> list[TestFunction]:
 
 
 def cmd_verify_membership(args):
-    mu = measure_from_json(load_json(args.measure))
+    mu = _probability_measure(args.measure)
     if mu.space != SPHERE:
         raise ParseError(f"verify membership needs a measure on {SPHERE}, not {mu.space}")
     f = parse_map(args.map)
@@ -241,7 +250,7 @@ def cmd_verify_membership(args):
 
 
 def cmd_verify_tangent(args):
-    mu = measure_from_json(load_json(args.measure))
+    mu = _probability_measure(args.measure)
     phi = parse_potential(args.phi)
     spec = load_json(args.witnesses)
     try:

@@ -67,17 +67,6 @@ def sqrt_upper(q: Fraction, bits: int) -> Fraction:
     return Fraction(r, 1 << bits)
 
 
-def sqrt_exact(q: Fraction) -> Fraction | None:
-    """Exact rational square root of q, or None if q is not a perfect square."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
-    return None
-
-
 def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 

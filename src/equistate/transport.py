@@ -1,22 +1,58 @@
 """Exact minimum-cost transport on a dense bipartite graph.
 
-Transportation simplex on integers: masses and costs are each scaled once
-by the lcm of their denominators, which changes none of the simplex's
-comparisons, and only the result is scaled back.  The basis is one
-spanning tree; each pivot walks it once for the dual potentials and reads
-the pivot cycle off its parent paths.  Entering arcs follow Bland's rule
-in lexicographic (row, column) order, which is deterministic and cannot
-cycle, so the returned optimum is the exact LP value for the given
-(pinned) rational costs.  The dual potentials are returned so callers can
-verify optimality independently: every reduced cost c_ij - u_i - v_j is
-nonnegative at the optimum.
+Network simplex on integers: masses and costs are each scaled once by the
+lcm of their denominators, which changes none of the simplex's
+comparisons, and only the result is scaled back.  The returned optimum is
+the exact LP value for the given (pinned) rational costs, and the dual
+potentials come with it, so callers can verify optimality independently:
+every reduced cost c_ij - u_i - v_j is nonnegative at the optimum.
+
+Perturbation.  Equal-weight measures make the problem massively
+degenerate, and a degenerate pivot (one that moves zero flow) is what lets
+a simplex cycle.  So the simplex runs on integer masses perturbed in the
+classical epsilon way, with epsilon = 1/K.  Let a_i, b_j be the scaled
+integer masses (n rows, m columns), N = n*m and K = 2N + 1.  The solve
+uses the supplies K*a_i + m and the demands K*b_j + 1, plus m(n - 1) on
+the last demand, so both sides still sum to K*sum(a) + N.  (The textbook
+version perturbs the supplies alone; that leaves an arc to a column of
+zero demand degenerate, so the columns are perturbed too.)
+
+A basis is a spanning tree, and its flow on a tree arc is the net supply
+of the node set (R rows, C columns) on one side of that arc:
+K*(a(R) - b(C)) + g with g = m|R| - |C| - [last column in C] m(n - 1).
+If C misses the last column then |C| < m, so g = 0 only for R = C = {};
+if C holds it then g = m(|R| - n + 1) - |C| with 1 <= |C| <= m, so g = 0
+only for all rows and all columns.  A tree arc parts the nodes into two
+nonempty sides, so g != 0 there; and |g| <= N < K, so the flow is not 0
+mod K.  Hence:
+
+* every basic solution is nondegenerate, every pivot moves theta > 0, and
+  the leaving arc is unique (a second arc blocking at theta would leave
+  the next basis degenerate);
+* each pivot lowers the perturbed objective strictly, no basis recurs, and
+  the solve is finite under any pricing rule;
+* the tree's flow for the original masses is f = (f' - g)/K, where f' is
+  the perturbed flow.  Since -N <= g <= N < K, this is exactly
+  f = (f' + N) // K, and f >= 0 because f' > 0 forces K*f > -K;
+* reduced costs depend on the tree alone, so the final tree, optimal for
+  the perturbed masses, is a feasible and optimal basis for the original
+  ones.
+
+Pricing scans blocks of ceil(sqrt(N)) arcs in row-major order, each
+block starting where the last scan stopped, and enters the most negative
+arc of the first block that has one; a full round with none means the
+basis is optimal.  The tree is kept rooted at row 0 (so u_0 = 0) as
+parent, depth, potential and child arrays, with each arc's flow stored at
+its child end.  A pivot re-hangs only the subtree that the leaving arc cuts
+off, by reversing the parent pointers on the cycle path inside it, and then
+updates depth and potential inside that subtree only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .errors import PrecisionExhausted
 
@@ -61,97 +97,127 @@ def min_cost_transport(supplies: list[Fraction], demands: list[Fraction], cost: 
     Raises PrecisionExhausted after `_pivot_bound(n, m)` pivots.
     """
     n, m = len(supplies), len(demands)
-    if sum(supplies) != sum(demands):
+    masses, ws = _scaled([*supplies, *demands])
+    if sum(masses[:n]) != sum(masses[n:]):
         raise ValueError("unbalanced transport problem")
     if n == 0 or m == 0:
         raise ValueError("empty transport problem")
-    masses, ws = _scaled([*supplies, *demands])
     flat, cs = _scaled([x for row in cost for x in row])
     c = [flat[i * m:(i + 1) * m] for i in range(n)]
+    N = n * m
+    K = 2 * N + 1
+    supply = [K * x + m for x in masses[:n]]
+    demand = [K * x + 1 for x in masses[n:]]
+    demand[-1] += N - m
 
-    # Northwest-corner initial basic feasible solution; the keys of `flow`
-    # are the basis, always n + m - 1 arcs (degenerate zero flows included),
-    # and `tree` holds the same arcs as adjacency between nodes.
-    flow: dict[tuple[int, int], int] = {}
-    tree: list[set[int]] = [set() for _ in range(n + m)]
-    a, b = masses[:n], masses[n:]
+    # Nodes are rows 0..n-1 and columns n..n+m-1.  The northwest corner
+    # rule gives the first basis; its n + m - 1 arcs form a spanning tree.
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n + m)]
     i = j = 0
-    while len(flow) < n + m - 1:
-        t = min(a[i], b[j])
-        flow[(i, j)] = t
-        tree[i].add(n + j)
-        tree[n + j].add(i)
-        a[i] -= t
-        b[j] -= t
+    while True:
+        t = min(supply[i], demand[j])
+        supply[i] -= t
+        demand[j] -= t
+        adjacent[i].append((n + j, t))
+        adjacent[n + j].append((i, t))
         if i == n - 1 and j == m - 1:
             break
-        if a[i] == 0 and i < n - 1:
+        if supply[i] == 0:
             i += 1
-        elif j < m - 1:
-            j += 1
         else:
-            i += 1
+            j += 1
 
+    # flow[x] is the flow on the arc from x up to parent[x].
+    parent = [-1] * (n + m)
+    depth = [0] * (n + m)
+    pot = [0] * (n + m)
+    flow = [0] * (n + m)
+    children: list[list[int]] = [[] for _ in range(n + m)]
+    stack = [0]
+    while stack:
+        k = stack.pop()
+        for x, t in adjacent[k]:
+            if x != parent[k]:
+                parent[x], depth[x], flow[x] = k, depth[k] + 1, t
+                pot[x] = (c[x][k - n] if x < n else c[k][x - n]) - pot[k]
+                children[k].append(x)
+                stack.append(x)
+
+    block = isqrt(N - 1) + 1
+    pos = 0
     max_iters = _pivot_bound(n, m)
     for _ in range(max_iters):
-        # One walk from row 0 gives each node its potential (u_0 = 0 and
-        # c_ij = u_i + v_j on basis arcs), parent, depth and the basis arc
-        # up to its parent.
-        pot = [0] * (n + m)
-        parent = [-1] * (n + m)
-        depth = [0] * (n + m)
-        up: list[tuple[int, int]] = [(-1, -1)] * (n + m)
-        stack = [0]
-        while stack:
-            k = stack.pop()
-            for x in tree[k]:
-                if x != parent[k]:
-                    parent[x] = k
-                    depth[x] = depth[k] + 1
-                    up[x] = (k, x - n) if k < n else (x, k - n)
-                    pot[x] = c[up[x][0]][up[x][1]] - pot[k]
-                    stack.append(x)
-        u, v = pot[:n], pot[n:]
-        # Basis arcs have reduced cost exactly 0, so they are never chosen.
-        enter = None
-        for ei in range(n):
-            ui, row = u[ei], c[ei]
-            for ej in range(m):
-                if row[ej] - ui - v[ej] < 0:
-                    enter = (ei, ej)
-                    break
-            if enter:
-                break
+        # Block-search pricing from `pos`; basis arcs have reduced cost 0.
+        v = pot[n:]
+        enter, best, seen = None, 0, 0
+        i, j = divmod(pos, m)
+        ui, row = pot[i], c[i]
+        while enter is None and seen < N:
+            for _arc in range(min(block, N - seen)):
+                r = row[j] - ui - v[j]
+                if r < best:
+                    best, enter = r, (i, j)
+                j += 1
+                if j == m:
+                    i, j = (i + 1) % n, 0
+                    ui, row = pot[i], c[i]
+            seen += block
         if enter is None:
-            value = Fraction(sum(f * c[i][j] for (i, j), f in flow.items()), ws * cs)
-            plan = {arc: Fraction(f, ws) for arc, f in flow.items() if f > 0}
-            return TransportResult(value, plan, [Fraction(x, cs) for x in u],
+            arcs = sorted((min(x, p), max(x, p) - n, (flow[x] + N) // K)
+                          for x, p in enumerate(parent) if p >= 0)
+            plan = {(ri, cj): Fraction(f, ws) for ri, cj, f in arcs if f}
+            value = Fraction(sum(f * c[ri][cj] for ri, cj, f in arcs), ws * cs)
+            return TransportResult(value, plan, [Fraction(x, cs) for x in pot[:n]],
                                    [Fraction(x, cs) for x in v])
+        pos = i * m + j
+
         # The cycle is the entering arc plus the tree paths from its two ends
         # up to their common ancestor; on each path, counted from the entering
         # arc, the 1st, 3rd, 5th ... arcs lose flow and the others gain it.
         x, y = enter[0], n + enter[1]
-        from_row: list[tuple[int, int]] = []
-        from_col: list[tuple[int, int]] = []
+        from_row: list[int] = []
+        from_col: list[int] = []
         while x != y:
             if depth[x] >= depth[y]:
-                from_row.append(up[x])
+                from_row.append(x)
                 x = parent[x]
             else:
-                from_col.append(up[y])
+                from_col.append(y)
                 y = parent[y]
-        losers = from_row[::2] + from_col[::2]
-        theta = min(flow[arc] for arc in losers)
-        leave = min(arc for arc in losers if flow[arc] == theta)
-        for arc in losers:
-            flow[arc] -= theta
-        for arc in from_row[1::2] + from_col[1::2]:
-            flow[arc] += theta
-        flow[enter] = theta
-        del flow[leave]
-        tree[enter[0]].add(n + enter[1])
-        tree[n + enter[1]].add(enter[0])
-        tree[leave[0]].discard(n + leave[1])
-        tree[n + leave[1]].discard(leave[0])
+        leave = min(from_row[::2] + from_col[::2], key=flow.__getitem__)
+        theta = flow[leave]
+        for path in (from_row, from_col):
+            for x in path[::2]:
+                flow[x] -= theta
+            for x in path[1::2]:
+                flow[x] += theta
+
+        # Cut the leaving arc and re-hang its subtree from the entering arc:
+        # the path from the entering end s up to `leave` reverses, and each
+        # arc's flow moves to the arc's new child end.
+        if leave in from_row:
+            path, s, t = from_row, enter[0], n + enter[1]
+        else:
+            path, s, t = from_col, n + enter[1], enter[0]
+        children[parent[leave]].remove(leave)
+        up, carried = t, theta
+        for x in path[:path.index(leave) + 1]:
+            if up != t:
+                children[x].remove(up)
+            children[up].append(x)
+            parent[x], flow[x], carried = up, carried, flow[x]
+            up = x
+
+        # Inside the subtree, rows move by `best` and columns by -best (or the
+        # reverse when s is a column), so the entering arc's reduced cost is 0.
+        shift = best if s < n else -best
+        depth[s] = depth[t] + 1
+        stack = [s]
+        while stack:
+            k = stack.pop()
+            pot[k] += shift if k < n else -shift
+            for x in children[k]:
+                depth[x] = depth[k] + 1
+                stack.append(x)
     raise PrecisionExhausted(f"transport simplex exceeded its bound of {max_iters} "
                              f"pivots on a {n} x {m} problem")

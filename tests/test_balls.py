@@ -100,6 +100,25 @@ def test_sqrt_enclosure():
     assert b.lower() ** 2 <= 2 <= b.upper() ** 2
 
 
+def test_sqrt_is_the_dyadic_bracket():
+    """The ball is exactly [sqrt_lower, sqrt_upper] at prec + 1 bits, so the
+    pinned transport costs keep their bits; and it encloses sqrt(q)."""
+    from equistate.dyadics import sqrt_lower, sqrt_upper
+
+    rng = random.Random(5)
+    for _ in range(400):
+        q = F(rng.randint(0, 10 ** rng.randint(1, 30)), rng.randint(1, 10 ** rng.randint(1, 30)))
+        prec = rng.choice([0, 1, 30, 34, 64])
+        b = sqrt_of_rational(q, prec)
+        if b.rad:
+            assert b == BallReal.from_endpoints(sqrt_lower(q, prec + 1), sqrt_upper(q, prec + 1))
+        else:
+            assert b.mid ** 2 == q
+        assert b.lower() ** 2 <= q <= b.upper() ** 2 and b.rad <= F(1, 1 << prec)
+    with pytest.raises(NonPositiveArgument):
+        sqrt_of_rational(F(-1, 3), 10)
+
+
 @given(small_dyadics, st.integers(5, 25))
 @settings(max_examples=60, deadline=None)
 def test_exp_enclosure_sound(q, prec):

@@ -224,6 +224,31 @@ def test_verify_tangent_constant_witnesses(tmp_path):
     assert res["verdict"] == "PASS"
 
 
+_TANGENT_ONE_ATOM = ["verify", "tangent", "--phi", "const:0", "--witnesses", "{witnesses}"]
+
+
+@pytest.mark.parametrize("argv, weight, expect", [
+    (_TANGENT_ONE_ATOM, "1", 2),
+    (_TANGENT_ONE_ATOM, "1/1000", 3),
+    (_TANGENT_ONE_ATOM, "3/2", 3),
+    (["verify", "membership", "--map", "z^2", "--J", "const:2"], "1/1000", 3),
+])
+def test_verify_needs_a_probability_measure(argv, weight, expect, tmp_path, capsys):
+    """Both checks are stated for probability measures: one atom at 1 FAILs
+    the tangent check at weight 1 and is rejected at any other total, where
+    it used to PASS at weight 1/1000."""
+    m_path, w_path = tmp_path / "m.json", tmp_path / "w.json"
+    m_path.write_text(json.dumps({"space": SPHERE, "atom_error": "0", "atoms": [
+        {"point": {"re": "1/1", "im": "0/1"}, "weight": weight}]}))
+    w_path.write_text(json.dumps({"witnesses": [{"psi": {"op": "const", "value": "5"},
+                                                 "upper": ["4"]}], "p_lower": ["0"]}))
+    argv = [a.format(witnesses=w_path) for a in argv]
+    assert main([*argv, "--measure", str(m_path), "--out", str(tmp_path)]) == expect
+    if expect == 3:
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("equistate:") and weight in err[0], err
+
+
 @pytest.mark.parametrize("phi, psi, expect", [
     ("basis:0,0", {"op": "const", "value": "0"}, 3),
     ("const:0", {"op": "basis", "point": {"re": "0/1", "im": "0/1"}}, 3),

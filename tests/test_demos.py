@@ -1,0 +1,45 @@
+"""The transport demos run end to end and print their headline numbers."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+HEADLINES = {
+    "backward_orbit_equidistribution.py": [
+        "  depth 8:  256 atoms,  max | |y|^2 - 1 | = 0.00862,  displacement <= 8.7e-19",
+        "  W(mu_2, mu_4) = 0.46123 +- 4.7e-10",
+        "  W(mu_4, mu_6) = 0.11881 +- 4.7e-10",
+        "  W(mu_6, mu_8) = 0.02976 +- 4.7e-10",
+        "  wrote backward_orbit_z2.csv (256 atoms)",
+        "  depth 9: 512 atoms, all real, Kolmogorov distance to arccos(-t/2)/pi:  0.00098",
+    ],
+    "transport_geometry.py": [
+        "  W(delta_0 vs delta_1) = 1.4142135624   (closed form 1.4142135624)",
+        "  W(uniform{0,1} vs delta_0) = 0.7071067812   (closed form 0.7071067812)",
+        "  LP value  = 72010766960321/70368744177664",
+        "  brute min = 72010766960321/70368744177664",
+        "  dual certificate verifies: True",
+        "  optimal plan: {(0, 0): '1/2', (1, 1): '1/2'}",
+        "  W(level-2 tiles, level-1 tiles) = 0.11614 +- 1.5e-11",
+    ],
+}
+
+
+@pytest.mark.parametrize("demo", sorted(HEADLINES))
+def test_demo_prints_its_headlines(demo, tmp_path):
+    # The backward-orbit demo writes its CSV into the working directory.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path,
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    for line in HEADLINES[demo]:
+        assert line in lines
+    if demo.startswith("backward_orbit"):
+        assert len((tmp_path / "backward_orbit_z2.csv").read_text().splitlines()) == 257

@@ -58,8 +58,7 @@ print(f"  W(level-2 tiles, level-1 tiles) = {float(w.mid):.5f} "
 
 print("\n== hat-function domination tests ==")
 mu = FiniteMeasure.dirac(SPHERE, S(0))
-nu_half = FiniteMeasure.from_atoms(SPHERE, [(S(0), F(1, 2))],
-                                   require_probability=False)
+nu_half = FiniteMeasure.from_atoms(SPHERE, [(S(0), F(1, 2))])
 nu_far = FiniteMeasure.dirac(SPHERE, S(1))
 family = [TestFunction(SPHERE, S(k), F(0), F(1, 4)) for k in (0, 1)]
 print(f"  delta_0 >= (1/2) delta_0 setwise: "

@@ -16,7 +16,7 @@ from .measures import FiniteMeasure, TestFunction
 from .polynomials import Polynomial
 from .ratmap import RationalMapRec
 from .roots import RootCluster, certified_roots
-from .sphere import INF, Oracle, PointBall, SpherePoint
+from .sphere import INF, PointBall, SpherePoint
 from .trisphere import TilePoint
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "RootCluster",
     "certified_roots",
     "INF",
-    "Oracle",
     "PointBall",
     "SpherePoint",
     "TilePoint",

@@ -61,9 +61,6 @@ class BallReal:
     def contains(self, q: Fraction) -> bool:
         return self.lower() <= q <= self.upper()
 
-    def overlaps(self, other: "BallReal") -> bool:
-        return self.lower() <= other.upper() and other.lower() <= self.upper()
-
     def __float__(self) -> float:
         return float(self.mid)
 
@@ -326,11 +323,3 @@ class DirectedReal:
         """Best bound so far (the last term)."""
         return self.terms[-1]
 
-
-def directed_push(d: DirectedReal, q: Fraction) -> DirectedReal:
-    """Extend the sequence by q; raises MonotonicityViolation if invalid."""
-    if d.direction == "lower" and q < d.current:
-        raise MonotonicityViolation(f"push {q} below current {d.current}")
-    if d.direction == "upper" and q > d.current:
-        raise MonotonicityViolation(f"push {q} above current {d.current}")
-    return DirectedReal(d.terms + (Fraction(q),), d.direction)

@@ -13,7 +13,6 @@ from fractions import Fraction
 from .errors import ParseError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def round_to_dyadic(q: Fraction, bits: int) -> Fraction:

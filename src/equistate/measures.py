@@ -1,11 +1,14 @@
-"""Finitely supported rational probability measures and their comparisons.
+"""Finitely supported rational measures and their comparisons.
 
-Weights are exact positive rationals summing to exactly 1 (subprobability
-variants relax the total for domination tests).  Atom points are exact
-sphere or doubled-triangle points; measures built from certified preimage
-trees additionally carry `atom_error`, a bound on how far each stored atom
-may sit from the true point it stands for.  Wasserstein enclosures widen
-by that displacement, so downstream bounds stay honest.
+A measure is any finite positive measure: exact positive rational weights
+with an exact `total`.  The checks stated for probability measures
+(membership residuals, tangent certificates, the Rokhlin bound) call
+`check_probability`; domination tests take any totals and transport
+needs equal ones.  Atom points are exact sphere or doubled-triangle
+points; measures built from certified preimage trees additionally carry
+`atom_error`, a bound on how far each stored atom may sit from the true
+point it stands for.  Wasserstein enclosures widen by that displacement,
+so downstream bounds stay honest.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 from .balls import BallReal, ball_sum
-from .dyadics import ZERO
+from .dyadics import ZERO, format_rational
 from .errors import EvaluationFailure, InexactImage, SpaceMismatch
 from .sphere import SpherePoint, chordal
 from .transport import TransportResult, min_cost_transport
@@ -52,9 +55,8 @@ class FiniteMeasure:
 
     @staticmethod
     def from_atoms(space: str, pairs: Iterable[tuple[Point, Fraction]],
-                   atom_error: Fraction = ZERO,
-                   require_probability: bool = True) -> "FiniteMeasure":
-        """Merge coinciding points, sort canonically, verify the total."""
+                   atom_error: Fraction = ZERO) -> "FiniteMeasure":
+        """Merge coinciding points and sort them canonically."""
         merged: dict[Point, Fraction] = {}
         for p, w in pairs:
             w = Fraction(w)
@@ -62,9 +64,6 @@ class FiniteMeasure:
                 continue
             merged[p] = merged.get(p, ZERO) + w
         atoms = tuple(sorted(merged.items(), key=lambda pw: pw[0].sort_key()))
-        total = sum(w for _, w in atoms)
-        if require_probability and total != 1:
-            raise ValueError(f"weights sum to {total}, not 1")
         return FiniteMeasure(space, atoms, Fraction(atom_error))
 
     @staticmethod
@@ -74,6 +73,12 @@ class FiniteMeasure:
     @property
     def total(self) -> Fraction:
         return sum(w for _, w in self.atoms)
+
+    def check_probability(self) -> None:
+        """Raise ValueError naming the total unless it is exactly 1."""
+        if self.total != 1:
+            raise ValueError(f"weights sum to {format_rational(self.total)}, not 1, "
+                             "and the check needs a probability measure")
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -107,9 +112,7 @@ def pushforward(mu: FiniteMeasure, T: Callable[[Point], Point]) -> FiniteMeasure
         if q is None:
             raise InexactImage(f"image of atom {p!r} is not exactly representable")
         pairs.append((q, w))
-    return FiniteMeasure.from_atoms(
-        mu.space, pairs, mu.atom_error, require_probability=(mu.total == 1)
-    )
+    return FiniteMeasure.from_atoms(mu.space, pairs, mu.atom_error)
 
 
 # -- Wasserstein ------------------------------------------------------
@@ -237,13 +240,13 @@ class ComparisonResult:
 
 
 def compare_ge(mu: FiniteMeasure, nu: FiniteMeasure,
-               family: list[TestFunction], tol: Fraction = Fraction(1, 1024),
-               prec: int = 40) -> ComparisonResult:
+               family: list[TestFunction]) -> ComparisonResult:
     """Setwise domination test: violated only on a certified witness with
-    <mu, tau+> < <nu, tau+> - tol; holds otherwise."""
+    <mu, tau+> < <nu, tau+> - 2^-10; holds otherwise.  Either measure may
+    have any total, e.g. a subprobability nu."""
     for tau in family:
-        a = integrate(mu, lambda p: tau(p, prec))
-        b = integrate(nu, lambda p: tau(p, prec))
-        if a.upper() < b.lower() - tol:
+        a = integrate(mu, lambda p: tau(p, 40))
+        b = integrate(nu, lambda p: tau(p, 40))
+        if a.upper() < b.lower() - Fraction(1, 1024):
             return ComparisonResult(False, tau, (a, b))
     return ComparisonResult(True)

@@ -117,14 +117,6 @@ class Polynomial:
                     rem[j + k] = rem[j + k] - c * b
         return Polynomial(_strip(tuple(quot))), Polynomial(_strip(tuple(rem)))
 
-    def reversal(self, degree: int) -> "Polynomial":
-        """Coefficient-reversed polynomial z^degree * p(1/z)."""
-        if degree < self.degree:
-            raise ValueError("reversal degree below polynomial degree")
-        padded = self.coeffs + (G_ZERO,) * (degree + 1 - len(self.coeffs))
-        return Polynomial(_strip(tuple(reversed(padded))))
-
-
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm (exact over Q(i))."""
     while not b.is_zero():
@@ -157,13 +149,6 @@ def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
         c, _ = d.divmod(q) if q.degree >= 0 else (d, Polynomial.zero())
         k += 1
     return out
-
-
-def poly_from_roots(roots: list[GaussRat]) -> Polynomial:
-    p = Polynomial.of(1)
-    for r in roots:
-        p = p * Polynomial.of(-r, 1)
-    return p
 
 
 def integer_coeffs(p: Polynomial) -> list[tuple[int, int]]:

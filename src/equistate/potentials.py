@@ -61,10 +61,6 @@ class Potential:
 
     # -- structure -----------------------------------------------------
 
-    def normal_form(self) -> list[NormalTerm]:
-        """Expanded sum-of-products with like terms combined."""
-        return list(self._normal_terms)
-
     @cached_property
     def _normal_terms(self) -> tuple[NormalTerm, ...]:
         """The normal form, expanded once per (immutable) potential."""

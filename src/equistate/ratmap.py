@@ -169,38 +169,10 @@ def critical_points(f: RationalMapRec, l: int) -> list[RootCluster]:
     return out
 
 
-def local_degree(f: RationalMapRec, y: SpherePoint) -> int:
-    """Exact local degree deg_f(y) at an exact point."""
-    x = f.apply(y)
-    if not y.is_infinity:
-        z = y.as_gauss()
-        if x.is_infinity:
-            return _root_multiplicity(f.den, z)
-        return _root_multiplicity(f.num - f.den.scale(x.as_gauss()), z)
-    dn, dd = f.num.degree, f.den.degree
-    if x.is_infinity:
-        return dn - dd
-    d = max(dn, dd)
-    num_rev = f.num.reversal(d)
-    den_rev = f.den.reversal(d)
-    return _root_multiplicity(num_rev - den_rev.scale(x.as_gauss()), GaussRat.of(0))
-
-
-def _root_multiplicity(p: Polynomial, z: GaussRat) -> int:
-    count = 0
-    lin = Polynomial.of(-z, 1)
-    while not p.is_zero() and p(z).is_zero():
-        p, _ = p.divmod(lin)
-        count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class PostcriticalResult:
     status: str  # "finite" or "undecided"
     points: frozenset[SpherePoint]
-    orbits: dict
-    periods: dict
 
     @property
     def is_finite(self) -> bool:
@@ -218,37 +190,16 @@ def postcritical_orbit(f: RationalMapRec) -> PostcriticalResult:
     crit: list[SpherePoint] = []
     for cluster in critical_points(f, l=30):
         if cluster.euclid_rad != 0 or cluster.center.rad != 0:
-            return PostcriticalResult("undecided", frozenset(), {}, {})
+            return PostcriticalResult("undecided", frozenset())
         crit.append(cluster.center.center)
     post: set[SpherePoint] = set()
-    orbits: dict = {}
-    periods: dict = {}
     for c in crit:
-        trail: list[SpherePoint] = []
-        index: dict[SpherePoint, int] = {}
+        orbit: set[SpherePoint] = set()
         x = f.apply(c)
-        while x not in index:
-            if len(trail) >= _MAX_POSTCRITICAL_ORBIT:
-                return PostcriticalResult("undecided", frozenset(), {}, {})
-            index[x] = len(trail)
-            trail.append(x)
+        while x not in orbit:
+            if len(orbit) >= _MAX_POSTCRITICAL_ORBIT:
+                return PostcriticalResult("undecided", frozenset())
+            orbit.add(x)
             x = f.apply(x)
-        cycle_start = index[x]
-        period = len(trail) - cycle_start
-        for p in trail[cycle_start:]:
-            periods[p] = period
-        orbits[c] = tuple(trail)
-        post.update(trail)
-    return PostcriticalResult("finite", frozenset(post), orbits, periods)
-
-
-def is_misiurewicz_thurston(f: RationalMapRec) -> bool | None:
-    """True/False when decidable under exact arithmetic, None if undecided."""
-    res = postcritical_orbit(f)
-    if not res.is_finite:
-        return None
-    # A critical point is periodic iff it reappears in its own forward orbit.
-    for c, orbit in res.orbits.items():
-        if c in orbit:
-            return False
-    return True
+        post.update(orbit)
+    return PostcriticalResult("finite", frozenset(post))

@@ -75,7 +75,7 @@ def measure_from_json(obj) -> FiniteMeasure:
         err = Fraction(obj.get("atom_error", 0))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad measure JSON: {exc}") from exc
-    mu = FiniteMeasure.from_atoms(space, atoms, atom_error=err, require_probability=False)
+    mu = FiniteMeasure.from_atoms(space, atoms, atom_error=err)
     if not mu.atoms:
         # Every check on a measure with no atoms would pass vacuously.
         raise ParseError("bad measure JSON: no atom of positive weight")
@@ -111,15 +111,6 @@ def map_to_json(f: RationalMapRec):
         "num": [format_gauss(c) for c in f.num.coeffs],
         "den": [format_gauss(c) for c in f.den.coeffs],
     }
-
-
-def map_from_json(obj) -> RationalMapRec:
-    try:
-        num = Polynomial.of(*(parse_gauss(c) for c in obj["num"]))
-        den = Polynomial.of(*(parse_gauss(c) for c in obj["den"]))
-        return RationalMapRec(num, den)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad map JSON: {exc}") from exc
 
 
 _TOKEN = re.compile(r"\s*(z|i\b|\d+/\d+|\d+|\^|\+|-|\*|/|\(|\))")

@@ -6,8 +6,8 @@ an exactly computed rational, so sigma^2 comparisons are always exact.
 
 The ideal-point enumeration is a bijection from the positive integers onto
 Q(i): rationals are enumerated through the Calkin--Wilf tree (0 first,
-then +/- pairs) and coordinate pairs through the Cantor pairing, so every
-index decomposes recoverably and `ideal_index` inverts `ideal_enumerate`.
+then +/- pairs) and coordinate pairs through the Cantor pairing.  Anchor
+selection walks it in order.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .balls import BallReal, sqrt_of_rational
 from .dyadics import ZERO, format_rational, sqrt_lower, sqrt_upper
@@ -71,16 +70,6 @@ class PointBall:
             raise ValueError("disc radius must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Oracle:
-    """Precision-indexed point query: sigma(query(n), target) < 2^-n.
-
-    Queries must be pure: the same n always returns the same point.
-    """
-
-    query: Callable[[int], SpherePoint]
-
-
 # -- chordal metric ---------------------------------------------------
 
 
@@ -126,27 +115,6 @@ def _calkin_wilf(m: int) -> Fraction:
     return Fraction(a, b)
 
 
-def _calkin_wilf_index(q: Fraction) -> int:
-    """Inverse of _calkin_wilf; q must be positive.
-
-    Walks to the root with division-sized strides (runs of equal bits are
-    continued-fraction quotients), so deep rationals index fast.
-    """
-    a, b = q.numerator, q.denominator
-    runs: list[tuple[str, int]] = []
-    while (a, b) != (1, 1):
-        if a > b:
-            k = (a - 1) // b
-            a -= k * b
-            runs.append(("1", k))
-        else:
-            k = (b - 1) // a
-            b -= k * a
-            runs.append(("0", k))
-    bits = "".join(bit * count for bit, count in reversed(runs))
-    return int("1" + bits, 2)
-
-
 def _rat_enumerate(i: int) -> Fraction:
     """Bijection from {1, 2, ...} onto Q with index 1 -> 0."""
     if i == 1:
@@ -154,18 +122,6 @@ def _rat_enumerate(i: int) -> Fraction:
     half, odd = divmod(i, 2)
     q = _calkin_wilf(half)
     return -q if odd else q
-
-
-def _rat_index(q: Fraction) -> int:
-    if q == 0:
-        return 1
-    m = _calkin_wilf_index(abs(q))
-    return 2 * m + 1 if q < 0 else 2 * m
-
-
-def _cantor_pair(i: int, j: int) -> int:
-    d = i + j - 2
-    return d * (d + 1) // 2 + i
 
 
 def _cantor_unpair(k: int) -> tuple[int, int]:
@@ -186,31 +142,6 @@ def ideal_enumerate(k: int) -> SpherePoint:
     return SpherePoint(GaussRat.of(_rat_enumerate(i), _rat_enumerate(j)))
 
 
-def ideal_index(p: SpherePoint) -> int:
-    """Inverse of ideal_enumerate (finite points only)."""
-    if p.is_infinity:
-        raise ValueError("infinity is not an ideal point")
-    z = p.as_gauss()
-    return _cantor_pair(_rat_index(z.re), _rat_index(z.im))
-
-
-def ideal_near(p: SpherePoint, n: int) -> int:
-    """Index of an ideal point within chordal distance 2^-n of p.
-
-    Constructive density witness: rounds the coordinates (or inverts, for
-    infinity) and returns the index of the resulting Gaussian rational.
-    """
-    if p.is_infinity:
-        candidate = SpherePoint.finite(Fraction(1 << (n + 1)), 0)
-    else:
-        z = p.as_gauss()
-        # |z' - z| <= 2^-(n+2) * sqrt(2) and sigma <= 2|z - z'|.
-        candidate = SpherePoint(z.round(n + 3))
-    if chordal_sq(candidate, p) >= Fraction(1, 1 << (2 * n)):
-        raise ValueError("density witness failed")  # pragma: no cover
-    return ideal_index(candidate)
-
-
 def chordal_disc_radius(z: GaussRat, euclid_rad: Fraction, bits: int) -> Fraction:
     """Upper bound on sup {sigma(z, w) : |w - z| <= euclid_rad} (Euclidean).
 
@@ -225,21 +156,6 @@ def chordal_disc_radius(z: GaussRat, euclid_rad: Fraction, bits: int) -> Fractio
         m = ZERO
     bound2 = 4 * euclid_rad * euclid_rad / ((1 + a2) * (1 + m * m))
     return min(sqrt_upper(bound2, bits), Fraction(2))
-
-
-def oracle_of(p: SpherePoint) -> Oracle:
-    """Oracle answering queries for p.
-
-    Exact finite points answer with themselves; infinity answers with a
-    finite point t satisfying 2/sqrt(1+|t|^2) < 2^-n.
-    """
-    if p.is_infinity:
-        def query(n: int) -> SpherePoint:
-            return SpherePoint.finite(Fraction(1 << (n + 1)), 0)
-    else:
-        def query(_n: int) -> SpherePoint:
-            return p
-    return Oracle(query=query)
 
 
 # -- serialization ----------------------------------------------------

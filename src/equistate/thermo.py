@@ -314,8 +314,7 @@ def empirical_pressure(f: RationalMapRec, phi: Potential, n: int) -> PressureRes
 
 
 def backward_orbit_measure(f: RationalMapRec, phi: Potential | None,
-                           x: SpherePoint, depth: int, l: int | None = None
-                           ) -> FiniteMeasure:
+                           x: SpherePoint, depth: int) -> FiniteMeasure:
     """Weighted distribution of the depth-level backward orbit of x.
 
     Atoms are the stored preimage points; the weight of y is proportional
@@ -325,8 +324,7 @@ def backward_orbit_measure(f: RationalMapRec, phi: Potential | None,
     folded into the measure's atom_error (a Wasserstein discrepancy bound
     against the ideal backward-orbit measure).
     """
-    if l is None:
-        l = 40 + 2 * depth
+    l = 40 + 2 * depth
     zero_phi = phi is None or (phi is not None and phi.is_zero())
     eval_prec = l + 10
     tree = build_preimage_tree(f, x, depth, l, None if zero_phi else phi, eval_prec)

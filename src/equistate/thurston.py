@@ -209,20 +209,8 @@ class TileComplex:
     def __len__(self) -> int:
         return len(self.tiles)
 
-    def vertex_set(self) -> set[TilePoint]:
-        return {v for t in self.tiles for v in t.verts}
-
     def incident_tiles(self, v: TilePoint) -> list[int]:
         return [t.id for t in self.tiles if v in t.verts]
-
-    def adjacency(self) -> dict[frozenset, list[int]]:
-        """Edge (as a frozen pair of canonical endpoints) -> incident tiles."""
-        edges: dict[frozenset, list[int]] = {}
-        for t in self.tiles:
-            for a, b in ((0, 1), (1, 2), (0, 2)):
-                key = frozenset((t.verts[a], t.verts[b]))
-                edges.setdefault(key, []).append(t.id)
-        return edges
 
 
 def _level_one_tiles(table: RuleTable) -> list[Tile]:

@@ -189,13 +189,13 @@ class JacobianSpec:
             return BallReal.exact(Fraction(1) / self.constant)
         return ball_exp(-self.log_at(y, image, disp, prec), prec)
 
-    def sup_over_patches(self, prec: int = 20) -> Fraction:
+    def sup_over_patches(self) -> Fraction:
         """Crude upper bound on J, for slack budgeting."""
         if self.kind == "constant":
             return self.constant
         exponent = self.pressure_value.upper() + sup_bound(self.phi) \
             + 2 * sup_bound(self.h)
-        return ball_exp(BallReal.exact(exponent), prec).upper()
+        return ball_exp(BallReal.exact(exponent), 20).upper()
 
 
 # -- preimage enumeration across map kinds ------------------------------
@@ -273,7 +273,9 @@ def atomic_jacobian(mu: FiniteMeasure, T: MapLike) -> dict[Point, Fraction]:
 def rokhlin_lower_bound(mu: FiniteMeasure,
                         J: JacobianSpec | dict[Point, Fraction],
                         T: MapLike | None = None, prec: int = 40) -> BallReal:
-    """Enclosure of the entropy lower bound integral log J d mu."""
+    """Enclosure of the entropy lower bound integral log J d mu, for a
+    probability measure mu."""
+    mu.check_probability()
     if isinstance(J, dict):
         terms = []
         for a, w in mu.atoms:
@@ -299,8 +301,7 @@ class ResidualEntry:
 
 def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
                         J: JacobianSpec, tests: list[TestFunction],
-                        mesh: Fraction = ZERO, prec: int = 40
-                        ) -> list[ResidualEntry]:
+                        mesh: Fraction = ZERO) -> list[ResidualEntry]:
     """Per-(patch, test) residual of the prescribed-Jacobian membership
     functionals:
 
@@ -312,8 +313,10 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
     mesh, where mesh is the caller's transport bound between mu and its
     one-step refinement (0 when no refinement argument is intended).
     The patch tests, T(a) and J(a) run once per (patch, atom), with the
-    tests looped over inside.
+    tests looped over inside.  mu must be a probability measure.
     """
+    mu.check_probability()
+    prec = 40
     entries: list[ResidualEntry] = []
     sup_j = J.sup_over_patches()
     if not tests:
@@ -376,8 +379,8 @@ class TangentResult:
 
 def tangent_certificate(nu: FiniteMeasure, phi: Potential,
                         witnesses: list[tuple[Potential, DirectedReal]],
-                        p_lower: DirectedReal, tol: Fraction = Fraction(1, 1 << 10),
-                        prec: int = 40) -> TangentResult:
+                        p_lower: DirectedReal, tol: Fraction = Fraction(1, 1 << 10)
+                        ) -> TangentResult:
     """Tangency test at phi: every witness psi with upper pressure bound P
     must satisfy  P - <nu, psi> + <nu, phi>  >=  p_lower - tol.
 
@@ -385,8 +388,10 @@ def tangent_certificate(nu: FiniteMeasure, phi: Potential,
     family can only lower the minimum, so a fail is monotone under
     refinement.  An empty witness family tests nothing and is a ValueError.
     Nonconstant potentials are functions on the sphere, so with any of
-    them a measure on another space is a SpaceMismatch.
+    them a measure on another space is a SpaceMismatch.  nu must be a
+    probability measure.
     """
+    nu.check_probability()
     if p_lower.direction != "lower":
         raise ValueError("p_lower must be a lower directed real")
     if not witnesses:
@@ -395,12 +400,12 @@ def tangent_certificate(nu: FiniteMeasure, phi: Potential,
     if nu.space != SPHERE and any(q.constant_value() is None for q in potentials):
         raise SpaceMismatch(f"nonconstant potentials live on {SPHERE}; "
                             f"the measure is on {nu.space}")
-    phi_int = integrate(nu, lambda p: phi.evaluate(p, prec))
+    phi_int = integrate(nu, lambda p: phi.evaluate(p, 40))
     gaps: list[BallReal] = []
     for psi, p_upper in witnesses:
         if p_upper.direction != "upper":
             raise ValueError("witness pressures must be upper directed reals")
-        psi_int = integrate(nu, lambda p: psi.evaluate(p, prec))
+        psi_int = integrate(nu, lambda p: psi.evaluate(p, 40))
         gaps.append(BallReal.exact(p_upper.current) - psi_int + phi_int
                     - BallReal.exact(p_lower.current))
     idx = min(range(len(gaps)), key=lambda k: gaps[k].lower())  # first minimum

@@ -12,7 +12,6 @@ from equistate.balls import (
     DirectedReal,
     ball_exp,
     ball_log,
-    directed_push,
     exp_point,
     log_point,
     sqrt_of_rational,
@@ -149,19 +148,17 @@ def test_sum_enclosure_property(x, y):
 
 
 def test_directed_push_lower():
-    d = DirectedReal((F(0),), "lower")
-    d2 = directed_push(d, F(1, 2))
+    d2 = DirectedReal((F(0), F(1, 2)), "lower")
     assert d2.terms == (F(0), F(1, 2))
     with pytest.raises(MonotonicityViolation):
-        directed_push(d2, F(1, 4))
+        DirectedReal(d2.terms + (F(1, 4),), "lower")
 
 
 def test_directed_push_upper():
-    d = DirectedReal((F(1),), "upper")
-    d2 = directed_push(d, F(1, 2))
+    d2 = DirectedReal((F(1), F(1, 2)), "upper")
     assert d2.current == F(1, 2)
     with pytest.raises(MonotonicityViolation):
-        directed_push(d2, F(3, 4))
+        DirectedReal(d2.terms + (F(3, 4),), "upper")
 
 
 def test_directed_invalid_sequence():

@@ -19,16 +19,18 @@ from equistate.cli import main
 from equistate.dyadics import ZERO, sqrt_upper
 from equistate.errors import PrecisionExhausted
 from equistate.gauss import GaussRat, gauss_ratio
-from equistate.polynomials import (
-    Polynomial,
-    integer_coeffs,
-    poly_from_roots,
-    square_free_decomposition,
-)
+from equistate.polynomials import Polynomial, integer_coeffs, square_free_decomposition
 from equistate.roots import _int_newton_step, certified_roots
 from equistate.sphere import SpherePoint, chordal_disc_radius, chordal_sq
 
 G = GaussRat.of
+
+
+def poly_from_roots(roots: list[GaussRat]) -> Polynomial:
+    p = Polynomial.of(1)
+    for r in roots:
+        p = p * Polynomial.of(-r, 1)
+    return p
 
 
 # -- the Fraction algorithm as first written: Yun first, then a fixed

@@ -3,18 +3,49 @@ from fractions import Fraction as F
 
 import pytest
 
-from equistate.sphere import (
-    INF,
-    SpherePoint,
-    chordal,
-    chordal_sq,
-    ideal_enumerate,
-    ideal_index,
-    ideal_near,
-    oracle_of,
-)
+from equistate.sphere import INF, SpherePoint, chordal, chordal_sq, ideal_enumerate
 
 S = SpherePoint.finite
+
+
+# -- the reference inverse of the ideal-point enumeration ------------------
+
+
+def _calkin_wilf_index(q: F) -> int:
+    """Index of the positive rational q in the breadth-first Calkin--Wilf
+    order.  Walks to the root with division-sized strides (runs of equal
+    bits are continued-fraction quotients), so deep rationals index fast."""
+    a, b = q.numerator, q.denominator
+    runs: list[tuple[str, int]] = []
+    while (a, b) != (1, 1):
+        if a > b:
+            k = (a - 1) // b
+            a -= k * b
+            runs.append(("1", k))
+        else:
+            k = (b - 1) // a
+            b -= k * a
+            runs.append(("0", k))
+    bits = "".join(bit * count for bit, count in reversed(runs))
+    return int("1" + bits, 2)
+
+
+def _rat_index(q: F) -> int:
+    if q == 0:
+        return 1
+    m = _calkin_wilf_index(abs(q))
+    return 2 * m + 1 if q < 0 else 2 * m
+
+
+def _cantor_pair(i: int, j: int) -> int:
+    d = i + j - 2
+    return d * (d + 1) // 2 + i
+
+
+def ideal_index(p: SpherePoint) -> int:
+    """Inverse of ideal_enumerate (finite points only)."""
+    z = p.as_gauss()
+    return _cantor_pair(_rat_index(z.re), _rat_index(z.im))
 
 
 def test_chordal_closed_forms():
@@ -83,32 +114,14 @@ def test_enumeration_rejects_bad_index():
 
 
 def test_ideal_density_constructive():
+    """The ideal points are dense: rounding p to 2^-(n+3) (or, for
+    infinity, taking 2^(n+1)) gives an enumerated point within 2^-n."""
     rng = random.Random(3)
     for _ in range(10):
         p = S(F(rng.randint(-50, 50), rng.randint(1, 30)),
               F(rng.randint(-50, 50), rng.randint(1, 30)))
         for n in (5, 10, 20):
-            k = ideal_near(p, n)
+            k = ideal_index(SpherePoint(p.as_gauss().round(n + 3)))
             assert chordal_sq(ideal_enumerate(k), p) < F(1, 1 << (2 * n))
-    k = ideal_near(INF, 12)
+    k = ideal_index(S(1 << 13))
     assert chordal_sq(ideal_enumerate(k), INF) < F(1, 1 << 24)
-
-
-def test_oracle_exact_point():
-    p = S(1, 1)
-    o = oracle_of(p)
-    for n in (1, 5, 20):
-        assert o.query(n) == p
-
-
-def test_oracle_infinity():
-    o = oracle_of(INF)
-    for n in (1, 5, 10):
-        t = o.query(n)
-        assert chordal_sq(t, INF) < F(1, 1 << (2 * n))
-
-
-def test_oracle_consistency():
-    o = oracle_of(INF)
-    d = chordal(o.query(5), o.query(10), 40)
-    assert d.upper() <= F(1, 1 << 5) + F(1, 1 << 10)

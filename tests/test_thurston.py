@@ -39,6 +39,19 @@ C = tile_point(FRONT, 0, 0, 1)
 CENTROID_F = tile_point(FRONT, F(1, 3), F(1, 3), F(1, 3))
 
 
+def _vertices(c):
+    return {v for t in c.tiles for v in t.verts}
+
+
+def _edges(c):
+    """Edge (as a frozen pair of canonical endpoints) -> incident tile ids."""
+    edges = {}
+    for t in c.tiles:
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            edges.setdefault(frozenset((t.verts[a], t.verts[b])), []).append(t.id)
+    return edges
+
+
 # -- tile points and the doubled-triangle metric --------------------------
 
 
@@ -137,7 +150,7 @@ def test_eval_map_edge_continuity():
     for rule in ("g1", "g2"):
         g = SubdivisionMap(rule)
         c = tile_complex(rule, 1)
-        for edge, ids in c.adjacency().items():
+        for edge, ids in _edges(c).items():
             if len(ids) < 2:
                 continue
             u, v = sorted(edge, key=lambda p: p.sort_key())
@@ -156,7 +169,7 @@ def test_preimages_round_trip(rule):
     degree, and each level-1 chart inverts its pullback."""
     g = SubdivisionMap(rule)
     c = tile_complex(rule, 2)
-    points = c.vertex_set() | {t.barycenter() for t in c.tiles}
+    points = _vertices(c) | {t.barycenter() for t in c.tiles}
     for x in points:
         pres = g.preimages(x)
         assert all(g.eval(y) == x for y, _ in pres)
@@ -182,7 +195,7 @@ def test_fixed_critical_points_exist():
     for rule in ("g1", "g2"):
         c = tile_complex(rule, 1)
         found = False
-        for v in c.vertex_set():
+        for v in _vertices(c):
             if vertex_image(rule, v) == v and vertex_local_degree(rule, v) >= 2:
                 found = True
         assert found
@@ -193,7 +206,7 @@ def test_postcritical_set_is_corners():
     for rule in ("g1", "g2"):
         c = tile_complex(rule, 1)
         post = set()
-        for v in c.vertex_set():
+        for v in _vertices(c):
             if vertex_local_degree(rule, v) >= 2:
                 img = vertex_image(rule, v)
                 for _ in range(4):
@@ -431,7 +444,7 @@ def test_canonical_triples_equal_and_hash_alike():
     assert homogeneous_point(FRONT, 6, 3, 3) == from_input != homogeneous_point(BACK, 6, 3, 3)
     assert homogeneous_point(BACK, 0, 4, 4) == tile_point(BACK, 0, F(1, 2), F(1, 2))
     for rule in ("g1", "g2"):
-        for v in tile_complex(rule, 2).vertex_set():
+        for v in _vertices(tile_complex(rule, 2)):
             assert gcd(*v.abc) == 1 and min(v.abc) >= 0
             assert v == tile_point(v.face, *v.coords)
             if v.on_boundary:

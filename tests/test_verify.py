@@ -171,6 +171,30 @@ def test_rokhlin_potential_form():
         rokhlin_lower_bound(mu, J)
 
 
+# -- the probability contract -------------------------------------------------
+
+
+_HALF_AT_ZERO = FiniteMeasure(SPHERE, ((S(0), F(1, 2)),))
+
+
+@pytest.mark.parametrize("check", [
+    lambda mu: rokhlin_lower_bound(mu, JacobianSpec.const(2)),
+    lambda mu: rokhlin_lower_bound(mu, {S(0): F(2)}),
+    lambda mu: tangent_certificate(mu, const(0), _const_witnesses(LOG2, (F(0),)),
+                                   DirectedReal((LOG2,), "lower")),
+    lambda mu: membership_residual(mu, Z2, _preimage_patches(Z2, S(1), F(1, 2)),
+                                   JacobianSpec.const(2),
+                                   [TestFunction(SPHERE, S(0), F(0), F(1, 4))]),
+], ids=["rokhlin_constant", "rokhlin_table", "tangent", "membership"])
+def test_probability_checks_reject_other_totals(check):
+    """Each of these is a statement about probability measures, so a total
+    of 1/2 is a ValueError naming it.  The constant-Jacobian Rokhlin bound
+    used to return log 2 here whatever the mass, while the table {0: 2}
+    gave (log 2)/2."""
+    with pytest.raises(ValueError, match="weights sum to 1/2, not 1"):
+        check(_HALF_AT_ZERO)
+
+
 # -- membership residuals -----------------------------------------------------
 
 

@@ -10,7 +10,6 @@ Emits backward_orbit_z2.csv with plot-ready atom coordinates.
 """
 
 import math
-from fractions import Fraction as F
 
 from equistate.measures import wasserstein
 from equistate.serialize import measure_to_csv, parse_map

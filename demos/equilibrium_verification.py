@@ -10,7 +10,6 @@ Four independent criteria, all returning certified residuals:
 Run:  python demos/equilibrium_verification.py
 """
 
-import math
 from fractions import Fraction as F
 
 from equistate.balls import DirectedReal, log_point

@@ -10,8 +10,6 @@ Run:  python demos/subdivision_tilings.py
 Emits tile_measure_g1_level3.csv with barycenter plot data.
 """
 
-from fractions import Fraction as F
-
 from equistate.measures import pushforward
 from equistate.serialize import measure_to_csv
 from equistate.thurston import (

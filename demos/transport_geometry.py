@@ -22,7 +22,6 @@ from equistate.measures import (
 )
 from equistate.sphere import SpherePoint
 from equistate.thurston import mme_tile_measure
-from equistate.trisphere import FRONT, tile_point
 
 S = SpherePoint.finite
 

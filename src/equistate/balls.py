@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import dyadics
-from .dyadics import ZERO, round_to_dyadic
+from .dyadics import ZERO
 from .errors import MonotonicityViolation, NonPositiveArgument
 
 
@@ -103,11 +103,6 @@ class BallReal:
         if hi <= 0:
             return -self
         return BallReal.from_endpoints(ZERO, max(-lo, hi))
-
-    def round(self, bits: int) -> "BallReal":
-        """Dyadic midpoint at 2^-bits resolution; error moves into rad."""
-        m = round_to_dyadic(self.mid, bits)
-        return BallReal(m, dyadics.ceil_to_dyadic(self.rad + abs(m - self.mid), bits + 4))
 
     def widen(self, slack: Fraction) -> "BallReal":
         return BallReal(self.mid, self.rad + slack)

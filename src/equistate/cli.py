@@ -18,14 +18,14 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .balls import DirectedReal
 from .dyadics import format_rational, parse_rational
 from .errors import EquistateError, ParseError, PrecisionExhausted
 from .measures import SPHERE, FiniteMeasure, TestFunction, wasserstein
-from .potentials import holder_bound, potential_from_json, potential_to_json
+from .potentials import holder_bound
 from .ratmap import preimages
 from .roots import certified_roots
 from .serialize import (
+    ball_to_json,
     dump_json,
     load_json,
     map_to_json,
@@ -36,10 +36,13 @@ from .serialize import (
     parse_potential,
     parse_sphere_point,
     point_to_json,
+    potential_to_json,
+    tile_complex_to_json,
+    witnesses_from_json,
 )
-from .sphere import INF, SpherePoint, sphere_point_to_json
+from .sphere import INF, SpherePoint
 from .thermo import backward_orbit_measure, birkhoff_sum, empirical_pressure, pressure
-from .thurston import mme_tile_measure, max_tile_diameter, tile_complex, tile_complex_to_json
+from .thurston import mme_tile_measure, max_tile_diameter, tile_complex
 from .verify import (
     BallPatch,
     JacobianSpec,
@@ -55,14 +58,6 @@ EXIT_OK = 0
 EXIT_FAIL = 2
 EXIT_PRECONDITION = 3
 EXIT_PRECISION = 4
-
-
-def _ball_json(b):
-    return {
-        "mid": format_rational(b.mid),
-        "rad": format_rational(b.rad),
-        "float": float(b.mid),
-    }
 
 
 def _write(args, name: str, result: dict, started: float, csv=None) -> None:
@@ -128,10 +123,10 @@ def cmd_pressure(args):
         res = empirical_pressure(f, phi, args.n)
         c0_used = R_used = None
     return "pressure", {
-        "value": _ball_json(res.value),
+        "value": ball_to_json(res.value),
         "n_bits": args.n,
         "N_used": res.N_used,
-        "anchor": sphere_point_to_json(res.anchor),
+        "anchor": point_to_json(res.anchor),
         "c0_used": c0_used,
         "R_used": R_used,
         "mode": args.mode,
@@ -184,8 +179,8 @@ def cmd_verify_jacobian(args):
         res = jacobian_unitarity(f, J, x, patches, prec=40)
         worst = max(worst, res.upper())
         rows.append({
-            "point": sphere_point_to_json(x),
-            "residual": _ball_json(res),
+            "point": point_to_json(x),
+            "residual": ball_to_json(res),
         })
     return "verify_jacobian", {
         "check": "jacobian",
@@ -237,27 +232,14 @@ def cmd_verify_membership(args):
 def cmd_verify_tangent(args):
     mu = measure_from_json(load_json(args.measure))
     phi = parse_potential(args.phi)
-    spec = load_json(args.witnesses)
-    try:
-        witnesses = []
-        for entry in spec["witnesses"]:
-            psi = potential_from_json(entry["psi"])
-            upper = DirectedReal(
-                tuple(Fraction(t) for t in entry["upper"]), "upper"
-            )
-            witnesses.append((psi, upper))
-        p_lower = DirectedReal(
-            tuple(Fraction(t) for t in spec["p_lower"]), "lower"
-        )
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad witnesses JSON: {exc}") from exc
+    witnesses, p_lower = witnesses_from_json(load_json(args.witnesses))
     res = tangent_certificate(mu, phi, witnesses, p_lower, args.tol)
     return "verify_tangent", {
         "check": "tangent",
         "inputs": {"measure": args.measure, "phi": potential_to_json(phi),
                    "witnesses": args.witnesses},
         "residuals": [
-            {"witness": i, "gap": _ball_json(g)} for i, g in enumerate(res.gaps)
+            {"witness": i, "gap": ball_to_json(g)} for i, g in enumerate(res.gaps)
         ],
         "verdict": "PASS" if res.passed else "FAIL",
         "failing_witness": res.witness_index,
@@ -290,7 +272,7 @@ def cmd_preimages(args):
     clusters = preimages(f, x, args.l)
     return "preimages", {
         "map": map_to_json(f),
-        "point": sphere_point_to_json(x),
+        "point": point_to_json(x),
         "l": args.l,
         "preimages": [
             {
@@ -307,13 +289,13 @@ def cmd_wasserstein(args):
     mu = measure_from_json(load_json(args.a))
     nu = measure_from_json(load_json(args.b))
     w = wasserstein(mu, nu, args.prec)
-    return "wasserstein", {"a": args.a, "b": args.b, "distance": _ball_json(w)}
+    return "wasserstein", {"a": args.a, "b": args.b, "distance": ball_to_json(w)}
 
 
 def cmd_tiles(args):
     c = tile_complex(args.rule, args.level)
     result = tile_complex_to_json(c)
-    result["max_tile_diameter"] = _ball_json(max_tile_diameter(c, 40))
+    result["max_tile_diameter"] = ball_to_json(max_tile_diameter(c, 40))
     return f"tiles_{args.rule}_level{args.level}", result
 
 
@@ -325,9 +307,9 @@ def cmd_birkhoff(args):
     return "birkhoff", {
         "map": map_to_json(f),
         "potential": potential_to_json(phi),
-        "point": sphere_point_to_json(x),
+        "point": point_to_json(x),
         "steps": args.steps,
-        "sum": _ball_json(s),
+        "sum": ball_to_json(s),
     }
 
 
@@ -350,6 +332,14 @@ def _rational(text: str) -> Fraction:
         return parse_rational(text)
     except ParseError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+def _nonnegative(text: str) -> Fraction:
+    """Option type: a rational >= 0, for a tolerance or a transport bound."""
+    q = _rational(text)
+    if q < 0:
+        raise argparse.ArgumentTypeError(f"expected a rational >= 0, not {text!r}")
+    return q
 
 
 def _count(text: str) -> int:
@@ -403,20 +393,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True)
     p.add_argument("--J", required=True)
     p.add_argument("--points", type=_count, default=25)
-    p.add_argument("--tol", type=_rational, default=Fraction(1, 1 << 20))
+    p.add_argument("--tol", type=_nonnegative, default=Fraction(1, 1 << 20))
     p = command(checks, "membership", cmd_verify_membership,
                 "prescribed-Jacobian membership residuals")
     p.add_argument("--measure", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("--J", required=True)
-    p.add_argument("--tol", type=_rational, default=Fraction(1, 1 << 10))
-    p.add_argument("--mesh", type=_rational, default=Fraction(0))
+    p.add_argument("--tol", type=_nonnegative, default=Fraction(1, 1 << 10))
+    p.add_argument("--mesh", type=_nonnegative, default=Fraction(0))
     p.add_argument("--max-patches", type=_count, default=8, dest="max_patches")
     p = command(checks, "tangent", cmd_verify_tangent, "tangent-functional certificate")
     p.add_argument("--measure", required=True)
     p.add_argument("--phi", required=True)
     p.add_argument("--witnesses", required=True)
-    p.add_argument("--tol", type=_rational, default=Fraction(1, 1 << 10))
+    p.add_argument("--tol", type=_nonnegative, default=Fraction(1, 1 << 10))
 
     p = command(sub, "roots", cmd_roots, "certified polynomial roots")
     p.add_argument("--poly", required=True)

@@ -15,16 +15,9 @@ from .errors import ParseError
 ZERO = Fraction(0)
 
 
-def round_to_dyadic(q: Fraction, bits: int) -> Fraction:
-    """Nearest multiple of 2^-bits; ties round away from zero.
-
-    |result - q| <= 2^-(bits+1).
-    """
-    return Fraction(dyadic_numerator(q.numerator, q.denominator, bits), 1 << bits)
-
-
 def dyadic_numerator(n: int, d: int, bits: int) -> int:
-    """The m with m/2^bits = round_to_dyadic(n/d, bits), for d > 0.
+    """The m with m/2^bits the multiple of 2^-bits nearest n/d, for d > 0;
+    ties round away from zero, so |m/2^bits - n/d| <= 2^-(bits+1).
 
     The rule depends on the value n/d only, so n/d need not be in lowest
     terms.

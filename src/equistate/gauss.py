@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .dyadics import dyadic_numerator, format_rational, parse_rational
+from .dyadics import format_rational, parse_rational
 from .errors import ParseError
 
 
@@ -76,11 +76,6 @@ class GaussRat:
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
-
-    def round(self, bits: int) -> "GaussRat":
-        """Both parts as `dyadics.round_to_dyadic` rounds them."""
-        return gauss_ratio(dyadic_numerator(self.x, self.d, bits),
-                           dyadic_numerator(self.y, self.d, bits), 1 << bits)
 
     def __complex__(self) -> complex:
         # int / int is correctly rounded, as float(Fraction) is.

@@ -235,7 +235,6 @@ class TestFunction:
 @dataclass
 class ComparisonResult:
     holds: bool
-    witness: TestFunction | None = None
     witness_integrals: tuple[BallReal, BallReal] | None = None
 
 
@@ -248,5 +247,5 @@ def compare_ge(mu: FiniteMeasure, nu: FiniteMeasure,
         a = integrate(mu, lambda p: tau(p, 40))
         b = integrate(nu, lambda p: tau(p, 40))
         if a.upper() < b.lower() - Fraction(1, 1024):
-            return ComparisonResult(False, tau, (a, b))
+            return ComparisonResult(False, (a, b))
     return ComparisonResult(True)

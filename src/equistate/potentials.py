@@ -16,9 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .balls import BallReal, ball_sum
-from .dyadics import ZERO, format_rational
-from .errors import ParseError
-from .sphere import SpherePoint, chordal, sphere_point_from_json, sphere_point_to_json
+from .dyadics import ZERO
+from .sphere import SpherePoint, chordal
 
 NormalTerm = tuple[Fraction, tuple[SpherePoint, ...]]
 
@@ -159,34 +158,3 @@ def upper_bound(phi: Potential) -> Fraction:
         elif q > 0:
             total += q * Fraction(2) ** len(basis_pts)
     return total
-
-
-# -- serialization -----------------------------------------------------
-
-
-def potential_to_json(phi: Potential):
-    if phi.op == "const":
-        return {"op": "const", "value": format_rational(phi.value)}
-    if phi.op == "basis":
-        return {"op": "basis", "point": sphere_point_to_json(phi.point)}
-    if phi.op == "scale":
-        return {"op": "scale", "value": format_rational(phi.value),
-                "child": potential_to_json(phi.children[0])}
-    return {"op": phi.op, "children": [potential_to_json(c) for c in phi.children]}
-
-
-def potential_from_json(obj) -> Potential:
-    try:
-        op = obj["op"]
-        if op == "const":
-            return const(Fraction(obj["value"]))
-        if op == "basis":
-            return basis(sphere_point_from_json(obj["point"]))
-        if op == "scale":
-            return scale(Fraction(obj["value"]), potential_from_json(obj["child"]))
-        if op in ("sum", "prod"):
-            children = tuple(potential_from_json(c) for c in obj["children"])
-            return Potential(op, children=children)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad potential: {obj!r}") from exc
-    raise ParseError(f"bad potential op: {obj!r}")

@@ -1,7 +1,9 @@
-"""JSON/CSV interchange and textual parsers for maps, points, measures.
+"""JSON/CSV interchange and textual parsers for points, measures, maps,
+potentials, tile complexes and balls.
 
 JSON carries every rational as an exact "p/q" string so measures and maps
 round-trip with no loss; CSV is for plot data only and uses decimals.
+This is the one module that knows these formats.
 """
 
 from __future__ import annotations
@@ -10,34 +12,55 @@ import json
 import re
 from fractions import Fraction
 
+from .balls import BallReal, DirectedReal
 from .dyadics import format_rational, parse_rational
 from .errors import ParseError
 from .gauss import GaussRat, format_gauss, parse_gauss
 from .measures import SPHERE, TRI, FiniteMeasure
 from .polynomials import Polynomial, poly_gcd
-from .potentials import Potential, potential_from_json
+from .potentials import Potential, basis, const, scale
 from .ratmap import RationalMapRec
-from .sphere import INF, SpherePoint, sphere_point_from_json, sphere_point_to_json
-from .trisphere import TilePoint, tile_point_from_json, tile_point_to_json
+from .sphere import INF, SpherePoint
+from .trisphere import TilePoint, tile_point
+
+_BAD_INPUT = (KeyError, TypeError, ValueError, ZeroDivisionError)
 
 
-# -- points -------------------------------------------------------------
+# -- points and balls ---------------------------------------------------
 
 
 def point_to_json(p):
+    """A sphere point as {"re", "im"} or "inf"; a tile point as its face
+    and barycentric coordinates."""
     if isinstance(p, SpherePoint):
-        return sphere_point_to_json(p)
+        if p.is_infinity:
+            return "inf"
+        z = p.as_gauss()
+        return {"re": format_rational(z.re), "im": format_rational(z.im)}
     if isinstance(p, TilePoint):
-        return tile_point_to_json(p)
+        return {"face": p.face, "coords": [format_rational(c) for c in p.coords]}
     raise TypeError(f"not a point: {p!r}")
 
 
 def point_from_json(obj, space: str):
     if space == SPHERE:
-        return sphere_point_from_json(obj)
+        if obj == "inf":
+            return INF
+        try:
+            return SpherePoint.finite(Fraction(obj["re"]), Fraction(obj["im"]))
+        except _BAD_INPUT as exc:
+            raise ParseError(f"bad sphere point: {obj!r}") from exc
     if space == TRI:
-        return tile_point_from_json(obj)
+        return tile_point(obj["face"], *(Fraction(c) for c in obj["coords"]))
     raise ParseError(f"unknown space {space!r}")
+
+
+def ball_to_json(b: BallReal):
+    return {
+        "mid": format_rational(b.mid),
+        "rad": format_rational(b.rad),
+        "float": float(b.mid),
+    }
 
 
 def parse_sphere_point(text: str) -> SpherePoint:
@@ -73,7 +96,7 @@ def measure_from_json(obj) -> FiniteMeasure:
             for a in obj["atoms"]
         ]
         err = Fraction(obj.get("atom_error", 0))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except _BAD_INPUT as exc:
         raise ParseError(f"bad measure JSON: {exc}") from exc
     mu = FiniteMeasure.from_atoms(space, atoms, atom_error=err)
     if not mu.atoms:
@@ -243,23 +266,82 @@ def parse_map(text: str) -> RationalMapRec:
     return RationalMapRec(num, den)
 
 
+# -- potentials and witnesses -------------------------------------------
+
+
+def potential_to_json(phi: Potential):
+    if phi.op == "const":
+        return {"op": "const", "value": format_rational(phi.value)}
+    if phi.op == "basis":
+        return {"op": "basis", "point": point_to_json(phi.point)}
+    if phi.op == "scale":
+        return {"op": "scale", "value": format_rational(phi.value),
+                "child": potential_to_json(phi.children[0])}
+    return {"op": phi.op, "children": [potential_to_json(c) for c in phi.children]}
+
+
+def potential_from_json(obj) -> Potential:
+    try:
+        op = obj["op"]
+        if op == "const":
+            return const(Fraction(obj["value"]))
+        if op == "basis":
+            return basis(point_from_json(obj["point"], SPHERE))
+        if op == "scale":
+            return scale(Fraction(obj["value"]), potential_from_json(obj["child"]))
+        if op in ("sum", "prod"):
+            children = tuple(potential_from_json(c) for c in obj["children"])
+            return Potential(op, children=children)
+    except _BAD_INPUT as exc:
+        raise ParseError(f"bad potential: {obj!r}") from exc
+    raise ParseError(f"bad potential op: {obj!r}")
+
+
+def witnesses_from_json(obj) -> tuple[list[tuple[Potential, DirectedReal]], DirectedReal]:
+    """The tangency witnesses {"witnesses": [{"psi": potential, "upper":
+    [terms]}], "p_lower": [terms]}: each psi with the upper directed real
+    of its pressure, and the lower directed real of the pressure at phi."""
+    try:
+        witnesses = [(potential_from_json(entry["psi"]),
+                      DirectedReal(tuple(Fraction(t) for t in entry["upper"]), "upper"))
+                     for entry in obj["witnesses"]]
+        p_lower = DirectedReal(tuple(Fraction(t) for t in obj["p_lower"]), "lower")
+    except _BAD_INPUT as exc:
+        raise ParseError(f"bad witnesses JSON: {exc}") from exc
+    return witnesses, p_lower
+
+
 def parse_potential(text: str) -> Potential:
     """CLI potential syntax: "const:q", "basis:re,im" (or basis:inf),
     "scale:q:inner", or "@file.json" for a full expression tree."""
-    from . import potentials as pot
-
     t = text.strip()
     if t.startswith("@"):
         with open(t[1:], "r", encoding="utf-8") as fh:
             return potential_from_json(json.load(fh))
     if t.startswith("const:"):
-        return pot.const(parse_rational(t.split(":", 1)[1]))
+        return const(parse_rational(t.split(":", 1)[1]))
     if t.startswith("basis:"):
-        return pot.basis(parse_sphere_point(t.split(":", 1)[1]))
+        return basis(parse_sphere_point(t.split(":", 1)[1]))
     if t.startswith("scale:"):
         _, q, inner = t.split(":", 2)
-        return pot.scale(parse_rational(q), parse_potential(inner))
+        return scale(parse_rational(q), parse_potential(inner))
     raise ParseError(f"bad potential spec {text!r}")
+
+
+# -- tile complexes -----------------------------------------------------
+
+
+def tile_complex_to_json(c):
+    """Tiles of a `thurston.TileComplex` by face and vertex coordinates,
+    with each tile's parent id."""
+    return {
+        "rule": c.rule,
+        "level": c.level,
+        "tiles": [{"id": t.id, "face": t.face,
+                   "verts": [[format_rational(x) for x in v.coords] for v in t.verts]}
+                  for t in c.tiles],
+        "parent": [t.parent_id for t in c.tiles],
+    }
 
 
 # -- generic json io ----------------------------------------------------

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import BallReal, sqrt_of_rational
-from .dyadics import ZERO, format_rational, sqrt_lower, sqrt_upper
+from .dyadics import ZERO, sqrt_lower, sqrt_upper
 from .gauss import GaussRat
-from .errors import ParseError
 
 
 @dataclass(frozen=True)
@@ -156,22 +155,3 @@ def chordal_disc_radius(z: GaussRat, euclid_rad: Fraction, bits: int) -> Fractio
         m = ZERO
     bound2 = 4 * euclid_rad * euclid_rad / ((1 + a2) * (1 + m * m))
     return min(sqrt_upper(bound2, bits), Fraction(2))
-
-
-# -- serialization ----------------------------------------------------
-
-
-def sphere_point_to_json(p: SpherePoint):
-    if p.is_infinity:
-        return "inf"
-    z = p.as_gauss()
-    return {"re": format_rational(z.re), "im": format_rational(z.im)}
-
-
-def sphere_point_from_json(obj) -> SpherePoint:
-    if obj == "inf":
-        return INF
-    try:
-        return SpherePoint.finite(Fraction(obj["re"]), Fraction(obj["im"]))
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad sphere point: {obj!r}") from exc

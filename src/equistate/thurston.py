@@ -132,9 +132,8 @@ class Tile:
     """One closed triangle of the level-n cell structure.
 
     colors[j] names the corner the j-th vertex reaches under n map
-    applications; target_face is the face the tile maps onto under them.
-    parent_id is dynamical (the level-(n-1) tile this tile maps onto);
-    container_id is geometric (the level-(n-1) tile containing it).
+    applications; target_face is the face the tile maps onto under them;
+    parent_id is the level-(n-1) tile this tile maps onto.
     """
 
     id: int
@@ -143,7 +142,6 @@ class Tile:
     colors: tuple[str, str, str]
     target_face: str
     parent_id: int | None
-    container_id: int | None
 
     def barycenter(self) -> TilePoint:
         return barycenter(self.verts, self.face)
@@ -201,10 +199,6 @@ class TileComplex:
     rule: str
     level: int
     tiles: list[Tile]
-    # (level-1 tile id, level-(n-1) tile id) -> id of the tile obtained by
-    # pulling the latter back through the former; drives container lookups
-    # in the next subdivision round.
-    child_of: dict[tuple[int, int], int] | None = None
 
     def __len__(self) -> int:
         return len(self.tiles)
@@ -214,18 +208,15 @@ class TileComplex:
 
 
 def _level_one_tiles(table: RuleTable) -> list[Tile]:
-    tiles = []
-    tid = 0
+    tiles: list[Tile] = []
     for face in (FRONT, BACK):
         for tri in table.children:
             verts = tuple(homogeneous_point(face, *table.vertices[v]) for v in tri)
             colors = tuple(table.colors[v] for v in tri)
             orient = _sign(_det3(*(table.vertices[v] for v in tri)))
             target = FRONT if orient * _face_sign(face) * _parity(colors) == 1 else BACK
-            tiles.append(Tile(tid, face, verts, colors, target,
-                              parent_id=0 if target == FRONT else 1,
-                              container_id=0 if face == FRONT else 1))
-            tid += 1
+            tiles.append(Tile(len(tiles), face, verts, colors, target,
+                              parent_id=0 if target == FRONT else 1))
     return tiles
 
 
@@ -243,31 +234,21 @@ def tile_complex(rule: str, level: int) -> TileComplex:
         )
     if level == 0:
         corners = tuple(homogeneous_point(FRONT, *_EDGE_POINTS[k]) for k in CORNERS)
-        return TileComplex(rule, 0, [Tile(i, face, corners, CORNERS, face, None, None)
+        return TileComplex(rule, 0, [Tile(i, face, corners, CORNERS, face, None)
                                      for i, face in enumerate((FRONT, BACK))])
     if level == 1:
         return TileComplex(rule, 1, _level_one_tiles(table))
     prev = tile_complex(rule, level - 1)
     ones = tile_complex(rule, 1).tiles
-    child_of: dict[tuple[int, int], int] = {}
     tiles: list[Tile] = []
-    tid = 0
     for u in ones:
         for x in prev.tiles:
             if x.face != u.target_face:
                 continue
             verts = tuple(u.pullback(v) for v in x.verts)
-            # The container is the pullback through u of x's own container,
-            # recorded when prev was built (u itself at the base level).
-            if prev.level == 1:
-                container = u.id
-            else:
-                container = prev.child_of[(u.id, x.container_id)]
-            child_of[(u.id, x.id)] = tid
-            tiles.append(Tile(tid, u.face, verts, x.colors, x.target_face,
-                              parent_id=x.id, container_id=container))
-            tid += 1
-    return TileComplex(rule, level, tiles, child_of)
+            tiles.append(Tile(len(tiles), u.face, verts, x.colors, x.target_face,
+                              parent_id=x.id))
+    return TileComplex(rule, level, tiles)
 
 
 @dataclass(frozen=True)
@@ -362,16 +343,3 @@ def max_tile_diameter(c: TileComplex, prec: int = 40) -> BallReal:
     best = max((dist2_tri(t.verts[a], t.verts[b]) for t in c.tiles
                 for a, b in ((0, 1), (1, 2), (0, 2))), default=ZERO)
     return sqrt_of_rational(best, prec)
-
-
-def tile_complex_to_json(c: TileComplex):
-    from .dyadics import format_rational
-
-    return {
-        "rule": c.rule,
-        "level": c.level,
-        "tiles": [{"id": t.id, "face": t.face,
-                   "verts": [[format_rational(x) for x in v.coords] for v in t.verts]}
-                  for t in c.tiles],
-        "parent": [t.parent_id for t in c.tiles],
-    }

@@ -23,7 +23,6 @@ from functools import cached_property
 from math import gcd, lcm
 
 from .balls import BallReal, sqrt_of_rational
-from .dyadics import format_rational
 
 FRONT = "front"
 BACK = "back"
@@ -144,11 +143,3 @@ def dist2_tri(p: TilePoint, q: TilePoint) -> Fraction:
 def dist_tri(p: TilePoint, q: TilePoint, prec: int = 53) -> BallReal:
     """Certified distance ball (one square root of an exact rational)."""
     return sqrt_of_rational(dist2_tri(p, q), prec)
-
-
-def tile_point_to_json(p: TilePoint):
-    return {"face": p.face, "coords": [format_rational(c) for c in p.coords]}
-
-
-def tile_point_from_json(obj) -> TilePoint:
-    return tile_point(obj["face"], *(Fraction(c) for c in obj["coords"]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
-from .balls import BallReal, ball_exp, ball_sum, log_point
+from .balls import BallReal, DirectedReal, ball_exp, ball_sum, log_point
 from .dyadics import ZERO
 from .errors import (
     ExcludedPoint,
@@ -39,7 +39,6 @@ from .ratmap import RationalMapRec, preimages
 from .sphere import SpherePoint, chordal_sq
 from .thurston import SubdivisionMap
 from .trisphere import dist2_tri
-from .balls import DirectedReal
 
 MapLike = Union[RationalMapRec, SubdivisionMap, Callable[[Point], Point]]
 
@@ -313,8 +312,11 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
     mesh, where mesh is the caller's transport bound between mu and its
     one-step refinement (0 when no refinement argument is intended).
     The patch tests, T(a) and J(a) run once per (patch, atom), with the
-    tests looped over inside.  mu must be a probability measure.
+    tests looped over inside.  mu must be a probability measure, and
+    mesh, being a distance bound, nonnegative.
     """
+    if mesh < 0:
+        raise ValueError(f"mesh must be >= 0, not {mesh}")
     mu.check_probability()
     prec = 40
     entries: list[ResidualEntry] = []

@@ -22,7 +22,7 @@ from equistate.measures import (
 from equistate.polynomials import Polynomial
 from equistate.potentials import basis, const, holder_bound, pprod, psum, scale
 from equistate.ratmap import RationalMapRec, preimages
-from equistate.sphere import SpherePoint, chordal, chordal_sq, ideal_enumerate
+from equistate.sphere import SpherePoint, chordal, ideal_enumerate
 from equistate.thermo import backward_orbit_measure, pressure
 from equistate.thurston import (
     SubdivisionMap,
@@ -30,7 +30,6 @@ from equistate.thurston import (
     flower_mass,
     mme_tile_measure,
     tile_complex,
-    vertex_image,
     vertex_local_degree,
 )
 from equistate.trisphere import FRONT, tile_point

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from equistate import potentials as pot
 from equistate.cli import build_parser, main
 from equistate.measures import SPHERE, TRI, FiniteMeasure
-from equistate.serialize import measure_to_json, parse_sphere_point
+from equistate.serialize import measure_to_json, parse_sphere_point, potential_to_json
 from equistate.sphere import SpherePoint
 from equistate.thurston import mme_tile_measure, tile_complex
 
@@ -138,6 +138,31 @@ def test_negative_precision_exits_3_naming_the_option(argv, name, tmp_path, caps
     assert len(err) == 1 and f" {name} must be nonnegative" in err[0], err
 
 
+_VERIFY_ONE_ATOM = ["--measure", "{measure}", "--map", "z^2", "--J", "const:2"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["verify", "jacobian", "--map", "z^2", "--J", "const:2", "--points", "3",
+      "--tol=-1/1048576"], "tol"),
+    (["verify", "membership", *_VERIFY_ONE_ATOM, "--mesh=-1/10"], "mesh"),
+    (["verify", "membership", *_VERIFY_ONE_ATOM, "--tol=-1"], "tol"),
+    (["verify", "tangent", "--measure", "{measure}", "--phi", "const:0",
+      "--witnesses", "{witnesses}", "--tol=-1/2"], "tol"),
+])
+def test_negative_tolerance_or_mesh_exits_3(argv, option, tmp_path, capsys):
+    """A tolerance and a transport bound are nonnegative; a negative one
+    used to give a FAIL verdict."""
+    files = {"measure": tmp_path / "m.json", "witnesses": tmp_path / "w.json"}
+    files["measure"].write_text(json.dumps({"space": SPHERE, "atoms": [
+        {"point": {"re": "1/4", "im": "0"}, "weight": "1"}]}))
+    files["witnesses"].write_text(json.dumps({"witnesses": [
+        {"psi": {"op": "const", "value": "0"}, "upper": ["1"]}], "p_lower": ["0"]}))
+    argv = [a.format(**files) for a in argv]
+    assert main([*argv, "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"equistate: argument --{option}: "), err
+
+
 def test_pressure_oversized_N_precision_exit(tmp_path):
     rc = main(["pressure", "--map", "z^2", "--potential", "basis:0,0",
                "--n", "8", "--c0", "1", "--out", str(tmp_path)])
@@ -198,8 +223,8 @@ def test_verify_membership_rejects_fixed_point(tmp_path):
 
 def test_verify_tangent_constant_witnesses(tmp_path):
     from equistate.measures import SPHERE, FiniteMeasure
-    from equistate.potentials import const, potential_to_json
-    from equistate.serialize import dump_json, measure_to_json
+    from equistate.potentials import const
+    from equistate.serialize import dump_json, measure_to_json, potential_to_json
     from equistate.sphere import SpherePoint
     from fractions import Fraction as F
 
@@ -413,7 +438,7 @@ def _exit_contract(argv, phi):
     written to a file."""
     if isinstance(phi, str):
         return _contract([*argv, f"--potential={phi}"])
-    return _contract([*argv, "--potential", "@{phi}"], {"phi": pot.potential_to_json(phi)})
+    return _contract([*argv, "--potential", "@{phi}"], {"phi": potential_to_json(phi)})
 
 
 @settings(max_examples=40, deadline=None)

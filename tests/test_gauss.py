@@ -2,13 +2,13 @@
 and the integer chordal_sq against the Fraction formula it replaced."""
 
 from fractions import Fraction as F
-from math import gcd
+from math import floor, gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equistate.dyadics import ZERO, round_to_dyadic
+from equistate.dyadics import ZERO, dyadic_numerator
 from equistate.gauss import GaussRat, gauss_ratio, parse_gauss
 from equistate.sphere import INF, SpherePoint, chordal_sq
 
@@ -41,11 +41,14 @@ class _Ref:
     def scale(self, q):
         return _Ref(self.re * q, self.im * q)
 
-    def round(self, bits):
-        return _Ref(round_to_dyadic(self.re, bits), round_to_dyadic(self.im, bits))
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
+
+
+def round_to_dyadic(q, bits):
+    """The multiple of 2^-bits nearest q; ties go away from zero."""
+    m = floor(abs(q) * (1 << bits) + F(1, 2))
+    return F(m if q >= 0 else -m, 1 << bits)
 
 
 def _ref_chordal_sq(z, w):
@@ -114,19 +117,21 @@ def test_gauss_ratio_rejects_a_zero_denominator():
 
 
 @settings(max_examples=200, deadline=None)
-@given(_pairs, st.integers(0, 100))
-def test_round_matches_round_to_dyadic(a, bits):
-    assert _same(GaussRat.of(*a).round(bits), _Ref(*a).round(bits))
+@given(_rationals, st.integers(1, 1 << 20), st.integers(0, 100))
+def test_dyadic_numerator_matches_round_to_dyadic(q, k, bits):
+    """Also for n/d not in lowest terms, as the root kernel passes them."""
+    n, d = q.numerator * k, q.denominator * k
+    assert F(dyadic_numerator(n, d, bits), 1 << bits) == round_to_dyadic(q, bits)
 
 
 @pytest.mark.parametrize("bits", [0, 1, 8, 64])
 @pytest.mark.parametrize("m", [0, 1, 2, 5, -1, -2, -7, (1 << 70) + 1])
 def test_round_exact_ties_go_away_from_zero(m, bits):
     """(2m + 1) / 2^(bits+1) lies halfway between two multiples of 2^-bits."""
-    t = F(2 * m + 1, 1 << (bits + 1))
-    z = GaussRat.of(t, -t).round(bits)
-    away = F(m + 1 if m >= 0 else m, 1 << bits)
-    assert (z.re, z.im) == (away, -away) == (round_to_dyadic(t, bits), round_to_dyadic(-t, bits))
+    n, d = 2 * m + 1, 1 << (bits + 1)
+    away = m + 1 if m >= 0 else m
+    assert (dyadic_numerator(n, d, bits), dyadic_numerator(-n, d, bits)) == (away, -away)
+    assert round_to_dyadic(F(n, d), bits) == F(away, 1 << bits)
 
 
 def test_parse_and_views():

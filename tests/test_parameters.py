@@ -5,8 +5,8 @@ An argument that is accepted and then ignored looks like a knob but turns
 nothing.  This walks the package source and lists each parameter whose
 name never occurs in its function's body; `self`, `cls` and names that
 start with `_` (deliberately unused) are exempt.  A public function that
-nothing calls is code to keep up for no result; the second half lists
-those (see below).
+nothing calls is code to keep up for no result; the second part lists
+those (see below).  The third lists imports that nothing reads.
 """
 
 import ast
@@ -47,9 +47,12 @@ def test_every_parameter_is_read():
 #
 # The library is used from its own modules, the demos, the benchmark and the
 # acceptance suite.  A definition that only the other tests name is a test
-# helper, and it lives with them.  Names count where they are read, as a
-# name or an attribute; an import alone, a string in `__all__` and a
-# definition's own body (recursion) do not.
+# helper, and it lives with them.  Names count where they are read: a
+# module-level def as a name or an attribute, a class member (method or
+# dataclass field) only as an attribute, so that the builtin `round` does
+# not stand in for a method `round`.  An import alone, a string in
+# `__all__`, a keyword that sets a field and a definition's own body
+# (recursion) do not count.
 
 REPO = Path(__file__).resolve().parents[1]
 ROOTS = [*sorted((REPO / "src").rglob("*.py")), *sorted((REPO / "demos").glob("*.py")),
@@ -59,42 +62,70 @@ ROOTS = [*sorted((REPO / "src").rglob("*.py")), *sorted((REPO / "demos").glob("*
 WITHOUT_CALLER = ["verify.py: JacobianSpec.potential_form"]
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
 def _public_defs(tree: ast.Module):
-    """(qualified name, node) for each public module-level def, class or
-    constant, and each public method of a public class."""
+    """(qualified name, node, is a member) for each public module-level
+    def, class or constant, and each public method of a public class and
+    public field of a public dataclass."""
     for node in tree.body:
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Name) and not target.id.startswith("_"):
-                    yield target.id, node
+                    yield target.id, node, False
         elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield node.name, node
-            for method in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(method, ast.FunctionDef) and not method.name.startswith("_"):
-                    yield f"{node.name}.{method.name}", method
+            yield node.name, node, False
+            for member in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(member, ast.FunctionDef):
+                    name = member.name
+                elif isinstance(member, ast.AnnAssign) and _is_dataclass(node):
+                    name = member.target.id
+                else:
+                    continue
+                if not name.startswith("_"):
+                    yield f"{node.name}.{name}", member, True
 
 
-def _reads(tree: ast.AST) -> Counter:
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
-                   if isinstance(n, (ast.Name, ast.Attribute)) and not isinstance(n.ctx, ast.Store))
+def _reads(tree: ast.AST) -> tuple[Counter, Counter]:
+    """How often each name is read as a name, and as an attribute."""
+    names, attrs = Counter(), Counter()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store):
+            attrs[n.attr] += 1
+    return names, attrs
 
 
 def _uncalled_public_defs(package: dict[str, str], roots: list[str]):
-    reads = sum((_reads(ast.parse(src)) for src in roots), Counter())
+    names, attrs = Counter(), Counter()
+    for src in roots:
+        n, a = _reads(ast.parse(src))
+        names, attrs = names + n, attrs + a
     for file_name, src in package.items():
-        for qualified, node in _public_defs(ast.parse(src)):
+        for qualified, node, member in _public_defs(ast.parse(src)):
             name = qualified.rsplit(".", 1)[-1]
-            if reads[name] - _reads(node)[name] <= 0:
+            own_names, own_attrs = _reads(node)
+            count = attrs[name] - own_attrs[name]
+            if not member:
+                count += names[name] - own_names[name]
+            if count <= 0:
                 yield f"{file_name}: {qualified}"
 
 
 def test_uncalled_public_defs_are_found():
-    lib = {"m.py": "ONE = 1\nTWO = 2\n\n\ndef f(n):\n    return f(n - 1) + TWO\n\n\n"
+    lib = {"m.py": "from dataclasses import dataclass\n\nONE = 1\nTWO = 2\n\n\n"
+                   "def f(n):\n    return f(n - 1) + TWO\n\n\n"
                    "class K:\n    def used(self): ...\n    def unused(self): ...\n"
-                   "    def _private(self): ...\n"}
-    user = "from m import K, ONE, f\n\nK().used()\n"
+                   "    def round(self): ...\n    def _private(self): ...\n\n\n"
+                   "@dataclass\nclass R:\n    read: int\n    unread: int = 0\n"}
+    user = "from m import K, ONE, R, f\n\nK().used()\nround(R(1, unread=2).read)\n"
     assert list(_uncalled_public_defs(lib, [*lib.values(), user])) == [
-        "m.py: ONE", "m.py: f", "m.py: K.unused"]
+        "m.py: ONE", "m.py: f", "m.py: K.unused", "m.py: K.round", "m.py: R.unread"]
 
 
 def test_every_public_def_has_a_caller():
@@ -102,3 +133,47 @@ def test_every_public_def_has_a_caller():
                for path in sorted((REPO / "src" / "equistate").glob("*.py"))}
     roots = [path.read_text(encoding="utf-8") for path in ROOTS]
     assert list(_uncalled_public_defs(package, roots)) == WITHOUT_CALLER
+
+
+# -- every import is read ------------------------------------------------------
+#
+# An import that nothing reads is a dependency kept for no use.  A name
+# listed in the module's `__all__` counts as read; `from __future__` does
+# not bind a name.
+
+IMPORTERS = [*sorted((REPO / "src" / "equistate").glob("*.py")),
+             *sorted((REPO / "demos").glob("*.py")), *sorted((REPO / "tests").glob("*.py"))]
+
+
+def _unread_imports(source: str):
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            read |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    for name, line in sorted(bound.items(), key=lambda kv: (kv[1], kv[0])):
+        if name not in read:
+            yield f"{name}, line {line}"
+
+
+def test_unread_imports_are_found():
+    src = ("from __future__ import annotations\n\nimport os.path\nimport math as m\n"
+           "from json import dumps, loads\n\n__all__ = ['dumps']\n\n\n"
+           "def f():\n    import re\n    return m.pi\n")
+    assert list(_unread_imports(src)) == ["os, line 3", "loads, line 5", "re, line 11"]
+
+
+def test_every_import_is_read():
+    unread = [f"{path.relative_to(REPO)}: {entry}" for path in IMPORTERS
+              for entry in _unread_imports(path.read_text(encoding="utf-8"))]
+    assert unread == []

@@ -11,9 +11,8 @@ from equistate.potentials import (
     sup_bound,
     upper_bound,
     Potential,
-    potential_from_json,
-    potential_to_json,
 )
+from equistate.serialize import potential_from_json, potential_to_json
 from equistate.sphere import SpherePoint, chordal, ideal_enumerate
 
 S = SpherePoint.finite

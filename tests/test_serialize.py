@@ -6,7 +6,7 @@ from equistate.dyadics import format_rational, parse_rational
 from equistate.errors import ParseError
 from equistate.gauss import format_gauss, parse_gauss
 from equistate.measures import SPHERE, TRI, FiniteMeasure
-from equistate.potentials import basis, const, pprod, scale
+from equistate.potentials import basis, pprod, scale
 from equistate.serialize import (
     map_to_json,
     measure_from_json,
@@ -14,8 +14,11 @@ from equistate.serialize import (
     parse_map,
     parse_potential,
     parse_sphere_point,
+    point_from_json,
+    point_to_json,
+    potential_to_json,
 )
-from equistate.sphere import INF, SpherePoint, sphere_point_from_json, sphere_point_to_json
+from equistate.sphere import INF, SpherePoint
 from equistate.trisphere import FRONT, tile_point
 
 S = SpherePoint.finite
@@ -53,7 +56,7 @@ def test_gauss_strings():
 
 def test_sphere_point_json():
     for p in (S(F(1, 3), F(-2, 7)), INF):
-        assert sphere_point_from_json(sphere_point_to_json(p)) == p
+        assert point_from_json(point_to_json(p), SPHERE) == p
 
 
 def test_parse_sphere_point_forms():
@@ -123,8 +126,6 @@ def test_potential_cli_specs(tmp_path):
     assert phi2.op == "scale" and phi2.value == -2
     # @file form
     import json
-
-    from equistate.potentials import potential_to_json
 
     tree = potential_to_json(scale(F(1, 2), pprod(basis(S(0)), basis(S(1)))))
     path = tmp_path / "phi.json"

@@ -48,6 +48,11 @@ def ideal_index(p: SpherePoint) -> int:
     return _cantor_pair(_rat_index(z.re), _rat_index(z.im))
 
 
+def _round(q: F, bits: int) -> F:
+    """A nearest multiple of 2^-bits to q."""
+    return F(round(q * (1 << bits)), 1 << bits)
+
+
 def test_chordal_closed_forms():
     assert chordal(S(0), INF, 30).mid == 2
     assert chordal_sq(S(0), S(1)) == 2  # sigma = sqrt(2)
@@ -121,7 +126,8 @@ def test_ideal_density_constructive():
         p = S(F(rng.randint(-50, 50), rng.randint(1, 30)),
               F(rng.randint(-50, 50), rng.randint(1, 30)))
         for n in (5, 10, 20):
-            k = ideal_index(SpherePoint(p.as_gauss().round(n + 3)))
+            z = p.as_gauss()
+            k = ideal_index(S(_round(z.re, n + 3), _round(z.im, n + 3)))
             assert chordal_sq(ideal_enumerate(k), p) < F(1, 1 << (2 * n))
     k = ideal_index(S(1 << 13))
     assert chordal_sq(ideal_enumerate(k), INF) < F(1, 1 << 24)

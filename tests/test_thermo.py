@@ -7,16 +7,16 @@ from pathlib import Path
 import pytest
 
 from equistate import thermo
-from equistate.balls import BallReal, exp_point, log_point
+from equistate.balls import BallReal, exp_point
 from equistate.dyadics import ZERO
 from equistate.errors import ExcludedPoint, PrecisionExhausted
 from equistate.gauss import GaussRat
-from equistate.measures import SPHERE, pushforward, wasserstein
+from equistate.measures import pushforward, wasserstein
 from equistate.polynomials import Polynomial
 from equistate.potentials import basis, const, pprod, psum, scale
 from equistate.ratmap import RationalMapRec, preimage_perturbation, preimage_polynomial
 from equistate.roots import certified_roots
-from equistate.sphere import INF, SpherePoint, chordal
+from equistate.sphere import INF, SpherePoint
 from equistate.thermo import (
     backward_orbit_measure,
     birkhoff_sum,

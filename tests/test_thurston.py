@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from equistate.errors import NotAVertex
 from equistate.measures import pushforward, wasserstein
-from equistate.serialize import measure_to_json
+from equistate.serialize import measure_to_json, tile_complex_to_json
 from equistate.thurston import (
     SubdivisionMap,
     flower,
@@ -19,14 +19,12 @@ from equistate.thurston import (
     mme_tile_measure,
     rule_degree,
     tile_complex,
-    tile_complex_to_json,
     vertex_image,
     vertex_local_degree,
 )
 from equistate.trisphere import (
     BACK,
     FRONT,
-    TilePoint,
     barycenter,
     dist2_tri,
     homogeneous_point,
@@ -313,8 +311,10 @@ def test_wasserstein_cauchy_small_levels():
             plan = []
             w = F(1, len(fine.tiles))
             for t in fine.tiles:
-                src = child_atoms[t.barycenter()]
-                dst = parent_atoms[coarse.tiles[t.container_id].barycenter()]
+                b = t.barycenter()
+                # The coarse tile that contains t is the one holding its barycenter.
+                container = next(c for c in coarse.tiles if c.image(b) is not None)
+                src, dst = child_atoms[b], parent_atoms[container.barycenter()]
                 plan.append((src, dst, w))
             cost = transport_cost_of_pairing(mu_child, mu_parent, plan, 30)
             diam = max_tile_diameter(coarse, 30)

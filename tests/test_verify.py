@@ -208,6 +208,16 @@ def test_membership_rejects_repelling_fixed_point():
     assert not membership_verdict(entries)
 
 
+def test_membership_rejects_a_negative_mesh():
+    """mesh is a transport bound: a negative one would turn the slack into
+    a deficit and fail measures that the check accepts at mesh 0."""
+    mu = FiniteMeasure.dirac(SPHERE, S(1))
+    patches = _preimage_patches(Z2, S(1), F(1, 2))
+    tests = [TestFunction(SPHERE, S(1), F(0), F(1, 4))]
+    with pytest.raises(ValueError, match="mesh must be >= 0, not -1/10"):
+        membership_residual(mu, Z2, patches, JacobianSpec.const(2), tests, mesh=F(-1, 10))
+
+
 def test_membership_rejection_scales():
     """Rejection persists at every hat scale below the support separation."""
     mu = FiniteMeasure.dirac(SPHERE, S(1))

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import dyadics
-from .dyadics import ZERO
+from .dyadics import ZERO, sqrt_lower_numerator, sqrt_upper_numerator
 from .errors import MonotonicityViolation, NonPositiveArgument
 
 
@@ -128,10 +128,9 @@ def ball_sum(terms: Iterable[BallReal]) -> BallReal:
 def sqrt_of_rational(q: Fraction, prec: int) -> BallReal:
     """Ball containing sqrt(q) with rad <= 2^-prec; exact for perfect squares.
 
-    With q = p/d and b = prec + 1, lo = isqrt(floor(p 4^b / d)) and hi, the
-    integer square root of ceil(p 4^b / d) rounded up, bracket sqrt(q) 2^b
-    within 1 each, so the ball is (lo + hi)/2^(b+1) +- (hi - lo)/2^(b+1):
-    the endpoints of `dyadics.sqrt_lower` and `sqrt_upper` at b bits.
+    With b = prec + 1, lo = `sqrt_lower_numerator` and hi =
+    `sqrt_upper_numerator` of q at b bits bracket sqrt(q) 2^b within 1
+    each, so the ball is (lo + hi)/2^(b+1) +- (hi - lo)/2^(b+1).
     """
     p, d = q.numerator, q.denominator
     if p < 0:
@@ -139,12 +138,8 @@ def sqrt_of_rational(q: Fraction, prec: int) -> BallReal:
     rp, rd = math.isqrt(p), math.isqrt(d)
     if rp * rp == p and rd * rd == d:
         return BallReal(Fraction(rp, rd), ZERO)
-    scaled = p << 2 * (prec + 1)
-    lo = math.isqrt(scaled // d)
-    top = -(-scaled // d)
-    hi = math.isqrt(top)
-    if hi * hi < top:
-        hi += 1
+    lo = sqrt_lower_numerator(p, d, prec + 1)
+    hi = sqrt_upper_numerator(p, d, prec + 1)
     return BallReal(Fraction(lo + hi, 1 << (prec + 2)), Fraction(hi - lo, 1 << (prec + 2)))
 
 

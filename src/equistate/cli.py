@@ -32,6 +32,7 @@ from .serialize import (
     measure_from_json,
     measure_to_csv,
     measure_to_json,
+    parse_jacobian,
     parse_map,
     parse_potential,
     parse_sphere_point,
@@ -45,7 +46,6 @@ from .thermo import backward_orbit_measure, birkhoff_sum, empirical_pressure, pr
 from .thurston import mme_tile_measure, max_tile_diameter, tile_complex
 from .verify import (
     BallPatch,
-    JacobianSpec,
     PatchSystem,
     jacobian_unitarity,
     membership_residual,
@@ -98,12 +98,6 @@ def _reject(what: str, args, *names: str) -> None:
     for name in names:
         if getattr(args, name) is not None:
             raise ParseError(f"{what} does not read --{name}")
-
-
-def _parse_jacobian(text: str) -> JacobianSpec:
-    if text.startswith("const:"):
-        return JacobianSpec.const(parse_rational(text.split(":", 1)[1]))
-    raise ParseError(f"unsupported Jacobian spec {text!r} (use const:q)")
 
 
 # -- commands: each returns (name, result JSON[, {csv name: text}]) --------
@@ -169,7 +163,7 @@ def _random_regular_points(f, count: int):
 
 def cmd_verify_jacobian(args):
     f = parse_map(args.map)
-    J = _parse_jacobian(args.J)
+    J = parse_jacobian(args.J)
     rows = []
     worst = Fraction(0)
     for x in _random_regular_points(f, args.points):
@@ -207,7 +201,7 @@ def cmd_verify_membership(args):
     if mu.space != SPHERE:
         raise ParseError(f"verify membership needs a measure on {SPHERE}, not {mu.space}")
     f = parse_map(args.map)
-    J = _parse_jacobian(args.J)
+    J = parse_jacobian(args.J)
     anchors = [p for p, _ in mu.atoms[: args.max_patches]]
     patches = standard_sphere_patches(f, anchors, Fraction(1, 2))
     entries = membership_residual(mu, f, patches, J, _default_tests(mu), mesh=args.mesh)

@@ -32,31 +32,29 @@ def ceil_to_dyadic(q: Fraction, bits: int) -> Fraction:
     return Fraction(-((-scaled.numerator) // scaled.denominator), 1 << bits)
 
 
+def sqrt_lower_numerator(n: int, d: int, bits: int) -> int:
+    """floor(sqrt(n/d) * 2^bits), for n >= 0 and d > 0.
+
+    It is the integer square root of floor(n * 4^bits / d), since flooring
+    the radicand does not move the floor of its root; the rule depends on
+    the value n/d only, so n/d need not be in lowest terms.
+    """
+    return math.isqrt((n << (2 * bits)) // d)
+
+
+def sqrt_upper_numerator(n: int, d: int, bits: int) -> int:
+    """ceil(sqrt(n/d) * 2^bits), for n >= 0 and d > 0; like
+    `sqrt_lower_numerator`, a function of the value n/d only."""
+    scaled = -((-n << (2 * bits)) // d)
+    r = math.isqrt(scaled)
+    return r + 1 if r * r < scaled else r
+
+
 def sqrt_lower(q: Fraction, bits: int) -> Fraction:
     """Dyadic s with s <= sqrt(q) and sqrt(q) - s <= 2^-bits.  Requires q >= 0."""
     if q < 0:
         raise ValueError("sqrt_lower of a negative rational")
-    if q == 0:
-        return ZERO
-    # floor(sqrt(q * 4^bits)) / 2^bits, with the integer sqrt taken on a
-    # floor of the scaled value; flooring only lowers the result.
-    shift = 2 * bits
-    scaled = (q.numerator << shift) // q.denominator
-    return Fraction(math.isqrt(scaled), 1 << bits)
-
-
-def sqrt_upper(q: Fraction, bits: int) -> Fraction:
-    """Dyadic s with s >= sqrt(q) and s - sqrt(q) <= 2^-bits.  Requires q >= 0."""
-    if q < 0:
-        raise ValueError("sqrt_upper of a negative rational")
-    if q == 0:
-        return ZERO
-    shift = 2 * bits
-    scaled = -((-(q.numerator << shift)) // q.denominator)  # ceil
-    r = math.isqrt(scaled)
-    if r * r < scaled:
-        r += 1
-    return Fraction(r, 1 << bits)
+    return Fraction(sqrt_lower_numerator(q.numerator, q.denominator, bits), 1 << bits)
 
 
 def format_rational(q: Fraction) -> str:

@@ -15,9 +15,16 @@ seeds and runs Newton on Gaussian integers: the coefficients with their
 denominators cleared, and z as integer numerators over one denominator
 (2^bits after the first step, which rounds each step to the nearest
 multiple of 2^-bits).  A step is a function of z alone, so the iteration
-stops at the first step that returns its input.  The residual bound
-comes from the same integer evaluation.  All certification arithmetic is
-exact; floats only ever propose candidates.
+stops at the first step that returns its input.
+
+Certification is integer arithmetic end to end.  The residual bound
+comes from the same integer evaluation, its square root and the chordal
+radius from integer square roots at a fixed scale.  The snap to an exact
+root is a bounded-denominator search on integers: each part of z goes to
+its closest fraction of denominator at most b, read off the continued
+fraction, for each b in `_SNAP_DENOMS`, and the candidate counts when it
+lies in the disc and `horner_int` vanishes there.  Floats only ever
+propose candidates.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadics import ZERO, dyadic_numerator, sqrt_upper
+from .dyadics import ZERO, dyadic_numerator, sqrt_upper_numerator
 from .errors import PrecisionExhausted
 from .gauss import GaussRat, gauss_ratio
 from .polynomials import Polynomial, horner_int, integer_coeffs, square_free_decomposition
@@ -101,17 +108,58 @@ def _float_seeds(coeffs: list[tuple[int, int]]) -> list[complex]:
     return [complex(r) for r in np.roots(monic)]
 
 
+def _limit_denominator(n: int, d: int, bound: int) -> tuple[int, int]:
+    """The reduced (p, q) with p/q = Fraction(n, d).limit_denominator(bound),
+    for d > 0 and bound >= 1: the closest fraction to n/d with denominator
+    at most `bound`, the convergent where two are equally close.
+
+    Walks the continued fraction of n/d to the last convergent p1/q1 within
+    the bound; the other candidate is the semiconvergent
+    (p0 + k p1)/(q0 + k q1) with the largest such k.  Their distance is
+    1/(q1 (q0 + k q1)) and p1/q1 lies d'/(q1 d) from n/d, where d' is the
+    remainder left by the walk, so the convergent wins when
+    2 d' (q0 + k q1) <= d.
+    """
+    g = math.gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    if d <= bound:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (bound - q0) // q1
+    if 2 * den * (q0 + k * q1) <= d:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
+def _gauss_of(pr: int, qr: int, pi: int, qi: int) -> GaussRat:
+    """pr/qr + (pi/qi)*i from two reduced fractions with positive
+    denominators; over their lcm the triple is already reduced."""
+    m = math.lcm(qr, qi)
+    return GaussRat(pr * (m // qr), pi * (m // qi), m)
+
+
 def _gauss_from_complex(z: complex, bits: int) -> GaussRat:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         z = 0j
-    return GaussRat.of(Fraction(z.real).limit_denominator(1 << bits),
-                       Fraction(z.imag).limit_denominator(1 << bits))
+    bound = 1 << bits
+    return _gauss_of(*_limit_denominator(*z.real.as_integer_ratio(), bound),
+                     *_limit_denominator(*z.imag.as_integer_ratio(), bound))
 
 
 def _residual_radius(degree: int, c: int, at: tuple[int, int, int, int], bits: int
                      ) -> Fraction | None:
     """Upper bound on degree * |q(z)/q'(z)| from `horner_int` at z = w/c,
-    where |q/q'| = |N|/(c*|M|); None at a critical point."""
+    where |q/q'| = |N|/(c*|M|), rounded up at `bits` bits; None at a
+    critical point."""
     nr, ni, mr, mi = at
     num2 = nr * nr + ni * ni
     if num2 == 0:
@@ -119,24 +167,43 @@ def _residual_radius(degree: int, c: int, at: tuple[int, int, int, int], bits: i
     den2 = mr * mr + mi * mi
     if den2 == 0:
         return None
-    return sqrt_upper(Fraction(degree * degree * num2, c * c * den2), bits)
+    return Fraction(sqrt_upper_numerator(degree * degree * num2, c * c * den2, bits), 1 << bits)
 
 
-def _snap_to_exact_root(q: Polynomial, z: GaussRat, rad: Fraction) -> GaussRat | None:
-    """Small-denominator Gaussian rational in the disc that is an exact root.
+def _snap_to_exact_root(coeffs: list[tuple[int, int]], z: GaussRat, rad: Fraction
+                        ) -> GaussRat | None:
+    """Small-denominator Gaussian rational in the disc that is an exact root
+    of the polynomial with these integer coefficients.
 
-    `limit_denominator` returns the closest fraction within its bound, so
-    the distance to z only shrinks as the bound grows: if the candidate of
-    the largest bound misses the disc, so do all the others.
+    Each part of z = (x + y*i)/c is rounded to the closest fraction with
+    denominator at most b, for b in `_SNAP_DENOMS`; the candidate
+    pr/qr + (pi/qi)*i lies in the disc of radius rn/rd when
+    ((pr c - x qr)^2 qi^2 + (pi c - y qi)^2 qr^2) rd^2 <= (rn qr qi c)^2,
+    and is a root when `horner_int` there is 0.  The distance to z only
+    shrinks as b grows: if the candidate of the largest b misses the disc,
+    so do all the others.
     """
-    r2 = rad * rad
-    d = _SNAP_DENOMS[-1]
-    if (GaussRat.of(z.re.limit_denominator(d), z.im.limit_denominator(d)) - z).abs2() > r2:
+    x, y, c = z.x, z.y, z.d
+    rn, rd = rad.numerator, rad.denominator
+
+    def candidate(b: int) -> tuple[int, int, int, int] | None:
+        pr, qr = _limit_denominator(x, c, b)
+        pi, qi = _limit_denominator(y, c, b)
+        ex, ey = (pr * c - x * qr) * qi, (pi * c - y * qi) * qr
+        reach = rn * qr * qi * c
+        if (ex * ex + ey * ey) * rd * rd > reach * reach:
+            return None
+        return pr, qr, pi, qi
+
+    if candidate(_SNAP_DENOMS[-1]) is None:
         return None
-    for d in _SNAP_DENOMS:
-        cand = GaussRat.of(z.re.limit_denominator(d), z.im.limit_denominator(d))
-        if (cand - z).abs2() <= r2 and q(cand).is_zero():
-            return cand
+    for b in _SNAP_DENOMS:
+        cand = candidate(b)
+        if cand is not None:
+            w = _gauss_of(*cand)
+            nr, ni, _, _ = horner_int(coeffs, w.x, w.y, w.d)
+            if nr == 0 and ni == 0:
+                return w
     return None
 
 
@@ -157,7 +224,7 @@ def _solve_square_free(q: Polynomial, target: Fraction, bits: int
         if r is None or r > target:
             return None
         z = gauss_ratio(a, b, c)
-        snapped = _snap_to_exact_root(q, z, r)
+        snapped = _snap_to_exact_root(coeffs, z, r)
         out.append((z, r) if snapped is None else (snapped, ZERO))
     return out
 

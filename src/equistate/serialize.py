@@ -1,5 +1,5 @@
 """JSON/CSV interchange and textual parsers for points, measures, maps,
-potentials, tile complexes and balls.
+potentials, Jacobians, tile complexes and balls.
 
 JSON carries every rational as an exact "p/q" string so measures and maps
 round-trip with no loss; CSV is for plot data only and uses decimals.
@@ -22,6 +22,7 @@ from .potentials import Potential, basis, const, scale
 from .ratmap import RationalMapRec
 from .sphere import INF, SpherePoint
 from .trisphere import TilePoint, tile_point
+from .verify import JacobianSpec
 
 _BAD_INPUT = (KeyError, TypeError, ValueError, ZeroDivisionError)
 
@@ -51,7 +52,10 @@ def point_from_json(obj, space: str):
         except _BAD_INPUT as exc:
             raise ParseError(f"bad sphere point: {obj!r}") from exc
     if space == TRI:
-        return tile_point(obj["face"], *(Fraction(c) for c in obj["coords"]))
+        try:
+            return tile_point(obj["face"], *(Fraction(c) for c in obj["coords"]))
+        except _BAD_INPUT as exc:
+            raise ParseError(f"bad tile point: {obj!r}") from exc
     raise ParseError(f"unknown space {space!r}")
 
 
@@ -326,6 +330,13 @@ def parse_potential(text: str) -> Potential:
         _, q, inner = t.split(":", 2)
         return scale(parse_rational(q), parse_potential(inner))
     raise ParseError(f"bad potential spec {text!r}")
+
+
+def parse_jacobian(text: str) -> JacobianSpec:
+    """CLI Jacobian syntax: "const:q" for the constant Jacobian q > 0."""
+    if text.startswith("const:"):
+        return JacobianSpec.const(parse_rational(text.split(":", 1)[1]))
+    raise ParseError(f"unsupported Jacobian spec {text!r} (use const:q)")
 
 
 # -- tile complexes -----------------------------------------------------

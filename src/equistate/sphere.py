@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import BallReal, sqrt_of_rational
-from .dyadics import ZERO, sqrt_lower, sqrt_upper
+from .dyadics import ZERO, sqrt_lower_numerator, sqrt_upper_numerator
 from .gauss import GaussRat
 
 
@@ -145,13 +145,22 @@ def chordal_disc_radius(z: GaussRat, euclid_rad: Fraction, bits: int) -> Fractio
     """Upper bound on sup {sigma(z, w) : |w - z| <= euclid_rad} (Euclidean).
 
     Tighter than the crude sigma <= 2|z - w| for large |z|, where the
-    chordal metric contracts.
+    chordal metric contracts.  With r = euclid_rad, s <= |z| the floor of
+    |z| at b = `bits` bits and m = max(0, s - r), it is
+    sqrt(4 r^2 / ((1 + |z|^2)(1 + m^2))) rounded up at b bits, capped at 2.
+    On the integers of z = (x + y*i)/d and r = rn/rd, with M = m rd 2^b, the
+    radicand is 4 rn^2 d^2 4^b / ((d^2 + x^2 + y^2)(rd^2 4^b + M^2)).
     """
-    if euclid_rad == 0:
+    rn, rd = euclid_rad.numerator, euclid_rad.denominator
+    if rn == 0:
         return ZERO
-    a2 = z.abs2()
-    m = sqrt_lower(a2, bits) - euclid_rad
-    if m < 0:
-        m = ZERO
-    bound2 = 4 * euclid_rad * euclid_rad / ((1 + a2) * (1 + m * m))
-    return min(sqrt_upper(bound2, bits), Fraction(2))
+    x, y, d = z.x, z.y, z.d
+    n2, d2 = x * x + y * y, d * d
+    M = sqrt_lower_numerator(n2, d2, bits) * rd - (rn << bits)
+    if M < 0:
+        M = 0
+    u = sqrt_upper_numerator((rn * rn * d2) << (2 * bits + 2),
+                             (d2 + n2) * ((rd * rd << (2 * bits)) + M * M), bits)
+    if u >> (bits + 1):
+        return Fraction(2)
+    return Fraction(u, 1 << bits)

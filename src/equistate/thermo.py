@@ -12,7 +12,11 @@ perturbation encloses a true child.  Sibling discs must be disjoint, so
 each holds exactly one true child and the matching of stored to true
 points is a bijection.  Critical branching (a multiple preimage) is only
 accepted on exactly stored parents, where the certified cluster radius
-itself is the displacement.
+itself is the displacement.  Like the root certificates, the
+displacement and the chordal radius are computed on integers: one
+homogeneous `horner_int` pass per polynomial gives |g|^2, |g'|^2, |P|^2 and
+|P'|^2 at the stored child as integer quotients, and their square roots are
+integer square roots at a fixed scale.
 
 Pressure follows the iterate-and-log recipe: pick N beyond 2^(n+1)*C0*R,
 take an anchor off the forward orbit of infinity with more than one
@@ -29,11 +33,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import BallReal, ball_exp, ball_log, ball_sum
-from .dyadics import ZERO, sqrt_lower, sqrt_upper
+from .dyadics import ZERO, sqrt_lower_numerator, sqrt_upper_numerator
 from .errors import ExcludedAnchor, ExcludedPoint, PrecisionExhausted
 from .gauss import GaussRat
 from .measures import SPHERE, FiniteMeasure
-from .polynomials import Polynomial, poly_gcd
+from .polynomials import Polynomial, horner_int, integer_coeffs, poly_gcd
 from .potentials import Potential, upper_bound
 from .ratmap import RationalMapRec, preimage_perturbation, preimage_polynomial
 from .roots import certified_roots
@@ -66,24 +70,46 @@ class PreimageTree:
         return max((n.chordal_err for n in self.leaves()), default=ZERO)
 
 
+def _scaled_abs2(q: Polynomial, z: GaussRat) -> tuple[int, int, int, int]:
+    """|q(z)|^2 and |q'(z)|^2 as integer quotients n/d, from one `horner_int`
+    pass: with D the lcm of q's coefficient denominators, k = deg q and c the
+    denominator of z, it returns c^k D q(z) and c^(k-1) D q'(z) (q' = 0 when
+    k = 0).  q must not be the zero polynomial."""
+    nr, ni, mr, mi = horner_int(integer_coeffs(q), z.x, z.y, z.d)
+    D = math.lcm(*(a.d for a in q.coeffs))
+    if q.degree == 0:
+        return nr * nr + ni * ni, D * D, 0, 1
+    s = D * z.d ** (q.degree - 1)
+    s2 = s * s
+    return nr * nr + ni * ni, s2 * z.d * z.d, mr * mr + mi * mi, s2
+
+
 def _perturbed_child_displacement(g: Polynomial, p: Polynomial, z: GaussRat,
                                   eps: Fraction, bits: int) -> Fraction | None:
     """Distance bound from z to a true simple preimage.
 
     g is the preimage polynomial of the stored parent; the true parent's
     is g + c*p with |c| <= eps, so it has a root within
-    d (|g(z)| + eps |p(z)|) / (|g'(z)| - eps |p'(z)|) of z.  None means the
-    bound degenerated and the caller should retry at higher precision.
+    d (|g(z)| + eps |p(z)|) / (|g'(z)| - eps |p'(z)|) of z.  The four
+    absolute values are rounded at `bits` bits, |g'(z)| down and the others
+    up, as integer numerators G, G', P, P' over 2^bits; with eps = en/ed the
+    bound is d (G ed + en P) / (G' ed - en P').  None means the bound
+    degenerated and the caller should retry at higher precision.
     """
-    d = g.degree
-    g_at = sqrt_upper(g(z).abs2(), bits)
-    dg_at = sqrt_lower(g.derivative()(z).abs2(), bits)
-    p_at = sqrt_upper(p(z).abs2(), bits)
-    dp_at = sqrt_upper(p.derivative()(z).abs2(), bits)
-    denom = dg_at - eps * dp_at
+    gn, gd, dgn, dgd = _scaled_abs2(g, z)
+    g_at = sqrt_upper_numerator(gn, gd, bits)
+    dg_at = sqrt_lower_numerator(dgn, dgd, bits)
+    en, ed = eps.numerator, eps.denominator
+    if en:
+        pn, pd, dpn, dpd = _scaled_abs2(p, z)
+        p_at = sqrt_upper_numerator(pn, pd, bits)
+        dp_at = sqrt_upper_numerator(dpn, dpd, bits)
+    else:
+        p_at = dp_at = 0
+    denom = dg_at * ed - en * dp_at
     if denom <= 0:
         return None
-    return d * (g_at + eps * p_at) / denom
+    return Fraction(g.degree * (g_at * ed + en * p_at), denom)
 
 
 def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,

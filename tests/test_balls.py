@@ -109,7 +109,13 @@ def test_sqrt_enclosure():
 def test_sqrt_is_the_dyadic_bracket():
     """The ball is exactly [sqrt_lower, sqrt_upper] at prec + 1 bits, so the
     pinned transport costs keep their bits; and it encloses sqrt(q)."""
-    from equistate.dyadics import sqrt_lower, sqrt_upper
+    from equistate.dyadics import sqrt_lower
+
+    def sqrt_upper(q, bits):
+        scaled = q * (1 << (2 * bits))
+        top = -((-scaled.numerator) // scaled.denominator)
+        r = math.isqrt(top)
+        return F(r + (r * r < top), 1 << bits)
 
     rng = random.Random(5)
     for _ in range(400):

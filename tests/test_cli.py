@@ -731,6 +731,38 @@ def test_wasserstein_command_exit_codes(ab, prec):
               dict(zip("ab", ab)))
 
 
+@pytest.mark.parametrize("space, point", [
+    *((space, p) for space in (SPHERE, TRI) for p in _BAD_POINTS[space]),
+    (TRI, {"coords": ["1", "0", "0"]}),
+])
+def test_wasserstein_names_a_malformed_point_in_either_space(tmp_path, capsys, space, point):
+    """A malformed point of either space exits 3 with one line naming the
+    point as given: `bad sphere point: ...` or `bad tile point: ...`."""
+    paths = []
+    for name, p in (("a", point), ("b", _GOOD_POINTS[space][0])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"space": space, "atoms": [{"point": p, "weight": "1"}]}))
+        paths.append(str(path))
+    err = _rejected(["wasserstein", "--a", paths[0], "--b", paths[1], "--out", str(tmp_path)],
+                    capsys)
+    assert err == f"equistate: bad {'sphere' if space == SPHERE else 'tile'} point: {point!r}"
+
+
+@pytest.mark.parametrize("command", [["jacobian", "--points", "1"], ["membership"]])
+@pytest.mark.parametrize("J, message", [
+    ("const:1/0", "not a rational: '1/0'"),
+    ("foo", "unsupported Jacobian spec 'foo' (use const:q)"),
+])
+def test_bad_jacobian_spec_exits_3(tmp_path, capsys, command, J, message):
+    measure = tmp_path / "delta.json"
+    measure.write_text(json.dumps({"space": SPHERE,
+                                   "atoms": [{"point": {"re": "1", "im": "0"}, "weight": "1"}]}))
+    argv = ["verify", command[0], "--map", "z^2", "--J", J, *command[1:], "--out", str(tmp_path)]
+    if command[0] == "membership":
+        argv += ["--measure", str(measure)]
+    assert _rejected(argv, capsys) == f"equistate: {message}"
+
+
 _J = _mostly(("const:2", "const:1", "const:1/2"), ("const:x", "exp:2", None, "const:1/0"))
 _TOLS = _mostly((None, "0", "1/1024", "-1"), ("x", "1/0"))
 

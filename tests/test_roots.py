@@ -16,11 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equistate.cli import main
-from equistate.dyadics import ZERO, sqrt_upper
+from equistate.dyadics import ZERO
 from equistate.errors import PrecisionExhausted
 from equistate.gauss import GaussRat, gauss_ratio
 from equistate.polynomials import Polynomial, integer_coeffs, square_free_decomposition
-from equistate.roots import _int_newton_step, certified_roots
+from equistate.roots import (_gauss_from_complex, _int_newton_step, _limit_denominator,
+                             _snap_to_exact_root, certified_roots)
 from equistate.sphere import SpherePoint, chordal_disc_radius, chordal_sq
 
 G = GaussRat.of
@@ -32,6 +33,14 @@ def _round(z: GaussRat, bits: int) -> GaussRat:
         m = math.floor(abs(q) * (1 << bits) + F(1, 2))
         return F(m if q >= 0 else -m, 1 << bits)
     return G(part(z.re), part(z.im))
+
+
+def _sqrt_upper(q: F, bits: int) -> F:
+    """The least multiple of 2^-bits at or above sqrt(q), on Fractions."""
+    scaled = q * (1 << (2 * bits))
+    top = -((-scaled.numerator) // scaled.denominator)
+    r = math.isqrt(top)
+    return F(r + (r * r < top), 1 << bits)
 
 
 def poly_from_roots(roots: list[GaussRat]) -> Polynomial:
@@ -77,7 +86,7 @@ def _ref_solve(q, target, bits):
             den2 = dq(z).abs2()
             if den2 == 0:
                 return None
-            r = sqrt_upper(q.degree * q.degree * num2 / den2, bits)
+            r = _sqrt_upper(q.degree * q.degree * num2 / den2, bits)
         if r > target:
             return None
         for d in _SNAP_DENOMS:
@@ -120,6 +129,91 @@ def _ref_certified_roots(p, l):
         bits *= 2
         target /= 2
     raise PrecisionExhausted(f"certified_roots at 2^-{l}")
+
+
+# -- the bounded-denominator search on integers ----------------------------------
+
+
+def _farey_tie(a: int, b: int, bound: int) -> F:
+    """The midpoint of a/b (reduced, b <= bound) and its right neighbour
+    c/e among the fractions of denominator <= bound: c b - a e = 1 with
+    the largest e <= bound.  Both are equally close to it."""
+    e = (-pow(a, -1, b)) % b if b > 1 else 0
+    e += (bound - e) // b * b
+    c = (1 + a * e) // b
+    return (F(a, b) + F(c, e)) / 2
+
+
+def test_limit_denominator_matches_the_stdlib():
+    """The integer search returns Fraction.limit_denominator's value, as a
+    reduced pair with a positive denominator, on 12,000 seeded inputs:
+    unreduced and negative n/d, d within the bound, exact ties between
+    the two candidates, and every bound the snap and the seeds use."""
+    rng = random.Random(14)
+    bounds = list(_SNAP_DENOMS) + [1 << 60]
+    ties = 0
+    for i in range(12000):
+        bound = bounds[i % len(bounds)]
+        kind = rng.randrange(4)
+        if kind == 0:  # Newton iterates: numerators over a power of two
+            bits = rng.choice([20, 64, 120, 200])
+            q = F(rng.randint(-(5 << bits), 5 << bits), 1 << bits)
+        elif kind == 1:  # denominators within the bound, and just above it
+            q = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, bound + 3))
+        elif kind == 2:  # exact ties
+            b = rng.randint(1, min(bound, 10 ** 9))
+            a = rng.randint(-5 * b, 5 * b)
+            while math.gcd(a, b) != 1:
+                a += 1
+            q = _farey_tie(a, b, bound)
+            ties += 1
+        else:  # floats, as the seeds are
+            q = F(rng.uniform(-100, 100) * 2.0 ** rng.randint(-40, 40))
+        k = rng.choice([1, 1, 3, 1 << 40, 6 * 10 ** 7]) * rng.choice([1, -1])
+        n, d = q.numerator * k, q.denominator * k
+        if d < 0:
+            n, d = -n, -d
+        want = q.limit_denominator(bound)
+        assert _limit_denominator(n, d, bound) == (want.numerator, want.denominator), (n, d, bound)
+    assert ties >= 2500
+
+
+def _ref_snap(q: Polynomial, z: GaussRat, rad: F):
+    """The snap on Fractions and `Polynomial` evaluation."""
+    for d in _SNAP_DENOMS:
+        cand = G(z.re.limit_denominator(d), z.im.limit_denominator(d))
+        if (cand - z).abs2() <= rad * rad and q(cand).is_zero():
+            return cand
+    return None
+
+
+def test_snap_and_seeds_match_the_fraction_forms():
+    """The snap finds the same exact root as the Fraction search, or none,
+    near planted roots with denominators up to 300 and off them; the float
+    seeds round to the same Gaussian rationals."""
+    rng = random.Random(15)
+    found = 0
+    for _ in range(300):
+        roots = [G(F(rng.randint(-40, 40), rng.randint(1, 300)),
+                   F(rng.randint(-40, 40), rng.randint(1, 300)))
+                 for _ in range(rng.randint(1, 3))]
+        q = poly_from_roots(roots)
+        if rng.randrange(3) == 0:
+            q = q + Polynomial.of(G(F(1, 1 << rng.randint(10, 40))))
+        coeffs = integer_coeffs(q)
+        bits = rng.choice([64, 96, 128])
+        for r in roots:
+            z = G(F(round(r.re * (1 << bits)) + rng.randint(-3, 3), 1 << bits),
+                  F(round(r.im * (1 << bits)) + rng.randint(-3, 3), 1 << bits))
+            rad = rng.choice([F(0), F(1, 1 << (bits - 4)), F(1, 1 << rng.randint(2, 30))])
+            got = _snap_to_exact_root(coeffs, z, rad)
+            assert got == _ref_snap(q, z, rad), (q, z, rad)
+            found += got is not None
+        for w in (complex(z) for z in roots):
+            w += complex(rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3))
+            assert _gauss_from_complex(w, 60) == _ref_seed(w)
+    assert found >= 100
+    assert _gauss_from_complex(complex(math.inf, 1), 60) == _ref_seed(complex(math.inf, 1))
 
 
 # -- seeded polynomials --------------------------------------------------------

@@ -11,6 +11,7 @@ from equistate.serialize import (
     map_to_json,
     measure_from_json,
     measure_to_json,
+    parse_jacobian,
     parse_map,
     parse_potential,
     parse_sphere_point,
@@ -20,6 +21,7 @@ from equistate.serialize import (
 )
 from equistate.sphere import INF, SpherePoint
 from equistate.trisphere import FRONT, tile_point
+from equistate.verify import JacobianSpec
 
 S = SpherePoint.finite
 
@@ -134,3 +136,18 @@ def test_potential_cli_specs(tmp_path):
     assert potential_to_json(phi3) == tree
     with pytest.raises(ParseError):
         parse_potential("hat:1")
+
+
+def test_jacobian_spec():
+    assert parse_jacobian("const:3/6") == JacobianSpec.const(F(1, 2))
+    for text, message in (("const:1/0", "not a rational"), ("foo", "unsupported Jacobian spec")):
+        with pytest.raises(ParseError, match=message):
+            parse_jacobian(text)
+
+
+def test_malformed_tile_point():
+    bad = {"face": "front", "coords": ["1/2", "1/2", "1/2"]}
+    with pytest.raises(ParseError, match="bad tile point: "):
+        point_from_json(bad, TRI)
+    with pytest.raises(ParseError, match="bad tile point: "):
+        point_from_json({"coords": ["1", "0", "0"]}, TRI)

@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from equistate.sphere import INF, SpherePoint, chordal, chordal_sq, ideal_enumerate
+from equistate.gauss import GaussRat
+from equistate.sphere import (INF, SpherePoint, chordal, chordal_disc_radius, chordal_sq,
+                              ideal_enumerate)
 
 S = SpherePoint.finite
 
@@ -131,3 +134,61 @@ def test_ideal_density_constructive():
             assert chordal_sq(ideal_enumerate(k), p) < F(1, 1 << (2 * n))
     k = ideal_index(S(1 << 13))
     assert chordal_sq(ideal_enumerate(k), INF) < F(1, 1 << 24)
+
+
+# -- the chordal disc radius against the Fraction form it replaced -------------
+
+
+def _sqrt_floor(q: F, bits: int) -> F:
+    scaled = q * (1 << (2 * bits))
+    return F(math.isqrt(scaled.numerator // scaled.denominator), 1 << bits)
+
+
+def _sqrt_ceil(q: F, bits: int) -> F:
+    scaled = q * (1 << (2 * bits))
+    top = -((-scaled.numerator) // scaled.denominator)
+    r = math.isqrt(top)
+    return F(r + (r * r < top), 1 << bits)
+
+
+def _ref_chordal_disc_radius(z: GaussRat, euclid_rad: F, bits: int) -> F:
+    if euclid_rad == 0:
+        return F(0)
+    a2 = z.abs2()
+    m = max(_sqrt_floor(a2, bits) - euclid_rad, F(0))
+    bound2 = 4 * euclid_rad * euclid_rad / ((1 + a2) * (1 + m * m))
+    return min(_sqrt_ceil(bound2, bits), F(2))
+
+
+def test_chordal_disc_radius_matches_the_fraction_form():
+    """Equal to the Fraction form on seeded triples, radii and bits: dyadic
+    points as Newton stores them, small exact points, m clamped to 0 (the
+    radius reaches past 0) and the cap at 2 (a radius wider than the
+    sphere)."""
+    rng = random.Random(14)
+    seen = {"clamped": 0, "capped": 0}
+    for _ in range(3000):
+        bits = rng.choice([4, 12, 24, 44, 53, 64, 68, 120])
+        kind = rng.randrange(3)
+        if kind == 0:
+            den = 1 << rng.choice([0, 30, 64, 136])
+            z = GaussRat.of(F(rng.randint(-5 * den, 5 * den), den),
+                            F(rng.randint(-5 * den, 5 * den), den))
+        elif kind == 1:
+            z = GaussRat.of(F(rng.randint(-40, 40), rng.randint(1, 9)),
+                            F(rng.randint(-40, 40), rng.randint(1, 9)))
+        else:
+            big = 10 ** rng.randint(3, 12)
+            z = GaussRat.of(F(rng.randint(-big, big), rng.randint(1, 7)), F(rng.randint(-9, 9), 5))
+        rad = rng.choice([F(0), F(1, 1 << rng.randint(1, 140)),
+                          F(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)),
+                          F(rng.randint(1, 1000)), F(abs(z.x) + 1, z.d)])
+        got = chordal_disc_radius(z, rad, bits)
+        assert got == _ref_chordal_disc_radius(z, rad, bits), (z, rad, bits)
+        assert isinstance(got, F)
+        seen["clamped"] += rad > 0 and _sqrt_floor(z.abs2(), bits) < rad
+        seen["capped"] += got == 2
+    assert min(seen.values()) >= 50, seen
+    assert chordal_disc_radius(GaussRat.of(0), F(1), 30) == 2  # sqrt(4), at the cap
+    assert chordal_disc_radius(GaussRat.of(0), F(5), 30) == 2
+    assert chordal_disc_radius(GaussRat.of(3), F(0), 30) == 0

@@ -315,6 +315,65 @@ def test_displacement_reaches_the_moved_preimages(f, x):
                 assert min(abs(r - w) for r in roots) <= mpmath.mpf(b.numerator) / b.denominator
 
 
+def _sqrt_floor(q: F, bits: int) -> F:
+    scaled = q * (1 << (2 * bits))
+    return F(math.isqrt(scaled.numerator // scaled.denominator), 1 << bits)
+
+
+def _sqrt_ceil(q: F, bits: int) -> F:
+    scaled = q * (1 << (2 * bits))
+    top = -((-scaled.numerator) // scaled.denominator)
+    r = math.isqrt(top)
+    return F(r + (r * r < top), 1 << bits)
+
+
+def _ref_displacement(g, p, z, eps, bits):
+    """The displacement bound on Fractions and `Polynomial` evaluation."""
+    g_at = _sqrt_ceil(g(z).abs2(), bits)
+    dg_at = _sqrt_floor(g.derivative()(z).abs2(), bits)
+    p_at = _sqrt_ceil(p(z).abs2(), bits)
+    dp_at = _sqrt_ceil(p.derivative()(z).abs2(), bits)
+    denom = dg_at - eps * dp_at
+    if denom <= 0:
+        return None
+    return g.degree * (g_at + eps * p_at) / denom
+
+
+def test_displacement_matches_the_fraction_form():
+    """Equal to the Fraction form, None included, on seeded polynomials,
+    points, eps and bits: at certified roots and at random points, with P
+    zero (an exactly stored parent), of degree 0 and of higher degree."""
+    rng = random.Random(14)
+    G = GaussRat.of
+
+    def coeff():
+        return G(F(rng.randint(-9, 9), rng.randint(1, 6)), F(rng.randint(-9, 9), rng.randint(1, 6)))
+
+    def poly(degree):
+        lead = G(F(rng.randint(1, 9), rng.randint(1, 4)))
+        return Polynomial.of(*(coeff() for _ in range(degree)), lead)
+
+    seen = {"zero P": 0, "constant P": 0, "higher P": 0, "None": 0}
+    for _ in range(150):
+        g = poly(rng.randint(1, 4))
+        points = [cl.midpoint for cl in certified_roots(g, rng.choice([8, 30, 60]))]
+        points += [coeff(), G(F(rng.randint(-1 << 70, 1 << 70), 1 << 68))]
+        for z in points:
+            kind = rng.randrange(3)
+            if kind == 0:  # an exactly stored parent
+                p, eps = Polynomial.zero(), F(0)
+            else:
+                p = poly(0 if kind == 1 else rng.randint(1, 3))
+                eps = rng.choice([F(0), F(1, 1 << rng.randint(1, 80)),
+                                  F(rng.randint(1, 99), rng.randint(1, 99))])
+            bits = rng.choice([4, 16, 40, 68, 120])
+            got = thermo._perturbed_child_displacement(g, p, z, eps, bits)
+            assert got == _ref_displacement(g, p, z, eps, bits), (g, p, z, eps, bits)
+            seen[("zero P", "constant P", "higher P")[kind]] += 1
+            seen["None"] += got is None
+    assert min(seen.values()) >= 20, seen
+
+
 def test_meeting_sibling_discs_exhaust_precision(monkeypatch):
     """A displacement that lets the discs of +-sqrt(5) meet cannot be
     matched one-to-one with the true preimages."""

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import dyadics
-from .dyadics import ZERO, sqrt_lower_numerator, sqrt_upper_numerator
+from .dyadics import ZERO, sqrt_lower_numerator
 from .errors import MonotonicityViolation, NonPositiveArgument
 
 
@@ -125,22 +125,31 @@ def ball_sum(terms: Iterable[BallReal]) -> BallReal:
 # -- certified square roots -------------------------------------------
 
 
-def sqrt_of_rational(q: Fraction, prec: int) -> BallReal:
-    """Ball containing sqrt(q) with rad <= 2^-prec; exact for perfect squares.
+def sqrt_bracket(n: int, d: int, prec: int) -> tuple[Fraction, int]:
+    """(mid, e) with |sqrt(n/d) - mid| <= e/2^(prec+2) and e in {0, 1},
+    for n >= 0 and d > 0 (n/d need not be in lowest terms).
 
-    With b = prec + 1, lo = `sqrt_lower_numerator` and hi =
-    `sqrt_upper_numerator` of q at b bits bracket sqrt(q) 2^b within 1
-    each, so the ball is (lo + hi)/2^(b+1) +- (hi - lo)/2^(b+1).
+    e = 0 and mid = sqrt(n/d) exactly when n/d in lowest terms is a ratio
+    of perfect squares, that is when n d is a perfect square r^2; then
+    sqrt(n/d) = r/d.  Otherwise, with b = prec + 1, sqrt(n/d) 2^b is no
+    integer (that would make n/d a square), so it lies strictly between
+    lo = `sqrt_lower_numerator` and lo + 1, which is
+    `sqrt_upper_numerator`; mid = (2 lo + 1)/2^(b+1) and e = 1.
     """
-    p, d = q.numerator, q.denominator
-    if p < 0:
+    r = math.isqrt(n * d)
+    if r * r == n * d:
+        return Fraction(r, d), 0
+    lo = sqrt_lower_numerator(n, d, prec + 1)
+    return Fraction(2 * lo + 1, 1 << (prec + 2)), 1
+
+
+def sqrt_of_rational(q: Fraction, prec: int) -> BallReal:
+    """Ball containing sqrt(q) with rad <= 2^-prec: the `sqrt_bracket`
+    of q, exact for the square of a rational."""
+    if q.numerator < 0:
         raise NonPositiveArgument("square root of a negative rational")
-    rp, rd = math.isqrt(p), math.isqrt(d)
-    if rp * rp == p and rd * rd == d:
-        return BallReal(Fraction(rp, rd), ZERO)
-    lo = sqrt_lower_numerator(p, d, prec + 1)
-    hi = sqrt_upper_numerator(p, d, prec + 1)
-    return BallReal(Fraction(lo + hi, 1 << (prec + 2)), Fraction(hi - lo, 1 << (prec + 2)))
+    mid, e = sqrt_bracket(q.numerator, q.denominator, prec)
+    return BallReal(mid, Fraction(e, 1 << (prec + 2)))
 
 
 # -- exponential and logarithm on integer mantissas ---------------------

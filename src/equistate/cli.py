@@ -187,8 +187,9 @@ def cmd_verify_jacobian(args):
 
 
 def _default_tests(mu: FiniteMeasure) -> list[TestFunction]:
-    """Hats at the measure's heaviest atoms, dyadic scales."""
-    heavy = sorted(mu.atoms, key=lambda pw: (-pw[1],) + pw[0].sort_key())[:4]
+    """Hats at the measure's heaviest atoms, dyadic scales; equal weights
+    keep the atoms' canonical order (the sort is stable)."""
+    heavy = sorted(mu.atoms, key=lambda pw: -pw[1])[:4]
     return [
         TestFunction(mu.space, p, Fraction(0), eps)
         for p, _ in heavy

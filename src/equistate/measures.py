@@ -9,20 +9,30 @@ points; measures built from certified preimage trees additionally carry
 `atom_error`, a bound on how far each stored atom may sit from the true
 point it stands for.  Wasserstein enclosures widen by that displacement,
 so downstream bounds stay honest.
+
+Both layers under the transport run on integers.  `from_atoms` merges
+weights as numerators over one common denominator and orders points by
+integer keys over one common denominator per measure: sphere points by
+(re, im) with infinity last, tile points by face (front first) and then
+barycentric coordinates.  `wasserstein_detail` pins each cost from the
+integer radicand of the squared distance with one `sqrt_bracket`.
+`atoms` stays a tuple of (point, Fraction) pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Callable, Iterable, Union
 
-from .balls import BallReal, ball_sum
+from .balls import BallReal, ball_sum, sqrt_bracket
 from .dyadics import ZERO, format_rational
 from .errors import EvaluationFailure, InexactImage, SpaceMismatch
-from .sphere import SpherePoint, chordal
+from .sphere import SpherePoint, chordal, chordal_sq_parts
 from .transport import TransportResult, min_cost_transport
-from .trisphere import TilePoint, dist_tri
+from .trisphere import FRONT, TilePoint, dist2_tri_parts, dist_tri
 
 SPHERE = "riemann_sphere"
 TRI = "tri_sphere"
@@ -38,6 +48,46 @@ def space_distance(space: str, x: Point, y: Point, prec: int) -> BallReal:
     raise SpaceMismatch(f"unknown space {space!r}")
 
 
+def _squared_distance_parts(space: str) -> Callable[[Point, Point], tuple[int, int]]:
+    """The integer (num, den) form of the squared metric `space_distance`
+    takes the root of."""
+    if space == SPHERE:
+        return chordal_sq_parts
+    if space == TRI:
+        return dist2_tri_parts
+    raise SpaceMismatch(f"unknown space {space!r}")
+
+
+def _sphere_order(points: list[SpherePoint]) -> list[SpherePoint]:
+    """The points by (re, im), infinity last.  Over the lcm L of the
+    denominators, z = (x + y*i)/d compares as the integers (x L/d, y L/d);
+    the index breaks ties as a stable sort would."""
+    big = lcm(*(p.value.d for p in points if p.value is not None))
+    keyed = []
+    for i, p in enumerate(points):
+        z = p.value
+        if z is not None:
+            s = big // z.d
+            keyed.append((z.x * s, z.y * s, i))
+    keyed.sort()
+    return [points[i] for _, _, i in keyed] + [p for p in points if p.value is None]
+
+
+def _tile_order(points: list[TilePoint]) -> list[TilePoint]:
+    """The points front face first, then by barycentric coordinates.  Over
+    the lcm L of the sums, (a, b, c)/(a+b+c) compares as the integers
+    (a, b) L/(a+b+c), since c follows from a and b; the index breaks ties
+    as a stable sort would."""
+    big = lcm(*(sum(p.abc) for p in points))
+    keyed = []
+    for i, p in enumerate(points):
+        a, b, c = p.abc
+        s = big // (a + b + c)
+        keyed.append((p.face != FRONT, a * s, b * s, i))
+    keyed.sort()
+    return [points[i] for *_, i in keyed]
+
+
 @dataclass(frozen=True)
 class FiniteMeasure:
     """Finitely supported measure with exact positive rational weights."""
@@ -48,7 +98,7 @@ class FiniteMeasure:
 
     def __post_init__(self) -> None:
         for _, w in self.atoms:
-            if w <= 0:
+            if w.numerator <= 0:
                 raise ValueError("atom weights must be positive")
         if self.atom_error < 0:
             raise ValueError("atom_error must be nonnegative")
@@ -56,23 +106,33 @@ class FiniteMeasure:
     @staticmethod
     def from_atoms(space: str, pairs: Iterable[tuple[Point, Fraction]],
                    atom_error: Fraction = ZERO) -> "FiniteMeasure":
-        """Merge coinciding points and sort them canonically."""
-        merged: dict[Point, Fraction] = {}
+        """Drop zero weights, merge coinciding points and sort them
+        canonically.  Weights merge as integer numerators over the lcm of
+        their denominators, and equal weights share one Fraction; a merged
+        weight <= 0 raises ValueError."""
+        parts = []
         for p, w in pairs:
-            w = Fraction(w)
-            if w == 0:
-                continue
-            merged[p] = merged.get(p, ZERO) + w
-        atoms = tuple(sorted(merged.items(), key=lambda pw: pw[0].sort_key()))
+            if not isinstance(w, Fraction):
+                w = Fraction(w)
+            if w:
+                parts.append((p, w.numerator, w.denominator))
+        big = lcm(*(d for _, _, d in parts))
+        merged: dict[Point, int] = {}
+        for p, n, d in parts:
+            merged[p] = merged.get(p, 0) + n * (big // d)
+        weight = {n: Fraction(n, big) for n in set(merged.values())}
+        order = _tile_order if space == TRI else _sphere_order
+        atoms = tuple((p, weight[merged[p]]) for p in order(list(merged)))
         return FiniteMeasure(space, atoms, Fraction(atom_error))
 
     @staticmethod
     def dirac(space: str, p: Point) -> "FiniteMeasure":
         return FiniteMeasure.from_atoms(space, [(p, Fraction(1))])
 
-    @property
+    @cached_property
     def total(self) -> Fraction:
-        return sum(w for _, w in self.atoms)
+        big = lcm(*(w.denominator for _, w in self.atoms))
+        return Fraction(sum(w.numerator * (big // w.denominator) for _, w in self.atoms), big)
 
     def check_probability(self) -> None:
         """Raise ValueError naming the total unless it is exactly 1."""
@@ -133,21 +193,25 @@ def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
                        ) -> WassersteinResult:
     """Exact transport optimum over pinned rational costs.
 
-    Costs are chordal (or doubled-triangle) distance balls; the simplex
-    runs on their midpoints, so the combinatorial optimum is exact and the
-    returned ball widens only by the worst cost radius plus the measures'
-    atom displacements.
+    Each cost is the `sqrt_bracket` of the exact squared chordal (or
+    doubled-triangle) distance at prec + 4 bits, the ball `space_distance`
+    gives; the simplex runs on the midpoints, so the combinatorial optimum
+    is exact and the returned ball widens only by the worst bracket
+    radius plus the measures' atom displacements.
     """
     if mu.space != nu.space:
         raise SpaceMismatch(f"{mu.space} vs {nu.space}")
     if mu.total != nu.total:
         raise ValueError("wasserstein needs equal total masses")
-    cost_balls = [
-        [space_distance(mu.space, p, q, prec + 4) for q, _ in nu.atoms]
+    squared = _squared_distance_parts(mu.space)
+    cost_prec = prec + 4
+    brackets = [
+        [sqrt_bracket(*squared(p, q), cost_prec) for q, _ in nu.atoms]
         for p, _ in mu.atoms
     ]
-    pinned = [[b.mid for b in row] for row in cost_balls]
-    max_rad = max((b.rad for row in cost_balls for b in row), default=ZERO)
+    pinned = [[mid for mid, _ in row] for row in brackets]
+    worst = max((e for row in brackets for _, e in row), default=0)
+    max_rad = Fraction(worst, 1 << (cost_prec + 2))
     res = min_cost_transport(
         [w for _, w in mu.atoms], [w for _, w in nu.atoms], pinned
     )

@@ -72,8 +72,8 @@ class PointBall:
 # -- chordal metric ---------------------------------------------------
 
 
-def chordal_sq(z: SpherePoint, w: SpherePoint) -> Fraction:
-    """Exact rational sigma(z, w)^2, one Fraction from integers: with
+def chordal_sq_parts(z: SpherePoint, w: SpherePoint) -> tuple[int, int]:
+    """sigma(z, w)^2 as integers (num, den), den > 0, not reduced: with
     z = (x1 + y1*i)/d1, w = (x2 + y2*i)/d2 and n = d^2 + x^2 + y^2, it is
     4((x1 d2 - x2 d1)^2 + (y1 d2 - y2 d1)^2) / (n1 n2), and 4 d1^2 / n1
     when w is infinity."""
@@ -81,14 +81,19 @@ def chordal_sq(z: SpherePoint, w: SpherePoint) -> Fraction:
     if a is None:
         a, b = b, a
         if a is None:
-            return ZERO
+            return 0, 1
     x1, y1, d1 = a.x, a.y, a.d
     n1 = d1 * d1 + x1 * x1 + y1 * y1
     if b is None:
-        return Fraction(4 * d1 * d1, n1)
+        return 4 * d1 * d1, n1
     x2, y2, d2 = b.x, b.y, b.d
     ex, ey = x1 * d2 - x2 * d1, y1 * d2 - y2 * d1
-    return Fraction(4 * (ex * ex + ey * ey), n1 * (d2 * d2 + x2 * x2 + y2 * y2))
+    return 4 * (ex * ex + ey * ey), n1 * (d2 * d2 + x2 * x2 + y2 * y2)
+
+
+def chordal_sq(z: SpherePoint, w: SpherePoint) -> Fraction:
+    """Exact rational sigma(z, w)^2, one Fraction of `chordal_sq_parts`."""
+    return Fraction(*chordal_sq_parts(z, w))
 
 
 def chordal(z: SpherePoint, w: SpherePoint, prec: int = 53) -> BallReal:

@@ -53,9 +53,6 @@ class TilePoint:
     def on_boundary(self) -> bool:
         return 0 in self.abc
 
-    def sort_key(self) -> tuple:
-        return (0 if self.face == FRONT else 1,) + self.coords
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         a, b, c = self.coords
         return f"TilePoint({self.face}, {a}, {b}, {c})"
@@ -101,43 +98,40 @@ def barycenter(points: tuple[TilePoint, ...] | list[TilePoint],
     return homogeneous_point(face, *(sum(w * v[k] for w, v in ws) for k in range(3)))
 
 
-def _reflect(q: Triple, k: int) -> Triple:
-    """Reflection across the edge opposite corner k, on generalized
-    barycentric coordinates: corner k maps to the sum of the other two
-    minus itself.  The entries stay integers with the same sum."""
-    x = q[k]
-    return tuple(-x if i == k else y + x for i, y in enumerate(q))  # type: ignore[return-value]
+def dist2_tri_parts(p: TilePoint, q: TilePoint) -> tuple[int, int]:
+    """Squared distance in the documented intrinsic stand-in metric, as
+    integers (num, den), den > 0, not reduced.
 
+    With D = sum(P) and E = sum(Q), u = E P - D Q is (D E)(p - q), and
+    |sum u_i V_i|^2 = f(u) = -(u1 u2 + u1 u3 + u2 u3) on a unit equilateral
+    triangle since sum(u) = 0: the distance within one face, or when
+    either point is on the shared boundary.  Across faces it is the least
+    over the images R of Q reflected across the edge opposite each corner
+    k, which sends Q_k to -Q_k and adds Q_k to the other entries.  In
+    E P - D R the k-th entry of u grows by 2t and the other two shrink by
+    t, with t = D Q_k, so f grows by 3t (u_k + t) = 3 D E P_k Q_k, since
+    sum(u) = 0 and u_k + t = E P_k.  All of it is integer arithmetic; the
+    one division by (D E)^2 is the caller's.
 
-def dist2_tri(p: TilePoint, q: TilePoint) -> Fraction:
-    """Exact squared distance in the documented intrinsic stand-in metric.
-
-    With D = sum(P) and E = sum(Q), e = E P - D R is (D E)(p - r) for each
-    image R of Q, and |sum e_i V_i|^2 = -(e1 e2 + e1 e3 + e2 e3) on a unit
-    equilateral triangle since sum(e) = 0.  The minimum is taken over
-    integers; the one division by (D E)^2 comes last.
-
-    Across faces the three one-edge images suffice: a two-edge image is q
-    turned by 120 degrees about the corner the two edges share.  With t_p,
-    t_q in [0, 60] the angles of p and q there from one of its edges, the
-    turned image sits at angle 120 + t_p - t_q (or 120 + t_q - t_p) from
-    p, and q reflected across that edge (or the other) at the same radius
-    and angle t_p + t_q (or 120 - t_p - t_q), never more; so it is never
-    farther.
+    The three one-edge images suffice: a two-edge image is q turned by 120
+    degrees about the corner the two edges share.  With t_p, t_q in
+    [0, 60] the angles of p and q there from one of its edges, the turned
+    image sits at angle 120 + t_p - t_q (or 120 + t_q - t_p) from p, and q
+    reflected across that edge (or the other) at the same radius and angle
+    t_p + t_q (or 120 - t_p - t_q), never more; so it is never farther.
     """
     P, Q = p.abc, q.abc
     d, e = sum(P), sum(Q)
-    if p.face == q.face or p.on_boundary or q.on_boundary:
-        images = (Q,)
-    else:
-        images = (_reflect(Q, 0), _reflect(Q, 1), _reflect(Q, 2))
-    best = None
-    for r in images:
-        e1, e2, e3 = e * P[0] - d * r[0], e * P[1] - d * r[1], e * P[2] - d * r[2]
-        val = -(e1 * e2 + e1 * e3 + e2 * e3)
-        if best is None or val < best:
-            best = val
-    return Fraction(best, (d * e) ** 2)
+    u1, u2, u3 = e * P[0] - d * Q[0], e * P[1] - d * Q[1], e * P[2] - d * Q[2]
+    best = -(u1 * u2 + u1 * u3 + u2 * u3)
+    if not (p.face == q.face or p.on_boundary or q.on_boundary):
+        best += 3 * d * e * min(P[0] * Q[0], P[1] * Q[1], P[2] * Q[2])
+    return best, (d * e) ** 2
+
+
+def dist2_tri(p: TilePoint, q: TilePoint) -> Fraction:
+    """Exact squared distance, one Fraction of `dist2_tri_parts`."""
+    return Fraction(*dist2_tri_parts(p, q))
 
 
 def dist_tri(p: TilePoint, q: TilePoint, prec: int = 53) -> BallReal:

@@ -14,6 +14,7 @@ from equistate.balls import (
     ball_log,
     exp_point,
     log_point,
+    sqrt_bracket,
     sqrt_of_rational,
 )
 from equistate.errors import MonotonicityViolation, NonPositiveArgument
@@ -129,6 +130,21 @@ def test_sqrt_is_the_dyadic_bracket():
         assert b.lower() ** 2 <= q <= b.upper() ** 2 and b.rad <= F(1, 1 << prec)
     with pytest.raises(NonPositiveArgument):
         sqrt_of_rational(F(-1, 3), 10)
+
+
+def test_sqrt_bracket_ignores_common_factors():
+    """The bracket of n/d is a function of the value: a common factor of
+    the integers changes neither the exactness test nor the bits."""
+    assert sqrt_bracket(8, 2, 30) == (2, 0) and sqrt_bracket(0, 12, 30) == (0, 0)
+    assert sqrt_bracket(36 * 7, 25 * 7, 5) == (F(6, 5), 0)
+    rng = random.Random(11)
+    for _ in range(300):
+        q = F(rng.randint(0, 10 ** rng.randint(1, 25)), rng.randint(1, 10 ** rng.randint(1, 25)))
+        k = rng.randint(1, 10 ** rng.randint(0, 20))
+        prec = rng.choice([0, 12, 34, 64])
+        ball = sqrt_of_rational(q, prec)
+        assert sqrt_bracket(q.numerator * k, q.denominator * k, prec) == (
+            ball.mid, ball.rad * (1 << (prec + 2)))
 
 
 @given(small_dyadics, st.integers(5, 25))

@@ -540,6 +540,26 @@ def test_zero_denominator_exits_3(argv, tmp_path, capsys):
     assert "1/0" in _rejected([*argv, "--out", str(tmp_path)], capsys)
 
 
+def _atom(re, weight):
+    return {"point": {"re": re, "im": "0"}, "weight": weight}
+
+
+@pytest.mark.parametrize("atoms, atom_error, message", [
+    ([_atom("0", "1/2"), _atom("1", "1/2"), _atom("0", "-1/2")], "0", "weights must be positive"),
+    ([_atom("0", "-1/2"), _atom("1", "3/2")], "0", "weights must be positive"),
+    ([_atom("0", "1")], "-1/1024", "atom_error must be nonnegative"),
+], ids=["cancelling-duplicate", "negative-weight", "negative-atom-error"])
+def test_wasserstein_rejects_measures_breaking_the_weight_contract(
+        atoms, atom_error, message, tmp_path, capsys):
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps({"space": SPHERE, "atoms": atoms, "atom_error": atom_error}))
+    good.write_text(json.dumps({"space": SPHERE, "atoms": [_atom("1", "1")]}))
+    for a, b in ((bad, good), (good, bad)):
+        err = _rejected(["wasserstein", "--a", str(a), "--b", str(b),
+                         "--out", str(tmp_path / "out")], capsys)
+        assert message in err
+
+
 _EMPIRICAL = ["pressure", "--map", "z^2", "--potential", "const:0", "--n", "4",
               "--mode", "empirical"]
 

@@ -14,13 +14,15 @@ from equistate.measures import (
     compare_ge,
     integrate,
     pushforward,
+    space_distance,
     transport_cost_of_pairing,
     wasserstein,
     wasserstein_detail,
 )
-from equistate.sphere import SpherePoint, chordal
+from equistate.sphere import INF, SpherePoint, chordal
+from equistate.thurston import mme_tile_measure
 from equistate.transport import min_cost_transport
-from equistate.trisphere import FRONT, tile_point
+from equistate.trisphere import BACK, FRONT, TilePoint, tile_point
 
 S = SpherePoint.finite
 
@@ -64,6 +66,105 @@ def test_integrate_normalization():
         c = F(7, 3)
         val = integrate(mu, lambda p: BallReal.exact(c))
         assert val.mid == c and val.rad == 0
+
+
+# -- canonical order and the weight contract -----------------------------
+
+
+def _fraction_sort_key(p):
+    """The Fraction key the integer order replaced: face (front first) and
+    barycentric coordinates; (re, im) with infinity last."""
+    if isinstance(p, TilePoint):
+        return (0 if p.face == FRONT else 1,) + p.coords
+    if p.is_infinity:
+        return (1, F(0), F(0))
+    return (0, p.value.re, p.value.im)
+
+
+def _fraction_from_atoms(pairs):
+    """The atoms as the Fraction merge and sort built them."""
+    merged = {}
+    for p, w in pairs:
+        if w != 0:
+            merged[p] = merged.get(p, F(0)) + w
+    return tuple(sorted(merged.items(), key=lambda pw: _fraction_sort_key(pw[0])))
+
+
+def _seeded_pairs(rng, points):
+    """Every point with a positive weight, some twice, shuffled."""
+    pairs = [(p, F(rng.randint(1, 9), rng.choice([1, 2, 3, 1 << 40]))) for p in points]
+    pairs += [(p, F(1, rng.randint(1, 5))) for p in rng.sample(points, len(points) // 3)]
+    rng.shuffle(pairs)
+    return pairs
+
+
+def _sphere_points(rng):
+    dens = [1, 2, 3, 7, 12, 1 << 120, 3 << 120, 125]
+    pts = [INF]
+    for _ in range(40):
+        re = F(rng.choice([-3, -1, 0, 1, 5]), rng.choice(dens[:4]))  # many equal parts
+        if rng.random() < 0.5:
+            re = F(rng.randint(-(1 << 130), 1 << 130), rng.choice(dens))
+        pts.append(S(re, F(rng.randint(-50, 50), rng.choice(dens))))
+    return list(dict.fromkeys(pts))
+
+
+def _tile_points(rng):
+    pts = []
+    for _ in range(40):
+        face = rng.choice([FRONT, BACK])
+        a = F(rng.choice([0, 1, 1, 2]), 4)  # boundary points and equal leading parts
+        den = rng.choice([12, 1 << 70])
+        b = (1 - a) * F(rng.randint(0, den), den)
+        pts.append(tile_point(face, a, b, 1 - a - b))
+    return list(dict.fromkeys(pts))
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("space, points", [(SPHERE, _sphere_points), (TRI, _tile_points)])
+def test_from_atoms_matches_the_fraction_order_and_merge(space, points, seed):
+    rng = random.Random(seed)
+    pairs = _seeded_pairs(rng, points(rng))
+    mu = FiniteMeasure.from_atoms(space, pairs)
+    assert mu.atoms == _fraction_from_atoms(pairs)
+    assert all(type(w) is F for _, w in mu.atoms)
+    assert mu.total == sum(w for _, w in pairs)
+
+
+def test_from_atoms_order_edge_cases():
+    sphere = [INF, S(0), S(-1, 5), S(-1, -5), S(F(1, 1 << 120)), S(F(-1, 1 << 120), 2),
+              S(F(1, 3), F(1, 1 << 120)), S(F(1, 3), F(-1, 7))]
+    tiles = [tile_point(BACK, F(1, 2), F(1, 4), F(1, 4)), tile_point(FRONT, F(1, 2), F(1, 4), F(1, 4)),
+             tile_point(BACK, F(1, 2), F(1, 3), F(1, 6)), tile_point(BACK, 0, F(1, 2), F(1, 2)),
+             tile_point(FRONT, 1, 0, 0), tile_point(BACK, F(1, 3), F(1, 3), F(1, 3))]
+    for space, pts in ((SPHERE, sphere), (TRI, tiles)):
+        mu = FiniteMeasure.from_atoms(space, [(p, F(1)) for p in reversed(pts)])
+        assert [p for p, _ in mu.atoms] == sorted(pts, key=_fraction_sort_key)
+    assert FiniteMeasure.from_atoms(SPHERE, [(S(3), F(1)), (INF, F(1))]).atoms[-1][0] == INF
+
+
+def test_from_atoms_drops_zero_weights():
+    mu = FiniteMeasure.from_atoms(SPHERE, [(S(0), 0), (S(1), F(1, 2)), (S(2), F(0)),
+                                           (S(1), 1)])
+    assert mu.atoms == ((S(1), F(3, 2)),) and mu.total == F(3, 2)
+    assert FiniteMeasure.from_atoms(SPHERE, [(S(0), F(0))]).atoms == ()
+
+
+@pytest.mark.parametrize("pairs", [
+    [(S(0), F(1, 2)), (S(1), F(1, 2)), (S(0), F(-1, 2))],  # a cancelling duplicate
+    [(S(0), F(-1, 2)), (S(1), F(3, 2))],  # a negative weight
+    [(S(0), F(1)), (S(0), F(-3, 2))],  # a duplicate merging below 0
+])
+def test_nonpositive_merged_weight_raises(pairs):
+    with pytest.raises(ValueError, match="atom weights must be positive"):
+        FiniteMeasure.from_atoms(SPHERE, pairs)
+    with pytest.raises(ValueError, match="atom weights must be positive"):
+        FiniteMeasure(SPHERE, tuple(pairs))
+
+
+def test_negative_atom_error_raises():
+    with pytest.raises(ValueError, match="atom_error must be nonnegative"):
+        FiniteMeasure.from_atoms(SPHERE, [(S(0), F(1))], atom_error=F(-1, 1 << 60))
 
 
 # -- pushforward --------------------------------------------------------
@@ -123,6 +224,58 @@ def test_w_2x2_brute_force():
     )
     assert detail.value.mid == best
     assert detail.optimality_certificate()
+
+
+def _fraction_cost_matrix(mu, nu, prec):
+    return [[space_distance(mu.space, p, q, prec + 4) for q, _ in nu.atoms]
+            for p, _ in mu.atoms]
+
+
+def _tile_pair():
+    tiles = mme_tile_measure("g1", 2)
+    mu = FiniteMeasure.from_atoms(TRI, [(p, w / 2) for p, w in tiles.atoms]
+                                  + [(tile_point(FRONT, 1, 0, 0), F(1, 2))])
+    pts = [tile_point(FRONT, 0, 1, 0), tile_point(BACK, F(1, 2), F(1, 4), F(1, 4)),
+           tiles.atoms[0][0]]
+    nu = FiniteMeasure.from_atoms(TRI, [(p, F(1, 3)) for p in pts], F(1, 1 << 40))
+    return mu, nu
+
+
+def _sphere_pair():
+    mu = FiniteMeasure.from_atoms(SPHERE, [(S(0), F(1, 4)), (INF, F(1, 4)), (S(1), F(1, 4)),
+                                           (S(F(3, 5), F(4, 5)), F(1, 8)),
+                                           (S(F(1, 1 << 120)), F(1, 8))], F(1, 1 << 50))
+    nu = FiniteMeasure.from_atoms(SPHERE, [(S(0), F(1, 3)), (S(-1), F(1, 3)),
+                                           (S(F(-2, 7), F(1, 9)), F(1, 3))], F(1, 1 << 70))
+    return mu, nu
+
+
+@pytest.mark.parametrize("prec", [0, 12, 30, 60])
+@pytest.mark.parametrize("pair", [_sphere_pair, _tile_pair])
+def test_pinned_costs_are_the_space_distance_mids(pair, prec):
+    """Every pinned cost is the mid of the `space_distance` ball at prec + 4,
+    and the slack carries the largest radius of those balls."""
+    mu, nu = pair()
+    wd = wasserstein_detail(mu, nu, prec)
+    balls = _fraction_cost_matrix(mu, nu, prec)
+    assert wd.pinned_cost == [[b.mid for b in row] for row in balls]
+    max_rad = max(b.rad for row in balls for b in row)
+    assert max_rad > 0
+    assert wd.value.rad == max_rad * mu.total + mu.atom_error + nu.atom_error
+    # exact entries: a shared atom at distance 0, and sigma(0, inf) = 2 or
+    # the unit edge between two corners of the triangle
+    flat = [c for row in wd.pinned_cost for c in row]
+    assert 0 in flat and (2 in flat if mu.space == SPHERE else 1 in flat)
+
+
+def test_exact_cost_matrix_has_no_slack():
+    """sigma(0, 0) = 0, sigma(0, 3/4) = 6/5, sigma(inf, 0) = 2 and
+    sigma(inf, 3/4) = 8/5 are all exact, so the distance ball has radius 0."""
+    mu = FiniteMeasure.from_atoms(SPHERE, [(S(0), F(1, 2)), (INF, F(1, 2))])
+    nu = FiniteMeasure.from_atoms(SPHERE, [(S(0), F(1, 2)), (S(F(3, 4)), F(1, 2))])
+    wd = wasserstein_detail(mu, nu, 30)
+    assert wd.pinned_cost == [[0, F(6, 5)], [2, F(8, 5)]]
+    assert wd.value.mid == F(4, 5) and wd.value.rad == 0
 
 
 def test_w_space_mismatch():

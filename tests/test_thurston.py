@@ -151,7 +151,7 @@ def test_eval_map_edge_continuity():
         for edge, ids in _edges(c).items():
             if len(ids) < 2:
                 continue
-            u, v = sorted(edge, key=lambda p: p.sort_key())
+            u, v = sorted(edge, key=lambda p: (p.face != FRONT, p.coords))
             for t_id in ids:
                 t = c.tiles[t_id]
                 mid = tile_point(t.face, *((a + b) / 2 for a, b in zip(u.coords, v.coords)))

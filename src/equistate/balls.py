@@ -143,12 +143,13 @@ def sqrt_bracket(n: int, d: int, prec: int) -> tuple[Fraction, int]:
     return Fraction(2 * lo + 1, 1 << (prec + 2)), 1
 
 
-def sqrt_of_rational(q: Fraction, prec: int) -> BallReal:
-    """Ball containing sqrt(q) with rad <= 2^-prec: the `sqrt_bracket`
-    of q, exact for the square of a rational."""
-    if q.numerator < 0:
+def sqrt_of_rational(n: int, d: int, prec: int) -> BallReal:
+    """Ball containing sqrt(n/d) with rad <= 2^-prec, for integers n >= 0
+    and d > 0 (n/d need not be reduced): the `sqrt_bracket` of n/d, exact
+    for the square of a rational.  Raises NonPositiveArgument for n < 0."""
+    if n < 0:
         raise NonPositiveArgument("square root of a negative rational")
-    mid, e = sqrt_bracket(q.numerator, q.denominator, prec)
+    mid, e = sqrt_bracket(n, d, prec)
     return BallReal(mid, Fraction(e, 1 << (prec + 2)))
 
 

@@ -50,11 +50,10 @@ def sqrt_upper_numerator(n: int, d: int, bits: int) -> int:
     return r + 1 if r * r < scaled else r
 
 
-def sqrt_lower(q: Fraction, bits: int) -> Fraction:
-    """Dyadic s with s <= sqrt(q) and sqrt(q) - s <= 2^-bits.  Requires q >= 0."""
-    if q < 0:
-        raise ValueError("sqrt_lower of a negative rational")
-    return Fraction(sqrt_lower_numerator(q.numerator, q.denominator, bits), 1 << bits)
+def compare_square(n: int, d: int, r: Fraction) -> int:
+    """Sign (-1, 0 or 1) of n/d - r^2 for d > 0: n r_den^2 against r_num^2 d."""
+    a, b = n * r.denominator ** 2, r.numerator ** 2 * d
+    return (a > b) - (a < b)
 
 
 def format_rational(q: Fraction) -> str:

@@ -84,9 +84,6 @@ class GaussRat:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return format_gauss(self)
 
-    def sort_key(self) -> tuple:
-        return (self.re, self.im)
-
 
 def gauss_ratio(x: int, y: int, d: int) -> GaussRat:
     """The point (x + y*i)/d for d != 0: the triple is divided by its gcd
@@ -95,6 +92,13 @@ def gauss_ratio(x: int, y: int, d: int) -> GaussRat:
         raise ZeroDivisionError("Gaussian rational with denominator 0")
     g = gcd(x, y, d) if d > 0 else -gcd(x, y, d)
     return GaussRat(x // g, y // g, d // g)
+
+
+def euclid_sq_parts(a: GaussRat, b: GaussRat) -> tuple[int, int]:
+    """|a - b|^2 as integers (num, den), den > 0, not reduced:
+    ((x1 d2 - x2 d1)^2 + (y1 d2 - y2 d1)^2) / (d1 d2)^2."""
+    ex, ey = a.x * b.d - b.x * a.d, a.y * b.d - b.y * a.d
+    return ex * ex + ey * ey, (a.d * b.d) ** 2
 
 
 G_ZERO = GaussRat(0, 0, 1)

@@ -13,9 +13,10 @@ so downstream bounds stay honest.
 Both layers under the transport run on integers.  `from_atoms` merges
 weights as numerators over one common denominator and orders points by
 integer keys over one common denominator per measure: sphere points by
-(re, im) with infinity last, tile points by face (front first) and then
-barycentric coordinates.  `wasserstein_detail` pins each cost from the
-integer radicand of the squared distance with one `sqrt_bracket`.
+the canonical `sphere.sphere_order` ((re, im), infinity last), tile
+points by face (front first) and then barycentric coordinates.
+`wasserstein_detail` pins each cost from the integer radicand of the
+squared distance with one `sqrt_bracket`.
 `atoms` stays a tuple of (point, Fraction) pairs.
 """
 
@@ -30,7 +31,7 @@ from typing import Callable, Iterable, Union
 from .balls import BallReal, ball_sum, sqrt_bracket
 from .dyadics import ZERO, format_rational
 from .errors import EvaluationFailure, InexactImage, SpaceMismatch
-from .sphere import SpherePoint, chordal, chordal_sq_parts
+from .sphere import SpherePoint, chordal, chordal_sq_parts, sphere_order
 from .transport import TransportResult, min_cost_transport
 from .trisphere import FRONT, TilePoint, dist2_tri_parts, dist_tri
 
@@ -48,7 +49,7 @@ def space_distance(space: str, x: Point, y: Point, prec: int) -> BallReal:
     raise SpaceMismatch(f"unknown space {space!r}")
 
 
-def _squared_distance_parts(space: str) -> Callable[[Point, Point], tuple[int, int]]:
+def squared_distance_parts(space: str) -> Callable[[Point, Point], tuple[int, int]]:
     """The integer (num, den) form of the squared metric `space_distance`
     takes the root of."""
     if space == SPHERE:
@@ -58,26 +59,11 @@ def _squared_distance_parts(space: str) -> Callable[[Point, Point], tuple[int, i
     raise SpaceMismatch(f"unknown space {space!r}")
 
 
-def _sphere_order(points: list[SpherePoint]) -> list[SpherePoint]:
-    """The points by (re, im), infinity last.  Over the lcm L of the
-    denominators, z = (x + y*i)/d compares as the integers (x L/d, y L/d);
-    the index breaks ties as a stable sort would."""
-    big = lcm(*(p.value.d for p in points if p.value is not None))
-    keyed = []
-    for i, p in enumerate(points):
-        z = p.value
-        if z is not None:
-            s = big // z.d
-            keyed.append((z.x * s, z.y * s, i))
-    keyed.sort()
-    return [points[i] for _, _, i in keyed] + [p for p in points if p.value is None]
-
-
-def _tile_order(points: list[TilePoint]) -> list[TilePoint]:
-    """The points front face first, then by barycentric coordinates.  Over
-    the lcm L of the sums, (a, b, c)/(a+b+c) compares as the integers
-    (a, b) L/(a+b+c), since c follows from a and b; the index breaks ties
-    as a stable sort would."""
+def _tile_order(points: list[TilePoint]) -> list[int]:
+    """The indices of the points front face first, then by barycentric
+    coordinates.  Over the lcm L of the sums, (a, b, c)/(a+b+c) compares
+    as the integers (a, b) L/(a+b+c), since c follows from a and b; the
+    index breaks ties as a stable sort would."""
     big = lcm(*(sum(p.abc) for p in points))
     keyed = []
     for i, p in enumerate(points):
@@ -85,7 +71,7 @@ def _tile_order(points: list[TilePoint]) -> list[TilePoint]:
         s = big // (a + b + c)
         keyed.append((p.face != FRONT, a * s, b * s, i))
     keyed.sort()
-    return [points[i] for *_, i in keyed]
+    return [i for *_, i in keyed]
 
 
 @dataclass(frozen=True)
@@ -121,8 +107,9 @@ class FiniteMeasure:
         for p, n, d in parts:
             merged[p] = merged.get(p, 0) + n * (big // d)
         weight = {n: Fraction(n, big) for n in set(merged.values())}
-        order = _tile_order if space == TRI else _sphere_order
-        atoms = tuple((p, weight[merged[p]]) for p in order(list(merged)))
+        points = list(merged)
+        order = _tile_order if space == TRI else sphere_order
+        atoms = tuple((points[i], weight[merged[points[i]]]) for i in order(points))
         return FiniteMeasure(space, atoms, Fraction(atom_error))
 
     @staticmethod
@@ -203,7 +190,7 @@ def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
         raise SpaceMismatch(f"{mu.space} vs {nu.space}")
     if mu.total != nu.total:
         raise ValueError("wasserstein needs equal total masses")
-    squared = _squared_distance_parts(mu.space)
+    squared = squared_distance_parts(mu.space)
     cost_prec = prec + 4
     brackets = [
         [sqrt_bracket(*squared(p, q), cost_prec) for q, _ in nu.atoms]

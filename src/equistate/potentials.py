@@ -17,7 +17,7 @@ from functools import cached_property
 
 from .balls import BallReal, ball_sum
 from .dyadics import ZERO
-from .sphere import SpherePoint, chordal
+from .sphere import SpherePoint, chordal, sphere_order
 
 NormalTerm = tuple[Fraction, tuple[SpherePoint, ...]]
 
@@ -65,7 +65,7 @@ class Potential:
         """The normal form, expanded once per (immutable) potential."""
         combined: dict[tuple, Fraction] = {}
         for q, basis in self._expand():
-            key = tuple(sorted(basis, key=lambda s: s.sort_key()))
+            key = tuple(basis[i] for i in sphere_order(basis))
             combined[key] = combined.get(key, ZERO) + q
         return tuple((q, key) for key, q in sorted(combined.items(),
                                                    key=lambda kv: (len(kv[0]),))

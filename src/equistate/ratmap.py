@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadics import ZERO, ceil_to_dyadic, sqrt_lower
+from .dyadics import ZERO, ceil_to_dyadic, sqrt_lower_numerator
 from .errors import ChartFailure, ExcludedPoint
 from .gauss import GaussRat
 from .polynomials import Polynomial, poly_gcd
@@ -103,7 +103,7 @@ def preimage_polynomial(f: RationalMapRec, x: SpherePoint) -> Polynomial:
 
 def _num_chart(z: GaussRat) -> bool:
     """The chart rule: num - z*den for |z| <= 1, den - num/z otherwise."""
-    return z.abs2() <= 1
+    return z.x * z.x + z.y * z.y <= z.d * z.d
 
 
 def preimage_perturbation(f: RationalMapRec, x: SpherePoint, delta: Fraction,
@@ -114,7 +114,7 @@ def preimage_perturbation(f: RationalMapRec, x: SpherePoint, delta: Fraction,
 
     In the num - x*den chart, c = x - x' and P = den, so eps = delta.  In
     the den - num/x chart, c = 1/x - 1/x' = (x' - x)/(x x') and P = num;
-    with L = sqrt_lower(|x|^2) <= |x| and |x'| >= L - delta this gives
+    with L = floor(|x| 2^bits)/2^bits <= |x| and |x'| >= L - delta this gives
     eps = delta / (L (L - delta)), rounded up to a multiple of 2^-(2 bits)
     so that errors derived from it do not double their denominators from
     one tree level to the next; None when L <= delta, where x' may be 0.
@@ -126,7 +126,7 @@ def preimage_perturbation(f: RationalMapRec, x: SpherePoint, delta: Fraction,
     z = x.as_gauss()
     if _num_chart(z):
         return f.den, delta
-    low = sqrt_lower(z.abs2(), bits)
+    low = Fraction(sqrt_lower_numerator(z.x * z.x + z.y * z.y, z.d * z.d, bits), 1 << bits)
     if low <= delta:
         return None
     return f.num, ceil_to_dyadic(delta / (low * (low - delta)), 2 * bits)

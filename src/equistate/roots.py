@@ -35,11 +35,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadics import ZERO, dyadic_numerator, sqrt_upper_numerator
+from .dyadics import ZERO, compare_square, dyadic_numerator, sqrt_upper_numerator
 from .errors import PrecisionExhausted
-from .gauss import GaussRat, gauss_ratio
+from .gauss import GaussRat, euclid_sq_parts, gauss_ratio
 from .polynomials import Polynomial, horner_int, integer_coeffs, square_free_decomposition
-from .sphere import PointBall, SpherePoint, chordal_disc_radius, chordal_sq
+from .sphere import PointBall, SpherePoint, chordal_disc_radius, chordal_sq_parts, sphere_order
 
 _SNAP_DENOMS = (1, 2, 3, 4, 6, 8, 16, 64, 256)
 
@@ -274,16 +274,18 @@ def certified_roots(p: Polynomial, l: int) -> list[RootCluster]:
             euclid_target /= 2
         else:
             raise PrecisionExhausted(f"certified_roots at 2^-{l}")
-    clusters.sort(key=lambda c: c.midpoint.sort_key())
-    return clusters
+    return [clusters[i] for i in sphere_order([c.center.center for c in clusters])]
 
 
 def _clusters_disjoint(clusters: list[RootCluster]) -> bool:
-    """Euclidean and chordal disjointness across all clusters."""
+    """Euclidean and chordal disjointness across all clusters, decided on
+    the squared distances' integers."""
     for i, a in enumerate(clusters):
         for b in clusters[i + 1:]:
-            if (a.midpoint - b.midpoint).abs2() <= (a.euclid_rad + b.euclid_rad) ** 2:
+            if compare_square(*euclid_sq_parts(a.midpoint, b.midpoint),
+                              a.euclid_rad + b.euclid_rad) <= 0:
                 return False
-            if chordal_sq(a.center.center, b.center.center) <= (a.center.rad + b.center.rad) ** 2:
+            if compare_square(*chordal_sq_parts(a.center.center, b.center.center),
+                              a.center.rad + b.center.rad) <= 0:
                 return False
     return True

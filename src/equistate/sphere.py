@@ -2,7 +2,9 @@
 
 Points are exact Gaussian rationals plus an explicit point at infinity.
 The chordal metric sigma is evaluated through one certified square root of
-an exactly computed rational, so sigma^2 comparisons are always exact.
+sigma^2, computed exactly as an integer pair (num, den), so sigma^2
+comparisons are exact integer cross-multiplications.
+`sphere_order` is the one canonical order of points, on integer keys.
 
 The ideal-point enumeration is a bijection from the positive integers onto
 Q(i): rationals are enumerated through the Calkin--Wilf tree (0 first,
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .balls import BallReal, sqrt_of_rational
 from .dyadics import ZERO, sqrt_lower_numerator, sqrt_upper_numerator
@@ -47,14 +50,24 @@ class SpherePoint:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "inf" if self.value is None else repr(self.value)
 
-    def sort_key(self) -> tuple:
-        # Infinity sorts after every finite point.
-        if self.value is None:
-            return (1, ZERO, ZERO)
-        return (0, self.value.re, self.value.im)
-
 
 INF = SpherePoint.infinity()
+
+
+def sphere_order(points: Sequence[SpherePoint]) -> list[int]:
+    """The canonical order: the indices of the points by (re, im), infinity
+    last.  Over the lcm L of the denominators, z = (x + y*i)/d compares as
+    the integers (x L/d, y L/d); the index breaks ties as a stable sort
+    would."""
+    big = math.lcm(*(p.value.d for p in points if p.value is not None))
+    keyed = []
+    for i, p in enumerate(points):
+        z = p.value
+        if z is not None:
+            s = big // z.d
+            keyed.append((z.x * s, z.y * s, i))
+    keyed.sort()
+    return [i for *_, i in keyed] + [i for i, p in enumerate(points) if p.value is None]
 
 
 @dataclass(frozen=True)
@@ -91,18 +104,13 @@ def chordal_sq_parts(z: SpherePoint, w: SpherePoint) -> tuple[int, int]:
     return 4 * (ex * ex + ey * ey), n1 * (d2 * d2 + x2 * x2 + y2 * y2)
 
 
-def chordal_sq(z: SpherePoint, w: SpherePoint) -> Fraction:
-    """Exact rational sigma(z, w)^2, one Fraction of `chordal_sq_parts`."""
-    return Fraction(*chordal_sq_parts(z, w))
-
-
 def chordal(z: SpherePoint, w: SpherePoint, prec: int = 53) -> BallReal:
     """Ball containing sigma(z, w) with rad <= 2^-prec.
 
     Exact (rad 0) whenever sigma^2 is a perfect rational square, e.g.
     sigma(0, inf) = 2.
     """
-    return sqrt_of_rational(chordal_sq(z, w), prec)
+    return sqrt_of_rational(*chordal_sq_parts(z, w), prec)
 
 
 # -- enumeration of ideal points --------------------------------------

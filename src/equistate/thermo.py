@@ -33,15 +33,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import BallReal, ball_exp, ball_log, ball_sum
-from .dyadics import ZERO, sqrt_lower_numerator, sqrt_upper_numerator
+from .dyadics import ZERO, compare_square, sqrt_lower_numerator, sqrt_upper_numerator
 from .errors import ExcludedAnchor, ExcludedPoint, PrecisionExhausted
-from .gauss import GaussRat
+from .gauss import GaussRat, euclid_sq_parts
 from .measures import SPHERE, FiniteMeasure
 from .polynomials import Polynomial, horner_int, integer_coeffs, poly_gcd
 from .potentials import Potential, upper_bound
 from .ratmap import RationalMapRec, preimage_perturbation, preimage_polynomial
 from .roots import certified_roots
-from .sphere import INF, SpherePoint, chordal_disc_radius, chordal_sq, ideal_enumerate
+from .sphere import INF, SpherePoint, chordal_disc_radius, chordal_sq_parts, ideal_enumerate
 
 _MAX_TREE_LEAVES = 1 << 19
 _MAX_PRESSURE_DEPTH = 18
@@ -182,8 +182,8 @@ def _check_disjoint(siblings: list[TreeNode]) -> None:
     pairwise disjoint: |z_i - z_j| > delta_i + delta_j."""
     for i, a in enumerate(siblings):
         for b in siblings[i + 1:]:
-            reach = a.euclid_err + b.euclid_err
-            if (a.point.as_gauss() - b.point.as_gauss()).abs2() <= reach * reach:
+            if compare_square(*euclid_sq_parts(a.point.as_gauss(), b.point.as_gauss()),
+                              a.euclid_err + b.euclid_err) <= 0:
                 raise PrecisionExhausted("sibling preimage discs meet")
 
 
@@ -275,10 +275,10 @@ def _select_anchor(f: RationalMapRec, N: int) -> SpherePoint:
     """First enumerated ideal point with chordal clearance from the exact
     forward orbit of infinity and more than one preimage."""
     orbit = f.infinity_orbit(N)
-    c2 = _ANCHOR_CLEARANCE * _ANCHOR_CLEARANCE
     for k in range(1, _ANCHOR_SEARCH_LIMIT + 1):
         s = ideal_enumerate(k)
-        if all(chordal_sq(s, o) > c2 for o in orbit) and not _single_preimage(f, s):
+        if (all(compare_square(*chordal_sq_parts(s, o), _ANCHOR_CLEARANCE) > 0 for o in orbit)
+                and not _single_preimage(f, s)):
             return s
     raise ExcludedAnchor("no ideal anchor clears the forward orbit of infinity")
 
@@ -351,7 +351,7 @@ def backward_orbit_measure(f: RationalMapRec, phi: Potential | None,
     against the ideal backward-orbit measure).
     """
     l = 40 + 2 * depth
-    zero_phi = phi is None or (phi is not None and phi.is_zero())
+    zero_phi = phi is None or phi.is_zero()
     eval_prec = l + 10
     tree = build_preimage_tree(f, x, depth, l, None if zero_phi else phi, eval_prec)
     leaves = tree.leaves()

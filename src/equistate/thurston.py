@@ -22,10 +22,9 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .balls import BallReal, sqrt_of_rational
-from .dyadics import ZERO
 from .errors import NotAVertex, PrecisionExhausted, RuleMismatch
 from .measures import TRI, FiniteMeasure
-from .trisphere import (BACK, FRONT, TilePoint, Triple, barycenter, dist2_tri,
+from .trisphere import (BACK, FRONT, TilePoint, Triple, barycenter, dist2_tri_parts,
                         homogeneous_point)
 
 CORNERS = ("A", "B", "C")
@@ -340,6 +339,10 @@ def flower_mass(rule: str, v: TilePoint, n: int) -> Fraction:
 
 def max_tile_diameter(c: TileComplex, prec: int = 40) -> BallReal:
     """Largest tile diameter (longest edge; tiles are flat triangles)."""
-    best = max((dist2_tri(t.verts[a], t.verts[b]) for t in c.tiles
-                for a, b in ((0, 1), (1, 2), (0, 2))), default=ZERO)
-    return sqrt_of_rational(best, prec)
+    bn, bd = 0, 1
+    for t in c.tiles:
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            n, d = dist2_tri_parts(t.verts[a], t.verts[b])
+            if n * bd > bn * d:
+                bn, bd = n, d
+    return sqrt_of_rational(bn, bd, prec)

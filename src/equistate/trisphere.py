@@ -129,11 +129,6 @@ def dist2_tri_parts(p: TilePoint, q: TilePoint) -> tuple[int, int]:
     return best, (d * e) ** 2
 
 
-def dist2_tri(p: TilePoint, q: TilePoint) -> Fraction:
-    """Exact squared distance, one Fraction of `dist2_tri_parts`."""
-    return Fraction(*dist2_tri_parts(p, q))
-
-
 def dist_tri(p: TilePoint, q: TilePoint, prec: int = 53) -> BallReal:
     """Certified distance ball (one square root of an exact rational)."""
-    return sqrt_of_rational(dist2_tri(p, q), prec)
+    return sqrt_of_rational(*dist2_tri_parts(p, q), prec)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Union
 
 from .balls import BallReal, DirectedReal, ball_exp, ball_sum, log_point
-from .dyadics import ZERO
+from .dyadics import ZERO, compare_square
 from .errors import (
     ExcludedPoint,
     NonPositiveJacobian,
@@ -32,23 +32,18 @@ from .measures import (
     TestFunction,
     integrate,
     pushforward,
+    squared_distance_parts,
     wasserstein,
 )
 from .potentials import Potential, sup_bound
 from .ratmap import RationalMapRec, preimages
-from .sphere import SpherePoint, chordal_sq
+from .sphere import SpherePoint
 from .thurston import SubdivisionMap
-from .trisphere import dist2_tri
 
 MapLike = Union[RationalMapRec, SubdivisionMap, Callable[[Point], Point]]
 
 
 # -- patches -----------------------------------------------------------
-
-
-def _dist2(space: str, x: Point, y: Point) -> Fraction:
-    """Exact squared distance in the given space."""
-    return chordal_sq(x, y) if space == SPHERE else dist2_tri(x, y)
 
 
 @dataclass(frozen=True)
@@ -59,19 +54,22 @@ class BallPatch:
     center: Point
     radius: Fraction
 
+    def _compare(self, x: Point, r: Fraction) -> int:
+        """Sign of dist(center, x)^2 - r^2, on the integers of both."""
+        return compare_square(*squared_distance_parts(self.space)(self.center, x), r)
+
     def contains_point(self, x: Point) -> bool:
-        return _dist2(self.space, self.center, x) < self.radius * self.radius
+        return self._compare(x, self.radius) < 0
 
     def contains_disc(self, x: Point, disc_rad: Fraction) -> bool:
         """Exact: the whole disc around x lies inside the patch, that is
         dist + disc_rad < radius, decided on squares."""
         gap = self.radius - disc_rad
-        return gap > 0 and _dist2(self.space, self.center, x) < gap * gap
+        return gap > 0 and self._compare(x, gap) < 0
 
     def excludes_disc(self, x: Point, disc_rad: Fraction) -> bool:
         """Certified: the disc around x misses the patch entirely."""
-        slack = self.radius + disc_rad
-        return _dist2(self.space, self.center, x) > slack * slack
+        return self._compare(x, self.radius + disc_rad) > 0
 
 
 @dataclass
@@ -84,8 +82,8 @@ class PatchSystem:
     excluded: list[Point] = field(default_factory=list)
 
     def near_excluded(self, x: Point, disc_rad: Fraction) -> bool:
-        return any(_dist2(self.space, e, x) <= disc_rad * disc_rad
-                   for e in self.excluded)
+        squared = squared_distance_parts(self.space)
+        return any(compare_square(*squared(e, x), disc_rad) <= 0 for e in self.excluded)
 
     def validate_injectivity(self, f: MapLike) -> bool:
         """Sample-grid injectivity check (exact comparisons on exact points).

@@ -97,12 +97,12 @@ def test_radius_contract_on_points():
 
 
 def test_sqrt_exact_square():
-    b = sqrt_of_rational(F(4, 9), 30)
+    b = sqrt_of_rational(4, 9, 30)
     assert b.mid == F(2, 3) and b.rad == 0
 
 
 def test_sqrt_enclosure():
-    b = sqrt_of_rational(F(2), 40)
+    b = sqrt_of_rational(2, 1, 40)
     assert b.rad <= F(1, 1 << 40)
     assert b.lower() ** 2 <= 2 <= b.upper() ** 2
 
@@ -110,7 +110,8 @@ def test_sqrt_enclosure():
 def test_sqrt_is_the_dyadic_bracket():
     """The ball is exactly [sqrt_lower, sqrt_upper] at prec + 1 bits, so the
     pinned transport costs keep their bits; and it encloses sqrt(q)."""
-    from equistate.dyadics import sqrt_lower
+    def sqrt_lower(q, bits):
+        return F(math.isqrt((q.numerator << (2 * bits)) // q.denominator), 1 << bits)
 
     def sqrt_upper(q, bits):
         scaled = q * (1 << (2 * bits))
@@ -122,14 +123,14 @@ def test_sqrt_is_the_dyadic_bracket():
     for _ in range(400):
         q = F(rng.randint(0, 10 ** rng.randint(1, 30)), rng.randint(1, 10 ** rng.randint(1, 30)))
         prec = rng.choice([0, 1, 30, 34, 64])
-        b = sqrt_of_rational(q, prec)
+        b = sqrt_of_rational(q.numerator, q.denominator, prec)
         if b.rad:
             assert b == BallReal.from_endpoints(sqrt_lower(q, prec + 1), sqrt_upper(q, prec + 1))
         else:
             assert b.mid ** 2 == q
         assert b.lower() ** 2 <= q <= b.upper() ** 2 and b.rad <= F(1, 1 << prec)
     with pytest.raises(NonPositiveArgument):
-        sqrt_of_rational(F(-1, 3), 10)
+        sqrt_of_rational(-1, 3, 10)
 
 
 def test_sqrt_bracket_ignores_common_factors():
@@ -142,9 +143,10 @@ def test_sqrt_bracket_ignores_common_factors():
         q = F(rng.randint(0, 10 ** rng.randint(1, 25)), rng.randint(1, 10 ** rng.randint(1, 25)))
         k = rng.randint(1, 10 ** rng.randint(0, 20))
         prec = rng.choice([0, 12, 34, 64])
-        ball = sqrt_of_rational(q, prec)
+        ball = sqrt_of_rational(q.numerator, q.denominator, prec)
         assert sqrt_bracket(q.numerator * k, q.denominator * k, prec) == (
             ball.mid, ball.rad * (1 << (prec + 2)))
+        assert sqrt_of_rational(q.numerator * k, q.denominator * k, prec) == ball
 
 
 @given(small_dyadics, st.integers(5, 25))

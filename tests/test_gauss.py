@@ -1,5 +1,6 @@
 """GaussRat on reduced integer triples against a Fraction-pair reference,
-and the integer chordal_sq against the Fraction formula it replaced."""
+the integer squared distances against the Fraction formulas they replaced,
+and `compare_square` against the Fraction sign it decides."""
 
 from fractions import Fraction as F
 from math import floor, gcd
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equistate.dyadics import ZERO, dyadic_numerator
-from equistate.gauss import GaussRat, gauss_ratio, parse_gauss
-from equistate.sphere import INF, SpherePoint, chordal_sq
+from equistate.dyadics import ZERO, compare_square, dyadic_numerator
+from equistate.gauss import GaussRat, euclid_sq_parts, gauss_ratio, parse_gauss
+from equistate.sphere import INF, SpherePoint, chordal_sq_parts
 
 
 class _Ref:
@@ -87,6 +88,7 @@ def test_ops_match_fraction_pairs(a, b, q):
     assert _same(za.scale(q), ra.scale(q))
     assert _same(za.scale(q.numerator), ra.scale(q.numerator))
     assert za.abs2() == ra.abs2()
+    assert F(*euclid_sq_parts(za, zb)) == (ra - rb).abs2() == F(*euclid_sq_parts(zb, za))
     assert complex(za) == complex(ra)
     assert za.is_zero() == (ra.abs2() == 0)
     if rb.abs2() != 0:
@@ -138,7 +140,6 @@ def test_parse_and_views():
     z = parse_gauss("-6/4+10/15*i")
     assert (z.x, z.y, z.d) == (-9, 4, 6)
     assert (z.re, z.im) == (F(-3, 2), F(2, 3))
-    assert z.sort_key() == (F(-3, 2), F(2, 3))
 
 
 @settings(max_examples=300, deadline=None)
@@ -147,4 +148,18 @@ def test_chordal_sq_matches_fraction_formula(a, b):
     za = INF if a is None else SpherePoint(GaussRat.of(*a))
     zb = INF if b is None else SpherePoint(GaussRat.of(*b))
     ref = _ref_chordal_sq(None if a is None else _Ref(*a), None if b is None else _Ref(*b))
-    assert chordal_sq(za, zb) == ref == chordal_sq(zb, za)
+    assert F(*chordal_sq_parts(za, zb)) == ref == F(*chordal_sq_parts(zb, za))
+
+
+def _sign(q):
+    return (q > 0) - (q < 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rationals, st.integers(1, 1 << 90), _rationals)
+def test_compare_square_matches_fraction_sign(q, k, r):
+    """Also for n/d not in lowest terms, and on the exact boundary n/d = r^2."""
+    n, d = q.numerator * k, q.denominator * k
+    assert compare_square(n, d, r) == _sign(q - r * r)
+    assert compare_square(r.numerator ** 2 * k, r.denominator ** 2 * k, r) == 0
+    assert compare_square(r.numerator ** 2 * k, r.denominator ** 2 * k, -r) == 0

@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 
 from equistate.errors import SpaceMismatch
+from equistate.gauss import GaussRat
 from equistate.measures import (
     SPHERE,
     TRI,
@@ -19,6 +20,9 @@ from equistate.measures import (
     wasserstein,
     wasserstein_detail,
 )
+from equistate.polynomials import Polynomial
+from equistate.potentials import basis, const, pprod, psum, scale
+from equistate.roots import certified_roots
 from equistate.sphere import INF, SpherePoint, chordal
 from equistate.thurston import mme_tile_measure
 from equistate.transport import min_cost_transport
@@ -165,6 +169,52 @@ def test_nonpositive_merged_weight_raises(pairs):
 def test_negative_atom_error_raises():
     with pytest.raises(ValueError, match="atom_error must be nonnegative"):
         FiniteMeasure.from_atoms(SPHERE, [(S(0), F(1))], atom_error=F(-1, 1 << 60))
+
+
+# The other users of the canonical sphere order: the cluster order of
+# certified_roots and the keys of a potential's normal form.
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_root_clusters_follow_the_fraction_order(seed):
+    rng = random.Random(seed)
+    parts = [F(-3, 2), F(-1), F(0), F(1, 3), F(2), F(5, 7)]  # many equal real parts
+    roots = [GaussRat.of(rng.choice(parts), rng.choice(parts)) for _ in range(5)]
+    p = Polynomial.of(1)
+    for r in roots + roots[:1]:  # roots[0] at least twice
+        p = p * Polynomial.of(-r, 1)
+    clusters = certified_roots(p, 20)
+    assert sum(c.multiplicity for c in clusters) == 6
+    points = [c.center.center for c in clusters]
+    assert points == sorted(points, key=_fraction_sort_key)
+
+
+def _fraction_normal_terms(phi):
+    """The normal form as the Fraction-keyed sort built it."""
+    combined = {}
+    for q, basis_pts in phi._expand():
+        key = tuple(sorted(basis_pts, key=_fraction_sort_key))
+        combined[key] = combined.get(key, F(0)) + q
+    return tuple((q, key) for key, q in sorted(combined.items(), key=lambda kv: len(kv[0]))
+                 if q != 0)
+
+
+def test_potential_terms_follow_the_fraction_order():
+    a, b, c = S(F(-1, 2), 3), S(2, F(-1, 3)), S(2, F(-1, 5))
+    squared_at_inf = pprod(basis(INF), basis(INF))
+    assert squared_at_inf._normal_terms == ((F(1), (INF, INF)),)
+    phis = [squared_at_inf,
+            psum(pprod(basis(INF), basis(a)), pprod(basis(a), basis(INF)), basis(INF)),
+            psum(pprod(basis(c), basis(b), basis(a)), const(2),
+                 scale(3, pprod(basis(b), basis(INF), basis(c), basis(b))))]
+    rng = random.Random(7)
+    pool = [INF, a, b, c, S(0), S(F(1, 1 << 90), -1)]
+    for _ in range(20):
+        phis.append(psum(*(scale(rng.randint(-2, 2), pprod(*(basis(rng.choice(pool))
+                                                           for _ in range(rng.randint(1, 4)))))
+                           for _ in range(4))))
+    for phi in phis:
+        assert phi._normal_terms == _fraction_normal_terms(phi)
 
 
 # -- pushforward --------------------------------------------------------

@@ -6,10 +6,15 @@ nothing.  This walks the package source and lists each parameter whose
 name never occurs in its function's body; `self`, `cls` and names that
 start with `_` (deliberately unused) are exempt.  A public function that
 nothing calls is code to keep up for no result; the second part lists
-those (see below).  The third lists imports that nothing reads.
+those (see below).  The third lists imports that nothing reads.  The
+last checks that every function the benchmark tracer wraps by name still
+exists.
 """
 
 import ast
+import importlib
+import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -177,3 +182,26 @@ def test_every_import_is_read():
     unread = [f"{path.relative_to(REPO)}: {entry}" for path in IMPORTERS
               for entry in _unread_imports(path.read_text(encoding="utf-8"))]
     assert unread == []
+
+
+# -- every traced layer exists -------------------------------------------------
+#
+# perfbench/layers.py wraps library functions by module and attribute name.
+# Renaming or deleting one would pass every other test and break only the
+# traced benchmark run.
+
+
+def test_every_traced_function_exists(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perfbench_layers",
+                                                  REPO / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, layers)  # its dataclass looks itself up
+    spec.loader.exec_module(layers)
+    missing = []
+    for metric, (module, path) in layers.TRACED.items():
+        owner = importlib.import_module(f"equistate.{module}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(metric)
+    assert layers.TRACED and missing == []

@@ -6,9 +6,10 @@ import pytest
 from equistate.errors import ExcludedPoint
 from equistate.gauss import GaussRat
 from equistate.polynomials import Polynomial, poly_gcd, square_free_decomposition
-from equistate.ratmap import RationalMapRec, critical_points, postcritical_orbit, preimages
+from equistate.ratmap import (RationalMapRec, critical_points, postcritical_orbit,
+                              preimage_polynomial, preimages)
 from equistate.roots import certified_roots
-from equistate.sphere import INF, SpherePoint, chordal_sq
+from equistate.sphere import INF, SpherePoint, chordal_sq_parts
 
 S = SpherePoint.finite
 Z2 = RationalMapRec(Polynomial.of(0, 0, 1), Polynomial.of(1))
@@ -85,7 +86,7 @@ def test_roots_disjoint_and_sum():
         for i in range(len(clusters)):
             for j in range(i + 1, len(clusters)):
                 zi, zj = clusters[i], clusters[j]
-                d2 = chordal_sq(zi.center.center, zj.center.center)
+                d2 = F(*chordal_sq_parts(zi.center.center, zj.center.center))
                 assert d2 > (zi.center.rad + zj.center.rad) ** 2
 
 
@@ -109,6 +110,15 @@ def test_preimages_z2_examples():
     prem2 = preimages(Z2M2, S(-2), 20)
     assert len(prem2) == 1 and prem2[0].multiplicity == 2
     assert prem2[0].midpoint == GaussRat.of(0)
+
+
+def test_chart_rule_puts_the_unit_circle_in_the_num_chart():
+    """|x| <= 1 takes num - x*den, also at |x| = 1 exactly; outside, the
+    chart is den - num/x."""
+    for x in (S(1), S(F(3, 5), F(-4, 5))):
+        assert preimage_polynomial(Z2, x) == Z2.num - Z2.den.scale(x.as_gauss())
+    x = S(F(3, 5), F(4, 5) + F(1, 1 << 80))
+    assert preimage_polynomial(Z2, x) == Z2.den - Z2.num.scale(x.as_gauss().inverse())
 
 
 def test_preimages_excluded_point():
@@ -135,7 +145,7 @@ def test_preimage_apply_consistency():
         assert sum(c.multiplicity for c in pre) == 2
         # y is within some certified disc
         assert any(
-            chordal_sq(c.center.center, y) <= (c.center.rad + F(1, 1 << 28)) ** 2
+            F(*chordal_sq_parts(c.center.center, y)) <= (c.center.rad + F(1, 1 << 28)) ** 2
             for c in pre
         )
 

@@ -15,14 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equistate.balls import sqrt_bracket
 from equistate.cli import main
 from equistate.dyadics import ZERO
 from equistate.errors import PrecisionExhausted
-from equistate.gauss import GaussRat, gauss_ratio
+from equistate.gauss import GaussRat, euclid_sq_parts, gauss_ratio
 from equistate.polynomials import Polynomial, integer_coeffs, square_free_decomposition
-from equistate.roots import (_gauss_from_complex, _int_newton_step, _limit_denominator,
-                             _snap_to_exact_root, certified_roots)
-from equistate.sphere import SpherePoint, chordal_disc_radius, chordal_sq
+from equistate.roots import (RootCluster, _clusters_disjoint, _gauss_from_complex,
+                             _int_newton_step, _limit_denominator, _snap_to_exact_root,
+                             certified_roots)
+from equistate.sphere import PointBall, SpherePoint, chordal_disc_radius, chordal_sq_parts
+
+from test_measures import _fraction_sort_key
 
 G = GaussRat.of
 
@@ -106,7 +110,7 @@ def _ref_disjoint(solved, l):
             if (zi - zj).abs2() <= (ri + rj) * (ri + rj):
                 return False
             cj = chordal_disc_radius(zj, rj, l + 4)
-            if chordal_sq(SpherePoint(zi), SpherePoint(zj)) <= (ci + cj) * (ci + cj):
+            if F(*chordal_sq_parts(SpherePoint(zi), SpherePoint(zj))) <= (ci + cj) * (ci + cj):
                 return False
     return True
 
@@ -125,7 +129,7 @@ def _ref_certified_roots(p, l):
             solved.extend((z, r, mult) for z, r in got)
         if solved is not None and _ref_disjoint(solved, l):
             out = [(z, m, r, chordal_disc_radius(z, r, l + 4)) for z, r, m in solved]
-            return sorted(out, key=lambda t: t[0].sort_key())
+            return sorted(out, key=lambda t: _fraction_sort_key(SpherePoint(t[0])))
         bits *= 2
         target /= 2
     raise PrecisionExhausted(f"certified_roots at 2^-{l}")
@@ -363,6 +367,48 @@ def test_chordally_close_roots_separate_on_retry(p, roots):
         assert sum(abs(complex(c.midpoint) - r) <= float(c.euclid_rad) + 1e-12
                    for c in clusters) == 1
     assert all(c.center.rad <= F(1, 1 << 10) for c in clusters)
+
+
+# -- disjointness on integers against the Fraction test ---------------------------
+
+
+def _fraction_clusters_disjoint(clusters):
+    """The disjointness test as the Fraction comparisons decided it."""
+    for i, a in enumerate(clusters):
+        for b in clusters[i + 1:]:
+            if (a.midpoint - b.midpoint).abs2() <= (a.euclid_rad + b.euclid_rad) ** 2:
+                return False
+            if (F(*chordal_sq_parts(a.center.center, b.center.center))
+                    <= (a.center.rad + b.center.rad) ** 2):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_clusters_disjoint_matches_the_fraction_test(seed):
+    """Each pair gets radii in one metric at a time that sum to the
+    distance (exactly where it is rational: |1 - i| = sqrt 2 is not, but
+    sigma(0, 3/4) = 6/5, sigma(1, -1) = 2 and |i - 0| = 1 are), to 2^-80
+    less or to a random share of it."""
+    rng = random.Random(seed)
+    pts = [G(0), G(F(3, 4)), G(1), G(-1), G(0, 1), G(0, -1), G(F(-4, 3), F(1, 3))]
+    pts += [G(F(rng.randint(-9, 9), rng.choice([1, 4, 1 << 60])), F(rng.randint(-9, 9), 7))
+            for _ in range(4)]
+    tiny = F(1, 1 << 80)
+    for i, z in enumerate(pts):
+        for w in pts[i + 1:]:
+            e, _ = sqrt_bracket(*euclid_sq_parts(z, w), 40)
+            c, _ = sqrt_bracket(*chordal_sq_parts(SpherePoint(z), SpherePoint(w)), 40)
+            for reach in (e, e - tiny, e * F(rng.randint(1, 9), 8)):
+                t = F(rng.randint(0, 4), 4)
+                pair = [RootCluster(PointBall(SpherePoint(z), ZERO), 1, reach * t),
+                        RootCluster(PointBall(SpherePoint(w), ZERO), 1, reach * (1 - t))]
+                assert _clusters_disjoint(pair) == _fraction_clusters_disjoint(pair)
+            for reach in (c, c - tiny, c * F(rng.randint(1, 9), 8)):
+                t = F(rng.randint(0, 4), 4)
+                pair = [RootCluster(PointBall(SpherePoint(z), reach * t), 1, ZERO),
+                        RootCluster(PointBall(SpherePoint(w), reach * (1 - t)), 1, ZERO)]
+                assert _clusters_disjoint(pair) == _fraction_clusters_disjoint(pair)
 
 
 # -- mpmath oracle ---------------------------------------------------------------

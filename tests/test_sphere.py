@@ -5,10 +5,14 @@ from fractions import Fraction as F
 import pytest
 
 from equistate.gauss import GaussRat
-from equistate.sphere import (INF, SpherePoint, chordal, chordal_disc_radius, chordal_sq,
+from equistate.sphere import (INF, SpherePoint, chordal, chordal_disc_radius, chordal_sq_parts,
                               ideal_enumerate)
 
 S = SpherePoint.finite
+
+
+def _chordal_sq(z, w):
+    return F(*chordal_sq_parts(z, w))
 
 
 # -- the reference inverse of the ideal-point enumeration ------------------
@@ -58,7 +62,7 @@ def _round(q: F, bits: int) -> F:
 
 def test_chordal_closed_forms():
     assert chordal(S(0), INF, 30).mid == 2
-    assert chordal_sq(S(0), S(1)) == 2  # sigma = sqrt(2)
+    assert _chordal_sq(S(0), S(1)) == 2  # sigma = sqrt(2)
     assert chordal(S(1), S(-1), 30).mid == 2
     assert chordal(S(0), S(0), 30).mid == 0
 
@@ -75,9 +79,9 @@ def test_chordal_range_and_symmetry():
               F(rng.randint(-9, 9), rng.randint(1, 5)))
         w = S(F(rng.randint(-9, 9), rng.randint(1, 5)),
               F(rng.randint(-9, 9), rng.randint(1, 5)))
-        s2 = chordal_sq(z, w)
+        s2 = _chordal_sq(z, w)
         assert 0 <= s2 <= 4
-        assert s2 == chordal_sq(w, z)
+        assert s2 == _chordal_sq(w, z)
         assert (s2 == 0) == (z == w)
 
 
@@ -131,9 +135,9 @@ def test_ideal_density_constructive():
         for n in (5, 10, 20):
             z = p.as_gauss()
             k = ideal_index(S(_round(z.re, n + 3), _round(z.im, n + 3)))
-            assert chordal_sq(ideal_enumerate(k), p) < F(1, 1 << (2 * n))
+            assert _chordal_sq(ideal_enumerate(k), p) < F(1, 1 << (2 * n))
     k = ideal_index(S(1 << 13))
-    assert chordal_sq(ideal_enumerate(k), INF) < F(1, 1 << 24)
+    assert _chordal_sq(ideal_enumerate(k), INF) < F(1, 1 << 24)
 
 
 # -- the chordal disc radius against the Fraction form it replaced -------------

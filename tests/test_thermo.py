@@ -9,7 +9,7 @@ import pytest
 from equistate import thermo
 from equistate.balls import BallReal, exp_point
 from equistate.dyadics import ZERO
-from equistate.errors import ExcludedPoint, PrecisionExhausted
+from equistate.errors import ExcludedAnchor, ExcludedPoint, PrecisionExhausted
 from equistate.gauss import GaussRat
 from equistate.measures import pushforward, wasserstein
 from equistate.polynomials import Polynomial
@@ -156,6 +156,20 @@ def test_pressure_z2_anchor_avoids_exceptional_point():
     res = pressure(Z2, scale(F(1, 8), basis(S(0))), 1, c0=F(1), R=F(1, 8))
     assert res.anchor != S(0)
     assert res.value.contains(F(math.log(2) + math.sqrt(2) / 8))
+
+
+def test_anchor_clears_the_orbit_of_infinity_strictly(monkeypatch):
+    """z/(z^2 + 1) sends inf to 0, which has two preimages, so only the
+    clearance skips 0.  z^2 - z fixes inf, and sigma(0, inf) = 2 exactly:
+    at clearance 2 no ideal point clears inf, just below it 0 does."""
+    assert thermo._select_anchor(RationalMapRec(Polynomial.of(0, 1), Polynomial.of(1, 0, 1)),
+                                 3) == S(0, 1)
+    f = RationalMapRec(Polynomial.of(0, -1, 1), Polynomial.of(1))
+    monkeypatch.setattr(thermo, "_ANCHOR_CLEARANCE", 2 - F(1, 1 << 80))
+    assert thermo._select_anchor(f, 3) == S(0)
+    monkeypatch.setattr(thermo, "_ANCHOR_CLEARANCE", F(2))
+    with pytest.raises(ExcludedAnchor):
+        thermo._select_anchor(f, 3)
 
 
 def test_pressure_refuses_oversized_N():

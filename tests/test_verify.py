@@ -4,20 +4,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from equistate.balls import BallReal, DirectedReal, ball_sum, log_point
+from equistate.balls import BallReal, DirectedReal, ball_sum, log_point, sqrt_bracket
 from equistate.errors import (
     NonPositiveJacobian,
     NotInjectiveOnPatch,
     NotInjectiveOnSupport,
     SpaceMismatch,
 )
-from equistate.measures import SPHERE, FiniteMeasure, TestFunction
+from equistate.measures import SPHERE, FiniteMeasure, TestFunction, squared_distance_parts
 from equistate.polynomials import Polynomial
 from equistate.potentials import basis, const, scale
 from equistate.ratmap import RationalMapRec
-from equistate.sphere import SpherePoint
+from equistate.sphere import INF, SpherePoint
 from equistate.thermo import backward_orbit_measure, pressure
 from equistate.thurston import SubdivisionMap, mme_tile_measure
+from equistate.trisphere import BACK, FRONT, tile_point
 from equistate.verify import (
     BallPatch,
     JacobianSpec,
@@ -64,6 +65,76 @@ def test_contains_disc_is_exact_at_the_boundary(slack, inside):
     patch = BallPatch(SPHERE, S(0), F(6, 5) + r + slack)
     assert patch.contains_disc(S(F(3, 4)), r) is inside
     assert not BallPatch(SPHERE, S(0), r).contains_disc(S(0), r)
+
+
+# -- patch decisions against the Fraction reference ---------------------------
+
+
+def _fraction_verdicts(patch, x, r):
+    """contains_point, contains_disc and excludes_disc as the Fraction
+    comparisons of the squared distance decided them."""
+    d2 = F(*squared_distance_parts(patch.space)(patch.center, x))
+    gap, slack = patch.radius - r, patch.radius + r
+    return (d2 < patch.radius * patch.radius, gap > 0 and d2 < gap * gap, d2 > slack * slack)
+
+
+def _fraction_near_excluded(system, x, r):
+    squared = squared_distance_parts(system.space)
+    return any(F(*squared(e, x)) <= r * r for e in system.excluded)
+
+
+def _sphere_patch_points(rng):
+    # 0 to 3/4, -4/3 and 5i/12, and each of those to inf, are rational.
+    pts = [INF, S(0), S(F(3, 4)), S(F(-4, 3)), S(0, F(5, 12)), S(1, -1)]
+    pts += [S(F(rng.randint(-40, 40), rng.choice([1, 3, 1 << 70])),
+              F(rng.randint(-40, 40), rng.choice([1, 7, 1 << 70]))) for _ in range(8)]
+    return pts
+
+
+def _tile_patch_points(rng):
+    pts = [tile_point(face, *abc) for face in (FRONT, BACK) for abc in (
+        (1, 0, 0), (0, 1, 0), (F(1, 2), F(1, 2), 0), (F(1, 4), F(1, 4), F(1, 2)),
+        (F(1, 3), F(1, 3), F(1, 3)))]
+    for _ in range(8):
+        a = F(rng.randint(0, 1 << 40), 1 << 40)
+        b = (1 - a) * F(rng.randint(0, 12), 12)
+        pts.append(tile_point(rng.choice([FRONT, BACK]), a, b, 1 - a - b))
+    return pts
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("space, points", [(SPHERE, _sphere_patch_points),
+                                           ("tri_sphere", _tile_patch_points)])
+def test_patch_decisions_match_the_fraction_reference(space, points, seed):
+    """Where dist(center, x) = s is rational, the patch radius also sits at
+    s, s + r and s - r, so each strict test meets its exact boundary."""
+    rng = random.Random(seed)
+    pts = points(rng)
+    system = PatchSystem(space, [], pts[::3])
+    for center in pts:
+        for x in pts:
+            mid, _ = sqrt_bracket(*squared_distance_parts(space)(center, x), 40)
+            r = F(rng.randint(0, 8), rng.choice([8, 1 << 70]))
+            for radius in {mid, mid + r, mid - r, F(rng.randint(1, 16), 8)}:
+                if radius <= 0:
+                    continue
+                patch = BallPatch(space, center, radius)
+                assert (patch.contains_point(x), patch.contains_disc(x, r),
+                        patch.excludes_disc(x, r)) == _fraction_verdicts(patch, x, r)
+            for disc in (mid, r):
+                assert system.near_excluded(x, disc) == _fraction_near_excluded(system, x, disc)
+
+
+def test_patch_decisions_at_infinity_are_exact():
+    """sigma(0, inf) = 2: the boundary is neither inside nor excluded."""
+    patch = BallPatch(SPHERE, S(0), F(2))
+    assert not patch.contains_point(INF)
+    assert not patch.contains_disc(INF, F(0))
+    assert not patch.excludes_disc(INF, F(0))
+    assert BallPatch(SPHERE, S(0), F(2) - F(1, 1 << 80)).excludes_disc(INF, F(0))
+    system = PatchSystem(SPHERE, [patch], [S(0)])
+    assert system.near_excluded(INF, F(2))
+    assert not system.near_excluded(INF, F(2) - F(1, 1 << 80))
 
 
 def test_unitarity_constant_two():
@@ -424,8 +495,6 @@ def test_invariance_decreases_along_depth():
 
 def test_enumerate_preimages_subdivision_degrees():
     g = SubdivisionMap("g1")
-    from equistate.trisphere import FRONT, tile_point
-
     interior = tile_point(FRONT, F(1, 3), F(1, 3), F(1, 3))
     pres = enumerate_preimages(g, interior)
     assert sum(p.local_degree for p in pres) == 6

@@ -186,6 +186,8 @@ def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
     is exact and the returned ball widens only by the worst bracket
     radius plus the measures' atom displacements.
     """
+    if prec < 0:
+        raise ValueError(f"precision prec must be nonnegative, got {prec}")
     if mu.space != nu.space:
         raise SpaceMismatch(f"{mu.space} vs {nu.space}")
     if mu.total != nu.total:

@@ -18,7 +18,7 @@ from .errors import ChartFailure, ExcludedPoint
 from .gauss import GaussRat
 from .polynomials import Polynomial, poly_gcd
 from .roots import RootCluster, certified_roots
-from .sphere import INF, SpherePoint
+from .sphere import INF, PointBall, SpherePoint
 
 _MAX_POSTCRITICAL_ORBIT = 64
 
@@ -163,9 +163,7 @@ def critical_points(f: RationalMapRec, l: int) -> list[RootCluster]:
         out.extend(certified_roots(w, l))
     m_inf = infinity_critical_multiplicity(f)
     if m_inf > 0:
-        from .sphere import PointBall
-
-        out.append(RootCluster(PointBall(INF, Fraction(0)), m_inf, Fraction(0)))
+        out.append(RootCluster(PointBall(INF, ZERO), m_inf, ZERO))
     return out
 
 

@@ -10,12 +10,16 @@ Only when that certificate fails does it split p by exact square-free
 decomposition (Yun) and solve each factor the same way: first at the
 same precision, then at doubling precision.
 
-A linear factor is solved exactly.  Any other starts from numpy.roots
-seeds and runs Newton on Gaussian integers: the coefficients with their
-denominators cleared, and z as integer numerators over one denominator
-(2^bits after the first step, which rounds each step to the nearest
-multiple of 2^-bits).  A step is a function of z alone, so the iteration
-stops at the first step that returns its input.
+A linear factor is solved exactly.  Any other starts from float seeds
+computed with the standard library alone: the closed form for
+quadratics, and for higher degrees at most 40 Aberth-Ehrlich sweeps
+(Aberth 1973, Math. Comp. 27) from Bini's Newton-polygon start (Bini
+1996, Numer. Algorithms 13).  From each seed it runs Newton on Gaussian
+integers: the coefficients with their denominators cleared, and z as
+integer numerators over one denominator (2^bits after the first step,
+which rounds each step to the nearest multiple of 2^-bits).  A step is a
+function of z alone, so the iteration stops at the first step that
+returns its input.
 
 Certification is integer arithmetic end to end.  The residual bound
 comes from the same integer evaluation, its square root and the chordal
@@ -29,11 +33,10 @@ propose candidates.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .dyadics import ZERO, compare_square, dyadic_numerator, sqrt_upper_numerator
 from .errors import PrecisionExhausted
@@ -99,13 +102,59 @@ def _newton(coeffs: list[tuple[int, int]], a: int, b: int, c: int, bits: int,
 
 
 def _float_seeds(coeffs: list[tuple[int, int]]) -> list[complex]:
-    """numpy.roots on the monic polynomial with these coefficients, each
-    rounded to floats from its exact value (int / int rounds correctly)."""
+    """Float approximations to the roots of the polynomial with these
+    integer coefficients, one per root counted with multiplicity.
+
+    The monic coefficients a_k are rounded to floats from their exact
+    values (int / int rounds correctly), and each zero a_0 is an exact
+    root 0 divided out.  Degree 2 is the cancellation-free closed form:
+    s = sqrt(b^2 - 4c) with the sign of s making |b + s| the larger,
+    q = -(b + s)/2 (nonzero, as c is), and the roots q and c/q.  Higher
+    degrees run at most 40 Aberth-Ehrlich sweeps (Aberth 1973) from
+    Bini's Newton-polygon start (Bini 1996): for each edge (i, j) of the
+    upper convex hull of the points (k, log|a_k|), j - i points on the
+    circle of radius (|a_i|/|a_j|)^(1/(j - i)).  An iterate stops once
+    |p| there is within the rounding error of Horner's rule.
+    """
     lr, li = coeffs[-1]
     n2 = lr * lr + li * li
-    monic = [complex((qr * lr + qi * li) / n2, (qi * lr - qr * li) / n2)
-             for qr, qi in reversed(coeffs)]
-    return [complex(r) for r in np.roots(monic)]
+    a = [complex((qr * lr + qi * li) / n2, (qi * lr - qr * li) / n2) for qr, qi in coeffs]
+    zeros = next(k for k, c in enumerate(a) if c)
+    a = a[zeros:]
+    n = len(a) - 1
+    if n < 2:
+        return [0j] * zeros + [-a[0]] * n
+    if n == 2:
+        c, b = a[0], a[1]
+        s = cmath.sqrt(b * b - 4 * c)
+        q = -(b + s if abs(b + s) >= abs(b - s) else b - s) / 2
+        return [0j] * zeros + [q, c / q]
+    logs = {k: math.log(abs(c)) for k, c in enumerate(a) if c}
+    hull: list[int] = []
+    for k in logs:
+        while len(hull) > 1 and ((logs[hull[-1]] - logs[hull[-2]]) * (k - hull[-2])
+                                 <= (logs[k] - logs[hull[-2]]) * (hull[-1] - hull[-2])):
+            hull.pop()
+        hull.append(k)
+    z = [cmath.rect(math.exp((logs[i] - logs[j]) / (j - i)),
+                    2 * math.pi * (t / (j - i) + i / n) + 0.7)
+         for i, j in zip(hull, hull[1:]) for t in range(j - i)]
+    moving = set(range(n))
+    for _sweep in range(40):
+        for r in sorted(moving):
+            x = z[r]
+            p = dp = 0j
+            err = 0.0
+            for c in reversed(a):
+                p, dp, err = p * x + c, dp * x + p, err * abs(x) + abs(c)
+            den = dp - p * sum(1 / (x - y) for y in z if y != x)
+            if abs(p) <= n * err * 2 ** -50 or not den:
+                moving.discard(r)
+            else:
+                z[r] = x - p / den
+        if not moving:
+            break
+    return [0j] * zeros + z
 
 
 def _limit_denominator(n: int, d: int, bound: int) -> tuple[int, int]:

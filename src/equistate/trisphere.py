@@ -84,15 +84,9 @@ def tile_point(face: str, a: Fraction | int, b: Fraction | int, c: Fraction | in
     return homogeneous_point(face, *(x.numerator * (d // x.denominator) for x in coords))
 
 
-def barycenter(points: tuple[TilePoint, ...] | list[TilePoint],
-               face: str | None = None) -> TilePoint:
+def barycenter(points: tuple[TilePoint, ...] | list[TilePoint], face: str) -> TilePoint:
     """Barycenter sum_i (L/D_i) V_i of the triples V_i, with D_i = sum(V_i)
-    and L = lcm(D_i), on `face` (default: the points' common face)."""
-    if face is None:
-        faces = {p.face for p in points}
-        if len(faces) != 1:
-            raise ValueError("barycenter needs points on a single face")
-        face = faces.pop()
+    and L = lcm(D_i), on `face`."""
     big = lcm(*(sum(p.abc) for p in points))
     ws = [(big // sum(p.abc), p.abc) for p in points]
     return homogeneous_point(face, *(sum(w * v[k] for w, v in ws) for k in range(3)))

@@ -36,7 +36,7 @@ from .measures import (
     wasserstein,
 )
 from .potentials import Potential, sup_bound
-from .ratmap import RationalMapRec, preimages
+from .ratmap import RationalMapRec, postcritical_orbit, preimages
 from .sphere import SpherePoint
 from .thurston import SubdivisionMap
 
@@ -121,8 +121,6 @@ def standard_sphere_patches(f: RationalMapRec, anchors: list[SpherePoint],
                             radius: Fraction = Fraction(1, 2)) -> PatchSystem:
     """Balls around the given anchor points, with the excluded set
     f^-1(post f) when the postcritical data is exactly available."""
-    from .ratmap import postcritical_orbit
-
     excluded: list[Point] = []
     res = postcritical_orbit(f)
     if res.is_finite:

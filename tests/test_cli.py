@@ -131,8 +131,14 @@ def test_missing_or_unreadable_input_exits_3(argv, tmp_path):
       "empirical"], "n"),
     (["birkhoff", "--map", "z^2", "--potential", "const:3", "--point", "1", "--steps", "2",
       "--n", "-5"], "n"),
+    (["wasserstein", "--a", "{measure}", "--b", "{measure}", "--prec", "-1"], "prec"),
+    (["wasserstein", "--a", "{measure}", "--b", "{measure}", "--prec", "-10"], "prec"),
 ])
 def test_negative_precision_exits_3_naming_the_option(argv, name, tmp_path, capsys):
+    measure = tmp_path / "m.json"
+    measure.write_text(json.dumps(measure_to_json(
+        FiniteMeasure.dirac(SPHERE, SpherePoint.finite(1)))))
+    argv = [a.format(measure=measure) for a in argv]
     assert main([*argv, "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and f" {name} must be nonnegative" in err[0], err
@@ -389,6 +395,38 @@ def test_console_script_entry():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == equistate.__version__
+
+
+_IMPORT_EVERY_MODULE = """
+import sys
+before = set(sys.modules)
+import importlib, pkgutil
+import equistate
+for info in pkgutil.iter_modules(equistate.__path__):
+    importlib.import_module("equistate." + info.name)
+import equistate.cli
+print(" ".join(sorted({m.partition(".")[0] for m in set(sys.modules) - before})))
+"""
+
+
+def test_runtime_needs_only_the_standard_library():
+    """Importing every equistate module loads no third-party module, and
+    pyproject.toml declares no runtime dependency.  The probe compares
+    against the modules loaded at start-up, which site hooks may extend."""
+    tomllib = pytest.importorskip("tomllib")
+    import equistate
+
+    import_root = Path(equistate.__file__).resolve().parent.parent
+    with open(import_root.parent / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
+    env = dict(os.environ, PYTHONPATH=str(import_root))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_EVERY_MODULE],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "equistate" in loaded
+    assert loaded - {"equistate"} <= set(sys.stdlib_module_names), sorted(
+        loaded - {"equistate"} - set(sys.stdlib_module_names))
 
 
 # -- the pressure path keeps the exit-code contract on fuzzed argv ------------

@@ -281,6 +281,22 @@ def _seeded_polynomials():
 
 _POLYS = _seeded_polynomials()
 
+# Seed edge cases: b = c = 0, exact double roots, moduli 10^6 apart, and
+# two with one root near 2*10^3 beside eight near the unit circle.  Aberth
+# sweeps started on one circle about -a_8/9 instead of the Newton-polygon
+# circles exhaust the precision cap on the last one.
+_EDGE_POLYS = [
+    Polynomial.of(0, 0, 1),
+    poly_from_roots([G(1), G(1)]),
+    poly_from_roots([G(F(1, 3), F(1, 5))] * 2),
+    poly_from_roots([G(10 ** 6), G(F(1, 10 ** 6))]) + Polynomial.of(F(1, 10 ** 9)),
+    poly_from_roots([G(1999, -12)] + [G(F(k, 7), F(8 - k, 9)) for k in range(8)])
+    + Polynomial.of(G(F(1, 3), F(1, 7))),
+    poly_from_roots([G(2484, 32)] + [G(F(x, 63), F(y, 63)) for x, y in (
+        (43, -69), (64, 2), (-76, 27), (27, 64), (15, 59), (69, -5), (50, -27), (57, -20))])
+    + Polynomial.of(G(F(1, 6), F(1, 4))),
+]
+
 
 def _summary(clusters):
     return [(c.midpoint, c.multiplicity, c.euclid_rad, c.center.rad) for c in clusters]
@@ -289,7 +305,7 @@ def _summary(clusters):
 @pytest.mark.parametrize("l", [10, 30, 60])
 def test_certified_roots_match_fraction_reference(l):
     multiple = exact = 0
-    for p in _POLYS:
+    for p in [*_POLYS, *_EDGE_POLYS]:
         got = _summary(certified_roots(p, l))
         assert got == _ref_certified_roots(p, l), (p, l)
         multiple += any(m > 1 for _, m, _, _ in got)

@@ -476,7 +476,7 @@ def test_barycenters_agree_with_fraction_means():
         assert t.barycenter() == tile_point(t.face, *mean)
     pts = [tile_point(BACK, F(1, 3), F(1, 3), F(1, 3)),
            tile_point(BACK, F(1, 2), F(1, 4), F(1, 4))]
-    assert barycenter(pts) == tile_point(BACK, F(5, 12), F(7, 24), F(7, 24))
+    assert barycenter(pts, BACK) == tile_point(BACK, F(5, 12), F(7, 24), F(7, 24))
 
 
 # SHA-256 of the level-3 tile complex and tile measure JSON, recorded with

@@ -125,32 +125,39 @@ def ball_sum(terms: Iterable[BallReal]) -> BallReal:
 # -- certified square roots -------------------------------------------
 
 
-def sqrt_bracket(n: int, d: int, prec: int) -> tuple[Fraction, int]:
-    """(mid, e) with |sqrt(n/d) - mid| <= e/2^(prec+2) and e in {0, 1},
-    for n >= 0 and d > 0 (n/d need not be in lowest terms).
+def sqrt_bracket_parts(n: int, d: int, prec: int) -> tuple[int, int, int]:
+    """(m, e, D) with |sqrt(n/d) - m/D| <= e/D, for n >= 0 and d > 0 (n/d
+    need not be in lowest terms).
 
-    e = 0 and mid = sqrt(n/d) exactly when n/d in lowest terms is a ratio
-    of perfect squares, that is when n d is a perfect square r^2; then
-    sqrt(n/d) = r/d.  Otherwise, with b = prec + 1, sqrt(n/d) 2^b is no
-    integer (that would make n/d a square), so it lies strictly between
-    lo = `sqrt_lower_numerator` and lo + 1, which is
-    `sqrt_upper_numerator`; mid = (2 lo + 1)/2^(b+1) and e = 1.
+    It is exact, (r, 0, d), when n/d in lowest terms is a ratio of perfect
+    squares, that is when n d is a perfect square r^2; then sqrt(n/d) =
+    r/d.  Otherwise, with b = prec + 1, sqrt(n/d) 2^b is no integer (that
+    would make n/d a square), so it lies strictly between lo =
+    `sqrt_lower_numerator` and lo + 1, which is `sqrt_upper_numerator`; the
+    bracket is (2 lo + 1, 1, 2^(prec+2)), of radius 2^-(prec+2).
     """
     r = math.isqrt(n * d)
     if r * r == n * d:
-        return Fraction(r, d), 0
-    lo = sqrt_lower_numerator(n, d, prec + 1)
-    return Fraction(2 * lo + 1, 1 << (prec + 2)), 1
+        return r, 0, d
+    return 2 * sqrt_lower_numerator(n, d, prec + 1) + 1, 1, 1 << (prec + 2)
+
+
+def sqrt_bracket(n: int, d: int, prec: int) -> tuple[Fraction, int]:
+    """(mid, e) with |sqrt(n/d) - mid| <= e/2^(prec+2) and e in {0, 1}: the
+    `sqrt_bracket_parts` of n/d, with e = 0 exactly when mid = sqrt(n/d)."""
+    m, e, den = sqrt_bracket_parts(n, d, prec)
+    return Fraction(m, den), e
 
 
 def sqrt_of_rational(n: int, d: int, prec: int) -> BallReal:
     """Ball containing sqrt(n/d) with rad <= 2^-prec, for integers n >= 0
-    and d > 0 (n/d need not be reduced): the `sqrt_bracket` of n/d, exact
-    for the square of a rational.  Raises NonPositiveArgument for n < 0."""
+    and d > 0 (n/d need not be reduced): the `sqrt_bracket_parts` of n/d,
+    exact for the square of a rational.  Raises NonPositiveArgument for
+    n < 0."""
     if n < 0:
         raise NonPositiveArgument("square root of a negative rational")
-    mid, e = sqrt_bracket(n, d, prec)
-    return BallReal(mid, Fraction(e, 1 << (prec + 2)))
+    m, e, den = sqrt_bracket_parts(n, d, prec)
+    return BallReal(Fraction(m, den), Fraction(e, den))
 
 
 # -- exponential and logarithm on integer mantissas ---------------------

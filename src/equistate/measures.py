@@ -28,7 +28,7 @@ from functools import cached_property
 from math import lcm
 from typing import Callable, Iterable, Union
 
-from .balls import BallReal, ball_sum, sqrt_bracket
+from .balls import BallReal, ball_sum, sqrt_bracket, sqrt_bracket_parts
 from .dyadics import ZERO, format_rational
 from .errors import EvaluationFailure, InexactImage, SpaceMismatch
 from .sphere import SpherePoint, chordal, chordal_sq_parts, sphere_order
@@ -224,6 +224,8 @@ def transport_cost_of_pairing(mu: FiniteMeasure, nu: FiniteMeasure,
     dominates the optimum, which is how desk-scale upper bounds for large
     atom counts stay rigorous without solving the full LP.
     """
+    if prec < 0:
+        raise ValueError(f"precision prec must be nonnegative, got {prec}")
     if mu.space != nu.space:
         raise SpaceMismatch(f"{mu.space} vs {nu.space}")
     plan = list(plan)
@@ -255,7 +257,17 @@ def transport_cost_of_pairing(mu: FiniteMeasure, nu: FiniteMeasure,
 @dataclass(frozen=True)
 class TestFunction:
     """Hat function: 1 on the closed r-ball, 0 outside the (r+eps)-ball,
-    linear in between; (1/eps)-Lipschitz with values in [0, 1]."""
+    linear in between; (1/eps)-Lipschitz with values in [0, 1].
+
+    A call brackets the distance rho as a/D with a in [m - e, m + e] from
+    the `sqrt_bracket_parts` (m, e, D) of the squared distance, the bracket
+    `space_distance` gives.  With r = rn/rd and eps = en/ed, the hat at a/D
+    is (C - clamp(u, 0, C))/C for C = D rd en and u = (a rd - rn D) ed,
+    which is 1 - max(0, a/D - r)/eps clamped to [0, 1] multiplied out; both
+    ends share C, so the ball is one pair of integers over 2C.  Its values
+    are those of the hat on the rational ends of the distance ball, so the
+    ball equals the one that arithmetic on those Fractions gives.
+    """
 
     __test__ = False  # not a pytest collectable despite the name
 
@@ -274,15 +286,16 @@ class TestFunction:
     def lipschitz(self) -> Fraction:
         return 1 / self.eps
 
-    def _shape(self, rho: Fraction) -> Fraction:
-        t = 1 - max(ZERO, rho - self.r) / self.eps
-        return max(ZERO, min(Fraction(1), t))
-
     def __call__(self, x: Point, prec: int = 40) -> BallReal:
-        rho = space_distance(self.space, self.center, x, prec)
-        lo = self._shape(rho.upper())
-        hi = self._shape(rho.lower())
-        return BallReal.from_endpoints(lo, hi)
+        if prec < 0:
+            raise ValueError(f"precision prec must be nonnegative, got {prec}")
+        m, e, den = sqrt_bracket_parts(*squared_distance_parts(self.space)(self.center, x), prec)
+        rn, rd = self.r.numerator, self.r.denominator
+        en, ed = self.eps.numerator, self.eps.denominator
+        c = den * rd * en
+        lo = c - min(max((m + e) * rd - rn * den, 0) * ed, c)
+        hi = c - min(max((m - e) * rd - rn * den, 0) * ed, c)
+        return BallReal(Fraction(lo + hi, 2 * c), Fraction(hi - lo, 2 * c))
 
 
 @dataclass

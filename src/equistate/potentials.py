@@ -6,7 +6,17 @@ potential expands to a normal form sum_t q_t * prod_j basis_{t,j}, from
 which an explicit Lipschitz bound follows: a product of m basis factors
 (each bounded by 2 and 1-Lipschitz) is 2^(m-1) * m Lipschitz, so
 F = sum_t 2^(m_t - 1) * m_t * |q_t| dominates the sigma-Hoelder seminorm.
-Pure constant terms contribute zero.
+Pure constant terms contribute zero.  F is summed once per potential.
+
+Evaluation walks the tree on integer balls (m, r, d), the ball m/d with
+radius r/d: a basis factor is the `sqrt_bracket_parts` of the integer
+`chordal_sq_parts`, a constant p/q is (p, 0, q), a sum adds over a common
+denominator, a product takes mid m1 m2 and radius |m1| r2 + |m2| r1 +
+r1 r2 over d1 d2 (the `BallReal` product), and a scaling by p/q
+multiplies m by p, r by |p| and d by q.  These are the rationals that
+`BallReal` arithmetic on the same brackets produces, at the same
+precisions, so the one `BallReal` built at the end is equal to that
+arithmetic's result, mid and radius alike.
 """
 
 from __future__ import annotations
@@ -15,9 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .balls import BallReal, ball_sum
+from .balls import BallReal, sqrt_bracket_parts
 from .dyadics import ZERO
-from .sphere import SpherePoint, chordal, sphere_order
+from .sphere import SpherePoint, chordal_sq_parts, sphere_order
 
 NormalTerm = tuple[Fraction, tuple[SpherePoint, ...]]
 
@@ -34,29 +44,51 @@ class Potential:
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, x: SpherePoint, prec: int = 40) -> BallReal:
-        if self.op == "const":
-            return BallReal.exact(self.value)
-        if self.op == "basis":
-            return chordal(x, self.point, prec)
-        if self.op == "sum":
-            return ball_sum(c.evaluate(x, prec + 2) for c in self.children)
-        if self.op == "prod":
-            out = BallReal.exact(1)
-            for c in self.children:
-                out = out * c.evaluate(x, prec + 2)
-            return out
-        if self.op == "scale":
-            return self.children[0].evaluate(x, prec).scale(self.value)
-        raise ValueError(f"unknown op {self.op!r}")
+        return self._ball(x, prec, ZERO)
 
     def evaluate_with_displacement(self, x: SpherePoint, disp: Fraction,
                                    prec: int = 40) -> BallReal:
         """Enclosure of the value at any point within chordal distance
         `disp` of x, via the Lipschitz bound."""
-        base = self.evaluate(x, prec)
-        if disp == 0:
-            return base
-        return base.widen(holder_bound(self) * disp)
+        return self._ball(x, prec, self._holder_bound * disp if disp else ZERO)
+
+    def _ball(self, x: SpherePoint, prec: int, slack: Fraction) -> BallReal:
+        """The value at x, widened by slack, as one ball."""
+        if prec < 0:
+            raise ValueError(f"precision prec must be nonnegative, got {prec}")
+        m, r, d = self._parts(x, prec)
+        if slack:
+            a, b = slack.numerator, slack.denominator
+            m, r, d = m * b, r * b + a * d, d * b
+        return BallReal(Fraction(m, d), Fraction(r, d))
+
+    def _parts(self, x: SpherePoint, prec: int) -> tuple[int, int, int]:
+        """The ball (m/d, r/d) as integers (m, r, d), d > 0, not reduced."""
+        op = self.op
+        if op == "basis":
+            return sqrt_bracket_parts(*chordal_sq_parts(x, self.point), prec)
+        if op == "const":
+            return self.value.numerator, 0, self.value.denominator
+        if op == "sum":
+            m, r, d = 0, 0, 1
+            for c in self.children:
+                m2, r2, d2 = c._parts(x, prec + 2)
+                if d2 == d:
+                    m, r = m + m2, r + r2
+                else:
+                    m, r, d = m * d2 + m2 * d, r * d2 + r2 * d, d * d2
+            return m, r, d
+        if op == "prod":
+            m, r, d = 1, 0, 1
+            for c in self.children:
+                m2, r2, d2 = c._parts(x, prec + 2)
+                m, r, d = m * m2, abs(m) * r2 + abs(m2) * r + r * r2, d * d2
+            return m, r, d
+        if op == "scale":
+            m, r, d = self.children[0]._parts(x, prec)
+            p = self.value.numerator
+            return m * p, r * abs(p), d * self.value.denominator
+        raise ValueError(f"unknown op {self.op!r}")
 
     # -- structure -----------------------------------------------------
 
@@ -70,6 +102,16 @@ class Potential:
         return tuple((q, key) for key, q in sorted(combined.items(),
                                                    key=lambda kv: (len(kv[0]),))
                      if q != 0)
+
+    @cached_property
+    def _holder_bound(self) -> Fraction:
+        """`holder_bound`, summed once per (immutable) potential."""
+        total = ZERO
+        for q, basis_pts in self._normal_terms:
+            m = len(basis_pts)
+            if m:  # constants have zero variation
+                total += Fraction(2) ** (m - 1) * m * abs(q)
+        return total
 
     def _expand(self) -> list[NormalTerm]:
         if self.op == "const":
@@ -130,13 +172,7 @@ def scale(q: Fraction | int, child: Potential) -> Potential:
 
 def holder_bound(phi: Potential) -> Fraction:
     """Explicit bound F >= |phi|_{1,sigma} from the normal form."""
-    total = ZERO
-    for q, basis_pts in phi._normal_terms:
-        m = len(basis_pts)
-        if m == 0:
-            continue  # constants have zero variation
-        total += Fraction(2) ** (m - 1) * m * abs(q)
-    return total
+    return phi._holder_bound
 
 
 def sup_bound(phi: Potential) -> Fraction:

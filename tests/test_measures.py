@@ -5,6 +5,7 @@ from itertools import permutations
 
 import pytest
 
+from equistate.balls import BallReal, sqrt_bracket
 from equistate.errors import SpaceMismatch
 from equistate.gauss import GaussRat
 from equistate.measures import (
@@ -16,6 +17,7 @@ from equistate.measures import (
     integrate,
     pushforward,
     space_distance,
+    squared_distance_parts,
     transport_cost_of_pairing,
     wasserstein,
     wasserstein_detail,
@@ -436,6 +438,66 @@ def test_hat_plateau_and_support():
     assert outside.mid == 0
 
 
+def _fraction_hat(tau, x, prec):
+    """The Fraction form the integer hat replaced: the hat on the ends of
+    the `space_distance` ball."""
+    rho = space_distance(tau.space, tau.center, x, prec)
+
+    def shape(v):
+        t = 1 - max(F(0), v - tau.r) / tau.eps
+        return max(F(0), min(F(1), t))
+
+    return BallReal.from_endpoints(shape(rho.upper()), shape(rho.lower()))
+
+
+def _hat_radii(rho, rng):
+    """r = 0, random radii, and, when the distance rho is exact, the radii
+    that put rho at r or at r + eps for the widths that come with them."""
+    eps = [F(1, 8), F(1, 3), F(rng.randint(1, 9), 1 << 40), F(5, 2)]
+    pairs = [(F(0), e) for e in eps] + [(F(rng.randint(0, 40), 17), rng.choice(eps))
+                                        for _ in range(3)]
+    if rho is not None:
+        pairs += [(rho, e) for e in eps[:2]] + [(rho - e, e) for e in eps if rho >= e]
+    return pairs
+
+
+@pytest.mark.parametrize("space, points", [(SPHERE, _sphere_points), (TRI, _tile_points)])
+def test_hat_matches_the_fraction_form(space, points):
+    rng = random.Random(9)
+    pts = points(rng)
+    if space == SPHERE:  # exact distances: sigma(0, 3/4) = 6/5, sigma(inf, 3/4) = 8/5
+        pts = [S(0), INF, S(F(3, 4)), S(0, F(4, 3)), *pts[:20]]
+    else:  # corners one edge apart, and a corner and an edge midpoint
+        pts = [tile_point(FRONT, 1, 0, 0), tile_point(FRONT, 0, 1, 0),
+               tile_point(BACK, F(1, 2), F(1, 2), 0), *pts[:20]]
+    squared = squared_distance_parts(space)
+    seen_exact = 0
+    for center in pts[:8]:
+        for x in rng.sample(pts, 10) + [center]:
+            mid, e = sqrt_bracket(*squared(center, x), 40)
+            rho = mid if e == 0 else None
+            seen_exact += rho is not None
+            for r, eps in _hat_radii(rho, rng):
+                tau = TestFunction(space, center, r, eps)
+                for prec in (0, 2, 40, 90):
+                    got = tau(x, prec)
+                    want = _fraction_hat(tau, x, prec)
+                    assert (got.mid, got.rad) == (want.mid, want.rad)
+    assert seen_exact >= 12
+
+
+def test_hat_boundaries_are_exact():
+    """rho = sigma(inf, 3/4) = 8/5 exactly: the hat is 1 at r = rho and 0 at
+    r + eps = rho, both with radius 0, and linear in between."""
+    x = S(F(3, 4))
+    for prec in (0, 40):
+        assert TestFunction(SPHERE, INF, F(8, 5), F(1, 8))(x, prec) == BallReal(F(1), F(0))
+        assert TestFunction(SPHERE, INF, F(3, 2), F(1, 10))(x, prec) == BallReal(F(0), F(0))
+        assert TestFunction(SPHERE, INF, F(3, 2), F(1, 5))(x, prec) == BallReal(F(1, 2), F(0))
+        assert TestFunction(SPHERE, x, F(0), F(1, 4))(x, prec) == BallReal(F(1), F(0))
+        assert TestFunction(SPHERE, S(0), F(0), F(3))(INF, prec) == BallReal(F(1, 3), F(0))
+
+
 def test_compare_ge_equal_measures():
     mu = FiniteMeasure.from_atoms(SPHERE, [(S(0), F(1, 2)), (S(1), F(1, 2))])
     fam = [TestFunction(SPHERE, S(k), F(0), F(1, 4)) for k in (-1, 0, 1)]
@@ -457,3 +519,17 @@ def test_compare_ge_separated_supports():
     assert not res.holds
     a, b = res.witness_integrals
     assert a.mid == 0 and b.mid == 1
+
+
+@pytest.mark.parametrize("prec", [-1, -3, -10])
+def test_negative_precision_raises(prec):
+    """Diracs at 0 and 1: prec = -1 used to return a ball looser than asked
+    for, and prec = -3 to fail inside the shift of the distance bracket."""
+    mu, nu = FiniteMeasure.dirac(SPHERE, S(0)), FiniteMeasure.dirac(SPHERE, S(1))
+    tau = TestFunction(SPHERE, S(0), F(0), F(1, 4))
+    for call in (lambda: transport_cost_of_pairing(mu, nu, [(0, 0, F(1))], prec),
+                 lambda: tau(S(1), prec)):
+        with pytest.raises(ValueError, match=f"precision prec must be nonnegative, got {prec}"):
+            call()
+    assert transport_cost_of_pairing(mu, nu, [(0, 0, F(1))], 0).contains(
+        space_distance(SPHERE, S(0), S(1), 60).mid)

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from equistate.balls import BallReal, ball_sum
 from equistate.potentials import (
     basis,
     const,
@@ -13,7 +16,7 @@ from equistate.potentials import (
     Potential,
 )
 from equistate.serialize import potential_from_json, potential_to_json
-from equistate.sphere import SpherePoint, chordal, ideal_enumerate
+from equistate.sphere import INF, SpherePoint, chordal, ideal_enumerate
 
 S = SpherePoint.finite
 
@@ -151,3 +154,124 @@ def test_json_roundtrip():
     phi = psum(const(F(1, 3)), scale(F(-2, 5), pprod(basis(S(0)), basis(S(1, 2)))))
     again = potential_from_json(potential_to_json(phi))
     assert normal_form(again) == normal_form(phi)
+
+
+# -- the integer walk against the Fraction walk ---------------------------
+
+
+def _fraction_evaluate(phi, x, prec):
+    """The Fraction walk the integer one replaced: BallReal ops over
+    `chordal`, at the same precisions."""
+    if phi.op == "const":
+        return BallReal.exact(phi.value)
+    if phi.op == "basis":
+        return chordal(x, phi.point, prec)
+    if phi.op == "sum":
+        return ball_sum(_fraction_evaluate(c, x, prec + 2) for c in phi.children)
+    if phi.op == "prod":
+        out = BallReal.exact(1)
+        for c in phi.children:
+            out = out * _fraction_evaluate(c, x, prec + 2)
+        return out
+    assert phi.op == "scale"
+    return _fraction_evaluate(phi.children[0], x, prec).scale(phi.value)
+
+
+def _fresh_holder_bound(phi):
+    return sum((F(2) ** (len(b) - 1) * len(b) * abs(q) for q, b in phi._normal_terms if b),
+               F(0))
+
+
+# 0, 1, i and inf, points at exact chordal distance from some of them
+# (sigma(0, 3/4) = 6/5, sigma(inf, 3/4) = 8/5, sigma(0, 4i/3) = 8/5), and
+# points with large and small parts
+_FIXED = [S(0), S(1), S(0, 1), INF, S(F(3, 4)), S(0, F(4, 3)), S(-1, F(1, 2)),
+          S(F(1, 1 << 80), F(-3, 7)), S(F(5 << 90, 3), 2)]
+
+
+def _random_point(rng):
+    if rng.random() < 0.4:
+        return rng.choice(_FIXED)
+    return S(F(rng.randint(-30, 30), rng.choice([1, 2, 5, 12, 1 << 40])),
+             F(rng.randint(-30, 30), rng.choice([1, 3, 4, 1 << 33])))
+
+
+def _random_tree(rng, depth):
+    op = rng.choice(["const", "basis"] if depth == 0 else
+                    ["const", "basis", "sum", "prod", "scale", "scale"])
+    if op == "const":
+        return const(F(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 1 << 20])))
+    if op == "basis":
+        return basis(_random_point(rng))
+    if op == "scale":
+        q = F(rng.randint(-9, 9), rng.choice([1, 2, 5, 1 << 30]))
+        return scale(q, _random_tree(rng, depth - 1))
+    children = [_random_tree(rng, depth - 1) for _ in range(rng.randint(0, 3))]
+    return (psum if op == "sum" else pprod)(*children)
+
+
+def _assert_same_ball(a, b):
+    assert (type(a.mid), type(a.rad)) == (F, F)
+    assert (a.mid, a.rad) == (b.mid, b.rad)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_matches_the_fraction_walk(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        phi = _random_tree(rng, rng.randint(0, 4))
+        for x in [*_FIXED[:4], _random_point(rng), _random_point(rng)]:
+            prec = rng.choice([0, 1, 2, 5, 20, 40, 70, 140])
+            _assert_same_ball(phi.evaluate(x, prec), _fraction_evaluate(phi, x, prec))
+            disp = rng.choice([F(0), F(1, 1 << 30), F(3, 7)])
+            want = _fraction_evaluate(phi, x, prec).widen(_fresh_holder_bound(phi) * disp)
+            _assert_same_ball(phi.evaluate_with_displacement(x, disp, prec), want)
+
+
+@pytest.mark.parametrize("prec", [0, 3, 40, 140])
+def test_evaluate_exact_entries_and_mixed_products(prec):
+    x = S(F(3, 4))
+    exact = {(S(0), INF): 2, (INF, S(0)): 2, (x, x): 0, (INF, INF): 0,
+             (S(0), x): F(6, 5), (INF, x): F(8, 5)}
+    for (y, s), value in exact.items():
+        ball = basis(s).evaluate(y, prec)
+        assert (ball.mid, ball.rad) == (value, 0)
+    # sigma(0, 1) = sqrt(2) is inexact; sigma(0, inf) = 2 and sigma(0, 3/4) are not
+    mixed = [pprod(basis(INF), basis(S(1))),
+             pprod(basis(S(1)), basis(INF), scale(-3, basis(x))),
+             psum(pprod(basis(S(1)), basis(S(0, 1))), scale(F(-5, 2), basis(INF)), const(F(1, 3))),
+             pprod(basis(S(1)), basis(S(0))),  # one factor exactly 0
+             pprod(psum(basis(INF), const(-2)), basis(S(1)))]  # a sum exactly 0
+    for phi in mixed:
+        got = phi.evaluate(S(0), prec)
+        _assert_same_ball(got, _fraction_evaluate(phi, S(0), prec))
+        assert got.rad > 0 or got.mid == 0
+    assert pprod(basis(INF), basis(x)).evaluate(S(0), prec) == BallReal(F(12, 5), F(0))
+
+
+def test_holder_bound_is_cached_and_equals_a_fresh_sum():
+    rng = random.Random(7)
+    for _ in range(30):
+        phi = _random_tree(rng, 3)
+        first = holder_bound(phi)
+        assert first == _fresh_holder_bound(phi)
+        assert holder_bound(phi) is first
+        assert "_holder_bound" in vars(phi)
+
+
+def test_zero_displacement_is_the_plain_evaluation():
+    rng = random.Random(8)
+    for _ in range(30):
+        phi = _random_tree(rng, 3)
+        x, prec = _random_point(rng), rng.randint(0, 90)
+        _assert_same_ball(phi.evaluate_with_displacement(x, F(0), prec), phi.evaluate(x, prec))
+
+
+@pytest.mark.parametrize("prec", [-1, -3, -5])
+def test_negative_precision_raises(prec):
+    phi = psum(basis(S(0)), const(1))
+    for call in (lambda: phi.evaluate(S(1), prec),
+                 lambda: phi.evaluate_with_displacement(S(1), F(1, 8), prec),
+                 lambda: const(2).evaluate(S(1), prec)):
+        with pytest.raises(ValueError, match=f"precision prec must be nonnegative, got {prec}"):
+            call()

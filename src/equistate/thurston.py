@@ -12,14 +12,26 @@ an orientation-preserving branched covering with postcritical set
 {A, B, C}.  Everything downstream (tile complexes, flowers, measures of
 maximal entropy, diameters) is exact rational arithmetic over the rule
 table; no vertex degree or incidence count is ever hard-coded.
+
+The map locates a point by sign tests read off the rule table: each chart
+row of a level-1 tile is a signed multiple of one of the few distinct
+edge lines of the level-1 tiles (six for g1, nine for g2), so a point
+evaluates each line once, and the tile that holds it, together with its
+chart image, follows from those values (lowest tile id wins on shared
+edges).  Level-n tiles are pulled back through the level-1 charts, one
+pullback per vertex and chart, and a tile's barycenter is the pullback of
+the barycenter of the tile it maps onto.  Every such cache lives on a
+complex or a tile that `tile_complex` owns, so clearing its cache clears
+them too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .balls import BallReal, sqrt_of_rational
 from .errors import NotAVertex, PrecisionExhausted, RuleMismatch
@@ -132,7 +144,9 @@ class Tile:
 
     colors[j] names the corner the j-th vertex reaches under n map
     applications; target_face is the face the tile maps onto under them;
-    parent_id is the level-(n-1) tile this tile maps onto.
+    parent_id is the level-(n-1) tile this tile maps onto.  From level 2
+    on, pulled_from is the level-1 tile whose chart pulled this tile back
+    and the level-(n-1) tile it pulled back.
     """
 
     id: int
@@ -141,9 +155,19 @@ class Tile:
     colors: tuple[str, str, str]
     target_face: str
     parent_id: int | None
+    pulled_from: tuple[Tile, Tile] | None = field(default=None, compare=False, repr=False)
 
     def barycenter(self) -> TilePoint:
-        return barycenter(self.verts, self.face)
+        return self._barycenter
+
+    @cached_property
+    def _barycenter(self) -> TilePoint:
+        """Affine charts send barycenters to barycenters, so from level 2
+        on this is one pullback of the barycenter of the tile pulled back."""
+        if self.pulled_from is None:
+            return barycenter(self.verts, self.face)
+        chart, source = self.pulled_from
+        return chart.pullback(source.barycenter())
 
     @cached_property
     def chart(self) -> tuple[Triple, Triple, Triple]:
@@ -170,27 +194,13 @@ class Tile:
         big = lcm(*(sum(x) for x in v))
         return tuple(zip(*(tuple(big // sum(x) * y for y in x) for x in v)))  # type: ignore
 
-    def image(self, p: TilePoint) -> TilePoint | None:
-        """Chart image of p (one integer mat-vec), or None when p is not in
-        this closed tile.
-
-        The colors permute the corners, so p lies in the tile exactly when
-        every entry of its image is nonnegative.
-        """
-        if p.face != self.face and not p.on_boundary:
-            return None
-        a, b, c = p.abc
-        q = [ra * a + rb * b + rc * c for ra, rb, rc in self.chart]
-        if min(q) < 0:
-            return None
-        return homogeneous_point(self.target_face, *q)
-
     def pullback(self, q: TilePoint) -> TilePoint:
         """The point of this tile that the chart sends to q on target_face:
         sum_k Q_k (L/D_k) V_k, one integer mat-vec."""
         a, b, c = q.abc
-        return homogeneous_point(self.face, *(x * a + y * b + z * c
-                                              for x, y, z in self._pullback_rows))
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = self._pullback_rows
+        return homogeneous_point(self.face, x0 * a + y0 * b + z0 * c,
+                                 x1 * a + y1 * b + z1 * c, x2 * a + y2 * b + z2 * c)
 
 
 @dataclass
@@ -203,7 +213,62 @@ class TileComplex:
         return len(self.tiles)
 
     def incident_tiles(self, v: TilePoint) -> list[int]:
-        return [t.id for t in self.tiles if v in t.verts]
+        return list(self._incidence.get(v, ()))
+
+    @cached_property
+    def _incidence(self) -> dict[TilePoint, list[int]]:
+        """Vertex -> ascending ids of the tiles that hold it."""
+        index: dict[TilePoint, list[int]] = {}
+        for t in self.tiles:
+            for v in t.verts:
+                index.setdefault(v, []).append(t.id)
+        return index
+
+    @cached_property
+    def _sign_tests(self) -> tuple[list[Triple], dict[str, list[tuple]], list[tuple]]:
+        """The chart rows as signed multiples g L of distinct primitive
+        lines L (first nonzero entry positive): the lines, and per face and
+        for all faces, in id order, (tile, k_A, g_A, k_B, g_B, k_C, g_C)
+        with k the index of the line of the row for that corner.
+
+        Each row is an edge line of its tile, scaled so that it is positive
+        on the opposite vertex, so the row's value at p is g L(p), and p is
+        in the closed tile exactly when all three values are >= 0.  Meant
+        for level 1, whose tiles share few lines.
+        """
+        lines: dict[Triple, int] = {}
+        tests = []
+        for t in self.tiles:
+            test: list = [t]
+            for row in t.chart:
+                g = gcd(*row)
+                if next(x for x in row if x) < 0:
+                    g = -g
+                test += [lines.setdefault(tuple(x // g for x in row), len(lines)), g]
+            tests.append(tuple(test))
+        by_face = {face: [x for x in tests if x[0].face == face] for face in (FRONT, BACK)}
+        return list(lines), by_face, tests
+
+    def holding(self, p: TilePoint) -> Iterator[tuple[Tile, Triple]]:
+        """The tiles whose closure holds p, in id order, each with the
+        chart image of p as an unreduced triple.
+
+        Every line is evaluated once.  Only tiles on p's face can hold an
+        interior point; a boundary point tries every tile.
+        """
+        lines, by_face, tests = self._sign_tests
+        a, b, c = p.abc
+        vals = [x * a + y * b + z * c for x, y, z in lines]
+        for t, ka, ga, kb, gb, kc, gc in tests if p.on_boundary else by_face[p.face]:
+            qa = ga * vals[ka]
+            if qa < 0:
+                continue
+            qb = gb * vals[kb]
+            if qb < 0:
+                continue
+            qc = gc * vals[kc]
+            if qc >= 0:
+                yield t, (qa, qb, qc)
 
 
 def _level_one_tiles(table: RuleTable) -> list[Tile]:
@@ -241,12 +306,20 @@ def tile_complex(rule: str, level: int) -> TileComplex:
     ones = tile_complex(rule, 1).tiles
     tiles: list[Tile] = []
     for u in ones:
+        # Neighbours share vertices, so each is pulled back once.  The
+        # tiles on one face hold no two vertices with the same triple.
+        pulled: dict[Triple, TilePoint] = {}
         for x in prev.tiles:
             if x.face != u.target_face:
                 continue
-            verts = tuple(u.pullback(v) for v in x.verts)
-            tiles.append(Tile(len(tiles), u.face, verts, x.colors, x.target_face,
-                              parent_id=x.id))
+            verts = []
+            for v in x.verts:
+                y = pulled.get(v.abc)
+                if y is None:
+                    y = pulled[v.abc] = u.pullback(v)
+                verts.append(y)
+            tiles.append(Tile(len(tiles), u.face, tuple(verts), x.colors, x.target_face,
+                              parent_id=x.id, pulled_from=(u, x)))
     return TileComplex(rule, level, tiles)
 
 
@@ -266,14 +339,15 @@ class SubdivisionMap:
     def eval(self, p: TilePoint) -> TilePoint:
         """Image of p: locate p in a level-1 tile and apply its chart.
 
-        Boundary points are located consistently from any incident tile
-        (lowest tile id wins; the charts agree on shared edges, so the
-        tie-break never changes the value).
+        The location is by sign tests from the rule table: p's values on
+        the distinct edge lines of the level-1 tiles, each evaluated once,
+        decide which tiles hold it, and the same values times the chart's
+        scales are its image (see `TileComplex.holding`).  A point on
+        shared edges goes to the lowest tile id that holds it; the charts
+        agree there, so the tie-break never changes the value.
         """
-        for t in tile_complex(self.rule, 1).tiles:
-            img = t.image(p)
-            if img is not None:
-                return img
+        for t, q in tile_complex(self.rule, 1).holding(p):
+            return homogeneous_point(t.target_face, *q)
         raise ValueError(f"point {p!r} not located in any level-1 tile")
 
     def preimages(self, x: TilePoint) -> list[tuple[TilePoint, int]]:
@@ -284,14 +358,15 @@ class SubdivisionMap:
         tiles whose closure holds y, since all charts agree at shared
         points.
         """
-        matching = [t for t in tile_complex(self.rule, 1).tiles
-                    if t.target_face == x.face]
+        ones = tile_complex(self.rule, 1)
         ys: list[TilePoint] = []
-        for t in matching:
-            y = t.pullback(x)
-            if y not in ys:
-                ys.append(y)
-        return [(y, sum(1 for t in matching if t.image(y) is not None)) for y in ys]
+        for t in ones.tiles:
+            if t.target_face == x.face:
+                y = t.pullback(x)
+                if y not in ys:
+                    ys.append(y)
+        return [(y, sum(1 for t, _ in ones.holding(y) if t.target_face == x.face))
+                for y in ys]
 
 
 def vertex_image(rule: str, v: TilePoint) -> TilePoint:

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equistate.errors import NotAVertex
-from equistate.measures import pushforward, wasserstein
+from equistate.measures import TRI, FiniteMeasure, pushforward, wasserstein
 from equistate.serialize import measure_to_json, tile_complex_to_json
 from equistate.thurston import (
     SubdivisionMap,
+    Tile,
     flower,
     flower_mass,
     max_tile_diameter,
@@ -43,6 +44,18 @@ def _dist2_tri(p, q):
 
 def _vertices(c):
     return {v for t in c.tiles for v in t.verts}
+
+
+def _image(t, p):
+    """Chart image of p by one integer mat-vec, or None when p is not in
+    the closed tile t: the per-tile test that location used to scan."""
+    if p.face != t.face and not p.on_boundary:
+        return None
+    a, b, c = p.abc
+    q = [ra * a + rb * b + rc * c for ra, rb, rc in t.chart]
+    if min(q) < 0:
+        return None
+    return homogeneous_point(t.target_face, *q)
 
 
 def _edges(c):
@@ -160,7 +173,7 @@ def test_eval_map_edge_continuity():
                 t = c.tiles[t_id]
                 mid = tile_point(t.face, *((a + b) / 2 for a, b in zip(u.coords, v.coords)))
                 # evaluate through this tile's chart directly
-                img = t.image(mid)
+                img = _image(t, mid)
                 assert img is not None
                 assert img == g.eval(mid)
 
@@ -179,7 +192,7 @@ def test_preimages_round_trip(rule):
     for t in tile_complex(rule, 1).tiles:
         for q in points:
             if q.face == t.target_face or q.on_boundary:
-                assert t.image(t.pullback(q)) == q
+                assert _image(t, t.pullback(q)) == q
 
 
 def test_rule_table_validate_raises_on_child_count():
@@ -317,7 +330,7 @@ def test_wasserstein_cauchy_small_levels():
             for t in fine.tiles:
                 b = t.barycenter()
                 # The coarse tile that contains t is the one holding its barycenter.
-                container = next(c for c in coarse.tiles if c.image(b) is not None)
+                container = next(c for c in coarse.tiles if _image(c, b) is not None)
                 src, dst = child_atoms[b], parent_atoms[container.barycenter()]
                 plan.append((src, dst, w))
             cost = transport_cost_of_pairing(mu_child, mu_parent, plan, 30)
@@ -425,7 +438,7 @@ def test_chart_and_pullback_match_cramer(rule, level):
             p = tile_point(t.face, *(sum(w * v.coords[k] for w, v in zip(ws, t.verts))
                                      for k in range(3)))
             assert _ref_weights(t, p) == ws
-            img = t.image(p)
+            img = _image(t, p)
             expected = dict(zip(t.colors, ws))
             assert img == tile_point(t.target_face, *(expected[k] for k in "ABC"))
             assert t.pullback(img) == p
@@ -434,7 +447,7 @@ def test_chart_and_pullback_match_cramer(rule, level):
                 for j in range(3))
             # Any other tile of the level holds p only on its boundary.
             other = tiles[(t.id + 1) % len(tiles)]
-            holds = other.image(p) is not None
+            holds = _image(other, p) is not None
             assert holds == ((p.face == other.face or p.on_boundary)
                              and min(_ref_weights(other, p)) >= 0)
 
@@ -493,3 +506,162 @@ def test_level3_json_matches_golden_hash(rule):
            "mme": measure_to_json(mme_tile_measure(rule, 3))}
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == _GOLDEN[rule]
+
+
+# -- point location, the pullback build and its caches ------------------------
+
+
+def _reference_locate(rule, p):
+    """(tile id, image) by the id-order scan: each level-1 tile in turn,
+    one chart mat-vec per try."""
+    for t in tile_complex(rule, 1).tiles:
+        img = _image(t, p)
+        if img is not None:
+            return t.id, img
+    raise AssertionError(f"{p!r} is in no level-1 tile")
+
+
+def _reference_preimages(rule, x):
+    """Preimages with local degrees counted by chart images."""
+    matching = [t for t in tile_complex(rule, 1).tiles if t.target_face == x.face]
+    ys = []
+    for t in matching:
+        y = t.pullback(x)
+        if y not in ys:
+            ys.append(y)
+    return [(y, sum(1 for t in matching if _image(t, y) is not None)) for y in ys]
+
+
+def _location_points(rule):
+    """Every level-2 vertex, edge midpoint and barycenter, and seeded
+    rational points inside both faces and on the glued boundary."""
+    c = tile_complex(rule, 2)
+    points = set(_vertices(c))
+    for t in c.tiles:
+        points.add(t.barycenter())
+        for a, b in ((0, 1), (1, 2), (0, 2)):
+            points.add(barycenter([t.verts[a], t.verts[b]], t.face))
+    rng = random.Random(f"locate-{rule}")
+    for _ in range(300):
+        abc = [rng.randint(0, 40) for _ in range(3)]
+        if rng.random() < 0.3:
+            abc[rng.randrange(3)] = 0
+        if any(abc):
+            points.add(homogeneous_point(rng.choice((FRONT, BACK)), *abc))
+    return sorted(points, key=lambda p: (p.face, p.abc))
+
+
+@pytest.mark.parametrize("rule", ["g1", "g2"])
+def test_sign_location_matches_id_order_scan(rule):
+    g = SubdivisionMap(rule)
+    ones = tile_complex(rule, 1)
+    lines, _, _ = ones._sign_tests
+    assert len(lines) == {"g1": 6, "g2": 9}[rule]
+    points = _location_points(rule)
+    assert sum(p.on_boundary for p in points) > 50
+    assert {p.face for p in points if not p.on_boundary} == {FRONT, BACK}
+    for p in points:
+        held = [(t.id, homogeneous_point(t.target_face, *q)) for t, q in ones.holding(p)]
+        assert held == [(t.id, _image(t, p)) for t in ones.tiles if _image(t, p) is not None]
+        assert held[0] == _reference_locate(rule, p)
+        assert g.eval(p) == held[0][1]
+        assert g.preimages(p) == _reference_preimages(rule, p)
+
+
+def _reference_tiles(rule, prev):
+    """The tiles of the next level after `prev`, one pullback per vertex
+    occurrence."""
+    tiles = []
+    for u in tile_complex(rule, 1).tiles:
+        for x in prev:
+            if x.face == u.target_face:
+                tiles.append(Tile(len(tiles), u.face, tuple(u.pullback(v) for v in x.verts),
+                                  x.colors, x.target_face, x.id))
+    return tiles
+
+
+@pytest.mark.parametrize("rule", ["g1", "g2"])
+def test_tile_layer_matches_reference_build(rule):
+    g = SubdivisionMap(rule)
+    ref = None
+    for n in range(5):
+        c = tile_complex(rule, n)
+        # Levels 0 and 1 come straight from the rule table.
+        ref = c.tiles if n <= 1 else _reference_tiles(rule, ref)
+        assert c.tiles == ref
+        assert [t.barycenter() for t in c.tiles] == [barycenter(t.verts, t.face) for t in ref]
+        mu = mme_tile_measure(rule, n)
+        ref_mu = FiniteMeasure.from_atoms(
+            TRI, [(barycenter(t.verts, t.face), F(1, len(ref))) for t in ref])
+        assert mu.atoms == ref_mu.atoms
+        if n:
+            pushed = pushforward(ref_mu, lambda p: _reference_locate(rule, p)[1])
+            assert pushforward(mu, g).atoms == pushed.atoms
+        if n <= 2:
+            for v in _vertices(c):
+                assert c.incident_tiles(v) == [t.id for t in ref if v in t.verts]
+
+
+# SHA-256 of the result JSON of two CLI calls, recorded before location by
+# sign tests, vertex pullbacks once per chart and barycenters by pullback.
+_CLI_GOLDEN = {
+    ("tiles", "g2"): ("tiles_g2_level3_result.json",
+                      "93b8087b9b4759e3ce768fb93533893af36b97e2295aa334e8d3751e3f7ea6c8"),
+    ("mme", "g1"): ("mme_g1_level3_result.json",
+                    "a33215d961fc64344be36bb55125a3303fdea0bf7cd03a51c38e1128feeb828b"),
+}
+
+
+@pytest.mark.parametrize("command, rule", sorted(_CLI_GOLDEN))
+def test_level3_cli_json_matches_golden_hash(command, rule, tmp_path):
+    from equistate.cli import main
+
+    assert main([command, "--rule", rule, "--level", "3", "--out", str(tmp_path)]) == 0
+    name, digest = _CLI_GOLDEN[command, rule]
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
+def test_tile_caches_do_not_outlive_cache_clear():
+    """The sign tests, vertex index and barycenters live on complexes and
+    tiles that tile_complex's cache owns: a cleared cache rebuilds them all
+    from new objects, as a first call in a new process does."""
+    import equistate.thurston as thurston
+
+    g = SubdivisionMap("g2")
+    p = tile_point(BACK, F(1, 5), F(2, 5), F(2, 5))
+    image = g.eval(p)
+    old_ones, old_two = tile_complex("g2", 1), tile_complex("g2", 2)
+    bary = old_two.tiles[7].barycenter()
+    old_ones.incident_tiles(A)
+    assert {"_sign_tests", "_incidence"} <= vars(old_ones).keys()
+    assert "_barycenter" in vars(old_two.tiles[7])
+
+    tile_complex.cache_clear()
+    assert tile_complex.cache_info().currsize == 0
+    ones, two = tile_complex("g2", 1), tile_complex("g2", 2)
+    assert ones is not old_ones and two is not old_two
+    assert not {"_sign_tests", "_incidence"} & vars(ones).keys()
+    assert not any("_barycenter" in vars(t) for t in ones.tiles + two.tiles)
+    assert vars(g) == {"rule": "g2"}  # the map itself holds no cache
+
+    assert g.eval(p) == image
+    assert "_sign_tests" in vars(ones)  # built by eval, on the new complex
+    _, _, tests = ones._sign_tests
+    assert all(x[0] is t for x, t in zip(tests, ones.tiles))
+    t = two.tiles[7]
+    assert t.barycenter() == bary
+    chart, source = t.pulled_from
+    assert chart is ones.tiles[chart.id] and source is ones.tiles[source.id]
+    assert "_barycenter" in vars(source)
+
+    # No other cache in the module survives the clear.
+    def holds_tiles(obj):
+        if isinstance(obj, (Tile, thurston.TileComplex)):
+            return True
+        if isinstance(obj, dict):
+            obj = obj.values()
+        return isinstance(obj, (list, tuple, set, type({}.values()))) and any(map(holds_tiles, obj))
+
+    assert not any(holds_tiles(obj) for obj in vars(thurston).values())
+    assert [name for name, obj in vars(thurston).items() if hasattr(obj, "cache_info")] \
+        == ["tile_complex"]

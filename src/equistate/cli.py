@@ -41,7 +41,7 @@ from .serialize import (
     tile_complex_to_json,
     witnesses_from_json,
 )
-from .sphere import INF, SpherePoint
+from .sphere import SpherePoint
 from .thermo import backward_orbit_measure, birkhoff_sum, empirical_pressure, pressure
 from .thurston import mme_tile_measure, max_tile_diameter, tile_complex
 from .verify import (
@@ -150,12 +150,11 @@ def cmd_mme(args):
 def _random_regular_points(f, count: int):
     rng = random.Random(20250809)
     out = []
-    f_inf = f.apply(INF)
     while len(out) < count:
         re = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
         im = Fraction(rng.randint(-12, 12), rng.randint(1, 6))
         p = SpherePoint.finite(re, im)
-        if p == f_inf:
+        if p == f.at_infinity:
             continue
         out.append(p)
     return out

@@ -27,11 +27,6 @@ def dyadic_numerator(n: int, d: int, bits: int) -> int:
     return -((((-n) << (bits + 1)) + d) // (2 * d))
 
 
-def ceil_to_dyadic(q: Fraction, bits: int) -> Fraction:
-    scaled = q * (1 << bits)
-    return Fraction(-((-scaled.numerator) // scaled.denominator), 1 << bits)
-
-
 def sqrt_lower_numerator(n: int, d: int, bits: int) -> int:
     """floor(sqrt(n/d) * 2^bits), for n >= 0 and d > 0.
 
@@ -54,6 +49,15 @@ def compare_square(n: int, d: int, r: Fraction) -> int:
     """Sign (-1, 0 or 1) of n/d - r^2 for d > 0: n r_den^2 against r_num^2 d."""
     a, b = n * r.denominator ** 2, r.numerator ** 2 * d
     return (a > b) - (a < b)
+
+
+def discs_apart(n: int, d: int, r1: Fraction, r2: Fraction) -> bool:
+    """Whether n/d > (r1 + r2)^2, for d > 0 and r1, r2 >= 0: discs of radii
+    r1 and r2 about two points at squared distance n/d are disjoint.  With
+    r_k = n_k/d_k it compares n (d1 d2)^2 with (n1 d2 + n2 d1)^2 d."""
+    s = r1.numerator * r2.denominator + r2.numerator * r1.denominator
+    q = r1.denominator * r2.denominator
+    return n * q * q > s * s * d
 
 
 def format_rational(q: Fraction) -> str:

@@ -282,8 +282,9 @@ class TestFunction:
         if self.eps <= 0:
             raise ValueError("hat width eps must be > 0")
 
-    @property
+    @cached_property
     def lipschitz(self) -> Fraction:
+        """1/eps, computed once per hat."""
         return 1 / self.eps
 
     def __call__(self, x: Point, prec: int = 40) -> BallReal:

@@ -8,6 +8,15 @@ every operation is integer arithmetic with one gcd per result.  Newton's
 hot loop skips even those gcds: `horner_int` evaluates the coefficients
 with their denominators cleared (`integer_coeffs`) at a point given by
 the numerators x, y over the denominator d of its triple.
+
+The cleared form is made once per polynomial and kept: `integer_form` is
+(C, m), Gaussian-integer coefficients C = m*p over a positive integer
+multiplier m.  A polynomial built by `from_integers` keeps the form it
+was built from, which need not have the smallest m; any other clears its
+denominators with their lcm on first use.  Which m a form carries changes
+no result: C has the roots of p with their multiplicities, every ratio
+of values such as C(z)/C'(z) is that of p, and every bound that reads
+|C(z)|^2 divides m^2 back out (see `roots` and `thermo`).
 """
 
 from __future__ import annotations
@@ -15,8 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .gauss import G_ZERO, GaussRat
+from .gauss import G_ZERO, GaussRat, gauss_ratio
 
 
 def _strip(coeffs: tuple[GaussRat, ...]) -> tuple[GaussRat, ...]:
@@ -40,8 +50,29 @@ class Polynomial:
         return Polynomial(_strip(lifted))
 
     @staticmethod
+    def from_integers(coeffs: list[tuple[int, int]], mult: int) -> "Polynomial":
+        """The polynomial sum (re + im*i) z^k / mult over the (re, im) pairs
+        of `coeffs`, lowest first, for mult > 0; it keeps `coeffs` (without
+        trailing zeros) and `mult` as its `integer_form`."""
+        n = len(coeffs)
+        while n > 0 and coeffs[n - 1] == (0, 0):
+            n -= 1
+        coeffs = coeffs[:n]
+        p = Polynomial(tuple(gauss_ratio(x, y, mult) for x, y in coeffs))
+        p.__dict__["integer_form"] = coeffs, mult
+        return p
+
+    @staticmethod
     def zero() -> "Polynomial":
         return Polynomial(())
+
+    @cached_property
+    def integer_form(self) -> tuple[list[tuple[int, int]], int]:
+        """(C, m): the coefficients of m*p as (re, im) integer pairs, lowest
+        first, and the multiplier m > 0, here the lcm of the coefficients'
+        denominators.  Computed once; `from_integers` sets it instead."""
+        m = math.lcm(*(c.d for c in self.coeffs))
+        return [(c.x * (m // c.d), c.y * (m // c.d)) for c in self.coeffs], m
 
     @property
     def degree(self) -> int:
@@ -152,12 +183,9 @@ def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
 
 
 def integer_coeffs(p: Polynomial) -> list[tuple[int, int]]:
-    """Coefficients of D*p as (re, im) integer pairs, lowest first, with D
-    the lcm of the coefficients' denominators."""
-    D = 1
-    for c in p.coeffs:
-        D = math.lcm(D, c.d)
-    return [(c.x * (D // c.d), c.y * (D // c.d)) for c in p.coeffs]
+    """The coefficients of p's `integer_form`: m*p as (re, im) integer
+    pairs, lowest first, for its positive multiplier m."""
+    return p.integer_form[0]
 
 
 def horner_int(coeffs: list[tuple[int, int]], a: int, b: int, c: int

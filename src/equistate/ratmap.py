@@ -6,14 +6,26 @@ which keeps coefficients small); the excluded value x = f(inf) is the one
 point where that polynomial's degree collapses, and is rejected.  The
 same chart rule gives `preimage_perturbation`: how far the polynomial can
 move when x is only known to within a Euclidean distance.
+
+A map keeps num and den as Gaussian-integer coefficient lists N, D over
+one common denominator F (`integer_terms`), and f(inf).  The preimage
+polynomial g of x = (a + b*i)/c is then one integer pass, and is built
+with the integer form it comes from (`Polynomial.from_integers`):
+c F g = c N - (a + b*i) D when |x| <= 1, and
+F (a^2 + b^2) g = (a^2 + b^2) D - c (a - b*i) N otherwise.  The
+multiplier c F or F (a^2 + b^2) is a positive integer and need not be the
+smallest one; the root solve and the tree's displacement read g through
+that form, and neither depends on which positive multiplier it carries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .dyadics import ZERO, ceil_to_dyadic, sqrt_lower_numerator
+from .dyadics import ZERO, sqrt_lower_numerator
 from .errors import ChartFailure, ExcludedPoint
 from .gauss import GaussRat
 from .polynomials import Polynomial, poly_gcd
@@ -42,6 +54,21 @@ class RationalMapRec:
     @property
     def degree(self) -> int:
         return max(self.num.degree, self.den.degree)
+
+    @cached_property
+    def integer_terms(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int]:
+        """(N, D, F): num = N/F and den = D/F, with N and D lists of (re, im)
+        integer pairs, lowest first, over F > 0, the lcm of the multipliers
+        of num's and den's integer forms."""
+        (N, n), (D, d) = self.num.integer_form, self.den.integer_form
+        F = math.lcm(n, d)
+        return ([(x * (F // n), y * (F // n)) for x, y in N],
+                [(x * (F // d), y * (F // d)) for x, y in D], F)
+
+    @cached_property
+    def at_infinity(self) -> SpherePoint:
+        """f(inf)."""
+        return self.apply(INF)
 
     def __call__(self, p: SpherePoint) -> SpherePoint:
         return self.apply(p)
@@ -86,19 +113,32 @@ def preimage_polynomial(f: RationalMapRec, x: SpherePoint) -> Polynomial:
 
     Raises ExcludedPoint when x = f(inf), where the degree collapses.
     """
-    if x == f.apply(INF):
+    if x == f.at_infinity:
         raise ExcludedPoint("x equals f(inf); preimage polynomial degenerates")
     if x.is_infinity:
         g = f.den
     else:
+        N, D, F = f.integer_terms
         z = x.as_gauss()
+        a, b, c = z.x, z.y, z.d
         if _num_chart(z):
-            g = f.num - f.den.scale(z)
+            g = Polynomial.from_integers(_combine(c, N, -a, -b, D), c * F)
         else:
-            g = f.den - f.num.scale(z.inverse())
+            n2 = a * a + b * b
+            g = Polynomial.from_integers(_combine(n2, D, -c * a, c * b, N), F * n2)
     if g.degree != f.degree:
         raise ChartFailure("unexpected degree collapse")  # defensive; unreachable
     return g
+
+
+def _combine(r: int, P: list[tuple[int, int]], u: int, v: int, Q: list[tuple[int, int]]
+             ) -> list[tuple[int, int]]:
+    """The coefficients of r*P + (u + v*i)*Q, lowest first."""
+    n = max(len(P), len(Q))
+    P = P + [(0, 0)] * (n - len(P))
+    Q = Q + [(0, 0)] * (n - len(Q))
+    return [(r * pr + u * qr - v * qi, r * pi + u * qi + v * qr)
+            for (pr, pi), (qr, qi) in zip(P, Q)]
 
 
 def _num_chart(z: GaussRat) -> bool:
@@ -120,16 +160,22 @@ def preimage_perturbation(f: RationalMapRec, x: SpherePoint, delta: Fraction,
     one tree level to the next; None when L <= delta, where x' may be 0.
     An exactly stored x (delta = 0, the only way infinity is stored) gets
     the zero polynomial.
+
+    On integers, with L = low/2^bits and delta = dn/dd: L - delta is
+    gap/(2^bits dd) for gap = low dd - dn 2^bits, and eps 4^bits rounded up
+    is the ceiling of dn 16^bits / (low gap).
     """
     if delta == 0:
         return Polynomial.zero(), ZERO
     z = x.as_gauss()
     if _num_chart(z):
         return f.den, delta
-    low = Fraction(sqrt_lower_numerator(z.x * z.x + z.y * z.y, z.d * z.d, bits), 1 << bits)
-    if low <= delta:
+    dn, dd = delta.numerator, delta.denominator
+    low = sqrt_lower_numerator(z.x * z.x + z.y * z.y, z.d * z.d, bits)
+    gap = low * dd - (dn << bits)
+    if gap <= 0:
         return None
-    return f.num, ceil_to_dyadic(delta / (low * (low - delta)), 2 * bits)
+    return f.num, Fraction(-((-dn << (4 * bits)) // (low * gap)), 1 << (2 * bits))
 
 
 def preimages(f: RationalMapRec, x: SpherePoint, l: int) -> list[RootCluster]:

@@ -15,11 +15,18 @@ computed with the standard library alone: the closed form for
 quadratics, and for higher degrees at most 40 Aberth-Ehrlich sweeps
 (Aberth 1973, Math. Comp. 27) from Bini's Newton-polygon start (Bini
 1996, Numer. Algorithms 13).  From each seed it runs Newton on Gaussian
-integers: the coefficients with their denominators cleared, and z as
-integer numerators over one denominator (2^bits after the first step,
-which rounds each step to the nearest multiple of 2^-bits).  A step is a
+integers: the coefficients of the polynomial's integer form
+(`Polynomial.integer_form`, made once per polynomial), and z as integer
+numerators over one denominator (2^bits after the first step, which
+rounds each step to the nearest multiple of 2^-bits).  A step is a
 function of z alone, so the iteration stops at the first step that
 returns its input.
+
+The form is C = m*p for some positive integer m, and no result depends
+on m: multiplying p by any nonzero constant leaves its roots, the Newton
+step z - p/p', the residual bound d|p/p'|, the float seeds (computed from
+the monic coefficients), the snap's test p(w) = 0 and Yun's monic
+factors unchanged.
 
 Certification is integer arithmetic end to end.  The residual bound
 comes from the same integer evaluation, its square root and the chordal
@@ -38,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyadics import ZERO, compare_square, dyadic_numerator, sqrt_upper_numerator
+from .dyadics import ZERO, discs_apart, dyadic_numerator, sqrt_upper_numerator
 from .errors import PrecisionExhausted
 from .gauss import GaussRat, euclid_sq_parts, gauss_ratio
 from .polynomials import Polynomial, horner_int, integer_coeffs, square_free_decomposition
@@ -204,19 +211,20 @@ def _gauss_from_complex(z: complex, bits: int) -> GaussRat:
                      *_limit_denominator(*z.imag.as_integer_ratio(), bound))
 
 
-def _residual_radius(degree: int, c: int, at: tuple[int, int, int, int], bits: int
-                     ) -> Fraction | None:
-    """Upper bound on degree * |q(z)/q'(z)| from `horner_int` at z = w/c,
-    where |q/q'| = |N|/(c*|M|), rounded up at `bits` bits; None at a
-    critical point."""
+def _residual_numerator(degree: int, c: int, at: tuple[int, int, int, int], bits: int
+                        ) -> int | None:
+    """The numerator over 2^bits of an upper bound on degree * |q(z)/q'(z)|
+    from `horner_int` at z = w/c, where |q/q'| = |N|/(c*|M|), rounded up
+    at `bits` bits; None at a critical point.  N and M scale alike with q,
+    so the bound does not depend on the multiplier of q's integer form."""
     nr, ni, mr, mi = at
     num2 = nr * nr + ni * ni
     if num2 == 0:
-        return ZERO
+        return 0
     den2 = mr * mr + mi * mi
     if den2 == 0:
         return None
-    return Fraction(sqrt_upper_numerator(degree * degree * num2, c * c * den2, bits), 1 << bits)
+    return sqrt_upper_numerator(degree * degree * num2, c * c * den2, bits)
 
 
 def _snap_to_exact_root(coeffs: list[tuple[int, int]], z: GaussRat, rad: Fraction
@@ -269,10 +277,11 @@ def _solve_square_free(q: Polynomial, target: Fraction, bits: int
     for seed in _float_seeds(coeffs):
         z0 = _gauss_from_complex(seed, 60)
         a, b, c, at = _newton(coeffs, z0.x, z0.y, z0.d, bits, steps)
-        r = _residual_radius(q.degree, c, at, bits)
-        if r is None or r > target:
+        u = _residual_numerator(q.degree, c, at, bits)
+        if u is None or u * target.denominator > target.numerator << bits:
             return None
         z = gauss_ratio(a, b, c)
+        r = Fraction(u, 1 << bits)
         snapped = _snap_to_exact_root(coeffs, z, r)
         out.append((z, r) if snapped is None else (snapped, ZERO))
     return out
@@ -328,13 +337,13 @@ def certified_roots(p: Polynomial, l: int) -> list[RootCluster]:
 
 def _clusters_disjoint(clusters: list[RootCluster]) -> bool:
     """Euclidean and chordal disjointness across all clusters, decided on
-    the squared distances' integers."""
+    the integers of the squared distances and the radii (`discs_apart`)."""
     for i, a in enumerate(clusters):
         for b in clusters[i + 1:]:
-            if compare_square(*euclid_sq_parts(a.midpoint, b.midpoint),
-                              a.euclid_rad + b.euclid_rad) <= 0:
+            if not discs_apart(*euclid_sq_parts(a.midpoint, b.midpoint),
+                               a.euclid_rad, b.euclid_rad):
                 return False
-            if compare_square(*chordal_sq_parts(a.center.center, b.center.center),
-                              a.center.rad + b.center.rad) <= 0:
+            if not discs_apart(*chordal_sq_parts(a.center.center, b.center.center),
+                               a.center.rad, b.center.rad):
                 return False
     return True

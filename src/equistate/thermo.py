@@ -16,7 +16,13 @@ itself is the displacement.  Like the root certificates, the
 displacement and the chordal radius are computed on integers: one
 homogeneous `horner_int` pass per polynomial gives |g|^2, |g'|^2, |P|^2 and
 |P'|^2 at the stored child as integer quotients, and their square roots are
-integer square roots at a fixed scale.
+integer square roots at a fixed scale.  Each pass reads the polynomial's
+integer form m*q, made once: g keeps the form `preimage_polynomial` built
+it from, which the root solve has already read, and P, which is den or num
+for every node of the tree, keeps its own.  The quotients divide m^2 back
+out, so |g(z)|^2 and the rest are the same rationals for any positive m.
+The sibling disjointness test cross-multiplies integers as well, the
+squared distance's and the radii's numerators and denominators.
 
 Pressure follows the iterate-and-log recipe: pick N beyond 2^(n+1)*C0*R,
 take an anchor off the forward orbit of infinity with more than one
@@ -33,15 +39,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import BallReal, ball_exp, ball_log, ball_sum
-from .dyadics import ZERO, compare_square, sqrt_lower_numerator, sqrt_upper_numerator
+from .dyadics import ZERO, compare_square, discs_apart, sqrt_lower_numerator, sqrt_upper_numerator
 from .errors import ExcludedAnchor, ExcludedPoint, PrecisionExhausted
 from .gauss import GaussRat, euclid_sq_parts
 from .measures import SPHERE, FiniteMeasure
-from .polynomials import Polynomial, horner_int, integer_coeffs, poly_gcd
+from .polynomials import Polynomial, horner_int, poly_gcd
 from .potentials import Potential, upper_bound
 from .ratmap import RationalMapRec, preimage_perturbation, preimage_polynomial
 from .roots import certified_roots
-from .sphere import INF, SpherePoint, chordal_disc_radius, chordal_sq_parts, ideal_enumerate
+from .sphere import SpherePoint, chordal_disc_radius, chordal_sq_parts, ideal_enumerate
 
 _MAX_TREE_LEAVES = 1 << 19
 _MAX_PRESSURE_DEPTH = 18
@@ -72,14 +78,16 @@ class PreimageTree:
 
 def _scaled_abs2(q: Polynomial, z: GaussRat) -> tuple[int, int, int, int]:
     """|q(z)|^2 and |q'(z)|^2 as integer quotients n/d, from one `horner_int`
-    pass: with D the lcm of q's coefficient denominators, k = deg q and c the
-    denominator of z, it returns c^k D q(z) and c^(k-1) D q'(z) (q' = 0 when
-    k = 0).  q must not be the zero polynomial."""
-    nr, ni, mr, mi = horner_int(integer_coeffs(q), z.x, z.y, z.d)
-    D = math.lcm(*(a.d for a in q.coeffs))
+    pass over q's integer form (C, m), C = m q: with k = deg q and c the
+    denominator of z, it gives c^k m q(z) and c^(k-1) m q'(z) (q' = 0 when
+    k = 0), and the denominators divide m^2 back out, so the quotients are
+    the same rationals whichever positive multiplier the form carries.  q
+    must not be the zero polynomial."""
+    coeffs, m = q.integer_form
+    nr, ni, mr, mi = horner_int(coeffs, z.x, z.y, z.d)
     if q.degree == 0:
-        return nr * nr + ni * ni, D * D, 0, 1
-    s = D * z.d ** (q.degree - 1)
+        return nr * nr + ni * ni, m * m, 0, 1
+    s = m * z.d ** (q.degree - 1)
     s2 = s * s
     return nr * nr + ni * ni, s2 * z.d * z.d, mr * mr + mi * mi, s2
 
@@ -129,7 +137,7 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
     excluded = f.infinity_orbit(depth)
     if x in excluded:
         raise ExcludedPoint(f"anchor {x!r} lies on the forward orbit of infinity")
-    f_of_inf = f.apply(INF)
+    f_of_inf = f.at_infinity
     zero_phi = phi is None or phi.is_zero()
     root = TreeNode(x, ZERO, ZERO, 1, BallReal.exact(0))
     levels = [[root]]
@@ -179,11 +187,12 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
 
 def _check_disjoint(siblings: list[TreeNode]) -> None:
     """Raise PrecisionExhausted unless the siblings' Euclidean discs are
-    pairwise disjoint: |z_i - z_j| > delta_i + delta_j."""
+    pairwise disjoint: |z_i - z_j| > delta_i + delta_j, decided on
+    integers by `discs_apart`."""
     for i, a in enumerate(siblings):
         for b in siblings[i + 1:]:
-            if compare_square(*euclid_sq_parts(a.point.as_gauss(), b.point.as_gauss()),
-                              a.euclid_err + b.euclid_err) <= 0:
+            if not discs_apart(*euclid_sq_parts(a.point.value, b.point.value),
+                               a.euclid_err, b.euclid_err):
                 raise PrecisionExhausted("sibling preimage discs meet")
 
 

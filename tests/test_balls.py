@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equistate.dyadics import bit_floor_log2, ceil_to_dyadic, dyadic_numerator
+from equistate.dyadics import bit_floor_log2, dyadic_numerator
 from equistate.balls import (
     BallReal,
     DirectedReal,
@@ -23,11 +23,17 @@ dyadics = st.integers(-200, 200).map(lambda n: F(n, 64))
 small_dyadics = st.integers(-40, 40).map(lambda n: F(n, 16))
 
 
+def _ceil_to_dyadic(q: F, bits: int) -> F:
+    """The least multiple of 2^-bits at or above q."""
+    scaled = q * (1 << bits)
+    return F(-((-scaled.numerator) // scaled.denominator), 1 << bits)
+
+
 def _round(b: BallReal, bits: int) -> BallReal:
     """b on a midpoint rounded to the nearest multiple of 2^-bits, with the
     rounding error moved into the radius."""
     m = F(dyadic_numerator(b.mid.numerator, b.mid.denominator, bits), 1 << bits)
-    return BallReal(m, ceil_to_dyadic(b.rad + abs(m - b.mid), bits + 4))
+    return BallReal(m, _ceil_to_dyadic(b.rad + abs(m - b.mid), bits + 4))
 
 
 def test_add_identity():

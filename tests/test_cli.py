@@ -204,6 +204,36 @@ def test_mme_backward_orbit_near_circle(tmp_path):
     assert open(csv_path).readline().strip() == "point,re,im,weight"
 
 
+# The potential of the benchmark's `pressure` workload.
+_BENCH_PHI = pot.psum(pot.basis(SpherePoint.finite(0)),
+                      pot.scale(Fraction(1, 2), pot.pprod(pot.basis(SpherePoint.finite(1)),
+                                                          pot.basis(SpherePoint.finite(0, 1)))))
+
+# SHA-256 of the result JSON of two preimage-tree CLI calls, recorded with
+# preimage polynomials built by `Polynomial` arithmetic.
+_TREE_CLI_GOLDEN = {
+    "mme": ("mme_depth6_result.json",
+            "e9ea953a3670bbdfda4aebcce54e7162f2fba71887dc2504e7fe8230a036d936"),
+    "pressure": ("pressure_result.json",
+                 "7b8a3b4e5f6cadc6e6f2c1ba664803cc739034f1565710c30d5a0a1179567f19"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TREE_CLI_GOLDEN))
+def test_tree_cli_json_matches_golden_hash(command, tmp_path):
+    if command == "mme":
+        args = ["mme", "--map", "(z^2+1)/(z^2-1)", "--depth", "6", "--anchor", "3"]
+    else:
+        phi_path = tmp_path / "phi.json"
+        phi_path.write_text(json.dumps(potential_to_json(_BENCH_PHI)), encoding="utf-8")
+        args = ["pressure", "--map", "z^2-2", "--potential", f"@{phi_path}",
+                "--mode", "empirical", "--n", "4"]
+    out = tmp_path / "out"
+    run_cli(args, out)
+    name, digest = _TREE_CLI_GOLDEN[command]
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 def test_verify_jacobian_pass(tmp_path):
     run_cli(["verify", "jacobian", "--map", "z^2", "--J", "const:2",
              "--points", "6"], tmp_path)

@@ -428,6 +428,7 @@ def test_hat_shape():
     assert tau(S(1)).mid == 1
     assert tau(S(-1)).mid == 0  # sigma(1,-1) = 2 >> eps
     assert tau.lipschitz == 4
+    assert tau.lipschitz is tau.lipschitz  # 1/eps once per hat, not per read
 
 
 def test_hat_plateau_and_support():

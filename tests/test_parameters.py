@@ -191,12 +191,17 @@ def test_every_import_is_read():
 # traced benchmark run.
 
 
-def test_every_traced_function_exists(monkeypatch):
+def _layers(monkeypatch):
     spec = importlib.util.spec_from_file_location("perfbench_layers",
                                                   REPO / "perfbench" / "layers.py")
     layers = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, layers)  # its dataclass looks itself up
     spec.loader.exec_module(layers)
+    return layers
+
+
+def test_every_traced_function_exists(monkeypatch):
+    layers = _layers(monkeypatch)
     missing = []
     for metric, (module, path) in layers.TRACED.items():
         owner = importlib.import_module(f"equistate.{module}")
@@ -205,3 +210,26 @@ def test_every_traced_function_exists(monkeypatch):
         if not callable(owner):
             missing.append(metric)
     assert layers.TRACED and missing == []
+
+
+def test_the_tracer_sees_each_tree_level(monkeypatch):
+    """The tree calls `preimage_polynomial` and `certified_roots` through the
+    names the tracer wraps: a z^2-2 tree of depth 3 at anchor 3 makes one
+    call of each per inner node (7) and has 15 nodes."""
+    from equistate.serialize import parse_map
+    from equistate.sphere import SpherePoint
+
+    layers = _layers(monkeypatch)
+    for module in {module for module, _ in layers.TRACED.values()}:
+        importlib.import_module(f"equistate.{module}")
+    thermo = importlib.import_module("equistate.thermo")
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        thermo.build_preimage_tree(parse_map("z^2-2"), SpherePoint.finite(3), 3, 30)
+    finally:
+        tracer.uninstall()
+    rows = tracer.snapshot()
+    assert rows["ratmap.preimage_polynomial.calls"] == 7
+    assert rows["roots.certified_roots.calls"] == 7
+    assert rows["thermo.tree_nodes"] == 15

@@ -9,6 +9,7 @@ from equistate.polynomials import Polynomial, poly_gcd, square_free_decompositio
 from equistate.ratmap import (RationalMapRec, critical_points, postcritical_orbit,
                               preimage_polynomial, preimages)
 from equistate.roots import certified_roots
+from equistate.serialize import parse_map
 from equistate.sphere import INF, SpherePoint, chordal_sq_parts
 
 S = SpherePoint.finite
@@ -119,6 +120,43 @@ def test_chart_rule_puts_the_unit_circle_in_the_num_chart():
         assert preimage_polynomial(Z2, x) == Z2.num - Z2.den.scale(x.as_gauss())
     x = S(F(3, 5), F(4, 5) + F(1, 1 << 80))
     assert preimage_polynomial(Z2, x) == Z2.den - Z2.num.scale(x.as_gauss().inverse())
+
+
+def _ref_preimage_polynomial(f, x):
+    """The chart polynomial by `Polynomial` arithmetic."""
+    if x.is_infinity:
+        return f.den
+    z = x.as_gauss()
+    if z.abs2() <= 1:
+        return f.num - f.den.scale(z)
+    return f.den - f.num.scale(z.inverse())
+
+
+@pytest.mark.parametrize("k, expr", enumerate(["(2*z^2+1)/(z^2+3)", "z^2+i", "1/z^2",
+                                               "z^3-3/4*z"]))
+def test_preimage_polynomial_matches_polynomial_arithmetic(k, expr):
+    """Equal to num - x*den or den - num/x built by `Polynomial`
+    arithmetic, in both charts, on |x| = 1 and at infinity, with an integer
+    form C/m that is the reference's R/n up to a positive factor; f(inf)
+    itself is excluded."""
+    f = parse_map(expr)
+    with pytest.raises(ExcludedPoint):
+        preimage_polynomial(f, f.apply(INF))
+    rng = random.Random(k)
+    points = [INF, S(F(3, 5), F(4, 5)), S(F(-5, 13), F(12, 13)), S(0, -1), S(2), S(0)]
+    points += [S(F(rng.randint(-30, 30), rng.randint(1, 9)), F(rng.randint(-30, 30), rng.randint(1, 9)))
+               for _ in range(60)]
+    charts = set()
+    for x in points:
+        if x == f.apply(INF):
+            continue
+        g = preimage_polynomial(f, x)
+        ref = _ref_preimage_polynomial(f, x)
+        assert g == ref, (expr, x)
+        (C, m), (R, n) = g.integer_form, ref.integer_form
+        assert m > 0 and [(a * n, b * n) for a, b in C] == [(a * m, b * m) for a, b in R]
+        charts.add("inf" if x.is_infinity else x.as_gauss().abs2() <= 1)
+    assert charts == {True, False} | ({"inf"} if f.apply(INF) != INF else set())
 
 
 def test_preimages_excluded_point():

@@ -313,6 +313,46 @@ def test_certified_roots_match_fraction_reference(l):
     assert multiple >= 50 and exact >= 100  # the planted kinds took effect
 
 
+# -- the multiplier of the integer form changes no root ----------------------------
+
+
+def _multiplier_polys():
+    """Seeded quadratics, quadratics with an exact double root (which take
+    the Yun path) and the degree 3-9 edge cases."""
+    rng = random.Random(20)
+
+    def coeff():
+        return G(F(rng.randint(-9, 9), rng.randint(1, 8)), F(rng.randint(-9, 9), rng.randint(1, 8)))
+
+    out = []
+    for _ in range(12):
+        out.append(Polynomial.of(coeff(), coeff(), G(F(rng.randint(1, 9), rng.randint(1, 4)))))
+        out.append(poly_from_roots([coeff()] * 2))
+    return out + [p for p in _EDGE_POLYS if p.degree >= 3]
+
+
+@pytest.mark.parametrize("l", [10, 40])
+def test_certified_roots_ignore_a_constant_factor(l):
+    """certified_roots of lambda*p, for nonzero Gaussian integers lambda,
+    are those of p: the same centres, radii, multiplicities and order.  So
+    are those of p built from a scaled integer form, which it keeps."""
+    rng = random.Random(l)
+    doubles = 0
+    for p in _multiplier_polys():
+        want = certified_roots(p, l)
+        doubles += any(c.multiplicity == 2 for c in want)
+        for _ in range(2):
+            lam = G(rng.randint(1, 50) * rng.choice((1, -1)), rng.randint(-50, 50))
+            assert certified_roots(p.scale(lam), l) == want, (p, lam)
+        coeffs, m = p.integer_form
+        k = rng.randint(2, 1 << 40)
+        scaled = [(k * x, k * y) for x, y in coeffs]
+        q = Polynomial.from_integers(scaled, k * m)
+        assert q == p and q.integer_form == (scaled, k * m)
+        assert certified_roots(q, l) == want
+    assert doubles == 12
+
+
 # -- the integer Newton kernel ---------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import math
 import random
@@ -16,6 +17,7 @@ from equistate.polynomials import Polynomial
 from equistate.potentials import basis, const, pprod, psum, scale
 from equistate.ratmap import RationalMapRec, preimage_perturbation, preimage_polynomial
 from equistate.roots import certified_roots
+from equistate.serialize import parse_map
 from equistate.sphere import INF, SpherePoint
 from equistate.thermo import (
     backward_orbit_measure,
@@ -394,3 +396,63 @@ def test_meeting_sibling_discs_exhaust_precision(monkeypatch):
     monkeypatch.setattr(thermo, "_perturbed_child_displacement", lambda *args: F(3))
     with pytest.raises(PrecisionExhausted, match="sibling preimage discs meet"):
         build_preimage_tree(Z2M2, S(3), 1, 30)
+
+
+# -- pinned trees --------------------------------------------------------------
+
+# The potential of the benchmark's `pressure` workload.
+BENCH_PHI = psum(basis(S(0)), scale(F(1, 2), pprod(basis(S(1)), basis(S(0, 1)))))
+
+# SHA-256 of every node (point, euclid_err, chordal_err, degree_product,
+# phi_path) of the depth-4 trees below, recorded with preimage
+# polynomials built by `Polynomial` arithmetic and denominators cleared
+# per use.  Anchors: one inside the unit disc, one outside, and
+# 3/5 + 4/5 i on the circle, so every tree uses both charts.
+_TREE_GOLDEN = {
+    ("z^2", False): ("84bb89900c8f06ba581d1436812af8635093ea1f7403b94c0e68195e66b91ab9",
+                     "a8d5f0a4f0c2617994a77ff8bd67e6e1da01acca583de6b0855ea7d0193fb5a6",
+                     "989b533e5a7011aab176cdb2bb1bf6473673a82a61cc075a4b55fc6b1bfd10c3"),
+    ("z^2", True): ("65d3dd4866451d56db95b78fb77b050b157d054e90699a9573b465926d5aeec4",
+                    "4b68afcd30537491389a629c5b5572920b734606271156743f64107a04a95d48",
+                    "70082366c5b6f81586f7c34b0ea900aa2ee3712d65b0611f2e37c295ca2d1c7b"),
+    ("z^2-2", False): ("01db56e344f2b058a0aa3ec81221601f198f72dab9f1a5aea00f086502a91df0",
+                       "8f18889c47dcbc0e1183187b49f81f2ee9e50ed360ae4ae58b8a7eabd61264bd",
+                       "83a5cf2b116879ac8760118a869071ee912d3e836c41a5d2b37f5a3f87ab35b6"),
+    ("z^2-2", True): ("eb13f09239a131758e6cfa49569615d6f7f8ca34ddf31e0c02b2c813fada2ad4",
+                      "0b6f66e99c9af84b6d41a5ede30c4f2493c0926613ac99343d45864abe286620",
+                      "1e746dc5f183793b6a9cfd9bb51925fc6e496ded54027ae3bc3439f2494ea44f"),
+    ("(z^2+1)/(z^2-1)", False): (
+        "8e97e35db0f72e1b649da739bc228d94ce94b5262f98a84c10464ebc17a3c6a2",
+        "c7a9bab0bce2b9ff67b074ed29f0aa9ca9aa3d597e7da9be927217ad4ebaace4",
+        "5426dff46e285cd0c720efaff5d74192ca3a65ffe7cf18623eb28cd2eb0a10e7"),
+    ("(z^2+1)/(z^2-1)", True): (
+        "3fbd01a4d724d58ddcfb4318f9de0206f834703157743c21ecc58b7c7e336394",
+        "3f6dc6f2377e69c841b30e264786e5628d23545f0893dd280a81eda25d17c758",
+        "f636ef29d08cce0499b655519b1003b15a9c7414062f03d34efbae2e2b0b43b3"),
+}
+
+
+def _tree_digest(tree) -> str:
+    h = hashlib.sha256()
+    for k, level in enumerate(tree.levels):
+        for n in level:
+            z = n.point.value
+            pt = "inf" if z is None else f"{z.x},{z.y},{z.d}"
+            h.update(f"{k};{pt};{n.euclid_err};{n.chordal_err};{n.degree_product};"
+                     f"{n.phi_path.mid};{n.phi_path.rad}\n".encode())
+    return h.hexdigest()
+
+
+def _pinned_anchors(seed):
+    rng = random.Random(seed)
+    inner = S(F(rng.randint(-5, 5), rng.randint(8, 12)), F(rng.randint(-5, 5), rng.randint(8, 12)))
+    outer = S(F(rng.randint(5, 30), rng.randint(1, 4)), F(rng.randint(-9, 9), rng.randint(1, 4)))
+    return [inner, outer, S(F(3, 5), F(4, 5))]
+
+
+@pytest.mark.parametrize("expr, with_phi", sorted(_TREE_GOLDEN))
+def test_tree_nodes_match_pinned_digests(expr, with_phi):
+    f = parse_map(expr)
+    got = tuple(_tree_digest(build_preimage_tree(f, x, 4, 48, BENCH_PHI if with_phi else None, 58))
+                for x in _pinned_anchors(len(expr)))
+    assert got == _TREE_GOLDEN[expr, with_phi]

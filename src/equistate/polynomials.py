@@ -1,22 +1,28 @@
 """Univariate polynomials with exact Gaussian-rational coefficients.
 
-Supports the exact algebra the dynamics needs: Horner evaluation,
-derivatives, Euclidean division, monic gcd, and Yun square-free
-decomposition (characteristic zero, so gcd-based multiplicity splitting
-is exact).  Coefficients and points are `GaussRat` integer triples, so
-every operation is integer arithmetic with one gcd per result.  Newton's
-hot loop skips even those gcds: `horner_int` evaluates the coefficients
-with their denominators cleared (`integer_coeffs`) at a point given by
-the numerators x, y over the denominator d of its triple.
+A `Polynomial` p is its integer form (C, m): Gaussian-integer
+coefficients C = m*p, as (re, im) pairs lowest first with no trailing
+zeros, over a positive integer multiplier m.  `Polynomial.of` clears the
+denominators of Gaussian-rational coefficients with their lcm; the
+preimage tree builds forms directly, whose m need not be the smallest.
+Two forms with the same p are equal and hash alike.
 
-The cleared form is made once per polynomial and kept: `integer_form` is
-(C, m), Gaussian-integer coefficients C = m*p over a positive integer
-multiplier m.  A polynomial built by `from_integers` keeps the form it
-was built from, which need not have the smallest m; any other clears its
-denominators with their lcm on first use.  Which m a form carries changes
-no result: C has the roots of p with their multiplicities, every ratio
-of values such as C(z)/C'(z) is that of p, and every bound that reads
-|C(z)|^2 divides m^2 back out (see `roots` and `thermo`).
+Which m a form carries changes no result.  C has the roots of p with
+their multiplicities, and every ratio of values, such as the Newton step
+C(z)/C'(z), is that of p.  So neither the root certificate d|p/p'|, the
+float seeds (computed from the monic coefficients), the snap's test
+p(w) = 0 nor Yun's monic factors depend on m, and every bound that reads
+|C(z)|^2 divides m^2 back out.  `roots`, `ratmap` and `thermo` rely on
+this.
+
+Evaluation and the ring operations (sums, products, scaling and the
+derivative) read and build forms alone: `horner_int` evaluates C at a
+point given by the numerators x, y over the denominator d of its triple,
+and `__call__` and `leading` divide once.  The reduced `GaussRat`
+coefficients are a view, `coeffs`, built on first read: by equality and
+hashing, and by division, on which the monic gcd and Yun square-free
+decomposition (characteristic zero, so gcd-based multiplicity splitting
+is exact) rest.
 """
 
 from __future__ import annotations
@@ -28,103 +34,104 @@ from functools import cached_property
 
 from .gauss import G_ZERO, GaussRat, gauss_ratio
 
-
-def _strip(coeffs: tuple[GaussRat, ...]) -> tuple[GaussRat, ...]:
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1].is_zero():
-        n -= 1
-    return coeffs[:n]
+# Gaussian integers as (re, im) pairs, lowest degree first.
+IntPairs = tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polynomial:
-    """coeffs[k] multiplies z^k; the zero polynomial has empty coeffs."""
+    """p = sum (re + im*i) z^k / m over the pairs (re, im) of C, lowest
+    first, for m > 0; construction strips trailing zero pairs, so the
+    zero polynomial has empty C."""
 
-    coeffs: tuple[GaussRat, ...]
+    C: IntPairs
+    m: int
+
+    def __post_init__(self) -> None:
+        if self.m <= 0:
+            raise ValueError(f"the multiplier must be positive, got {self.m}")
+        C = self.C
+        n = len(C)
+        while n > 0 and C[n - 1] == (0, 0):
+            n -= 1
+        if n < len(C):
+            object.__setattr__(self, "C", C[:n])
 
     @staticmethod
     def of(*coeffs: GaussRat | Fraction | int) -> "Polynomial":
-        lifted = tuple(
-            c if isinstance(c, GaussRat) else GaussRat.of(c) for c in coeffs
-        )
-        return Polynomial(_strip(lifted))
-
-    @staticmethod
-    def from_integers(coeffs: list[tuple[int, int]], mult: int) -> "Polynomial":
-        """The polynomial sum (re + im*i) z^k / mult over the (re, im) pairs
-        of `coeffs`, lowest first, for mult > 0; it keeps `coeffs` (without
-        trailing zeros) and `mult` as its `integer_form`."""
-        n = len(coeffs)
-        while n > 0 and coeffs[n - 1] == (0, 0):
-            n -= 1
-        coeffs = coeffs[:n]
-        p = Polynomial(tuple(gauss_ratio(x, y, mult) for x, y in coeffs))
-        p.__dict__["integer_form"] = coeffs, mult
-        return p
+        lifted = [c if isinstance(c, GaussRat) else GaussRat.of(c) for c in coeffs]
+        m = math.lcm(*(c.d for c in lifted))
+        return Polynomial(tuple((c.x * (m // c.d), c.y * (m // c.d)) for c in lifted), m)
 
     @staticmethod
     def zero() -> "Polynomial":
-        return Polynomial(())
+        return Polynomial((), 1)
 
     @cached_property
-    def integer_form(self) -> tuple[list[tuple[int, int]], int]:
-        """(C, m): the coefficients of m*p as (re, im) integer pairs, lowest
-        first, and the multiplier m > 0, here the lcm of the coefficients'
-        denominators.  Computed once; `from_integers` sets it instead."""
-        m = math.lcm(*(c.d for c in self.coeffs))
-        return [(c.x * (m // c.d), c.y * (m // c.d)) for c in self.coeffs], m
+    def coeffs(self) -> tuple[GaussRat, ...]:
+        """The reduced coefficients, coeffs[k] multiplying z^k; built on
+        first read."""
+        m = self.m
+        return tuple(gauss_ratio(x, y, m) for x, y in self.C)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.C) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.C
 
     def leading(self) -> GaussRat:
         if self.is_zero():
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        x, y = self.C[-1]
+        return gauss_ratio(x, y, self.m)
 
     def __call__(self, z: GaussRat) -> GaussRat:
-        acc = G_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        if self.is_zero():
+            return G_ZERO
+        nr, ni, _, _ = horner_int(self.C, z.x, z.y, z.d)
+        return gauss_ratio(nr, ni, self.m * z.d ** self.degree)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (G_ZERO,) * (n - len(self.coeffs))
-        b = other.coeffs + (G_ZERO,) * (n - len(other.coeffs))
-        return Polynomial(_strip(tuple(x + y for x, y in zip(a, b))))
+        a, b = self.m, other.m
+        m = math.lcm(a, b)
+        sa, sb = m // a, m // b
+        n = max(len(self.C), len(other.C))
+        A = self.C + ((0, 0),) * (n - len(self.C))
+        B = other.C + ((0, 0),) * (n - len(other.C))
+        return Polynomial(tuple((x * sa + u * sb, y * sa + v * sb)
+                                for (x, y), (u, v) in zip(A, B)), m)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial(tuple((-x, -y) for x, y in self.C), self.m)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero() or other.is_zero():
-            return Polynomial.zero()
-        out = [G_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(_strip(tuple(out)))
+        n = len(self.C) + len(other.C) - 1
+        re, im = [0] * n, [0] * n
+        for i, (x, y) in enumerate(self.C):
+            for j, (u, v) in enumerate(other.C):
+                re[i + j] += x * u - y * v
+                im[i + j] += x * v + y * u
+        return Polynomial(tuple(zip(re, im)), self.m * other.m)
 
     def scale(self, c: GaussRat) -> "Polynomial":
-        return Polynomial(_strip(tuple(c * a for a in self.coeffs)))
+        return self * Polynomial.of(c)
 
     def derivative(self) -> "Polynomial":
-        if self.degree < 1:
-            return Polynomial.zero()
-        return Polynomial(
-            _strip(tuple(self.coeffs[k].scale(k) for k in range(1, len(self.coeffs))))
-        )
+        return Polynomial(tuple((k * x, k * y) for k, (x, y) in enumerate(self.C) if k), self.m)
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
@@ -134,10 +141,10 @@ class Polynomial:
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
         dq = self.degree - other.degree
         if dq < 0:
             return Polynomial.zero(), self
+        rem = list(self.coeffs)
         quot = [G_ZERO] * (dq + 1)
         inv_lead = other.leading().inverse()
         for k in range(dq, -1, -1):
@@ -146,7 +153,8 @@ class Polynomial:
             if not c.is_zero():
                 for j, b in enumerate(other.coeffs):
                     rem[j + k] = rem[j + k] - c * b
-        return Polynomial(_strip(tuple(quot))), Polynomial(_strip(tuple(rem)))
+        return Polynomial.of(*quot), Polynomial.of(*rem)
+
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic gcd by the Euclidean algorithm (exact over Q(i))."""
@@ -182,13 +190,7 @@ def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def integer_coeffs(p: Polynomial) -> list[tuple[int, int]]:
-    """The coefficients of p's `integer_form`: m*p as (re, im) integer
-    pairs, lowest first, for its positive multiplier m."""
-    return p.integer_form[0]
-
-
-def horner_int(coeffs: list[tuple[int, int]], a: int, b: int, c: int
+def horner_int(coeffs: IntPairs, a: int, b: int, c: int
                ) -> tuple[int, int, int, int]:
     """Homogeneous Horner for P(z) = sum coeffs[k] z^k at z = (a + b*i)/c.
 

@@ -7,15 +7,14 @@ point where that polynomial's degree collapses, and is rejected.  The
 same chart rule gives `preimage_perturbation`: how far the polynomial can
 move when x is only known to within a Euclidean distance.
 
-A map keeps num and den as Gaussian-integer coefficient lists N, D over
+A map keeps num and den as Gaussian-integer coefficient tuples N, D over
 one common denominator F (`integer_terms`), and f(inf).  The preimage
 polynomial g of x = (a + b*i)/c is then one integer pass, and is built
-with the integer form it comes from (`Polynomial.from_integers`):
+as the integer form it comes from:
 c F g = c N - (a + b*i) D when |x| <= 1, and
 F (a^2 + b^2) g = (a^2 + b^2) D - c (a - b*i) N otherwise.  The
-multiplier c F or F (a^2 + b^2) is a positive integer and need not be the
-smallest one; the root solve and the tree's displacement read g through
-that form, and neither depends on which positive multiplier it carries.
+multiplier c F or F (a^2 + b^2) need not be the smallest one, which
+changes no result (see `polynomials`).
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from functools import cached_property
 from .dyadics import ZERO, sqrt_lower_numerator
 from .errors import ChartFailure, ExcludedPoint
 from .gauss import GaussRat
-from .polynomials import Polynomial, poly_gcd
+from .polynomials import IntPairs, Polynomial, poly_gcd
 from .roots import RootCluster, certified_roots
 from .sphere import INF, PointBall, SpherePoint
 
@@ -56,14 +55,14 @@ class RationalMapRec:
         return max(self.num.degree, self.den.degree)
 
     @cached_property
-    def integer_terms(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int]:
-        """(N, D, F): num = N/F and den = D/F, with N and D lists of (re, im)
+    def integer_terms(self) -> tuple[IntPairs, IntPairs, int]:
+        """(N, D, F): num = N/F and den = D/F, with N and D tuples of (re, im)
         integer pairs, lowest first, over F > 0, the lcm of the multipliers
-        of num's and den's integer forms."""
-        (N, n), (D, d) = self.num.integer_form, self.den.integer_form
+        of num and den."""
+        n, d = self.num.m, self.den.m
         F = math.lcm(n, d)
-        return ([(x * (F // n), y * (F // n)) for x, y in N],
-                [(x * (F // d), y * (F // d)) for x, y in D], F)
+        return (tuple((x * (F // n), y * (F // n)) for x, y in self.num.C),
+                tuple((x * (F // d), y * (F // d)) for x, y in self.den.C), F)
 
     @cached_property
     def at_infinity(self) -> SpherePoint:
@@ -122,23 +121,22 @@ def preimage_polynomial(f: RationalMapRec, x: SpherePoint) -> Polynomial:
         z = x.as_gauss()
         a, b, c = z.x, z.y, z.d
         if _num_chart(z):
-            g = Polynomial.from_integers(_combine(c, N, -a, -b, D), c * F)
+            g = Polynomial(_combine(c, N, -a, -b, D), c * F)
         else:
             n2 = a * a + b * b
-            g = Polynomial.from_integers(_combine(n2, D, -c * a, c * b, N), F * n2)
+            g = Polynomial(_combine(n2, D, -c * a, c * b, N), F * n2)
     if g.degree != f.degree:
         raise ChartFailure("unexpected degree collapse")  # defensive; unreachable
     return g
 
 
-def _combine(r: int, P: list[tuple[int, int]], u: int, v: int, Q: list[tuple[int, int]]
-             ) -> list[tuple[int, int]]:
+def _combine(r: int, P: IntPairs, u: int, v: int, Q: IntPairs) -> IntPairs:
     """The coefficients of r*P + (u + v*i)*Q, lowest first."""
     n = max(len(P), len(Q))
-    P = P + [(0, 0)] * (n - len(P))
-    Q = Q + [(0, 0)] * (n - len(Q))
-    return [(r * pr + u * qr - v * qi, r * pi + u * qi + v * qr)
-            for (pr, pi), (qr, qi) in zip(P, Q)]
+    P = P + ((0, 0),) * (n - len(P))
+    Q = Q + ((0, 0),) * (n - len(Q))
+    return tuple((r * pr + u * qr - v * qi, r * pi + u * qi + v * qr)
+                 for (pr, pi), (qr, qi) in zip(P, Q))
 
 
 def _num_chart(z: GaussRat) -> bool:

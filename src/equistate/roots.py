@@ -15,18 +15,12 @@ computed with the standard library alone: the closed form for
 quadratics, and for higher degrees at most 40 Aberth-Ehrlich sweeps
 (Aberth 1973, Math. Comp. 27) from Bini's Newton-polygon start (Bini
 1996, Numer. Algorithms 13).  From each seed it runs Newton on Gaussian
-integers: the coefficients of the polynomial's integer form
-(`Polynomial.integer_form`, made once per polynomial), and z as integer
-numerators over one denominator (2^bits after the first step, which
-rounds each step to the nearest multiple of 2^-bits).  A step is a
+integers: the coefficients of the polynomial's integer form C = m*p
+(see `polynomials`, which says why no result depends on m), and z as
+integer numerators over one denominator (2^bits after the first step,
+which rounds each step to the nearest multiple of 2^-bits).  A step is a
 function of z alone, so the iteration stops at the first step that
 returns its input.
-
-The form is C = m*p for some positive integer m, and no result depends
-on m: multiplying p by any nonzero constant leaves its roots, the Newton
-step z - p/p', the residual bound d|p/p'|, the float seeds (computed from
-the monic coefficients), the snap's test p(w) = 0 and Yun's monic
-factors unchanged.
 
 Certification is integer arithmetic end to end.  The residual bound
 comes from the same integer evaluation, its square root and the chordal
@@ -48,7 +42,7 @@ from fractions import Fraction
 from .dyadics import ZERO, discs_apart, dyadic_numerator, sqrt_upper_numerator
 from .errors import PrecisionExhausted
 from .gauss import GaussRat, euclid_sq_parts, gauss_ratio
-from .polynomials import Polynomial, horner_int, integer_coeffs, square_free_decomposition
+from .polynomials import IntPairs, Polynomial, horner_int, square_free_decomposition
 from .sphere import PointBall, SpherePoint, chordal_disc_radius, chordal_sq_parts, sphere_order
 
 _SNAP_DENOMS = (1, 2, 3, 4, 6, 8, 16, 64, 256)
@@ -72,7 +66,7 @@ class RootCluster:
         return self.center.center.as_gauss()
 
 
-def _int_newton_step(coeffs: list[tuple[int, int]], a: int, b: int, c: int, bits: int
+def _int_newton_step(coeffs: IntPairs, a: int, b: int, c: int, bits: int
                      ) -> tuple[int, int, tuple[int, int, int, int]]:
     """One Newton step for q = sum coeffs[k] z^k from z = (a + b*i)/c.
 
@@ -94,7 +88,7 @@ def _int_newton_step(coeffs: list[tuple[int, int]], a: int, b: int, c: int, bits
             dyadic_numerator(pi * mr - pr * mi, den, bits), at)
 
 
-def _newton(coeffs: list[tuple[int, int]], a: int, b: int, c: int, bits: int,
+def _newton(coeffs: IntPairs, a: int, b: int, c: int, bits: int,
             steps: int) -> tuple[int, int, int, tuple[int, int, int, int]]:
     """Newton from (a + b*i)/c for at most `steps` steps, stopping at the
     first step that returns its input; (a, b, c) of the last iterate and
@@ -108,7 +102,7 @@ def _newton(coeffs: list[tuple[int, int]], a: int, b: int, c: int, bits: int,
     return a, b, c, horner_int(coeffs, a, b, c)
 
 
-def _float_seeds(coeffs: list[tuple[int, int]]) -> list[complex]:
+def _float_seeds(coeffs: IntPairs) -> list[complex]:
     """Float approximations to the roots of the polynomial with these
     integer coefficients, one per root counted with multiplicity.
 
@@ -196,14 +190,16 @@ def _limit_denominator(n: int, d: int, bound: int) -> tuple[int, int]:
     return p0 + k * p1, q0 + k * q1
 
 
-def _gauss_of(pr: int, qr: int, pi: int, qi: int) -> GaussRat:
-    """pr/qr + (pi/qi)*i from two reduced fractions with positive
-    denominators; over their lcm the triple is already reduced."""
+def _gauss_of(pr: int, qr: int, pi: int, qi: int) -> tuple[int, int, int]:
+    """The triple (x, y, d) of pr/qr + (pi/qi)*i from two reduced fractions
+    with positive denominators; over their lcm it is already reduced."""
     m = math.lcm(qr, qi)
-    return GaussRat(pr * (m // qr), pi * (m // qi), m)
+    return pr * (m // qr), pi * (m // qi), m
 
 
-def _gauss_from_complex(z: complex, bits: int) -> GaussRat:
+def _gauss_from_complex(z: complex, bits: int) -> tuple[int, int, int]:
+    """The reduced triple of the closest fractions to z's parts with
+    denominators at most 2^bits; 0 for a non-finite z."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         z = 0j
     bound = 1 << bits
@@ -227,7 +223,7 @@ def _residual_numerator(degree: int, c: int, at: tuple[int, int, int, int], bits
     return sqrt_upper_numerator(degree * degree * num2, c * c * den2, bits)
 
 
-def _snap_to_exact_root(coeffs: list[tuple[int, int]], z: GaussRat, rad: Fraction
+def _snap_to_exact_root(coeffs: IntPairs, z: GaussRat, rad: Fraction
                         ) -> GaussRat | None:
     """Small-denominator Gaussian rational in the disc that is an exact root
     of the polynomial with these integer coefficients.
@@ -258,9 +254,9 @@ def _snap_to_exact_root(coeffs: list[tuple[int, int]], z: GaussRat, rad: Fractio
         cand = candidate(b)
         if cand is not None:
             w = _gauss_of(*cand)
-            nr, ni, _, _ = horner_int(coeffs, w.x, w.y, w.d)
+            nr, ni, _, _ = horner_int(coeffs, *w)
             if nr == 0 and ni == 0:
-                return w
+                return GaussRat(*w)
     return None
 
 
@@ -271,12 +267,11 @@ def _solve_square_free(q: Polynomial, target: Fraction, bits: int
     caller has checked the discs pairwise disjoint."""
     if q.degree == 1:
         return [(-q.coeffs[0] / q.coeffs[1], ZERO)]
-    coeffs = integer_coeffs(q)
+    coeffs = q.C
     steps = max(6, bits.bit_length() + 2)
     out: list[tuple[GaussRat, Fraction]] = []
     for seed in _float_seeds(coeffs):
-        z0 = _gauss_from_complex(seed, 60)
-        a, b, c, at = _newton(coeffs, z0.x, z0.y, z0.d, bits, steps)
+        a, b, c, at = _newton(coeffs, *_gauss_from_complex(seed, 60), bits, steps)
         u = _residual_numerator(q.degree, c, at, bits)
         if u is None or u * target.denominator > target.numerator << bits:
             return None

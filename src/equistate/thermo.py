@@ -17,10 +17,7 @@ displacement and the chordal radius are computed on integers: one
 homogeneous `horner_int` pass per polynomial gives |g|^2, |g'|^2, |P|^2 and
 |P'|^2 at the stored child as integer quotients, and their square roots are
 integer square roots at a fixed scale.  Each pass reads the polynomial's
-integer form m*q, made once: g keeps the form `preimage_polynomial` built
-it from, which the root solve has already read, and P, which is den or num
-for every node of the tree, keeps its own.  The quotients divide m^2 back
-out, so |g(z)|^2 and the rest are the same rationals for any positive m.
+integer form C = m*q, with m divided back out (see `polynomials`).
 The sibling disjointness test cross-multiplies integers as well, the
 squared distance's and the radii's numerators and denominators.
 
@@ -80,11 +77,10 @@ def _scaled_abs2(q: Polynomial, z: GaussRat) -> tuple[int, int, int, int]:
     """|q(z)|^2 and |q'(z)|^2 as integer quotients n/d, from one `horner_int`
     pass over q's integer form (C, m), C = m q: with k = deg q and c the
     denominator of z, it gives c^k m q(z) and c^(k-1) m q'(z) (q' = 0 when
-    k = 0), and the denominators divide m^2 back out, so the quotients are
-    the same rationals whichever positive multiplier the form carries.  q
-    must not be the zero polynomial."""
-    coeffs, m = q.integer_form
-    nr, ni, mr, mi = horner_int(coeffs, z.x, z.y, z.d)
+    k = 0), and the denominators divide m^2 back out.  q must not be the
+    zero polynomial."""
+    m = q.m
+    nr, ni, mr, mi = horner_int(q.C, z.x, z.y, z.d)
     if q.degree == 0:
         return nr * nr + ni * ni, m * m, 0, 1
     s = m * z.d ** (q.degree - 1)

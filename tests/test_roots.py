@@ -20,10 +20,12 @@ from equistate.cli import main
 from equistate.dyadics import ZERO
 from equistate.errors import PrecisionExhausted
 from equistate.gauss import GaussRat, euclid_sq_parts, gauss_ratio
-from equistate.polynomials import Polynomial, integer_coeffs, square_free_decomposition
+from equistate.polynomials import Polynomial, square_free_decomposition
+from equistate.ratmap import RationalMapRec
 from equistate.roots import (RootCluster, _clusters_disjoint, _gauss_from_complex,
                              _int_newton_step, _limit_denominator, _snap_to_exact_root,
                              certified_roots)
+from equistate.serialize import map_to_json, parse_map
 from equistate.sphere import PointBall, SpherePoint, chordal_disc_radius, chordal_sq_parts
 
 from test_measures import _fraction_sort_key
@@ -182,6 +184,10 @@ def test_limit_denominator_matches_the_stdlib():
     assert ties >= 2500
 
 
+def _triple(z: GaussRat) -> tuple[int, int, int]:
+    return z.x, z.y, z.d
+
+
 def _ref_snap(q: Polynomial, z: GaussRat, rad: F):
     """The snap on Fractions and `Polynomial` evaluation."""
     for d in _SNAP_DENOMS:
@@ -194,7 +200,7 @@ def _ref_snap(q: Polynomial, z: GaussRat, rad: F):
 def test_snap_and_seeds_match_the_fraction_forms():
     """The snap finds the same exact root as the Fraction search, or none,
     near planted roots with denominators up to 300 and off them; the float
-    seeds round to the same Gaussian rationals."""
+    seeds round to the reduced triples of the same Gaussian rationals."""
     rng = random.Random(15)
     found = 0
     for _ in range(300):
@@ -204,7 +210,7 @@ def test_snap_and_seeds_match_the_fraction_forms():
         q = poly_from_roots(roots)
         if rng.randrange(3) == 0:
             q = q + Polynomial.of(G(F(1, 1 << rng.randint(10, 40))))
-        coeffs = integer_coeffs(q)
+        coeffs = q.C
         bits = rng.choice([64, 96, 128])
         for r in roots:
             z = G(F(round(r.re * (1 << bits)) + rng.randint(-3, 3), 1 << bits),
@@ -215,9 +221,9 @@ def test_snap_and_seeds_match_the_fraction_forms():
             found += got is not None
         for w in (complex(z) for z in roots):
             w += complex(rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3))
-            assert _gauss_from_complex(w, 60) == _ref_seed(w)
+            assert _gauss_from_complex(w, 60) == _triple(_ref_seed(w))
     assert found >= 100
-    assert _gauss_from_complex(complex(math.inf, 1), 60) == _ref_seed(complex(math.inf, 1))
+    assert _gauss_from_complex(complex(math.inf, 1), 60) == _triple(_ref_seed(complex(math.inf, 1)))
 
 
 # -- seeded polynomials --------------------------------------------------------
@@ -334,9 +340,16 @@ def _multiplier_polys():
 @pytest.mark.parametrize("l", [10, 40])
 def test_certified_roots_ignore_a_constant_factor(l):
     """certified_roots of lambda*p, for nonzero Gaussian integers lambda,
-    are those of p: the same centres, radii, multiplicities and order.  So
-    are those of p built from a scaled integer form, which it keeps."""
+    are those of p: the same centres, radii, multiplicities and order.  A
+    polynomial built from p's form (C, m) scaled to (k*C, k*m), with
+    trailing zero pairs or without, is p by value: the same ==, hash,
+    coeffs and clusters, and maps of such forms serialize as the maps they
+    scale.  Polynomial((), m) is the zero polynomial for every m > 0."""
     rng = random.Random(l)
+
+    def scaled(h, k, zeros=0):
+        return Polynomial(tuple((k * x, k * y) for x, y in h.C) + ((0, 0),) * zeros, k * h.m)
+
     doubles = 0
     for p in _multiplier_polys():
         want = certified_roots(p, l)
@@ -344,20 +357,27 @@ def test_certified_roots_ignore_a_constant_factor(l):
         for _ in range(2):
             lam = G(rng.randint(1, 50) * rng.choice((1, -1)), rng.randint(-50, 50))
             assert certified_roots(p.scale(lam), l) == want, (p, lam)
-        coeffs, m = p.integer_form
         k = rng.randint(2, 1 << 40)
-        scaled = [(k * x, k * y) for x, y in coeffs]
-        q = Polynomial.from_integers(scaled, k * m)
-        assert q == p and q.integer_form == (scaled, k * m)
+        q = scaled(p, k, rng.randint(1, 2))
         assert certified_roots(q, l) == want
+        assert q.C == tuple((k * x, k * y) for x, y in p.C) and q.m == k * p.m
+        assert q == p and hash(q) == hash(p) and q.coeffs == p.coeffs
+        zero = Polynomial(((0, 0),) * rng.randint(0, 2), rng.randint(1, 1 << 40))
+        assert zero == Polynomial.zero() and hash(zero) == hash(Polynomial.zero())
+        assert zero.C == () and zero.degree == -1
     assert doubles == 12
+    for expr in ("(2*z^2+1)/(z^2+3)", "z^2+i", "1/z^2", "z^3-3/4*z", "(z^2+1)/(z^2-1)"):
+        f = parse_map(expr)
+        g = RationalMapRec(scaled(f.num, rng.randint(2, 1 << 40)),
+                           scaled(f.den, rng.randint(2, 1 << 40)))
+        assert g == f and map_to_json(g) == map_to_json(f), expr
 
 
 # -- the integer Newton kernel ---------------------------------------------------
 
 
 def _kernel_step(q, z, bits):
-    a2, b2, _ = _int_newton_step(integer_coeffs(q), z.x, z.y, z.d, bits)
+    a2, b2, _ = _int_newton_step(q.C, z.x, z.y, z.d, bits)
     return gauss_ratio(a2, b2, 1 << bits)
 
 

@@ -456,3 +456,25 @@ def test_tree_nodes_match_pinned_digests(expr, with_phi):
     got = tuple(_tree_digest(build_preimage_tree(f, x, 4, 48, BENCH_PHI if with_phi else None, 58))
                 for x in _pinned_anchors(len(expr)))
     assert got == _TREE_GOLDEN[expr, with_phi]
+
+
+@pytest.mark.parametrize("expr", ["z^2-2", "(z^2+1)/(z^2-1)"])
+def test_tree_reads_node_polynomials_only_through_their_integer_form(monkeypatch, expr):
+    """The tree level, the root solve and the displacement read each node's
+    preimage polynomial through its form (C, m) alone: in depth-4 trees at
+    an anchor inside the unit circle and one outside it, no node
+    polynomial builds its `coeffs` view."""
+    built = []
+
+    def recording(f, x):
+        built.append(preimage_polynomial(f, x))
+        return built[-1]
+
+    monkeypatch.setattr(thermo, "preimage_polynomial", recording)
+    f = parse_map(expr)
+    inner, outer, _ = _pinned_anchors(len(expr))
+    assert abs(complex(inner.as_gauss())) < 1 < abs(complex(outer.as_gauss()))
+    for x in (inner, outer):
+        build_preimage_tree(f, x, 4, 48)
+    assert len(built) == 2 * (1 + 2 + 4 + 8)
+    assert not [g for g in built if "coeffs" in vars(g)]

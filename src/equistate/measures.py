@@ -287,7 +287,9 @@ class TestFunction:
         """1/eps, computed once per hat."""
         return 1 / self.eps
 
-    def __call__(self, x: Point, prec: int = 40) -> BallReal:
+    def _parts(self, x: Point, prec: int = 40) -> tuple[int, int, int]:
+        """(lo, hi, c) with the hat's ball at x equal to [lo/c, hi/c] and
+        0 <= lo <= hi <= c."""
         if prec < 0:
             raise ValueError(f"precision prec must be nonnegative, got {prec}")
         m, e, den = sqrt_bracket_parts(*squared_distance_parts(self.space)(self.center, x), prec)
@@ -296,6 +298,10 @@ class TestFunction:
         c = den * rd * en
         lo = c - min(max((m + e) * rd - rn * den, 0) * ed, c)
         hi = c - min(max((m - e) * rd - rn * den, 0) * ed, c)
+        return lo, hi, c
+
+    def __call__(self, x: Point, prec: int = 40) -> BallReal:
+        lo, hi, c = self._parts(x, prec)
         return BallReal(Fraction(lo + hi, 2 * c), Fraction(hi - lo, 2 * c))
 
 

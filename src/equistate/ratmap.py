@@ -32,6 +32,11 @@ from .roots import RootCluster, certified_roots
 from .sphere import INF, PointBall, SpherePoint
 
 _MAX_POSTCRITICAL_ORBIT = 64
+# An exact iterate of more bits than this ends the search: an infinite
+# orbit of a map over Q(i) grows its heights by about the degree each step
+# (3^(2^k) for the denominators of z^2 + 1/3), so the length bound alone
+# would square numbers for 64 steps.
+_MAX_POSTCRITICAL_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -223,8 +228,9 @@ class PostcriticalResult:
 
 def postcritical_orbit(f: RationalMapRec) -> PostcriticalResult:
     """Exact postcritical set when every critical point is exact and every
-    critical orbit closes up within _MAX_POSTCRITICAL_ORBIT steps;
-    "undecided" otherwise.
+    critical orbit closes up within _MAX_POSTCRITICAL_ORBIT steps, with no
+    iterate of more than _MAX_POSTCRITICAL_BITS bits; "undecided"
+    otherwise.
 
     No floating heuristics: a "finite" verdict is backed by exact equality
     of Gaussian-rational iterates.
@@ -239,9 +245,17 @@ def postcritical_orbit(f: RationalMapRec) -> PostcriticalResult:
         orbit: set[SpherePoint] = set()
         x = f.apply(c)
         while x not in orbit:
-            if len(orbit) >= _MAX_POSTCRITICAL_ORBIT:
+            if len(orbit) >= _MAX_POSTCRITICAL_ORBIT or _bits(x) > _MAX_POSTCRITICAL_BITS:
                 return PostcriticalResult("undecided", frozenset())
             orbit.add(x)
             x = f.apply(x)
         post.update(orbit)
     return PostcriticalResult("finite", frozenset(post))
+
+
+def _bits(x: SpherePoint) -> int:
+    """The bit length of the largest integer of x's reduced triple."""
+    if x.is_infinity:
+        return 0
+    z = x.value
+    return max(z.x.bit_length(), z.y.bit_length(), z.d.bit_length())

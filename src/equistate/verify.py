@@ -13,10 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Union
 
 from .balls import BallReal, DirectedReal, ball_exp, ball_sum, log_point
-from .dyadics import ZERO, compare_square
+from .dyadics import ZERO, compare_square, discs_apart
 from .errors import (
     ExcludedPoint,
     NonPositiveJacobian,
@@ -54,22 +55,24 @@ class BallPatch:
     center: Point
     radius: Fraction
 
-    def _compare(self, x: Point, r: Fraction) -> int:
-        """Sign of dist(center, x)^2 - r^2, on the integers of both."""
-        return compare_square(*squared_distance_parts(self.space)(self.center, x), r)
-
     def contains_point(self, x: Point) -> bool:
-        return self._compare(x, self.radius) < 0
+        return compare_square(*squared_distance_parts(self.space)(self.center, x),
+                              self.radius) < 0
 
-    def contains_disc(self, x: Point, disc_rad: Fraction) -> bool:
-        """Exact: the whole disc around x lies inside the patch, that is
-        dist + disc_rad < radius, decided on squares."""
-        gap = self.radius - disc_rad
-        return gap > 0 and self._compare(x, gap) < 0
-
-    def excludes_disc(self, x: Point, disc_rad: Fraction) -> bool:
-        """Certified: the disc around x misses the patch entirely."""
-        return self._compare(x, self.radius + disc_rad) > 0
+    def locate(self, x: Point, disc_rad: Fraction) -> int:
+        """Where the disc of radius disc_rad around x lies: -1 inside the
+        patch (dist + disc_rad < radius), 1 outside it (dist > radius +
+        disc_rad), 0 when it straddles the boundary or touches it.  One
+        squared distance n/d decides both on the integers: with radius =
+        a/b and disc_rad = p/q, inside is n (bq)^2 < (aq - pb)^2 d with
+        aq > pb, and outside is `discs_apart`."""
+        n, d = squared_distance_parts(self.space)(self.center, x)
+        a, b = self.radius.numerator, self.radius.denominator
+        p, q = disc_rad.numerator, disc_rad.denominator
+        gap = a * q - p * b
+        if gap > 0 and n * (b * q) ** 2 < gap * gap * d:
+            return -1
+        return 1 if discs_apart(n, d, self.radius, disc_rad) else 0
 
 
 @dataclass
@@ -232,12 +235,9 @@ def jacobian_unitarity(f: MapLike, J: JacobianSpec, x: Point,
     for p in pres:
         if patches.near_excluded(p.point, p.disc_rad):
             raise ExcludedPoint(f"preimage {p.point!r} meets the excluded set")
-        inside = any(
-            patch.contains_disc(p.point, p.disc_rad) for patch in patches.patches
-        )
-        outside = all(
-            patch.excludes_disc(p.point, p.disc_rad) for patch in patches.patches
-        )
+        where = [patch.locate(p.point, p.disc_rad) for patch in patches.patches]
+        inside = -1 in where
+        outside = all(v == 1 for v in where)
         inv = J.inverse_at(p.point, x, p.disc_rad, prec).scale(p.local_degree)
         if inside:
             certain.append(inv)
@@ -310,6 +310,21 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
     The patch tests, T(a) and J(a) run once per (patch, atom), with the
     tests looped over inside.  mu must be a probability measure, and
     mesh, being a distance bound, nonnegative.
+
+    Each side of an entry is one integer accumulation (mid, rad, den) of
+    the ball terms over the lcm of their denominators, read from the hat
+    parts [lo/c, hi/c] and the weight w = wn/wd:
+    - V, per atom a in the patch, with J(a) = (A -+ E)/q: the product
+      tau(a) * J(a) by the `BallReal` rule |m| jr + |jm| r + r jr, which
+      for mid (lo + hi)/2c >= 0 is (2 hi E + (hi - lo) |A|)/2cq, times w;
+    - W, per atom with a preimage y in or on the patch: each candidate's
+      hat ball widened by Lip(tau) * disc_rad, the max of their uppers
+      (hi) and the lower end of the one inside (lo, else 0), then the ball
+      [lo, hi] times w.  lo <= hi holds, as hi is at least that
+      candidate's upper end and every upper end is >= 0.
+    Every step is exact, so the Fractions built at the end equal those of
+    the `BallReal` arithmetic on the same hat balls; Fractions are
+    canonical, so the entries are the same values, digit for digit.
     """
     if mesh < 0:
         raise ValueError(f"mesh must be >= 0, not {mesh}")
@@ -320,44 +335,76 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
     if not tests:
         return entries
     pre_cache = {a: enumerate_preimages(T, a, prec + 8) for a, _ in mu.atoms}
-    jac: dict[Point, BallReal] = {}  # J at the atoms that lie in some patch
+    jac: dict[Point, tuple[int, int, int]] = {}  # (A, E, q) at the atoms in some patch
     for k, patch in enumerate(patches.patches):
-        v_terms: list[list[BallReal]] = [[] for _ in tests]
-        w_terms: list[list[BallReal]] = [[] for _ in tests]
+        v_acc = [(0, 0, 1)] * len(tests)
+        w_acc = [(0, 0, 1)] * len(tests)
         for a, w in mu.atoms:
+            wn, wd = w.numerator, w.denominator
             # V side: atoms of mu inside the patch.
             if patch.contains_point(a):
                 if a not in jac:
-                    jac[a] = J.value_at(a, T(a), mu.atom_error, prec)
-                for terms, tau in zip(v_terms, tests):
-                    terms.append((tau(a, prec) * jac[a]).scale(w))
+                    ball = J.value_at(a, T(a), mu.atom_error, prec)
+                    q = lcm(ball.mid.denominator, ball.rad.denominator)
+                    jac[a] = (ball.mid.numerator * (q // ball.mid.denominator),
+                              ball.rad.numerator * (q // ball.rad.denominator), q)
+                jm, jr, q = jac[a]
+                for i, tau in enumerate(tests):
+                    lo, hi, c = tau._parts(a, prec)
+                    v_acc[i] = _add_parts(*v_acc[i], (lo + hi) * jm * wn,
+                                          (2 * hi * jr + (hi - lo) * abs(jm)) * wn,
+                                          2 * c * q * wd)
             # W side: the (at most one) preimage inside the patch.
             inside: list[PreimagePoint] = []
             ambiguous: list[PreimagePoint] = []
             for p in pre_cache[a]:
-                if patch.contains_disc(p.point, p.disc_rad):
+                where = patch.locate(p.point, p.disc_rad)
+                if where < 0:
                     inside.append(p)
-                elif not patch.excludes_disc(p.point, p.disc_rad):
+                elif where == 0:
                     ambiguous.append(p)
             if len(inside) > 1:
                 raise NotInjectiveOnPatch(
                     f"patch {k} holds {len(inside)} preimages of one point"
                 )
-            if not (inside or ambiguous):
+            candidates = inside + ambiguous
+            if not candidates:
                 continue
-            for terms, tau in zip(w_terms, tests):
-                vals = [tau(p.point, prec).widen(tau.lipschitz * p.disc_rad)
-                        for p in inside + ambiguous]
-                hi = max(c.upper() for c in vals)
-                lo = vals[0].lower() if inside else ZERO
-                terms.append(BallReal.from_endpoints(min(lo, hi), hi).scale(w))
-        for t_idx, (tau, vt, wt) in enumerate(zip(tests, v_terms, w_terms)):
-            v = ball_sum(vt) if vt else BallReal.exact(0)
-            wv = ball_sum(wt) if wt else BallReal.exact(0)
+            for i, tau in enumerate(tests):
+                ln, ld = tau.lipschitz.numerator, tau.lipschitz.denominator
+                ends = []  # (lower, upper, den) of each widened hat ball
+                for p in candidates:
+                    lo, hi, c = tau._parts(p.point, prec)
+                    scale = ld * p.disc_rad.denominator
+                    widen = ln * p.disc_rad.numerator * c
+                    ends.append((lo * scale - widen, hi * scale + widen, c * scale))
+                _, hi, den = ends[0]
+                for _, hi2, den2 in ends[1:]:
+                    if hi2 * den > hi * den2:
+                        hi, den = hi2, den2
+                lo = 0
+                if inside:
+                    lo, lo_den = ends[0][0], ends[0][2]
+                    if lo_den != den:
+                        lo, hi, den = lo * den, hi * lo_den, den * lo_den
+                w_acc[i] = _add_parts(*w_acc[i], (lo + hi) * wn, (hi - lo) * wn,
+                                      2 * den * wd)
+        for t_idx, (tau, v, (wm, wr, w_den)) in enumerate(zip(tests, v_acc, w_acc)):
+            m, r, d = _add_parts(*v, -wm, wr, w_den)
             slack = sup_j * tau.lipschitz * mesh \
                 + sup_j * tau.lipschitz * mu.atom_error * 2
-            entries.append(ResidualEntry(k, t_idx, v - wv, slack))
+            entries.append(ResidualEntry(k, t_idx, BallReal(Fraction(m, d), Fraction(r, d)),
+                                         slack))
     return entries
+
+
+def _add_parts(m: int, r: int, d: int, m2: int, r2: int, d2: int) -> tuple[int, int, int]:
+    """(m/d + m2/d2, r/d + r2/d2) as integers over lcm(d, d2), for d, d2 > 0."""
+    if d == d2:
+        return m + m2, r + r2, d
+    g = gcd(d, d2)
+    s, s2 = d2 // g, d // g
+    return m * s + m2 * s2, r * s + r2 * s2, d * s
 
 
 def membership_verdict(entries: list[ResidualEntry],

@@ -257,6 +257,18 @@ def test_verify_membership_rejects_fixed_point(tmp_path):
     assert res["verdict"] == "FAIL"
 
 
+def test_verify_membership_exits_for_an_infinite_postcritical_orbit():
+    """z^2 + 1/3 has exact critical points with an infinite orbit, whose
+    exact iterates square their denominators; the excluded set is then
+    undecided, and the check still runs and exits by the contract."""
+    from equistate.serialize import parse_map
+    from equistate.thermo import backward_orbit_measure
+
+    mu = backward_orbit_measure(parse_map("z^2+1/3"), None, SpherePoint.finite(3), 3)
+    _contract(["verify", "membership", "--measure", "{measure}", "--map", "z^2+1/3",
+               "--J", "const:2"], {"measure": measure_to_json(mu)})
+
+
 def test_verify_tangent_constant_witnesses(tmp_path):
     from equistate.measures import SPHERE, FiniteMeasure
     from equistate.potentials import const

@@ -239,3 +239,21 @@ def test_postcritical_orbits():
     mt = RationalMapRec(Polynomial.of(-2, 0, 1), Polynomial.of(0, 0, 1))
     res = postcritical_orbit(mt)
     assert res.is_finite and res.points == frozenset({INF, S(1), S(-1)})
+
+
+def test_postcritical_orbit_stops_at_the_bit_bound(monkeypatch):
+    """The critical orbit 0 -> 1/3 -> 4/9 -> 25/81 -> ... of z^2 + 1/3 is
+    infinite and its denominators square each step, so the iterates pass
+    the bit bound after about ten steps and the verdict is "undecided".
+    More than 32 map evaluations fail the test instead of hanging it."""
+    apply = RationalMapRec.apply
+    calls = []
+
+    def counting(f, x):
+        calls.append(x)
+        assert len(calls) <= 32, "the critical orbit was iterated past the bit bound"
+        return apply(f, x)
+
+    monkeypatch.setattr(RationalMapRec, "apply", counting)
+    res = postcritical_orbit(parse_map("z^2+1/3"))
+    assert res.status == "undecided" and res.points == frozenset()

@@ -60,22 +60,50 @@ def _preimage_patches(f, x, radius=F(1, 4)):
     (F(1, 1 << 60), True), (F(0), False), (-F(1, 1 << 60), False)])
 def test_contains_disc_is_exact_at_the_boundary(slack, inside):
     """d(0, 3/4) = 6/5 exactly; a disc of radius 1/8 there lies in the
-    patch iff 6/5 + 1/8 < radius, also when they differ by 2^-60."""
+    patch iff 6/5 + 1/8 < radius, also when they differ by 2^-60.
+    Otherwise it touches or straddles the boundary."""
     r = F(1, 8)
     patch = BallPatch(SPHERE, S(0), F(6, 5) + r + slack)
-    assert patch.contains_disc(S(F(3, 4)), r) is inside
-    assert not BallPatch(SPHERE, S(0), r).contains_disc(S(0), r)
+    assert patch.locate(S(F(3, 4)), r) == (-1 if inside else 0)
+    assert BallPatch(SPHERE, S(0), r).locate(S(0), r) == 0
+
+
+@pytest.mark.parametrize("space, center, x, dist", [
+    (SPHERE, S(0), S(F(3, 4)), F(6, 5)),
+    (SPHERE, S(F(3, 4)), S(F(-3, 4)), F(48, 25)),
+    (SPHERE, S(0), INF, F(2)),
+    ("tri_sphere", tile_point(FRONT, 1, 0, 0), tile_point(FRONT, 0, 1, 0), F(1)),
+])
+@pytest.mark.parametrize("disc", [F(0), F(1, 8), F(1, 3)])
+def test_locate_is_zero_at_exact_tangency(space, center, x, dist, disc):
+    """At the rational distance dist, a disc that touches the patch from
+    inside (radius dist + disc) or from outside (radius dist - disc) is
+    neither inside nor outside; 2^-90 either way decides it, or makes a
+    disc of radius > 0 straddle the boundary."""
+    assert F(*squared_distance_parts(space)(center, x)) == dist * dist
+    tiny = F(1, 1 << 90)
+    for radius, nearer, farther in ((dist + disc, -1, 0 if disc else 1),
+                                    (dist - disc, 0 if disc else -1, 1)):
+        assert BallPatch(space, center, radius).locate(x, disc) == 0
+        assert BallPatch(space, center, radius + tiny).locate(x, disc) == nearer
+        assert BallPatch(space, center, radius - tiny).locate(x, disc) == farther
 
 
 # -- patch decisions against the Fraction reference ---------------------------
 
 
 def _fraction_verdicts(patch, x, r):
-    """contains_point, contains_disc and excludes_disc as the Fraction
-    comparisons of the squared distance decided them."""
+    """contains_point, and whether the disc around x lies inside the patch
+    or outside it, as the Fraction comparisons of the squared distance
+    decided them."""
     d2 = F(*squared_distance_parts(patch.space)(patch.center, x))
     gap, slack = patch.radius - r, patch.radius + r
     return (d2 < patch.radius * patch.radius, gap > 0 and d2 < gap * gap, d2 > slack * slack)
+
+
+def _fraction_locate(patch, x, r):
+    _, inside, outside = _fraction_verdicts(patch, x, r)
+    return -1 if inside else 1 if outside else 0
 
 
 def _fraction_near_excluded(system, x, r):
@@ -119,8 +147,8 @@ def test_patch_decisions_match_the_fraction_reference(space, points, seed):
                 if radius <= 0:
                     continue
                 patch = BallPatch(space, center, radius)
-                assert (patch.contains_point(x), patch.contains_disc(x, r),
-                        patch.excludes_disc(x, r)) == _fraction_verdicts(patch, x, r)
+                assert patch.contains_point(x) == _fraction_verdicts(patch, x, r)[0]
+                assert patch.locate(x, r) == _fraction_locate(patch, x, r)
             for disc in (mid, r):
                 assert system.near_excluded(x, disc) == _fraction_near_excluded(system, x, disc)
 
@@ -129,9 +157,9 @@ def test_patch_decisions_at_infinity_are_exact():
     """sigma(0, inf) = 2: the boundary is neither inside nor excluded."""
     patch = BallPatch(SPHERE, S(0), F(2))
     assert not patch.contains_point(INF)
-    assert not patch.contains_disc(INF, F(0))
-    assert not patch.excludes_disc(INF, F(0))
-    assert BallPatch(SPHERE, S(0), F(2) - F(1, 1 << 80)).excludes_disc(INF, F(0))
+    assert patch.locate(INF, F(0)) == 0
+    assert BallPatch(SPHERE, S(0), F(2) - F(1, 1 << 80)).locate(INF, F(0)) == 1
+    assert BallPatch(SPHERE, S(0), F(2) + F(1, 1 << 80)).locate(INF, F(0)) == -1
     system = PatchSystem(SPHERE, [patch], [S(0)])
     assert system.near_excluded(INF, F(2))
     assert not system.near_excluded(INF, F(2) - F(1, 1 << 80))
@@ -337,8 +365,9 @@ def test_membership_tile_measure_passes_within_refinement_mesh():
 
 
 def _ref_membership_residual(mu, T, patches, J, tests, mesh=F(0), prec=40):
-    """The residual loop as first written: tests outside the atoms, and the
-    patch tests, T(a) and J recomputed for every test."""
+    """The residual loop as first written: tests outside the atoms, the
+    patch tests, T(a) and J recomputed for every test, the patch tests as
+    Fraction comparisons and the terms as `BallReal` arithmetic."""
     entries = []
     sup_j = J.sup_over_patches()
     apply = T.apply if isinstance(T, RationalMapRec) else T
@@ -347,14 +376,15 @@ def _ref_membership_residual(mu, T, patches, J, tests, mesh=F(0), prec=40):
         for t_idx, tau in enumerate(tests):
             v_terms, w_terms = [], []
             for a, w in mu.atoms:
-                if patch.contains_point(a):
+                if _fraction_verdicts(patch, a, F(0))[0]:
                     v_terms.append((tau(a, prec) * J.value_at(a, apply(a), mu.atom_error,
                                                               prec)).scale(w))
                 inside, ambiguous = [], []
                 for p in pre_cache[a]:
-                    if patch.contains_disc(p.point, p.disc_rad):
+                    where = _fraction_locate(patch, p.point, p.disc_rad)
+                    if where == -1:
                         inside.append(tau(p.point, prec).widen(tau.lipschitz * p.disc_rad))
-                    elif not patch.excludes_disc(p.point, p.disc_rad):
+                    elif where == 0:
                         ambiguous.append(tau(p.point, prec).widen(tau.lipschitz * p.disc_rad))
                 if len(inside) > 1:
                     raise NotInjectiveOnPatch(f"patch {k}")
@@ -369,22 +399,106 @@ def _ref_membership_residual(mu, T, patches, J, tests, mesh=F(0), prec=40):
     return entries
 
 
-@pytest.mark.parametrize("J", [
-    JacobianSpec.const(2),
-    JacobianSpec.potential_form(BallReal(LOG2, F(1, 1 << 40)), scale(F(1, 8), basis(S(0))),
-                                scale(F(-1, 4), basis(S(1)))),
-])
-def test_membership_entries_match_per_test_loop(J):
+_POTENTIAL_J = JacobianSpec.potential_form(
+    BallReal(LOG2, F(1, 1 << 40)), scale(F(1, 8), basis(S(0))), scale(F(-1, 4), basis(S(1))))
+
+
+def _orbit_case(J):
+    """A z^2-2 backward-orbit measure, whose preimages are certified discs
+    of radius > 0, with patches and hats at its atoms and mesh > 0."""
     mu = backward_orbit_measure(Z2M2, None, S(3), 4)
     anchors = [p for p, _ in mu.atoms[:6]]
     patches = standard_sphere_patches(Z2M2, anchors, F(1, 2))
     tests = [TestFunction(SPHERE, p, F(0), eps) for p in anchors[:3]
              for eps in (F(1, 4), F(1, 16))]
-    got = [(e.patch, e.test, e.residual, e.slack)
-           for e in membership_residual(mu, Z2M2, patches, J, tests, mesh=F(1, 64))]
-    assert got == _ref_membership_residual(mu, Z2M2, patches, J, tests, F(1, 64))
-    assert len(got) == len(anchors) * len(tests)
-    assert membership_residual(mu, Z2M2, patches, J, []) == []
+    return mu, Z2M2, patches, J, tests, F(1, 64)
+
+
+def _tile_case():
+    """A level-2 tile measure (72 weights 1/72) under its subdivision map:
+    every preimage is exact, so every disc has radius 0.  The patches lie
+    inside level-1 tiles; one hat is centred on an atom, so its distances
+    there are exact, and one has a width that is not dyadic."""
+    from equistate.thurston import max_tile_diameter, tile_complex
+
+    mu = mme_tile_measure("g1", 2)
+    centers = [t.barycenter() for t in tile_complex("g1", 1).tiles[:3]]
+    patches = PatchSystem("tri_sphere", [BallPatch("tri_sphere", c, F(1, 8)) for c in centers])
+    tests = [TestFunction("tri_sphere", centers[0], F(1, 64), F(1, 32)),
+             TestFunction("tri_sphere", mu.atoms[5][0], F(0), F(1, 3))]
+    mesh = max_tile_diameter(tile_complex("g1", 2), 30).upper()
+    return mu, SubdivisionMap("g1"), patches, JacobianSpec.const(6), tests, mesh
+
+
+def _boundary_case():
+    """sigma(3/4, -3/4) = 48/25 exactly, so of the exact preimages +-3/4 of
+    9/16 the patch about 3/4 of that radius holds 3/4 and has -3/4 on its
+    boundary.  The hat at -3/4 takes its sup there, from the ambiguous
+    preimage, and its inf from the inside one.  The weights are not
+    dyadic."""
+    mu = FiniteMeasure.from_atoms(SPHERE, [(S(F(9, 16)), F(1, 3)), (S(4), F(2, 3))])
+    patches = PatchSystem(SPHERE, [BallPatch(SPHERE, S(F(3, 4)), F(48, 25)),
+                                   BallPatch(SPHERE, S(0), F(6, 5))])
+    tests = [TestFunction(SPHERE, S(F(-3, 4)), F(0), F(1, 2)),
+             TestFunction(SPHERE, S(F(3, 4)), F(1, 8), F(1, 3))]
+    return mu, Z2, patches, JacobianSpec.const(2), tests, F(1, 5)
+
+
+def _not_injective_case():
+    """The patch of radius 3/2 about 0 holds both preimages +-1/2 of 1/4."""
+    mu = FiniteMeasure.dirac(SPHERE, S(F(1, 4)))
+    patches = PatchSystem(SPHERE, [BallPatch(SPHERE, S(0), F(3, 2))])
+    tests = [TestFunction(SPHERE, S(F(1, 2)), F(0), F(1, 4))]
+    return mu, Z2, patches, JacobianSpec.const(2), tests, F(0)
+
+
+def _entries_or_error(run):
+    try:
+        return run()
+    except NotInjectiveOnPatch:
+        return NotInjectiveOnPatch
+
+
+@pytest.mark.parametrize("case, raises", [
+    (lambda: _orbit_case(JacobianSpec.const(2)), False),
+    (lambda: _orbit_case(_POTENTIAL_J), False),
+    (_tile_case, False),
+    (_boundary_case, False),
+    (_not_injective_case, True),
+], ids=["J0", "J1", "tile_measure", "preimage_on_boundary", "not_injective"])
+def test_membership_entries_match_per_test_loop(case, raises):
+    """The integer assembly gives the same Fractions as the `BallReal`
+    reference, entry for entry, or raises where it does."""
+    mu, T, patches, J, tests, mesh = case()
+    got = _entries_or_error(lambda: [
+        (e.patch, e.test, e.residual, e.slack)
+        for e in membership_residual(mu, T, patches, J, tests, mesh=mesh)])
+    assert got == _entries_or_error(
+        lambda: _ref_membership_residual(mu, T, patches, J, tests, mesh))
+    if raises:
+        assert got is NotInjectiveOnPatch
+    else:
+        assert len(got) == len(patches.patches) * len(tests)
+        assert membership_residual(mu, T, patches, J, []) == []
+
+
+def test_membership_reads_hats_only_through_their_integer_parts(monkeypatch):
+    """The residual reads each hat as integer parts: on a depth-4 z^2
+    measure no hat builds a ball."""
+    mu = backward_orbit_measure(Z2, None, S(3), 4)
+    patches = standard_sphere_patches(Z2, [S(1), S(-1), S(0, 1), S(0, -1)], F(1, 3))
+    tests = [TestFunction(SPHERE, S(1), F(0), F(1, 8)),
+             TestFunction(SPHERE, S(0, 1), F(1, 16), F(1, 8))]
+    calls = []
+    call = TestFunction.__call__
+
+    def recording(tau, *args):
+        calls.append(args)
+        return call(tau, *args)
+
+    monkeypatch.setattr(TestFunction, "__call__", recording)
+    entries = membership_residual(mu, Z2, patches, JacobianSpec.const(2), tests)
+    assert len(entries) == 8 and not calls
 
 
 def test_membership_entries_with_preimages_on_a_patch_boundary():

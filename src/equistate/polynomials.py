@@ -15,14 +15,12 @@ p(w) = 0 nor Yun's monic factors depend on m, and every bound that reads
 |C(z)|^2 divides m^2 back out.  `roots`, `ratmap` and `thermo` rely on
 this.
 
-Evaluation and the ring operations (sums, products, scaling and the
-derivative) read and build forms alone: `horner_int` evaluates C at a
-point given by the numerators x, y over the denominator d of its triple,
-and `__call__` and `leading` divide once.  The reduced `GaussRat`
-coefficients are a view, `coeffs`, built on first read: by equality and
-hashing, and by division, on which the monic gcd and Yun square-free
-decomposition (characteristic zero, so gcd-based multiplicity splitting
-is exact) rest.
+Every operation reads and builds forms alone.  `horner_int` evaluates C
+at a point given by the numerators x, y over the denominator d of its
+triple; `__call__` and `leading` divide once.  Division is pseudo-division
+over Z[i] and the monic gcd runs Euclid on primitive parts; Yun's
+square-free decomposition (exact in characteristic zero) rests on both.
+Only equality, hashing and serialization read the `GaussRat` view `coeffs`.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .gauss import G_ZERO, GaussRat, gauss_ratio
 
@@ -67,12 +64,11 @@ class Polynomial:
     def zero() -> "Polynomial":
         return Polynomial((), 1)
 
-    @cached_property
+    @property
     def coeffs(self) -> tuple[GaussRat, ...]:
         """The reduced coefficients, coeffs[k] multiplying z^k; built on
-        first read."""
-        m = self.m
-        return tuple(gauss_ratio(x, y, m) for x, y in self.C)
+        each read."""
+        return tuple(gauss_ratio(x, y, self.m) for x, y in self.C)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -127,41 +123,56 @@ class Polynomial:
                 im[i + j] += x * v + y * u
         return Polynomial(tuple(zip(re, im)), self.m * other.m)
 
-    def scale(self, c: GaussRat) -> "Polynomial":
-        return self * Polynomial.of(c)
-
     def derivative(self) -> "Polynomial":
         return Polynomial(tuple((k * x, k * y) for k, (x, y) in enumerate(self.C) if k), self.m)
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
             return self
-        return self.scale(self.leading().inverse())
+        lr, li = self.C[-1]
+        return Polynomial(*_reduced(tuple((x * lr + y * li, y * lr - x * li) for x, y in self.C),
+                                    lr * lr + li * li))
 
     def divmod(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        dq = self.degree - other.degree
-        if dq < 0:
-            return Polynomial.zero(), self
-        rem = list(self.coeffs)
-        quot = [G_ZERO] * (dq + 1)
-        inv_lead = other.leading().inverse()
-        for k in range(dq, -1, -1):
-            c = rem[other.degree + k] * inv_lead
-            quot[k] = c
-            if not c.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    rem[j + k] = rem[j + k] - c * b
-        return Polynomial.of(*quot), Polynomial.of(*rem)
+        Q, R, s = _pseudo_divmod(self.C, other.C)
+        Q = tuple((x * other.m, y * other.m) for x, y in Q)
+        return Polynomial(*_reduced(Q, self.m * s)), Polynomial(*_reduced(R, self.m * s))
+
+
+def _reduced(C: IntPairs, m: int) -> tuple[IntPairs, int]:
+    """(C/g, m/g) for g the gcd of m and every integer of C (1 if all are
+    0): the lcm form of C/m for m > 0, the primitive part of C for m = 0."""
+    g = math.gcd(m, *(v for pair in C for v in pair)) or 1
+    return tuple((x // g, y // g) for x, y in C), m // g
+
+
+def _pseudo_divmod(A: IntPairs, B: IntPairs) -> tuple[IntPairs, IntPairs, int]:
+    """(Q, R, s), s*A = Q*B + R over Z[i] with deg R < deg B: each step
+    scales every pair by n = |lead B|^2, then cancels the top pair t by c z^k B
+    and stores c = t*conj(lead B) there, so s = n^max(deg A - deg B + 1, 0)."""
+    (br, bi), nb = B[-1], len(B) - 1
+    n = br * br + bi * bi
+    re, im = [x for x, _ in A], [y for _, y in A]
+    for k in range(len(A) - len(B), -1, -1):
+        tr, ti = re[nb + k], im[nb + k]
+        re, im = [x * n for x in re], [y * n for y in im]
+        re[nb + k], im[nb + k] = cr, ci = tr * br + ti * bi, ti * br - tr * bi
+        for j, (ur, ui) in enumerate(B[:-1], k):
+            re[j] -= cr * ur - ci * ui
+            im[j] -= cr * ui + ci * ur
+    pairs = tuple(zip(re, im))
+    return pairs[nb:], pairs[:nb], n ** max(len(A) - nb, 0)
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Monic gcd by the Euclidean algorithm (exact over Q(i))."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a
+    """Monic gcd by Euclid over Z[i], each remainder divided by the gcd of
+    its integers (its primitive part); exact over Q(i)."""
+    A, B = a.C, b.C
+    while B:
+        A, B = B, _reduced(Polynomial(_pseudo_divmod(A, B)[1], 1).C, 0)[0]
+    return Polynomial(A, 1).monic()
 
 
 def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
@@ -172,7 +183,6 @@ def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     """
     if p.degree < 1:
         return []
-    p = p.monic()
     dp = p.derivative()
     a = poly_gcd(p, dp)
     b, _ = p.divmod(a)
@@ -183,9 +193,9 @@ def square_free_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
         d = c - b.derivative()
         q = poly_gcd(b, d)
         if q.degree >= 1:
-            out.append((q.monic(), k))
-        b, _ = b.divmod(q) if q.degree >= 0 else (b, Polynomial.zero())
-        c, _ = d.divmod(q) if q.degree >= 0 else (d, Polynomial.zero())
+            out.append((q, k))
+        b, _ = b.divmod(q)
+        c, _ = d.divmod(q)
         k += 1
     return out
 

@@ -266,7 +266,8 @@ def _solve_square_free(q: Polynomial, target: Fraction, bits: int
     with multiplicity; each disc holds a root, and one root each once the
     caller has checked the discs pairwise disjoint."""
     if q.degree == 1:
-        return [(-q.coeffs[0] / q.coeffs[1], ZERO)]
+        (x0, y0), (x1, y1) = q.C
+        return [(gauss_ratio(-x0 * x1 - y0 * y1, x0 * y1 - y0 * x1, x1 * x1 + y1 * y1), ZERO)]
     coeffs = q.C
     steps = max(6, bits.bit_length() + 2)
     out: list[tuple[GaussRat, Fraction]] = []

@@ -229,6 +229,8 @@ def jacobian_unitarity(f: MapLike, J: JacobianSpec, x: Point,
     Preimages whose certified discs straddle a patch boundary contribute
     an honest [0, value] uncertainty instead of a guess.
     """
+    if J.kind != "constant" and prec < 0:
+        raise ValueError(f"precision prec must be nonnegative, got {prec}")
     pres = enumerate_preimages(f, x, prec + 8)
     certain = []
     ambiguous = []
@@ -236,13 +238,10 @@ def jacobian_unitarity(f: MapLike, J: JacobianSpec, x: Point,
         if patches.near_excluded(p.point, p.disc_rad):
             raise ExcludedPoint(f"preimage {p.point!r} meets the excluded set")
         where = [patch.locate(p.point, p.disc_rad) for patch in patches.patches]
-        inside = -1 in where
-        outside = all(v == 1 for v in where)
+        if all(v == 1 for v in where):
+            continue
         inv = J.inverse_at(p.point, x, p.disc_rad, prec).scale(p.local_degree)
-        if inside:
-            certain.append(inv)
-        elif not outside:
-            ambiguous.append(inv)
+        (certain if -1 in where else ambiguous).append(inv)
     base = ball_sum(certain) if certain else BallReal.exact(0)
     if ambiguous:
         amb = ball_sum(ambiguous)

@@ -46,6 +46,82 @@ def test_square_free_decomposition():
     assert mults == [1, 2]
 
 
+# The GaussRat Euclid and Yun that division, `poly_gcd` and
+# `square_free_decomposition` ran before they moved to Gaussian-integer
+# pseudo-division: the reference they are checked against.
+
+
+def _ref_divmod(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    dq = a.degree - b.degree
+    if dq < 0:
+        return Polynomial.zero(), a
+    rem, quot = list(a.coeffs), [GaussRat.of(0)] * (dq + 1)
+    inv_lead = b.coeffs[-1].inverse()
+    for k in range(dq, -1, -1):
+        c = quot[k] = rem[b.degree + k] * inv_lead
+        for j, u in enumerate(b.coeffs):
+            rem[j + k] = rem[j + k] - c * u
+    return Polynomial.of(*quot), Polynomial.of(*rem)
+
+
+def _ref_monic(p: Polynomial) -> Polynomial:
+    return p * Polynomial.of(p.coeffs[-1].inverse())
+
+
+def _ref_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    while not b.is_zero():
+        a, b = b, _ref_divmod(a, b)[1]
+    return _ref_monic(a) if not a.is_zero() else a
+
+
+def _ref_yun(p: Polynomial) -> list[tuple[Polynomial, int]]:
+    p = _ref_monic(p)
+    dp = p.derivative()
+    a = _ref_gcd(p, dp)
+    b, c = _ref_divmod(p, a)[0], _ref_divmod(dp, a)[0]
+    out, k = [], 1
+    while b.degree >= 1:
+        d = c - b.derivative()
+        q = _ref_gcd(b, d)
+        if q.degree >= 1:
+            out.append((q, k))
+        b, c = _ref_divmod(b, q)[0], _ref_divmod(d, q)[0]
+        k += 1
+    return out
+
+
+def test_division_gcd_and_yun_match_the_gaussrat_reference():
+    """Over seeded products of Q(i) linear factors with multiplicities and
+    a Gaussian-rational constant: a = q*b + r with deg r < deg b, and the
+    quotient, remainder, monic gcd and Yun's factors are the reference's,
+    with prod q_k^k = p.monic()."""
+    rng = random.Random(23)
+
+    def gauss(lo=-9):
+        return GaussRat.of(F(rng.randint(lo, 9), rng.randint(1, 8)),
+                           F(rng.randint(-9, 9), rng.randint(1, 8)))
+
+    pool = [gauss() for _ in range(6)]
+    for _ in range(120):
+        roots = rng.sample(pool, rng.randint(1, 4))
+        p = Polynomial.of(gauss(1))
+        for r in roots:
+            p = p * poly_from_roots([r] * rng.randint(1, 3))
+        b = Polynomial.of(gauss(1)) * poly_from_roots(rng.sample(pool, rng.randint(1, 3)))
+        for x, y in ((p, b), (b, p), (p, p.derivative()), (p, Polynomial.of(gauss(1)))):
+            q, r = x.divmod(y)
+            assert x == q * y + r and r.degree < y.degree
+            assert (q, r) == _ref_divmod(x, y)
+            assert poly_gcd(x, y) == _ref_gcd(x, y)
+        factors = square_free_decomposition(p)
+        assert factors == _ref_yun(p)
+        product = Polynomial.of(1)
+        for q, k in factors:
+            for _ in range(k):
+                product = product * q
+        assert product == p.monic()
+
+
 # -- certified roots ----------------------------------------------------
 
 
@@ -117,9 +193,9 @@ def test_chart_rule_puts_the_unit_circle_in_the_num_chart():
     """|x| <= 1 takes num - x*den, also at |x| = 1 exactly; outside, the
     chart is den - num/x."""
     for x in (S(1), S(F(3, 5), F(-4, 5))):
-        assert preimage_polynomial(Z2, x) == Z2.num - Z2.den.scale(x.as_gauss())
+        assert preimage_polynomial(Z2, x) == Z2.num - Z2.den * Polynomial.of(x.as_gauss())
     x = S(F(3, 5), F(4, 5) + F(1, 1 << 80))
-    assert preimage_polynomial(Z2, x) == Z2.den - Z2.num.scale(x.as_gauss().inverse())
+    assert preimage_polynomial(Z2, x) == Z2.den - Z2.num * Polynomial.of(x.as_gauss().inverse())
 
 
 def _ref_preimage_polynomial(f, x):
@@ -128,8 +204,8 @@ def _ref_preimage_polynomial(f, x):
         return f.den
     z = x.as_gauss()
     if z.abs2() <= 1:
-        return f.num - f.den.scale(z)
-    return f.den - f.num.scale(z.inverse())
+        return f.num - f.den * Polynomial.of(z)
+    return f.den - f.num * Polynomial.of(z.inverse())
 
 
 @pytest.mark.parametrize("k, expr", enumerate(["(2*z^2+1)/(z^2+3)", "z^2+i", "1/z^2",

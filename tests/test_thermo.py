@@ -13,7 +13,7 @@ from equistate.dyadics import ZERO
 from equistate.errors import ExcludedAnchor, ExcludedPoint, PrecisionExhausted
 from equistate.gauss import GaussRat
 from equistate.measures import pushforward, wasserstein
-from equistate.polynomials import Polynomial
+from equistate.polynomials import Polynomial, poly_gcd, square_free_decomposition
 from equistate.potentials import basis, const, pprod, psum, scale
 from equistate.ratmap import RationalMapRec, preimage_perturbation, preimage_polynomial
 from equistate.roots import certified_roots
@@ -293,11 +293,11 @@ def test_preimage_perturbation_bounds_the_true_polynomial():
                 x2 = x + G(delta * F(rng.randint(-10, 10), 15), delta * F(rng.randint(-10, 10), 15))
                 if x.abs2() <= 1:
                     c = x - x2
-                    g2 = f.num - f.den.scale(x2)
+                    g2 = f.num - f.den * Polynomial.of(x2)
                 else:
                     c = x.inverse() - x2.inverse()
-                    g2 = f.den - f.num.scale(x2.inverse())
-                assert g2 == g + P.scale(c)
+                    g2 = f.den - f.num * Polynomial.of(x2.inverse())
+                assert g2 == g + P * Polynomial.of(c)
                 assert c.abs2() <= eps * eps
     assert preimage_perturbation(Z2M2, S(F(3, 2)), F(3, 2), 40) is None  # x' may be 0
     assert preimage_perturbation(Z2M2, INF, ZERO, 40) == (Polynomial.zero(), ZERO)
@@ -323,7 +323,7 @@ def test_displacement_reaches_the_moved_preimages(f, x):
                                               (F(3, 5), F(4, 5)), (F(-3, 5), F(4, 5)),
                                               (F(3, 5), F(-4, 5)), (F(-4, 5), F(-3, 5)))):
             moved = x + u.scale(delta)
-            q = f.num - f.den.scale(moved)
+            q = f.num - f.den * Polynomial.of(moved)
             roots = mpmath.polyroots([mpmath.mpc(mpmath.mpf(c.x) / c.d, mpmath.mpf(c.y) / c.d)
                                       for c in reversed(q.coeffs)], extraprec=100)
             for z, b in zip(children, bounds):
@@ -460,21 +460,28 @@ def test_tree_nodes_match_pinned_digests(expr, with_phi):
 
 @pytest.mark.parametrize("expr", ["z^2-2", "(z^2+1)/(z^2-1)"])
 def test_tree_reads_node_polynomials_only_through_their_integer_form(monkeypatch, expr):
-    """The tree level, the root solve and the displacement read each node's
-    preimage polynomial through its form (C, m) alone: in depth-4 trees at
-    an anchor inside the unit circle and one outside it, no node
-    polynomial builds its `coeffs` view."""
-    built = []
-
-    def recording(f, x):
-        built.append(preimage_polynomial(f, x))
-        return built[-1]
-
-    monkeypatch.setattr(thermo, "preimage_polynomial", recording)
+    """Polynomials are read through their form (C, m) alone by map parsing
+    and `RationalMapRec`, by the tree level, the root solve and the
+    displacement in depth-4 trees at an anchor inside the unit circle and
+    one outside it, by `poly_gcd`, by Yun, and by `certified_roots` on a
+    double root, which takes the Yun fallback: a `coeffs` property that
+    records each read sees none until the test reads it itself."""
+    reads, yun = [], []
+    view = Polynomial.__dict__["coeffs"]
+    monkeypatch.setattr(Polynomial, "coeffs",
+                        property(lambda p: reads.append(p) or view.__get__(p, Polynomial)))
+    monkeypatch.setattr("equistate.roots.square_free_decomposition",
+                        lambda p: yun.append(p) or square_free_decomposition(p))
     f = parse_map(expr)
+    RationalMapRec(f.num, f.den)
     inner, outer, _ = _pinned_anchors(len(expr))
     assert abs(complex(inner.as_gauss())) < 1 < abs(complex(outer.as_gauss()))
     for x in (inner, outer):
         build_preimage_tree(f, x, 4, 48)
-    assert len(built) == 2 * (1 + 2 + 4 + 8)
-    assert not [g for g in built if "coeffs" in vars(g)]
+    g = preimage_polynomial(f, inner)
+    gcd = poly_gcd(g, g.derivative())
+    factors = square_free_decomposition(g * g)
+    clusters = certified_roots(g * g, 20)
+    assert not reads and len(yun) == 1
+    assert gcd == Polynomial.of(1) and factors == [(g.monic(), 2)]
+    assert [c.multiplicity for c in clusters] == [2, 2] and reads

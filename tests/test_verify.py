@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from equistate.balls import BallReal, DirectedReal, ball_sum, log_point, sqrt_bracket
+from equistate.balls import BallReal, DirectedReal, ball_exp, ball_sum, log_point, sqrt_bracket
 from equistate.errors import (
     NonPositiveJacobian,
     NotInjectiveOnPatch,
@@ -181,6 +181,27 @@ def test_unitarity_potential_form_reduces_to_constant():
     J = JacobianSpec.potential_form(log_point(F(2), 60), const(0), const(0))
     res = jacobian_unitarity(Z2, J, S(4), _preimage_patches(Z2, S(4)), prec=50)
     assert res.upper() <= F(1, 1 << 40)
+
+
+def test_unitarity_evaluates_j_only_at_preimages_in_a_patch(monkeypatch):
+    """z^2 at x = 4 with one patch of radius 1/4 about the preimage 2: the
+    preimage -2 lies outside every patch, so J is evaluated once, at 2, and
+    the residual is |1/J(2) - 1|.  A negative prec is refused whether or not
+    any preimage lies in a patch."""
+    calls = []
+    monkeypatch.setattr("equistate.verify.ball_exp",
+                        lambda a, prec: calls.append(a) or ball_exp(a, prec))
+    J = JacobianSpec.potential_form(log_point(F(2), 60), scale(F(1, 8), basis(S(0))), const(0))
+    x, patches = S(4), PatchSystem(SPHERE, [BallPatch(SPHERE, S(2), F(1, 4))])
+    res = jacobian_unitarity(Z2, J, x, patches, prec=50)
+    assert len(calls) == 1
+    (two,) = [p for p in enumerate_preimages(Z2, x, 58) if p.point == S(2)]
+    assert res == (J.inverse_at(two.point, x, two.disc_rad, 50) - 1).abs()
+    far = PatchSystem(SPHERE, [BallPatch(SPHERE, S(9), F(1, 4))])
+    assert jacobian_unitarity(Z2, J, x, far, prec=50) == BallReal.exact(1)
+    for system in (patches, far):
+        with pytest.raises(ValueError, match="nonnegative"):
+            jacobian_unitarity(Z2, J, x, system, prec=-1)
 
 
 def test_unitarity_random_regular_points():

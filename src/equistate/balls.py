@@ -125,28 +125,41 @@ def ball_sum(terms: Iterable[BallReal]) -> BallReal:
 # -- certified square roots -------------------------------------------
 
 
+def _square_residues(k: int) -> bytes:
+    """A table t with t[r] = 1 exactly when r is a square mod k."""
+    table = bytearray(k)
+    for x in range(k):
+        table[x * x % k] = 1
+    return bytes(table)
+
+
+# A square is a square mod each of 64, 63, 65 and 11; all four divide
+# _SQUARE_MODULUS, so one big-integer reduction serves them.  About 1 in
+# 119 nonsquares passes all four tests.
+_SQ64, _SQ63, _SQ65, _SQ11 = (_square_residues(k) for k in (64, 63, 65, 11))
+_SQUARE_MODULUS = 64 * 63 * 65 * 11
+
+
 def sqrt_bracket_parts(n: int, d: int, prec: int) -> tuple[int, int, int]:
     """(m, e, D) with |sqrt(n/d) - m/D| <= e/D, for n >= 0 and d > 0 (n/d
     need not be in lowest terms).
 
     It is exact, (r, 0, d), when n/d in lowest terms is a ratio of perfect
     squares, that is when n d is a perfect square r^2; then sqrt(n/d) =
-    r/d.  Otherwise, with b = prec + 1, sqrt(n/d) 2^b is no integer (that
-    would make n/d a square), so it lies strictly between lo =
+    r/d.  A residue of n d that is no square mod 64, 63, 65 or 11 rules
+    that out without `isqrt`; every square passes, so no bracket changes.
+    Otherwise, with b = prec + 1, sqrt(n/d) 2^b is no integer (that would
+    make n/d a square), so it lies strictly between lo =
     `sqrt_lower_numerator` and lo + 1, which is `sqrt_upper_numerator`; the
     bracket is (2 lo + 1, 1, 2^(prec+2)), of radius 2^-(prec+2).
     """
-    r = math.isqrt(n * d)
-    if r * r == n * d:
-        return r, 0, d
+    nd = n * d
+    res = nd % _SQUARE_MODULUS
+    if _SQ64[res & 63] and _SQ63[res % 63] and _SQ65[res % 65] and _SQ11[res % 11]:
+        r = math.isqrt(nd)
+        if r * r == nd:
+            return r, 0, d
     return 2 * sqrt_lower_numerator(n, d, prec + 1) + 1, 1, 1 << (prec + 2)
-
-
-def sqrt_bracket(n: int, d: int, prec: int) -> tuple[Fraction, int]:
-    """(mid, e) with |sqrt(n/d) - mid| <= e/2^(prec+2) and e in {0, 1}: the
-    `sqrt_bracket_parts` of n/d, with e = 0 exactly when mid = sqrt(n/d)."""
-    m, e, den = sqrt_bracket_parts(n, d, prec)
-    return Fraction(m, den), e
 
 
 def sqrt_of_rational(n: int, d: int, prec: int) -> BallReal:

@@ -16,19 +16,21 @@ integer keys over one common denominator per measure: sphere points by
 the canonical `sphere.sphere_order` ((re, im), infinity last), tile
 points by face (front first) and then barycentric coordinates.
 `wasserstein_detail` pins each cost from the integer radicand of the
-squared distance with one `sqrt_bracket`.
+squared distance with one `sqrt_bracket_parts`, and hands the simplex the
+weights and the costs as integers over one denominator each; Fractions
+are built only for its result, and for `pinned_cost` when it is read.
 `atoms` stays a tuple of (point, Fraction) pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Iterable, Union
 
-from .balls import BallReal, ball_sum, sqrt_bracket, sqrt_bracket_parts
+from .balls import BallReal, ball_sum, sqrt_bracket_parts
 from .dyadics import ZERO, format_rational
 from .errors import EvaluationFailure, InexactImage, SpaceMismatch
 from .sphere import SpherePoint, chordal, chordal_sq_parts, sphere_order
@@ -167,24 +169,45 @@ def pushforward(mu: FiniteMeasure, T: Callable[[Point], Point]) -> FiniteMeasure
 
 @dataclass
 class WassersteinResult:
+    """The distance ball, the optimal plan and the simplex's result.  The
+    costs are kept as integers over one denominator; `pinned_cost`, their
+    Fraction view, is built on first read."""
+
     value: BallReal
     plan: dict[tuple[int, int], Fraction]
     transport: TransportResult
-    pinned_cost: list[list[Fraction]]
+    _cost: list[list[int]] = field(repr=False)
+    _cost_den: int = field(repr=False)
+
+    @cached_property
+    def pinned_cost(self) -> list[list[Fraction]]:
+        return [[Fraction(c, self._cost_den) for c in row] for row in self._cost]
 
     def optimality_certificate(self) -> bool:
         return self.transport.verify_optimal(self.pinned_cost)
+
+
+def _common_parts(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """The numerators of the fractions n/d over the lcm L of their distinct
+    denominators, and L."""
+    big = lcm(*{d for _, d in pairs})
+    return [n if d == big else n * (big // d) for n, d in pairs], big
 
 
 def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
                        ) -> WassersteinResult:
     """Exact transport optimum over pinned rational costs.
 
-    Each cost is the `sqrt_bracket` of the exact squared chordal (or
-    doubled-triangle) distance at prec + 4 bits, the ball `space_distance`
-    gives; the simplex runs on the midpoints, so the combinatorial optimum
-    is exact and the returned ball widens only by the worst bracket
-    radius plus the measures' atom displacements.
+    Each cost is the `sqrt_bracket_parts` midpoint of the exact squared
+    chordal (or doubled-triangle) distance at prec + 4 bits, the ball
+    `space_distance` gives; the simplex runs on the midpoints, so the
+    combinatorial optimum is exact and the returned ball widens only by
+    the worst bracket radius plus the measures' atom displacements.
+
+    The simplex takes integers: the weights as numerators over the lcm of
+    their denominators, and the midpoints as numerators over the lcm of
+    theirs, which is 2^(prec+6) unless an entry is exact (an exact entry
+    r/d is first reduced by gcd(r, d)).
     """
     if prec < 0:
         raise ValueError(f"precision prec must be nonnegative, got {prec}")
@@ -194,20 +217,26 @@ def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
         raise ValueError("wasserstein needs equal total masses")
     squared = squared_distance_parts(mu.space)
     cost_prec = prec + 4
-    brackets = [
-        [sqrt_bracket(*squared(p, q), cost_prec) for q, _ in nu.atoms]
-        for p, _ in mu.atoms
-    ]
-    pinned = [[mid for mid, _ in row] for row in brackets]
-    worst = max((e for row in brackets for _, e in row), default=0)
+    mids = []
+    worst = 0
+    for p, _ in mu.atoms:
+        for q, _ in nu.atoms:
+            m, e, den = sqrt_bracket_parts(*squared(p, q), cost_prec)
+            if e:
+                worst = e
+            else:
+                g = gcd(m, den)
+                m, den = m // g, den // g
+            mids.append((m, den))
+    flat, cost_den = _common_parts(mids)
+    n, k = len(mu.atoms), len(nu.atoms)
+    cost = [flat[i * k:(i + 1) * k] for i in range(n)]
+    masses, mass_den = _common_parts([(w.numerator, w.denominator)
+                                      for measure in (mu, nu) for _, w in measure.atoms])
+    res = min_cost_transport(masses[:n], masses[n:], cost, mass_den, cost_den)
     max_rad = Fraction(worst, 1 << (cost_prec + 2))
-    res = min_cost_transport(
-        [w for _, w in mu.atoms], [w for _, w in nu.atoms], pinned
-    )
     slack = max_rad * mu.total + mu.atom_error + nu.atom_error
-    return WassersteinResult(
-        BallReal(res.value, slack), res.plan, res, pinned
-    )
+    return WassersteinResult(BallReal(res.value, slack), res.plan, res, cost, cost_den)
 
 
 def wasserstein(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30) -> BallReal:

@@ -1,17 +1,24 @@
 """Exact minimum-cost transport on a dense bipartite graph.
 
-Network simplex on integers: masses and costs are each scaled once by the
-lcm of their denominators, which changes none of the simplex's
-comparisons, and only the result is scaled back.  The returned optimum is
-the exact LP value for the given (pinned) rational costs, and the dual
+Network simplex on integers: the caller passes the masses as integers
+over one denominator and the costs as integers over another, and only the
+result is divided back, once, into Fractions.  The returned optimum is the
+exact LP value for the given (pinned) rational costs, and the dual
 potentials come with it, so callers can verify optimality independently:
 every reduced cost c_ij - u_i - v_j is nonnegative at the optimum.
+
+Neither denominator changes a decision: costs enter the simplex only
+through sign tests and comparisons of reduced costs, which a positive
+scale keeps; and a flow on a tree arc is K x + g with x an integer in the
+units of the masses and |g| < K (see below), so flows compare as (x, g)
+in lexicographic order, whatever the scale of x.  So any common
+denominators give the same pivots, plan and duals.
 
 Perturbation.  Equal-weight measures make the problem massively
 degenerate, and a degenerate pivot (one that moves zero flow) is what lets
 a simplex cycle.  So the simplex runs on integer masses perturbed in the
-classical epsilon way, with epsilon = 1/K.  Let a_i, b_j be the scaled
-integer masses (n rows, m columns), N = n*m and K = 2N + 1.  The solve
+classical epsilon way, with epsilon = 1/K.  Let a_i, b_j be the integer
+masses (n rows, m columns), N = n*m and K = 2N + 1.  The solve
 uses the supplies K*a_i + m and the demands K*b_j + 1, plus m(n - 1) on
 the last demand, so both sides still sum to K*sum(a) + N.  (The textbook
 version perturbs the supplies alone; that leaves an arc to a column of
@@ -52,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import isqrt
 
 from .errors import PrecisionExhausted
 
@@ -78,36 +85,30 @@ class TransportResult:
         return True
 
 
-def _scaled(xs: list[Fraction]) -> tuple[list[int], int]:
-    """The integers s*x for s the lcm of the denominators, and s."""
-    s = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (s // x.denominator) for x in xs], s
-
-
 def _pivot_bound(n: int, m: int) -> int:
     """Pivots allowed on an n x m problem before the solve gives up."""
     return 12 * (n + m) * (n + m) + 400
 
 
-def min_cost_transport(supplies: list[Fraction], demands: list[Fraction], cost: Cost
-                       ) -> TransportResult:
-    """Solve min sum f_ij c_ij with row sums = supplies, col sums = demands.
+def min_cost_transport(supplies: list[int], demands: list[int], cost: list[list[int]],
+                       mass_den: int, cost_den: int) -> TransportResult:
+    """Solve min sum f_ij cost[i][j]/cost_den with row sums
+    supplies[i]/mass_den and column sums demands[j]/mass_den.
 
-    Requires sum(supplies) == sum(demands), all entries exact Fractions.
-    Raises PrecisionExhausted after `_pivot_bound(n, m)` pivots.
+    Masses and costs are integers, the masses >= 0 with equal sums, and
+    both denominators are > 0.  The result is in Fractions: the value, the
+    plan's masses and the duals.  Raises PrecisionExhausted after
+    `_pivot_bound(n, m)` pivots.
     """
     n, m = len(supplies), len(demands)
-    masses, ws = _scaled([*supplies, *demands])
-    if sum(masses[:n]) != sum(masses[n:]):
+    if sum(supplies) != sum(demands):
         raise ValueError("unbalanced transport problem")
     if n == 0 or m == 0:
         raise ValueError("empty transport problem")
-    flat, cs = _scaled([x for row in cost for x in row])
-    c = [flat[i * m:(i + 1) * m] for i in range(n)]
     N = n * m
     K = 2 * N + 1
-    supply = [K * x + m for x in masses[:n]]
-    demand = [K * x + 1 for x in masses[n:]]
+    supply = [K * x + m for x in supplies]
+    demand = [K * x + 1 for x in demands]
     demand[-1] += N - m
 
     # Nodes are rows 0..n-1 and columns n..n+m-1.  The northwest corner
@@ -139,7 +140,7 @@ def min_cost_transport(supplies: list[Fraction], demands: list[Fraction], cost: 
         for x, t in adjacent[k]:
             if x != parent[k]:
                 parent[x], depth[x], flow[x] = k, depth[k] + 1, t
-                pot[x] = (c[x][k - n] if x < n else c[k][x - n]) - pot[k]
+                pot[x] = (cost[x][k - n] if x < n else cost[k][x - n]) - pot[k]
                 children[k].append(x)
                 stack.append(x)
 
@@ -151,7 +152,7 @@ def min_cost_transport(supplies: list[Fraction], demands: list[Fraction], cost: 
         v = pot[n:]
         enter, best, seen = None, 0, 0
         i, j = divmod(pos, m)
-        ui, row = pot[i], c[i]
+        ui, row = pot[i], cost[i]
         while enter is None and seen < N:
             for _arc in range(min(block, N - seen)):
                 r = row[j] - ui - v[j]
@@ -160,15 +161,15 @@ def min_cost_transport(supplies: list[Fraction], demands: list[Fraction], cost: 
                 j += 1
                 if j == m:
                     i, j = (i + 1) % n, 0
-                    ui, row = pot[i], c[i]
+                    ui, row = pot[i], cost[i]
             seen += block
         if enter is None:
             arcs = sorted((min(x, p), max(x, p) - n, (flow[x] + N) // K)
                           for x, p in enumerate(parent) if p >= 0)
-            plan = {(ri, cj): Fraction(f, ws) for ri, cj, f in arcs if f}
-            value = Fraction(sum(f * c[ri][cj] for ri, cj, f in arcs), ws * cs)
-            return TransportResult(value, plan, [Fraction(x, cs) for x in pot[:n]],
-                                   [Fraction(x, cs) for x in v])
+            plan = {(ri, cj): Fraction(f, mass_den) for ri, cj, f in arcs if f}
+            value = Fraction(sum(f * cost[ri][cj] for ri, cj, f in arcs), mass_den * cost_den)
+            return TransportResult(value, plan, [Fraction(x, cost_den) for x in pot[:n]],
+                                   [Fraction(x, cost_den) for x in v])
         pos = i * m + j
 
         # The cycle is the entering arc plus the tree paths from its two ends

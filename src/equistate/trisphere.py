@@ -3,7 +3,8 @@
 A point is a face tag plus a reduced homogeneous integer triple (a, b, c):
 entries >= 0, gcd(a, b, c) = 1, and the barycentric coordinates with
 respect to the shared corner labels are (a, b, c)/(a+b+c).  So every point
-has exactly one triple, and equality and hashing compare integers.  Points
+has exactly one triple, and equality and hashing compare integers.  A
+point is the named tuple (face, abc), and equals that plain tuple.  Points
 on the glued boundary (some entry 0) canonicalize to the front face, so
 that either-face representations compare equal.
 
@@ -17,10 +18,9 @@ Wasserstein bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .balls import BallReal, sqrt_of_rational
 
@@ -31,20 +31,25 @@ Coords = tuple[Fraction, Fraction, Fraction]
 Triple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class TilePoint:
+class TilePoint(NamedTuple):
     """Point (a, b, c)/(a+b+c) on one face of the doubled triangle.
 
     `abc` is the reduced triple (entries >= 0, gcd 1, front face whenever
     an entry is 0); build points with `tile_point` (rational input) or
-    `homogeneous_point` (integer chart outputs), which keep these
-    invariants.  `coords` is the cached Fraction view of the same point.
+    `homogeneous_point` (integer triples), which keep these invariants.
+    A named tuple, so that hashing and comparing points run in C, and a
+    point equals the plain tuple (face, abc).  `coords` is the Fraction
+    view of the same point, built on each read.
+
+    The tuple order (face name, then abc) puts "back" before "front", so it
+    is not the canonical order of measure atoms, which puts the front face
+    first (`measures._tile_order`); sort points by that, not by `sorted`.
     """
 
     face: str
     abc: Triple
 
-    @cached_property
+    @property
     def coords(self) -> Coords:
         s = sum(self.abc)
         return tuple(Fraction(x, s) for x in self.abc)  # type: ignore[return-value]
@@ -60,13 +65,20 @@ class TilePoint:
 
 def homogeneous_point(face: str, a: int, b: int, c: int) -> TilePoint:
     """The point (a, b, c)/(a+b+c): entries are divided by their gcd, and a
-    boundary point goes to the front face."""
+    boundary point goes to the front face.
+
+    Every chart output (`Tile.pullback`, `SubdivisionMap.eval`) is built
+    here, so the common case is kept short: no division when the gcd is
+    1, and `tuple.__new__` in place of the named tuple's Python-level
+    constructor."""
     g = gcd(a, b, c)
     if g == 0 or a < 0 or b < 0 or c < 0:
         raise ValueError("homogeneous coordinates must be nonnegative, not all 0")
     if not (a and b and c):
         face = FRONT
-    return TilePoint(face, (a // g, b // g, c // g))
+    if g != 1:
+        a, b, c = a // g, b // g, c // g
+    return tuple.__new__(TilePoint, (face, (a, b, c)))
 
 
 def tile_point(face: str, a: Fraction | int, b: Fraction | int, c: Fraction | int) -> TilePoint:

@@ -227,10 +227,17 @@ def jacobian_unitarity(f: MapLike, J: JacobianSpec, x: Point,
     """Residual | sum over f^-1(x) in the patch union of 1/J(y)  -  1 |.
 
     Preimages whose certified discs straddle a patch boundary contribute
-    an honest [0, value] uncertainty instead of a guess.
+    an honest [0, value] uncertainty instead of a guess.  Nonconstant
+    potentials are functions on the sphere, so a potential-form J with one
+    of them and patches on another space is a SpaceMismatch.
     """
-    if J.kind != "constant" and prec < 0:
-        raise ValueError(f"precision prec must be nonnegative, got {prec}")
+    if J.kind != "constant":
+        if prec < 0:
+            raise ValueError(f"precision prec must be nonnegative, got {prec}")
+        if patches.space != SPHERE and (J.phi.constant_value() is None
+                                        or J.h.constant_value() is None):
+            raise SpaceMismatch(f"nonconstant potentials live on {SPHERE}; "
+                                f"the patches are on {patches.space}")
     pres = enumerate_preimages(f, x, prec + 8)
     certain = []
     ambiguous = []

@@ -14,7 +14,7 @@ from equistate.balls import (
     ball_log,
     exp_point,
     log_point,
-    sqrt_bracket,
+    sqrt_bracket_parts,
     sqrt_of_rational,
 )
 from equistate.errors import MonotonicityViolation, NonPositiveArgument
@@ -139,20 +139,67 @@ def test_sqrt_is_the_dyadic_bracket():
         sqrt_of_rational(-1, 3, 10)
 
 
+def _bracket(n, d, prec):
+    """(mid, e): the `sqrt_bracket_parts` of n/d with its midpoint as a
+    Fraction."""
+    m, e, den = sqrt_bracket_parts(n, d, prec)
+    return F(m, den), e
+
+
 def test_sqrt_bracket_ignores_common_factors():
     """The bracket of n/d is a function of the value: a common factor of
     the integers changes neither the exactness test nor the bits."""
-    assert sqrt_bracket(8, 2, 30) == (2, 0) and sqrt_bracket(0, 12, 30) == (0, 0)
-    assert sqrt_bracket(36 * 7, 25 * 7, 5) == (F(6, 5), 0)
+    assert _bracket(8, 2, 30) == (2, 0) and _bracket(0, 12, 30) == (0, 0)
+    assert _bracket(36 * 7, 25 * 7, 5) == (F(6, 5), 0)
     rng = random.Random(11)
     for _ in range(300):
         q = F(rng.randint(0, 10 ** rng.randint(1, 25)), rng.randint(1, 10 ** rng.randint(1, 25)))
         k = rng.randint(1, 10 ** rng.randint(0, 20))
         prec = rng.choice([0, 12, 34, 64])
         ball = sqrt_of_rational(q.numerator, q.denominator, prec)
-        assert sqrt_bracket(q.numerator * k, q.denominator * k, prec) == (
+        assert _bracket(q.numerator * k, q.denominator * k, prec) == (
             ball.mid, ball.rad * (1 << (prec + 2)))
         assert sqrt_of_rational(q.numerator * k, q.denominator * k, prec) == ball
+
+
+def _isqrt_parts(n, d, prec):
+    """`sqrt_bracket_parts` with the square test by plain `isqrt` alone."""
+    r = math.isqrt(n * d)
+    if r * r == n * d:
+        return r, 0, d
+    return 2 * math.isqrt((n << (2 * prec + 2)) // d) + 1, 1, 1 << (prec + 2)
+
+
+_BIG = 1 << 1100  # squares of up to 2,200 bits
+_radicands = st.one_of(
+    st.integers(0, _BIG).map(lambda k: (k * k, 1)),
+    st.integers(1, _BIG).map(lambda k: (k * k + 1, 1)),
+    st.integers(1, _BIG).map(lambda k: (k * k - 1, 1)),
+    st.tuples(st.integers(0, 1 << 600), st.integers(1, 1 << 600)).map(
+        lambda rj: ((rj[0] * rj[1]) ** 2, rj[1] ** 2)),
+    st.tuples(st.integers(0, _BIG), st.integers(1, _BIG)),
+)
+
+
+@given(_radicands, st.sampled_from([0, 12, 34, 64]))
+@settings(max_examples=300, deadline=None)
+def test_square_residue_filter_matches_isqrt(nd, prec):
+    """The residue filter before `isqrt` never turns a square away: the
+    bracket equals the one a plain `isqrt` test gives, on squares, their
+    neighbours, ratios of squares and radicands above 2,000 bits."""
+    n, d = nd
+    assert sqrt_bracket_parts(n, d, prec) == _isqrt_parts(n, d, prec)
+
+
+def test_square_residue_filter_edge_cases():
+    for k in [0, 1, 2, 3, 8, 63, 64, 65, 2882880, (1 << 1024) + 1, 3 ** 1300]:
+        for n in (k * k, k * k + 1, k * k - 1, 2 * k * k):
+            if n >= 0:
+                assert sqrt_bracket_parts(n, 1, 30) == _isqrt_parts(n, 1, 30), k
+    for r in range(-40, 40):
+        for j in (1, 7, 64, 65 * 63 * 11):
+            assert sqrt_bracket_parts((r * j) ** 2, j * j, 30) == (abs(r) * j * j, 0, j * j)
+    assert sqrt_bracket_parts(0, 12, 30) == (0, 0, 12)
 
 
 @given(small_dyadics, st.integers(5, 25))

@@ -722,8 +722,7 @@ def test_simplex_iteration_bound_exits_4(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(transport, "_pivot_bound", lambda n, m: 0)
     with pytest.raises(PrecisionExhausted, match="bound of 0 pivots on a 1 x 2 problem"):
-        transport.min_cost_transport([Fraction(1)], [Fraction(1, 2)] * 2,
-                                     [[Fraction(0), Fraction(1)]])
+        transport.min_cost_transport([2], [1, 1], [[0, 1]], 2, 1)
     half = Fraction(1, 2)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     dump_json(measure_to_json(FiniteMeasure.dirac(SPHERE, SpherePoint.finite(0))), str(a))

@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from equistate.balls import BallReal, sqrt_bracket
+from equistate.balls import BallReal, sqrt_of_rational
 from equistate.errors import SpaceMismatch
 from equistate.gauss import GaussRat
 from equistate.measures import (
@@ -27,8 +27,8 @@ from equistate.potentials import basis, const, pprod, psum, scale
 from equistate.roots import certified_roots
 from equistate.sphere import INF, SpherePoint, chordal
 from equistate.thurston import mme_tile_measure
-from equistate.transport import min_cost_transport
 from equistate.trisphere import BACK, FRONT, TilePoint, tile_point
+from test_transport import _fraction_transport
 
 S = SpherePoint.finite
 
@@ -387,7 +387,7 @@ def test_transport_pairing_validates_marginals():
 def test_lp_degenerate_supplies():
     # degenerate pivots: many equal weights and colinear costs
     cost = [[F(abs(i - j)) for j in range(5)] for i in range(5)]
-    res = min_cost_transport([F(1, 5)] * 5, [F(1, 5)] * 5, cost)
+    res = _fraction_transport([F(1, 5)] * 5, [F(1, 5)] * 5, cost)
     assert res.value == 0
     assert res.verify_optimal(cost)
 
@@ -408,7 +408,7 @@ def test_transport_exact_certificate_random():
         demands = _composition(rng, m, rng.choice([3, 5, 7]))
         cost = [[F(rng.randint(0, 12), rng.choice([3, 9, 1 << 40])) for _ in range(m)]
                 for _ in range(n)]
-        res = min_cost_transport(supplies, demands, cost)
+        res = _fraction_transport(supplies, demands, cost)
         assert all(f > 0 for f in res.plan.values())
         for i in range(n):
             assert sum(res.plan.get((i, j), 0) for j in range(m)) == supplies[i]
@@ -475,8 +475,8 @@ def test_hat_matches_the_fraction_form(space, points):
     seen_exact = 0
     for center in pts[:8]:
         for x in rng.sample(pts, 10) + [center]:
-            mid, e = sqrt_bracket(*squared(center, x), 40)
-            rho = mid if e == 0 else None
+            ball = sqrt_of_rational(*squared(center, x), 40)
+            rho = ball.mid if ball.rad == 0 else None
             seen_exact += rho is not None
             for r, eps in _hat_radii(rho, rng):
                 tau = TestFunction(space, center, r, eps)

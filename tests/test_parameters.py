@@ -233,3 +233,33 @@ def test_the_tracer_sees_each_tree_level(monkeypatch):
     assert rows["ratmap.preimage_polynomial.calls"] == 7
     assert rows["roots.certified_roots.calls"] == 7
     assert rows["thermo.tree_nodes"] == 15
+
+
+def test_the_tracer_sees_the_transport(monkeypatch):
+    """`wasserstein_detail` solves through the name the tracer wraps, with
+    the supplies and demands as its first two arguments: z^2 depths 4 and
+    5 make one 16 x 32 solve.  A g1 level-2 pushforward makes one
+    `SubdivisionMap.eval` call per tile (72)."""
+    from equistate.serialize import parse_map
+    from equistate.sphere import SpherePoint
+
+    layers = _layers(monkeypatch)
+    for module in {module for module, _ in layers.TRACED.values()}:
+        importlib.import_module(f"equistate.{module}")
+    thermo = importlib.import_module("equistate.thermo")
+    thurston = importlib.import_module("equistate.thurston")
+    measures = importlib.import_module("equistate.measures")
+    f = parse_map("z^2")
+    mu, nu = (thermo.backward_orbit_measure(f, None, SpherePoint.finite(3), d) for d in (4, 5))
+    tiles = thurston.mme_tile_measure("g1", 2)
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        measures.wasserstein_detail(mu, nu)
+        measures.pushforward(tiles, thurston.SubdivisionMap("g1"))
+    finally:
+        tracer.uninstall()
+    rows = tracer.snapshot()
+    assert rows["transport.min_cost_transport.calls"] == 1
+    assert rows["transport.cost_entries"] == 512
+    assert rows["thurston.eval.calls"] == 72

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equistate.balls import sqrt_bracket
+from equistate.balls import sqrt_of_rational
 from equistate.cli import main
 from equistate.dyadics import ZERO
 from equistate.errors import PrecisionExhausted
@@ -473,8 +473,8 @@ def test_clusters_disjoint_matches_the_fraction_test(seed):
     tiny = F(1, 1 << 80)
     for i, z in enumerate(pts):
         for w in pts[i + 1:]:
-            e, _ = sqrt_bracket(*euclid_sq_parts(z, w), 40)
-            c, _ = sqrt_bracket(*chordal_sq_parts(SpherePoint(z), SpherePoint(w)), 40)
+            e = sqrt_of_rational(*euclid_sq_parts(z, w), 40).mid
+            c = sqrt_of_rational(*chordal_sq_parts(SpherePoint(z), SpherePoint(w)), 40).mid
             for reach in (e, e - tiny, e * F(rng.randint(1, 9), 8)):
                 t = F(rng.randint(0, 4), 4)
                 pair = [RootCluster(PointBall(SpherePoint(z), ZERO), 1, reach * t),

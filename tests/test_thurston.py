@@ -26,6 +26,7 @@ from equistate.thurston import (
 from equistate.trisphere import (
     BACK,
     FRONT,
+    TilePoint,
     barycenter,
     dist2_tri_parts,
     homogeneous_point,
@@ -450,6 +451,15 @@ def test_chart_and_pullback_match_cramer(rule, level):
             holds = _image(other, p) is not None
             assert holds == ((p.face == other.face or p.on_boundary)
                              and min(_ref_weights(other, p)) >= 0)
+
+
+def test_a_tile_point_is_the_tuple_of_face_and_triple():
+    p = tile_point(BACK, F(1, 2), F(1, 3), F(1, 6))
+    assert p == (BACK, (3, 2, 1)) and hash(p) == hash((BACK, (3, 2, 1)))
+    assert p.coords == (F(1, 2), F(1, 3), F(1, 6)) and not p.on_boundary
+    assert {p: 1}[(BACK, (3, 2, 1))] == 1
+    assert type(homogeneous_point(BACK, 6, 4, 2)) is TilePoint
+    assert homogeneous_point(BACK, 6, 4, 2) == p
 
 
 def test_canonical_triples_equal_and_hash_alike():

@@ -4,14 +4,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from equistate.balls import BallReal, DirectedReal, ball_exp, ball_sum, log_point, sqrt_bracket
+from equistate.balls import (BallReal, DirectedReal, ball_exp, ball_sum, log_point,
+                             sqrt_of_rational)
 from equistate.errors import (
     NonPositiveJacobian,
     NotInjectiveOnPatch,
     NotInjectiveOnSupport,
     SpaceMismatch,
 )
-from equistate.measures import SPHERE, FiniteMeasure, TestFunction, squared_distance_parts
+from equistate.measures import SPHERE, TRI, FiniteMeasure, TestFunction, squared_distance_parts
 from equistate.polynomials import Polynomial
 from equistate.potentials import basis, const, scale
 from equistate.ratmap import RationalMapRec
@@ -141,7 +142,7 @@ def test_patch_decisions_match_the_fraction_reference(space, points, seed):
     system = PatchSystem(space, [], pts[::3])
     for center in pts:
         for x in pts:
-            mid, _ = sqrt_bracket(*squared_distance_parts(space)(center, x), 40)
+            mid = sqrt_of_rational(*squared_distance_parts(space)(center, x), 40).mid
             r = F(rng.randint(0, 8), rng.choice([8, 1 << 70]))
             for radius in {mid, mid + r, mid - r, F(rng.randint(1, 16), 8)}:
                 if radius <= 0:
@@ -202,6 +203,22 @@ def test_unitarity_evaluates_j_only_at_preimages_in_a_patch(monkeypatch):
     for system in (patches, far):
         with pytest.raises(ValueError, match="nonnegative"):
             jacobian_unitarity(Z2, J, x, system, prec=-1)
+
+
+def test_unitarity_nonconstant_potential_on_tile_patches_is_a_space_mismatch():
+    """A potential-form J with a nonconstant potential is a function on the
+    sphere; with a subdivision map and tile patches it is refused up front,
+    naming the space, as `tangent_certificate` does."""
+    g1 = SubdivisionMap("g1")
+    x = tile_point(FRONT, F(1, 3), F(1, 3), F(1, 3))
+    (y, _), *_ = g1.preimages(x)
+    patches = PatchSystem(TRI, [BallPatch(TRI, y, F(1, 100))])
+    for phi, h in ((basis(S(0)), const(0)), (const(0), basis(S(0)))):
+        J = JacobianSpec.potential_form(log_point(F(6), 60), phi, h)
+        with pytest.raises(SpaceMismatch, match="tri_sphere"):
+            jacobian_unitarity(g1, J, x, patches)
+    J = JacobianSpec.potential_form(log_point(F(6), 60), const(0), const(0))
+    assert jacobian_unitarity(g1, J, x, patches).contains(F(5, 6))
 
 
 def test_unitarity_random_regular_points():

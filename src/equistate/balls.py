@@ -12,6 +12,15 @@ the Taylor or atanh series is summed and squared back with shifts.  Every
 floor, series tail and the input flooring add a counted number of units
 2^-W to an integer radius, and W is chosen from that count so that the
 radius is at most 2^-(prec + 24).
+
+Sums that run long stay on integers as well: a ball m/d +- r/d is the
+triple (m, r, d), `add_parts` adds two of them over the lcm of their
+denominators, and `exp_parts` / `exp_ball_parts` give e^(a/b) and the
+exp hull of a ball as (M, R, K), the ball M/2^K +- R/2^K.  Each integer
+step is a function of the values alone, so a triple stands for the same
+rationals as the `BallReal` that `ball_sum`, `exp_point` and `ball_exp`
+build from it, and one Fraction pair built at the end of a sum equals
+theirs digit for digit.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import dyadics
-from .dyadics import ZERO, sqrt_lower_numerator
+from .dyadics import ZERO, floor_log2_ratio, sqrt_lower_numerator
 from .errors import MonotonicityViolation, NonPositiveArgument
 
 
@@ -122,6 +131,16 @@ def ball_sum(terms: Iterable[BallReal]) -> BallReal:
     return BallReal(mid, rad)
 
 
+def add_parts(m: int, r: int, d: int, m2: int, r2: int, d2: int) -> tuple[int, int, int]:
+    """(m/d + m2/d2, r/d + r2/d2) as integers over lcm(d, d2), for d, d2 > 0:
+    the `BallReal` sum of the balls m/d +- r/d and m2/d2 +- r2/d2."""
+    if d == d2:
+        return m + m2, r + r2, d
+    g = math.gcd(d, d2)
+    s, s2 = d2 // g, d // g
+    return m * s + m2 * s2, r * s + r2 * s2, d * s
+
+
 # -- certified square roots -------------------------------------------
 
 
@@ -191,13 +210,16 @@ def _working_bits(p: int) -> int:
     return p + p.bit_length() + 2
 
 
-def exp_point(q: Fraction, prec: int) -> BallReal:
-    """Ball containing e^q with rad <= 2^-(prec + 24); exact for q = 0.
+def exp_parts(a: int, b: int, prec: int) -> tuple[int, int, int]:
+    """(T, R, W) with |e^(a/b) - T/2^W| <= R/2^W and R/2^W <= 2^-(prec + 24),
+    for b > 0; (1, 0, 0) for a = 0.  Every step below depends on the value
+    a/b only, so a/b need not be in lowest terms.
 
-    Halve s times so that |y| = |q|/2^s <= 1/4, and floor Y = y*2^W
+    Halve s times so that |y| = |a/b|/2^s <= 1/4, and floor Y = y*2^W
     (y - Y/2^W in [0, 2^-W), which moves e^y by less than 2^-W * e^(1/4)
     * (1 + 2^-W) < 2 units of 2^-W).  The Taylor terms
-    t_k = floor(t_(k-1)*Y / (k*2^W)) each miss Y^k/(k! 2^(W(k-1))) by less
+    t_k = floor(floor(t_(k-1)*Y / 2^W) / k), which equals
+    floor(t_(k-1)*Y / (k*2^W)), each miss Y^k/(k! 2^(W(k-1))) by less
     than 2: the miss of t_(k-1) shrinks by |Y|/(k 2^W) <= 1/4 and the floor
     adds less than 1.  The sum stops at the first t_N in {0, -1}; the exact
     terms beyond are then below 3 * (1/4)/(N+1) * 4/3 <= 1/2 together.  So
@@ -207,13 +229,12 @@ def exp_point(q: Fraction, prec: int) -> BallReal:
 
     The sum has N <= W/2 + 2 terms, so R <= W + 7 before squaring.  Each
     squaring at most doubles R + 2 relative to the value, up to a factor
-    1 + 2^-20, so the final R is below 2^s * max(1, e^q) * (W + 9) *
-    (1 + 2^-15): g = s + 2*ceil(max(q, 0)) covers it.
+    1 + 2^-20, so the final R is below 2^s * max(1, e^(a/b)) * (W + 9) *
+    (1 + 2^-15): g = s + 2*ceil(max(a/b, 0)) covers it.
     """
-    if q == 0:
-        return BallReal.exact(1)
-    a, b = q.numerator, q.denominator
-    s = dyadics.bit_floor_log2(abs(q)) + 3 if 4 * abs(a) > b else 0
+    if not a:
+        return 1, 0, 0
+    s = floor_log2_ratio(abs(a), b) + 3 if 4 * abs(a) > b else 0
     p = prec + _SPARE_BITS + s + (-2 * (-a // b) if a > 0 else 0)
     w = _working_bits(p)
     y = (a << w) // (b << s)
@@ -221,27 +242,49 @@ def exp_point(q: Fraction, prec: int) -> BallReal:
     n = 0
     while t not in (0, -1):
         n += 1
-        t = (t * y) // (n << w)
+        t = ((t * y) >> w) // n
         total += t
     r = 2 * n + 3
     for _ in range(s):
         r = (((2 * total + r) * r) >> w) + 2
         total = (total * total) >> w
-    return BallReal(Fraction(total, 1 << w), Fraction(r, 1 << w))
+    return total, r, w
+
+
+def exp_point(q: Fraction, prec: int) -> BallReal:
+    """Ball containing e^q with rad <= 2^-(prec + 24); exact for q = 0.
+    The ball of `exp_parts`."""
+    t, r, w = exp_parts(q.numerator, q.denominator, prec)
+    return BallReal(Fraction(t, 1 << w), Fraction(r, 1 << w))
+
+
+def exp_ball_parts(m: int, r: int, d: int, prec: int) -> tuple[int, int, int]:
+    """(M, R, K) with e^x in M/2^K +- R/2^K for every x in m/d +- r/d, for
+    d > 0 and r >= 0: `exp_parts` of m/d when r = 0, else the hull
+    [lo, hi] of `exp_parts` at the two ends, each at prec + 2, by
+    monotonicity of exp.  Over K = max(W_lo, W_hi) + 1 the hull is
+    M = hi + lo and R = hi - lo, the `BallReal.from_endpoints` of lo and hi.
+    Its half-width is at most e^mid * sinh(rad) + 2^-(prec+2), never wider
+    than the midpoint form e^mid * (e^rad - 1)."""
+    if not r:
+        return exp_parts(m, d, prec)
+    lo, lo_r, lo_w = exp_parts(m - r, d, prec + 2)
+    hi, hi_r, hi_w = exp_parts(m + r, d, prec + 2)
+    k = max(lo_w, hi_w)
+    lo = (lo - lo_r) << (k - lo_w)
+    hi = (hi + hi_r) << (k - hi_w)
+    return hi + lo, hi - lo, k + 1
 
 
 def ball_exp(a: BallReal, prec: int) -> BallReal:
-    """Ball containing e^x for every x in a.
-
-    The hull of the two endpoint balls, by monotonicity of exp: its
-    half-width is at most e^mid * sinh(rad) + 2^-(prec+2), never wider
-    than the midpoint form e^mid * (e^rad - 1).
-    """
-    if a.rad == 0:
-        return exp_point(a.mid, prec)
-    lo = exp_point(a.lower(), prec + 2)
-    hi = exp_point(a.upper(), prec + 2)
-    return BallReal.from_endpoints(lo.lower(), hi.upper())
+    """Ball containing e^x for every x in a: the ball of `exp_ball_parts`,
+    which is `exp_point`'s for a point."""
+    mid, rad = a.mid, a.rad
+    if not rad:
+        return exp_point(mid, prec)
+    m, r, k = exp_ball_parts(mid.numerator * rad.denominator, rad.numerator * mid.denominator,
+                             mid.denominator * rad.denominator, prec)
+    return BallReal(Fraction(m, 1 << k), Fraction(r, 1 << k))
 
 
 def _two_atanh(num: int, den: int, w: int) -> tuple[int, int]:

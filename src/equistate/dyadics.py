@@ -75,9 +75,14 @@ def bit_floor_log2(q: Fraction) -> int:
     """Largest e with 2^e <= q.  Requires q > 0."""
     if q <= 0:
         raise ValueError("bit_floor_log2 requires a positive argument")
-    n, d = q.numerator, q.denominator
+    return floor_log2_ratio(q.numerator, q.denominator)
+
+
+def floor_log2_ratio(n: int, d: int) -> int:
+    """Largest e with 2^e <= n/d, for n, d > 0 (n/d need not be in lowest
+    terms: the bit lengths leave two candidates, and one exact comparison
+    of the value settles them)."""
     e = n.bit_length() - d.bit_length()
-    # Two candidates remain after comparing bit lengths; settle exactly.
     if e >= 0:
         if (d << e) > n:
             e -= 1

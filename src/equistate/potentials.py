@@ -16,7 +16,9 @@ r1 r2 over d1 d2 (the `BallReal` product), and a scaling by p/q
 multiplies m by p, r by |p| and d by q.  These are the rationals that
 `BallReal` arithmetic on the same brackets produces, at the same
 precisions, so the one `BallReal` built at the end is equal to that
-arithmetic's result, mid and radius alike.
+arithmetic's result, mid and radius alike.  `widened_parts` hands the
+triple itself, widened by a displacement's Lipschitz slack, to callers
+that keep summing on integers (the preimage tree's Birkhoff sums).
 """
 
 from __future__ import annotations
@@ -44,23 +46,30 @@ class Potential:
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, x: SpherePoint, prec: int = 40) -> BallReal:
-        return self._ball(x, prec, ZERO)
+        m, r, d = self.widened_parts(x, ZERO, prec)
+        return BallReal(Fraction(m, d), Fraction(r, d))
 
     def evaluate_with_displacement(self, x: SpherePoint, disp: Fraction,
                                    prec: int = 40) -> BallReal:
         """Enclosure of the value at any point within chordal distance
         `disp` of x, via the Lipschitz bound."""
-        return self._ball(x, prec, self._holder_bound * disp if disp else ZERO)
+        m, r, d = self.widened_parts(x, disp, prec)
+        return BallReal(Fraction(m, d), Fraction(r, d))
 
-    def _ball(self, x: SpherePoint, prec: int, slack: Fraction) -> BallReal:
-        """The value at x, widened by slack, as one ball."""
+    def widened_parts(self, x: SpherePoint, disp: Fraction,
+                      prec: int) -> tuple[int, int, int]:
+        """`evaluate_with_displacement` as integers (m, r, d), the ball
+        m/d +- r/d (not reduced): the value at x, its radius widened by
+        the Lipschitz slack a/b = holder_bound * disp as (m b, r b + a d,
+        d b)."""
         if prec < 0:
             raise ValueError(f"precision prec must be nonnegative, got {prec}")
         m, r, d = self._parts(x, prec)
+        slack = self._holder_bound * disp if disp else ZERO
         if slack:
             a, b = slack.numerator, slack.denominator
             m, r, d = m * b, r * b + a * d, d * b
-        return BallReal(Fraction(m, d), Fraction(r, d))
+        return m, r, d
 
     def _parts(self, x: SpherePoint, prec: int) -> tuple[int, int, int]:
         """The ball (m/d, r/d) as integers (m, r, d), d > 0, not reduced."""

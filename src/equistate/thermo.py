@@ -21,6 +21,16 @@ integer form C = m*q, with m divided back out (see `polynomials`).
 The sibling disjointness test cross-multiplies integers as well, the
 squared distance's and the radii's numerators and denominators.
 
+Potentials stay on integers from the tree to the returned ball.  Each
+node carries S_k phi as the integer ball (m, r, d), m/d +- r/d, adding
+the potential's `widened_parts` at the node to its parent's with
+`add_parts`; each leaf weight deg * e^(S_m phi) is the `exp_ball_parts`
+of that triple scaled by deg, and `ruelle_apply` and
+`backward_orbit_measure` sum the weights with `add_parts` again.  Every
+step is exact and depends only on the values, so the one `BallReal` or
+the Fractions built at the end equal what `BallReal` addition,
+`ball_exp`, `scale` and `ball_sum` give on the same balls.
+
 Pressure follows the iterate-and-log recipe: pick N beyond 2^(n+1)*C0*R,
 take an anchor off the forward orbit of infinity with more than one
 preimage (so never an exceptional point), and return
@@ -35,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import BallReal, ball_exp, ball_log, ball_sum
+from .balls import BallReal, add_parts, ball_log, ball_sum, exp_ball_parts
 from .dyadics import ZERO, compare_square, discs_apart, sqrt_lower_numerator, sqrt_upper_numerator
 from .errors import ExcludedAnchor, ExcludedPoint, PrecisionExhausted
 from .gauss import GaussRat, euclid_sq_parts
@@ -59,7 +69,7 @@ class TreeNode:
     euclid_err: Fraction
     chordal_err: Fraction
     degree_product: int
-    phi_path: BallReal  # S_k(phi) along the orbit from this node up to depth 1
+    phi_sum: tuple[int, int, int]  # S_k(phi) from this node up to depth 1: m/d +- r/d
 
 
 @dataclass
@@ -122,7 +132,8 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
 
     Requires x not in {f^i(inf) : 1 <= i <= depth}.  Stored points are
     exact; euclid_err/chordal_err bound their distance to the true
-    preimages; phi sums accumulate along paths when a potential is given.
+    preimages; phi sums accumulate along paths, as integer balls, when a
+    potential is given.
     """
     if depth < 0:
         raise ValueError(f"tree depth must be nonnegative, got {depth}")
@@ -135,7 +146,7 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
         raise ExcludedPoint(f"anchor {x!r} lies on the forward orbit of infinity")
     f_of_inf = f.at_infinity
     zero_phi = phi is None or phi.is_zero()
-    root = TreeNode(x, ZERO, ZERO, 1, BallReal.exact(0))
+    root = TreeNode(x, ZERO, ZERO, 1, (0, 0, 1))
     levels = [[root]]
     for _level in range(depth):
         children: list[TreeNode] = []
@@ -167,11 +178,10 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
                 chordal_err = chordal_disc_radius(z, delta, l + 4)
                 point = SpherePoint(z)
                 if zero_phi:
-                    phi_here = node.phi_path
+                    phi_here = node.phi_sum
                 else:
-                    phi_here = node.phi_path + phi.evaluate_with_displacement(
-                        point, chordal_err, eval_prec
-                    )
+                    phi_here = add_parts(*node.phi_sum,
+                                         *phi.widened_parts(point, chordal_err, eval_prec))
                 children.append(TreeNode(
                     point, delta, chordal_err, node.degree_product * cl.multiplicity,
                     phi_here,
@@ -226,12 +236,16 @@ def ruelle_apply(f: RationalMapRec, phi: Potential | None, u: Potential | None,
     as positive, as sup |phi| does, would start above the precision that
     the target needs.  Later members of the sequence are retried when a
     tree or the radius still falls short.
+
+    The sum is one integer ball (M, R, D): each leaf adds its
+    `_leaf_weight`, times u's `widened_parts` (um, ur, ud) by the
+    `BallReal` product rule when u is given, and the radius test
+    R/D <= 2^-n is R * 2^n <= D.  Only the result is a `BallReal`.
     """
     _check_precision(n)
     if m == 0:
         base = u.evaluate(x, n + 2) if u is not None else BallReal.exact(1)
         return base
-    target = Fraction(1, 1 << n)
     l = n + 8 + 2 * m
     eval_prec = n + 10 + m + (f.degree ** m).bit_length()
     sup = max(ZERO, upper_bound(phi)) if phi is not None else ZERO
@@ -246,20 +260,26 @@ def ruelle_apply(f: RationalMapRec, phi: Potential | None, u: Potential | None,
         except PrecisionExhausted:
             l *= 2
             continue
-        terms = []
+        total, rad, den = 0, 0, 1
         for leaf in tree.leaves():
-            weight = ball_exp(leaf.phi_path, eval_prec)
+            wm, wr, wd = _leaf_weight(leaf, eval_prec)
             if u is not None:
-                weight = weight * u.evaluate_with_displacement(
-                    leaf.point, leaf.chordal_err, eval_prec
-                )
-            terms.append(weight.scale(leaf.degree_product))
-        total = ball_sum(terms)
-        if total.rad <= target:
-            return total
+                um, ur, ud = u.widened_parts(leaf.point, leaf.chordal_err, eval_prec)
+                wm, wr, wd = wm * um, abs(wm) * ur + abs(um) * wr + wr * ur, wd * ud
+            total, rad, den = add_parts(total, rad, den, wm, wr, wd)
+        if rad << n <= den:
+            return BallReal(Fraction(total, den), Fraction(rad, den))
         l *= 2
         eval_prec *= 2
     raise PrecisionExhausted(f"ruelle_apply at 2^-{n}")
+
+
+def _leaf_weight(leaf: TreeNode, prec: int) -> tuple[int, int, int]:
+    """deg * e^(S_m phi) at a leaf as the integer ball (M deg, R deg, 2^K),
+    from the `exp_ball_parts` (M, R, K) of its phi sum."""
+    m, r, k = exp_ball_parts(*leaf.phi_sum, prec)
+    deg = leaf.degree_product
+    return m * deg, r * deg, 1 << k
 
 
 @dataclass
@@ -365,14 +385,17 @@ def backward_orbit_measure(f: RationalMapRec, phi: Potential | None,
         d_to_m = Fraction(1, f.degree ** depth)
         atoms = [(leaf.point, leaf.degree_product * d_to_m) for leaf in leaves]
         return FiniteMeasure.from_atoms(SPHERE, atoms, atom_error=disp)
-    raw = [
-        ball_exp(leaf.phi_path, eval_prec).scale(leaf.degree_product)
-        for leaf in leaves
-    ]
-    total_mid = sum(b.mid for b in raw)
-    total_ball = ball_sum(raw)
-    if total_ball.lower() <= 0:
+    raw = [_leaf_weight(leaf, eval_prec) for leaf in leaves]
+    total, rad, den = 0, 0, 1
+    for wm, wr, wd in raw:
+        total, rad, den = add_parts(total, rad, den, wm, wr, wd)
+    if total <= rad:
         raise PrecisionExhausted("backward-orbit weights not certifiably positive")
-    atoms = [(leaf.point, b.mid / total_mid) for leaf, b in zip(leaves, raw)]
-    tv_bound = 2 * sum(b.rad for b in raw) / total_ball.lower()
-    return FiniteMeasure.from_atoms(SPHERE, atoms, atom_error=disp + 2 * tv_bound)
+    # A leaf's atom is its mid over the sum's, (wm/wd) / (total/den).  The
+    # total-variation bound is twice the sum of the radii over the sum's
+    # lower end, 2 (rad/den) / ((total - rad)/den), and atom_error adds
+    # twice that.
+    atoms = [(leaf.point, Fraction(wm * den, wd * total))
+             for leaf, (wm, _, wd) in zip(leaves, raw)]
+    return FiniteMeasure.from_atoms(SPHERE, atoms,
+                                    atom_error=disp + Fraction(4 * rad, total - rad))

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Union
 
-from .balls import BallReal, DirectedReal, ball_exp, ball_sum, log_point
+from .balls import BallReal, DirectedReal, add_parts, ball_exp, ball_sum, log_point
 from .dyadics import ZERO, compare_square, discs_apart
 from .errors import (
     ExcludedPoint,
@@ -28,6 +28,7 @@ from .errors import (
 from .gauss import GaussRat
 from .measures import (
     SPHERE,
+    TRI,
     FiniteMeasure,
     Point,
     TestFunction,
@@ -118,6 +119,14 @@ def _sample_points(patch: BallPatch) -> list[Point]:
         if patch.contains_point(cand):
             out.append(cand)
     return out
+
+
+def _check_spaces(patches: PatchSystem, named: list[tuple[str, str]]) -> None:
+    """Raise SpaceMismatch, naming both spaces, unless every (name, space)
+    pair and every patch lies on the patch system's space."""
+    for name, space in named + [("a patch", p.space) for p in patches.patches]:
+        if space != patches.space:
+            raise SpaceMismatch(f"{name} is on {space}, the patches are on {patches.space}")
 
 
 def standard_sphere_patches(f: RationalMapRec, anchors: list[SpherePoint],
@@ -227,10 +236,13 @@ def jacobian_unitarity(f: MapLike, J: JacobianSpec, x: Point,
     """Residual | sum over f^-1(x) in the patch union of 1/J(y)  -  1 |.
 
     Preimages whose certified discs straddle a patch boundary contribute
-    an honest [0, value] uncertainty instead of a guess.  Nonconstant
+    an honest [0, value] uncertainty instead of a guess.  x and every
+    patch must lie on the patch system's space, and nonconstant
     potentials are functions on the sphere, so a potential-form J with one
-    of them and patches on another space is a SpaceMismatch.
+    of them and patches on another space is a SpaceMismatch as well; both
+    are checked before any preimage is enumerated.
     """
+    _check_spaces(patches, [("the point", SPHERE if isinstance(x, SpherePoint) else TRI)])
     if J.kind != "constant":
         if prec < 0:
             raise ValueError(f"precision prec must be nonnegative, got {prec}")
@@ -315,7 +327,9 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
     one-step refinement (0 when no refinement argument is intended).
     The patch tests, T(a) and J(a) run once per (patch, atom), with the
     tests looped over inside.  mu must be a probability measure, and
-    mesh, being a distance bound, nonnegative.
+    mesh, being a distance bound, nonnegative.  mu, every patch and every
+    test must lie on the patch system's space (SpaceMismatch otherwise,
+    raised before any preimage is enumerated).
 
     Each side of an entry is one integer accumulation (mid, rad, den) of
     the ball terms over the lcm of their denominators, read from the hat
@@ -334,6 +348,7 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
     """
     if mesh < 0:
         raise ValueError(f"mesh must be >= 0, not {mesh}")
+    _check_spaces(patches, [("the measure", mu.space)] + [("a test", tau.space) for tau in tests])
     mu.check_probability()
     prec = 40
     entries: list[ResidualEntry] = []
@@ -357,9 +372,9 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
                 jm, jr, q = jac[a]
                 for i, tau in enumerate(tests):
                     lo, hi, c = tau._parts(a, prec)
-                    v_acc[i] = _add_parts(*v_acc[i], (lo + hi) * jm * wn,
-                                          (2 * hi * jr + (hi - lo) * abs(jm)) * wn,
-                                          2 * c * q * wd)
+                    v_acc[i] = add_parts(*v_acc[i], (lo + hi) * jm * wn,
+                                         (2 * hi * jr + (hi - lo) * abs(jm)) * wn,
+                                         2 * c * q * wd)
             # W side: the (at most one) preimage inside the patch.
             inside: list[PreimagePoint] = []
             ambiguous: list[PreimagePoint] = []
@@ -393,24 +408,15 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
                     lo, lo_den = ends[0][0], ends[0][2]
                     if lo_den != den:
                         lo, hi, den = lo * den, hi * lo_den, den * lo_den
-                w_acc[i] = _add_parts(*w_acc[i], (lo + hi) * wn, (hi - lo) * wn,
-                                      2 * den * wd)
+                w_acc[i] = add_parts(*w_acc[i], (lo + hi) * wn, (hi - lo) * wn,
+                                     2 * den * wd)
         for t_idx, (tau, v, (wm, wr, w_den)) in enumerate(zip(tests, v_acc, w_acc)):
-            m, r, d = _add_parts(*v, -wm, wr, w_den)
+            m, r, d = add_parts(*v, -wm, wr, w_den)
             slack = sup_j * tau.lipschitz * mesh \
                 + sup_j * tau.lipschitz * mu.atom_error * 2
             entries.append(ResidualEntry(k, t_idx, BallReal(Fraction(m, d), Fraction(r, d)),
                                          slack))
     return entries
-
-
-def _add_parts(m: int, r: int, d: int, m2: int, r2: int, d2: int) -> tuple[int, int, int]:
-    """(m/d + m2/d2, r/d + r2/d2) as integers over lcm(d, d2), for d, d2 > 0."""
-    if d == d2:
-        return m + m2, r + r2, d
-    g = gcd(d, d2)
-    s, s2 = d2 // g, d // g
-    return m * s + m2 * s2, r * s + r2 * s2, d * s
 
 
 def membership_verdict(entries: list[ResidualEntry],

@@ -12,6 +12,8 @@ from equistate.balls import (
     DirectedReal,
     ball_exp,
     ball_log,
+    exp_ball_parts,
+    exp_parts,
     exp_point,
     log_point,
     sqrt_bracket_parts,
@@ -361,6 +363,46 @@ def test_exp_kernel_against_mpmath_and_fraction_kernel(q, prec):
                       BallReal.exact(q), prec)
         _check_kernel(mpmath, ball_exp(a, prec), _ref_hull(_ref_exp_point, a, prec),
                       mpmath.exp, a, prec)
+
+
+# |q| <= 40, with denominators of 21 and 22 bits.
+_exp_args = st.builds(F, st.integers(-(40 << 20), 40 << 20), st.integers(1 << 20, 1 << 21))
+
+
+@given(_exp_args, st.integers(0, 120))
+@settings(max_examples=80, deadline=None)
+def test_exp_point_meets_the_fraction_kernel(q, prec):
+    """Both kernels enclose e^q, so their balls meet, and the integer one
+    keeps its radius bound 2^-(prec + 24)."""
+    got, want = exp_point(q, prec), _ref_exp_point(q, prec)
+    assert got.lower() <= want.upper() and want.lower() <= got.upper()
+    assert got.rad <= F(1, 1 << (prec + 24))
+
+
+@given(_exp_args, st.integers(1, 1 << 40), st.integers(0, 120))
+@settings(max_examples=80, deadline=None)
+def test_exp_parts_depend_on_the_value_only(q, k, prec):
+    a, b = q.numerator, q.denominator
+    assert exp_parts(a * k, b * k, prec) == exp_parts(a, b, prec)
+
+
+@given(_exp_args, st.integers(0, 1 << 20), st.integers(1 << 18, 1 << 20), st.integers(1, 1 << 20),
+       st.integers(0, 80))
+@settings(max_examples=80, deadline=None)
+def test_exp_ball_parts_is_the_endpoint_hull(q, rn, rd, k, prec):
+    """On an unreduced triple (radius at most 4), the ball of
+    `exp_ball_parts` is the hull of the two `exp_point` balls at prec + 2 (or `exp_point` itself for
+    radius 0), as `BallReal.from_endpoints` builds it."""
+    rad = F(rn, rd)
+    m, r, e = exp_ball_parts(q.numerator * rd * k, rn * q.denominator * k,
+                             q.denominator * rd * k, prec)
+    if rn:
+        want = BallReal.from_endpoints(exp_point(q - rad, prec + 2).lower(),
+                                       exp_point(q + rad, prec + 2).upper())
+    else:
+        want = exp_point(q, prec)
+    assert (F(m, 1 << e), F(r, 1 << e)) == (want.mid, want.rad)
+    assert ball_exp(BallReal(q, rad), prec) == want
 
 
 @pytest.mark.parametrize("q, prec", [(abs(q), p) for q, p in _KERNEL_CASES if q])

@@ -130,6 +130,56 @@ def test_ruelle_semigroup_small_depth():
     assert overlaps(direct, total.widen(F(1, 1 << 20)))
 
 
+@pytest.mark.parametrize("phi", [None, scale(F(1, 2), basis(S(1)))], ids=["none", "sigma"])
+def test_ruelle_constant_u_scales_the_ball_exactly(phi):
+    """u = const(c) with |c| <= 1 multiplies mid and radius by c and |c|."""
+    for x in (S(0), S(F(1, 2), F(-1, 3))):
+        one = ruelle_apply(Z2M2, phi, None, x, 3, 24)
+        for c in (F(-3, 4), F(1, 3), F(0)):
+            v = ruelle_apply(Z2M2, phi, const(c), x, 3, 24)
+            assert v.mid == c * one.mid and v.rad == abs(c) * one.rad
+
+
+def test_ruelle_basis_u_encloses_the_mpmath_sum(monkeypatch):
+    """L^3(sigma(., 1))(x) under phi = sigma(., 0)/2 holds the sum over the
+    true preimages, computed with mpmath at 200 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    oracles = _oracles(monkeypatch)
+    phi, u = scale(F(1, 2), basis(S(0))), basis(S(1))
+    with mpmath.workdps(200):
+        for x in (F(0), F(1, 2), F(-1)):
+            v = ruelle_apply(Z2M2, phi, u, S(x), 3, 30)
+            assert v.rad <= F(1, 1 << 30)
+            leaves = oracles.true_tree_leaves([-2, 0, 1], [1], oracles.mpz(x, F(0)), 3,
+                                              lambda z: oracles.chordal_mp(z, 0) / 2)
+            exact = mpmath.fsum(d * oracles.chordal_mp(y, 1) * mpmath.exp(s)
+                                for y, d, s in leaves)
+            assert oracles.ball_contains(v.mid, v.rad, exact), x
+
+
+def test_tree_and_ruelle_stay_on_integer_balls(monkeypatch):
+    """The tree, `ruelle_apply` (with u or not) and the weighted
+    `backward_orbit_measure` call neither `ball_exp`, `ball_sum` nor
+    `evaluate_with_displacement`, and `ruelle_apply` builds one `BallReal`."""
+    from equistate import balls, potentials
+
+    calls, built = [], []
+    for owner, name in ((balls, "ball_exp"), (balls, "ball_sum"), (thermo, "ball_exp"),
+                        (thermo, "ball_sum"),
+                        (potentials.Potential, "evaluate_with_displacement")):
+        monkeypatch.setattr(owner, name, lambda *args, name=name: calls.append(name),
+                            raising=False)
+    monkeypatch.setattr(thermo, "BallReal", lambda *args: built.append(args) or BallReal(*args))
+    build_preimage_tree(Z2M2, S(3), 3, 48, BENCH_PHI, 58)
+    backward_orbit_measure(Z2M2, BENCH_PHI, S(3), 3)
+    assert not built
+    for u in (None, basis(S(1))):
+        ruelle_apply(Z2M2, BENCH_PHI, u, S(F(1, 2)), 3, 20)
+        assert len(built) == 1
+        built.clear()
+    assert calls == []
+
+
 # -- pressure ------------------------------------------------------------
 
 
@@ -404,10 +454,11 @@ def test_meeting_sibling_discs_exhaust_precision(monkeypatch):
 BENCH_PHI = psum(basis(S(0)), scale(F(1, 2), pprod(basis(S(1)), basis(S(0, 1)))))
 
 # SHA-256 of every node (point, euclid_err, chordal_err, degree_product,
-# phi_path) of the depth-4 trees below, recorded with preimage
-# polynomials built by `Polynomial` arithmetic and denominators cleared
-# per use.  Anchors: one inside the unit disc, one outside, and
-# 3/5 + 4/5 i on the circle, so every tree uses both charts.
+# and the phi sum's mid and radius as reduced Fractions) of the depth-4
+# trees below, recorded with preimage polynomials built by `Polynomial`
+# arithmetic and denominators cleared per use.  Anchors: one inside the
+# unit disc, one outside, and 3/5 + 4/5 i on the circle, so every tree
+# uses both charts.
 _TREE_GOLDEN = {
     ("z^2", False): ("84bb89900c8f06ba581d1436812af8635093ea1f7403b94c0e68195e66b91ab9",
                      "a8d5f0a4f0c2617994a77ff8bd67e6e1da01acca583de6b0855ea7d0193fb5a6",
@@ -438,8 +489,9 @@ def _tree_digest(tree) -> str:
         for n in level:
             z = n.point.value
             pt = "inf" if z is None else f"{z.x},{z.y},{z.d}"
+            m, r, d = n.phi_sum
             h.update(f"{k};{pt};{n.euclid_err};{n.chordal_err};{n.degree_product};"
-                     f"{n.phi_path.mid};{n.phi_path.rad}\n".encode())
+                     f"{F(m, d)};{F(r, d)}\n".encode())
     return h.hexdigest()
 
 
@@ -485,3 +537,85 @@ def test_tree_reads_node_polynomials_only_through_their_integer_form(monkeypatch
     assert not reads and len(yun) == 1
     assert gcd == Polynomial.of(1) and factors == [(g.monic(), 2)]
     assert [c.multiplicity for c in clusters] == [2, 2] and reads
+
+
+# -- pinned results ------------------------------------------------------------
+#
+# SHA-256 of results recorded when the phi sums and the leaf weights were
+# still `BallReal` arithmetic (`BallReal` addition, `ball_exp`, `scale` and
+# `ball_sum`): integer balls must reproduce them digit for digit.
+
+_PIN_PHIS = {"bench": BENCH_PHI, "third": const(F(1, 3)), "sigma1": pprod(basis(S(1)), const(-3))}
+
+_RUELLE_PINS = {
+    "bench": "7efbcd356cb5379f8784ebbbde103a64aefdafa18b5d27183ed815030339553a",
+    "const": "7e57c9954c610b7d8da6397b08004f3a20fcd3752651e03f33e41e64bba420a9",
+    "none": "e2225208262447ec901cdfa7a174d0c037db12dd760908260a12d63fe441dbcd",
+}
+
+_ORBIT_PINS = {
+    ("z^2", "bench"): "3a6cafb92449d2b44cd84aba3e6f96a66e0894fe89a6fb5bd4305d89eacfe512",
+    ("z^2", "third"): "431a0cbdef819e61df1c9293a1f922bf3b7c7c474798a94c5b0d9f74c6750b82",
+    ("z^2", "sigma1"): "91553977622c5a7a27b0c92468e2061803fc2ef1c6218fd31016346700de0de0",
+    ("z^2-2", "bench"): "cd7957cd0475ca08fedccce3bd8a6beb0bfa8f15e454471798b35391ed1f662b",
+    ("z^2-2", "third"): "00c0fcf542f988c4155bdbf0babbd9492d6b4a8842dddab5fd7a7f5dac7e8126",
+    ("z^2-2", "sigma1"): "c0b942bef7736c54c7302903790132d3d4e6617a841d705685984160b4ad9682",
+    ("(z^2+1)/(z^2-1)", "bench"):
+        "b06f02d3a66ca37bb343584addb146b383ef462f4a45fb3acd6e4c650fb42855",
+    ("(z^2+1)/(z^2-1)", "third"):
+        "26f652c2e6f1a1062894185b0079dc8b7ad84c4ffafaf07bb5357c33491f7b1d",
+    ("(z^2+1)/(z^2-1)", "sigma1"):
+        "9714e6b7e8a5cf62a8d3806b765933fcbe3f524cd04cde83f5a15efc5ff55d65",
+}
+
+_PRESSURE_PIN = "d804266b11aa50b21ef7439e296023aeffac7bec412c18b18db23ef4c1291ad2"
+_RUELLE_U_PIN = "ede3be4131dd5f8691c79309dff971daa513417041d33e035845ac72af560af0"
+
+
+def _point_text(p):
+    z = p.value
+    return "inf" if z is None else f"{z.x},{z.y},{z.d}"
+
+
+def _sha(lines):
+    return hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("phi_name", sorted(_RUELLE_PINS))
+def test_ruelle_matches_pinned_digest(phi_name):
+    """The benchmark's three `ruelle_apply` calls (z^2 - 2, m = 5, n = 20)."""
+    phi = {"bench": BENCH_PHI, "const": const(F(-2, 7)), "none": None}[phi_name]
+    balls = [ruelle_apply(Z2M2, phi, None, S(x), 5, 20) for x in (F(0), F(1, 2), F(-1))]
+    assert _sha(f"{b.mid};{b.rad}" for b in balls) == _RUELLE_PINS[phi_name]
+
+
+def test_ruelle_with_u_matches_pinned_digest():
+    balls = [ruelle_apply(Z2M2, phi, u, S(x), 3, 20)
+             for phi in (BENCH_PHI, None) for u in (const(F(-5, 3)), basis(S(1)))
+             for x in (F(0), F(1, 2))]
+    assert _sha(f"{b.mid};{b.rad}" for b in balls) == _RUELLE_U_PIN
+
+
+@pytest.mark.parametrize("expr, phi_name", sorted(_ORBIT_PINS))
+def test_backward_orbit_measure_matches_pinned_digest(expr, phi_name):
+    """Atoms and atom_error at anchor 3 and depths 1, 3 and 5."""
+    f = parse_map(expr)
+    lines = []
+    for depth in (1, 3, 5):
+        mu = backward_orbit_measure(f, _PIN_PHIS[phi_name], S(3), depth)
+        lines.append(f"{depth};{mu.atom_error}")
+        lines += [f"{_point_text(p)};{w}" for p, w in mu.atoms]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _ORBIT_PINS[expr, phi_name]
+
+
+def test_pressure_matches_pinned_digest():
+    """Certified pressures under two constants and sigma(., 0)/8, and two
+    empirical ones, among them the `pressure` CLI call of the benchmark."""
+    z2, z2m2 = parse_map("z^2"), parse_map("z^2-2")
+    results = [pressure(z2, const(F(1, 3)), 12, c0=F(1), R=F(0)),
+               pressure(z2m2, const(F(-1)), 12, c0=F(1), R=F(0)),
+               pressure(z2, scale(F(1, 8), basis(S(0))), 1, c0=F(1), R=F(1, 8)),
+               empirical_pressure(z2m2, BENCH_PHI, 4),
+               empirical_pressure(z2, _PIN_PHIS["sigma1"], 2)]
+    assert _sha(f"{r.value.mid};{r.value.rad};{r.N_used};{_point_text(r.anchor)}"
+                for r in results) == _PRESSURE_PIN

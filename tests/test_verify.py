@@ -221,6 +221,48 @@ def test_unitarity_nonconstant_potential_on_tile_patches_is_a_space_mismatch():
     assert jacobian_unitarity(g1, J, x, patches).contains(F(5, 6))
 
 
+def _refuse_enumeration(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a preimage was enumerated")
+
+    monkeypatch.setattr("equistate.verify.enumerate_preimages", refuse)
+
+
+def test_unitarity_point_off_the_patch_space_is_a_space_mismatch(monkeypatch):
+    """The FRONT barycenter with a sphere patch, a sphere point with tile
+    patches, and a tile patch in a sphere system are refused, naming both
+    spaces, before any preimage is enumerated."""
+    _refuse_enumeration(monkeypatch)
+    bary = tile_point(FRONT, F(1, 3), F(1, 3), F(1, 3))
+    sphere = PatchSystem(SPHERE, [BallPatch(SPHERE, S(0), F(1, 2))])
+    tiles = PatchSystem(TRI, [BallPatch(TRI, bary, F(1, 8))])
+    mixed = PatchSystem(SPHERE, [BallPatch(SPHERE, S(0), F(1, 2)), BallPatch(TRI, bary, F(1, 8))])
+    for f, x, patches in ((SubdivisionMap("g1"), bary, sphere), (Z2, S(3), tiles),
+                          (Z2, S(3), mixed)):
+        with pytest.raises(SpaceMismatch, match=f"(?=.*{SPHERE})(?=.*{TRI})"):
+            jacobian_unitarity(f, JacobianSpec.const(6), x, patches)
+
+
+def test_membership_spaces_must_agree(monkeypatch):
+    """A g1 tile measure with a sphere patch and a sphere hat, a sphere
+    measure with a tile hat, and a tile patch in a sphere system are
+    SpaceMismatches naming both spaces, raised before any preimage is
+    enumerated."""
+    _refuse_enumeration(monkeypatch)
+    tiles = mme_tile_measure("g1", 1)
+    sphere_mu = backward_orbit_measure(Z2, None, S(3), 1)
+    bary = tile_point(FRONT, F(1, 3), F(1, 3), F(1, 3))
+    sphere = PatchSystem(SPHERE, [BallPatch(SPHERE, S(0), F(1, 2))])
+    mixed = PatchSystem(SPHERE, [BallPatch(SPHERE, S(0), F(1, 2)), BallPatch(TRI, bary, F(1, 8))])
+    sphere_hat = TestFunction(SPHERE, S(0), F(0), F(1, 4))
+    tile_hat = TestFunction(TRI, bary, F(0), F(1, 4))
+    for mu, T, patches, hats in ((tiles, SubdivisionMap("g1"), sphere, [sphere_hat]),
+                                 (sphere_mu, Z2, sphere, [sphere_hat, tile_hat]),
+                                 (sphere_mu, Z2, mixed, [sphere_hat])):
+        with pytest.raises(SpaceMismatch, match=f"(?=.*{SPHERE})(?=.*{TRI})"):
+            membership_residual(mu, T, patches, JacobianSpec.const(2), hats)
+
+
 def test_unitarity_random_regular_points():
     rng = random.Random(77)
     for f in (Z2, Z2M2):

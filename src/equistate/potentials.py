@@ -184,14 +184,6 @@ def holder_bound(phi: Potential) -> Fraction:
     return phi._holder_bound
 
 
-def sup_bound(phi: Potential) -> Fraction:
-    """Bound on sup |phi|: each basis factor is at most 2."""
-    total = ZERO
-    for q, basis_pts in phi._normal_terms:
-        total += abs(q) * Fraction(2) ** len(basis_pts)
-    return total
-
-
 def upper_bound(phi: Potential) -> Fraction:
     """Bound on sup phi itself, with its sign: constant terms count
     exactly, a nonconstant term q * prod sigma counts q * 2^(factors) when

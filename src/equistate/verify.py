@@ -1,6 +1,10 @@
 """Equilibrium-state verification: Jacobian criteria, membership residuals,
 tangent-functional certificates, and invariance residuals.
 
+A prescribed Jacobian is a positive constant J (`JacobianSpec.const`), as
+for the measure of maximal entropy, where J is the degree; a measure's own
+Jacobian on its atoms is the exact table of `atomic_jacobian`.
+
 Finitely supported approximants never satisfy the exact invariance and
 Jacobian identities, so every check returns a signed residual ball
 together with the slack the test family is entitled to (Lipschitz constant
@@ -13,10 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Union
 
-from .balls import BallReal, DirectedReal, add_parts, ball_exp, ball_sum, log_point
+from .balls import BallReal, DirectedReal, add_parts, ball_sum, log_point
 from .dyadics import ZERO, compare_square, discs_apart
 from .errors import (
     ExcludedPoint,
@@ -37,7 +40,7 @@ from .measures import (
     squared_distance_parts,
     wasserstein,
 )
-from .potentials import Potential, sup_bound
+from .potentials import Potential
 from .ratmap import RationalMapRec, postcritical_orbit, preimages
 from .sphere import SpherePoint
 from .thurston import SubdivisionMap
@@ -152,57 +155,16 @@ def standard_sphere_patches(f: RationalMapRec, anchors: list[SpherePoint],
 
 @dataclass(frozen=True)
 class JacobianSpec:
-    """Either a constant, or exp(P - phi(x) + h(T x) - h(x)) on the patches."""
+    """A prescribed Jacobian: one positive constant on the patches."""
 
-    kind: str  # "constant" | "potential_form"
-    constant: Fraction | None = None
-    pressure_value: BallReal | None = None
-    phi: Potential | None = None
-    h: Potential | None = None
+    constant: Fraction
 
     @staticmethod
     def const(d: Fraction | int) -> "JacobianSpec":
         d = Fraction(d)
         if d <= 0:
             raise NonPositiveJacobian("constant Jacobian must be positive")
-        return JacobianSpec("constant", constant=d)
-
-    @staticmethod
-    def potential_form(pressure_value: BallReal, phi: Potential, h: Potential
-                       ) -> "JacobianSpec":
-        return JacobianSpec("potential_form", pressure_value=pressure_value,
-                            phi=phi, h=h)
-
-    def log_at(self, y: Point, image: Point, disp: Fraction = ZERO,
-               prec: int = 40) -> BallReal:
-        """log J(y), given the exact image T(y) (=: image)."""
-        if self.kind == "constant":
-            return log_point(self.constant, prec)
-        val = self.pressure_value - self.phi.evaluate_with_displacement(y, disp, prec)
-        val = val + self.h.evaluate(image, prec) - self.h.evaluate_with_displacement(
-            y, disp, prec
-        )
-        return val
-
-    def value_at(self, y: Point, image: Point, disp: Fraction = ZERO,
-                 prec: int = 40) -> BallReal:
-        if self.kind == "constant":
-            return BallReal.exact(self.constant)
-        return ball_exp(self.log_at(y, image, disp, prec), prec)
-
-    def inverse_at(self, y: Point, image: Point, disp: Fraction = ZERO,
-                   prec: int = 40) -> BallReal:
-        if self.kind == "constant":
-            return BallReal.exact(Fraction(1) / self.constant)
-        return ball_exp(-self.log_at(y, image, disp, prec), prec)
-
-    def sup_over_patches(self) -> Fraction:
-        """Crude upper bound on J, for slack budgeting."""
-        if self.kind == "constant":
-            return self.constant
-        exponent = self.pressure_value.upper() + sup_bound(self.phi) \
-            + 2 * sup_bound(self.h)
-        return ball_exp(BallReal.exact(exponent), 20).upper()
+        return JacobianSpec(d)
 
 
 # -- preimage enumeration across map kinds ------------------------------
@@ -233,44 +195,27 @@ def enumerate_preimages(f: MapLike, x: Point, l: int = 40) -> list[PreimagePoint
 
 def jacobian_unitarity(f: MapLike, J: JacobianSpec, x: Point,
                        patches: PatchSystem, prec: int = 40) -> BallReal:
-    """Residual | sum over f^-1(x) in the patch union of 1/J(y)  -  1 |.
+    """Residual | sum over f^-1(x) in the patch union of deg(y) / J  -  1 |.
 
     Preimages whose certified discs straddle a patch boundary contribute
-    an honest [0, value] uncertainty instead of a guess.  x and every
-    patch must lie on the patch system's space, and nonconstant
-    potentials are functions on the sphere, so a potential-form J with one
-    of them and patches on another space is a SpaceMismatch as well; both
-    are checked before any preimage is enumerated.
+    an honest [0, deg(y) / J] uncertainty instead of a guess.  prec must
+    be nonnegative, and x and every patch must lie on the patch system's
+    space; both are checked before any preimage is enumerated.
     """
+    if prec < 0:
+        raise ValueError(f"precision prec must be nonnegative, got {prec}")
     _check_spaces(patches, [("the point", SPHERE if isinstance(x, SpherePoint) else TRI)])
-    if J.kind != "constant":
-        if prec < 0:
-            raise ValueError(f"precision prec must be nonnegative, got {prec}")
-        if patches.space != SPHERE and (J.phi.constant_value() is None
-                                        or J.h.constant_value() is None):
-            raise SpaceMismatch(f"nonconstant potentials live on {SPHERE}; "
-                                f"the patches are on {patches.space}")
-    pres = enumerate_preimages(f, x, prec + 8)
-    certain = []
-    ambiguous = []
-    for p in pres:
+    certain = ambiguous = 0  # summed local degrees
+    for p in enumerate_preimages(f, x, prec + 8):
         if patches.near_excluded(p.point, p.disc_rad):
             raise ExcludedPoint(f"preimage {p.point!r} meets the excluded set")
         where = [patch.locate(p.point, p.disc_rad) for patch in patches.patches]
-        if all(v == 1 for v in where):
-            continue
-        inv = J.inverse_at(p.point, x, p.disc_rad, prec).scale(p.local_degree)
-        (certain if -1 in where else ambiguous).append(inv)
-    base = ball_sum(certain) if certain else BallReal.exact(0)
-    if ambiguous:
-        amb = ball_sum(ambiguous)
-        lo = base - 1
-        hi = base + amb - 1
-        enclosing = BallReal.from_endpoints(
-            min(lo.lower(), hi.lower()), max(lo.upper(), hi.upper())
-        )
-        return enclosing.abs()
-    return (base - 1).abs()
+        if -1 in where:
+            certain += p.local_degree
+        elif 0 in where:
+            ambiguous += p.local_degree
+    lo = certain / J.constant - 1
+    return BallReal.from_endpoints(lo, lo + ambiguous / J.constant).abs()
 
 
 def atomic_jacobian(mu: FiniteMeasure, T: MapLike) -> dict[Point, Fraction]:
@@ -285,23 +230,20 @@ def atomic_jacobian(mu: FiniteMeasure, T: MapLike) -> dict[Point, Fraction]:
 
 def rokhlin_lower_bound(mu: FiniteMeasure,
                         J: JacobianSpec | dict[Point, Fraction],
-                        T: MapLike | None = None, prec: int = 40) -> BallReal:
+                        prec: int = 40) -> BallReal:
     """Enclosure of the entropy lower bound integral log J d mu, for a
-    probability measure mu."""
+    probability measure mu: log J itself for a constant J, else the
+    mu-average of the table's logs."""
     mu.check_probability()
-    if isinstance(J, dict):
-        terms = []
-        for a, w in mu.atoms:
-            val = J.get(a, ZERO)
-            if val <= 0:
-                raise NonPositiveJacobian(f"J({a!r}) = {val} is not positive")
-            terms.append(log_point(val, prec).scale(w))
-        return ball_sum(terms)
-    if J.kind == "constant":
+    if isinstance(J, JacobianSpec):
         return log_point(J.constant, prec)
-    if T is None:
-        raise ValueError("potential-form Jacobian needs the map for h(Tx)")
-    return integrate(mu, lambda a: J.log_at(a, T(a), mu.atom_error, prec))
+    terms = []
+    for a, w in mu.atoms:
+        val = J.get(a, ZERO)
+        if val <= 0:
+            raise NonPositiveJacobian(f"J({a!r}) = {val} is not positive")
+        terms.append(log_point(val, prec).scale(w))
+    return ball_sum(terms)
 
 
 @dataclass
@@ -322,21 +264,21 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
                   - integral of sup {tau+(y) : y in T^-1(x), y in patch} d mu(x).
 
     A residual certifiably above the entry's slack rejects mu from the
-    prescribed-Jacobian class at this scale.  slack = sup J * Lip(tau) *
+    prescribed-Jacobian class at this scale.  slack = J * Lip(tau) *
     mesh, where mesh is the caller's transport bound between mu and its
     one-step refinement (0 when no refinement argument is intended).
-    The patch tests, T(a) and J(a) run once per (patch, atom), with the
-    tests looped over inside.  mu must be a probability measure, and
-    mesh, being a distance bound, nonnegative.  mu, every patch and every
-    test must lie on the patch system's space (SpaceMismatch otherwise,
-    raised before any preimage is enumerated).
+    J is a constant, so the map is never evaluated at the atoms; the
+    patch tests run once per (patch, atom), with the tests looped over
+    inside.  mu must be a probability measure, and mesh, being a distance
+    bound, nonnegative.  mu, every patch and every test must lie on the
+    patch system's space (SpaceMismatch otherwise, raised before any
+    preimage is enumerated).
 
     Each side of an entry is one integer accumulation (mid, rad, den) of
     the ball terms over the lcm of their denominators, read from the hat
     parts [lo/c, hi/c] and the weight w = wn/wd:
-    - V, per atom a in the patch, with J(a) = (A -+ E)/q: the product
-      tau(a) * J(a) by the `BallReal` rule |m| jr + |jm| r + r jr, which
-      for mid (lo + hi)/2c >= 0 is (2 hi E + (hi - lo) |A|)/2cq, times w;
+    - V, per atom a in the patch, with the exact J = jm/q: the ball
+      tau(a) * J, mid (lo + hi) jm/2cq and radius (hi - lo) jm/2cq, times w;
     - W, per atom with a preimage y in or on the patch: each candidate's
       hat ball widened by Lip(tau) * disc_rad, the max of their uppers
       (hi) and the lower end of the one inside (lo, else 0), then the ball
@@ -352,11 +294,10 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
     mu.check_probability()
     prec = 40
     entries: list[ResidualEntry] = []
-    sup_j = J.sup_over_patches()
     if not tests:
         return entries
     pre_cache = {a: enumerate_preimages(T, a, prec + 8) for a, _ in mu.atoms}
-    jac: dict[Point, tuple[int, int, int]] = {}  # (A, E, q) at the atoms in some patch
+    jm, q = J.constant.numerator, J.constant.denominator
     for k, patch in enumerate(patches.patches):
         v_acc = [(0, 0, 1)] * len(tests)
         w_acc = [(0, 0, 1)] * len(tests)
@@ -364,16 +305,9 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
             wn, wd = w.numerator, w.denominator
             # V side: atoms of mu inside the patch.
             if patch.contains_point(a):
-                if a not in jac:
-                    ball = J.value_at(a, T(a), mu.atom_error, prec)
-                    q = lcm(ball.mid.denominator, ball.rad.denominator)
-                    jac[a] = (ball.mid.numerator * (q // ball.mid.denominator),
-                              ball.rad.numerator * (q // ball.rad.denominator), q)
-                jm, jr, q = jac[a]
                 for i, tau in enumerate(tests):
                     lo, hi, c = tau._parts(a, prec)
-                    v_acc[i] = add_parts(*v_acc[i], (lo + hi) * jm * wn,
-                                         (2 * hi * jr + (hi - lo) * abs(jm)) * wn,
+                    v_acc[i] = add_parts(*v_acc[i], (lo + hi) * jm * wn, (hi - lo) * jm * wn,
                                          2 * c * q * wd)
             # W side: the (at most one) preimage inside the patch.
             inside: list[PreimagePoint] = []
@@ -412,8 +346,8 @@ def membership_residual(mu: FiniteMeasure, T: MapLike, patches: PatchSystem,
                                      2 * den * wd)
         for t_idx, (tau, v, (wm, wr, w_den)) in enumerate(zip(tests, v_acc, w_acc)):
             m, r, d = add_parts(*v, -wm, wr, w_den)
-            slack = sup_j * tau.lipschitz * mesh \
-                + sup_j * tau.lipschitz * mu.atom_error * 2
+            slack = J.constant * tau.lipschitz * mesh \
+                + J.constant * tau.lipschitz * mu.atom_error * 2
             entries.append(ResidualEntry(k, t_idx, BallReal(Fraction(m, d), Fraction(r, d)),
                                          slack))
     return entries

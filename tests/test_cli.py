@@ -234,6 +234,37 @@ def test_tree_cli_json_matches_golden_hash(command, tmp_path):
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of the result JSON of two verify CLI calls, recorded while J still
+# had a potential form: the constant-J checks must give these bytes.
+_VERIFY_CLI_GOLDEN = {
+    "jacobian": ("verify_jacobian_result.json",
+                 "f28932a4109aee8a1c46abc587da473acfa82157a5cf356ffa6ca9bab87ecb75"),
+    "membership": ("verify_membership_result.json",
+                   "1332e08eb2a3949767f766fb397db8e7138345fe42d3575f006f6108223ba882"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_VERIFY_CLI_GOLDEN))
+def test_verify_cli_json_matches_golden_hash(check, tmp_path, monkeypatch):
+    """The membership result echoes --measure, so the measure path is
+    relative to the working directory."""
+    from equistate.serialize import dump_json, parse_map
+    from equistate.thermo import backward_orbit_measure
+
+    monkeypatch.chdir(tmp_path)
+    if check == "jacobian":
+        args = ["verify", "jacobian", "--map", "z^2-2", "--J", "const:2", "--points", "6"]
+    else:
+        mu = backward_orbit_measure(parse_map("(z^2+1)/(z^2-1)"), None, SpherePoint.finite(3), 4)
+        dump_json(measure_to_json(mu), "mu.json")
+        args = ["verify", "membership", "--measure", "mu.json", "--map", "(z^2+1)/(z^2-1)",
+                "--J", "const:2", "--mesh", "1/64"]
+    out = tmp_path / "out"
+    run_cli(args, out)
+    name, digest = _VERIFY_CLI_GOLDEN[check]
+    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 def test_verify_jacobian_pass(tmp_path):
     run_cli(["verify", "jacobian", "--map", "z^2", "--J", "const:2",
              "--points", "6"], tmp_path)

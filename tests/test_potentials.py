@@ -11,7 +11,6 @@ from equistate.potentials import (
     pprod,
     psum,
     scale,
-    sup_bound,
     upper_bound,
     Potential,
 )
@@ -104,15 +103,6 @@ def test_holder_dominance_random():
         assert lhs.lower() <= bound * d.upper() + F(1, 1 << 30)
 
 
-def test_sup_bound_dominates_samples():
-    rng = random.Random(5)
-    for _ in range(20):
-        phi = _random_potential(rng)
-        cap = sup_bound(phi)
-        x = S(F(rng.randint(-20, 20), rng.randint(1, 5)), 0)
-        assert phi.evaluate(x, 40).abs().upper() <= cap + F(1, 1 << 30)
-
-
 def test_upper_bound_keeps_signs():
     """Constants count with their sign, negative nonconstant terms count 0."""
     assert upper_bound(const(-3)) == -3
@@ -143,7 +133,7 @@ def test_normal_form_is_expanded_once(monkeypatch):
     first = normal_form(phi)
     top_level = len(expansions)
     for use in (normal_form, Potential.is_zero, Potential.constant_value,
-                holder_bound, sup_bound, upper_bound,
+                holder_bound, upper_bound,
                 lambda p: p.evaluate_with_displacement(S(1), F(1, 64), 30)):
         use(phi)
     assert normal_form(phi) == first

@@ -4,8 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from equistate.balls import (BallReal, DirectedReal, ball_exp, ball_sum, log_point,
-                             sqrt_of_rational)
+from equistate.balls import BallReal, DirectedReal, ball_sum, sqrt_of_rational
 from equistate.errors import (
     NonPositiveJacobian,
     NotInjectiveOnPatch,
@@ -167,9 +166,19 @@ def test_patch_decisions_at_infinity_are_exact():
 
 
 def test_unitarity_constant_two():
-    res = jacobian_unitarity(Z2, JacobianSpec.const(2), S(4),
-                             _preimage_patches(Z2, S(4)))
+    """Only preimages inside a patch count: z^2 at x = 4 with one patch
+    about the preimage 2 leaves |1/2 - 1|, a patch far from both leaves 1,
+    and a g1 tile patch about one preimage with J = 6 leaves 5/6."""
+    J, x = JacobianSpec.const(2), S(4)
+    res = jacobian_unitarity(Z2, J, x, _preimage_patches(Z2, x))
     assert res.mid == 0 and res.rad == 0
+    near, far = (PatchSystem(SPHERE, [BallPatch(SPHERE, S(c), F(1, 4))]) for c in (2, 9))
+    assert jacobian_unitarity(Z2, J, x, near) == BallReal.exact(F(1, 2))
+    assert jacobian_unitarity(Z2, J, x, far) == BallReal.exact(1)
+    g1, bary = SubdivisionMap("g1"), tile_point(FRONT, F(1, 3), F(1, 3), F(1, 3))
+    (y, _), *_ = g1.preimages(bary)
+    tiles = PatchSystem(TRI, [BallPatch(TRI, y, F(1, 100))])
+    assert jacobian_unitarity(g1, JacobianSpec.const(6), bary, tiles) == BallReal.exact(F(5, 6))
 
 
 def test_unitarity_constant_three_off_by_third():
@@ -178,54 +187,23 @@ def test_unitarity_constant_three_off_by_third():
     assert res.contains(F(1, 3))
 
 
-def test_unitarity_potential_form_reduces_to_constant():
-    J = JacobianSpec.potential_form(log_point(F(2), 60), const(0), const(0))
-    res = jacobian_unitarity(Z2, J, S(4), _preimage_patches(Z2, S(4)), prec=50)
-    assert res.upper() <= F(1, 1 << 40)
-
-
-def test_unitarity_evaluates_j_only_at_preimages_in_a_patch(monkeypatch):
-    """z^2 at x = 4 with one patch of radius 1/4 about the preimage 2: the
-    preimage -2 lies outside every patch, so J is evaluated once, at 2, and
-    the residual is |1/J(2) - 1|.  A negative prec is refused whether or not
-    any preimage lies in a patch."""
-    calls = []
-    monkeypatch.setattr("equistate.verify.ball_exp",
-                        lambda a, prec: calls.append(a) or ball_exp(a, prec))
-    J = JacobianSpec.potential_form(log_point(F(2), 60), scale(F(1, 8), basis(S(0))), const(0))
-    x, patches = S(4), PatchSystem(SPHERE, [BallPatch(SPHERE, S(2), F(1, 4))])
-    res = jacobian_unitarity(Z2, J, x, patches, prec=50)
-    assert len(calls) == 1
-    (two,) = [p for p in enumerate_preimages(Z2, x, 58) if p.point == S(2)]
-    assert res == (J.inverse_at(two.point, x, two.disc_rad, 50) - 1).abs()
-    far = PatchSystem(SPHERE, [BallPatch(SPHERE, S(9), F(1, 4))])
-    assert jacobian_unitarity(Z2, J, x, far, prec=50) == BallReal.exact(1)
-    for system in (patches, far):
-        with pytest.raises(ValueError, match="nonnegative"):
-            jacobian_unitarity(Z2, J, x, system, prec=-1)
-
-
-def test_unitarity_nonconstant_potential_on_tile_patches_is_a_space_mismatch():
-    """A potential-form J with a nonconstant potential is a function on the
-    sphere; with a subdivision map and tile patches it is refused up front,
-    naming the space, as `tangent_certificate` does."""
-    g1 = SubdivisionMap("g1")
-    x = tile_point(FRONT, F(1, 3), F(1, 3), F(1, 3))
-    (y, _), *_ = g1.preimages(x)
-    patches = PatchSystem(TRI, [BallPatch(TRI, y, F(1, 100))])
-    for phi, h in ((basis(S(0)), const(0)), (const(0), basis(S(0)))):
-        J = JacobianSpec.potential_form(log_point(F(6), 60), phi, h)
-        with pytest.raises(SpaceMismatch, match="tri_sphere"):
-            jacobian_unitarity(g1, J, x, patches)
-    J = JacobianSpec.potential_form(log_point(F(6), 60), const(0), const(0))
-    assert jacobian_unitarity(g1, J, x, patches).contains(F(5, 6))
-
-
 def _refuse_enumeration(monkeypatch):
     def refuse(*args):
         raise AssertionError("a preimage was enumerated")
 
     monkeypatch.setattr("equistate.verify.enumerate_preimages", refuse)
+
+
+@pytest.mark.parametrize("prec", [-1, -20])
+def test_unitarity_refuses_a_negative_prec(prec, monkeypatch):
+    """A negative prec is refused, naming prec, before any preimage is
+    enumerated: with a patch about the preimage 2 of 4 and with one that
+    holds no preimage."""
+    _refuse_enumeration(monkeypatch)
+    for c in (2, 9):
+        patches = PatchSystem(SPHERE, [BallPatch(SPHERE, S(c), F(1, 4))])
+        with pytest.raises(ValueError, match=f"precision prec must be nonnegative, got {prec}"):
+            jacobian_unitarity(Z2, JacobianSpec.const(2), S(4), patches, prec=prec)
 
 
 def test_unitarity_point_off_the_patch_space_is_a_space_mismatch(monkeypatch):
@@ -339,17 +317,6 @@ def test_rokhlin_bounded_by_pressure():
     assert r.lower() <= p.value.upper() + F(1, 1 << 8)
 
 
-def test_rokhlin_potential_form():
-    """With phi = h = 0, log J is the pressure value at every atom, so the
-    integral encloses log 2; h(T x) needs the map."""
-    J = JacobianSpec.potential_form(log_point(2, 60), const(0), const(0))
-    mu = backward_orbit_measure(Z2, None, S(3), 4)
-    r = rokhlin_lower_bound(mu, J, Z2)
-    assert r.contains(LOG2_40) and r.rad <= F(1, 1 << 40)
-    with pytest.raises(ValueError):
-        rokhlin_lower_bound(mu, J)
-
-
 # -- the probability contract -------------------------------------------------
 
 
@@ -446,19 +413,17 @@ def test_membership_tile_measure_passes_within_refinement_mesh():
 
 def _ref_membership_residual(mu, T, patches, J, tests, mesh=F(0), prec=40):
     """The residual loop as first written: tests outside the atoms, the
-    patch tests, T(a) and J recomputed for every test, the patch tests as
-    Fraction comparisons and the terms as `BallReal` arithmetic."""
+    patch tests recomputed for every test, the patch tests as Fraction
+    comparisons and the terms as `BallReal` arithmetic."""
     entries = []
-    sup_j = J.sup_over_patches()
-    apply = T.apply if isinstance(T, RationalMapRec) else T
+    sup_j = J.constant
     pre_cache = {a: enumerate_preimages(T, a, prec + 8) for a, _ in mu.atoms}
     for k, patch in enumerate(patches.patches):
         for t_idx, tau in enumerate(tests):
             v_terms, w_terms = [], []
             for a, w in mu.atoms:
                 if _fraction_verdicts(patch, a, F(0))[0]:
-                    v_terms.append((tau(a, prec) * J.value_at(a, apply(a), mu.atom_error,
-                                                              prec)).scale(w))
+                    v_terms.append((tau(a, prec) * BallReal.exact(J.constant)).scale(w))
                 inside, ambiguous = [], []
                 for p in pre_cache[a]:
                     where = _fraction_locate(patch, p.point, p.disc_rad)
@@ -479,11 +444,7 @@ def _ref_membership_residual(mu, T, patches, J, tests, mesh=F(0), prec=40):
     return entries
 
 
-_POTENTIAL_J = JacobianSpec.potential_form(
-    BallReal(LOG2, F(1, 1 << 40)), scale(F(1, 8), basis(S(0))), scale(F(-1, 4), basis(S(1))))
-
-
-def _orbit_case(J):
+def _orbit_case():
     """A z^2-2 backward-orbit measure, whose preimages are certified discs
     of radius > 0, with patches and hats at its atoms and mesh > 0."""
     mu = backward_orbit_measure(Z2M2, None, S(3), 4)
@@ -491,7 +452,7 @@ def _orbit_case(J):
     patches = standard_sphere_patches(Z2M2, anchors, F(1, 2))
     tests = [TestFunction(SPHERE, p, F(0), eps) for p in anchors[:3]
              for eps in (F(1, 4), F(1, 16))]
-    return mu, Z2M2, patches, J, tests, F(1, 64)
+    return mu, Z2M2, patches, JacobianSpec.const(2), tests, F(1, 64)
 
 
 def _tile_case():
@@ -540,12 +501,11 @@ def _entries_or_error(run):
 
 
 @pytest.mark.parametrize("case, raises", [
-    (lambda: _orbit_case(JacobianSpec.const(2)), False),
-    (lambda: _orbit_case(_POTENTIAL_J), False),
+    (_orbit_case, False),
     (_tile_case, False),
     (_boundary_case, False),
     (_not_injective_case, True),
-], ids=["J0", "J1", "tile_measure", "preimage_on_boundary", "not_injective"])
+], ids=["J0", "tile_measure", "preimage_on_boundary", "not_injective"])
 def test_membership_entries_match_per_test_loop(case, raises):
     """The integer assembly gives the same Fractions as the `BallReal`
     reference, entry for entry, or raises where it does."""
@@ -560,6 +520,20 @@ def test_membership_entries_match_per_test_loop(case, raises):
     else:
         assert len(got) == len(patches.patches) * len(tests)
         assert membership_residual(mu, T, patches, J, []) == []
+
+
+def test_membership_never_evaluates_the_map_at_atoms(monkeypatch):
+    """J is a constant, so only the preimages of the atoms are needed: with
+    the map's evaluation refused the entries are the reference loop's."""
+    case = _orbit_case()
+    want = _ref_membership_residual(*case)
+
+    def refuse(f, p):
+        raise AssertionError(f"the map was evaluated at {p!r}")
+
+    monkeypatch.setattr(RationalMapRec, "__call__", refuse)
+    got = [(e.patch, e.test, e.residual, e.slack) for e in membership_residual(*case)]
+    assert got == want
 
 
 def test_membership_reads_hats_only_through_their_integer_parts(monkeypatch):

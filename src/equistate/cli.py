@@ -50,7 +50,6 @@ from .verify import (
     jacobian_unitarity,
     membership_residual,
     membership_verdict,
-    standard_sphere_patches,
     tangent_certificate,
 )
 
@@ -203,7 +202,7 @@ def cmd_verify_membership(args):
     f = parse_map(args.map)
     J = parse_jacobian(args.J)
     anchors = [p for p, _ in mu.atoms[: args.max_patches]]
-    patches = standard_sphere_patches(f, anchors, Fraction(1, 2))
+    patches = PatchSystem(SPHERE, [BallPatch(SPHERE, a, Fraction(1, 2)) for a in anchors])
     entries = membership_residual(mu, f, patches, J, _default_tests(mu), mesh=args.mesh)
     return "verify_membership", {
         "check": "membership",

@@ -29,10 +29,6 @@ class PrecisionExhausted(EquistateError):
     """The internal precision cap was reached before certification."""
 
 
-class ChartFailure(EquistateError):
-    """No coordinate chart is usable for the requested preimage computation."""
-
-
 class ExcludedPoint(EquistateError):
     """The evaluation point lies in the operation's excluded set."""
 

@@ -70,10 +70,6 @@ class GaussRat:
     def __truediv__(self, other: "GaussRat") -> "GaussRat":
         return self * other.inverse()
 
-    def scale(self, q: Fraction | int) -> "GaussRat":
-        n = q.numerator  # an int is its own numerator, over 1
-        return gauss_ratio(self.x * n, self.y * n, self.d * q.denominator)
-
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
 

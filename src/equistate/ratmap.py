@@ -1,11 +1,11 @@
 """Rational maps on the Riemann sphere as coprime polynomial pairs.
 
-Evaluation, preimages with local degrees, critical and postcritical data.
-Preimages of x are the roots of num - x*den (or den - num/x when |x| > 1,
-which keeps coefficients small); the excluded value x = f(inf) is the one
-point where that polynomial's degree collapses, and is rejected.  The
-same chart rule gives `preimage_perturbation`: how far the polynomial can
-move when x is only known to within a Euclidean distance.
+Evaluation and preimages with local degrees.  Preimages of x are the
+roots of num - x*den (or den - num/x when |x| > 1, which keeps
+coefficients small); the excluded value x = f(inf) is the one point where
+that polynomial's degree collapses, and is rejected.  The same chart rule
+gives `preimage_perturbation`: how far the polynomial can move when x is
+only known to within a Euclidean distance.
 
 A map keeps num and den as Gaussian-integer coefficient tuples N, D over
 one common denominator F (`integer_terms`), and f(inf).  The preimage
@@ -25,18 +25,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from .dyadics import ZERO, sqrt_lower_numerator
-from .errors import ChartFailure, ExcludedPoint
+from .errors import ExcludedPoint
 from .gauss import GaussRat
 from .polynomials import IntPairs, Polynomial, poly_gcd
 from .roots import RootCluster, certified_roots
-from .sphere import INF, PointBall, SpherePoint
-
-_MAX_POSTCRITICAL_ORBIT = 64
-# An exact iterate of more bits than this ends the search: an infinite
-# orbit of a map over Q(i) grows its heights by about the degree each step
-# (3^(2^k) for the denominators of z^2 + 1/3), so the length bound alone
-# would square numbers for 64 steps.
-_MAX_POSTCRITICAL_BITS = 1024
+from .sphere import INF, SpherePoint
 
 
 @dataclass(frozen=True)
@@ -115,24 +108,24 @@ class RationalMapRec:
 def preimage_polynomial(f: RationalMapRec, x: SpherePoint) -> Polynomial:
     """Degree-deg(f) polynomial whose roots (with multiplicity) are f^-1(x).
 
-    Raises ExcludedPoint when x = f(inf), where the degree collapses.
+    Raises ExcludedPoint when x = f(inf), where the degree collapses; at
+    any other x it cannot.  At x = inf, g = den falls short of degree
+    d = deg f only when deg num > deg den, and then f(inf) = inf; in the
+    finite charts the top coefficient N_d - x D_d (or D_d - N_d/x) vanishes
+    only at x = N_d/D_d, which is f(inf), including x = 0 = f(inf) when
+    deg num < deg den.
     """
     if x == f.at_infinity:
         raise ExcludedPoint("x equals f(inf); preimage polynomial degenerates")
     if x.is_infinity:
-        g = f.den
-    else:
-        N, D, F = f.integer_terms
-        z = x.as_gauss()
-        a, b, c = z.x, z.y, z.d
-        if _num_chart(z):
-            g = Polynomial(_combine(c, N, -a, -b, D), c * F)
-        else:
-            n2 = a * a + b * b
-            g = Polynomial(_combine(n2, D, -c * a, c * b, N), F * n2)
-    if g.degree != f.degree:
-        raise ChartFailure("unexpected degree collapse")  # defensive; unreachable
-    return g
+        return f.den
+    N, D, F = f.integer_terms
+    z = x.as_gauss()
+    a, b, c = z.x, z.y, z.d
+    if _num_chart(z):
+        return Polynomial(_combine(c, N, -a, -b, D), c * F)
+    n2 = a * a + b * b
+    return Polynomial(_combine(n2, D, -c * a, c * b, N), F * n2)
 
 
 def _combine(r: int, P: IntPairs, u: int, v: int, Q: IntPairs) -> IntPairs:
@@ -187,75 +180,3 @@ def preimages(f: RationalMapRec, x: SpherePoint, l: int) -> list[RootCluster]:
     Local degrees sum to deg f.  Chordal disc radii are <= 2^-l.
     """
     return certified_roots(preimage_polynomial(f, x), l)
-
-
-def wronskian(f: RationalMapRec) -> Polynomial:
-    return f.num.derivative() * f.den - f.num * f.den.derivative()
-
-
-def infinity_critical_multiplicity(f: RationalMapRec) -> int:
-    """deg_f(inf) - 1, via the Riemann-Hurwitz count 2d - 2."""
-    w = wronskian(f)
-    return 2 * f.degree - 2 - w.degree
-
-
-def critical_points(f: RationalMapRec, l: int) -> list[RootCluster]:
-    """Certified critical clusters; multiplicity is the Wronskian order.
-
-    The point at infinity appears as an exact cluster when critical there;
-    finite multiplicities plus the infinity multiplicity account for the
-    full Wronskian count 2*deg - 2.
-    """
-    out: list[RootCluster] = []
-    w = wronskian(f)
-    if w.degree >= 1:
-        out.extend(certified_roots(w, l))
-    m_inf = infinity_critical_multiplicity(f)
-    if m_inf > 0:
-        out.append(RootCluster(PointBall(INF, ZERO), m_inf, ZERO))
-    return out
-
-
-@dataclass(frozen=True)
-class PostcriticalResult:
-    status: str  # "finite" or "undecided"
-    points: frozenset[SpherePoint]
-
-    @property
-    def is_finite(self) -> bool:
-        return self.status == "finite"
-
-
-def postcritical_orbit(f: RationalMapRec) -> PostcriticalResult:
-    """Exact postcritical set when every critical point is exact and every
-    critical orbit closes up within _MAX_POSTCRITICAL_ORBIT steps, with no
-    iterate of more than _MAX_POSTCRITICAL_BITS bits; "undecided"
-    otherwise.
-
-    No floating heuristics: a "finite" verdict is backed by exact equality
-    of Gaussian-rational iterates.
-    """
-    crit: list[SpherePoint] = []
-    for cluster in critical_points(f, l=30):
-        if cluster.euclid_rad != 0 or cluster.center.rad != 0:
-            return PostcriticalResult("undecided", frozenset())
-        crit.append(cluster.center.center)
-    post: set[SpherePoint] = set()
-    for c in crit:
-        orbit: set[SpherePoint] = set()
-        x = f.apply(c)
-        while x not in orbit:
-            if len(orbit) >= _MAX_POSTCRITICAL_ORBIT or _bits(x) > _MAX_POSTCRITICAL_BITS:
-                return PostcriticalResult("undecided", frozenset())
-            orbit.add(x)
-            x = f.apply(x)
-        post.update(orbit)
-    return PostcriticalResult("finite", frozenset(post))
-
-
-def _bits(x: SpherePoint) -> int:
-    """The bit length of the largest integer of x's reduced triple."""
-    if x.is_infinity:
-        return 0
-    z = x.value
-    return max(z.x.bit_length(), z.y.bit_length(), z.d.bit_length())

@@ -224,7 +224,7 @@ def ruelle_apply(f: RationalMapRec, phi: Potential | None, u: Potential | None,
 
     L_phi^m(u)(x) = sum over f^-m-preimages y (with local degrees) of
     deg(y) * u(y) * exp(S_m phi(y)).  u = None means the constant 1.
-    Requires x outside {f^i(inf) : 1 <= i <= m}.
+    Requires m >= 0 and x outside {f^i(inf) : 1 <= i <= m}.
 
     Attempts step through (l, eval_prec) = (l0 * 2^k, e0 * 2^k) and start
     at the first k with eval_prec >= n + bitlen(d^m) + ceil(m * sup+ *
@@ -243,6 +243,8 @@ def ruelle_apply(f: RationalMapRec, phi: Potential | None, u: Potential | None,
     R/D <= 2^-n is R * 2^n <= D.  Only the result is a `BallReal`.
     """
     _check_precision(n)
+    if m < 0:
+        raise ValueError(f"step count m must be nonnegative, got {m}")
     if m == 0:
         base = u.evaluate(x, n + 2) if u is not None else BallReal.exact(1)
         return base

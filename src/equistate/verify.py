@@ -3,7 +3,9 @@ tangent-functional certificates, and invariance residuals.
 
 A prescribed Jacobian is a positive constant J (`JacobianSpec.const`), as
 for the measure of maximal entropy, where J is the degree; a measure's own
-Jacobian on its atoms is the exact table of `atomic_jacobian`.
+Jacobian on its atoms is the exact table of `atomic_jacobian`.  The
+checks test on a `PatchSystem`, open balls on which the map is injective;
+patches carry no excluded set, since a constant J is finite everywhere.
 
 Finitely supported approximants never satisfy the exact invariance and
 Jacobian identities, so every check returns a signed residual ball
@@ -15,14 +17,13 @@ bound clears the slack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
 from .balls import BallReal, DirectedReal, add_parts, ball_sum, log_point
 from .dyadics import ZERO, compare_square, discs_apart
 from .errors import (
-    ExcludedPoint,
     NonPositiveJacobian,
     NotInjectiveOnPatch,
     NotInjectiveOnSupport,
@@ -41,7 +42,7 @@ from .measures import (
     wasserstein,
 )
 from .potentials import Potential
-from .ratmap import RationalMapRec, postcritical_orbit, preimages
+from .ratmap import RationalMapRec, preimages
 from .sphere import SpherePoint
 from .thurston import SubdivisionMap
 
@@ -81,16 +82,12 @@ class BallPatch:
 
 @dataclass
 class PatchSystem:
-    """Open patches on which the map is injective, plus a finite excluded
-    set (e.g. the preimage of the postcritical set)."""
+    """Open patches on which the map is injective.  They carry no excluded
+    set: a constant J needs none, and `membership_residual` checks
+    injectivity itself (NotInjectiveOnPatch)."""
 
     space: str
     patches: list[BallPatch]
-    excluded: list[Point] = field(default_factory=list)
-
-    def near_excluded(self, x: Point, disc_rad: Fraction) -> bool:
-        squared = squared_distance_parts(self.space)
-        return any(compare_square(*squared(e, x), disc_rad) <= 0 for e in self.excluded)
 
     def validate_injectivity(self, f: MapLike) -> bool:
         """Sample-grid injectivity check (exact comparisons on exact points).
@@ -130,24 +127,6 @@ def _check_spaces(patches: PatchSystem, named: list[tuple[str, str]]) -> None:
     for name, space in named + [("a patch", p.space) for p in patches.patches]:
         if space != patches.space:
             raise SpaceMismatch(f"{name} is on {space}, the patches are on {patches.space}")
-
-
-def standard_sphere_patches(f: RationalMapRec, anchors: list[SpherePoint],
-                            radius: Fraction = Fraction(1, 2)) -> PatchSystem:
-    """Balls around the given anchor points, with the excluded set
-    f^-1(post f) when the postcritical data is exactly available."""
-    excluded: list[Point] = []
-    res = postcritical_orbit(f)
-    if res.is_finite:
-        for p in res.points:
-            try:
-                for cl in preimages(f, p, 30):
-                    if cl.euclid_rad == 0:
-                        excluded.append(cl.center.center)
-            except ExcludedPoint:
-                excluded.append(p)
-    patches = [BallPatch(SPHERE, a, radius) for a in anchors]
-    return PatchSystem(SPHERE, patches, excluded)
 
 
 # -- Jacobian specifications -------------------------------------------
@@ -207,8 +186,6 @@ def jacobian_unitarity(f: MapLike, J: JacobianSpec, x: Point,
     _check_spaces(patches, [("the point", SPHERE if isinstance(x, SpherePoint) else TRI)])
     certain = ambiguous = 0  # summed local degrees
     for p in enumerate_preimages(f, x, prec + 8):
-        if patches.near_excluded(p.point, p.disc_rad):
-            raise ExcludedPoint(f"preimage {p.point!r} meets the excluded set")
         where = [patch.locate(p.point, p.disc_rad) for patch in patches.patches]
         if -1 in where:
             certain += p.local_degree
@@ -233,7 +210,9 @@ def rokhlin_lower_bound(mu: FiniteMeasure,
                         prec: int = 40) -> BallReal:
     """Enclosure of the entropy lower bound integral log J d mu, for a
     probability measure mu: log J itself for a constant J, else the
-    mu-average of the table's logs."""
+    mu-average of the table's logs.  prec must be nonnegative."""
+    if prec < 0:
+        raise ValueError(f"precision prec must be nonnegative, got {prec}")
     mu.check_probability()
     if isinstance(J, JacobianSpec):
         return log_point(J.constant, prec)

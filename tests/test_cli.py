@@ -237,10 +237,16 @@ def test_tree_cli_json_matches_golden_hash(command, tmp_path):
 # SHA-256 of the result JSON of two verify CLI calls, recorded while J still
 # had a potential form: the constant-J checks must give these bytes.
 _VERIFY_CLI_GOLDEN = {
-    "jacobian": ("verify_jacobian_result.json",
-                 "f28932a4109aee8a1c46abc587da473acfa82157a5cf356ffa6ca9bab87ecb75"),
-    "membership": ("verify_membership_result.json",
+    # check -> (map of the depth-4 anchor-3 measure, SHA-256 of the result JSON)
+    "jacobian": (None, "f28932a4109aee8a1c46abc587da473acfa82157a5cf356ffa6ca9bab87ecb75"),
+    "membership": ("(z^2+1)/(z^2-1)",
                    "1332e08eb2a3949767f766fb397db8e7138345fe42d3575f006f6108223ba882"),
+    "membership-z^2": ("z^2",
+                       "63e0a67c9b3b91236013c60005b6a9b6eb42dc210d71a0440d309661cdc3ddda"),
+    "membership-z^2+1/3": ("z^2+1/3",
+                           "d7d3937b1ea6d1e8f892e2d3c211f7c668edf0ff83e3c1455b45c4afdca63827"),
+    "membership-z^3-3z": ("z^3-3z",
+                          "0d4e9a9e0482927a9a6cfb5aba31325fea89756581ac391e794f1c0ad4a8a760"),
 }
 
 
@@ -252,16 +258,19 @@ def test_verify_cli_json_matches_golden_hash(check, tmp_path, monkeypatch):
     from equistate.thermo import backward_orbit_measure
 
     monkeypatch.chdir(tmp_path)
-    if check == "jacobian":
+    map_text, digest = _VERIFY_CLI_GOLDEN[check]
+    if map_text is None:
+        name = "verify_jacobian_result.json"
         args = ["verify", "jacobian", "--map", "z^2-2", "--J", "const:2", "--points", "6"]
     else:
-        mu = backward_orbit_measure(parse_map("(z^2+1)/(z^2-1)"), None, SpherePoint.finite(3), 4)
-        dump_json(measure_to_json(mu), "mu.json")
-        args = ["verify", "membership", "--measure", "mu.json", "--map", "(z^2+1)/(z^2-1)",
-                "--J", "const:2", "--mesh", "1/64"]
+        name = "verify_membership_result.json"
+        f = parse_map(map_text)
+        dump_json(measure_to_json(backward_orbit_measure(f, None, SpherePoint.finite(3), 4)),
+                  "mu.json")
+        args = ["verify", "membership", "--measure", "mu.json", "--map", map_text,
+                "--J", f"const:{f.degree}", "--mesh", "1/64"]
     out = tmp_path / "out"
     run_cli(args, out)
-    name, digest = _VERIFY_CLI_GOLDEN[check]
     assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
 
@@ -289,9 +298,10 @@ def test_verify_membership_rejects_fixed_point(tmp_path):
 
 
 def test_verify_membership_exits_for_an_infinite_postcritical_orbit():
-    """z^2 + 1/3 has exact critical points with an infinite orbit, whose
-    exact iterates square their denominators; the excluded set is then
-    undecided, and the check still runs and exits by the contract."""
+    """z^2 + 1/3 has an exact critical point with an infinite orbit, whose
+    exact iterates square their denominators.  The check computes no
+    excluded set, so the orbit is never iterated; it runs and exits by
+    the contract."""
     from equistate.serialize import parse_map
     from equistate.thermo import backward_orbit_measure
 

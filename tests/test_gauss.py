@@ -39,9 +39,6 @@ class _Ref:
     def __truediv__(self, o):
         return self * o.inverse()
 
-    def scale(self, q):
-        return _Ref(self.re * q, self.im * q)
-
     def __complex__(self):
         return complex(float(self.re), float(self.im))
 
@@ -76,8 +73,8 @@ def _same(z: GaussRat, ref: _Ref) -> bool:
 
 
 @settings(max_examples=300, deadline=None)
-@given(_pairs, _pairs, _rationals)
-def test_ops_match_fraction_pairs(a, b, q):
+@given(_pairs, _pairs)
+def test_ops_match_fraction_pairs(a, b):
     za, zb = GaussRat.of(*a), GaussRat.of(*b)
     ra, rb = _Ref(*a), _Ref(*b)
     assert _same(za, ra) and _same(zb, rb)
@@ -85,8 +82,6 @@ def test_ops_match_fraction_pairs(a, b, q):
     assert _same(za - zb, ra - rb)
     assert _same(-za, _Ref(-ra.re, -ra.im))
     assert _same(za * zb, ra * rb)
-    assert _same(za.scale(q), ra.scale(q))
-    assert _same(za.scale(q.numerator), ra.scale(q.numerator))
     assert za.abs2() == ra.abs2()
     assert F(*euclid_sq_parts(za, zb)) == (ra - rb).abs2() == F(*euclid_sq_parts(zb, za))
     assert complex(za) == complex(ra)

@@ -97,6 +97,17 @@ def test_ruelle_rejects_negative_precision():
         ruelle_apply(Z2, None, None, S(3), 1, -1)
 
 
+@pytest.mark.parametrize("phi", [None, basis(S(0))], ids=["none", "basis"])
+def test_ruelle_rejects_a_negative_step_count(phi, monkeypatch):
+    """A negative m is refused, naming m, before any tree is built."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a preimage tree was built")
+
+    monkeypatch.setattr(thermo, "build_preimage_tree", unreachable)
+    with pytest.raises(ValueError, match="step count m must be nonnegative, got -1"):
+        ruelle_apply(Z2, phi, None, S(3), -1, 20)
+
+
 def test_ruelle_excluded_point():
     with pytest.raises(ExcludedPoint):
         ruelle_apply(Z2, None, None, INF, 1, 20)
@@ -372,7 +383,7 @@ def test_displacement_reaches_the_moved_preimages(f, x):
         for u in (GaussRat.of(*uv) for uv in ((1, 0), (-1, 0), (0, 1), (0, -1),
                                               (F(3, 5), F(4, 5)), (F(-3, 5), F(4, 5)),
                                               (F(3, 5), F(-4, 5)), (F(-4, 5), F(-3, 5)))):
-            moved = x + u.scale(delta)
+            moved = x + u * GaussRat.of(delta)
             q = f.num - f.den * Polynomial.of(moved)
             roots = mpmath.polyroots([mpmath.mpc(mpmath.mpf(c.x) / c.d, mpmath.mpf(c.y) / c.d)
                                       for c in reversed(q.coeffs)], extraprec=100)

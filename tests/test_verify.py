@@ -30,7 +30,6 @@ from equistate.verify import (
     membership_residual,
     membership_verdict,
     rokhlin_lower_bound,
-    standard_sphere_patches,
     tangent_certificate,
 )
 
@@ -51,6 +50,10 @@ def _preimage_patches(f, x, radius=F(1, 4)):
     return PatchSystem(SPHERE, [
         BallPatch(SPHERE, c.center.center, radius) for c in preimages(f, x, 40)
     ])
+
+
+def _sphere_patches(anchors, radius):
+    return PatchSystem(SPHERE, [BallPatch(SPHERE, a, radius) for a in anchors])
 
 
 # -- jacobian unitarity ----------------------------------------------------
@@ -106,11 +109,6 @@ def _fraction_locate(patch, x, r):
     return -1 if inside else 1 if outside else 0
 
 
-def _fraction_near_excluded(system, x, r):
-    squared = squared_distance_parts(system.space)
-    return any(F(*squared(e, x)) <= r * r for e in system.excluded)
-
-
 def _sphere_patch_points(rng):
     # 0 to 3/4, -4/3 and 5i/12, and each of those to inf, are rational.
     pts = [INF, S(0), S(F(3, 4)), S(F(-4, 3)), S(0, F(5, 12)), S(1, -1)]
@@ -138,7 +136,6 @@ def test_patch_decisions_match_the_fraction_reference(space, points, seed):
     s, s + r and s - r, so each strict test meets its exact boundary."""
     rng = random.Random(seed)
     pts = points(rng)
-    system = PatchSystem(space, [], pts[::3])
     for center in pts:
         for x in pts:
             mid = sqrt_of_rational(*squared_distance_parts(space)(center, x), 40).mid
@@ -149,20 +146,15 @@ def test_patch_decisions_match_the_fraction_reference(space, points, seed):
                 patch = BallPatch(space, center, radius)
                 assert patch.contains_point(x) == _fraction_verdicts(patch, x, r)[0]
                 assert patch.locate(x, r) == _fraction_locate(patch, x, r)
-            for disc in (mid, r):
-                assert system.near_excluded(x, disc) == _fraction_near_excluded(system, x, disc)
 
 
 def test_patch_decisions_at_infinity_are_exact():
-    """sigma(0, inf) = 2: the boundary is neither inside nor excluded."""
+    """sigma(0, inf) = 2: the boundary is not inside."""
     patch = BallPatch(SPHERE, S(0), F(2))
     assert not patch.contains_point(INF)
     assert patch.locate(INF, F(0)) == 0
     assert BallPatch(SPHERE, S(0), F(2) - F(1, 1 << 80)).locate(INF, F(0)) == 1
     assert BallPatch(SPHERE, S(0), F(2) + F(1, 1 << 80)).locate(INF, F(0)) == -1
-    system = PatchSystem(SPHERE, [patch], [S(0)])
-    assert system.near_excluded(INF, F(2))
-    assert not system.near_excluded(INF, F(2) - F(1, 1 << 80))
 
 
 def test_unitarity_constant_two():
@@ -301,6 +293,19 @@ def test_rokhlin_tile_measure_constant_six():
     assert r.contains(LOG6_40)
 
 
+@pytest.mark.parametrize("prec", [-1, -30])
+@pytest.mark.parametrize("J", [JacobianSpec.const(2), {S(1): F(2)}], ids=["const", "table"])
+def test_rokhlin_refuses_a_negative_prec(J, prec, monkeypatch):
+    """A negative prec is refused, naming prec, before the probability
+    check runs."""
+    def unreachable(self):
+        raise AssertionError("the probability check ran")
+
+    monkeypatch.setattr(FiniteMeasure, "check_probability", unreachable)
+    with pytest.raises(ValueError, match=f"precision prec must be nonnegative, got {prec}"):
+        rokhlin_lower_bound(FiniteMeasure.dirac(SPHERE, S(1)), J, prec=prec)
+
+
 def test_rokhlin_nonpositive_rejected():
     mu = FiniteMeasure.dirac(SPHERE, S(1))
     with pytest.raises(NonPositiveJacobian):
@@ -382,8 +387,7 @@ def test_membership_accepts_backward_orbit():
     mu = backward_orbit_measure(Z2, None, S(3), depth)
     mu_next = backward_orbit_measure(Z2, None, S(3), depth + 1)
     mesh = wasserstein(mu, mu_next, 20).upper()
-    patches = standard_sphere_patches(Z2, [S(1), S(-1), S(0, 1), S(0, -1)],
-                                      F(1, 3))
+    patches = _sphere_patches([S(1), S(-1), S(0, 1), S(0, -1)], F(1, 3))
     tests = [TestFunction(SPHERE, S(1), F(0), F(1, 8)),
              TestFunction(SPHERE, S(0, 1), F(1, 16), F(1, 8))]
     entries = membership_residual(mu, Z2, patches, JacobianSpec.const(2), tests,
@@ -449,7 +453,7 @@ def _orbit_case():
     of radius > 0, with patches and hats at its atoms and mesh > 0."""
     mu = backward_orbit_measure(Z2M2, None, S(3), 4)
     anchors = [p for p, _ in mu.atoms[:6]]
-    patches = standard_sphere_patches(Z2M2, anchors, F(1, 2))
+    patches = _sphere_patches(anchors, F(1, 2))
     tests = [TestFunction(SPHERE, p, F(0), eps) for p in anchors[:3]
              for eps in (F(1, 4), F(1, 16))]
     return mu, Z2M2, patches, JacobianSpec.const(2), tests, F(1, 64)
@@ -540,7 +544,7 @@ def test_membership_reads_hats_only_through_their_integer_parts(monkeypatch):
     """The residual reads each hat as integer parts: on a depth-4 z^2
     measure no hat builds a ball."""
     mu = backward_orbit_measure(Z2, None, S(3), 4)
-    patches = standard_sphere_patches(Z2, [S(1), S(-1), S(0, 1), S(0, -1)], F(1, 3))
+    patches = _sphere_patches([S(1), S(-1), S(0, 1), S(0, -1)], F(1, 3))
     tests = [TestFunction(SPHERE, S(1), F(0), F(1, 8)),
              TestFunction(SPHERE, S(0, 1), F(1, 16), F(1, 8))]
     calls = []

@@ -10,17 +10,18 @@ Only when that certificate fails does it split p by exact square-free
 decomposition (Yun) and solve each factor the same way: first at the
 same precision, then at doubling precision.
 
-A linear factor is solved exactly.  Any other starts from float seeds
-computed with the standard library alone: the closed form for
-quadratics, and for higher degrees at most 40 Aberth-Ehrlich sweeps
-(Aberth 1973, Math. Comp. 27) from Bini's Newton-polygon start (Bini
-1996, Numer. Algorithms 13).  From each seed it runs Newton on Gaussian
-integers: the coefficients of the polynomial's integer form C = m*p
-(see `polynomials`, which says why no result depends on m), and z as
-integer numerators over one denominator (2^bits after the first step,
-which rounds each step to the nearest multiple of 2^-bits).  A step is a
-function of z alone, so the iteration stops at the first step that
-returns its input.
+A linear factor is solved exactly.  A quadratic starts from its closed
+form on integers (`_quadratic_seeds`), with no floats.  Any other factor
+starts from float seeds computed with the standard library alone: at
+most 40 Aberth-Ehrlich sweeps (Aberth 1973, Math. Comp. 27) from Bini's
+Newton-polygon start (Bini 1996, Numer. Algorithms 13), on the monic
+coefficients scaled by a power of two when they leave float range.  From
+each seed it runs Newton on Gaussian integers: the coefficients of the
+polynomial's integer form C = m*p (see `polynomials`, which says why no
+result depends on m), and z as integer numerators over one denominator
+(2^bits after the first step, which rounds each step to the nearest
+multiple of 2^-bits).  A step is a function of z alone, so the iteration
+stops at the first step that returns its input.
 
 Certification is integer arithmetic end to end.  The residual bound
 comes from the same integer evaluation, its square root and the chordal
@@ -28,8 +29,9 @@ radius from integer square roots at a fixed scale.  The snap to an exact
 root is a bounded-denominator search on integers: each part of z goes to
 its closest fraction of denominator at most b, read off the continued
 fraction, for each b in `_SNAP_DENOMS`, and the candidate counts when it
-lies in the disc and `horner_int` vanishes there.  Floats only ever
-propose candidates.
+lies in the disc and `horner_int` vanishes there.  A quadratic is
+snapped only when its discriminant is a square in Z[i], the one case in
+which it has a root in Q(i).  Floats only ever propose seeds.
 """
 
 from __future__ import annotations
@@ -102,34 +104,142 @@ def _newton(coeffs: IntPairs, a: int, b: int, c: int, bits: int,
     return a, b, c, horner_int(coeffs, a, b, c)
 
 
-def _float_seeds(coeffs: IntPairs) -> list[complex]:
-    """Float approximations to the roots of the polynomial with these
-    integer coefficients, one per root counted with multiplicity.
+def _quadratic_seeds(coeffs: IntPairs, bits: int
+                     ) -> tuple[list[tuple[int, int, int]], bool]:
+    """Seeds (x, y, 2^bits) for the two roots of q = c2 z^2 + c1 z + c0,
+    and whether the discriminant D = c1^2 - 4 c2 c0 is a square in Z[i].
+
+    With k = bits + 16, S ~ sqrt(D) 2^k comes from two integer square
+    roots: m = isqrt(|D|^2 16^k) ~ |D| 4^k, then w = isqrt((m + |Re D|
+    4^k)/2), the larger part of S; the other part is Im D 4^k/(2w), a
+    quotient in which nothing cancels.  Q = -(c1 2^k +- S), with the sign
+    making |Q| the larger, gives the roots Q/(2 c2 2^k) and 2 c0 2^k/Q
+    (both 0 when Q = 0, which happens only for q = c2 z^2), and each part
+    is rounded to the nearest multiple of 2^-bits.  S is within a few
+    units of sqrt(D) 2^k, and |Q| >= max(|c1| 2^k, |S|), so each quotient
+    is within about 2^-(bits+14) of its root before that rounding.
+
+    Newton from these seeds stops where it stops from any other seed
+    near the root, a float approximation included.  With r' the other root
+    and e = z - r, a Newton step from z lands exactly at r + e^2/(2e + r -
+    r'), so from a grid point next to r, |e| <= 2^-bits sqrt 2, it lands
+    within about 2 4^-bits/|r - r'| of r.  Unless r lies that close to a
+    midline between grid points, the rounded step sends every grid point
+    next to r to the grid point nearest r.  That point is then the only
+    fixed point next to r, and Newton stops there from any seed close
+    enough to reach a grid point next to r: from a float seed after one
+    step, from this seed at once.  A root closer than that to a midline
+    (in practice a part planted at an odd multiple of 2^-(bits+1)) can
+    have two fixed points or a 2-cycle across the midline, and there the
+    grid point Newton stops at depends on the seed; the residual
+    certificate holds at either.
+
+    D is a square in Z[i] exactly when q has a root in Q(i): a root w
+    gives sqrt(D) = 2 c2 w + c1 in Q(i), and Z[i] is integrally closed.
+    The test reads the two square roots above: D = 0, or m^2 = |D|^2 16^k
+    (so |D| = n is an integer) and w^2 is (n + |Re D|)/2 4^k, a square
+    exactly when (n + |Re D|)/2 is; its root t gives the other part
+    Im D/(2t), an integer because its square (n - |Re D|)/2 is.  When D
+    is not a square the snap, which only returns exact roots in Q(i),
+    could only return None, so skipping it changes nothing.
+    """
+    (c0r, c0i), (c1r, c1i), (c2r, c2i) = coeffs
+    dr = c1r * c1r - c1i * c1i - 4 * (c2r * c0r - c2i * c0i)
+    di = 2 * c1r * c1i - 4 * (c2r * c0i + c2i * c0r)
+    k = bits + 16
+    one = 1 << bits
+    n2 = dr * dr + di * di
+    if n2 == 0:
+        sr = si = 0
+        square = True
+    else:
+        m = math.isqrt(n2 << (4 * k))
+        x = (m + (abs(dr) << (2 * k))) >> 1
+        w = math.isqrt(x)
+        t = (di << (2 * k)) // (2 * w)
+        sr, si = (w, t) if dr >= 0 else (t, w)
+        square = m * m == n2 << (4 * k) and w * w == x
+    ar, ai = c1r << k, c1i << k
+    if c1r * sr + c1i * si >= 0:
+        qr, qi = -(ar + sr), -(ai + si)
+    else:
+        qr, qi = sr - ar, si - ai
+    if qr == 0 and qi == 0:
+        return [(0, 0, one)] * 2, square
+    lead = (c2r * c2r + c2i * c2i) << (k + 1)
+    q2 = qr * qr + qi * qi
+    return [(dyadic_numerator(qr * c2r + qi * c2i, lead, bits),
+             dyadic_numerator(qi * c2r - qr * c2i, lead, bits), one),
+            (dyadic_numerator((c0r * qr + c0i * qi) << (k + 1), q2, bits),
+             dyadic_numerator((c0i * qr - c0r * qi) << (k + 1), q2, bits), one)], square
+
+
+def _float_seeds(coeffs: IntPairs) -> list[tuple[int, int, int]]:
+    """Seeds (x, y, d) for the roots of the polynomial with these integer
+    coefficients, one per root counted with multiplicity: 2^s w for float
+    approximations w to the roots of p(2^s w), each part of w rounded by
+    `_gauss_from_complex` at 60 bits.
 
     The monic coefficients a_k are rounded to floats from their exact
     values (int / int rounds correctly), and each zero a_0 is an exact
-    root 0 divided out.  Degree 2 is the cancellation-free closed form:
-    s = sqrt(b^2 - 4c) with the sign of s making |b + s| the larger,
-    q = -(b + s)/2 (nonzero, as c is), and the roots q and c/q.  Higher
-    degrees run at most 40 Aberth-Ehrlich sweeps (Aberth 1973) from
+    root 0 divided out.  Where a_k or the sweeps below overflow, or a
+    nonzero a_k rounds to 0, s is `_root_scale` and the floats are
+    instead the monic coefficients a_k 2^(s(k-n)) of p(2^s w); one of
+    those that rounds to 0 only puts a seed at w = 0.  Otherwise s = 0.
+    The floats run at most 40 Aberth-Ehrlich sweeps (Aberth 1973) from
     Bini's Newton-polygon start (Bini 1996): for each edge (i, j) of the
     upper convex hull of the points (k, log|a_k|), j - i points on the
     circle of radius (|a_i|/|a_j|)^(1/(j - i)).  An iterate stops once
     |p| there is within the rounding error of Horner's rule.
     """
+    try:
+        a = _monic_floats(coeffs, 0)
+        if all(c or q == (0, 0) for c, q in zip(a, coeffs)):
+            return [_gauss_from_complex(w, 60) for w in _aberth(a)]
+    except OverflowError:
+        pass
+    s = _root_scale(coeffs)
+    ws = _aberth(_monic_floats(coeffs, s))
+    return [(x << s, y << s, d) if s >= 0 else (x, y, d << -s)
+            for x, y, d in (_gauss_from_complex(w, 60) for w in ws)]
+
+
+def _monic_floats(coeffs: IntPairs, s: int) -> list[complex]:
+    """The monic coefficients of p(2^s w), a_k 2^(s(k-n)), each part
+    rounded to a float from its exact value."""
     lr, li = coeffs[-1]
     n2 = lr * lr + li * li
-    a = [complex((qr * lr + qi * li) / n2, (qi * lr - qr * li) / n2) for qr, qi in coeffs]
+    n = len(coeffs) - 1
+    out = []
+    for k, (qr, qi) in enumerate(coeffs):
+        e = s * (k - n)
+        xr, xi, d = qr * lr + qi * li, qi * lr - qr * li, n2
+        if e >= 0:
+            xr, xi = xr << e, xi << e
+        else:
+            d <<= -e
+        out.append(complex(xr / d, xi / d))
+    return out
+
+
+def _root_scale(coeffs: IntPairs) -> int:
+    """The largest ceil(log2|a_k| / (n - k)) over the nonzero monic
+    coefficients a_k below the leading one, with log2|c| read off the bit
+    length of |c|^2, within 1/2.  So |a_k 2^(s(k-n))| <= 2 for k < n, and
+    by Fujiwara's bound every root of p(2^s w) has |w| <= 4."""
+    n = len(coeffs) - 1
+    lead = (coeffs[-1][0] ** 2 + coeffs[-1][1] ** 2).bit_length() // 2
+    return max((-((lead - (x * x + y * y).bit_length() // 2) // (n - k))
+                for k, (x, y) in enumerate(coeffs[:-1]) if x or y), default=0)
+
+
+def _aberth(a: list[complex]) -> list[complex]:
+    """Float roots of sum a[k] z^k, for a monic a, as `_float_seeds` says."""
     zeros = next(k for k, c in enumerate(a) if c)
     a = a[zeros:]
     n = len(a) - 1
     if n < 2:
         return [0j] * zeros + [-a[0]] * n
-    if n == 2:
-        c, b = a[0], a[1]
-        s = cmath.sqrt(b * b - 4 * c)
-        q = -(b + s if abs(b + s) >= abs(b - s) else b - s) / 2
-        return [0j] * zeros + [q, c / q]
     logs = {k: math.log(abs(c)) for k, c in enumerate(a) if c}
     hull: list[int] = []
     for k in logs:
@@ -269,16 +379,20 @@ def _solve_square_free(q: Polynomial, target: Fraction, bits: int
         (x0, y0), (x1, y1) = q.C
         return [(gauss_ratio(-x0 * x1 - y0 * y1, x0 * y1 - y0 * x1, x1 * x1 + y1 * y1), ZERO)]
     coeffs = q.C
+    if q.degree == 2:
+        seeds, snap = _quadratic_seeds(coeffs, bits)
+    else:
+        seeds, snap = _float_seeds(coeffs), True
     steps = max(6, bits.bit_length() + 2)
     out: list[tuple[GaussRat, Fraction]] = []
-    for seed in _float_seeds(coeffs):
-        a, b, c, at = _newton(coeffs, *_gauss_from_complex(seed, 60), bits, steps)
+    for seed in seeds:
+        a, b, c, at = _newton(coeffs, *seed, bits, steps)
         u = _residual_numerator(q.degree, c, at, bits)
         if u is None or u * target.denominator > target.numerator << bits:
             return None
         z = gauss_ratio(a, b, c)
         r = Fraction(u, 1 << bits)
-        snapped = _snap_to_exact_root(coeffs, z, r)
+        snapped = _snap_to_exact_root(coeffs, z, r) if snap else None
         out.append((z, r) if snapped is None else (snapped, ZERO))
     return out
 

@@ -822,6 +822,22 @@ def test_preimages_command_exit_codes(fmap, point, l):
     _contract(["preimages", "--map", fmap, f"--point={point}", f"--l={l}"])
 
 
+@pytest.mark.parametrize("argv, expect", [
+    pytest.param(["preimages", "--map", "z^3", "--point={H}"], 0, id="preimages-z^3-at-H"),
+    pytest.param(["roots", "--poly", "z^3+{H}z+1"], 0, id="z^3+Hz+1"),
+    pytest.param(["roots", "--poly", "{H}z^3+1"], 0, id="Hz^3+1"),
+    # roots near -10^400, +-10^-200 i and -10^-400: one power-of-two scale
+    # puts the float seeds of the three small ones all at 0, and the
+    # retries run out
+    pytest.param(["roots", "--poly", "z^4+{H}z^3+z+1/{H}"], 4, id="z^4+Hz^3+z+1/H"),
+])
+def test_coefficients_beyond_float_range_keep_the_exit_contract(argv, expect):
+    """H = 10^400: these monic coefficients overflow a float, or underflow
+    to 0, where the float seeds once raised OverflowError or read a
+    nonzero coefficient as an exact root 0."""
+    assert _contract([a.format(H=10 ** 400) for a in argv]) == expect
+
+
 _GOOD_POINTS = {
     SPHERE: ("inf", {"re": "1", "im": "0"}, {"re": "-1/2", "im": "3"}, {"re": "0", "im": "0"}),
     TRI: ({"face": "front", "coords": ["1/3", "1/3", "1/3"]},

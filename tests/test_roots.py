@@ -2,6 +2,7 @@
 algorithm it replaced, an mpmath oracle, and the `roots` exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -22,9 +23,10 @@ from equistate.errors import PrecisionExhausted
 from equistate.gauss import GaussRat, euclid_sq_parts, gauss_ratio
 from equistate.polynomials import Polynomial, square_free_decomposition
 from equistate.ratmap import RationalMapRec
+from equistate import roots
 from equistate.roots import (RootCluster, _clusters_disjoint, _gauss_from_complex,
-                             _int_newton_step, _limit_denominator, _snap_to_exact_root,
-                             certified_roots)
+                             _int_newton_step, _limit_denominator, _quadratic_seeds,
+                             _snap_to_exact_root, certified_roots)
 from equistate.serialize import map_to_json, parse_map
 from equistate.sphere import PointBall, SpherePoint, chordal_disc_radius, chordal_sq_parts
 
@@ -319,6 +321,118 @@ def test_certified_roots_match_fraction_reference(l):
     assert multiple >= 50 and exact >= 100  # the planted kinds took effect
 
 
+# -- pins on quadratics: the seeds changed, the clusters did not ------------------
+
+
+def _clusters_digest(polys, l):
+    """SHA-256 of every cluster's midpoint triple, radii and multiplicity,
+    and the count of exact (radius 0) clusters."""
+    h = hashlib.sha256()
+    exact = 0
+    for p in polys:
+        for c in certified_roots(p, l):
+            z = c.midpoint
+            h.update(f"{z.x} {z.y} {z.d} {c.euclid_rad} {c.center.rad} {c.multiplicity}\n"
+                     .encode())
+            exact += c.euclid_rad == 0
+        h.update(b"\n")
+    return h.hexdigest(), exact
+
+
+def _pin_quadratics():
+    """3,000 quadratics with a real or non-real leading coefficient: half
+    with two planted roots in Q(i), of denominators up to 4, 16 or 300 (the
+    snap finds those up to 256), half with random coefficients."""
+    rng = random.Random(28)
+
+    def gq(num, den):
+        return G(F(rng.randint(-num, num), rng.randint(1, den)),
+                 F(rng.randint(-num, num), rng.randint(1, den)))
+
+    out = []
+    for i in range(3000):
+        lead = G(rng.randint(1, 9), rng.choice((0, 0, rng.randint(-9, 9))))
+        if i % 2 == 0:
+            r1, r2 = gq(40, rng.choice((4, 16, 300))), gq(40, rng.choice((4, 16, 300)))
+            out.append(Polynomial.of(lead * r1 * r2, -lead * (r1 + r2), lead))
+        else:
+            out.append(Polynomial.of(gq(99, 9), gq(99, 9), lead))
+    return out
+
+
+# Recorded with the float closed-form seeds and the snap on every root.
+_QUADRATIC_PINS = {
+    10: "62c458f2237e52b9425edec38204235bf505bf8e10971e373d69445448163b98",
+    48: "e36a99b181d6f0977a776afb2d36f6a6b7d5f9296a50ee348c1c0354ef5a289d",
+}
+
+
+@pytest.mark.parametrize("l", sorted(_QUADRATIC_PINS))
+def test_quadratic_clusters_match_the_pin(l):
+    assert _clusters_digest(_pin_quadratics(), l) == (_QUADRATIC_PINS[l], 2825)
+
+
+def _tie_quadratics(l, on_grid):
+    """Quadratics with one root r1 planted on a rounding tie of the first
+    attempt's grid: one part of r1 is an odd multiple of 2^-(bits+1).  Its
+    other part lies on the grid or on a tie too (`on_grid`), or off both,
+    at k/3 or k/100003.  Returns (q, r1, r2) triples."""
+    rng = random.Random(l + 100 * on_grid)
+    bits = max(2 * (l + 8), 64)
+    one = 1 << bits
+    out = []
+    for _ in range(300 if on_grid else 100):
+        tie = F(2 * rng.randint(-8 * one, 8 * one) + 1, 2 * one)
+        if on_grid:
+            other = rng.choice((F(rng.randint(-8 * one, 8 * one), one),
+                                F(2 * rng.randint(-8 * one, 8 * one) + 1, 2 * one)))
+        else:
+            other = rng.choice((F(rng.randint(-9, 9), 3),
+                                F(rng.randint(-10 ** 6, 10 ** 6), 10 ** 5 + 3)))
+        r1 = G(tie, other) if rng.randrange(2) else G(other, tie)
+        r2 = G(F(rng.randint(-50, 50), rng.randint(1, 9)), F(rng.randint(-50, 50), rng.randint(1, 9)))
+        lead = G(rng.randint(1, 5), rng.randint(-5, 5))
+        out.append((Polynomial.of(lead * r1 * r2, -lead * (r1 + r2), lead), r1, r2))
+    return out
+
+
+# Recorded with the float closed-form seeds and the snap on every root.
+_TIE_PINS = {
+    10: "05356fe1106891cf0e5e15e577c550889c19a310151042de2e2b1a0815af5959",
+    20: "7afc7a3e6838a44d597b8c9fd54c21782d0d32c3d7e483cf0b65f78b2313b043",
+    30: "249276141694062da84386793a8272a81c40fdb08cfdf7df07a444a0ad96d416",
+}
+
+
+@pytest.mark.parametrize("l", sorted(_TIE_PINS))
+def test_tie_clusters_match_the_pin(l):
+    """With r1's other part on the grid or on a tie, the rounded Newton map
+    has one fixed point next to r1, so every seed ends there."""
+    polys = [q for q, _, _ in _tie_quadratics(l, True)]
+    assert _clusters_digest(polys, l) == (_TIE_PINS[l], 300)
+
+
+@pytest.mark.parametrize("l", [10, 20, 30])
+def test_off_grid_ties_stop_next_to_the_root(l):
+    """With r1's other part off the grid, the rounded Newton map can hold a
+    2-cycle or two fixed points across the tie, and which grid point Newton
+    stops at depends on where it started: on these quadratics the float
+    seeds stopped elsewhere on 28, 26 and 22 of 100.  Every cluster is
+    still certified: r1's midpoint is a grid point next to r1 whose disc
+    holds r1, and r2 is found exactly."""
+    bits = max(2 * (l + 8), 64)
+    for q, r1, r2 in _tie_quadratics(l, False):
+        clusters = certified_roots(q, l)
+        assert len(clusters) == 2 and all(c.multiplicity == 1 for c in clusters)
+        near = [c for c in clusters if c.euclid_rad > 0]
+        assert [c.midpoint for c in clusters if c.euclid_rad == 0] == [r2]
+        assert len(near) == 1
+        z, rad = near[0].midpoint, near[0].euclid_rad
+        assert (z - r1).abs2() <= rad * rad
+        assert abs(z.re - r1.re) <= F(1, 1 << bits) and abs(z.im - r1.im) <= F(1, 1 << bits)
+        assert near[0].center.rad <= F(1, 1 << l)
+
+
 # -- the multiplier of the integer form changes no root ----------------------------
 
 
@@ -420,6 +534,117 @@ def test_int_newton_step_nudges_off_a_critical_point(q, z, bits):
     assert dq(z).is_zero()
     expected = _round(z + G(F(1, 1 << (bits // 2))), bits)
     assert _kernel_step(q, z, bits) == expected == _ref_newton_step(q, dq, z, bits)
+
+
+# -- the integer closed form for quadratics ---------------------------------------
+
+
+def _quadratic_cases():
+    """Integer forms of quadratics: planted roots in Q(i) and the same
+    perturbed off them, with real and non-real leading coefficients and
+    coefficients from 1 to 2^90 in size, then the edge cases D = 0 with
+    c0 != 0, c0 = 0, c0 = c1 = 0 and real D of both signs."""
+    rng = random.Random(29)
+
+    def gq(num, den):
+        return G(F(rng.randint(-num, num), rng.randint(1, den)),
+                 F(rng.randint(-num, num), rng.randint(1, den)))
+
+    out = []
+    for i in range(400):
+        size = rng.choice((9, 99, 1 << 30, 1 << 90))
+        lead = G(rng.randint(1, size), rng.choice((0, rng.randint(-size, size))))
+        r1, r2 = gq(size, rng.choice((1, 7, 60))), gq(size, rng.choice((1, 7, 60)))
+        q = Polynomial.of(lead * r1 * r2, -lead * (r1 + r2), lead)
+        if i % 2:
+            q = q + Polynomial.of(gq(3, 5))
+        out.append(q.C)
+    for r in (G(F(5, 3), F(-1, 7)), G(2), G(0, -3)):  # D = 0, c0 != 0
+        out.append(poly_from_roots([r, r]).C)
+        out.append(poly_from_roots([r, G(0)]).C)  # c0 = 0
+    out += [Polynomial.of(0, 0, G(3, -2)).C, Polynomial.of(0, 0, 1).C,  # c0 = c1 = 0
+            Polynomial.of(-2, 0, 1).C, Polynomial.of(2, 0, 1).C,  # D = 8 and -8
+            Polynomial.of(-4, 0, 1).C, Polynomial.of(4, 0, 1).C,  # D = 16 and -16
+            Polynomial.of(0, 2, 1).C, Polynomial.of(G(0, 1), 0, 1).C]
+    return out
+
+
+def _discriminant(C):
+    c0, c1, c2 = (G(x, y) for x, y in C)
+    return c1 * c1 - G(4) * c2 * c0
+
+
+def _mp_quadratic_roots(mpmath, C):
+    """Both roots (-c1 +- sqrt(D))/(2 c2) at mpmath's working precision."""
+    c0, c1, c2 = (mpmath.mpc(x, y) for x, y in C)
+    s = mpmath.sqrt(c1 * c1 - 4 * c2 * c0)
+    return [(-c1 + s) / (2 * c2), (-c1 - s) / (2 * c2)]
+
+
+def test_quadratic_square_flag_is_a_root_in_q_i():
+    """The flag is True exactly when q has a root in Q(i).  The oracle
+    rounds each part of mpmath's 100-digit roots to the nearest fraction
+    with denominator at most |c2|^2 (a root u/v in lowest terms has v | c2)
+    and evaluates q there exactly."""
+    mpmath = pytest.importorskip("mpmath")
+    seen = set()
+    with mpmath.workdps(100):
+        for C in _quadratic_cases():
+            q = Polynomial(C, 1)
+            bound = C[2][0] ** 2 + C[2][1] ** 2
+            rational = False
+            for w in _mp_quadratic_roots(mpmath, C):
+                cand = G(F(mpmath.nstr(w.real, 100)).limit_denominator(bound),
+                         F(mpmath.nstr(w.imag, 100)).limit_denominator(bound))
+                rational |= q(cand).is_zero()
+            for bits in (64, 97):
+                assert _quadratic_seeds(C, bits)[1] == rational, C
+            d = _discriminant(C)
+            seen.add((rational, d.re < 0, (d.im > 0) - (d.im < 0), C[2][1] != 0))
+    assert {(r, neg, sign, nonreal) for r in (True, False) for neg in (True, False)
+            for sign in (-1, 1) for nonreal in (True, False)} <= seen
+
+
+@pytest.mark.parametrize("bits", [64, 97, 200])
+def test_quadratic_seeds_lie_near_mpmath_roots(bits):
+    """Each seed is within 2^-(bits-4) of a 100-digit mpmath root, and the
+    two seeds sit near different roots when the roots are farther apart."""
+    mpmath = pytest.importorskip("mpmath")
+    tol = mpmath.mpf(2) ** -(bits - 4)
+    with mpmath.workdps(100):
+        for C in _quadratic_cases():
+            seeds, _ = _quadratic_seeds(C, bits)
+            assert all(d == 1 << bits for _, _, d in seeds)
+            want = _mp_quadratic_roots(mpmath, C)
+            got = [mpmath.mpc(x, y) / (1 << bits) for x, y, _ in seeds]
+            near = [[abs(z - r) <= tol for r in want] for z in got]
+            assert all(any(row) for row in near), C
+            if abs(want[0] - want[1]) > 2 * tol:
+                assert near[0] != near[1], C
+
+
+def test_snap_runs_only_for_a_square_discriminant(monkeypatch):
+    """A snap that raises is never reached for quadratics whose
+    discriminant is not a square, at any precision or on the Yun path, and
+    is reached for one whose discriminant is."""
+    def refuse(*args):
+        raise AssertionError("snap reached")
+
+    rng = random.Random(30)
+    # roots 1.4e-6 apart: the first attempt fails and the retries run
+    close = poly_from_roots([G(F(1, 3)), G(F(1, 3))]) - Polynomial.of(F(1, 2 * 10 ** 12))
+    polys = [Polynomial.of(-2, 0, 1), Polynomial.of(G(0, 1), 0, 1), Polynomial.of(1, 1, 1),
+             Polynomial.of(G(F(1, 3), F(-2, 7)), G(0, 5), G(2, 1)), close]
+    polys += [Polynomial.of(G(rng.randint(-99, 99), rng.randint(-99, 99)),
+                            G(rng.randint(-99, 99), rng.randint(-99, 99)), G(rng.randint(1, 9)))
+              for _ in range(100)]
+    polys = [p for p in polys if not _quadratic_seeds(p.C, 64)[1]]
+    assert len(polys) >= 100 and close in polys
+    want = [[certified_roots(p, l) for l in (10, 40)] for p in polys]
+    monkeypatch.setattr(roots, "_snap_to_exact_root", refuse)
+    assert [[certified_roots(p, l) for l in (10, 40)] for p in polys] == want
+    with pytest.raises(AssertionError, match="snap reached"):
+        certified_roots(Polynomial.of(-4, 0, 1), 10)
 
 
 # -- chordally close roots ------------------------------------------------------
@@ -553,3 +778,41 @@ def test_roots_command_exit_codes(poly, k):
     assert "Traceback" not in err.getvalue()
     if rc in (3, 4):
         assert len(err.getvalue().strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("form", ["z^2+{H}", "{H}z^2+1", "z^3+{H}z+1", "{H}z^3+1"])
+def test_roots_command_beyond_float_range(form, tmp_path):
+    """H = 10^400.  Monic coefficients that overflow a float once raised
+    OverflowError from the float seeds, and one that underflowed to 0 was
+    read as an exact root 0 and ran out of precision.  Each now exits 0,
+    and each root mpmath finds lies in exactly one chordal disc.  mpmath
+    finds roots of modulus >= 1 from the polynomial and the others as 1/w
+    for the roots w of modulus > 1 of the reversed polynomial."""
+    mpmath = pytest.importorskip("mpmath")
+    text = form.format(H=10 ** 400)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["roots", "--poly", text, "--out", str(tmp_path)])
+    assert rc == 0 and "Traceback" not in err.getvalue()
+    with open(tmp_path / "roots_result.json", encoding="utf-8") as fh:
+        clusters = json.load(fh)["clusters"]
+    coeffs = [int(c.re) for c in parse_map(text).num.coeffs]
+    assert all(c["multiplicity"] == 1 for c in clusters) and len(clusters) == len(coeffs) - 1
+
+    def mp(q):
+        return mpmath.mpf(F(q).numerator) / F(q).denominator
+
+    def chordal(a, b):
+        return 2 * abs(a - b) / mpmath.sqrt((1 + abs(a) ** 2) * (1 + abs(b) ** 2))
+
+    with mpmath.workdps(50):
+        found = [r for r in mpmath.polyroots(coeffs[::-1], maxsteps=500, extraprec=3000)
+                 if abs(r) >= 1]
+        found += [1 / w for w in mpmath.polyroots(coeffs, maxsteps=500, extraprec=3000)
+                  if abs(w) > 1]
+        assert len(found) == len(clusters)
+        for r in found:
+            inside = [c for c in clusters
+                      if chordal(r, mpmath.mpc(mp(c["center"]["re"]), mp(c["center"]["im"])))
+                      <= mp(c["chordal_radius"]) * (1 + mpmath.mpf(10) ** -30)]
+            assert len(inside) == 1, (text, r)

@@ -11,6 +11,7 @@ iteration budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -429,9 +430,16 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on its first call and kept: parsing
+    reads it without changing it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         started = time.time()
         name, result, *csv = args.func(args)
         _write(args, name, result, started, *csv)

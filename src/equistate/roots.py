@@ -182,10 +182,11 @@ def _float_seeds(coeffs: IntPairs) -> list[tuple[int, int, int]]:
 
     The monic coefficients a_k are rounded to floats from their exact
     values (int / int rounds correctly), and each zero a_0 is an exact
-    root 0 divided out.  Where a_k or the sweeps below overflow, or a
-    nonzero a_k rounds to 0, s is `_root_scale` and the floats are
-    instead the monic coefficients a_k 2^(s(k-n)) of p(2^s w); one of
-    those that rounds to 0 only puts a seed at w = 0.  Otherwise s = 0.
+    root 0 divided out.  Where a_k or the sweeps below overflow, a
+    nonzero a_k rounds to 0, or a nonzero root w rounds to 0 at 60 bits,
+    s is `_root_scale` and the floats are instead the monic coefficients
+    a_k 2^(s(k-n)) of p(2^s w); one of those that rounds to 0 only puts a
+    seed at w = 0.  Otherwise s = 0.
     The floats run at most 40 Aberth-Ehrlich sweeps (Aberth 1973) from
     Bini's Newton-polygon start (Bini 1996): for each edge (i, j) of the
     upper convex hull of the points (k, log|a_k|), j - i points on the
@@ -195,7 +196,10 @@ def _float_seeds(coeffs: IntPairs) -> list[tuple[int, int, int]]:
     try:
         a = _monic_floats(coeffs, 0)
         if all(c or q == (0, 0) for c, q in zip(a, coeffs)):
-            return [_gauss_from_complex(w, 60) for w in _aberth(a)]
+            ws = _aberth(a)
+            seeds = [_gauss_from_complex(w, 60) for w in ws]
+            if all(x or y or not w for (x, y, _), w in zip(seeds, ws)):
+                return seeds
     except OverflowError:
         pass
     s = _root_scale(coeffs)

@@ -359,9 +359,9 @@ def tile_complex_to_json(c):
 
 
 def dump_json(obj, path: str) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_json(path: str):

@@ -25,11 +25,12 @@ Potentials stay on integers from the tree to the returned ball.  Each
 node carries S_k phi as the integer ball (m, r, d), m/d +- r/d, adding
 the potential's `widened_parts` at the node to its parent's with
 `add_parts`; each leaf weight deg * e^(S_m phi) is the `exp_ball_parts`
-of that triple scaled by deg, and `ruelle_apply` and
-`backward_orbit_measure` sum the weights with `add_parts` again.  Every
-step is exact and depends only on the values, so the one `BallReal` or
-the Fractions built at the end equal what `BallReal` addition,
-`ball_exp`, `scale` and `ball_sum` give on the same balls.
+of that triple scaled by deg, and `ruelle_apply`,
+`backward_orbit_measure` and `empirical_pressure` sum the weights with
+`add_parts` again, in `_sum_parts`.  Every step is exact and depends
+only on the values, so the one `BallReal` or the Fractions built at the
+end equal what `BallReal` addition, `ball_exp`, `scale` and `ball_sum`
+give on the same balls.
 
 Pressure follows the iterate-and-log recipe: pick N beyond 2^(n+1)*C0*R,
 take an anchor off the forward orbit of infinity with more than one
@@ -37,6 +38,13 @@ preimage (so never an exceptional point), and return
 (1/N) log L_phi^N(1)(anchor) with the truncation allowance C0*R/N added
 to the radius.  With a constant potential the truncation term vanishes
 and the enclosure is as tight as the evaluation.
+
+The empirical estimate grows one tree from the anchor, a level at a
+time, and reads L_phi^N(1)(anchor) off level N as the leaf sum.  Only
+the log of that sum is used, so a level is accepted on a relative
+radius test, and one precision serves every level; a level that fails
+the test doubles the precision and regrows the tree.  Its ball is NOT an
+enclosure: the stopping rule only compares successive estimates.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ _MAX_TREE_LEAVES = 1 << 19
 _MAX_PRESSURE_DEPTH = 18
 _ANCHOR_CLEARANCE = Fraction(1, 1 << 10)
 _ANCHOR_SEARCH_LIMIT = 20000
+_PRECISION_ATTEMPTS = 8
 _LOG2_E_UPPER = Fraction(1442695040888963408, 10 ** 18)  # > log2(e) = 1.44269504088896340735...
 
 
@@ -133,7 +142,8 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
     Requires x not in {f^i(inf) : 1 <= i <= depth}.  Stored points are
     exact; euclid_err/chordal_err bound their distance to the true
     preimages; phi sums accumulate along paths, as integer balls, when a
-    potential is given.
+    potential is given.  The tree is the root x and `depth` calls of
+    `_grow_level`.
     """
     if depth < 0:
         raise ValueError(f"tree depth must be nonnegative, got {depth}")
@@ -144,51 +154,63 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
     excluded = f.infinity_orbit(depth)
     if x in excluded:
         raise ExcludedPoint(f"anchor {x!r} lies on the forward orbit of infinity")
+    levels = [[_root_node(x)]]
+    for _level in range(depth):
+        levels.append(_grow_level(f, levels[-1], l, phi, eval_prec))
+    return PreimageTree(levels)
+
+
+def _root_node(x: SpherePoint) -> TreeNode:
+    return TreeNode(x, ZERO, ZERO, 1, (0, 0, 1))
+
+
+def _grow_level(f: RationalMapRec, parents: list[TreeNode], l: int,
+                phi: Potential | None, eval_prec: int) -> list[TreeNode]:
+    """The certified preimages of one tree level, each parent's children
+    in a row: root solves at l bits, displacement bounds and phi sums as
+    `build_preimage_tree` says.  The caller keeps the parents off the
+    forward orbit of infinity."""
     f_of_inf = f.at_infinity
     zero_phi = phi is None or phi.is_zero()
-    root = TreeNode(x, ZERO, ZERO, 1, (0, 0, 1))
-    levels = [[root]]
-    for _level in range(depth):
-        children: list[TreeNode] = []
-        for node in levels[-1]:
-            if node.point == f_of_inf:
-                # The true node differs from f(inf); the stored rounding
-                # collided with the excluded value.  Needs more precision.
-                raise PrecisionExhausted("stored tree node collided with f(inf)")
-            g = preimage_polynomial(f, node.point)
-            clusters = certified_roots(g, l)
-            chart = preimage_perturbation(f, node.point, node.euclid_err, l + 8)
-            if chart is None:
-                raise PrecisionExhausted("stored tree node too close to 0 for its chart")
-            p, eps = chart
-            siblings = len(children)
-            for cl in clusters:
-                z = cl.midpoint
-                if cl.multiplicity > 1 and node.euclid_err != 0:
-                    raise PrecisionExhausted(
-                        "critical branching below an inexactly stored node"
-                    )
-                if cl.multiplicity > 1 or (node.euclid_err == 0 and cl.euclid_rad == 0):
-                    delta = cl.euclid_rad
-                else:
-                    delta = _perturbed_child_displacement(g, p, z, eps, l + 8)
-                    if delta is None:
-                        raise PrecisionExhausted("displacement bound degenerated")
-                    delta = max(delta, cl.euclid_rad)
-                chordal_err = chordal_disc_radius(z, delta, l + 4)
-                point = SpherePoint(z)
-                if zero_phi:
-                    phi_here = node.phi_sum
-                else:
-                    phi_here = add_parts(*node.phi_sum,
-                                         *phi.widened_parts(point, chordal_err, eval_prec))
-                children.append(TreeNode(
-                    point, delta, chordal_err, node.degree_product * cl.multiplicity,
-                    phi_here,
-                ))
-            _check_disjoint(children[siblings:])
-        levels.append(children)
-    return PreimageTree(levels)
+    children: list[TreeNode] = []
+    for node in parents:
+        if node.point == f_of_inf:
+            # The true node differs from f(inf); the stored rounding
+            # collided with the excluded value.  Needs more precision.
+            raise PrecisionExhausted("stored tree node collided with f(inf)")
+        g = preimage_polynomial(f, node.point)
+        clusters = certified_roots(g, l)
+        chart = preimage_perturbation(f, node.point, node.euclid_err, l + 8)
+        if chart is None:
+            raise PrecisionExhausted("stored tree node too close to 0 for its chart")
+        p, eps = chart
+        siblings = len(children)
+        for cl in clusters:
+            z = cl.midpoint
+            if cl.multiplicity > 1 and node.euclid_err != 0:
+                raise PrecisionExhausted(
+                    "critical branching below an inexactly stored node"
+                )
+            if cl.multiplicity > 1 or (node.euclid_err == 0 and cl.euclid_rad == 0):
+                delta = cl.euclid_rad
+            else:
+                delta = _perturbed_child_displacement(g, p, z, eps, l + 8)
+                if delta is None:
+                    raise PrecisionExhausted("displacement bound degenerated")
+                delta = max(delta, cl.euclid_rad)
+            chordal_err = chordal_disc_radius(z, delta, l + 4)
+            point = SpherePoint(z)
+            if zero_phi:
+                phi_here = node.phi_sum
+            else:
+                phi_here = add_parts(*node.phi_sum,
+                                     *phi.widened_parts(point, chordal_err, eval_prec))
+            children.append(TreeNode(
+                point, delta, chordal_err, node.degree_product * cl.multiplicity,
+                phi_here,
+            ))
+        _check_disjoint(children[siblings:])
+    return children
 
 
 def _check_disjoint(siblings: list[TreeNode]) -> None:
@@ -256,19 +278,18 @@ def ruelle_apply(f: RationalMapRec, phi: Potential | None, u: Potential | None,
     while eval_prec < budget:
         l *= 2
         eval_prec *= 2
-    for _attempt in range(8):
+    for _attempt in range(_PRECISION_ATTEMPTS):
         try:
             tree = build_preimage_tree(f, x, m, l, phi, eval_prec)
         except PrecisionExhausted:
             l *= 2
             continue
-        total, rad, den = 0, 0, 1
-        for leaf in tree.leaves():
-            wm, wr, wd = _leaf_weight(leaf, eval_prec)
-            if u is not None:
-                um, ur, ud = u.widened_parts(leaf.point, leaf.chordal_err, eval_prec)
-                wm, wr, wd = wm * um, abs(wm) * ur + abs(um) * wr + wr * ur, wd * ud
-            total, rad, den = add_parts(total, rad, den, wm, wr, wd)
+        leaves = tree.leaves()
+        weights = (_leaf_weight(leaf, eval_prec) for leaf in leaves)
+        if u is not None:
+            weights = (_times_parts(w, u.widened_parts(leaf.point, leaf.chordal_err, eval_prec))
+                       for w, leaf in zip(weights, leaves))
+        total, rad, den = _sum_parts(weights)
         if rad << n <= den:
             return BallReal(Fraction(total, den), Fraction(rad, den))
         l *= 2
@@ -282,6 +303,20 @@ def _leaf_weight(leaf: TreeNode, prec: int) -> tuple[int, int, int]:
     m, r, k = exp_ball_parts(*leaf.phi_sum, prec)
     deg = leaf.degree_product
     return m * deg, r * deg, 1 << k
+
+
+def _times_parts(a: tuple[int, int, int], b: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The `BallReal` product of two integer balls m/d +- r/d."""
+    (am, ar, ad), (bm, br, bd) = a, b
+    return am * bm, abs(am) * br + abs(bm) * ar + ar * br, ad * bd
+
+
+def _sum_parts(weights) -> tuple[int, int, int]:
+    """The leaf sum: integer balls (m, r, d) added in order by `add_parts`."""
+    total, rad, den = 0, 0, 1
+    for wm, wr, wd in weights:
+        total, rad, den = add_parts(total, rad, den, wm, wr, wd)
+    return total, rad, den
 
 
 @dataclass
@@ -346,24 +381,84 @@ def pressure(f: RationalMapRec, phi: Potential, n: int,
 def empirical_pressure(f: RationalMapRec, phi: Potential, n: int) -> PressureResult:
     """Uncertified estimate of P(f, phi): iterates N until successive
     estimates (1/N) log L_phi^N(1)(anchor) agree to 2^-(n+2), and widens
-    the last one by that agreement.  The ball is NOT an enclosure."""
+    the last one by that agreement.  The ball is NOT an enclosure.
+
+    One preimage tree grows a level at a time, and L^N 1(anchor) is the
+    sum (M, R, D) of level N's leaf weights, so the whole call makes
+    d + ... + d^N root solves.  `_select_anchor(f, N)` is asked again at
+    every N; when its answer moves (only a rational map's orbit of
+    infinity can push it), the tree regrows from the new anchor.
+
+    The log needs a relative radius, not an absolute one: level N is
+    accepted when R 2^k <= M - R, k = n + 6 + bitlen(N), and then the log
+    of M/D +- R/D has radius at most R/(M - R) <= 2^-k before
+    `ball_log`'s own rounding.  So one (l, eval_prec) serves every level:
+    `_empirical_precision` fixes it from n and the depth cap.  A level
+    that fails the test or raises `PrecisionExhausted` doubles both and
+    regrows the tree from the anchor, with at most `_PRECISION_ATTEMPTS`
+    precisions in the whole call.
+    """
     _check_precision(n)
     agree = Fraction(1, 1 << (n + 2))
+    top = 0
+    while top < _MAX_PRESSURE_DEPTH and f.degree ** (top + 1) <= _MAX_TREE_LEAVES:
+        top += 1
+    l, eval_prec = _empirical_precision(n, top)
+    attempts = 1
+    anchor: SpherePoint | None = None
+    level: list[TreeNode] = []
+    depth = 0
     prev: BallReal | None = None
-    prev_N = 0
-    for N in range(1, _MAX_PRESSURE_DEPTH + 1):
-        if f.degree ** N > _MAX_TREE_LEAVES:
-            break
-        anchor = _select_anchor(f, N)
-        big = ruelle_apply(f, phi, None, anchor, N, n + 6 + N.bit_length())
-        logball = ball_log(big, n + 8 + N.bit_length())
+    for N in range(1, top + 1):
+        x = _select_anchor(f, N)
+        if x != anchor:
+            anchor, level, depth = x, [_root_node(x)], 0
+        k = n + 6 + N.bit_length()
+        while True:
+            try:
+                while depth < N:
+                    level, depth = _grow_level(f, level, l, phi, eval_prec), depth + 1
+                M, R, D = _sum_parts(_leaf_weight(leaf, eval_prec) for leaf in level)
+                if R << k <= M - R:
+                    break
+            except PrecisionExhausted:
+                pass
+            if attempts == _PRECISION_ATTEMPTS:
+                raise PrecisionExhausted(f"empirical pressure at level {N}")
+            attempts += 1
+            l *= 2
+            eval_prec *= 2
+            level, depth = [_root_node(anchor)], 0
+        logball = ball_log(BallReal(Fraction(M, D), Fraction(R, D)), n + 8 + N.bit_length())
         cur = BallReal(logball.mid / N, logball.rad / N)
         if prev is not None and abs(cur.mid - prev.mid) <= agree:
             return PressureResult(BallReal(cur.mid, cur.rad + agree), N, anchor)
-        prev, prev_N = cur, N
+        prev = cur
     raise PrecisionExhausted(
-        f"empirical pressure estimates did not stabilize by N = {prev_N}"
+        f"empirical pressure estimates did not stabilize by N = {top}"
     )
+
+
+def _empirical_precision(n: int, top: int) -> tuple[int, int]:
+    """The start (l, eval_prec) of `empirical_pressure` for the depth cap
+    top.
+
+    With b = bitlen(top), the test at a level N <= top asks for R/M below
+    about 2^-k_max, k_max = n + 6 + b, and each of two parts gets half of
+    that.  Every weight is positive, so R/M is at most the largest
+    relative radius of a leaf, plus the exp roundings over M:
+    - a level-N leaf's phi sum adds N < 2^b widened evaluations, each
+      within 2^-eval_prec + Lip(phi) 2^-l or so, as the chordal
+      displacement stays near 2^-l; l = k_max + b + 4 keeps the N of them
+      below 2^-(k_max+1) for Lip(phi) up to 7;
+    - `exp_ball_parts` rounds each leaf to 2^-(eval_prec+24) absolute, and
+      with eval_prec = l + 4 the d^N <= 2^19 roundings stay below
+      2^-(k_max+1) relative to the sum while L^N 1 >= 2^-(b+12).
+    The escalation in `empirical_pressure` covers what lies beyond.
+    """
+    b = top.bit_length()
+    l = n + 10 + 2 * b
+    return l, l + 4
 
 
 def backward_orbit_measure(f: RationalMapRec, phi: Potential | None,
@@ -388,9 +483,7 @@ def backward_orbit_measure(f: RationalMapRec, phi: Potential | None,
         atoms = [(leaf.point, leaf.degree_product * d_to_m) for leaf in leaves]
         return FiniteMeasure.from_atoms(SPHERE, atoms, atom_error=disp)
     raw = [_leaf_weight(leaf, eval_prec) for leaf in leaves]
-    total, rad, den = 0, 0, 1
-    for wm, wr, wd in raw:
-        total, rad, den = add_parts(total, rad, den, wm, wr, wd)
+    total, rad, den = _sum_parts(raw)
     if total <= rad:
         raise PrecisionExhausted("backward-orbit weights not certifiably positive")
     # A leaf's atom is its mid over the sum's, (wm/wd) / (total/den).  The

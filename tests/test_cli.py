@@ -210,12 +210,14 @@ _BENCH_PHI = pot.psum(pot.basis(SpherePoint.finite(0)),
                                                           pot.basis(SpherePoint.finite(0, 1)))))
 
 # SHA-256 of the result JSON of two preimage-tree CLI calls, recorded with
-# preimage polynomials built by `Polynomial` arithmetic.
+# preimage polynomials built by `Polynomial` arithmetic; the empirical
+# pressure's was re-recorded when it grew one tree and tested the leaf
+# sum's relative radius (the same N_used and anchor, the mid moved by 4e-11).
 _TREE_CLI_GOLDEN = {
     "mme": ("mme_depth6_result.json",
             "e9ea953a3670bbdfda4aebcce54e7162f2fba71887dc2504e7fe8230a036d936"),
     "pressure": ("pressure_result.json",
-                 "7b8a3b4e5f6cadc6e6f2c1ba664803cc739034f1565710c30d5a0a1179567f19"),
+                 "f83867d4009f50e1745d6a2c1af71faaefc6b4cf06a4253e9e491ab9d45509d9"),
 }
 
 
@@ -606,6 +608,26 @@ def _rejected(argv, capsys):
 ])
 def test_usage_errors_exit_3_with_one_line(argv, tmp_path, capsys):
     _rejected([*argv, "--out", str(tmp_path)], capsys)
+
+
+def test_one_parser_serves_a_usage_error_and_the_next_call(tmp_path, capsys, monkeypatch):
+    """`main` builds its parser once per process.  A usage error (exit 3)
+    and then a valid call in the same process write the result bytes of
+    the valid call made alone, on a fresh parser."""
+    from equistate import cli
+
+    built = []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    valid = ["birkhoff", "--map", "z^2-2", "--potential", "const:1/3", "--point", "1/2",
+             "--steps", "3"]
+    cli._parser.cache_clear()
+    run_cli(valid, tmp_path / "alone")
+    cli._parser.cache_clear()
+    _rejected([*valid[:-1], "three", "--out", str(tmp_path / "bad")], capsys)
+    run_cli(valid, tmp_path / "after")
+    assert len(built) == 2
+    name = "birkhoff_result.json"
+    assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
 _VERIFY = {

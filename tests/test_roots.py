@@ -9,6 +9,7 @@ import math
 import os
 import random
 import tempfile
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -739,6 +740,27 @@ def test_clusters_hold_mpmath_roots():
                 rad = mpmath.mpf(c.euclid_rad.numerator) / c.euclid_rad.denominator
                 inside = sum(1 for r in true_roots if abs(r - mid) <= rad + slack)
                 assert inside == c.multiplicity, (p, c)
+
+
+@pytest.mark.parametrize("e", [200, 300])
+def test_roots_below_the_seed_grid_are_scaled(e):
+    """The roots of z^3 + 2^-e have modulus 2^-(e/3), below the 60-bit
+    grid that rounds unscaled float seeds: all three seeds once sat at 0
+    and the solve ran out of precision after seconds.  Now the seeds are
+    scaled, and three clusters come back in well under a second, each
+    disc holding one mpmath root."""
+    mpmath = pytest.importorskip("mpmath")
+    start = time.perf_counter()
+    clusters = certified_roots(Polynomial.of(F(1, 1 << e), 0, 0, 1), 30)
+    assert time.perf_counter() - start < 1
+    assert [c.multiplicity for c in clusters] == [1, 1, 1]
+    with mpmath.workdps(2 * e // 3):
+        true_roots = mpmath.polyroots([1, 0, 0, mpmath.mpf(2) ** -e], maxsteps=200)
+        for c in clusters:
+            mid = mpmath.mpc(mpmath.mpf(c.midpoint.re.numerator) / c.midpoint.re.denominator,
+                             mpmath.mpf(c.midpoint.im.numerator) / c.midpoint.im.denominator)
+            rad = mpmath.mpf(c.euclid_rad.numerator) / c.euclid_rad.denominator
+            assert sum(1 for r in true_roots if abs(r - mid) <= rad) == 1, c
 
 
 # -- the `roots` command keeps the exit-code contract ------------------------------

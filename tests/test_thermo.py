@@ -579,7 +579,10 @@ _ORBIT_PINS = {
         "9714e6b7e8a5cf62a8d3806b765933fcbe3f524cd04cde83f5a15efc5ff55d65",
 }
 
-_PRESSURE_PIN = "d804266b11aa50b21ef7439e296023aeffac7bec412c18b18db23ef4c1291ad2"
+_PRESSURE_PIN = "608bff24578c1aec8d36a735111aa67a0e9780d157cca5ef603d7827e0963ca8"
+# Recorded when `empirical_pressure` grew one tree and tested the leaf sum's
+# relative radius; `test_empirical_pressure_keeps_N_and_anchor` backs it.
+_EMPIRICAL_PIN = "1cd0c319e7048158293916bb93a836e4d4b6e458ea0bbd4bde38a30bd40f53f7"
 _RUELLE_U_PIN = "ede3be4131dd5f8691c79309dff971daa513417041d33e035845ac72af560af0"
 
 
@@ -619,14 +622,129 @@ def test_backward_orbit_measure_matches_pinned_digest(expr, phi_name):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _ORBIT_PINS[expr, phi_name]
 
 
+def _pressure_lines(results):
+    return (f"{r.value.mid};{r.value.rad};{r.N_used};{_point_text(r.anchor)}" for r in results)
+
+
 def test_pressure_matches_pinned_digest():
-    """Certified pressures under two constants and sigma(., 0)/8, and two
-    empirical ones, among them the `pressure` CLI call of the benchmark."""
+    """Certified pressures under two constants and sigma(., 0)/8."""
     z2, z2m2 = parse_map("z^2"), parse_map("z^2-2")
     results = [pressure(z2, const(F(1, 3)), 12, c0=F(1), R=F(0)),
                pressure(z2m2, const(F(-1)), 12, c0=F(1), R=F(0)),
-               pressure(z2, scale(F(1, 8), basis(S(0))), 1, c0=F(1), R=F(1, 8)),
-               empirical_pressure(z2m2, BENCH_PHI, 4),
+               pressure(z2, scale(F(1, 8), basis(S(0))), 1, c0=F(1), R=F(1, 8))]
+    assert _sha(_pressure_lines(results)) == _PRESSURE_PIN
+
+
+def test_empirical_pressure_matches_pinned_digest():
+    """Two empirical pressures, among them the `pressure` CLI call of the
+    benchmark."""
+    z2, z2m2 = parse_map("z^2"), parse_map("z^2-2")
+    results = [empirical_pressure(z2m2, BENCH_PHI, 4),
                empirical_pressure(z2, _PIN_PHIS["sigma1"], 2)]
-    assert _sha(f"{r.value.mid};{r.value.rad};{r.N_used};{_point_text(r.anchor)}"
-                for r in results) == _PRESSURE_PIN
+    assert _sha(_pressure_lines(results)) == _EMPIRICAL_PIN
+
+
+# -- empirical pressure from one growing tree ---------------------------------
+
+HALF_SIGMA1 = scale(F(1, 2), basis(S(1)))
+# (1 - z^2)/(1 + z^2) sends inf to -1 and -1 to 0, so its anchor is 0 at
+# N = 1 and i from N = 2 on, and the tree regrows once.
+ANCHOR_MOVES = "(1-z^2)/(1+z^2)"
+
+# The pinned, demo and benchmark calls, `test_pressure_empirical_mode`'s and
+# two on rational maps: N_used, the anchor and the mid (to 17 digits) that
+# a fresh tree per N gave, with ruelle_apply at the absolute radius
+# 2^-(n+6+bitlen N).
+_EMPIRICAL_CALLS = {
+    ("z^2-2", "bench", 4): (5, S(0), 3.108143507032549),
+    ("z^2", "sigma1", 2): (10, S(0, 1), -0.4636019098114975),
+    ("z^2", "sigma0", 6): (2, S(0, 1), 2.107360742478529),
+    ("z^2", "zero", 8): (2, S(0, 1), 0.6931471805599436),
+    ("(z^2+1)/(z^2-1)", "bench", 4): (4, S(0), 3.0966521935721176),
+    (ANCHOR_MOVES, "half_sigma1", 3): (3, S(0, 1), 1.3852529665336435),
+}
+_EMPIRICAL_PHIS = {"bench": BENCH_PHI, "sigma1": _PIN_PHIS["sigma1"], "sigma0": basis(S(0)),
+                   "zero": const(0), "half_sigma1": HALF_SIGMA1}
+_EMPIRICAL_PHIS_MP = {
+    "bench": lambda o, z: o.chordal_mp(z, 0) + o.chordal_mp(z, 1) * o.chordal_mp(z, 1j) / 2,
+    "sigma1": lambda o, z: -3 * o.chordal_mp(z, 1),
+    "sigma0": lambda o, z: o.chordal_mp(z, 0),
+    "zero": lambda o, z: 0,
+    "half_sigma1": lambda o, z: o.chordal_mp(z, 1) / 2,
+}
+
+
+def _estimate_encloses_the_oracle(oracles, f, phi_name, res):
+    """The ball holds (1/N) log L^N 1(anchor) over the true preimages,
+    computed with mpmath at 200 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(200):
+        a = res.anchor.as_gauss()
+        num, den = ([oracles.mpz(c.re, c.im) for c in p.coeffs] for p in (f.num, f.den))
+        total = oracles.transfer_sum(num, den, oracles.mpz(a.re, a.im), res.N_used,
+                                     lambda z: _EMPIRICAL_PHIS_MP[phi_name](oracles, z))
+        return oracles.ball_contains(res.value.mid, res.value.rad,
+                                     mpmath.log(total) / res.N_used)
+
+
+@pytest.mark.parametrize("expr, phi_name, n", sorted(_EMPIRICAL_CALLS))
+def test_empirical_pressure_keeps_N_and_anchor(monkeypatch, expr, phi_name, n):
+    """Against a fresh tree per N: the same N_used and anchor, and the mid
+    within that N's log target 2^-(n+6+bitlen N)/N; the ball holds the
+    oracle's estimate at that N and anchor."""
+    pytest.importorskip("mpmath")
+    f = parse_map(expr)
+    res = empirical_pressure(f, _EMPIRICAL_PHIS[phi_name], n)
+    N, anchor, mid = _EMPIRICAL_CALLS[expr, phi_name, n]
+    assert (res.N_used, res.anchor) == (N, anchor)
+    assert abs(res.value.mid - F(mid)) <= F(1, N << (n + 6 + N.bit_length())) + F(1, 1 << 50)
+    assert _estimate_encloses_the_oracle(_oracles(monkeypatch), f, phi_name, res)
+
+
+@pytest.mark.parametrize("expr", ["z^2", "z^2-2", "(z^2+1)/(z^2-1)"])
+@pytest.mark.parametrize("phi", [None, BENCH_PHI], ids=["none", "bench"])
+def test_growing_a_tree_equals_building_it(expr, phi):
+    """Levels grown one `_grow_level` call at a time equal those of
+    `build_preimage_tree`, node for node: points, both errors, degree
+    products and phi sums."""
+    f = parse_map(expr)
+    for x in _pinned_anchors(len(expr)):
+        built = build_preimage_tree(f, x, 4, 36, phi, 44)
+        level = [thermo._root_node(x)]
+        assert built.levels[0] == level
+        for k in range(1, 5):
+            level = thermo._grow_level(f, level, 36, phi, 44)
+            assert level == built.levels[k], (x, k)
+
+
+def test_empirical_pressure_escalates_from_a_low_start(monkeypatch):
+    """Started at (l, eval_prec) = (4, 6), levels fail the relative test or
+    the tree, the precision doubles and the tree regrows; the estimate
+    still holds the oracle's at its N and anchor."""
+    pytest.importorskip("mpmath")
+    oracles = _oracles(monkeypatch)
+    grown = []
+    grow = thermo._grow_level
+    monkeypatch.setattr(thermo, "_empirical_precision", lambda n, top: (4, 6))
+    monkeypatch.setattr(thermo, "_grow_level",
+                        lambda f, level, l, phi, e: grown.append(l) or grow(f, level, l, phi, e))
+    f = parse_map("z^2-2")
+    res = empirical_pressure(f, BENCH_PHI, 4)
+    assert grown[0] == 4 and max(grown) > 4
+    assert _estimate_encloses_the_oracle(oracles, f, "bench", res)
+
+
+@pytest.mark.parametrize("expr, phi, n, N, solves", [
+    ("z^2-2", BENCH_PHI, 4, 5, 31),
+    ("z^2", _PIN_PHIS["sigma1"], 3, 13, 8191),
+    (ANCHOR_MOVES, HALF_SIGMA1, 3, 3, 1 + 3 + 4),
+], ids=["bench", "z^2-sigma1", "anchor-moves"])
+def test_empirical_pressure_solves_each_node_once(monkeypatch, expr, phi, n, N, solves):
+    """One growing tree makes d + ... + d^N root solves, 31 and 8191 for
+    the benchmark call and for z^2 under -3 sigma(., 1) (a tree per N made
+    57 and 16369); when the anchor moves, the tree regrows from it."""
+    calls = []
+    monkeypatch.setattr(thermo, "certified_roots",
+                        lambda g, l: calls.append(l) or certified_roots(g, l))
+    assert empirical_pressure(parse_map(expr), phi, n).N_used == N
+    assert len(calls) == solves

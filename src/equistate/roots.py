@@ -5,10 +5,15 @@ q within Euclidean distance d*|q(z)/q'(z)|.  When d discs so produced are
 pairwise disjoint, each holds exactly one root, which also proves q
 square-free.
 
-So `certified_roots` first solves p directly, as one simple factor.
-Only when that certificate fails does it split p by exact square-free
-decomposition (Yun) and solve each factor the same way: first at the
-same precision, then at doubling precision.
+So `certified_roots` is three layers.  `direct_roots` solves p as one
+simple factor and returns each root's midpoint, Euclidean radius and the
+`horner_int` values there.  The chordal layer rounds the chordal radii
+and checks every disc disjoint from the others, Euclidean and chordal.
+Only when that certificate fails does the Yun ladder split p by exact
+square-free decomposition and solve each factor the same way: first at
+the same precision, then at doubling precision.  The preimage tree calls
+`direct_roots` itself and checks what the chordal layer would (see
+`thermo`).
 
 A linear factor is solved exactly.  A quadratic starts from its closed
 form on integers (`_quadratic_seeds`), with no floats.  Any other factor
@@ -21,7 +26,9 @@ polynomial's integer form C = m*p (see `polynomials`, which says why no
 result depends on m), and z as integer numerators over one denominator
 (2^bits after the first step, which rounds each step to the nearest
 multiple of 2^-bits).  A step is a function of z alone, so the iteration
-stops at the first step that returns its input.
+stops at the first step that returns its input, or the iterate from two
+steps back: at a rounding tie the rounded map can cycle between two grid
+points, and Newton then stops at the one of smaller residual.
 
 Certification is integer arithmetic end to end.  The residual bound
 comes from the same integer evaluation, its square root and the chordal
@@ -48,6 +55,12 @@ from .polynomials import IntPairs, Polynomial, horner_int, square_free_decomposi
 from .sphere import PointBall, SpherePoint, chordal_disc_radius, chordal_sq_parts, sphere_order
 
 _SNAP_DENOMS = (1, 2, 3, 4, 6, 8, 16, 64, 256)
+
+# A Newton iterate (a, b, c), z = (a + b*i)/c, with `horner_int` there.
+_Iterate = tuple[int, int, int, tuple[int, int, int, int]]
+# A root of the direct solve: midpoint, Euclidean radius, and c and
+# `horner_int` at the midpoint written over the denominator c.
+DirectRoot = tuple[SpherePoint, Fraction, int, tuple[int, int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -90,18 +103,41 @@ def _int_newton_step(coeffs: IntPairs, a: int, b: int, c: int, bits: int
             dyadic_numerator(pi * mr - pr * mi, den, bits), at)
 
 
-def _newton(coeffs: IntPairs, a: int, b: int, c: int, bits: int,
-            steps: int) -> tuple[int, int, int, tuple[int, int, int, int]]:
-    """Newton from (a + b*i)/c for at most `steps` steps, stopping at the
-    first step that returns its input; (a, b, c) of the last iterate and
-    `horner_int` there."""
+def _newton(coeffs: IntPairs, a: int, b: int, c: int, bits: int, steps: int) -> _Iterate:
+    """Newton from (a + b*i)/c for at most `steps` steps; (a, b, c) of the
+    point it stops at and `horner_int` there.
+
+    It stops at the first step that returns its input, and at the first
+    step that returns the iterate from two steps back: the rounded map then
+    cycles between two grid points (at a rounding tie, as `_quadratic_seeds`
+    says), and Newton stops at the one `_smaller_residual` picks, whichever
+    of the two it met first and whatever the budget's parity.
+    """
     one = 1 << bits
+    prev = None
     for _ in range(steps):
         a2, b2, at = _int_newton_step(coeffs, a, b, c, bits)
         if a2 * c == a * one and b2 * c == b * one:
             return a, b, c, at
+        if prev is not None and a2 * prev[2] == prev[0] * one and b2 * prev[2] == prev[1] * one:
+            return _smaller_residual(prev, (a, b, c, at))
+        prev = a, b, c, at
         a, b, c = a2, b2, one
     return a, b, c, horner_int(coeffs, a, b, c)
+
+
+def _smaller_residual(u: _Iterate, v: _Iterate) -> _Iterate:
+    """Of two points (a, b, c, `horner_int` there), the one where
+    |q/q'| = |N|/(c |M|) is smaller, compared as |N_u|^2 c_v^2 |M_v|^2
+    against |N_v|^2 c_u^2 |M_u|^2 (a critical point with q != 0 loses);
+    on a tie, the first in `sphere_order`."""
+    ua, ub, uc, (unr, uni, umr, umi) = u
+    va, vb, vc, (vnr, vni, vmr, vmi) = v
+    lu = (unr * unr + uni * uni) * vc * vc * (vmr * vmr + vmi * vmi)
+    lv = (vnr * vnr + vni * vni) * uc * uc * (umr * umr + umi * umi)
+    if lu != lv:
+        return u if lu < lv else v
+    return u if (ua * vc, ub * vc) <= (va * uc, vb * uc) else v
 
 
 def _quadratic_seeds(coeffs: IntPairs, bits: int
@@ -130,9 +166,10 @@ def _quadratic_seeds(coeffs: IntPairs, bits: int
     enough to reach a grid point next to r: from a float seed after one
     step, from this seed at once.  A root closer than that to a midline
     (in practice a part planted at an odd multiple of 2^-(bits+1)) can
-    have two fixed points or a 2-cycle across the midline, and there the
-    grid point Newton stops at depends on the seed; the residual
-    certificate holds at either.
+    have two fixed points across the midline, and there the grid point
+    Newton stops at depends on the seed, or a 2-cycle, which `_newton`
+    ends at the point of smaller residual whatever the seed.  The residual
+    certificate holds at either point.
 
     D is a square in Z[i] exactly when q has a root in Q(i): a root w
     gives sqrt(D) = 2 c2 w + c1 in Q(i), and Z[i] is integrally closed.
@@ -374,21 +411,23 @@ def _snap_to_exact_root(coeffs: IntPairs, z: GaussRat, rad: Fraction
     return None
 
 
-def _solve_square_free(q: Polynomial, target: Fraction, bits: int
-                       ) -> list[tuple[GaussRat, Fraction]] | None:
-    """(midpoint, euclid radius <= target) pairs, one per root of q counted
-    with multiplicity; each disc holds a root, and one root each once the
-    caller has checked the discs pairwise disjoint."""
-    if q.degree == 1:
-        (x0, y0), (x1, y1) = q.C
-        return [(gauss_ratio(-x0 * x1 - y0 * y1, x0 * y1 - y0 * x1, x1 * x1 + y1 * y1), ZERO)]
+def _solve_square_free(q: Polynomial, target: Fraction, bits: int) -> list[DirectRoot] | None:
+    """One (midpoint, euclid radius <= target, c, `horner_int` of q at the
+    midpoint written over the denominator c) per root of q counted with
+    multiplicity; each disc holds a root, and one root each once the caller
+    has checked the discs pairwise disjoint.  None when a residual bound
+    exceeds the target or degenerates."""
     coeffs = q.C
+    if q.degree == 1:
+        (x0, y0), (x1, y1) = coeffs
+        z = gauss_ratio(-x0 * x1 - y0 * y1, x0 * y1 - y0 * x1, x1 * x1 + y1 * y1)
+        return [(SpherePoint(z), ZERO, z.d, (0, 0, x1, y1))]
     if q.degree == 2:
         seeds, snap = _quadratic_seeds(coeffs, bits)
     else:
         seeds, snap = _float_seeds(coeffs), True
     steps = max(6, bits.bit_length() + 2)
-    out: list[tuple[GaussRat, Fraction]] = []
+    out: list[DirectRoot] = []
     for seed in seeds:
         a, b, c, at = _newton(coeffs, *seed, bits, steps)
         u = _residual_numerator(q.degree, c, at, bits)
@@ -397,7 +436,11 @@ def _solve_square_free(q: Polynomial, target: Fraction, bits: int
         z = gauss_ratio(a, b, c)
         r = Fraction(u, 1 << bits)
         snapped = _snap_to_exact_root(coeffs, z, r) if snap else None
-        out.append((z, r) if snapped is None else (snapped, ZERO))
+        if snapped is None:
+            out.append((SpherePoint(z), r, c, at))
+        else:
+            out.append((SpherePoint(snapped), ZERO, snapped.d,
+                        horner_int(coeffs, snapped.x, snapped.y, snapped.d)))
     return out
 
 
@@ -411,11 +454,36 @@ def _solve_factors(factors: list[tuple[Polynomial, int]], target: Fraction, bits
         if got is None:
             return None
         clusters.extend(
-            RootCluster(PointBall(SpherePoint(z), chordal_disc_radius(z, r, chordal_bits)),
-                        mult, r)
-            for z, r in got
+            RootCluster(PointBall(pt, chordal_disc_radius(pt.value, r, chordal_bits)), mult, r)
+            for pt, r, _, _ in got
         )
     return clusters if _clusters_disjoint(clusters) else None
+
+
+def _first_bits(l: int) -> int:
+    """The working precision of the first solve at chordal precision l."""
+    return max(2 * (l + 8), 64)
+
+
+def direct_roots(p: Polynomial, l: int) -> list[DirectRoot] | None:
+    """The direct solve of `certified_roots`: p solved as one simple factor
+    at the first working precision, or None when a residual bound exceeds
+    2^-(l+2) or degenerates.
+
+    One (midpoint, Euclidean radius r <= 2^-(l+2), c, `horner_int` of p's
+    integer form at the midpoint written over the denominator c) per root,
+    in `sphere_order`: where Newton stopped, or at the exact root the snap
+    found there.  Each disc holds a root; the discs are pairwise disjoint,
+    and then hold one root each, only where the caller checks it.
+    """
+    if p.degree < 1:
+        raise ValueError("root finding needs degree >= 1")
+    if l < 0:
+        raise ValueError(f"chordal precision l must be nonnegative, got {l}")
+    got = _solve_square_free(p, Fraction(1, 1 << (l + 2)), _first_bits(l))
+    if got is None:
+        return None
+    return [got[i] for i in sphere_order([pt for pt, _, _, _ in got])]
 
 
 def certified_roots(p: Polynomial, l: int) -> list[RootCluster]:
@@ -429,24 +497,22 @@ def certified_roots(p: Polynomial, l: int) -> list[RootCluster]:
     adds to the working precision: roots chordally closer than about
     2^-(l+3) then separate once Newton has resolved them.
     """
-    if p.degree < 1:
-        raise ValueError("root finding needs degree >= 1")
-    if l < 0:
-        raise ValueError(f"chordal precision l must be nonnegative, got {l}")
+    roots = direct_roots(p, l)
+    if roots is not None:
+        clusters = [RootCluster(PointBall(pt, chordal_disc_radius(pt.value, r, l + 4)), 1, r)
+                    for pt, r, _, _ in roots]
+        if _clusters_disjoint(clusters):
+            return clusters
     euclid_target = Fraction(1, 1 << (l + 2))
-    bits = first_bits = max(2 * (l + 8), 64)
-    clusters = _solve_factors([(p, 1)], euclid_target, bits, l + 4)
-    if clusters is None:
-        factors = square_free_decomposition(p)
-        for _attempt in range(10):
-            clusters = _solve_factors(factors, euclid_target, bits, l + 4 + bits - first_bits)
-            if clusters is not None:
-                break
-            bits *= 2
-            euclid_target /= 2
-        else:
-            raise PrecisionExhausted(f"certified_roots at 2^-{l}")
-    return [clusters[i] for i in sphere_order([c.center.center for c in clusters])]
+    bits = first_bits = _first_bits(l)
+    factors = square_free_decomposition(p)
+    for _attempt in range(10):
+        clusters = _solve_factors(factors, euclid_target, bits, l + 4 + bits - first_bits)
+        if clusters is not None:
+            return [clusters[i] for i in sphere_order([c.center.center for c in clusters])]
+        bits *= 2
+        euclid_target /= 2
+    raise PrecisionExhausted(f"certified_roots at 2^-{l}")
 
 
 def _clusters_disjoint(clusters: list[RootCluster]) -> bool:

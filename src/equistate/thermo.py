@@ -13,13 +13,28 @@ each holds exactly one true child and the matching of stored to true
 points is a bijection.  Critical branching (a multiple preimage) is only
 accepted on exactly stored parents, where the certified cluster radius
 itself is the displacement.  Like the root certificates, the
-displacement and the chordal radius are computed on integers: one
-homogeneous `horner_int` pass per polynomial gives |g|^2, |g'|^2, |P|^2 and
-|P'|^2 at the stored child as integer quotients, and their square roots are
-integer square roots at a fixed scale.  Each pass reads the polynomial's
-integer form C = m*q, with m divided back out (see `polynomials`).
-The sibling disjointness test cross-multiplies integers as well, the
-squared distance's and the radii's numerators and denominators.
+displacement and the chordal radius are computed on integers: homogeneous
+`horner_int` passes give |g|^2, |g'|^2, |P|^2 and |P'|^2 at the stored
+child as integer quotients, and their square roots are integer square
+roots at a fixed scale.  g's values are the root solve's own, read where
+Newton stopped (or at the exact root the snap found); only P gets a pass
+of its own.  Each pass reads the polynomial's integer form C = m*q, with m
+divided back out (see `polynomials`).  The sibling disjointness test
+cross-multiplies integers as well, the squared distance's and the radii's
+numerators and denominators.
+
+Each node's roots come from `roots.direct_roots`, the direct solve of
+`certified_roots`, and the level takes them exactly where
+`certified_roots` would return that solve: the siblings' delta-discs
+are Euclid-disjoint (which implies it for the solve's r-discs, r <=
+delta), and so are the chordal discs `certified_roots` would draw about
+them.  Such a disc's chordal radius is at most 2r + 2^-(l+4) <=
+9 * 2^-(l+4), since r <= 2^-(l+2), so a pair at chordal distance sigma
+with sigma^2 > (18 * 2^-(l+4))^2 is apart, decided on sigma^2's integers;
+only a pair that fails this gets the exact radii.  Otherwise the node
+calls `certified_roots` and takes its clusters, so critical branching,
+Yun and the precision ladder have one path.  Each child gets one chordal
+radius, of its delta-disc.
 
 Potentials stay on integers from the tree to the returned ball.  Each
 node carries S_k phi as the integer ball (m, r, d), m/d +- r/d, adding
@@ -61,7 +76,7 @@ from .measures import SPHERE, FiniteMeasure
 from .polynomials import Polynomial, horner_int, poly_gcd
 from .potentials import Potential, upper_bound
 from .ratmap import RationalMapRec, preimage_perturbation, preimage_polynomial
-from .roots import certified_roots
+from .roots import DirectRoot, certified_roots, direct_roots
 from .sphere import SpherePoint, chordal_disc_radius, chordal_sq_parts, ideal_enumerate
 
 _MAX_TREE_LEAVES = 1 << 19
@@ -92,23 +107,32 @@ class PreimageTree:
         return max((n.chordal_err for n in self.leaves()), default=ZERO)
 
 
-def _scaled_abs2(q: Polynomial, z: GaussRat) -> tuple[int, int, int, int]:
-    """|q(z)|^2 and |q'(z)|^2 as integer quotients n/d, from one `horner_int`
-    pass over q's integer form (C, m), C = m q: with k = deg q and c the
-    denominator of z, it gives c^k m q(z) and c^(k-1) m q'(z) (q' = 0 when
-    k = 0), and the denominators divide m^2 back out.  q must not be the
-    zero polynomial."""
+def _scaled_abs2(q: Polynomial, c: int, at: tuple[int, int, int, int]
+                 ) -> tuple[int, int, int, int]:
+    """|q(z)|^2 and |q'(z)|^2 as integer quotients n/d, from `at`, the
+    `horner_int` pass over q's integer form (C, m), C = m q, at z written
+    over the denominator c: with k = deg q it gives c^k m q(z) and
+    c^(k-1) m q'(z) (q' = 0 when k = 0), and the denominators divide m^2
+    back out.  The quotients' values do not depend on which c writes z.
+    q must not be the zero polynomial."""
     m = q.m
-    nr, ni, mr, mi = horner_int(q.C, z.x, z.y, z.d)
+    nr, ni, mr, mi = at
     if q.degree == 0:
         return nr * nr + ni * ni, m * m, 0, 1
-    s = m * z.d ** (q.degree - 1)
+    s = m * c ** (q.degree - 1)
     s2 = s * s
-    return nr * nr + ni * ni, s2 * z.d * z.d, mr * mr + mi * mi, s2
+    return nr * nr + ni * ni, s2 * c * c, mr * mr + mi * mi, s2
+
+
+def _abs2_at(q: Polynomial, z: GaussRat) -> tuple[int, int, int, int]:
+    """`_scaled_abs2` of q at z from a `horner_int` pass of its own."""
+    return _scaled_abs2(q, z.d, horner_int(q.C, z.x, z.y, z.d))
 
 
 def _perturbed_child_displacement(g: Polynomial, p: Polynomial, z: GaussRat,
-                                  eps: Fraction, bits: int) -> Fraction | None:
+                                  eps: Fraction, bits: int,
+                                  g_abs2: tuple[int, int, int, int] | None = None
+                                  ) -> Fraction | None:
     """Distance bound from z to a true simple preimage.
 
     g is the preimage polynomial of the stored parent; the true parent's
@@ -116,15 +140,17 @@ def _perturbed_child_displacement(g: Polynomial, p: Polynomial, z: GaussRat,
     d (|g(z)| + eps |p(z)|) / (|g'(z)| - eps |p'(z)|) of z.  The four
     absolute values are rounded at `bits` bits, |g'(z)| down and the others
     up, as integer numerators G, G', P, P' over 2^bits; with eps = en/ed the
-    bound is d (G ed + en P) / (G' ed - en P').  None means the bound
-    degenerated and the caller should retry at higher precision.
+    bound is d (G ed + en P) / (G' ed - en P').  `g_abs2` is g's
+    `_scaled_abs2` at z when the caller has it from the root solve.  None
+    means the bound degenerated and the caller should retry at higher
+    precision.
     """
-    gn, gd, dgn, dgd = _scaled_abs2(g, z)
+    gn, gd, dgn, dgd = _abs2_at(g, z) if g_abs2 is None else g_abs2
     g_at = sqrt_upper_numerator(gn, gd, bits)
     dg_at = sqrt_lower_numerator(dgn, dgd, bits)
     en, ed = eps.numerator, eps.denominator
     if en:
-        pn, pd, dpn, dpd = _scaled_abs2(p, z)
+        pn, pd, dpn, dpd = _abs2_at(p, z)
         p_at = sqrt_upper_numerator(pn, pd, bits)
         dp_at = sqrt_upper_numerator(dpn, dpd, bits)
     else:
@@ -147,6 +173,8 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
     """
     if depth < 0:
         raise ValueError(f"tree depth must be nonnegative, got {depth}")
+    if l < 0:
+        raise ValueError(f"tree precision l must be nonnegative, got {l}")
     if f.degree ** depth > _MAX_TREE_LEAVES:
         raise PrecisionExhausted(
             f"preimage tree of depth {depth} for degree {f.degree} exceeds the leaf cap"
@@ -169,7 +197,12 @@ def _grow_level(f: RationalMapRec, parents: list[TreeNode], l: int,
     """The certified preimages of one tree level, each parent's children
     in a row: root solves at l bits, displacement bounds and phi sums as
     `build_preimage_tree` says.  The caller keeps the parents off the
-    forward orbit of infinity."""
+    forward orbit of infinity.
+
+    Each parent's children come from its `direct_roots` solve where
+    `certified_roots` would return that solve and `_children` accepts it,
+    and otherwise from `certified_roots`' clusters, through the same
+    `_children`."""
     f_of_inf = f.at_infinity
     zero_phi = phi is None or phi.is_zero()
     children: list[TreeNode] = []
@@ -179,49 +212,81 @@ def _grow_level(f: RationalMapRec, parents: list[TreeNode], l: int,
             # collided with the excluded value.  Needs more precision.
             raise PrecisionExhausted("stored tree node collided with f(inf)")
         g = preimage_polynomial(f, node.point)
-        clusters = certified_roots(g, l)
+        roots = direct_roots(g, l)
+        clusters = certified_roots(g, l) if roots is None else None
         chart = preimage_perturbation(f, node.point, node.euclid_err, l + 8)
         if chart is None:
             raise PrecisionExhausted("stored tree node too close to 0 for its chart")
         p, eps = chart
-        siblings = len(children)
-        for cl in clusters:
-            z = cl.midpoint
-            if cl.multiplicity > 1 and node.euclid_err != 0:
-                raise PrecisionExhausted(
-                    "critical branching below an inexactly stored node"
-                )
-            if cl.multiplicity > 1 or (node.euclid_err == 0 and cl.euclid_rad == 0):
-                delta = cl.euclid_rad
-            else:
-                delta = _perturbed_child_displacement(g, p, z, eps, l + 8)
-                if delta is None:
-                    raise PrecisionExhausted("displacement bound degenerated")
-                delta = max(delta, cl.euclid_rad)
-            chordal_err = chordal_disc_radius(z, delta, l + 4)
-            point = SpherePoint(z)
+        exact = node.euclid_err == 0
+        kids = None
+        if roots is not None and _chordally_apart(roots, l):
+            try:
+                kids = _children(g, p, eps, exact, l, [(pt, r, 1, _scaled_abs2(g, c, at))
+                                                       for pt, r, c, at in roots])
+            except PrecisionExhausted:
+                pass
+        if kids is None:
+            kids = _children(g, p, eps, exact, l, [
+                (cl.center.center, cl.euclid_rad, cl.multiplicity, None)
+                for cl in clusters or certified_roots(g, l)])
+        for point, delta, mult in kids:
+            chordal_err = chordal_disc_radius(point.value, delta, l + 4)
             if zero_phi:
                 phi_here = node.phi_sum
             else:
                 phi_here = add_parts(*node.phi_sum,
                                      *phi.widened_parts(point, chordal_err, eval_prec))
             children.append(TreeNode(
-                point, delta, chordal_err, node.degree_product * cl.multiplicity,
-                phi_here,
+                point, delta, chordal_err, node.degree_product * mult, phi_here,
             ))
-        _check_disjoint(children[siblings:])
     return children
 
 
-def _check_disjoint(siblings: list[TreeNode]) -> None:
-    """Raise PrecisionExhausted unless the siblings' Euclidean discs are
-    pairwise disjoint: |z_i - z_j| > delta_i + delta_j, decided on
-    integers by `discs_apart`."""
-    for i, a in enumerate(siblings):
-        for b in siblings[i + 1:]:
-            if not discs_apart(*euclid_sq_parts(a.point.value, b.point.value),
-                               a.euclid_err, b.euclid_err):
+def _chordally_apart(roots: list[DirectRoot], l: int) -> bool:
+    """Whether the chordal discs `certified_roots` draws about the discs of
+    `direct_roots` are pairwise disjoint: on sigma^2's integers, against
+    (18 * 2^-(l+4))^2 first and against the exact radii only where that
+    fails (see the module docstring)."""
+    radii = None
+    for i, (a, _, _, _) in enumerate(roots):
+        for j in range(i + 1, len(roots)):
+            n, d = chordal_sq_parts(a, roots[j][0])
+            if n << (2 * l + 8) > 324 * d:
+                continue
+            if radii is None:
+                radii = [chordal_disc_radius(pt.value, r, l + 4) for pt, r, _, _ in roots]
+            if not discs_apart(n, d, radii[i], radii[j]):
+                return False
+    return True
+
+
+def _children(g: Polynomial, p: Polynomial, eps: Fraction, exact: bool, l: int,
+              roots: list[tuple[SpherePoint, Fraction, int, tuple[int, int, int, int] | None]]
+              ) -> list[tuple[SpherePoint, Fraction, int]]:
+    """(point, delta, multiplicity) for each root (point, Euclidean radius
+    r, multiplicity, g's `_scaled_abs2` there or None) of the parent's
+    preimage polynomial g.  Critical branching is accepted only below an
+    exactly stored parent, with r as the displacement.  Raises
+    PrecisionExhausted when that fails, a displacement bound degenerates or
+    two siblings' delta-discs meet."""
+    kids = []
+    for point, r, mult, g_abs2 in roots:
+        if mult > 1 and not exact:
+            raise PrecisionExhausted("critical branching below an inexactly stored node")
+        if mult > 1 or (exact and r == 0):
+            delta = r
+        else:
+            delta = _perturbed_child_displacement(g, p, point.value, eps, l + 8, g_abs2)
+            if delta is None:
+                raise PrecisionExhausted("displacement bound degenerated")
+            delta = max(delta, r)
+        kids.append((point, delta, mult))
+    for i, (a, da, _) in enumerate(kids):
+        for b, db, _ in kids[i + 1:]:
+            if not discs_apart(*euclid_sq_parts(a.value, b.value), da, db):
                 raise PrecisionExhausted("sibling preimage discs meet")
+    return kids
 
 
 def _check_precision(n: int) -> None:

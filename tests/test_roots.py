@@ -22,7 +22,7 @@ from equistate.cli import main
 from equistate.dyadics import ZERO
 from equistate.errors import PrecisionExhausted
 from equistate.gauss import GaussRat, euclid_sq_parts, gauss_ratio
-from equistate.polynomials import Polynomial, square_free_decomposition
+from equistate.polynomials import Polynomial, horner_int, square_free_decomposition
 from equistate.ratmap import RationalMapRec
 from equistate import roots
 from equistate.roots import (RootCluster, _clusters_disjoint, _gauss_from_complex,
@@ -413,15 +413,29 @@ def test_tie_clusters_match_the_pin(l):
     assert _clusters_digest(polys, l) == (_TIE_PINS[l], 300)
 
 
+def _tie_neighbours(r1, bits):
+    """The two grid points next to r1 across its tie, as G values: the tie
+    part's two neighbours at spacing 2^-bits, with the other part rounded."""
+    one = 1 << bits
+    tie_re = (r1.re * 2 * one).denominator == 1
+    tie, other = (r1.re, r1.im) if tie_re else (r1.im, r1.re)
+    low = F(math.floor(tie * one), one)
+    near = F(round(other * one), one)
+    return [G(t, near) if tie_re else G(near, t) for t in (low, low + F(1, one))]
+
+
 @pytest.mark.parametrize("l", [10, 20, 30])
 def test_off_grid_ties_stop_next_to_the_root(l):
-    """With r1's other part off the grid, the rounded Newton map can hold a
-    2-cycle or two fixed points across the tie, and which grid point Newton
-    stops at depends on where it started: on these quadratics the float
-    seeds stopped elsewhere on 28, 26 and 22 of 100.  Every cluster is
-    still certified: r1's midpoint is a grid point next to r1 whose disc
-    holds r1, and r2 is found exactly."""
+    """With r1's other part off the grid, the rounded Newton map can hold
+    two fixed points or a 2-cycle across the tie.  With two fixed points
+    the grid point Newton stops at depends on where it started; a 2-cycle
+    stops at its point of smaller |q/q'|, from either neighbour and with
+    either budget parity (9 or 10 steps), where the whole budget used to
+    run out on whichever point its parity left.  Every cluster is still
+    certified: r1's midpoint is a grid point next to r1 whose disc holds
+    r1, and r2 is found exactly."""
     bits = max(2 * (l + 8), 64)
+    kinds = {"two fixed points": 0, "2-cycle": 0, "one fixed point": 0}
     for q, r1, r2 in _tie_quadratics(l, False):
         clusters = certified_roots(q, l)
         assert len(clusters) == 2 and all(c.multiplicity == 1 for c in clusters)
@@ -432,6 +446,31 @@ def test_off_grid_ties_stop_next_to_the_root(l):
         assert (z - r1).abs2() <= rad * rad
         assert abs(z.re - r1.re) <= F(1, 1 << bits) and abs(z.im - r1.im) <= F(1, 1 << bits)
         assert near[0].center.rad <= F(1, 1 << l)
+
+        pair = _tie_neighbours(r1, bits)
+        images = [_kernel_step(q, w, bits) for w in pair]
+        stops = {}
+        for w in pair:
+            for steps in (9, 10):
+                a, b, c, at = roots._newton(q.C, w.x, w.y, w.d, bits, steps)
+                assert at == horner_int(q.C, a, b, c)
+                stops[w, steps] = gauss_ratio(a, b, c)
+            assert stops[w, 9] == stops[w, 10]
+        if images == pair:
+            kinds["two fixed points"] += 1
+            assert [stops[w, 9] for w in pair] == pair
+            continue
+        assert stops[pair[0], 9] == stops[pair[1], 9] == z
+        if images == pair[::-1]:
+            kinds["2-cycle"] += 1
+            dq = q.derivative()
+            residual = [(q(w) / dq(w)).abs2() for w in pair]
+            best = pair[residual[1] < residual[0] or
+                        (residual[1] == residual[0] and (pair[1].re, pair[1].im) < (pair[0].re, pair[0].im))]
+            assert z == best
+        else:
+            kinds["one fixed point"] += 1
+    assert min(kinds.values()) >= 15, kinds
 
 
 # -- the multiplier of the integer form changes no root ----------------------------

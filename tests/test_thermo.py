@@ -2,23 +2,24 @@ import hashlib
 import importlib.util
 import math
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from equistate import thermo
-from equistate.balls import BallReal, exp_point
-from equistate.dyadics import ZERO
+from equistate.balls import BallReal, add_parts, exp_point
+from equistate.dyadics import ZERO, discs_apart
 from equistate.errors import ExcludedAnchor, ExcludedPoint, PrecisionExhausted
-from equistate.gauss import GaussRat
+from equistate.gauss import GaussRat, euclid_sq_parts
 from equistate.measures import pushforward, wasserstein
 from equistate.polynomials import Polynomial, poly_gcd, square_free_decomposition
 from equistate.potentials import basis, const, pprod, psum, scale
 from equistate.ratmap import RationalMapRec, preimage_perturbation, preimage_polynomial
-from equistate.roots import certified_roots
+from equistate.roots import certified_roots, direct_roots
 from equistate.serialize import parse_map
-from equistate.sphere import INF, SpherePoint
+from equistate.sphere import INF, SpherePoint, chordal_disc_radius
 from equistate.thermo import (
     backward_orbit_measure,
     birkhoff_sum,
@@ -717,6 +718,126 @@ def test_growing_a_tree_equals_building_it(expr, phi):
             assert level == built.levels[k], (x, k)
 
 
+def _reference_level(f, parents, l, phi, eval_prec):
+    """A tree level through `certified_roots` alone, as `_grow_level`
+    computed it before it took the direct solve: per cluster the
+    displacement from a `horner_int` pass of its own, the chordal radius,
+    the phi sum and the node, and then the siblings' Euclidean test."""
+    zero_phi = phi is None or phi.is_zero()
+    children = []
+    for node in parents:
+        g = preimage_polynomial(f, node.point)
+        clusters = certified_roots(g, l)
+        chart = preimage_perturbation(f, node.point, node.euclid_err, l + 8)
+        if chart is None:
+            raise PrecisionExhausted("stored tree node too close to 0 for its chart")
+        p, eps = chart
+        siblings = []
+        for cl in clusters:
+            z = cl.midpoint
+            if cl.multiplicity > 1 and node.euclid_err != 0:
+                raise PrecisionExhausted("critical branching below an inexactly stored node")
+            if cl.multiplicity > 1 or (node.euclid_err == 0 and cl.euclid_rad == 0):
+                delta = cl.euclid_rad
+            else:
+                delta = thermo._perturbed_child_displacement(g, p, z, eps, l + 8)
+                if delta is None:
+                    raise PrecisionExhausted("displacement bound degenerated")
+                delta = max(delta, cl.euclid_rad)
+            chordal_err = chordal_disc_radius(z, delta, l + 4)
+            point = SpherePoint(z)
+            phi_here = node.phi_sum if zero_phi else add_parts(
+                *node.phi_sum, *phi.widened_parts(point, chordal_err, eval_prec))
+            siblings.append(thermo.TreeNode(point, delta, chordal_err,
+                                            node.degree_product * cl.multiplicity, phi_here))
+        for i, a in enumerate(siblings):
+            for b in siblings[i + 1:]:
+                if not discs_apart(*euclid_sq_parts(a.point.value, b.point.value),
+                                   a.euclid_err, b.euclid_err):
+                    raise PrecisionExhausted("sibling preimage discs meet")
+        children += siblings
+    return children
+
+
+def _grow_like_the_reference(f, x, depth, l, phi, eval_prec):
+    """Grow levels from x with `_grow_level`, asserting each equals the
+    reference level from the same parents, or raises as it does."""
+    level = [thermo._root_node(x)]
+    for _ in range(depth):
+        try:
+            want = _reference_level(f, level, l, phi, eval_prec)
+        except PrecisionExhausted as exc:
+            with pytest.raises(PrecisionExhausted, match=re.escape(str(exc))):
+                thermo._grow_level(f, level, l, phi, eval_prec)
+            return level
+        assert thermo._grow_level(f, level, l, phi, eval_prec) == want
+        level = want
+    return level
+
+
+_REFERENCE_MAPS = ["z^2-2", "z^2", "z^2+i", "(z^2+1)/(z^2-1)", "(z^2-1)/(z^2+1)", "1/z^2",
+                   "z^3-3z", "(2z^3+1)/(3z^2)"]
+
+
+@pytest.mark.parametrize("expr", _REFERENCE_MAPS)
+@pytest.mark.parametrize("phi", [None, BENCH_PHI], ids=["none", "bench"])
+def test_tree_levels_equal_the_certified_roots_reference(expr, phi):
+    """Node for node (point, both errors, degree product, phi sum), a
+    level taken from the direct solve equals the level built from
+    `certified_roots`' clusters, at seeded anchors inside, outside and on
+    the unit circle, so that both charts are used."""
+    f = parse_map(expr)
+    rng = random.Random(expr)
+    excluded = f.infinity_orbit(4)
+    grown = 0
+    for _ in range(4):
+        for x in _pinned_anchors(rng.randrange(100)):
+            if x in excluded:
+                continue
+            l = rng.choice([20, 36, 48])
+            grown += len(_grow_like_the_reference(f, x, 4 if f.degree == 2 else 3, l, phi, l + 10))
+    assert grown >= 8 * f.degree ** 3
+
+
+@pytest.mark.parametrize("expr, x, degree", [("z^2", S(0), 8), ("z^2-2", S(-2), 2)])
+def test_critical_branching_equals_the_reference(expr, x, degree):
+    """At an exactly stored critical value the level has a double child,
+    which only `certified_roots` (through Yun) certifies: z^2 keeps 0 as a
+    double preimage of itself, and z^2-2 branches once, at -2."""
+    leaves = _grow_like_the_reference(parse_map(expr), x, 3, 30, None, 40)
+    assert {n.degree_product for n in leaves} == {degree}
+
+
+def test_siblings_near_infinity_fall_back_to_the_reference(monkeypatch):
+    """The preimages +-2^48 of 2^96 + 1 under z^2 are about 2^-47 apart
+    chordally, within the 18 * 2^-(l+4) of the integer test at l = 42.
+    The exact chordal radii of the direct solve's discs meet, so the level
+    falls back to `certified_roots`, whose retries separate them with
+    148-bit denominators."""
+    fallbacks = []
+    monkeypatch.setattr(thermo, "certified_roots",
+                        lambda g, l: fallbacks.append(l) or certified_roots(g, l))
+    f, x = Z2, S(2 ** 96 + 1)
+    leaves = _grow_like_the_reference(f, x, 1, 42, None, 52)
+    assert fallbacks == [42]
+    assert [n.point.value.d.bit_length() for n in leaves] == [148, 148]
+    mu = backward_orbit_measure(f, None, x, 1)
+    assert [p.value.d.bit_length() for p, _ in mu.atoms] == [148, 148]
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize("l", [-1, -5])
+def test_tree_refuses_a_negative_precision(monkeypatch, depth, l):
+    """A negative l is refused before any root solve, at every depth."""
+    def refuse(*args):
+        raise AssertionError("root solve reached")
+
+    monkeypatch.setattr(thermo, "direct_roots", refuse)
+    monkeypatch.setattr(thermo, "certified_roots", refuse)
+    with pytest.raises(ValueError, match=f"tree precision l must be nonnegative, got {l}"):
+        build_preimage_tree(Z2M2, S(3), depth, l)
+
+
 def test_empirical_pressure_escalates_from_a_low_start(monkeypatch):
     """Started at (l, eval_prec) = (4, 6), levels fail the relative test or
     the tree, the precision doubles and the tree regrows; the estimate
@@ -742,9 +863,13 @@ def test_empirical_pressure_escalates_from_a_low_start(monkeypatch):
 def test_empirical_pressure_solves_each_node_once(monkeypatch, expr, phi, n, N, solves):
     """One growing tree makes d + ... + d^N root solves, 31 and 8191 for
     the benchmark call and for z^2 under -3 sigma(., 1) (a tree per N made
-    57 and 16369); when the anchor moves, the tree regrows from it."""
-    calls = []
+    57 and 16369); when the anchor moves, the tree regrows from it.  Each
+    solve is one `direct_roots` call, and none falls back to
+    `certified_roots`."""
+    calls, fallbacks = [], []
+    monkeypatch.setattr(thermo, "direct_roots",
+                        lambda g, l: calls.append(l) or direct_roots(g, l))
     monkeypatch.setattr(thermo, "certified_roots",
-                        lambda g, l: calls.append(l) or certified_roots(g, l))
+                        lambda g, l: fallbacks.append(l) or certified_roots(g, l))
     assert empirical_pressure(parse_map(expr), phi, n).N_used == N
-    assert len(calls) == solves
+    assert len(calls) == solves and fallbacks == []

@@ -5,15 +5,23 @@ q within Euclidean distance d*|q(z)/q'(z)|.  When d discs so produced are
 pairwise disjoint, each holds exactly one root, which also proves q
 square-free.
 
-So `certified_roots` is three layers.  `direct_roots` solves p as one
-simple factor and returns each root's midpoint, Euclidean radius and the
-`horner_int` values there.  The chordal layer rounds the chordal radii
-and checks every disc disjoint from the others, Euclidean and chordal.
-Only when that certificate fails does the Yun ladder split p by exact
-square-free decomposition and solve each factor the same way: first at
-the same precision, then at doubling precision.  The preimage tree calls
-`direct_roots` itself and checks what the chordal layer would (see
-`thermo`).
+So `certified_roots` is one ladder, whose rung 0 is p itself.  Each rung
+solves a list of square-free factors with their multiplicities, draws one
+`RootCluster` per root of each factor, and accepts when
+`_clusters_disjoint` finds the clusters pairwise apart.  Rung 0 solves p
+as its own simple factor at the first working precision; nearly every
+node of a preimage tree stops there.  When it fails, the later rungs
+split p once by exact square-free decomposition (Yun) and solve each
+factor the same way: first at the same precision, then at doubling
+precision.
+
+Disjointness is decided in the chordal metric alone.  A cluster's
+chordal radius bounds sigma over its whole Euclidean disc, so clusters
+whose Euclidean discs share a point have chordal discs that meet:
+chordally apart clusters are Euclid-apart as well (`_clusters_disjoint`
+gives the argument).  A cluster draws its chordal radius on the first
+read of `center`, and a pair far enough apart, decided on the integers
+of sigma^2, never reads it.
 
 A linear factor is solved exactly.  A quadratic starts from its closed
 form on integers (`_quadratic_seeds`), with no floats.  Any other factor
@@ -45,12 +53,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dyadics import ZERO, discs_apart, dyadic_numerator, sqrt_upper_numerator
 from .errors import PrecisionExhausted
-from .gauss import GaussRat, euclid_sq_parts, gauss_ratio
+from .gauss import GaussRat, gauss_ratio
 from .polynomials import IntPairs, Polynomial, horner_int, square_free_decomposition
 from .sphere import PointBall, SpherePoint, chordal_disc_radius, chordal_sq_parts, sphere_order
 
@@ -58,27 +65,60 @@ _SNAP_DENOMS = (1, 2, 3, 4, 6, 8, 16, 64, 256)
 
 # A Newton iterate (a, b, c), z = (a + b*i)/c, with `horner_int` there.
 _Iterate = tuple[int, int, int, tuple[int, int, int, int]]
-# A root of the direct solve: midpoint, Euclidean radius, and c and
-# `horner_int` at the midpoint written over the denominator c.
-DirectRoot = tuple[SpherePoint, Fraction, int, tuple[int, int, int, int]]
+# c and `horner_int` at a point written over the denominator c.
+_Horner = tuple[int, tuple[int, int, int, int]]
 
 
-@dataclass(frozen=True)
 class RootCluster:
     """A certified disc containing exactly `multiplicity` roots.
 
-    `center` is the chordal disc of the public contract; `euclid_rad`
-    bounds the Euclidean distance from the (finite) midpoint to each
-    enclosed root, which downstream displacement accounting uses.
+    `point` is the (finite) midpoint and `euclid_rad` bounds the Euclidean
+    distance from it to each enclosed root, which downstream displacement
+    accounting uses.  `center` is the chordal disc of the public contract:
+    about `point`, of radius `chordal_disc_radius(midpoint, euclid_rad,
+    chordal_bits)`, drawn on its first read, so that a caller who never
+    reads it (the preimage tree) never pays for it.  `horner` is rung 0's
+    (c, `horner_int` of p's own integer form at the midpoint written over
+    c), and None on later rungs, whose factors have forms of their own.
+    Equality and hashing compare `center`, `multiplicity` and `euclid_rad`.
     """
 
-    center: PointBall
-    multiplicity: int
-    euclid_rad: Fraction
+    __slots__ = ("point", "multiplicity", "euclid_rad", "horner", "_chordal_bits", "_center")
+
+    def __init__(self, point: SpherePoint, multiplicity: int, euclid_rad: Fraction,
+                 chordal_bits: int, horner: _Horner | None):
+        self.point = point
+        self.multiplicity = multiplicity
+        self.euclid_rad = euclid_rad
+        self.horner = horner
+        self._chordal_bits = chordal_bits
+        self._center: PointBall | None = None
+
+    @property
+    def center(self) -> PointBall:
+        if self._center is None:
+            self._center = PointBall(self.point, chordal_disc_radius(
+                self.point.value, self.euclid_rad, self._chordal_bits))
+        return self._center
 
     @property
     def midpoint(self) -> GaussRat:
-        return self.center.center.as_gauss()
+        return self.point.as_gauss()
+
+    def _key(self) -> tuple[PointBall, int, Fraction]:
+        return self.center, self.multiplicity, self.euclid_rad
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RootCluster):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (f"RootCluster(center={self.center!r}, multiplicity={self.multiplicity!r}, "
+                f"euclid_rad={self.euclid_rad!r})")
 
 
 def _int_newton_step(coeffs: IntPairs, a: int, b: int, c: int, bits: int
@@ -411,119 +451,119 @@ def _snap_to_exact_root(coeffs: IntPairs, z: GaussRat, rad: Fraction
     return None
 
 
-def _solve_square_free(q: Polynomial, target: Fraction, bits: int) -> list[DirectRoot] | None:
-    """One (midpoint, euclid radius <= target, c, `horner_int` of q at the
-    midpoint written over the denominator c) per root of q counted with
-    multiplicity; each disc holds a root, and one root each once the caller
-    has checked the discs pairwise disjoint.  None when a residual bound
-    exceeds the target or degenerates."""
+def _solve_square_free(q: Polynomial, e: int, bits: int
+                       ) -> list[tuple[SpherePoint, Fraction, _Horner]] | None:
+    """One (midpoint, euclid radius <= 2^-e, c and `horner_int` of q's
+    integer form at the midpoint written over c) per root of q counted with
+    multiplicity, for e <= bits; each disc holds a root, and one root each
+    once the caller has checked the discs pairwise disjoint.  None when a
+    residual bound exceeds 2^-e or degenerates."""
     coeffs = q.C
     if q.degree == 1:
         (x0, y0), (x1, y1) = coeffs
         z = gauss_ratio(-x0 * x1 - y0 * y1, x0 * y1 - y0 * x1, x1 * x1 + y1 * y1)
-        return [(SpherePoint(z), ZERO, z.d, (0, 0, x1, y1))]
+        return [(SpherePoint(z), ZERO, (z.d, (0, 0, x1, y1)))]
     if q.degree == 2:
         seeds, snap = _quadratic_seeds(coeffs, bits)
     else:
         seeds, snap = _float_seeds(coeffs), True
     steps = max(6, bits.bit_length() + 2)
-    out: list[DirectRoot] = []
+    out = []
     for seed in seeds:
         a, b, c, at = _newton(coeffs, *seed, bits, steps)
         u = _residual_numerator(q.degree, c, at, bits)
-        if u is None or u * target.denominator > target.numerator << bits:
+        if u is None or u > 1 << (bits - e):
             return None
         z = gauss_ratio(a, b, c)
         r = Fraction(u, 1 << bits)
         snapped = _snap_to_exact_root(coeffs, z, r) if snap else None
         if snapped is None:
-            out.append((SpherePoint(z), r, c, at))
+            out.append((SpherePoint(z), r, (c, at)))
         else:
-            out.append((SpherePoint(snapped), ZERO, snapped.d,
-                        horner_int(coeffs, snapped.x, snapped.y, snapped.d)))
+            out.append((SpherePoint(snapped), ZERO, (snapped.d, horner_int(
+                coeffs, snapped.x, snapped.y, snapped.d))))
     return out
 
 
-def _solve_factors(factors: list[tuple[Polynomial, int]], target: Fraction, bits: int,
-                   chordal_bits: int) -> list[RootCluster] | None:
-    """Certified clusters of all factors, or None when a solve fails or two
-    discs meet.  Chordal radii are rounded up at `chordal_bits`."""
-    clusters: list[RootCluster] = []
-    for q, mult in factors:
-        got = _solve_square_free(q, target, bits)
-        if got is None:
-            return None
-        clusters.extend(
-            RootCluster(PointBall(pt, chordal_disc_radius(pt.value, r, chordal_bits)), mult, r)
-            for pt, r, _, _ in got
-        )
-    return clusters if _clusters_disjoint(clusters) else None
-
-
 def _first_bits(l: int) -> int:
-    """The working precision of the first solve at chordal precision l."""
+    """The working precision of rungs 0 and 1 at chordal precision l."""
     return max(2 * (l + 8), 64)
 
 
-def direct_roots(p: Polynomial, l: int) -> list[DirectRoot] | None:
-    """The direct solve of `certified_roots`: p solved as one simple factor
-    at the first working precision, or None when a residual bound exceeds
-    2^-(l+2) or degenerates.
+def _solve_factors(factors: list[tuple[Polynomial, int]], l: int, rung: int
+                   ) -> list[RootCluster] | None:
+    """The clusters of one rung of `certified_roots`, or None when a solve
+    fails or two clusters meet.
 
-    One (midpoint, Euclidean radius r <= 2^-(l+2), c, `horner_int` of p's
-    integer form at the midpoint written over the denominator c) per root,
-    in `sphere_order`: where Newton stopped, or at the exact root the snap
-    found there.  Each disc holds a root; the discs are pairwise disjoint,
-    and then hold one root each, only where the caller checks it.
+    Rung k >= 1 solves at 2^(k-1) times the first working precision, with
+    Euclidean radii at most 2^-(l+1+k) and chordal radii rounded up at
+    l + 4 bits plus the bits it adds; rung 0 is rung 1 on p itself, and
+    keeps each root's `horner`."""
+    first = _first_bits(l)
+    k = max(rung - 1, 0)
+    bits = first << k
+    chordal_bits = l + 4 + bits - first
+    clusters = []
+    for q, mult in factors:
+        got = _solve_square_free(q, l + 2 + k, bits)
+        if got is None:
+            return None
+        for pt, r, at in got:
+            clusters.append(RootCluster(pt, mult, r, chordal_bits, None if rung else at))
+    return clusters if _clusters_disjoint(clusters, l) else None
+
+
+def certified_roots(p: Polynomial, l: int) -> list[RootCluster]:
+    """All roots of p as certified clusters of chordal radius <= 2^-l, in
+    `sphere_order` of their midpoints.
+
+    Multiplicities sum to deg p; distinct clusters have disjoint chordal
+    discs (and Euclidean ones, which follows).  Rung 0 solves p as one
+    simple factor; when that fails, Yun's factors are solved on rungs 1 to
+    10, and PrecisionExhausted is raised if none of them certifies.
+
+    Chordal radii are rounded up at l + 4 bits, plus the bits each rung
+    past the first adds to the working precision: roots chordally closer
+    than about 2^-(l+3) then separate once Newton has resolved them.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     if l < 0:
         raise ValueError(f"chordal precision l must be nonnegative, got {l}")
-    got = _solve_square_free(p, Fraction(1, 1 << (l + 2)), _first_bits(l))
-    if got is None:
-        return None
-    return [got[i] for i in sphere_order([pt for pt, _, _, _ in got])]
+    clusters = _solve_factors([(p, 1)], l, 0)
+    if clusters is None:
+        factors = square_free_decomposition(p)
+        for rung in range(1, 11):
+            clusters = _solve_factors(factors, l, rung)
+            if clusters is not None:
+                break
+        else:
+            raise PrecisionExhausted(f"certified_roots at 2^-{l}")
+    return [clusters[i] for i in sphere_order([c.point for c in clusters])]
 
 
-def certified_roots(p: Polynomial, l: int) -> list[RootCluster]:
-    """All roots of p as certified clusters of chordal radius <= 2^-l.
+def _clusters_disjoint(clusters: list[RootCluster], l: int) -> bool:
+    """Whether the clusters of a rung at chordal precision l are pairwise
+    chordally apart, which implies Euclid-apart.
 
-    Multiplicities sum to deg p; distinct clusters have disjoint chordal
-    discs.  Raises PrecisionExhausted if the internal precision cap is
-    reached before certification.
+    A cluster's chordal radius rho, from `chordal_disc_radius`, bounds
+    sup sigma(z, w) over its Euclidean disc |w - z| <= r.  If the
+    Euclidean discs of two clusters share a point w, then sigma(z1, z2) <=
+    sigma(z1, w) + sigma(w, z2) <= rho1 + rho2 and their chordal discs
+    meet too; so a Euclidean test could never change the answer.
 
-    Chordal radii are rounded up at l + 4 bits, plus the bits each retry
-    adds to the working precision: roots chordally closer than about
-    2^-(l+3) then separate once Newton has resolved them.
+    On every rung r <= 2^-(l+2) and rho is rounded up at b >= l + 4 bits,
+    so rho <= 2r + 2^-b <= 9 * 2^-(l+4).  A pair at chordal distance sigma
+    is therefore apart when sigma^2 > (18 * 2^-(l+4))^2, tested as
+    n 2^(2l+8) > 324 d on sigma^2 = n/d; only a pair that fails that reads
+    the clusters' exact radii (`discs_apart`).
     """
-    roots = direct_roots(p, l)
-    if roots is not None:
-        clusters = [RootCluster(PointBall(pt, chordal_disc_radius(pt.value, r, l + 4)), 1, r)
-                    for pt, r, _, _ in roots]
-        if _clusters_disjoint(clusters):
-            return clusters
-    euclid_target = Fraction(1, 1 << (l + 2))
-    bits = first_bits = _first_bits(l)
-    factors = square_free_decomposition(p)
-    for _attempt in range(10):
-        clusters = _solve_factors(factors, euclid_target, bits, l + 4 + bits - first_bits)
-        if clusters is not None:
-            return [clusters[i] for i in sphere_order([c.center.center for c in clusters])]
-        bits *= 2
-        euclid_target /= 2
-    raise PrecisionExhausted(f"certified_roots at 2^-{l}")
-
-
-def _clusters_disjoint(clusters: list[RootCluster]) -> bool:
-    """Euclidean and chordal disjointness across all clusters, decided on
-    the integers of the squared distances and the radii (`discs_apart`)."""
+    shift = 2 * l + 8
     for i, a in enumerate(clusters):
         for b in clusters[i + 1:]:
-            if not discs_apart(*euclid_sq_parts(a.midpoint, b.midpoint),
-                               a.euclid_rad, b.euclid_rad):
-                return False
-            if not discs_apart(*chordal_sq_parts(a.center.center, b.center.center),
-                               a.center.rad, b.center.rad):
+            n, d = chordal_sq_parts(a.point, b.point)
+            if n << shift > 324 * d:
+                continue
+            if not discs_apart(n, d, a.center.rad, b.center.rad):
                 return False
     return True

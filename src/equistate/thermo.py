@@ -16,25 +16,15 @@ itself is the displacement.  Like the root certificates, the
 displacement and the chordal radius are computed on integers: homogeneous
 `horner_int` passes give |g|^2, |g'|^2, |P|^2 and |P'|^2 at the stored
 child as integer quotients, and their square roots are integer square
-roots at a fixed scale.  g's values are the root solve's own, read where
-Newton stopped (or at the exact root the snap found); only P gets a pass
-of its own.  Each pass reads the polynomial's integer form C = m*q, with m
-divided back out (see `polynomials`).  The sibling disjointness test
-cross-multiplies integers as well, the squared distance's and the radii's
-numerators and denominators.
-
-Each node's roots come from `roots.direct_roots`, the direct solve of
-`certified_roots`, and the level takes them exactly where
-`certified_roots` would return that solve: the siblings' delta-discs
-are Euclid-disjoint (which implies it for the solve's r-discs, r <=
-delta), and so are the chordal discs `certified_roots` would draw about
-them.  Such a disc's chordal radius is at most 2r + 2^-(l+4) <=
-9 * 2^-(l+4), since r <= 2^-(l+2), so a pair at chordal distance sigma
-with sigma^2 > (18 * 2^-(l+4))^2 is apart, decided on sigma^2's integers;
-only a pair that fails this gets the exact radii.  Otherwise the node
-calls `certified_roots` and takes its clusters, so critical branching,
-Yun and the precision ladder have one path.  Each child gets one chordal
-radius, of its delta-disc.
+roots at a fixed scale.  Each node's children are the clusters of one
+`certified_roots` call on g, which rung 0 nearly always certifies, and
+there g's values are the solve's own (`RootCluster.horner`), read where
+Newton stopped or at the exact root the snap found; only P, and g on a
+later rung, get a pass of their own.  Each pass reads the polynomial's
+integer form C = m*q, with m divided back out (see `polynomials`).  The
+sibling disjointness test cross-multiplies integers as well, the squared
+distance's and the radii's numerators and denominators, and each child
+gets one chordal radius, of its delta-disc.
 
 Potentials stay on integers from the tree to the returned ball.  Each
 node carries S_k phi as the integer ball (m, r, d), m/d +- r/d, adding
@@ -76,7 +66,7 @@ from .measures import SPHERE, FiniteMeasure
 from .polynomials import Polynomial, horner_int, poly_gcd
 from .potentials import Potential, upper_bound
 from .ratmap import RationalMapRec, preimage_perturbation, preimage_polynomial
-from .roots import DirectRoot, certified_roots, direct_roots
+from .roots import RootCluster, certified_roots
 from .sphere import SpherePoint, chordal_disc_radius, chordal_sq_parts, ideal_enumerate
 
 _MAX_TREE_LEAVES = 1 << 19
@@ -130,8 +120,7 @@ def _abs2_at(q: Polynomial, z: GaussRat) -> tuple[int, int, int, int]:
 
 
 def _perturbed_child_displacement(g: Polynomial, p: Polynomial, z: GaussRat,
-                                  eps: Fraction, bits: int,
-                                  g_abs2: tuple[int, int, int, int] | None = None
+                                  eps: Fraction, bits: int, g_abs2: tuple[int, int, int, int]
                                   ) -> Fraction | None:
     """Distance bound from z to a true simple preimage.
 
@@ -141,11 +130,10 @@ def _perturbed_child_displacement(g: Polynomial, p: Polynomial, z: GaussRat,
     absolute values are rounded at `bits` bits, |g'(z)| down and the others
     up, as integer numerators G, G', P, P' over 2^bits; with eps = en/ed the
     bound is d (G ed + en P) / (G' ed - en P').  `g_abs2` is g's
-    `_scaled_abs2` at z when the caller has it from the root solve.  None
-    means the bound degenerated and the caller should retry at higher
-    precision.
+    `_scaled_abs2` at z.  None means the bound degenerated and the caller
+    should retry at higher precision.
     """
-    gn, gd, dgn, dgd = _abs2_at(g, z) if g_abs2 is None else g_abs2
+    gn, gd, dgn, dgd = g_abs2
     g_at = sqrt_upper_numerator(gn, gd, bits)
     dg_at = sqrt_lower_numerator(dgn, dgd, bits)
     en, ed = eps.numerator, eps.denominator
@@ -197,12 +185,7 @@ def _grow_level(f: RationalMapRec, parents: list[TreeNode], l: int,
     """The certified preimages of one tree level, each parent's children
     in a row: root solves at l bits, displacement bounds and phi sums as
     `build_preimage_tree` says.  The caller keeps the parents off the
-    forward orbit of infinity.
-
-    Each parent's children come from its `direct_roots` solve where
-    `certified_roots` would return that solve and `_children` accepts it,
-    and otherwise from `certified_roots`' clusters, through the same
-    `_children`."""
+    forward orbit of infinity."""
     f_of_inf = f.at_infinity
     zero_phi = phi is None or phi.is_zero()
     children: list[TreeNode] = []
@@ -212,25 +195,12 @@ def _grow_level(f: RationalMapRec, parents: list[TreeNode], l: int,
             # collided with the excluded value.  Needs more precision.
             raise PrecisionExhausted("stored tree node collided with f(inf)")
         g = preimage_polynomial(f, node.point)
-        roots = direct_roots(g, l)
-        clusters = certified_roots(g, l) if roots is None else None
+        clusters = certified_roots(g, l)
         chart = preimage_perturbation(f, node.point, node.euclid_err, l + 8)
         if chart is None:
             raise PrecisionExhausted("stored tree node too close to 0 for its chart")
         p, eps = chart
-        exact = node.euclid_err == 0
-        kids = None
-        if roots is not None and _chordally_apart(roots, l):
-            try:
-                kids = _children(g, p, eps, exact, l, [(pt, r, 1, _scaled_abs2(g, c, at))
-                                                       for pt, r, c, at in roots])
-            except PrecisionExhausted:
-                pass
-        if kids is None:
-            kids = _children(g, p, eps, exact, l, [
-                (cl.center.center, cl.euclid_rad, cl.multiplicity, None)
-                for cl in clusters or certified_roots(g, l)])
-        for point, delta, mult in kids:
+        for point, delta, mult in _children(g, p, eps, node.euclid_err == 0, l, clusters):
             chordal_err = chordal_disc_radius(point.value, delta, l + 4)
             if zero_phi:
                 phi_here = node.phi_sum
@@ -243,41 +213,26 @@ def _grow_level(f: RationalMapRec, parents: list[TreeNode], l: int,
     return children
 
 
-def _chordally_apart(roots: list[DirectRoot], l: int) -> bool:
-    """Whether the chordal discs `certified_roots` draws about the discs of
-    `direct_roots` are pairwise disjoint: on sigma^2's integers, against
-    (18 * 2^-(l+4))^2 first and against the exact radii only where that
-    fails (see the module docstring)."""
-    radii = None
-    for i, (a, _, _, _) in enumerate(roots):
-        for j in range(i + 1, len(roots)):
-            n, d = chordal_sq_parts(a, roots[j][0])
-            if n << (2 * l + 8) > 324 * d:
-                continue
-            if radii is None:
-                radii = [chordal_disc_radius(pt.value, r, l + 4) for pt, r, _, _ in roots]
-            if not discs_apart(n, d, radii[i], radii[j]):
-                return False
-    return True
-
-
 def _children(g: Polynomial, p: Polynomial, eps: Fraction, exact: bool, l: int,
-              roots: list[tuple[SpherePoint, Fraction, int, tuple[int, int, int, int] | None]]
-              ) -> list[tuple[SpherePoint, Fraction, int]]:
-    """(point, delta, multiplicity) for each root (point, Euclidean radius
-    r, multiplicity, g's `_scaled_abs2` there or None) of the parent's
-    preimage polynomial g.  Critical branching is accepted only below an
-    exactly stored parent, with r as the displacement.  Raises
-    PrecisionExhausted when that fails, a displacement bound degenerates or
-    two siblings' delta-discs meet."""
+              clusters: list[RootCluster]) -> list[tuple[SpherePoint, Fraction, int]]:
+    """(point, delta, multiplicity) for each cluster of the parent's
+    preimage polynomial g.  g's |g|^2 and |g'|^2 at a midpoint come from
+    rung 0's `horner`, or from a pass of their own on later rungs.
+    Critical branching is accepted only below an exactly stored parent,
+    with the cluster's Euclidean radius r as the displacement.  Raises
+    PrecisionExhausted when that fails, a displacement bound degenerates
+    or two siblings' delta-discs meet."""
     kids = []
-    for point, r, mult, g_abs2 in roots:
+    for cl in clusters:
+        point, r, mult = cl.point, cl.euclid_rad, cl.multiplicity
         if mult > 1 and not exact:
             raise PrecisionExhausted("critical branching below an inexactly stored node")
         if mult > 1 or (exact and r == 0):
             delta = r
         else:
-            delta = _perturbed_child_displacement(g, p, point.value, eps, l + 8, g_abs2)
+            z = cl.midpoint
+            g_abs2 = _abs2_at(g, z) if cl.horner is None else _scaled_abs2(g, *cl.horner)
+            delta = _perturbed_child_displacement(g, p, z, eps, l + 8, g_abs2)
             if delta is None:
                 raise PrecisionExhausted("displacement bound degenerated")
             delta = max(delta, r)

@@ -215,13 +215,9 @@ def test_every_traced_function_exists(monkeypatch):
 
 
 def test_the_tracer_sees_each_tree_level(monkeypatch):
-    """The tree calls `preimage_polynomial` through the name the tracer
-    wraps: a z^2-2 tree of depth 3 at anchor 3 makes one call per inner
-    node (7) and has 15 nodes.  Its root solves are `direct_roots` calls,
-    which the tracer does not wrap; it falls back to `certified_roots`, the
-    name the tracer does wrap, only where the direct solve is refused, and
-    on this tree never, so that row reads 0 and the solve time lands in
-    `thermo.build_preimage_tree.self_s`."""
+    """The tree calls `preimage_polynomial` and `certified_roots` through
+    the names the tracer wraps: a z^2-2 tree of depth 3 at anchor 3 makes
+    one call of each per inner node (7) and has 15 nodes."""
     from equistate.serialize import parse_map
     from equistate.sphere import SpherePoint
 
@@ -237,7 +233,7 @@ def test_the_tracer_sees_each_tree_level(monkeypatch):
         tracer.uninstall()
     rows = tracer.snapshot()
     assert rows["ratmap.preimage_polynomial.calls"] == 7
-    assert rows["roots.certified_roots.calls"] == 0
+    assert rows["roots.certified_roots.calls"] == 7
     assert rows["thermo.tree_nodes"] == 15
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from equistate.balls import sqrt_of_rational
 from equistate.cli import main
-from equistate.dyadics import ZERO
+from equistate.dyadics import ZERO, discs_apart
 from equistate.errors import PrecisionExhausted
 from equistate.gauss import GaussRat, euclid_sq_parts, gauss_ratio
 from equistate.polynomials import Polynomial, horner_int, square_free_decomposition
@@ -29,7 +29,7 @@ from equistate.roots import (RootCluster, _clusters_disjoint, _gauss_from_comple
                              _int_newton_step, _limit_denominator, _quadratic_seeds,
                              _snap_to_exact_root, certified_roots)
 from equistate.serialize import map_to_json, parse_map
-from equistate.sphere import PointBall, SpherePoint, chordal_disc_radius, chordal_sq_parts
+from equistate.sphere import SpherePoint, chordal_disc_radius, chordal_sq_parts
 
 from test_measures import _fraction_sort_key
 
@@ -714,7 +714,8 @@ def test_chordally_close_roots_separate_on_retry(p, roots):
 
 
 def _fraction_clusters_disjoint(clusters):
-    """The disjointness test as the Fraction comparisons decided it."""
+    """Disjointness as Fraction comparisons in both metrics: Euclidean
+    discs about the midpoints and chordal discs about the centers."""
     for i, a in enumerate(clusters):
         for b in clusters[i + 1:]:
             if (a.midpoint - b.midpoint).abs2() <= (a.euclid_rad + b.euclid_rad) ** 2:
@@ -725,31 +726,95 @@ def _fraction_clusters_disjoint(clusters):
     return True
 
 
+def _pair(z, w, ra, rb, l):
+    """Two rung-0 clusters at chordal precision l about z and w."""
+    return [RootCluster(SpherePoint(z), 1, ra, l + 4, None),
+            RootCluster(SpherePoint(w), 1, rb, l + 4, None)]
+
+
+def _chordal_boundary(z, w, l, t):
+    """The largest r on the 2^-(l+40) grid, at most 2^-(l+2), for which
+    the pair's chordal discs, of Euclidean radii 2rt and 2r(1 - t), are
+    apart; None when they meet at r = 0 or are apart at 2^-(l+2)."""
+    n, d = chordal_sq_parts(SpherePoint(z), SpherePoint(w))
+
+    def apart(k):
+        r = F(k, 1 << (l + 40))
+        return discs_apart(n, d, chordal_disc_radius(z, 2 * r * t, l + 4),
+                           chordal_disc_radius(w, 2 * r * (1 - t), l + 4))
+
+    lo, hi = 0, 1 << 38
+    if not apart(lo) or apart(hi):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if apart(mid) else (lo, mid)
+    return F(lo, 1 << (l + 40))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_clusters_disjoint_matches_the_fraction_test(seed):
-    """Each pair gets radii in one metric at a time that sum to the
-    distance (exactly where it is rational: |1 - i| = sqrt 2 is not, but
-    sigma(0, 3/4) = 6/5, sigma(1, -1) = 2 and |i - 0| = 1 are), to 2^-80
-    less or to a random share of it."""
+    """The chordal test alone decides as the Fraction test in both
+    metrics, so chordally apart clusters are Euclid-apart, on clusters
+    whose chordal radii are drawn from Euclidean radii r <= 2^-(l+2), as
+    on every rung.  Each pair, near 0 or far out where the chordal metric
+    contracts, gets radii that sum to the Euclidean distance (exactly where
+    it is rational), to 2^-80 less, to a random share of the cap, and to
+    either side of the chordal boundary on the 2^-(l+40) grid."""
     rng = random.Random(seed)
-    pts = [G(0), G(F(3, 4)), G(1), G(-1), G(0, 1), G(0, -1), G(F(-4, 3), F(1, 3))]
-    pts += [G(F(rng.randint(-9, 9), rng.choice([1, 4, 1 << 60])), F(rng.randint(-9, 9), 7))
-            for _ in range(4)]
     tiny = F(1, 1 << 80)
-    for i, z in enumerate(pts):
-        for w in pts[i + 1:]:
-            e = sqrt_of_rational(*euclid_sq_parts(z, w), 40).mid
-            c = sqrt_of_rational(*chordal_sq_parts(SpherePoint(z), SpherePoint(w)), 40).mid
-            for reach in (e, e - tiny, e * F(rng.randint(1, 9), 8)):
-                t = F(rng.randint(0, 4), 4)
-                pair = [RootCluster(PointBall(SpherePoint(z), ZERO), 1, reach * t),
-                        RootCluster(PointBall(SpherePoint(w), ZERO), 1, reach * (1 - t))]
-                assert _clusters_disjoint(pair) == _fraction_clusters_disjoint(pair)
-            for reach in (c, c - tiny, c * F(rng.randint(1, 9), 8)):
-                t = F(rng.randint(0, 4), 4)
-                pair = [RootCluster(PointBall(SpherePoint(z), reach * t), 1, ZERO),
-                        RootCluster(PointBall(SpherePoint(w), reach * (1 - t)), 1, ZERO)]
-                assert _clusters_disjoint(pair) == _fraction_clusters_disjoint(pair)
+    seen = {"apart": 0, "meet": 0, "euclid meet": 0, "prefilter": 0, "exact radii": 0}
+    for _ in range(100):
+        l = rng.choice([0, 5, 20])
+        cap = F(1, 1 << (l + 2))
+        z = G(F(rng.randint(-9, 9), rng.choice([8, 7])), F(rng.randint(-9, 9), 6))
+        z = rng.choice([z, z * G(1 << rng.randint(4, 20))])
+        s = rng.choice([40, 160])
+        w = z + G(F(rng.randint(-s, s), 16), F(rng.randint(-s, s), 16)) * G(cap)
+        if w == z:
+            continue
+        t = F(rng.randint(1, 3), 4)
+        e = sqrt_of_rational(*euclid_sq_parts(z, w), 40).mid
+        totals = [e, e - tiny] + [cap * F(rng.randint(1, 16), 8) for _ in range(2)]
+        r = _chordal_boundary(z, w, l, t)
+        if r is not None:
+            totals += [2 * r, 2 * r + F(2, 1 << (l + 40))]
+        n, d = chordal_sq_parts(SpherePoint(z), SpherePoint(w))
+        for total in totals:
+            ra, rb = total * t, total * (1 - t)
+            if not (0 <= ra <= cap and 0 <= rb <= cap):
+                continue
+            pair = _pair(z, w, ra, rb, l)
+            got = _clusters_disjoint(pair, l)
+            assert got == _fraction_clusters_disjoint(pair), (z, w, ra, rb, l)
+            seen["apart" if got else "meet"] += 1
+            seen["euclid meet"] += (z - w).abs2() <= total * total
+            seen["prefilter" if n << (2 * l + 8) > 324 * d else "exact radii"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("l", [0, 7, 30])
+def test_clusters_disjoint_draws_radii_below_the_prefilter_only(monkeypatch, l):
+    """Radii are drawn for a pair with sigma^2 <= (18 * 2^-(l+4))^2 and
+    for no other.  No two points of Q(i) lie at that distance exactly
+    (from 0, 4 - sigma^2 would be a sum of two rational squares, and
+    2^(2l+8) - 81 = 3 mod 4 is not), so the pairs (0, t 2^-(l+30)) sit one
+    unit of t to either side, within a 324th of the threshold; both have
+    radii 2^-(l+2), the most a rung allows, and are apart."""
+    drawn = []
+    monkeypatch.setattr(roots, "chordal_disc_radius",
+                        lambda z, r, bits: drawn.append(bits) or chordal_disc_radius(z, r, bits))
+    shift, bits = 2 * l + 8, l + 30
+    t = math.isqrt((81 << (2 * bits)) // ((1 << shift) - 81))
+    cap = F(1, 1 << (l + 2))
+    for t, side, draws in ((t, -1, 2), (t + 1, 1, 0)):
+        pair = _pair(G(0), G(F(t, 1 << bits)), cap, cap, l)
+        n, d = chordal_sq_parts(pair[0].point, pair[1].point)
+        assert (n << shift > 324 * d) == (side > 0)
+        assert 323 * d < n << shift < 325 * d
+        drawn.clear()
+        assert _clusters_disjoint(pair, l)
+        assert drawn == [l + 4] * draws
 
 
 # -- mpmath oracle ---------------------------------------------------------------

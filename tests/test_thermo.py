@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from equistate import thermo
+from equistate import polynomials, ratmap, roots, sphere, thermo
 from equistate.balls import BallReal, add_parts, exp_point
 from equistate.dyadics import ZERO, discs_apart
 from equistate.errors import ExcludedAnchor, ExcludedPoint, PrecisionExhausted
@@ -17,7 +17,7 @@ from equistate.measures import pushforward, wasserstein
 from equistate.polynomials import Polynomial, poly_gcd, square_free_decomposition
 from equistate.potentials import basis, const, pprod, psum, scale
 from equistate.ratmap import RationalMapRec, preimage_perturbation, preimage_polynomial
-from equistate.roots import certified_roots, direct_roots
+from equistate.roots import certified_roots
 from equistate.serialize import parse_map
 from equistate.sphere import INF, SpherePoint, chordal_disc_radius
 from equistate.thermo import (
@@ -378,7 +378,8 @@ def test_displacement_reaches_the_moved_preimages(f, x):
     g = preimage_polynomial(f, S(x.re, x.im))
     P, eps = preimage_perturbation(f, S(x.re, x.im), delta, bits)
     children = [cl.midpoint for cl in certified_roots(g, 60)]
-    bounds = [thermo._perturbed_child_displacement(g, P, z, eps, bits) for z in children]
+    bounds = [thermo._perturbed_child_displacement(g, P, z, eps, bits, thermo._abs2_at(g, z))
+              for z in children]
     assert all(b > 2 ** -40 for b in bounds)
     with mpmath.workdps(50):
         for u in (GaussRat.of(*uv) for uv in ((1, 0), (-1, 0), (0, 1), (0, -1),
@@ -445,7 +446,7 @@ def test_displacement_matches_the_fraction_form():
                 eps = rng.choice([F(0), F(1, 1 << rng.randint(1, 80)),
                                   F(rng.randint(1, 99), rng.randint(1, 99))])
             bits = rng.choice([4, 16, 40, 68, 120])
-            got = thermo._perturbed_child_displacement(g, p, z, eps, bits)
+            got = thermo._perturbed_child_displacement(g, p, z, eps, bits, thermo._abs2_at(g, z))
             assert got == _ref_displacement(g, p, z, eps, bits), (g, p, z, eps, bits)
             seen[("zero P", "constant P", "higher P")[kind]] += 1
             seen["None"] += got is None
@@ -719,10 +720,10 @@ def test_growing_a_tree_equals_building_it(expr, phi):
 
 
 def _reference_level(f, parents, l, phi, eval_prec):
-    """A tree level through `certified_roots` alone, as `_grow_level`
-    computed it before it took the direct solve: per cluster the
-    displacement from a `horner_int` pass of its own, the chordal radius,
-    the phi sum and the node, and then the siblings' Euclidean test."""
+    """A tree level from `certified_roots`' clusters, one at a time: per
+    cluster the displacement from a `horner_int` pass of its own, the
+    chordal radius, the phi sum and the node, and then the siblings'
+    Euclidean test."""
     zero_phi = phi is None or phi.is_zero()
     children = []
     for node in parents:
@@ -740,7 +741,8 @@ def _reference_level(f, parents, l, phi, eval_prec):
             if cl.multiplicity > 1 or (node.euclid_err == 0 and cl.euclid_rad == 0):
                 delta = cl.euclid_rad
             else:
-                delta = thermo._perturbed_child_displacement(g, p, z, eps, l + 8)
+                delta = thermo._perturbed_child_displacement(g, p, z, eps, l + 8,
+                                                             thermo._abs2_at(g, z))
                 if delta is None:
                     raise PrecisionExhausted("displacement bound degenerated")
                 delta = max(delta, cl.euclid_rad)
@@ -783,9 +785,10 @@ _REFERENCE_MAPS = ["z^2-2", "z^2", "z^2+i", "(z^2+1)/(z^2-1)", "(z^2-1)/(z^2+1)"
 @pytest.mark.parametrize("phi", [None, BENCH_PHI], ids=["none", "bench"])
 def test_tree_levels_equal_the_certified_roots_reference(expr, phi):
     """Node for node (point, both errors, degree product, phi sum), a
-    level taken from the direct solve equals the level built from
-    `certified_roots`' clusters, at seeded anchors inside, outside and on
-    the unit circle, so that both charts are used."""
+    level that reads g's values at rung-0 midpoints off the root solve
+    equals the level built from each cluster with passes of its own, at
+    seeded anchors inside, outside and on the unit circle, so that both
+    charts are used."""
     f = parse_map(expr)
     rng = random.Random(expr)
     excluded = f.infinity_orbit(4)
@@ -802,25 +805,29 @@ def test_tree_levels_equal_the_certified_roots_reference(expr, phi):
 @pytest.mark.parametrize("expr, x, degree", [("z^2", S(0), 8), ("z^2-2", S(-2), 2)])
 def test_critical_branching_equals_the_reference(expr, x, degree):
     """At an exactly stored critical value the level has a double child,
-    which only `certified_roots` (through Yun) certifies: z^2 keeps 0 as a
-    double preimage of itself, and z^2-2 branches once, at -2."""
+    which only a later rung of `certified_roots` (through Yun) certifies:
+    z^2 keeps 0 as a double preimage of itself, and z^2-2 branches once,
+    at -2."""
     leaves = _grow_like_the_reference(parse_map(expr), x, 3, 30, None, 40)
     assert {n.degree_product for n in leaves} == {degree}
 
 
 def test_siblings_near_infinity_fall_back_to_the_reference(monkeypatch):
     """The preimages +-2^48 of 2^96 + 1 under z^2 are about 2^-47 apart
-    chordally, within the 18 * 2^-(l+4) of the integer test at l = 42.
-    The exact chordal radii of the direct solve's discs meet, so the level
-    falls back to `certified_roots`, whose retries separate them with
-    148-bit denominators."""
-    fallbacks = []
-    monkeypatch.setattr(thermo, "certified_roots",
-                        lambda g, l: fallbacks.append(l) or certified_roots(g, l))
+    chordally, within the 18 * 2^-(l+4) of the integer prefilter at
+    l = 42.  The exact chordal radii of rung 0's discs meet, so the level
+    is certified on a later rung inside `certified_roots`: Yun runs once,
+    and the retries separate the two with 148-bit denominators."""
+    yun = []
+    monkeypatch.setattr(roots, "square_free_decomposition",
+                        lambda p: yun.append(p) or square_free_decomposition(p))
     f, x = Z2, S(2 ** 96 + 1)
-    leaves = _grow_like_the_reference(f, x, 1, 42, None, 52)
-    assert fallbacks == [42]
-    assert [n.point.value.d.bit_length() for n in leaves] == [148, 148]
+    parents = [thermo._root_node(x)]
+    assert roots._solve_factors([(preimage_polynomial(f, x), 1)], 42, 0) is None
+    level = thermo._grow_level(f, parents, 42, None, 52)
+    assert len(yun) == 1
+    assert level == _reference_level(f, parents, 42, None, 52)
+    assert [n.point.value.d.bit_length() for n in level] == [148, 148]
     mu = backward_orbit_measure(f, None, x, 1)
     assert [p.value.d.bit_length() for p, _ in mu.atoms] == [148, 148]
 
@@ -832,10 +839,38 @@ def test_tree_refuses_a_negative_precision(monkeypatch, depth, l):
     def refuse(*args):
         raise AssertionError("root solve reached")
 
-    monkeypatch.setattr(thermo, "direct_roots", refuse)
     monkeypatch.setattr(thermo, "certified_roots", refuse)
     with pytest.raises(ValueError, match=f"tree precision l must be nonnegative, got {l}"):
         build_preimage_tree(Z2M2, S(3), depth, l)
+
+
+def test_tree_work_is_one_solve_and_one_radius_per_node(monkeypatch):
+    """A depth-10 z^2 tree at anchor 3, l = 60, makes one `certified_roots`
+    call per inner node (1,023), none of them through Yun, one chordal
+    radius per child (2,046) and 4,090 `horner_int` passes: one Newton
+    step per root, whose closed-form seed is already the fixed point, and
+    P's pass at each child of an inexactly stored parent.  Eager cluster
+    radii or a second solve per node would show."""
+    counts = {"solves": 0, "yun": 0, "radii": 0, "horner": 0}
+
+    def counted(module, name, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(thermo, "certified_roots", "solves")
+    counted(roots, "square_free_decomposition", "yun")
+    for module in (thermo, roots, polynomials, ratmap, sphere):
+        if hasattr(module, "chordal_disc_radius"):
+            counted(module, "chordal_disc_radius", "radii")
+        if hasattr(module, "horner_int"):
+            counted(module, "horner_int", "horner")
+    tree = build_preimage_tree(Z2, S(3), 10, 60)
+    assert len(tree.leaves()) == 1024
+    assert counts == {"solves": 1023, "yun": 0, "radii": 2046, "horner": 4090}
 
 
 def test_empirical_pressure_escalates_from_a_low_start(monkeypatch):
@@ -864,12 +899,12 @@ def test_empirical_pressure_solves_each_node_once(monkeypatch, expr, phi, n, N, 
     """One growing tree makes d + ... + d^N root solves, 31 and 8191 for
     the benchmark call and for z^2 under -3 sigma(., 1) (a tree per N made
     57 and 16369); when the anchor moves, the tree regrows from it.  Each
-    solve is one `direct_roots` call, and none falls back to
-    `certified_roots`."""
-    calls, fallbacks = [], []
-    monkeypatch.setattr(thermo, "direct_roots",
-                        lambda g, l: calls.append(l) or direct_roots(g, l))
+    solve is one `certified_roots` call that rung 0 certifies, so Yun
+    never runs."""
+    calls, yun = [], []
     monkeypatch.setattr(thermo, "certified_roots",
-                        lambda g, l: fallbacks.append(l) or certified_roots(g, l))
+                        lambda g, l: calls.append(l) or certified_roots(g, l))
+    monkeypatch.setattr(roots, "square_free_decomposition",
+                        lambda p: yun.append(p) or square_free_decomposition(p))
     assert empirical_pressure(parse_map(expr), phi, n).N_used == N
-    assert len(calls) == solves and fallbacks == []
+    assert len(calls) == solves and yun == []

@@ -13,8 +13,9 @@ so downstream bounds stay honest.
 Both layers under the transport run on integers.  `from_atoms` merges
 weights as numerators over one common denominator and orders points by
 integer keys over one common denominator per measure: sphere points by
-the canonical `sphere.sphere_order` ((re, im), infinity last), tile
-points by face (front first) and then barycentric coordinates.
+the canonical `sphere.sphere_order` ((re, im), infinity last) and tile
+points by `trisphere.tile_order` (front face first, then barycentric
+coordinates).
 `wasserstein_detail` pins each cost from the integer radicand of the
 squared distance with one `sqrt_bracket_parts`, and hands the simplex the
 weights and the costs as integers over one denominator each; Fractions
@@ -35,7 +36,7 @@ from .dyadics import ZERO, format_rational
 from .errors import EvaluationFailure, InexactImage, SpaceMismatch
 from .sphere import SpherePoint, chordal, chordal_sq_parts, sphere_order
 from .transport import TransportResult, min_cost_transport
-from .trisphere import FRONT, TilePoint, dist2_tri_parts, dist_tri
+from .trisphere import TilePoint, dist2_tri_parts, dist_tri, tile_order
 
 SPHERE = "riemann_sphere"
 TRI = "tri_sphere"
@@ -59,21 +60,6 @@ def squared_distance_parts(space: str) -> Callable[[Point, Point], tuple[int, in
     if space == TRI:
         return dist2_tri_parts
     raise SpaceMismatch(f"unknown space {space!r}")
-
-
-def _tile_order(points: list[TilePoint]) -> list[int]:
-    """The indices of the points front face first, then by barycentric
-    coordinates.  Over the lcm L of the sums, (a, b, c)/(a+b+c) compares
-    as the integers (a, b) L/(a+b+c), since c follows from a and b; the
-    index breaks ties as a stable sort would."""
-    big = lcm(*(sum(p.abc) for p in points))
-    keyed = []
-    for i, p in enumerate(points):
-        a, b, c = p.abc
-        s = big // (a + b + c)
-        keyed.append((p.face != FRONT, a * s, b * s, i))
-    keyed.sort()
-    return [i for *_, i in keyed]
 
 
 @dataclass(frozen=True)
@@ -110,7 +96,7 @@ class FiniteMeasure:
             merged[p] = merged.get(p, 0) + n * (big // d)
         weight = {n: Fraction(n, big) for n in set(merged.values())}
         points = list(merged)
-        order = _tile_order if space == TRI else sphere_order
+        order = tile_order if space == TRI else sphere_order
         atoms = tuple((points[i], weight[merged[points[i]]]) for i in order(points))
         return FiniteMeasure(space, atoms, Fraction(atom_error))
 

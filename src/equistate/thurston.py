@@ -19,25 +19,27 @@ edge lines of the level-1 tiles (six for g1, nine for g2), so a point
 evaluates each line once, and the tile that holds it, together with its
 chart image, follows from those values (lowest tile id wins on shared
 edges).  Level-n tiles are pulled back through the level-1 charts, one
-pullback per vertex and chart, and a tile's barycenter is the pullback of
-the barycenter of the tile it maps onto.  Every such cache lives on a
-complex or a tile that `tile_complex` owns, so clearing its cache clears
-them too.
+pullback per vertex and chart, and each tile's barycenter is built with
+it, as the pullback of the barycenter of the tile it maps onto.  The
+charts' pullback rows and sign tests are cached on the level-1 complex,
+which `tile_complex`'s cache owns, so clearing that cache clears them
+too; a tile is a named tuple and holds no cache.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .balls import BallReal, sqrt_of_rational
 from .errors import NotAVertex, PrecisionExhausted, RuleMismatch
 from .measures import TRI, FiniteMeasure
 from .trisphere import (BACK, FRONT, TilePoint, Triple, barycenter, dist2_tri_parts,
-                        homogeneous_point)
+                        homogeneous_point, tile_order)
 
 CORNERS = ("A", "B", "C")
 # Tiles take about 1 KB each; capped as thermo caps preimage-tree leaves.
@@ -138,15 +140,15 @@ def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     """One closed triangle of the level-n cell structure.
 
     colors[j] names the corner the j-th vertex reaches under n map
     applications; target_face is the face the tile maps onto under them;
-    parent_id is the level-(n-1) tile this tile maps onto.  From level 2
-    on, pulled_from is the level-1 tile whose chart pulled this tile back
-    and the level-(n-1) tile it pulled back.
+    parent_id is the level-(n-1) tile this tile maps onto; bary is the
+    barycenter, built with the tile (see `tile_complex`).  A named tuple,
+    as `TilePoint` is, so that a level's tiles are built by
+    `tuple.__new__`; it holds no cache.
     """
 
     id: int
@@ -155,21 +157,12 @@ class Tile:
     colors: tuple[str, str, str]
     target_face: str
     parent_id: int | None
-    pulled_from: tuple[Tile, Tile] | None = field(default=None, compare=False, repr=False)
+    bary: TilePoint
 
     def barycenter(self) -> TilePoint:
-        return self._barycenter
+        return self.bary
 
-    @cached_property
-    def _barycenter(self) -> TilePoint:
-        """Affine charts send barycenters to barycenters, so from level 2
-        on this is one pullback of the barycenter of the tile pulled back."""
-        if self.pulled_from is None:
-            return barycenter(self.verts, self.face)
-        chart, source = self.pulled_from
-        return chart.pullback(source.barycenter())
-
-    @cached_property
+    @property
     def chart(self) -> tuple[Triple, Triple, Triple]:
         """Integer rows of the chart onto target_face, one per corner A, B, C.
 
@@ -185,22 +178,23 @@ class Tile:
                 for j, c in enumerate(self.colors)}
         return tuple(rows[c] for c in CORNERS)  # type: ignore[return-value]
 
-    @cached_property
-    def _pullback_rows(self) -> tuple[Triple, Triple, Triple]:
-        """Rows of the integer matrix whose columns are (L/D_k) V_k, for V_k
-        the vertex of color k (A, B, C), D_k = sum(V_k) and L = lcm(D_k)."""
-        by_color = dict(zip(self.colors, self.verts))
-        v = [by_color[k].abc for k in CORNERS]
-        big = lcm(*(sum(x) for x in v))
-        return tuple(zip(*(tuple(big // sum(x) * y for y in x) for x in v)))  # type: ignore
 
-    def pullback(self, q: TilePoint) -> TilePoint:
-        """The point of this tile that the chart sends to q on target_face:
-        sum_k Q_k (L/D_k) V_k, one integer mat-vec."""
-        a, b, c = q.abc
-        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = self._pullback_rows
-        return homogeneous_point(self.face, x0 * a + y0 * b + z0 * c,
-                                 x1 * a + y1 * b + z1 * c, x2 * a + y2 * b + z2 * c)
+def _pullback_rows(t: Tile) -> tuple[Triple, Triple, Triple]:
+    """Rows of the integer matrix whose columns are (L/D_k) V_k, for V_k
+    the vertex of t of color k (A, B, C), D_k = sum(V_k) and L = lcm(D_k)."""
+    by_color = dict(zip(t.colors, t.verts))
+    v = [by_color[k].abc for k in CORNERS]
+    big = lcm(*(sum(x) for x in v))
+    return tuple(zip(*(tuple(big // sum(x) * y for y in x) for x in v)))  # type: ignore
+
+
+def _pullback(face: str, rows: tuple[Triple, Triple, Triple], q: TilePoint) -> TilePoint:
+    """The point on `face` that a chart with pullback rows `rows` sends to
+    q: sum_k Q_k (L/D_k) V_k, one integer mat-vec."""
+    a, b, c = q.abc
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rows
+    return homogeneous_point(face, x0 * a + y0 * b + z0 * c,
+                             x1 * a + y1 * b + z1 * c, x2 * a + y2 * b + z2 * c)
 
 
 @dataclass
@@ -223,6 +217,13 @@ class TileComplex:
             for v in t.verts:
                 index.setdefault(v, []).append(t.id)
         return index
+
+    @cached_property
+    def _pullbacks(self) -> list[tuple[Triple, Triple, Triple]]:
+        """Per tile, in id order, its chart's pullback rows
+        (`_pullback_rows`).  Meant for level 1, whose charts pull back
+        every level and every preimage."""
+        return [_pullback_rows(t) for t in self.tiles]
 
     @cached_property
     def _sign_tests(self) -> tuple[list[Triple], dict[str, list[tuple]], list[tuple]]:
@@ -280,14 +281,19 @@ def _level_one_tiles(table: RuleTable) -> list[Tile]:
             orient = _sign(_det3(*(table.vertices[v] for v in tri)))
             target = FRONT if orient * _face_sign(face) * _parity(colors) == 1 else BACK
             tiles.append(Tile(len(tiles), face, verts, colors, target,
-                              parent_id=0 if target == FRONT else 1))
+                              0 if target == FRONT else 1, barycenter(verts, face)))
     return tiles
 
 
 @lru_cache(maxsize=None)
 def tile_complex(rule: str, level: int) -> TileComplex:
     """The level-n cell structure, built by pulling level-(n-1) tiles back
-    through the rule's twelve/sixteen level-one charts."""
+    through the rule's twelve/sixteen level-one charts.
+
+    Each chart pulls back every vertex of the tiles on its target face
+    once, and each tile's barycenter: affine charts send barycenters to
+    barycenters, so that of a pulled-back tile is the pullback of the
+    barycenter of the tile it maps onto."""
     table = _get_rule(rule)
     if level < 0:
         raise ValueError("level must be >= 0")
@@ -298,28 +304,31 @@ def tile_complex(rule: str, level: int) -> TileComplex:
         )
     if level == 0:
         corners = tuple(homogeneous_point(FRONT, *_EDGE_POINTS[k]) for k in CORNERS)
-        return TileComplex(rule, 0, [Tile(i, face, corners, CORNERS, face, None)
+        return TileComplex(rule, 0, [Tile(i, face, corners, CORNERS, face, None,
+                                          barycenter(corners, face))
                                      for i, face in enumerate((FRONT, BACK))])
     if level == 1:
         return TileComplex(rule, 1, _level_one_tiles(table))
-    prev = tile_complex(rule, level - 1)
-    ones = tile_complex(rule, 1).tiles
+    on_face: dict[str, list[Tile]] = {FRONT: [], BACK: []}
+    for x in tile_complex(rule, level - 1).tiles:
+        on_face[x.face].append(x)
+    ones = tile_complex(rule, 1)
+    new = tuple.__new__
     tiles: list[Tile] = []
-    for u in ones:
+    for u, rows in zip(ones.tiles, ones._pullbacks):
+        face = u.face
         # Neighbours share vertices, so each is pulled back once.  The
         # tiles on one face hold no two vertices with the same triple.
         pulled: dict[Triple, TilePoint] = {}
-        for x in prev.tiles:
-            if x.face != u.target_face:
-                continue
+        for x in on_face[u.target_face]:
             verts = []
             for v in x.verts:
                 y = pulled.get(v.abc)
                 if y is None:
-                    y = pulled[v.abc] = u.pullback(v)
+                    y = pulled[v.abc] = _pullback(face, rows, v)
                 verts.append(y)
-            tiles.append(Tile(len(tiles), u.face, tuple(verts), x.colors, x.target_face,
-                              parent_id=x.id, pulled_from=(u, x)))
+            tiles.append(new(Tile, (len(tiles), face, tuple(verts), x.colors, x.target_face,
+                                    x.id, _pullback(face, rows, x.bary))))
     return TileComplex(rule, level, tiles)
 
 
@@ -360,9 +369,9 @@ class SubdivisionMap:
         """
         ones = tile_complex(self.rule, 1)
         ys: list[TilePoint] = []
-        for t in ones.tiles:
+        for t, rows in zip(ones.tiles, ones._pullbacks):
             if t.target_face == x.face:
-                y = t.pullback(x)
+                y = _pullback(t.face, rows, x)
                 if y not in ys:
                     ys.append(y)
         return [(y, sum(1 for t, _ in ones.holding(y) if t.target_face == x.face))
@@ -391,10 +400,15 @@ def mme_tile_measure(rule: str, n: int) -> FiniteMeasure:
     this measure under the subdivision map is exactly the level-(n-1)
     measure: the strongest finite-level witness that these approximate
     the measure of maximal entropy.
+
+    The atoms are the stored barycenters in `tile_order`, with nothing to
+    merge: a barycenter lies in the interior of its own tile, and the
+    tiles of one level have disjoint interiors, so no two coincide.
     """
-    c = tile_complex(rule, n)
-    w = Fraction(1, len(c.tiles))
-    return FiniteMeasure.from_atoms(TRI, [(t.barycenter(), w) for t in c.tiles])
+    tiles = tile_complex(rule, n).tiles
+    w = Fraction(1, len(tiles))
+    points = [t.barycenter() for t in tiles]
+    return FiniteMeasure(TRI, tuple((points[i], w) for i in tile_order(points)))
 
 
 def flower(c: TileComplex, v: TilePoint) -> set[int]:

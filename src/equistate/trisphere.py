@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .balls import BallReal, sqrt_of_rational
 
@@ -43,7 +43,7 @@ class TilePoint(NamedTuple):
 
     The tuple order (face name, then abc) puts "back" before "front", so it
     is not the canonical order of measure atoms, which puts the front face
-    first (`measures._tile_order`); sort points by that, not by `sorted`.
+    first (`tile_order`); sort points by that, not by `sorted`.
     """
 
     face: str
@@ -67,9 +67,9 @@ def homogeneous_point(face: str, a: int, b: int, c: int) -> TilePoint:
     """The point (a, b, c)/(a+b+c): entries are divided by their gcd, and a
     boundary point goes to the front face.
 
-    Every chart output (`Tile.pullback`, `SubdivisionMap.eval`) is built
-    here, so the common case is kept short: no division when the gcd is
-    1, and `tuple.__new__` in place of the named tuple's Python-level
+    Every chart output (`thurston._pullback`, `SubdivisionMap.eval`) is
+    built here, so the common case is kept short: no division when the gcd
+    is 1, and `tuple.__new__` in place of the named tuple's Python-level
     constructor."""
     g = gcd(a, b, c)
     if g == 0 or a < 0 or b < 0 or c < 0:
@@ -102,6 +102,22 @@ def barycenter(points: tuple[TilePoint, ...] | list[TilePoint], face: str) -> Ti
     big = lcm(*(sum(p.abc) for p in points))
     ws = [(big // sum(p.abc), p.abc) for p in points]
     return homogeneous_point(face, *(sum(w * v[k] for w, v in ws) for k in range(3)))
+
+
+def tile_order(points: Sequence[TilePoint]) -> list[int]:
+    """The indices of the points front face first, then by barycentric
+    coordinates: the canonical order of measure atoms.  Over the lcm L of
+    the sums, (a, b, c)/(a+b+c) compares as the integers (a, b) L/(a+b+c),
+    since c follows from a and b; the index breaks ties as a stable sort
+    would."""
+    big = lcm(*(sum(p.abc) for p in points))
+    keyed = []
+    for i, p in enumerate(points):
+        a, b, c = p.abc
+        s = big // (a + b + c)
+        keyed.append((p.face != FRONT, a * s, b * s, i))
+    keyed.sort()
+    return [i for *_, i in keyed]
 
 
 def dist2_tri_parts(p: TilePoint, q: TilePoint) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from equistate import thurston, trisphere
 from equistate.errors import NotAVertex
 from equistate.measures import TRI, FiniteMeasure, pushforward, wasserstein
 from equistate.serialize import measure_to_json, tile_complex_to_json
@@ -57,6 +59,11 @@ def _image(t, p):
     if min(q) < 0:
         return None
     return homogeneous_point(t.target_face, *q)
+
+
+def _pullback(t, q):
+    """The point of the tile t that its chart sends to q."""
+    return thurston._pullback(t.face, thurston._pullback_rows(t), q)
 
 
 def _edges(c):
@@ -193,7 +200,7 @@ def test_preimages_round_trip(rule):
     for t in tile_complex(rule, 1).tiles:
         for q in points:
             if q.face == t.target_face or q.on_boundary:
-                assert _image(t, t.pullback(q)) == q
+                assert _image(t, _pullback(t, q)) == q
 
 
 def test_rule_table_validate_raises_on_child_count():
@@ -262,6 +269,59 @@ def test_mass_exactness():
     for rule in ("g1", "g2"):
         for n in range(4):
             assert mme_tile_measure(rule, n).total == 1
+
+
+@pytest.mark.parametrize("rule", ["g1", "g2"])
+def test_tile_measure_atoms_are_distinct_without_a_merge(rule):
+    """One atom per tile, as `from_atoms` finds when it merges the same
+    pairs: the invariant that lets `mme_tile_measure` skip the merge."""
+    for n in range(5):
+        tiles = tile_complex(rule, n).tiles
+        mu = mme_tile_measure(rule, n)
+        assert len(mu) == len(tiles)
+        assert mu == FiniteMeasure.from_atoms(
+            TRI, [(t.barycenter(), F(1, len(tiles))) for t in tiles])
+
+
+def test_tile_work_is_one_pullback_per_vertex_and_chart_and_one_per_tile(monkeypatch):
+    """A cold `tile_complex("g2", 3)` builds each point once: the level-1
+    vertices and barycenters from the rule table, then per chart each
+    distinct vertex it pulls back, and one barycenter per tile.  The
+    level-1 rows are built once per chart, and `mme_tile_measure` then
+    builds no point and merges nothing.  Lazy barycenters or per-call rows
+    would show."""
+    counts = Counter()
+
+    def counted(owner, name, wrap=lambda f: f):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrap(wrapper))
+
+    counted(thurston, "homogeneous_point")
+    counted(trisphere, "homogeneous_point")
+    counted(thurston, "_pullback_rows")
+    counted(FiniteMeasure, "from_atoms", staticmethod)
+    tile_complex.cache_clear()
+    tile_complex("g2", 3)
+    built = dict(counts)
+    levels = [tile_complex("g2", n) for n in range(4)]
+    ones = levels[1]
+    vertex_pullbacks = sum(len({v.abc for x in levels[n - 1].tiles if x.face == u.target_face
+                                for v in x.verts})
+                           for n in (2, 3) for u in ones.tiles)
+    assert vertex_pullbacks == 752  # of 3 * (128 + 1024) vertex occurrences
+    # Level 1: three vertices and a barycenter per tile; level 0 is not built.
+    assert built == {"homogeneous_point": 4 * 16 + vertex_pullbacks + 128 + 1024,
+                     "_pullback_rows": 16}
+
+    counts.clear()
+    mu = mme_tile_measure("g2", 3)
+    assert len(mu) == 1024 and not counts
+    SubdivisionMap("g2").preimages(mu.atoms[0][0])  # eight charts, no new rows
+    assert counts == {"homogeneous_point": 8}
 
 
 # -- flowers ----------------------------------------------------------------
@@ -442,8 +502,8 @@ def test_chart_and_pullback_match_cramer(rule, level):
             img = _image(t, p)
             expected = dict(zip(t.colors, ws))
             assert img == tile_point(t.target_face, *(expected[k] for k in "ABC"))
-            assert t.pullback(img) == p
-            assert t.pullback(img).coords == tuple(
+            assert _pullback(t, img) == p
+            assert _pullback(t, img).coords == tuple(
                 sum(img.coords[i] * by_color[k].coords[j] for i, k in enumerate("ABC"))
                 for j in range(3))
             # Any other tile of the level holds p only on its boundary.
@@ -464,7 +524,7 @@ def test_a_tile_point_is_the_tuple_of_face_and_triple():
 
 def test_canonical_triples_equal_and_hash_alike():
     u = tile_complex("g2", 1).tiles[0]  # (A, F, U), colors (A, B, C)
-    from_chart = u.pullback(C)
+    from_chart = _pullback(u, C)
     from_input = tile_point(FRONT, F(2, 4), F(1, 4), F(1, 4))
     assert from_chart == from_input and hash(from_chart) == hash(from_input)
     assert from_input.abc == (2, 1, 1) and from_input.coords == (F(1, 2), F(1, 4), F(1, 4))
@@ -536,7 +596,7 @@ def _reference_preimages(rule, x):
     matching = [t for t in tile_complex(rule, 1).tiles if t.target_face == x.face]
     ys = []
     for t in matching:
-        y = t.pullback(x)
+        y = _pullback(t, x)
         if y not in ys:
             ys.append(y)
     return [(y, sum(1 for t in matching if _image(t, y) is not None)) for y in ys]
@@ -580,13 +640,14 @@ def test_sign_location_matches_id_order_scan(rule):
 
 def _reference_tiles(rule, prev):
     """The tiles of the next level after `prev`, one pullback per vertex
-    occurrence."""
+    occurrence, and each barycenter from the tile's own vertices."""
     tiles = []
     for u in tile_complex(rule, 1).tiles:
         for x in prev:
             if x.face == u.target_face:
-                tiles.append(Tile(len(tiles), u.face, tuple(u.pullback(v) for v in x.verts),
-                                  x.colors, x.target_face, x.id))
+                verts = tuple(_pullback(u, v) for v in x.verts)
+                tiles.append(Tile(len(tiles), u.face, verts, x.colors, x.target_face, x.id,
+                                  barycenter(verts, u.face)))
     return tiles
 
 
@@ -599,7 +660,6 @@ def test_tile_layer_matches_reference_build(rule):
         # Levels 0 and 1 come straight from the rule table.
         ref = c.tiles if n <= 1 else _reference_tiles(rule, ref)
         assert c.tiles == ref
-        assert [t.barycenter() for t in c.tiles] == [barycenter(t.verts, t.face) for t in ref]
         mu = mme_tile_measure(rule, n)
         ref_mu = FiniteMeasure.from_atoms(
             TRI, [(barycenter(t.verts, t.face), F(1, len(ref))) for t in ref])
@@ -631,38 +691,61 @@ def test_level3_cli_json_matches_golden_hash(command, rule, tmp_path):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
-def test_tile_caches_do_not_outlive_cache_clear():
-    """The sign tests, vertex index and barycenters live on complexes and
-    tiles that tile_complex's cache owns: a cleared cache rebuilds them all
-    from new objects, as a first call in a new process does."""
-    import equistate.thurston as thurston
+# SHA-256 over the g1 and g2 tile measures at levels 0-4 and their
+# pushforwards, the level-4 complexes' JSON, and the preimages of every
+# level-2 vertex and barycenter; recorded before tiles became named tuples
+# that carry their barycenter.
+_LEVEL4_PIN = "0afa4bb03807aed47ea1b3bb8ec713d4ea7aac8e4a1e087d3fbd480d24e5ffc1"
 
+
+def test_tile_measures_pushforwards_and_preimages_match_level4_pin():
+    h = hashlib.sha256()
+
+    def feed(*parts):
+        h.update(repr(parts).encode())
+
+    for rule in ("g1", "g2"):
+        g = SubdivisionMap(rule)
+        for n in range(5):
+            mu = mme_tile_measure(rule, n)
+            for name, nu in (("mme", mu), ("push", pushforward(mu, g))):
+                feed(rule, n, name, [(p.face, p.abc, str(w)) for p, w in nu.atoms])
+        feed(json.dumps(tile_complex_to_json(tile_complex(rule, 4)), sort_keys=True))
+        c = tile_complex(rule, 2)
+        for x in sorted(_vertices(c) | {t.barycenter() for t in c.tiles}):
+            feed(x, g.preimages(x))
+    assert h.hexdigest() == _LEVEL4_PIN
+
+
+def test_tile_caches_do_not_outlive_cache_clear():
+    """The pullback rows, sign tests and vertex index live on the level-1
+    complex that tile_complex's cache owns, and a tile, a named tuple,
+    holds no cache: a cleared cache rebuilds them all from new objects, as
+    a first call in a new process does."""
     g = SubdivisionMap("g2")
     p = tile_point(BACK, F(1, 5), F(2, 5), F(2, 5))
-    image = g.eval(p)
+    image, preimages = g.eval(p), g.preimages(p)
     old_ones, old_two = tile_complex("g2", 1), tile_complex("g2", 2)
-    bary = old_two.tiles[7].barycenter()
     old_ones.incident_tiles(A)
-    assert {"_sign_tests", "_incidence"} <= vars(old_ones).keys()
-    assert "_barycenter" in vars(old_two.tiles[7])
+    caches = {"_pullbacks", "_sign_tests", "_incidence"}
+    assert caches <= vars(old_ones).keys()
+    assert not any(hasattr(t, "__dict__") for t in old_ones.tiles + old_two.tiles)
 
     tile_complex.cache_clear()
     assert tile_complex.cache_info().currsize == 0
-    ones, two = tile_complex("g2", 1), tile_complex("g2", 2)
-    assert ones is not old_ones and two is not old_two
-    assert not {"_sign_tests", "_incidence"} & vars(ones).keys()
-    assert not any("_barycenter" in vars(t) for t in ones.tiles + two.tiles)
+    ones = tile_complex("g2", 1)
+    assert ones is not old_ones and not caches & vars(ones).keys()
+    two = tile_complex("g2", 2)  # pulls back through the new complex's rows
+    assert two is not old_two and two.tiles == old_two.tiles
+    assert caches & vars(ones).keys() == {"_pullbacks"}
+    assert ones._pullbacks is not old_ones._pullbacks
+    assert ones._pullbacks == old_ones._pullbacks
     assert vars(g) == {"rule": "g2"}  # the map itself holds no cache
 
-    assert g.eval(p) == image
+    assert g.eval(p) == image and g.preimages(p) == preimages
     assert "_sign_tests" in vars(ones)  # built by eval, on the new complex
     _, _, tests = ones._sign_tests
     assert all(x[0] is t for x, t in zip(tests, ones.tiles))
-    t = two.tiles[7]
-    assert t.barycenter() == bary
-    chart, source = t.pulled_from
-    assert chart is ones.tiles[chart.id] and source is ones.tiles[source.id]
-    assert "_barycenter" in vars(source)
 
     # No other cache in the module survives the clear.
     def holds_tiles(obj):

@@ -12,8 +12,8 @@ solves a list of square-free factors with their multiplicities, draws one
 as its own simple factor at the first working precision; nearly every
 node of a preimage tree stops there.  When it fails, the later rungs
 split p once by exact square-free decomposition (Yun) and solve each
-factor the same way: first at the same precision, then at doubling
-precision.
+factor the same way: first at the same precision, unless Yun finds p
+square-free and rung 1 would repeat rung 0, then at doubling precision.
 
 Disjointness is decided in the chordal metric alone.  A cluster's
 chordal radius bounds sigma over its whole Euclidean disc, so clusters
@@ -23,30 +23,33 @@ gives the argument).  A cluster draws its chordal radius on the first
 read of `center`, and a pair far enough apart, decided on the integers
 of sigma^2, never reads it.
 
-A linear factor is solved exactly.  A quadratic starts from its closed
-form on integers (`_quadratic_seeds`), with no floats.  Any other factor
-starts from float seeds computed with the standard library alone: at
-most 40 Aberth-Ehrlich sweeps (Aberth 1973, Math. Comp. 27) from Bini's
-Newton-polygon start (Bini 1996, Numer. Algorithms 13), on the monic
-coefficients scaled by a power of two when they leave float range.  From
-each seed it runs Newton on Gaussian integers: the coefficients of the
-polynomial's integer form C = m*p (see `polynomials`, which says why no
-result depends on m), and z as integer numerators over one denominator
-(2^bits after the first step, which rounds each step to the nearest
-multiple of 2^-bits).  A step is a function of z alone, so the iteration
-stops at the first step that returns its input, or the iterate from two
-steps back: at a rounding tie the rounded map can cycle between two grid
-points, and Newton then stops at the one of smaller residual.
+A linear factor is solved exactly, and so is a quadratic whose
+discriminant is a square in Z[i], the one case in which it has a root in
+Q(i): its closed form on integers (`_quadratic_seeds`) then gives both
+roots as exact quotients.  Any other quadratic starts Newton from that
+closed form, with no floats.  Any other factor starts from float seeds
+computed with the standard library alone: at most 40 Aberth-Ehrlich sweeps
+(Aberth 1973, Math. Comp. 27) from Bini's Newton-polygon start (Bini 1996,
+Numer. Algorithms 13), on the monic coefficients of p(2^s w) for the power
+of two that brings every root within modulus 4, each seed rounded onto the
+2^-60 grid as a Newton step rounds.  From each seed it runs Newton on
+Gaussian integers: the coefficients of the polynomial's integer form
+C = m*p (see `polynomials`, which says why no result depends on m), and z
+as integer numerators over one denominator (2^bits after the first step,
+which rounds each step to the nearest multiple of 2^-bits).  A step is a
+function of z alone, so the iteration stops at the first step that
+returns its input, or the iterate from two steps back: at a rounding tie
+the rounded map can cycle between two grid points, and Newton then stops
+at the one of smaller residual.
 
 Certification is integer arithmetic end to end.  The residual bound
 comes from the same integer evaluation, its square root and the chordal
-radius from integer square roots at a fixed scale.  The snap to an exact
-root is a bounded-denominator search on integers: each part of z goes to
-its closest fraction of denominator at most b, read off the continued
-fraction, for each b in `_SNAP_DENOMS`, and the candidate counts when it
-lies in the disc and `horner_int` vanishes there.  A quadratic is
-snapped only when its discriminant is a square in Z[i], the one case in
-which it has a root in Q(i).  Floats only ever propose seeds.
+radius from integer square roots at a fixed scale.  A root of a factor of
+degree 3 or more is then snapped to an exact root when there is one
+nearby: each part of z goes to its closest fraction of denominator at most
+b (`Fraction.limit_denominator`), for each b in `_SNAP_DENOMS`, and the
+candidate counts when it lies in the disc and `horner_int` vanishes there.
+Floats only ever propose seeds.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ import cmath
 import math
 from fractions import Fraction
 
-from .dyadics import ZERO, discs_apart, dyadic_numerator, sqrt_upper_numerator
+from .dyadics import ZERO, compare_square, discs_apart, dyadic_numerator, sqrt_upper_numerator
 from .errors import PrecisionExhausted
-from .gauss import GaussRat, gauss_ratio
+from .gauss import G_ZERO, GaussRat, euclid_sq_parts, gauss_ratio
 from .polynomials import IntPairs, Polynomial, horner_int, square_free_decomposition
 from .sphere import PointBall, SpherePoint, chordal_disc_radius, chordal_sq_parts, sphere_order
 
@@ -181,50 +184,49 @@ def _smaller_residual(u: _Iterate, v: _Iterate) -> _Iterate:
 
 
 def _quadratic_seeds(coeffs: IntPairs, bits: int
-                     ) -> tuple[list[tuple[int, int, int]], bool]:
-    """Seeds (x, y, 2^bits) for the two roots of q = c2 z^2 + c1 z + c0,
-    and whether the discriminant D = c1^2 - 4 c2 c0 is a square in Z[i].
+                     ) -> tuple[list[GaussRat] | list[tuple[int, int, int]], bool]:
+    """For q = c2 z^2 + c1 z + c0, whether the discriminant D = c1^2 -
+    4 c2 c0 is a square in Z[i], and with it q's two roots as exact
+    `GaussRat`s when it is, else seeds (x, y, 2^bits) for them.
 
     With k = bits + 16, S ~ sqrt(D) 2^k comes from two integer square
     roots: m = isqrt(|D|^2 16^k) ~ |D| 4^k, then w = isqrt((m + |Re D|
     4^k)/2), the larger part of S; the other part is Im D 4^k/(2w), a
     quotient in which nothing cancels.  Q = -(c1 2^k +- S), with the sign
     making |Q| the larger, gives the roots Q/(2 c2 2^k) and 2 c0 2^k/Q
-    (both 0 when Q = 0, which happens only for q = c2 z^2), and each part
-    is rounded to the nearest multiple of 2^-bits.  S is within a few
-    units of sqrt(D) 2^k, and |Q| >= max(|c1| 2^k, |S|), so each quotient
-    is within about 2^-(bits+14) of its root before that rounding.
-
-    Newton from these seeds stops where it stops from any other seed
-    near the root, a float approximation included.  With r' the other root
-    and e = z - r, a Newton step from z lands exactly at r + e^2/(2e + r -
-    r'), so from a grid point next to r, |e| <= 2^-bits sqrt 2, it lands
-    within about 2 4^-bits/|r - r'| of r.  Unless r lies that close to a
-    midline between grid points, the rounded step sends every grid point
-    next to r to the grid point nearest r.  That point is then the only
-    fixed point next to r, and Newton stops there from any seed close
-    enough to reach a grid point next to r: from a float seed after one
-    step, from this seed at once.  A root closer than that to a midline
-    (in practice a part planted at an odd multiple of 2^-(bits+1)) can
-    have two fixed points across the midline, and there the grid point
-    Newton stops at depends on the seed, or a 2-cycle, which `_newton`
-    ends at the point of smaller residual whatever the seed.  The residual
-    certificate holds at either point.
+    (both 0 when Q = 0, which happens only for q = c2 z^2).  S is within a
+    few units of sqrt(D) 2^k, and |Q| >= max(|c1| 2^k, |S|), so each
+    quotient is within about 2^-(bits+14) of its root; a seed rounds each
+    part to the nearest multiple of 2^-bits.
 
     D is a square in Z[i] exactly when q has a root in Q(i): a root w
     gives sqrt(D) = 2 c2 w + c1 in Q(i), and Z[i] is integrally closed.
     The test reads the two square roots above: D = 0, or m^2 = |D|^2 16^k
     (so |D| = n is an integer) and w^2 is (n + |Re D|)/2 4^k, a square
     exactly when (n + |Re D|)/2 is; its root t gives the other part
-    Im D/(2t), an integer because its square (n - |Re D|)/2 is.  When D
-    is not a square the snap, which only returns exact roots in Q(i),
-    could only return None, so skipping it changes nothing.
+    Im D/(2t), an integer because its square (n - |Re D|)/2 is.  Then S is
+    sqrt(D) 2^k exactly, and so the quotients are the roots.
+
+    Newton from a seed stops where it stops from any other seed near the
+    root, a float approximation included.  With r' the other root and
+    e = z - r, a Newton step from z lands exactly at r + e^2/(2e + r - r'),
+    so from a grid point next to r, |e| <= 2^-bits sqrt 2, it lands within
+    about 2 4^-bits/|r - r'| of r.  Unless r lies that close to a midline
+    between grid points, the rounded step sends every grid point next to r
+    to the grid point nearest r.  That point is then the only fixed point
+    next to r, and Newton stops there from any seed close enough to reach
+    a grid point next to r: from a float seed after one step, from this
+    seed at once.  A root closer than that to a midline (a part at an odd
+    multiple of 2^-(bits+1), the other part irrational) can have two fixed
+    points across the midline, and there the grid point Newton stops at
+    depends on the seed, or a 2-cycle, which `_newton` ends at the point
+    of smaller residual whatever the seed.  The residual certificate holds
+    at either point.
     """
     (c0r, c0i), (c1r, c1i), (c2r, c2i) = coeffs
     dr = c1r * c1r - c1i * c1i - 4 * (c2r * c0r - c2i * c0i)
     di = 2 * c1r * c1i - 4 * (c2r * c0i + c2i * c0r)
     k = bits + 16
-    one = 1 << bits
     n2 = dr * dr + di * di
     if n2 == 0:
         sr = si = 0
@@ -241,48 +243,44 @@ def _quadratic_seeds(coeffs: IntPairs, bits: int
         qr, qi = -(ar + sr), -(ai + si)
     else:
         qr, qi = sr - ar, si - ai
-    if qr == 0 and qi == 0:
-        return [(0, 0, one)] * 2, square
-    lead = (c2r * c2r + c2i * c2i) << (k + 1)
     q2 = qr * qr + qi * qi
-    return [(dyadic_numerator(qr * c2r + qi * c2i, lead, bits),
-             dyadic_numerator(qi * c2r - qr * c2i, lead, bits), one),
-            (dyadic_numerator((c0r * qr + c0i * qi) << (k + 1), q2, bits),
-             dyadic_numerator((c0i * qr - c0r * qi) << (k + 1), q2, bits), one)], square
+    if q2 == 0:
+        return [G_ZERO] * 2, True
+    lead = (c2r * c2r + c2i * c2i) << (k + 1)
+    x1, y1 = qr * c2r + qi * c2i, qi * c2r - qr * c2i
+    x2, y2 = (c0r * qr + c0i * qi) << (k + 1), (c0i * qr - c0r * qi) << (k + 1)
+    if square:
+        return [gauss_ratio(x1, y1, lead), gauss_ratio(x2, y2, q2)], True
+    one = 1 << bits
+    return [(dyadic_numerator(x1, lead, bits), dyadic_numerator(y1, lead, bits), one),
+            (dyadic_numerator(x2, q2, bits), dyadic_numerator(y2, q2, bits), one)], False
 
 
 def _float_seeds(coeffs: IntPairs) -> list[tuple[int, int, int]]:
     """Seeds (x, y, d) for the roots of the polynomial with these integer
     coefficients, one per root counted with multiplicity: 2^s w for float
-    approximations w to the roots of p(2^s w), each part of w rounded by
-    `_gauss_from_complex` at 60 bits.
+    approximations w to the roots of p(2^s w), with s = `_root_scale`, each
+    part of w rounded to the nearest multiple of 2^-60 by
+    `dyadic_numerator`, the rule a Newton step rounds by (a non-finite w
+    goes to 0).
 
-    The monic coefficients a_k are rounded to floats from their exact
-    values (int / int rounds correctly), and each zero a_0 is an exact
-    root 0 divided out.  Where a_k or the sweeps below overflow, a
-    nonzero a_k rounds to 0, or a nonzero root w rounds to 0 at 60 bits,
-    s is `_root_scale` and the floats are instead the monic coefficients
-    a_k 2^(s(k-n)) of p(2^s w); one of those that rounds to 0 only puts a
-    seed at w = 0.  Otherwise s = 0.
-    The floats run at most 40 Aberth-Ehrlich sweeps (Aberth 1973) from
-    Bini's Newton-polygon start (Bini 1996): for each edge (i, j) of the
-    upper convex hull of the points (k, log|a_k|), j - i points on the
-    circle of radius (|a_i|/|a_j|)^(1/(j - i)).  An iterate stops once
-    |p| there is within the rounding error of Horner's rule.
+    The floats are the monic coefficients a_k 2^(s(k-n)) of p(2^s w),
+    each rounded from its exact value (int / int rounds correctly); they
+    are at most 2 in modulus, so none overflows, and one that underflows to
+    0 only puts a seed at w = 0.  They run at most 40 Aberth-Ehrlich sweeps
+    (Aberth 1973) from Bini's Newton-polygon start (Bini 1996): for each
+    edge (i, j) of the upper convex hull of the points (k, log|a_k|), j - i
+    points on the circle of radius (|a_i|/|a_j|)^(1/(j - i)).  An iterate
+    stops once |p| there is within the rounding error of Horner's rule.
     """
-    try:
-        a = _monic_floats(coeffs, 0)
-        if all(c or q == (0, 0) for c, q in zip(a, coeffs)):
-            ws = _aberth(a)
-            seeds = [_gauss_from_complex(w, 60) for w in ws]
-            if all(x or y or not w for (x, y, _), w in zip(seeds, ws)):
-                return seeds
-    except OverflowError:
-        pass
     s = _root_scale(coeffs)
-    ws = _aberth(_monic_floats(coeffs, s))
-    return [(x << s, y << s, d) if s >= 0 else (x, y, d << -s)
-            for x, y, d in (_gauss_from_complex(w, 60) for w in ws)]
+    seeds = []
+    for w in _aberth(_monic_floats(coeffs, s)):
+        if not cmath.isfinite(w):
+            w = 0j
+        x, y = (dyadic_numerator(*part.as_integer_ratio(), 60) for part in (w.real, w.imag))
+        seeds.append((x << s, y << s, 1 << 60) if s >= 0 else (x, y, 1 << (60 - s)))
+    return seeds
 
 
 def _monic_floats(coeffs: IntPairs, s: int) -> list[complex]:
@@ -349,55 +347,6 @@ def _aberth(a: list[complex]) -> list[complex]:
     return [0j] * zeros + z
 
 
-def _limit_denominator(n: int, d: int, bound: int) -> tuple[int, int]:
-    """The reduced (p, q) with p/q = Fraction(n, d).limit_denominator(bound),
-    for d > 0 and bound >= 1: the closest fraction to n/d with denominator
-    at most `bound`, the convergent where two are equally close.
-
-    Walks the continued fraction of n/d to the last convergent p1/q1 within
-    the bound; the other candidate is the semiconvergent
-    (p0 + k p1)/(q0 + k q1) with the largest such k.  Their distance is
-    1/(q1 (q0 + k q1)) and p1/q1 lies d'/(q1 d) from n/d, where d' is the
-    remainder left by the walk, so the convergent wins when
-    2 d' (q0 + k q1) <= d.
-    """
-    g = math.gcd(n, d)
-    if g != 1:
-        n, d = n // g, d // g
-    if d <= bound:
-        return n, d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    num, den = n, d
-    while True:
-        a = num // den
-        q2 = q0 + a * q1
-        if q2 > bound:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        num, den = den, num - a * den
-    k = (bound - q0) // q1
-    if 2 * den * (q0 + k * q1) <= d:
-        return p1, q1
-    return p0 + k * p1, q0 + k * q1
-
-
-def _gauss_of(pr: int, qr: int, pi: int, qi: int) -> tuple[int, int, int]:
-    """The triple (x, y, d) of pr/qr + (pi/qi)*i from two reduced fractions
-    with positive denominators; over their lcm it is already reduced."""
-    m = math.lcm(qr, qi)
-    return pr * (m // qr), pi * (m // qi), m
-
-
-def _gauss_from_complex(z: complex, bits: int) -> tuple[int, int, int]:
-    """The reduced triple of the closest fractions to z's parts with
-    denominators at most 2^bits; 0 for a non-finite z."""
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        z = 0j
-    bound = 1 << bits
-    return _gauss_of(*_limit_denominator(*z.real.as_integer_ratio(), bound),
-                     *_limit_denominator(*z.imag.as_integer_ratio(), bound))
-
-
 def _residual_numerator(degree: int, c: int, at: tuple[int, int, int, int], bits: int
                         ) -> int | None:
     """The numerator over 2^bits of an upper bound on degree * |q(z)/q'(z)|
@@ -419,36 +368,28 @@ def _snap_to_exact_root(coeffs: IntPairs, z: GaussRat, rad: Fraction
     """Small-denominator Gaussian rational in the disc that is an exact root
     of the polynomial with these integer coefficients.
 
-    Each part of z = (x + y*i)/c is rounded to the closest fraction with
-    denominator at most b, for b in `_SNAP_DENOMS`; the candidate
-    pr/qr + (pi/qi)*i lies in the disc of radius rn/rd when
-    ((pr c - x qr)^2 qi^2 + (pi c - y qi)^2 qr^2) rd^2 <= (rn qr qi c)^2,
-    and is a root when `horner_int` there is 0.  The distance to z only
-    shrinks as b grows: if the candidate of the largest b misses the disc,
-    so do all the others.
+    Each part of z is rounded to the closest fraction with denominator at
+    most b (`Fraction.limit_denominator`), for b in `_SNAP_DENOMS`; the
+    candidate counts when it lies in the disc and `horner_int` there is 0.
+    The distance to z only shrinks as b grows: if the candidate of the
+    largest b misses the disc, so do all the others.
     """
-    x, y, c = z.x, z.y, z.d
-    rn, rd = rad.numerator, rad.denominator
-
-    def candidate(b: int) -> tuple[int, int, int, int] | None:
-        pr, qr = _limit_denominator(x, c, b)
-        pi, qi = _limit_denominator(y, c, b)
-        ex, ey = (pr * c - x * qr) * qi, (pi * c - y * qi) * qr
-        reach = rn * qr * qi * c
-        if (ex * ex + ey * ey) * rd * rd > reach * reach:
-            return None
-        return pr, qr, pi, qi
+    def candidate(b: int) -> GaussRat | None:
+        w = GaussRat.of(z.re.limit_denominator(b), z.im.limit_denominator(b))
+        return w if compare_square(*euclid_sq_parts(w, z), rad) <= 0 else None
 
     if candidate(_SNAP_DENOMS[-1]) is None:
         return None
     for b in _SNAP_DENOMS:
-        cand = candidate(b)
-        if cand is not None:
-            w = _gauss_of(*cand)
-            nr, ni, _, _ = horner_int(coeffs, *w)
-            if nr == 0 and ni == 0:
-                return GaussRat(*w)
+        w = candidate(b)
+        if w is not None and horner_int(coeffs, w.x, w.y, w.d)[:2] == (0, 0):
+            return w
     return None
+
+
+def _exact_root(coeffs: IntPairs, z: GaussRat) -> tuple[SpherePoint, Fraction, _Horner]:
+    """An exact root z as `_solve_square_free` returns it: radius 0."""
+    return SpherePoint(z), ZERO, (z.d, horner_int(coeffs, z.x, z.y, z.d))
 
 
 def _solve_square_free(q: Polynomial, e: int, bits: int
@@ -461,12 +402,14 @@ def _solve_square_free(q: Polynomial, e: int, bits: int
     coeffs = q.C
     if q.degree == 1:
         (x0, y0), (x1, y1) = coeffs
-        z = gauss_ratio(-x0 * x1 - y0 * y1, x0 * y1 - y0 * x1, x1 * x1 + y1 * y1)
-        return [(SpherePoint(z), ZERO, (z.d, (0, 0, x1, y1)))]
+        return [_exact_root(coeffs, gauss_ratio(-x0 * x1 - y0 * y1, x0 * y1 - y0 * x1,
+                                                x1 * x1 + y1 * y1))]
     if q.degree == 2:
-        seeds, snap = _quadratic_seeds(coeffs, bits)
+        seeds, exact = _quadratic_seeds(coeffs, bits)
+        if exact:
+            return [_exact_root(coeffs, z) for z in seeds]
     else:
-        seeds, snap = _float_seeds(coeffs), True
+        seeds = _float_seeds(coeffs)
     steps = max(6, bits.bit_length() + 2)
     out = []
     for seed in seeds:
@@ -476,12 +419,9 @@ def _solve_square_free(q: Polynomial, e: int, bits: int
             return None
         z = gauss_ratio(a, b, c)
         r = Fraction(u, 1 << bits)
-        snapped = _snap_to_exact_root(coeffs, z, r) if snap else None
-        if snapped is None:
-            out.append((SpherePoint(z), r, (c, at)))
-        else:
-            out.append((SpherePoint(snapped), ZERO, (snapped.d, horner_int(
-                coeffs, snapped.x, snapped.y, snapped.d))))
+        snapped = _snap_to_exact_root(coeffs, z, r) if q.degree > 2 else None
+        out.append((SpherePoint(z), r, (c, at)) if snapped is None
+                   else _exact_root(coeffs, snapped))
     return out
 
 
@@ -520,7 +460,8 @@ def certified_roots(p: Polynomial, l: int) -> list[RootCluster]:
     Multiplicities sum to deg p; distinct clusters have disjoint chordal
     discs (and Euclidean ones, which follows).  Rung 0 solves p as one
     simple factor; when that fails, Yun's factors are solved on rungs 1 to
-    10, and PrecisionExhausted is raised if none of them certifies.
+    10 (2 to 10 when p is square-free), and PrecisionExhausted is raised
+    if none of them certifies.
 
     Chordal radii are rounded up at l + 4 bits, plus the bits each rung
     past the first adds to the working precision: roots chordally closer
@@ -533,7 +474,10 @@ def certified_roots(p: Polynomial, l: int) -> list[RootCluster]:
     clusters = _solve_factors([(p, 1)], l, 0)
     if clusters is None:
         factors = square_free_decomposition(p)
-        for rung in range(1, 11):
+        # A square-free p is its own one factor, which rung 1 would solve
+        # exactly as rung 0 did.
+        first = 2 if [m for _, m in factors] == [1] else 1
+        for rung in range(first, 11):
             clusters = _solve_factors(factors, l, rung)
             if clusters is not None:
                 break

@@ -344,12 +344,19 @@ def parse_jacobian(text: str) -> JacobianSpec:
 
 def tile_complex_to_json(c):
     """Tiles of a `thurston.TileComplex` by face and vertex coordinates,
-    with each tile's parent id."""
+    with each tile's parent id.  A vertex is shared by several tiles, so
+    its coordinates are formatted once, and its tiles share the list."""
+    coords = {}
+
+    def vertex(v):
+        if v not in coords:
+            coords[v] = [format_rational(x) for x in v.coords]
+        return coords[v]
+
     return {
         "rule": c.rule,
         "level": c.level,
-        "tiles": [{"id": t.id, "face": t.face,
-                   "verts": [[format_rational(x) for x in v.coords] for v in t.verts]}
+        "tiles": [{"id": t.id, "face": t.face, "verts": [vertex(v) for v in t.verts]}
                   for t in c.tiles],
         "parent": [t.parent_id for t in c.tiles],
     }

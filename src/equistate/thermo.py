@@ -19,7 +19,7 @@ child as integer quotients, and their square roots are integer square
 roots at a fixed scale.  Each node's children are the clusters of one
 `certified_roots` call on g, which rung 0 nearly always certifies, and
 there g's values are the solve's own (`RootCluster.horner`), read where
-Newton stopped or at the exact root the snap found; only P, and g on a
+Newton stopped or at the exact root the solve found; only P, and g on a
 later rung, get a pass of their own.  Each pass reads the polynomial's
 integer form C = m*q, with m divided back out (see `polynomials`).  The
 sibling disjointness test cross-multiplies integers as well, the squared

@@ -159,9 +159,6 @@ class Tile(NamedTuple):
     parent_id: int | None
     bary: TilePoint
 
-    def barycenter(self) -> TilePoint:
-        return self.bary
-
     @property
     def chart(self) -> tuple[Triple, Triple, Triple]:
         """Integer rows of the chart onto target_face, one per corner A, B, C.
@@ -407,7 +404,7 @@ def mme_tile_measure(rule: str, n: int) -> FiniteMeasure:
     """
     tiles = tile_complex(rule, n).tiles
     w = Fraction(1, len(tiles))
-    points = [t.barycenter() for t in tiles]
+    points = [t.bary for t in tiles]
     return FiniteMeasure(TRI, tuple((points[i], w) for i in tile_order(points)))
 
 

@@ -25,9 +25,8 @@ from equistate.gauss import GaussRat, euclid_sq_parts, gauss_ratio
 from equistate.polynomials import Polynomial, horner_int, square_free_decomposition
 from equistate.ratmap import RationalMapRec
 from equistate import roots
-from equistate.roots import (RootCluster, _clusters_disjoint, _gauss_from_complex,
-                             _int_newton_step, _limit_denominator, _quadratic_seeds,
-                             _snap_to_exact_root, certified_roots)
+from equistate.roots import (RootCluster, _clusters_disjoint, _float_seeds, _int_newton_step,
+                             _quadratic_seeds, _snap_to_exact_root, certified_roots)
 from equistate.serialize import map_to_json, parse_map
 from equistate.sphere import SpherePoint, chordal_disc_radius, chordal_sq_parts
 
@@ -143,50 +142,6 @@ def _ref_certified_roots(p, l):
 # -- the bounded-denominator search on integers ----------------------------------
 
 
-def _farey_tie(a: int, b: int, bound: int) -> F:
-    """The midpoint of a/b (reduced, b <= bound) and its right neighbour
-    c/e among the fractions of denominator <= bound: c b - a e = 1 with
-    the largest e <= bound.  Both are equally close to it."""
-    e = (-pow(a, -1, b)) % b if b > 1 else 0
-    e += (bound - e) // b * b
-    c = (1 + a * e) // b
-    return (F(a, b) + F(c, e)) / 2
-
-
-def test_limit_denominator_matches_the_stdlib():
-    """The integer search returns Fraction.limit_denominator's value, as a
-    reduced pair with a positive denominator, on 12,000 seeded inputs:
-    unreduced and negative n/d, d within the bound, exact ties between
-    the two candidates, and every bound the snap and the seeds use."""
-    rng = random.Random(14)
-    bounds = list(_SNAP_DENOMS) + [1 << 60]
-    ties = 0
-    for i in range(12000):
-        bound = bounds[i % len(bounds)]
-        kind = rng.randrange(4)
-        if kind == 0:  # Newton iterates: numerators over a power of two
-            bits = rng.choice([20, 64, 120, 200])
-            q = F(rng.randint(-(5 << bits), 5 << bits), 1 << bits)
-        elif kind == 1:  # denominators within the bound, and just above it
-            q = F(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, bound + 3))
-        elif kind == 2:  # exact ties
-            b = rng.randint(1, min(bound, 10 ** 9))
-            a = rng.randint(-5 * b, 5 * b)
-            while math.gcd(a, b) != 1:
-                a += 1
-            q = _farey_tie(a, b, bound)
-            ties += 1
-        else:  # floats, as the seeds are
-            q = F(rng.uniform(-100, 100) * 2.0 ** rng.randint(-40, 40))
-        k = rng.choice([1, 1, 3, 1 << 40, 6 * 10 ** 7]) * rng.choice([1, -1])
-        n, d = q.numerator * k, q.denominator * k
-        if d < 0:
-            n, d = -n, -d
-        want = q.limit_denominator(bound)
-        assert _limit_denominator(n, d, bound) == (want.numerator, want.denominator), (n, d, bound)
-    assert ties >= 2500
-
-
 def _triple(z: GaussRat) -> tuple[int, int, int]:
     return z.x, z.y, z.d
 
@@ -200,33 +155,39 @@ def _ref_snap(q: Polynomial, z: GaussRat, rad: F):
     return None
 
 
-def test_snap_and_seeds_match_the_fraction_forms():
+def test_snap_and_seeds_match_the_fraction_forms(monkeypatch):
     """The snap finds the same exact root as the Fraction search, or none,
-    near planted roots with denominators up to 300 and off them; the float
-    seeds round to the reduced triples of the same Gaussian rationals."""
+    near planted roots with denominators up to 300 and off them.  Each
+    float seed is 2^s times the multiple of 2^-60 nearest a float root w
+    of p(2^s w), s = `_root_scale` (ties away from zero, as a Newton step
+    rounds), and a non-finite w seeds 0."""
     rng = random.Random(15)
     found = 0
     for _ in range(300):
-        roots = [G(F(rng.randint(-40, 40), rng.randint(1, 300)),
+        planted = [G(F(rng.randint(-40, 40), rng.randint(1, 300)),
                    F(rng.randint(-40, 40), rng.randint(1, 300)))
                  for _ in range(rng.randint(1, 3))]
-        q = poly_from_roots(roots)
+        q = poly_from_roots(planted)
         if rng.randrange(3) == 0:
             q = q + Polynomial.of(G(F(1, 1 << rng.randint(10, 40))))
         coeffs = q.C
         bits = rng.choice([64, 96, 128])
-        for r in roots:
+        for r in planted:
             z = G(F(round(r.re * (1 << bits)) + rng.randint(-3, 3), 1 << bits),
                   F(round(r.im * (1 << bits)) + rng.randint(-3, 3), 1 << bits))
             rad = rng.choice([F(0), F(1, 1 << (bits - 4)), F(1, 1 << rng.randint(2, 30))])
             got = _snap_to_exact_root(coeffs, z, rad)
             assert got == _ref_snap(q, z, rad), (q, z, rad)
             found += got is not None
-        for w in (complex(z) for z in roots):
-            w += complex(rng.uniform(-1e-3, 1e-3), rng.uniform(-1e-3, 1e-3))
-            assert _gauss_from_complex(w, 60) == _triple(_ref_seed(w))
+        q = q * Polynomial.of(G(F(1, 1 << rng.randint(0, 90)), rng.randint(0, 9)))
+        s = roots._root_scale(q.C)
+        scale = G(F(2) ** s)
+        want = [_round(G(F(w.real), F(w.imag)), 60) * scale
+                for w in roots._aberth(roots._monic_floats(q.C, s))]
+        assert [gauss_ratio(*t) for t in _float_seeds(q.C)] == want, q
     assert found >= 100
-    assert _gauss_from_complex(complex(math.inf, 1), 60) == _triple(_ref_seed(complex(math.inf, 1)))
+    monkeypatch.setattr(roots, "_aberth", lambda a: [complex(math.inf, 1), complex(2, math.nan)])
+    assert [gauss_ratio(*t) for t in _float_seeds(Polynomial.of(-3, 0, 1).C)] == [G(0)] * 2
 
 
 # -- seeded polynomials --------------------------------------------------------
@@ -342,8 +303,8 @@ def _clusters_digest(polys, l):
 
 def _pin_quadratics():
     """3,000 quadratics with a real or non-real leading coefficient: half
-    with two planted roots in Q(i), of denominators up to 4, 16 or 300 (the
-    snap finds those up to 256), half with random coefficients."""
+    with two planted roots in Q(i), of denominators up to 4, 16 or 300,
+    half with random coefficients."""
     rng = random.Random(28)
 
     def gq(num, den):
@@ -361,16 +322,63 @@ def _pin_quadratics():
     return out
 
 
-# Recorded with the float closed-form seeds and the snap on every root.
+# Every root of a quadratic whose discriminant is a square in Z[i] is
+# exact: 3,000 of the 6,000.
 _QUADRATIC_PINS = {
-    10: "62c458f2237e52b9425edec38204235bf505bf8e10971e373d69445448163b98",
-    48: "e36a99b181d6f0977a776afb2d36f6a6b7d5f9296a50ee348c1c0354ef5a289d",
+    10: "4453bac7ed8b4224227124e6ec07cd14b8920f26813cde6fbd71de7274b2b6e4",
+    48: "9077d0d751cf012bdfd64000091cb0a465e16510c7a36dc98fa5879433d7dc52",
 }
 
 
 @pytest.mark.parametrize("l", sorted(_QUADRATIC_PINS))
 def test_quadratic_clusters_match_the_pin(l):
-    assert _clusters_digest(_pin_quadratics(), l) == (_QUADRATIC_PINS[l], 2825)
+    assert _clusters_digest(_pin_quadratics(), l) == (_QUADRATIC_PINS[l], 3000)
+
+
+def _spread_polynomials():
+    """440 polynomials of degree 3 to 6 with simple roots whose parts run
+    from about 2^-30 to 50: planted roots in Q(i) with small, large or
+    dyadic denominators, and the same moved off Q(i) by a small constant,
+    with a real or non-real leading coefficient.  Their float roots are
+    chordally more than 2^-9 apart: in a tighter cluster Newton can spend
+    its step budget before it reaches a fixed point, and where it stops
+    then depends on the float seed."""
+    rng = random.Random(33)
+
+    def part():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return F(rng.randint(-50, 50), rng.choice((1, 3, 7, 8)))
+        if kind == 1:
+            return F(rng.choice((1, -1)) * rng.randint(1, 999), 1 << rng.randint(10, 30))
+        return F(rng.randint(-50 * 997, 50 * 997), 997)
+
+    out = []
+    while len(out) < 440:
+        planted = [G(part(), part()) for _ in range(rng.randint(3, 6))]
+        lead = G(rng.randint(1, 9), rng.choice((0, 0, rng.randint(-9, 9))))
+        p = poly_from_roots(planted) * Polynomial.of(lead)
+        if rng.randrange(3) == 0:
+            p = p + Polynomial.of(G(F(rng.choice((1, -1)), 1 << rng.randint(8, 40))))
+        zs = _float_roots(p)
+        if all(_chordal(a, b) > 2 ** -9 for i, a in enumerate(zs) for b in zs[i + 1:]):
+            out.append(p)
+    return out
+
+
+# Recorded with float seeds rounded by a continued-fraction search, from an
+# unscaled first attempt, and the snap on integers; the scaled seeds on the
+# 2^-60 grid and the snap on `Fraction.limit_denominator` give the same
+# clusters.
+_SPREAD_PINS = {
+    10: ("3fc445d773253171ac913e14b4ad47498898dd99944ef51ad082c7402dda147c", 464),
+    40: ("d00923105b5c4c3cd7f0d0abbfb769ab11f43ef19d8ab9b5940f760c2b382b65", 464),
+}
+
+
+@pytest.mark.parametrize("l", sorted(_SPREAD_PINS))
+def test_spread_clusters_match_the_pin(l):
+    assert _clusters_digest(_spread_polynomials(), l) == _SPREAD_PINS[l]
 
 
 def _tie_quadratics(l, on_grid):
@@ -397,20 +405,20 @@ def _tie_quadratics(l, on_grid):
     return out
 
 
-# Recorded with the float closed-form seeds and the snap on every root.
+# Both roots are in Q(i), so both are exact.
 _TIE_PINS = {
-    10: "05356fe1106891cf0e5e15e577c550889c19a310151042de2e2b1a0815af5959",
-    20: "7afc7a3e6838a44d597b8c9fd54c21782d0d32c3d7e483cf0b65f78b2313b043",
-    30: "249276141694062da84386793a8272a81c40fdb08cfdf7df07a444a0ad96d416",
+    10: "3fcafef7f750cb85b48f215c5a2eb5f893fcb8b6b1032699542b7e677d7e5961",
+    20: "b556cacfa78ca0ca5264504906185bc1050dc5cbd36620e1c95c797712cca2e2",
+    30: "835e181d27a653806b1d81712f33eb8ebdc4f4dfd2bd12f7c405234fc24398c3",
 }
 
 
 @pytest.mark.parametrize("l", sorted(_TIE_PINS))
 def test_tie_clusters_match_the_pin(l):
-    """With r1's other part on the grid or on a tie, the rounded Newton map
-    has one fixed point next to r1, so every seed ends there."""
+    """Roots planted on a rounding tie are in Q(i), so a quadratic finds
+    them exactly, with no Newton step to stop on either side."""
     polys = [q for q, _, _ in _tie_quadratics(l, True)]
-    assert _clusters_digest(polys, l) == (_TIE_PINS[l], 300)
+    assert _clusters_digest(polys, l) == (_TIE_PINS[l], 600)
 
 
 def _tie_neighbours(r1, bits):
@@ -431,21 +439,14 @@ def test_off_grid_ties_stop_next_to_the_root(l):
     the grid point Newton stops at depends on where it started; a 2-cycle
     stops at its point of smaller |q/q'|, from either neighbour and with
     either budget parity (9 or 10 steps), where the whole budget used to
-    run out on whichever point its parity left.  Every cluster is still
-    certified: r1's midpoint is a grid point next to r1 whose disc holds
-    r1, and r2 is found exactly."""
+    run out on whichever point its parity left.  `certified_roots` needs
+    no Newton step here: both roots are in Q(i) and come out exact."""
     bits = max(2 * (l + 8), 64)
     kinds = {"two fixed points": 0, "2-cycle": 0, "one fixed point": 0}
     for q, r1, r2 in _tie_quadratics(l, False):
         clusters = certified_roots(q, l)
-        assert len(clusters) == 2 and all(c.multiplicity == 1 for c in clusters)
-        near = [c for c in clusters if c.euclid_rad > 0]
-        assert [c.midpoint for c in clusters if c.euclid_rad == 0] == [r2]
-        assert len(near) == 1
-        z, rad = near[0].midpoint, near[0].euclid_rad
-        assert (z - r1).abs2() <= rad * rad
-        assert abs(z.re - r1.re) <= F(1, 1 << bits) and abs(z.im - r1.im) <= F(1, 1 << bits)
-        assert near[0].center.rad <= F(1, 1 << l)
+        assert {c.midpoint for c in clusters} == {r1, r2}
+        assert all(c.multiplicity == 1 and c.euclid_rad == 0 for c in clusters)
 
         pair = _tie_neighbours(r1, bits)
         images = [_kernel_step(q, w, bits) for w in pair]
@@ -460,7 +461,9 @@ def test_off_grid_ties_stop_next_to_the_root(l):
             kinds["two fixed points"] += 1
             assert [stops[w, 9] for w in pair] == pair
             continue
-        assert stops[pair[0], 9] == stops[pair[1], 9] == z
+        z = stops[pair[0], 9]
+        assert stops[pair[1], 9] == z
+        assert abs(z.re - r1.re) <= F(1, 1 << bits) and abs(z.im - r1.im) <= F(1, 1 << bits)
         if images == pair[::-1]:
             kinds["2-cycle"] += 1
             dq = q.derivative()
@@ -471,6 +474,57 @@ def test_off_grid_ties_stop_next_to_the_root(l):
         else:
             kinds["one fixed point"] += 1
     assert min(kinds.values()) >= 15, kinds
+
+
+def _tie_cubics(l, on_grid):
+    """The tie quadratics times z - r3, for an r3 of denominators 1 to 4
+    apart from r2: (p, r1, r2, r3) quadruples.  Their roots are seeded by
+    floats, so Newton meets the tie."""
+    rng = random.Random(l + 100 * on_grid + 7)
+    out = []
+    for q, r1, r2 in _tie_quadratics(l, on_grid):
+        r3 = r2
+        while r3 == r2:
+            r3 = G(F(rng.randint(-20, 20), rng.randint(1, 4)), F(rng.randint(-20, 20), rng.randint(1, 4)))
+        out.append((q * Polynomial.of(-r3, 1), r1, r2, r3))
+    return out
+
+
+# Recorded with float seeds rounded by a continued-fraction search, from an
+# unscaled first attempt; the scaled seeds on the 2^-60 grid give the same
+# clusters.
+_TIE_CUBIC_PINS = {
+    10: "20b1615d49ca288124c7fab913bfeb283cf489f9e6e3c4096d474ee084938f66",
+    20: "587228028228cd0e9da9392c9b73021a17921c6fa147f4c177babbd81c84bb16",
+    30: "7baaa0120c68b929bae5076c95fb2001ac6c725cc065f8d2b575ff3004431b7b",
+}
+
+
+@pytest.mark.parametrize("l", sorted(_TIE_CUBIC_PINS))
+def test_tie_cubic_clusters_match_the_pin(l):
+    """With r1's other part on the grid or on a tie, the rounded Newton map
+    has one fixed point next to r1, so every seed ends there; r2 and r3
+    are snapped."""
+    polys = [p for p, _, _, _ in _tie_cubics(l, True)]
+    assert _clusters_digest(polys, l) == (_TIE_CUBIC_PINS[l], 600)
+
+
+@pytest.mark.parametrize("l", [10, 20, 30])
+def test_off_grid_tie_cubics_stop_next_to_the_root(l):
+    """With r1's other part off the grid, every cluster is still
+    certified: r1's midpoint is a grid point next to r1 whose disc holds
+    r1, and r2 and r3 are found exactly."""
+    bits = max(2 * (l + 8), 64)
+    for p, r1, r2, r3 in _tie_cubics(l, False):
+        clusters = certified_roots(p, l)
+        assert [c.multiplicity for c in clusters] == [1, 1, 1]
+        assert {c.midpoint for c in clusters if c.euclid_rad == 0} == {r2, r3}
+        near = [c for c in clusters if c.euclid_rad > 0]
+        assert len(near) == 1
+        z, rad = near[0].midpoint, near[0].euclid_rad
+        assert (z - r1).abs2() <= rad * rad
+        assert abs(z.re - r1.re) <= F(1, 1 << bits) and abs(z.im - r1.im) <= F(1, 1 << bits)
+        assert near[0].center.rad <= F(1, 1 << l)
 
 
 # -- the multiplier of the integer form changes no root ----------------------------
@@ -647,13 +701,22 @@ def test_quadratic_square_flag_is_a_root_in_q_i():
 
 @pytest.mark.parametrize("bits", [64, 97, 200])
 def test_quadratic_seeds_lie_near_mpmath_roots(bits):
-    """Each seed is within 2^-(bits-4) of a 100-digit mpmath root, and the
-    two seeds sit near different roots when the roots are farther apart."""
+    """When D is a square in Z[i] the two values are q's exact roots: q
+    vanishes at both, and they are distinct unless D = 0.  Otherwise each
+    seed is within 2^-(bits-4) of a 100-digit mpmath root, and the two
+    seeds sit near different roots when the roots are farther apart."""
     mpmath = pytest.importorskip("mpmath")
     tol = mpmath.mpf(2) ** -(bits - 4)
+    exacts = 0
     with mpmath.workdps(100):
         for C in _quadratic_cases():
-            seeds, _ = _quadratic_seeds(C, bits)
+            seeds, exact = _quadratic_seeds(C, bits)
+            if exact:
+                q = Polynomial(C, 1)
+                assert all(q(z).is_zero() for z in seeds), C
+                assert (seeds[0] == seeds[1]) == _discriminant(C).is_zero(), C
+                exacts += 1
+                continue
             assert all(d == 1 << bits for _, _, d in seeds)
             want = _mp_quadratic_roots(mpmath, C)
             got = [mpmath.mpc(x, y) / (1 << bits) for x, y, _ in seeds]
@@ -661,30 +724,66 @@ def test_quadratic_seeds_lie_near_mpmath_roots(bits):
             assert all(any(row) for row in near), C
             if abs(want[0] - want[1]) > 2 * tol:
                 assert near[0] != near[1], C
+    assert exacts >= 200
 
 
-def test_snap_runs_only_for_a_square_discriminant(monkeypatch):
-    """A snap that raises is never reached for quadratics whose
-    discriminant is not a square, at any precision or on the Yun path, and
-    is reached for one whose discriminant is."""
+def test_snap_runs_only_for_degree_three_and_up(monkeypatch):
+    """A snap that raises is never reached by a quadratic, at any precision
+    or on the Yun path, whether its discriminant is a square in Z[i] (z^2 -
+    4, planted roots in Q(i), a double root) or not; a cubic with an exact
+    root reaches it."""
     def refuse(*args):
         raise AssertionError("snap reached")
 
     rng = random.Random(30)
     # roots 1.4e-6 apart: the first attempt fails and the retries run
     close = poly_from_roots([G(F(1, 3)), G(F(1, 3))]) - Polynomial.of(F(1, 2 * 10 ** 12))
-    polys = [Polynomial.of(-2, 0, 1), Polynomial.of(G(0, 1), 0, 1), Polynomial.of(1, 1, 1),
-             Polynomial.of(G(F(1, 3), F(-2, 7)), G(0, 5), G(2, 1)), close]
+    polys = [Polynomial.of(-2, 0, 1), Polynomial.of(-4, 0, 1), Polynomial.of(G(0, 1), 0, 1),
+             Polynomial.of(1, 1, 1), Polynomial.of(G(F(1, 3), F(-2, 7)), G(0, 5), G(2, 1)), close,
+             poly_from_roots([G(F(1, 3), 2)] * 2)]
     polys += [Polynomial.of(G(rng.randint(-99, 99), rng.randint(-99, 99)),
                             G(rng.randint(-99, 99), rng.randint(-99, 99)), G(rng.randint(1, 9)))
               for _ in range(100)]
-    polys = [p for p in polys if not _quadratic_seeds(p.C, 64)[1]]
-    assert len(polys) >= 100 and close in polys
+    polys += [poly_from_roots([G(F(rng.randint(-99, 99), rng.randint(1, 999)), F(rng.randint(-99, 99), 7))
+                               for _ in range(2)]) for _ in range(50)]
+    assert sum(_quadratic_seeds(p.C, 64)[1] for p in polys) >= 52
     want = [[certified_roots(p, l) for l in (10, 40)] for p in polys]
     monkeypatch.setattr(roots, "_snap_to_exact_root", refuse)
     assert [[certified_roots(p, l) for l in (10, 40)] for p in polys] == want
     with pytest.raises(AssertionError, match="snap reached"):
-        certified_roots(Polynomial.of(-4, 0, 1), 10)
+        certified_roots(poly_from_roots([G(F(1, 3))]) * Polynomial.of(2, 0, 1), 10)
+
+
+@pytest.mark.parametrize("l", [10, 30, 60])
+def test_quadratic_roots_in_q_i_are_exact_at_any_denominator(l):
+    """22999/1000 + 13993/500 i, beside 3/257 - 5/263 i: denominators
+    beyond any bounded search, yet both roots come out exact, with radius
+    0, where q vanishes."""
+    r1, r2 = G(F(22999, 1000), F(13993, 500)), G(F(3, 257), F(-5, 263))
+    q = poly_from_roots([r1, r2]) * Polynomial.of(G(3, -2))
+    clusters = certified_roots(q, l)
+    assert {c.midpoint for c in clusters} == {r1, r2}
+    assert all(c.euclid_rad == 0 and c.multiplicity == 1 for c in clusters)
+    assert all(q(c.midpoint).is_zero() for c in clusters)
+
+
+def test_a_square_free_p_skips_the_repeated_rung(monkeypatch):
+    """z^2 - (2^96 + 1) at l = 42, the preimage level of
+    `test_siblings_near_infinity_fall_back_to_the_reference`: rung 0
+    fails, Yun runs once and finds p square-free, and rung 1, which would
+    solve p again at the same precision, is skipped for rung 2.  A p with
+    a repeated root still takes rung 1."""
+    rungs, yun = [], []
+    solve, decompose = roots._solve_factors, roots.square_free_decomposition
+    monkeypatch.setattr(roots, "_solve_factors",
+                        lambda factors, l, rung: rungs.append(rung) or solve(factors, l, rung))
+    monkeypatch.setattr(roots, "square_free_decomposition", lambda p: yun.append(p) or decompose(p))
+    clusters = certified_roots(Polynomial.of(-(2 ** 96 + 1), 0, 1), 42)
+    assert rungs == [0, 2] and len(yun) == 1
+    assert [c.midpoint.d.bit_length() for c in clusters] == [148, 148]
+    rungs.clear()
+    assert [c.multiplicity for c in certified_roots(poly_from_roots([G(1), G(1)]), 10)] == [2]
+    assert rungs == [0, 1]
 
 
 # -- chordally close roots ------------------------------------------------------

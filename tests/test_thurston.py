@@ -154,9 +154,9 @@ def test_eval_map_barycenters():
         c = tile_complex(rule, 1)
         below = tile_complex(rule, 0)
         for t in c.tiles:
-            img = g.eval(t.barycenter())
+            img = g.eval(t.bary)
             parent = below.tiles[t.parent_id]
-            assert img == parent.barycenter()
+            assert img == parent.bary
 
 
 def test_eval_map_vertices_land_on_corners():
@@ -192,7 +192,7 @@ def test_preimages_round_trip(rule):
     degree, and each level-1 chart inverts its pullback."""
     g = SubdivisionMap(rule)
     c = tile_complex(rule, 2)
-    points = _vertices(c) | {t.barycenter() for t in c.tiles}
+    points = _vertices(c) | {t.bary for t in c.tiles}
     for x in points:
         pres = g.preimages(x)
         assert all(g.eval(y) == x for y, _ in pres)
@@ -280,7 +280,7 @@ def test_tile_measure_atoms_are_distinct_without_a_merge(rule):
         mu = mme_tile_measure(rule, n)
         assert len(mu) == len(tiles)
         assert mu == FiniteMeasure.from_atoms(
-            TRI, [(t.barycenter(), F(1, len(tiles))) for t in tiles])
+            TRI, [(t.bary, F(1, len(tiles))) for t in tiles])
 
 
 def test_tile_work_is_one_pullback_per_vertex_and_chart_and_one_per_tile(monkeypatch):
@@ -389,10 +389,10 @@ def test_wasserstein_cauchy_small_levels():
             plan = []
             w = F(1, len(fine.tiles))
             for t in fine.tiles:
-                b = t.barycenter()
+                b = t.bary
                 # The coarse tile that contains t is the one holding its barycenter.
                 container = next(c for c in coarse.tiles if _image(c, b) is not None)
-                src, dst = child_atoms[b], parent_atoms[container.barycenter()]
+                src, dst = child_atoms[b], parent_atoms[container.bary]
                 plan.append((src, dst, w))
             cost = transport_cost_of_pairing(mu_child, mu_parent, plan, 30)
             diam = max_tile_diameter(coarse, 30)
@@ -556,7 +556,7 @@ def test_homogeneous_point_rejects_invalid_triples(abc):
 def test_barycenters_agree_with_fraction_means():
     for t in tile_complex("g2", 2).tiles:
         mean = [sum(v.coords[k] for v in t.verts) / 3 for k in range(3)]
-        assert t.barycenter() == tile_point(t.face, *mean)
+        assert t.bary == tile_point(t.face, *mean)
     pts = [tile_point(BACK, F(1, 3), F(1, 3), F(1, 3)),
            tile_point(BACK, F(1, 2), F(1, 4), F(1, 4))]
     assert barycenter(pts, BACK) == tile_point(BACK, F(5, 12), F(7, 24), F(7, 24))
@@ -608,7 +608,7 @@ def _location_points(rule):
     c = tile_complex(rule, 2)
     points = set(_vertices(c))
     for t in c.tiles:
-        points.add(t.barycenter())
+        points.add(t.bary)
         for a, b in ((0, 1), (1, 2), (0, 2)):
             points.add(barycenter([t.verts[a], t.verts[b]], t.face))
     rng = random.Random(f"locate-{rule}")
@@ -712,7 +712,7 @@ def test_tile_measures_pushforwards_and_preimages_match_level4_pin():
                 feed(rule, n, name, [(p.face, p.abc, str(w)) for p, w in nu.atoms])
         feed(json.dumps(tile_complex_to_json(tile_complex(rule, 4)), sort_keys=True))
         c = tile_complex(rule, 2)
-        for x in sorted(_vertices(c) | {t.barycenter() for t in c.tiles}):
+        for x in sorted(_vertices(c) | {t.bary for t in c.tiles}):
             feed(x, g.preimages(x))
     assert h.hexdigest() == _LEVEL4_PIN
 

@@ -406,7 +406,7 @@ def test_membership_tile_measure_passes_within_refinement_mesh():
     ones = tile_complex("g1", 1)
     # Patch strictly inside one level-1 tile: injectivity is structural.
     t0 = ones.tiles[0]
-    center = t0.barycenter()
+    center = t0.bary
     patches = PatchSystem("tri_sphere", [BallPatch("tri_sphere", center, F(1, 8))])
     tests = [TestFunction("tri_sphere", center, F(1, 64), F(1, 32))]
     mesh = max_tile_diameter(tile_complex("g1", 3), 30).upper()
@@ -467,7 +467,7 @@ def _tile_case():
     from equistate.thurston import max_tile_diameter, tile_complex
 
     mu = mme_tile_measure("g1", 2)
-    centers = [t.barycenter() for t in tile_complex("g1", 1).tiles[:3]]
+    centers = [t.bary for t in tile_complex("g1", 1).tiles[:3]]
     patches = PatchSystem("tri_sphere", [BallPatch("tri_sphere", c, F(1, 8)) for c in centers])
     tests = [TestFunction("tri_sphere", centers[0], F(1, 64), F(1, 32)),
              TestFunction("tri_sphere", mu.atoms[5][0], F(0), F(1, 3))]

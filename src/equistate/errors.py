@@ -54,7 +54,7 @@ class NotAVertex(EquistateError):
 
 
 class RuleMismatch(EquistateError):
-    """A tile complex was combined with a different subdivision rule."""
+    """A subdivision rule name that is not one of the known rules."""
 
 
 class ParseError(EquistateError):

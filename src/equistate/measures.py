@@ -129,8 +129,6 @@ def integrate(mu: FiniteMeasure, f: Callable[[Point], BallReal]) -> BallReal:
         except Exception as exc:  # surface the atom, keep the cause
             raise EvaluationFailure(f"integrand failed at atom {p!r}: {exc}") from exc
         terms.append(val.scale(w))
-    if not terms:
-        return BallReal.exact(0)
     return ball_sum(terms)
 
 
@@ -262,8 +260,7 @@ def transport_cost_of_pairing(mu: FiniteMeasure, nu: FiniteMeasure,
         for i, j, mass in plan
         if mass > 0
     ]
-    base = ball_sum(terms) if terms else BallReal.exact(0)
-    return base.widen(mu.atom_error + nu.atom_error)
+    return ball_sum(terms).widen(mu.atom_error + nu.atom_error)
 
 
 # -- test functions and setwise comparison ------------------------------

@@ -25,12 +25,17 @@ from fractions import Fraction
 from functools import cached_property
 
 from .dyadics import ZERO, sqrt_lower_numerator
-from .errors import ExcludedPoint
+from .errors import ExcludedPoint, PrecisionExhausted
 from .gauss import GaussRat
 from .polynomials import IntPairs, Polynomial, poly_gcd
 from .roots import RootCluster, certified_roots
 from .sphere import INF, SpherePoint
 
+# `orbit` refuses a step whose image would pass this many bits in a
+# numerator or denominator.  The bits grow deg(f)-fold per step, and the
+# gcd that reduces an image is quadratic in them: for (z^2+1)/(z^2-1) from
+# -1/2+3i the orbit up to 2^17 bits takes 0.35 s, up to 2^22 minutes.
+_MAX_ORBIT_BITS = 1 << 17
 
 @dataclass(frozen=True)
 class RationalMapRec:
@@ -85,10 +90,17 @@ class RationalMapRec:
         return SpherePoint(self.num(z) / d)
 
     def orbit(self, p: SpherePoint, n: int) -> list[SpherePoint]:
-        """[p, f(p), ..., f^(n-1)(p)] computed exactly."""
+        """[p, f(p), ..., f^(n-1)(p)] computed exactly.  Raises
+        PrecisionExhausted rather than apply f to a point with b bits in a
+        numerator or denominator where deg(f) b > `_MAX_ORBIT_BITS`."""
         out = [p]
-        for _ in range(n - 1):
-            out.append(self.apply(out[-1]))
+        for k in range(1, n):
+            z = p.value
+            if z is not None and max(abs(z.x), abs(z.y), z.d).bit_length() * self.degree \
+                    > _MAX_ORBIT_BITS:
+                raise PrecisionExhausted(f"orbit point {k} would pass {_MAX_ORBIT_BITS} bits")
+            p = self.apply(p)
+            out.append(p)
         return out
 
     def infinity_orbit(self, n: int) -> list[SpherePoint]:

@@ -137,11 +137,10 @@ def _rat_enumerate(i: int) -> Fraction:
 
 
 def _cantor_unpair(k: int) -> tuple[int, int]:
+    """The k-th pair (i, j = d + 2 - i), for k = d(d+1)/2 + i and 1 <= i <=
+    d + 1: 8k - 7 = (2d+1)^2 + 8(i-1) is in [(2d+1)^2, (2d+3)^2), so
+    isqrt(8k - 7) is 2d + 1 or 2d + 2, and it gives d exactly."""
     d = (math.isqrt(8 * k - 7) - 1) // 2
-    while d * (d + 1) // 2 >= k:
-        d -= 1
-    while (d + 1) * (d + 2) // 2 < k:
-        d += 1
     i = k - d * (d + 1) // 2
     return i, d + 2 - i
 

@@ -16,19 +16,21 @@ table; no vertex degree or incidence count is ever hard-coded.
 The map locates a point by sign tests read off the rule table: each chart
 row of a level-1 tile is a signed multiple of one of the few distinct
 edge lines of the level-1 tiles (six for g1, nine for g2), so a point
-evaluates each line once, and the tile that holds it, together with its
-chart image, follows from those values (lowest tile id wins on shared
-edges).  Level-n tiles are pulled back through the level-1 charts, one
-pullback per vertex and chart, and each tile's barycenter is built with
-it, as the pullback of the barycenter of the tile it maps onto.  The
-charts' pullback rows and sign tests are cached on the level-1 complex,
-which `tile_complex`'s cache owns, so clearing that cache clears them
-too; a tile is a named tuple and holds no cache.
+evaluates each line once, and the first tile that holds it, the lowest
+id, gives its chart image from those values.  The preimages of a point
+are its pullbacks through the level-1 charts onto its face, and the local
+degree of each is the number of charts that give it.  Level-n tiles are
+pulled back through the level-1 charts, one pullback per vertex and
+chart, and each tile's barycenter is built with it, as the pullback of
+the barycenter of the tile it maps onto.  The charts' pullback rows and
+sign tests are cached on the level-1 complex, which `tile_complex`'s
+cache owns, so clearing that cache clears them too; a tile is a named
+tuple and holds no cache.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -247,27 +249,6 @@ class TileComplex:
         by_face = {face: [x for x in tests if x[0].face == face] for face in (FRONT, BACK)}
         return list(lines), by_face, tests
 
-    def holding(self, p: TilePoint) -> Iterator[tuple[Tile, Triple]]:
-        """The tiles whose closure holds p, in id order, each with the
-        chart image of p as an unreduced triple.
-
-        Every line is evaluated once.  Only tiles on p's face can hold an
-        interior point; a boundary point tries every tile.
-        """
-        lines, by_face, tests = self._sign_tests
-        a, b, c = p.abc
-        vals = [x * a + y * b + z * c for x, y, z in lines]
-        for t, ka, ga, kb, gb, kc, gc in tests if p.on_boundary else by_face[p.face]:
-            qa = ga * vals[ka]
-            if qa < 0:
-                continue
-            qb = gb * vals[kb]
-            if qb < 0:
-                continue
-            qc = gc * vals[kc]
-            if qc >= 0:
-                yield t, (qa, qb, qc)
-
 
 def _level_one_tiles(table: RuleTable) -> list[Tile]:
     tiles: list[Tile] = []
@@ -345,34 +326,41 @@ class SubdivisionMap:
     def eval(self, p: TilePoint) -> TilePoint:
         """Image of p: locate p in a level-1 tile and apply its chart.
 
-        The location is by sign tests from the rule table: p's values on
-        the distinct edge lines of the level-1 tiles, each evaluated once,
-        decide which tiles hold it, and the same values times the chart's
-        scales are its image (see `TileComplex.holding`).  A point on
-        shared edges goes to the lowest tile id that holds it; the charts
-        agree there, so the tie-break never changes the value.
+        p's values on the distinct edge lines (`TileComplex._sign_tests`),
+        each evaluated once, decide which tiles hold it; times a chart's
+        row factors, the same values are its image.  An interior point
+        tries only the tiles on its face.  The lowest tile id that holds p
+        wins; the charts agree on shared edges, so the tie-break never
+        changes the value.
         """
-        for t, q in tile_complex(self.rule, 1).holding(p):
-            return homogeneous_point(t.target_face, *q)
+        lines, by_face, tests = tile_complex(self.rule, 1)._sign_tests
+        a, b, c = p.abc
+        vals = [x * a + y * b + z * c for x, y, z in lines]
+        for t, ka, ga, kb, gb, kc, gc in tests if p.on_boundary else by_face[p.face]:
+            qa = ga * vals[ka]
+            if qa < 0:
+                continue
+            qb = gb * vals[kb]
+            if qb < 0:
+                continue
+            qc = gc * vals[kc]
+            if qc >= 0:
+                return homogeneous_point(t.target_face, qa, qb, qc)
         raise ValueError(f"point {p!r} not located in any level-1 tile")
 
     def preimages(self, x: TilePoint) -> list[tuple[TilePoint, int]]:
         """All preimages of x with their local degrees, exactly.
 
-        Each level-1 tile mapping onto x's face holds one preimage (its
-        chart pullback); the local degree at y is the number of those
-        tiles whose closure holds y, since all charts agree at shared
-        points.
+        Each level-1 tile mapping onto x's face holds one preimage, its
+        chart pullback, and holds y exactly when its chart pulls x back to
+        y: each chart is a bijection of closed triangles, and the charts
+        agree at shared points.  So the local degree at y is the number of
+        those pullbacks that equal y.
         """
         ones = tile_complex(self.rule, 1)
-        ys: list[TilePoint] = []
-        for t, rows in zip(ones.tiles, ones._pullbacks):
-            if t.target_face == x.face:
-                y = _pullback(t.face, rows, x)
-                if y not in ys:
-                    ys.append(y)
-        return [(y, sum(1 for t, _ in ones.holding(y) if t.target_face == x.face))
-                for y in ys]
+        return list(Counter(_pullback(t.face, rows, x)
+                            for t, rows in zip(ones.tiles, ones._pullbacks)
+                            if t.target_face == x.face).items())
 
 
 def vertex_image(rule: str, v: TilePoint) -> TilePoint:

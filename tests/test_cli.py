@@ -11,6 +11,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -433,6 +434,40 @@ def test_birkhoff_command(tmp_path):
     assert res["sum"]["mid"] == "15/1"
 
 
+_ORBIT_ARGS = ["birkhoff", "--potential", "basis:0,0", "--map"]
+
+
+@pytest.mark.parametrize("fmap, point, steps, total", [
+    ("z^2", "1/3", 17, {"float": 0.8783129388284578, "mid": "241428822267/274877906944",
+                        "rad": "17/274877906944"}),
+    ("(z^2+1)/(z^2-1)", "-1/2,3", 15, {"float": 25.649155835802958,
+                                       "mid": "3525193135513/137438953472",
+                                       "rad": "15/137438953472"}),
+])
+def test_birkhoff_runs_up_to_the_orbit_bit_cap(fmap, point, steps, total, tmp_path):
+    """The longest orbits the bit cap lets through, ending at 1/3^(2^16)
+    of 104K bits and at a point whose parts have about 70K bits, give
+    the sums recorded before the cap existed."""
+    run_cli([*_ORBIT_ARGS, fmap, f"--point={point}", "--steps", str(steps)], tmp_path)
+    assert read_json(tmp_path, "birkhoff_result.json")["sum"] == total
+
+
+@pytest.mark.parametrize("fmap, point, last", [
+    ("z^2", "1/3", 17), ("z^2-2", "-1/2,3", 16), ("(z^2+1)/(z^2-1)", "-1/2,3", 15)])
+@pytest.mark.parametrize("steps", [40, 1 << 30])
+def test_birkhoff_refuses_an_orbit_past_the_bit_cap(fmap, point, last, steps, tmp_path,
+                                                    capsys):
+    """Under these maps the denominator squares at every step, and so do
+    the numerators off the real line, so an exact orbit cannot go on: the
+    point after the last the cap allows is refused with exit 4 and one
+    line, within a second of CPU time, however many steps are asked."""
+    start = time.process_time()
+    run_cli([*_ORBIT_ARGS, fmap, f"--point={point}", "--steps", str(steps)], tmp_path, expect=4)
+    assert time.process_time() - start < 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"orbit point {last} would pass" in err[0], err
+
+
 def test_determinism_byte_identical(tmp_path):
     out1 = tmp_path / "r1"
     out2 = tmp_path / "r2"
@@ -577,7 +612,7 @@ def test_pressure_command_exit_codes(fmap, phi, n, mode, c0, R):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(("z^2", "z^2-2", "(z^2+1)/(z^2-1)")),
        st.one_of(_potentials, st.sampled_from(_BAD_POTENTIALS)),
-       st.sampled_from(_POINTS + ("inf", "1/0,0")), st.integers(-3, 6), st.integers(-5, 40))
+       st.sampled_from(_POINTS + ("inf", "1/0,0")), st.integers(-3, 64), st.integers(-5, 40))
 def test_birkhoff_command_exit_codes(fmap, phi, point, steps, n):
     _exit_contract(["birkhoff", "--map", fmap, f"--point={point}", "--steps", str(steps),
                     "--n", str(n)], phi)

@@ -6,8 +6,9 @@ nothing.  This walks the package source and lists each parameter whose
 name never occurs in its function's body; `self`, `cls` and names that
 start with `_` (deliberately unused) are exempt.  A public function that
 nothing calls is code to keep up for no result; the second part lists
-those (see below).  The third lists imports that nothing reads.  The
-last checks that every function the benchmark tracer wraps by name still
+those, and the private definitions that nothing in the library reads
+(see below).  The third lists imports that nothing reads.  The last
+checks that every function the benchmark tracer wraps by name still
 exists.
 """
 
@@ -106,13 +107,34 @@ def _reads(tree: ast.AST) -> tuple[Counter, Counter]:
     return names, attrs
 
 
-def _uncalled_public_defs(package: dict[str, str], roots: list[str]):
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_defs(tree: ast.Module):
+    """(qualified name, node, is a member) for each private module-level
+    function or constant and each private method of a class; dunders are
+    exempt."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name) and _is_private(target.id):
+                    yield target.id, node, False
+        elif isinstance(node, ast.FunctionDef) and _is_private(node.name):
+            yield node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and _is_private(member.name):
+                    yield f"{node.name}.{member.name}", member, True
+
+
+def _uncalled_defs(package: dict[str, str], roots: list[str], defs=_public_defs):
     names, attrs = Counter(), Counter()
     for src in roots:
         n, a = _reads(ast.parse(src))
         names, attrs = names + n, attrs + a
     for file_name, src in package.items():
-        for qualified, node, member in _public_defs(ast.parse(src)):
+        for qualified, node, member in defs(ast.parse(src)):
             name = qualified.rsplit(".", 1)[-1]
             own_names, own_attrs = _reads(node)
             count = attrs[name] - own_attrs[name]
@@ -129,17 +151,39 @@ def test_uncalled_public_defs_are_found():
                    "    def round(self): ...\n    def _private(self): ...\n\n\n"
                    "@dataclass\nclass R:\n    read: int\n    unread: int = 0\n"}
     user = "from m import K, ONE, R, f\n\nK().used()\nround(R(1, unread=2).read)\n"
-    assert list(_uncalled_public_defs(lib, [*lib.values(), user])) == [
+    assert list(_uncalled_defs(lib, [*lib.values(), user])) == [
         "m.py: ONE", "m.py: f", "m.py: K.unused", "m.py: K.round", "m.py: R.unread"]
 
 
+def _package() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8")
+            for path in sorted((REPO / "src" / "equistate").glob("*.py"))}
+
+
 def test_every_public_def_has_a_caller(monkeypatch):
-    package = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted((REPO / "src" / "equistate").glob("*.py"))}
     roots = [path.read_text(encoding="utf-8") for path in ROOTS]
-    assert list(_uncalled_public_defs(package, roots)) == WITHOUT_CALLER
+    assert list(_uncalled_defs(_package(), roots)) == WITHOUT_CALLER
     traced = {f"{module}.py: {path}" for module, path in _layers(monkeypatch).TRACED.values()}
     assert set(WITHOUT_CALLER) <= traced
+
+
+# Private definitions serve the library alone, so only reads in `src/`
+# count: one that only tests or the benchmark read is dead code.
+
+
+def test_uncalled_private_defs_are_found():
+    lib = {"m.py": "_ONE = 1\n_TWO: int = 2\n__all__ = []\n\n\n"
+                   "def _f(n):\n    return _f(n - 1) + _TWO\n\n\n"
+                   "def _g():\n    return _f(1)\n\n\n"
+                   "class K:\n    def __init__(self): ...\n    def _used(self): ...\n"
+                   "    def _unused(self): ...\n    def run(self):\n        self._used()\n"}
+    assert list(_uncalled_defs(lib, list(lib.values()), _private_defs)) == [
+        "m.py: _ONE", "m.py: _g", "m.py: K._unused"]
+
+
+def test_every_private_def_has_a_caller():
+    package = _package()
+    assert list(_uncalled_defs(package, list(package.values()), _private_defs)) == []
 
 
 # -- every import is read ------------------------------------------------------

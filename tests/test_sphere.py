@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from equistate import sphere
 from equistate.gauss import GaussRat
 from equistate.sphere import (INF, SpherePoint, chordal, chordal_disc_radius, chordal_sq_parts,
                               ideal_enumerate)
@@ -111,6 +112,15 @@ def test_enumeration_no_duplicates_first_100():
 def test_enumeration_index_roundtrip():
     for k in (1, 2, 3, 10, 47, 99, 1234):
         assert ideal_index(ideal_enumerate(k)) == k
+
+
+def test_cantor_unpair_inverts_the_diagonal_pairing():
+    """Every k up to 10^4, and three 200-bit k, come back from the pair
+    without any correction of the isqrt estimate."""
+    rng = random.Random(200)
+    for k in [*range(1, 10 ** 4 + 1), *(rng.getrandbits(200) for _ in range(3))]:
+        i, j = sphere._cantor_unpair(k)
+        assert i >= 1 and j >= 1 and _cantor_pair(i, j) == k
 
 
 def test_enumeration_reaches_named_points():

@@ -93,6 +93,54 @@ def test_ruelle_builds_one_tree_at_its_budget(monkeypatch):
     assert v.rad <= F(1, 1 << 20)
 
 
+def _ruelle_retry(monkeypatch, fail):
+    """L^3 1(1/2) under z^2 - 2 and phi = sigma(., 0)/2 at 2^-30, with
+    the first attempt failed by `fail`: the tree builds' (l, eval_prec),
+    and the ball checked against the mpmath sum over the true preimages."""
+    mpmath = pytest.importorskip("mpmath")
+    oracles = _oracles(monkeypatch)
+    phi = scale(F(1, 2), basis(S(0)))
+    builds = []
+    build = thermo.build_preimage_tree
+
+    def recording(f, x, depth, l, phi=None, eval_prec=60):
+        builds.append((l, eval_prec))
+        if len(builds) == 1 and fail == "build":
+            raise PrecisionExhausted("the first tree")
+        return build(f, x, depth, l, phi, eval_prec)
+
+    monkeypatch.setattr(thermo, "build_preimage_tree", recording)
+    if fail == "radius":
+        sum_parts = thermo._sum_parts
+
+        def loose(weights):
+            total, rad, den = sum_parts(weights)
+            return (total, den, den) if len(builds) == 1 else (total, rad, den)
+
+        monkeypatch.setattr(thermo, "_sum_parts", loose)
+    v = ruelle_apply(Z2M2, phi, None, S(F(1, 2)), 3, 30)
+    assert v.rad <= F(1, 1 << 30)
+    with mpmath.workdps(200):
+        leaves = oracles.true_tree_leaves([-2, 0, 1], [1], oracles.mpz(F(1, 2), F(0)), 3,
+                                          lambda z: oracles.chordal_mp(z, 0) / 2)
+        exact = mpmath.fsum(d * mpmath.exp(t) for _, d, t in leaves)
+        assert oracles.ball_contains(v.mid, v.rad, exact)
+    return builds
+
+
+def test_ruelle_retries_a_failed_tree_at_twice_l_alone(monkeypatch):
+    """A tree that exhausts its precision is regrown at twice l; eval_prec,
+    which only sets the leaf sums' rounding, stays."""
+    (l, e), *rest = _ruelle_retry(monkeypatch, "build")
+    assert rest == [(2 * l, e)]
+
+
+def test_ruelle_retries_a_loose_sum_at_twice_both_precisions(monkeypatch):
+    """A sum whose radius misses 2^-n is redone at twice l and eval_prec."""
+    (l, e), *rest = _ruelle_retry(monkeypatch, "radius")
+    assert rest == [(2 * l, 2 * e)]
+
+
 def test_ruelle_rejects_negative_precision():
     with pytest.raises(ValueError, match="precision n must be nonnegative"):
         ruelle_apply(Z2, None, None, S(3), 1, -1)
@@ -199,6 +247,24 @@ def test_pressure_z2_log2():
     res = pressure(Z2, const(0), 8, c0=F(1), R=F(0))
     assert res.value.rad <= F(1, 1 << 8)
     assert res.value.contains(LOG2)
+
+
+def test_pressure_doubles_its_evaluation_bits(monkeypatch):
+    """L 1 = 2 e^-40, about 2^-56.7: the first sum, asked for 2^-11, has
+    a radius 2.6% of its value, so its log misses 2^-8, and the second,
+    at 21 bits, reaches it."""
+    calls = []
+    apply = thermo.ruelle_apply
+
+    def recording(f, phi, u, x, m, n):
+        calls.append(n)
+        return apply(f, phi, u, x, m, n)
+
+    monkeypatch.setattr(thermo, "ruelle_apply", recording)
+    res = pressure(Z2, const(-40), 8, c0=F(1), R=F(0))
+    assert calls == [11, 21]
+    assert res.value.rad <= F(1, 1 << 8)
+    assert res.value.contains(LOG2 - 40)
 
 
 def test_pressure_z2m2_log2():

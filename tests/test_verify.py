@@ -173,6 +173,22 @@ def test_unitarity_constant_two():
     assert jacobian_unitarity(g1, JacobianSpec.const(6), bary, tiles) == BallReal.exact(F(5, 6))
 
 
+def test_unitarity_counts_preimages_on_a_patch_boundary_as_uncertain():
+    """Under g1 the corner A has the preimages A, B and C, of local degree
+    2 each.  B and C lie at the exact distance 1 from A, so the patch of
+    radius 1 about A holds A and has B and C on its boundary: they add
+    [0, 4/6], and with J = 6 the residual is |2/6 + [0, 4/6] - 1| =
+    [0, 2/3].  2^-90 more or less radius decides them either way."""
+    g1, corner = SubdivisionMap("g1"), tile_point(FRONT, 1, 0, 0)
+    assert g1.preimages(corner) == [(tile_point(FRONT, *v), 2)
+                                    for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    J, tiny = JacobianSpec.const(6), F(1, 1 << 90)
+    for radius, want in ((F(1), BallReal.from_endpoints(F(0), F(2, 3))),
+                         (1 + tiny, BallReal.exact(0)), (1 - tiny, BallReal.exact(F(2, 3)))):
+        patches = PatchSystem(TRI, [BallPatch(TRI, corner, radius)])
+        assert jacobian_unitarity(g1, J, corner, patches) == want
+
+
 def test_unitarity_constant_three_off_by_third():
     res = jacobian_unitarity(Z2, JacobianSpec.const(3), S(1),
                              _preimage_patches(Z2, S(1)))
@@ -489,6 +505,19 @@ def _boundary_case():
     return mu, Z2, patches, JacobianSpec.const(2), tests, F(1, 5)
 
 
+def _rescale_case():
+    """The g1 preimages of the corner A are A, B and C, each of local
+    degree 2; the patch of radius 1 about A holds A and has B and C on
+    its boundary.  The hat about the midpoint of BC is higher at B and C,
+    at the exact distance 1/2, than at A, at sqrt(3)/2, so the candidates'
+    upper and lower ends come over different denominators."""
+    corner = tile_point(FRONT, 1, 0, 0)
+    mu = FiniteMeasure.dirac(TRI, corner)
+    patches = PatchSystem(TRI, [BallPatch(TRI, corner, F(1))])
+    tests = [TestFunction(TRI, tile_point(FRONT, 0, F(1, 2), F(1, 2)), F(0), F(3, 2))]
+    return mu, SubdivisionMap("g1"), patches, JacobianSpec.const(6), tests, F(0)
+
+
 def _not_injective_case():
     """The patch of radius 3/2 about 0 holds both preimages +-1/2 of 1/4."""
     mu = FiniteMeasure.dirac(SPHERE, S(F(1, 4)))
@@ -508,8 +537,10 @@ def _entries_or_error(run):
     (_orbit_case, False),
     (_tile_case, False),
     (_boundary_case, False),
+    (_rescale_case, False),
     (_not_injective_case, True),
-], ids=["J0", "tile_measure", "preimage_on_boundary", "not_injective"])
+], ids=["J0", "tile_measure", "preimage_on_boundary", "ends_over_two_denominators",
+        "not_injective"])
 def test_membership_entries_match_per_test_loop(case, raises):
     """The integer assembly gives the same Fractions as the `BallReal`
     reference, entry for entry, or raises where it does."""

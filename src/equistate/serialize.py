@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd
 
 from .balls import BallReal, DirectedReal
 from .dyadics import format_rational, parse_rational
 from .errors import ParseError
-from .gauss import GaussRat, format_gauss, parse_gauss
+from .gauss import GaussRat, format_gauss, gauss_ratio, parse_gauss
 from .measures import SPHERE, TRI, FiniteMeasure
 from .polynomials import Polynomial, poly_gcd
 from .potentials import Potential, basis, const, scale
@@ -24,10 +25,36 @@ from .sphere import INF, SpherePoint
 from .trisphere import TilePoint, tile_point
 from .verify import JacobianSpec
 
-_BAD_INPUT = (KeyError, TypeError, ValueError, ZeroDivisionError)
+# OverflowError: Fraction of a JSON Infinity.
+_BAD_INPUT = (KeyError, OverflowError, TypeError, ValueError, ZeroDivisionError)
 
 
 # -- points and balls ---------------------------------------------------
+
+
+def _format_ratio(x: int, d: int) -> str:
+    """`format_rational(Fraction(x, d))` for d > 0."""
+    g = gcd(x, d)
+    return f"{x // g}/{d // g}"
+
+
+def _ratio_parts(obj) -> tuple[int, int]:
+    """(p, q) with q > 0 and p/q the value `Fraction(obj)` reads, not
+    reduced.  A "p/q" string of ASCII digits, p with an optional leading
+    "-", is read straight to ints; anything else goes through Fraction,
+    which accepts, rejects and words its errors as it always has."""
+    if type(obj) is str and obj.isascii():
+        p, slash, q = obj.partition("/")
+        if slash and q.isdigit() and (p[1:] if p[:1] == "-" else p).isdigit():
+            try:
+                num, den = int(p), int(q)
+            except ValueError:  # past int's digit limit
+                pass
+            else:
+                if den:
+                    return num, den
+    f = Fraction(obj)
+    return f.numerator, f.denominator
 
 
 def point_to_json(p):
@@ -37,7 +64,7 @@ def point_to_json(p):
         if p.is_infinity:
             return "inf"
         z = p.as_gauss()
-        return {"re": format_rational(z.re), "im": format_rational(z.im)}
+        return {"re": _format_ratio(z.x, z.d), "im": _format_ratio(z.y, z.d)}
     if isinstance(p, TilePoint):
         return {"face": p.face, "coords": [format_rational(c) for c in p.coords]}
     raise TypeError(f"not a point: {p!r}")
@@ -48,7 +75,9 @@ def point_from_json(obj, space: str):
         if obj == "inf":
             return INF
         try:
-            return SpherePoint.finite(Fraction(obj["re"]), Fraction(obj["im"]))
+            a, b = _ratio_parts(obj["re"])
+            c, d = _ratio_parts(obj["im"])
+            return SpherePoint(gauss_ratio(a * d, c * b, b * d))
         except _BAD_INPUT as exc:
             raise ParseError(f"bad sphere point: {obj!r}") from exc
     if space == TRI:
@@ -96,7 +125,7 @@ def measure_from_json(obj) -> FiniteMeasure:
     try:
         space = obj["space"]
         atoms = [
-            (point_from_json(a["point"], space), Fraction(a["weight"]))
+            (point_from_json(a["point"], space), Fraction(*_ratio_parts(a["weight"])))
             for a in obj["atoms"]
         ]
         err = Fraction(obj.get("atom_error", 0))
@@ -118,8 +147,9 @@ def measure_to_csv(mu: FiniteMeasure) -> str:
             if p.is_infinity:
                 lines.append(f"{idx},inf,inf,{float(w)!r}")
             else:
+                # int / int rounds correctly: the float of the Fraction.
                 z = p.as_gauss()
-                lines.append(f"{idx},{float(z.re)!r},{float(z.im)!r},{float(w)!r}")
+                lines.append(f"{idx},{z.x / z.d!r},{z.y / z.d!r},{float(w)!r}")
     else:
         lines.append("point,x,y,face,weight")
         for idx, (p, w) in enumerate(mu.atoms):

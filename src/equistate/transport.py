@@ -45,6 +45,21 @@ mod K.  Hence:
   the perturbed masses, is a feasible and optimal basis for the original
   ones.
 
+Start.  The first basis comes from the least-cost rule on the perturbed
+masses: visit the arcs in ascending cost, ties in row-major order, and
+give each arc whose row and column both have mass left t = min(supply
+left, demand left), which empties one of the two; an emptied line is
+closed.  The arcs given so far form a forest in which every tree holds
+exactly one open line, whose mass left is, up to sign, the net supply
+of the tree's node set (each node starts as its own tree).  An arc joins two open
+lines, so two trees, and the joined tree has net supply K*(a(R) - b(C))
++ g as above; by the argument above that is 0 only for all rows and all
+columns.  So every step but the last empties exactly one line, the joined
+tree keeps one open line with mass left > 0, and the last step empties
+both.  No arc is left out with both ends open, since lines only close,
+so the steps go on until every line is closed: n + m - 1 of them, each
+joining two trees, and their arcs form a spanning tree.
+
 Pricing scans blocks of ceil(sqrt(N)) arcs in row-major order, each
 block starting where the last scan stopped, and enters the most negative
 arc of the first block that has one; a full round with none means the
@@ -90,43 +105,62 @@ def _pivot_bound(n: int, m: int) -> int:
     return 12 * (n + m) * (n + m) + 400
 
 
+def _least_cost_start(supply: list[int], demand: list[int], flat: list[int]
+                      ) -> list[tuple[int, int, int]]:
+    """The first basis, by the least-cost rule (see the module docstring),
+    as arcs (i, j, flow) on the perturbed masses `supply` and `demand`,
+    with `flat` the costs in row-major order.  A line has mass left exactly
+    while it is open, and the step that empties a row and a column at once
+    is the last."""
+    m = len(demand)
+    supply, demand = supply[:], demand[:]
+    arcs = []
+    for k in sorted(range(len(flat)), key=flat.__getitem__):
+        i, j = divmod(k, m)
+        if supply[i] and demand[j]:
+            t = min(supply[i], demand[j])
+            supply[i] -= t
+            demand[j] -= t
+            arcs.append((i, j, t))
+            if supply[i] == demand[j]:
+                break
+    return arcs
+
+
 def min_cost_transport(supplies: list[int], demands: list[int], cost: list[list[int]],
                        mass_den: int, cost_den: int) -> TransportResult:
     """Solve min sum f_ij cost[i][j]/cost_den with row sums
     supplies[i]/mass_den and column sums demands[j]/mass_den.
 
     Masses and costs are integers, the masses >= 0 with equal sums, and
-    both denominators are > 0.  The result is in Fractions: the value, the
-    plan's masses and the duals.  Raises PrecisionExhausted after
-    `_pivot_bound(n, m)` pivots.
+    both denominators are > 0; ValueError says which of these fails, or
+    that `cost` is not n rows of m ints.  The result is in Fractions: the
+    value, the plan's masses and the duals.  Raises PrecisionExhausted
+    after `_pivot_bound(n, m)` pivots.
     """
     n, m = len(supplies), len(demands)
     if sum(supplies) != sum(demands):
         raise ValueError("unbalanced transport problem")
     if n == 0 or m == 0:
         raise ValueError("empty transport problem")
+    if min(supplies) < 0 or min(demands) < 0:
+        raise ValueError("negative mass in transport problem")
+    if mass_den <= 0 or cost_den <= 0:
+        raise ValueError("transport denominators must be positive")
+    flat = [c for row in cost for c in row]
+    if len(cost) != n or any(len(row) != m for row in cost) or not set(map(type, flat)) <= {int}:
+        raise ValueError(f"transport cost must be {n} rows of {m} ints")
     N = n * m
     K = 2 * N + 1
     supply = [K * x + m for x in supplies]
     demand = [K * x + 1 for x in demands]
     demand[-1] += N - m
 
-    # Nodes are rows 0..n-1 and columns n..n+m-1.  The northwest corner
-    # rule gives the first basis; its n + m - 1 arcs form a spanning tree.
+    # Nodes are rows 0..n-1 and columns n..n+m-1.
     adjacent: list[list[tuple[int, int]]] = [[] for _ in range(n + m)]
-    i = j = 0
-    while True:
-        t = min(supply[i], demand[j])
-        supply[i] -= t
-        demand[j] -= t
+    for i, j, t in _least_cost_start(supply, demand, flat):
         adjacent[i].append((n + j, t))
         adjacent[n + j].append((i, t))
-        if i == n - 1 and j == m - 1:
-            break
-        if supply[i] == 0:
-            i += 1
-        else:
-            j += 1
 
     # flow[x] is the flow on the arc from x up to parent[x].
     parent = [-1] * (n + m)

@@ -645,6 +645,21 @@ def test_usage_errors_exit_3_with_one_line(argv, tmp_path, capsys):
     _rejected([*argv, "--out", str(tmp_path)], capsys)
 
 
+@pytest.mark.parametrize("content, argv", [
+    ({"space": SPHERE, "atoms": [{"point": {"re": float("inf"), "im": "0"}, "weight": "1"}]},
+     ["wasserstein", "--a", "{file}", "--b", "{file}"]),
+    ({"space": SPHERE, "atoms": [{"point": {"re": "1/4", "im": "0"}, "weight": float("-inf")}]},
+     ["wasserstein", "--a", "{file}", "--b", "{file}"]),
+    ({"op": "const", "value": float("inf")},
+     ["pressure", "--map", "z^2", "--potential", "@{file}", "--n", "4", "--mode", "empirical"]),
+])
+def test_json_infinity_exits_3_with_one_line(content, argv, tmp_path, capsys):
+    """Python's json reads `Infinity`, which no Fraction holds."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(content))
+    _rejected([*(a.format(file=path) for a in argv), "--out", str(tmp_path)], capsys)
+
+
 def test_one_parser_serves_a_usage_error_and_the_next_call(tmp_path, capsys, monkeypatch):
     """`main` builds its parser once per process.  A usage error (exit 3)
     and then a valid call in the same process write the result bytes of

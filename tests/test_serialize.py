@@ -8,8 +8,10 @@ from equistate.gauss import format_gauss, parse_gauss
 from equistate.measures import SPHERE, TRI, FiniteMeasure
 from equistate.potentials import basis, pprod, scale
 from equistate.serialize import (
+    _ratio_parts,
     map_to_json,
     measure_from_json,
+    measure_to_csv,
     measure_to_json,
     parse_jacobian,
     parse_map,
@@ -59,6 +61,55 @@ def test_gauss_strings():
 def test_sphere_point_json():
     for p in (S(F(1, 3), F(-2, 7)), INF):
         assert point_from_json(point_to_json(p), SPHERE) == p
+
+
+def _outcome(f):
+    try:
+        return f()
+    except Exception as exc:  # the type and wording are what is compared
+        return type(exc), str(exc)
+
+
+_RATIO_TABLE = [
+    "3/4", "-3/4", "0/1", "-0/5", "6/8", "007/010", "-12345678901234567890/3",
+    "5", "-5", "0", " 3/4", "3/4 ", "\t3/4\n", "3 /4", "3/ 4", "+3/4", "--3/4", "-/4",
+    "3/", "/4", "3/0", "0/0", "-5/000", "-3/-4", "3/+4", "1_000/3", "1__0/3", "1/1_0",
+    "1.5", "1.5/2", "-.5", "1e3", "1E-3", "\u0663/\u0664", "3/\u0664", "\u00b2/3",
+    "\uff13/4", "", "-", "/", "3/4/5", "inf", "nan", "0x10/3", "1/2j",
+    "1" * 5000 + "/3", "-" + "1" * 4301 + "/3", "3/" + "1" * 5000,
+    3, -7, 0, 1.5, -0.25, float("nan"), float("inf"), float("-inf"), True, None, [], {"re": 1}, F(-2, 6),
+]
+
+
+@pytest.mark.parametrize("x", _RATIO_TABLE, ids=range(len(_RATIO_TABLE)))
+def test_json_rationals_read_as_fraction_does(x):
+    """The ASCII "p/q" fast path accepts, rejects and words its errors
+    exactly as `Fraction` does, alone and inside points and measures."""
+    want = _outcome(lambda: F(x))
+    assert _outcome(lambda: F(*_ratio_parts(x))) == want
+    point = _outcome(lambda: point_from_json({"re": x, "im": x}, SPHERE))
+    weight = _outcome(lambda: measure_from_json(
+        {"space": SPHERE, "atoms": [{"point": {"re": "1/2", "im": "0/1"}, "weight": x}]}))
+    if isinstance(want, F):
+        assert point == S(want, want)
+        if want > 0:
+            assert weight.atoms == ((S(F(1, 2)), want),)
+    else:
+        assert point == (ParseError, f"bad sphere point: {({'re': x, 'im': x})!r}")
+        assert weight == (ParseError, f"bad measure JSON: {want[1]}")
+
+
+def test_sphere_points_write_as_their_fractions():
+    points = [S(F(a, b), F(c, d)) for a in (-7, 0, 3, 10**30) for b in (1, 6, 2**70)
+              for c in (-1, 0, 5) for d in (1, 9, 3**40)]
+    mu = FiniteMeasure.from_atoms(SPHERE, [(p, F(1, len(points))) for p in points])
+    for p in points:
+        z = p.as_gauss()
+        assert point_to_json(p) == {"re": format_rational(z.re), "im": format_rational(z.im)}
+    rows = measure_to_csv(mu).splitlines()[1:]
+    for row, (p, w) in zip(rows, mu.atoms):
+        z = p.as_gauss()
+        assert row.split(",")[1:] == [repr(float(z.re)), repr(float(z.im)), repr(float(w))]
 
 
 def test_parse_sphere_point_forms():

@@ -152,11 +152,30 @@ def _square_residues(k: int) -> bytes:
     return bytes(table)
 
 
-# A square is a square mod each of 64, 63, 65 and 11; all four divide
-# _SQUARE_MODULUS, so one big-integer reduction serves them.  About 1 in
-# 119 nonsquares passes all four tests.
-_SQ64, _SQ63, _SQ65, _SQ11 = (_square_residues(k) for k in (64, 63, 65, 11))
-_SQUARE_MODULUS = 64 * 63 * 65 * 11
+# A square is a square modulo every k.  Stage 0 tests mod 64, 63, 65 and
+# 11 through tables mod 63*65 and 64*11 (by the CRT, a square mod both
+# factors of a coprime product is a square mod the product); about 1 in
+# 119 nonsquares passes it.  Stage 1 tests the primes 17 to 53, for
+# callers whose fallback costs more than ten table lookups (the float
+# chordal costs in `measures`).  Each stage's moduli divide its
+# entry of SQUARE_MODULI, so any integer congruent to N modulo it gives
+# the answer N gives.
+_SQ4095, _SQ704 = _square_residues(63 * 65), _square_residues(64 * 11)
+_PRIME_SQUARES = tuple((k, _square_residues(k))
+                       for k in (17, 19, 23, 29, 31, 37, 41, 43, 47, 53))
+SQUARE_MODULI = (4095 * 704, math.prod(k for k, _ in _PRIME_SQUARES))
+
+
+def may_be_square(n: int, stage: int) -> int:
+    """0 when the residues of n prove that N is no perfect square, for any
+    n = N mod SQUARE_MODULI[stage] (N itself, or its residue); 1 for every
+    square."""
+    if stage:
+        for k, table in _PRIME_SQUARES:
+            if not table[n % k]:
+                return 0
+        return 1
+    return _SQ4095[n % 4095] and _SQ704[n % 704]
 
 
 def sqrt_bracket_parts(n: int, d: int, prec: int) -> tuple[int, int, int]:
@@ -165,16 +184,15 @@ def sqrt_bracket_parts(n: int, d: int, prec: int) -> tuple[int, int, int]:
 
     It is exact, (r, 0, d), when n/d in lowest terms is a ratio of perfect
     squares, that is when n d is a perfect square r^2; then sqrt(n/d) =
-    r/d.  A residue of n d that is no square mod 64, 63, 65 or 11 rules
-    that out without `isqrt`; every square passes, so no bracket changes.
+    r/d.  An n d that fails `may_be_square` at stage 0 is none, and needs
+    no `isqrt`; every square passes, so no bracket changes.
     Otherwise, with b = prec + 1, sqrt(n/d) 2^b is no integer (that would
     make n/d a square), so it lies strictly between lo =
     `sqrt_lower_numerator` and lo + 1, which is `sqrt_upper_numerator`; the
     bracket is (2 lo + 1, 1, 2^(prec+2)), of radius 2^-(prec+2).
     """
     nd = n * d
-    res = nd % _SQUARE_MODULUS
-    if _SQ64[res & 63] and _SQ63[res % 63] and _SQ65[res % 65] and _SQ11[res % 11]:
+    if may_be_square(nd, 0):
         r = math.isqrt(nd)
         if r * r == nd:
             return r, 0, d

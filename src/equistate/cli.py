@@ -449,6 +449,11 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_PRECISION
     except (EquistateError, ValueError, OSError) as exc:
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            print("equistate: the result holds an integer beyond Python's limit of "
+                  f"{sys.get_int_max_str_digits()} digits for writing an integer as "
+                  "text; ask for a lower --prec", file=sys.stderr)
+            return EXIT_PRECISION
         print(f"equistate: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -16,10 +16,12 @@ integer keys over one common denominator per measure: sphere points by
 the canonical `sphere.sphere_order` ((re, im), infinity last) and tile
 points by `trisphere.tile_order` (front face first, then barycentric
 coordinates).
-`wasserstein_detail` pins each cost from the integer radicand of the
-squared distance with one `sqrt_bracket_parts`, and hands the simplex the
-weights and the costs as integers over one denominator each; Fractions
-are built only for its result, and for `pinned_cost` when it is read.
+`wasserstein_detail` pins each cost to the `sqrt_bracket_parts` of the
+integer radicand of the squared distance, decided on the sphere from
+floats where a written bound proves them (see `wasserstein_detail`), and
+hands the simplex the weights and the costs as integers over one
+denominator each; Fractions are built only for its result, and for
+`pinned_cost` when it is read.
 `atoms` stays a tuple of (point, Fraction) pairs.
 """
 
@@ -28,12 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, ldexp, log2, sqrt
 from typing import Callable, Iterable, Union
 
-from .balls import BallReal, ball_sum, sqrt_bracket_parts
+from .balls import SQUARE_MODULI, BallReal, ball_sum, may_be_square, sqrt_bracket_parts
 from .dyadics import ZERO, format_rational
 from .errors import EvaluationFailure, InexactImage, SpaceMismatch
+from .gauss import GaussRat
 from .sphere import SpherePoint, chordal, chordal_sq_parts, sphere_order
 from .transport import TransportResult, min_cost_transport
 from .trisphere import TilePoint, dist2_tri_parts, dist_tri, tile_order
@@ -178,6 +181,70 @@ def _common_parts(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
     return [n if d == big else n * (big // d) for n, d in pairs], big
 
 
+# -- float-first chordal costs -------------------------------------------
+#
+# A non-exact cost is 2 floor(t) + 1 over 2^(prec+6), t = sigma 2^B, B =
+# prec + 5 (`sqrt_bracket_parts`).  Hypotheses: IEEE binary64 rounded to
+# nearest, u = 2^-53; int / int, +, -, *, / and sqrt correctly rounded, so
+# each returns r(1 + delta) + eta, |delta| <= u, |eta| <= 2^-1075 (from
+# underflow; 0 for + and -).  Atoms: z = X + iY = (x + iy)/d, U = fl(x/d),
+# V = fl(y/d), P = 1 + X^2 + Y^2 and K = fl(1/fl(fl(1 + fl(U^2)) +
+# fl(V^2))) = (1 + theta)/P, |theta| <= gamma_7 (gamma_k = k u/(1 - k u))
+# up to underflow, once |U|, |V| <= 2^500; other atoms and infinity take
+# the exact path.  Entries: dX = X1 - X2, dY alike, N = dX^2 + dY^2,
+# sigma^2 = 4N/(P1 P2), du = fl(U1 - U2), dv alike and S =
+# fl(fl(fl(fl(du^2) + fl(dv^2)) 4 K1) K2).  Then
+#   - |du - dX| <= u|dX| + u(1 + u)(|X1| + |X2|) + 3 * 2^-1075;
+#   - (|X1| + |X2|)^2 + (|Y1| + |Y2|)^2 <= 2(P1 + P2 - 2) < 2 P1 P2, so
+#     4(|dX|(|X1| + |X2|) + |dY|(|Y1| + |Y2|))/(P1 P2) <= 2 sqrt(2) sigma
+#     by Cauchy-Schwarz;
+#   - S = 4(du^2 + dv^2)(1 + rho)/(P1 P2), |rho| <= gamma_18.
+# So |S - sigma^2| <= gamma_18 sigma^2 + (1 + gamma_18)(2u sigma^2 +
+# 4 sqrt(2) u(1 + u) sigma + 36u^2) + 2^-1060 < 92u, as sigma <= 2: E =
+# 2^-46 = 128u bounds it.  With W = 2E and S > W, fl(sqrt(fl(S - W))) 2^B
+# <= t <= fl(sqrt(fl(S + W))) 2^B: the spare E covers the 3.01u(S + W) <
+# 12.1u that those roundings move the square.  Equal floors of the two
+# ends give floor(t).  The two ends are about 2^B W/sigma >= 2^(B-1) W
+# apart, so from B = 46 on (prec > 40) every entry takes the exact path.
+# So does an entry whose n d, (n, d) = `chordal_sq_parts`, may be a square
+# by `may_be_square` on residues built from the atoms', so exact costs
+# stay exact.
+
+_E = 2.0 ** -46
+_W = 2 * _E
+_MAX_BITS = 1 - int(log2(_W))  # the first B with 2^(B-1) W >= 1
+_COORD_MAX = 2.0 ** 500
+
+
+def _float_atom(z: GaussRat | None) -> tuple | None:
+    """(U, V, K, residues mod SQUARE_MODULI[0], residues mod
+    SQUARE_MODULI[1]) of a sphere atom as above, the residues being those
+    of (x, y, d, d^2 + x^2 + y^2); None for infinity and for an atom whose
+    quotient overflows or passes 2^500, which take the exact path."""
+    if z is None:
+        return None
+    x, y, d = z.x, z.y, z.d
+    try:
+        u, v = x / d, y / d
+    except OverflowError:
+        return None
+    if abs(u) > _COORD_MAX or abs(v) > _COORD_MAX:
+        return None
+    n = d * d + x * x + y * y
+    m0, m1 = SQUARE_MODULI
+    return (u, v, 1 / (1 + u * u + v * v),
+            (x % m0, y % m0, d % m0, n % m0), (x % m1, y % m1, d % m1, n % m1))
+
+
+def _nd_residue(a: tuple[int, ...], b: tuple[int, ...], m: int) -> int:
+    """n d mod m for the `chordal_sq_parts` (n, d) of two finite atoms,
+    from their (x, y, d, d^2 + x^2 + y^2) mod m."""
+    x1, y1, d1, n1 = a
+    x2, y2, d2, n2 = b
+    ex, ey = x1 * d2 - x2 * d1, y1 * d2 - y2 * d1
+    return 4 * (ex * ex + ey * ey) * n1 * n2 % m
+
+
 def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
                        ) -> WassersteinResult:
     """Exact transport optimum over pinned rational costs.
@@ -187,6 +254,14 @@ def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
     `space_distance` gives; the simplex runs on the midpoints, so the
     combinatorial optimum is exact and the returned ball widens only by
     the worst bracket radius plus the measures' atom displacements.
+
+    On the sphere a cost is decided from floats where a written bound
+    proves it: the float sigma^2 is within E = 2^-46 of the true one, for
+    IEEE binary64 rounded to nearest with correctly rounded int / int
+    division and sqrt (derived above `_float_atom`).  Every other cost,
+    every one that may be exact and every cost at prec > 40 comes from
+    `sqrt_bracket_parts`, so the costs are its costs.  Tile costs all do:
+    their small integer triples made the float path slower.
 
     The simplex takes integers: the weights as numerators over the lcm of
     their denominators, and the midpoints as numerators over the lcm of
@@ -201,17 +276,41 @@ def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
         raise ValueError("wasserstein needs equal total masses")
     squared = squared_distance_parts(mu.space)
     cost_prec = prec + 4
+    bits = cost_prec + 1
+    if mu.space == SPHERE and bits < _MAX_BITS:
+        rows = [_float_atom(p.value) for p, _ in mu.atoms]
+        cols = [_float_atom(q.value) for q, _ in nu.atoms]
+        scale = ldexp(1.0, bits)
+    else:
+        rows, cols, scale = [None] * len(mu), [None] * len(nu), 0.0
+    den = 1 << (cost_prec + 2)
+    m0, m1 = SQUARE_MODULI
     mids = []
     worst = 0
-    for p, _ in mu.atoms:
-        for q, _ in nu.atoms:
-            m, e, den = sqrt_bracket_parts(*squared(p, q), cost_prec)
+    for (p, _), a in zip(mu.atoms, rows):
+        if a:
+            u1, v1, k1, a0, a1 = a
+            k1 *= 4
+        for (q, _), b in zip(nu.atoms, cols):
+            if a and b:
+                u2, v2, k2, b0, b1 = b
+                if not (may_be_square(_nd_residue(a0, b0, m0), 0)
+                        and may_be_square(_nd_residue(a1, b1, m1), 1)):
+                    du, dv = u1 - u2, v1 - v2
+                    s = (du * du + dv * dv) * k1 * k2
+                    if s > _W:
+                        t = int(sqrt(s - _W) * scale)
+                        if sqrt(s + _W) * scale < t + 1:
+                            mids.append((2 * t + 1, den))
+                            worst = 1
+                            continue
+            m, e, d = sqrt_bracket_parts(*squared(p, q), cost_prec)
             if e:
                 worst = e
             else:
-                g = gcd(m, den)
-                m, den = m // g, den // g
-            mids.append((m, den))
+                g = gcd(m, d)
+                m, d = m // g, d // g
+            mids.append((m, d))
     flat, cost_den = _common_parts(mids)
     n, k = len(mu.atoms), len(nu.atoms)
     cost = [flat[i * k:(i + 1) * k] for i in range(n)]

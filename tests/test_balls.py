@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from equistate.dyadics import bit_floor_log2, dyadic_numerator
 from equistate.balls import (
+    SQUARE_MODULI,
     BallReal,
     DirectedReal,
     ball_exp,
@@ -16,6 +17,7 @@ from equistate.balls import (
     exp_parts,
     exp_point,
     log_point,
+    may_be_square,
     sqrt_bracket_parts,
     sqrt_of_rational,
 )
@@ -202,6 +204,19 @@ def test_square_residue_filter_edge_cases():
         for j in (1, 7, 64, 65 * 63 * 11):
             assert sqrt_bracket_parts((r * j) ** 2, j * j, 30) == (abs(r) * j * j, 0, j * j)
     assert sqrt_bracket_parts(0, 12, 30) == (0, 0, 12)
+
+
+def test_may_be_square_stages():
+    """Stage 0 turns away exactly the residues that are no square mod 64,
+    63, 65 or 11, and no square fails either stage."""
+    squares = {k: {x * x % k for x in range(k)} for k in (64, 63, 65, 11)}
+    rng = random.Random(5)
+    for res in [*range(5000), *(rng.randrange(SQUARE_MODULI[0]) for _ in range(5000))]:
+        assert may_be_square(res, 0) == all(res % k in s for k, s in squares.items())
+    for x in [*range(3000), *(rng.randrange(1 << 200) for _ in range(300))]:
+        assert all(may_be_square(x * x % m, stage) for stage, m in enumerate(SQUARE_MODULI))
+    assert SQUARE_MODULI[0] == 64 * 63 * 65 * 11
+    assert not may_be_square(3, 1) and not may_be_square(SQUARE_MODULI[1] - 1, 1)
 
 
 @given(small_dyadics, st.integers(5, 25))

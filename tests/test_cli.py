@@ -176,6 +176,24 @@ def test_pressure_oversized_N_precision_exit(tmp_path):
     assert rc == 4
 
 
+def test_result_beyond_the_integer_digit_limit_exits_4(tmp_path, capsys):
+    """At --prec 15000 the distance's radius has a denominator of over 4,500
+    digits, past Python's limit for writing an integer as text: one line
+    naming the limit and exit 4, with the interpreter's limit unchanged."""
+    measure = tmp_path / "m.json"
+    measure.write_text(json.dumps(measure_to_json(FiniteMeasure.from_atoms(
+        SPHERE, [(SpherePoint.finite(1), Fraction(1, 2)), (SpherePoint.finite(3), Fraction(1, 2))]))))
+    limit = sys.get_int_max_str_digits()
+    assert main(["wasserstein", "--a", str(measure), "--b", str(measure), "--prec", "15000",
+                 "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"limit of {limit} digits" in err[0], err
+    assert "set_int_max_str_digits" not in err[0]
+    assert sys.get_int_max_str_digits() == limit
+    assert main(["wasserstein", "--a", str(measure), "--b", str(measure), "--prec", "1000",
+                 "--out", str(tmp_path)]) == 0
+
+
 def test_mme_tile_rule(tmp_path):
     run_cli(["mme", "--rule", "g1", "--level", "3"], tmp_path)
     res = read_json(tmp_path, "mme_g1_level3_result.json")

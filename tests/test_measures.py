@@ -5,7 +5,8 @@ from itertools import permutations
 
 import pytest
 
-from equistate.balls import BallReal, sqrt_of_rational
+from equistate import measures
+from equistate.balls import BallReal, sqrt_bracket_parts, sqrt_of_rational
 from equistate.errors import SpaceMismatch
 from equistate.gauss import GaussRat
 from equistate.measures import (
@@ -25,7 +26,9 @@ from equistate.measures import (
 from equistate.polynomials import Polynomial
 from equistate.potentials import basis, const, pprod, psum, scale
 from equistate.roots import certified_roots
-from equistate.sphere import INF, SpherePoint, chordal
+from equistate.serialize import parse_map
+from equistate.sphere import INF, SpherePoint, chordal, chordal_sq_parts
+from equistate.thermo import backward_orbit_measure
 from equistate.thurston import mme_tile_measure
 from equistate.trisphere import BACK, FRONT, TilePoint, tile_point
 from test_transport import _fraction_transport
@@ -328,6 +331,145 @@ def test_exact_cost_matrix_has_no_slack():
     wd = wasserstein_detail(mu, nu, 30)
     assert wd.pinned_cost == [[0, F(6, 5)], [2, F(8, 5)]]
     assert wd.value.mid == F(4, 5) and wd.value.rad == 0
+
+
+# -- float-first chordal costs against the exact path -------------------
+
+
+def _exact_path_detail(mu, nu, prec):
+    """(mid, rad, duals, costs, plan) of `wasserstein_detail` with every
+    entry built again as `sqrt_bracket_parts(*chordal_sq_parts(p, q),
+    prec + 4)`."""
+    cost, worst = [], 0
+    for p, _ in mu.atoms:
+        row = []
+        for q, _ in nu.atoms:
+            m, e, den = sqrt_bracket_parts(*chordal_sq_parts(p, q), prec + 4)
+            worst = max(worst, e)
+            row.append(F(m, den))
+        cost.append(row)
+    res = _fraction_transport([w for _, w in mu.atoms], [w for _, w in nu.atoms], cost)
+    rad = F(worst, 1 << (prec + 6)) * mu.total + mu.atom_error + nu.atom_error
+    return res.value, rad, res.potentials_u, res.potentials_v, cost, res.plan
+
+
+def _detail_parts(mu, nu, prec):
+    wd = wasserstein_detail(mu, nu, prec)
+    return (wd.value.mid, wd.value.rad, wd.transport.potentials_u,
+            wd.transport.potentials_v, wd.pinned_cost, wd.plan)
+
+
+def _near_integer_radius(t0, bits):
+    """A dyadic r with sigma(0, r) 2^bits within 2^-70 of t0: r^2 =
+    s/(4 - s) for s = (t0/2^bits)^2, floored at bits + 80 bits."""
+    s = (F(t0) / (1 << bits)) ** 2
+    q = s / (4 - s)
+    scale_bits = bits + 80
+    return F(math.isqrt(q.numerator * 4 ** scale_bits // q.denominator), 1 << scale_bits)
+
+
+def _rotations(r):
+    """r and its images under the chordal isometries z -> (z - 1)/(1 + z)
+    and z -> (z - i)/(1 - i z), which take 0 to -1 and -i."""
+    z = GaussRat.of(r)
+    one, i = GaussRat.of(1), GaussRat.of(0, 1)
+    return [SpherePoint(z), SpherePoint((z - one) / (one + z)), SpherePoint((z - i) / (one - i * z))]
+
+
+@pytest.mark.parametrize("prec", [0, 12, 30, 40])
+def test_planted_near_integer_entries_match_the_exact_path(monkeypatch, prec):
+    """Entries whose t = sigma 2^B (B = prec + 5) is planted 0, 2^(B-48) or
+    2^(B-40) off an integer k, or at k + 1/2.  An entry within 2^(B-47) of an
+    integer, inside every float window, takes the exact path; one farther
+    than 2^(B-44)/sigma from any integer, twice the window, is decided from
+    floats.  Either way the whole result is the exact path's."""
+    bits = prec + 5
+    planted = {}
+    for target in (F(3, 10), F(1), F(17, 10)):
+        k = math.floor(target * (1 << bits))
+        for off in (0, F(1 << bits, 1 << 48), F(1 << bits, 1 << 40), F(1, 2)):
+            for sign in (1, -1):
+                planted[(target, sign * off)] = _near_integer_radius(k + sign * off, bits)
+    mu = FiniteMeasure.from_atoms(SPHERE, [(p, F(1, 3)) for p in _rotations(F(0))])
+    nu = FiniteMeasure.from_atoms(SPHERE, [(p, F(1, 3 * len(planted)))
+                                           for r in planted.values() for p in _rotations(r)])
+    calls = []
+
+    def counted(n, d, cost_prec):
+        calls.append((n, d))
+        return sqrt_bracket_parts(n, d, cost_prec)
+
+    monkeypatch.setattr(measures, "sqrt_bracket_parts", counted)
+    assert _detail_parts(mu, nu, prec) == _exact_path_detail(mu, nu, prec)
+    seen = set()
+    for (target, off), r in planted.items():
+        for p, q in zip(_rotations(F(0)), _rotations(r)):
+            n, d = chordal_sq_parts(p, q)
+            t = F(math.isqrt(n * d << 2 * bits), d)
+            gap = min(t - math.floor(t), math.ceil(t) - t)
+            if gap < F(1 << bits, 1 << 47):
+                assert (n, d) in calls, (target, off, p)
+                seen.add("exact")
+            elif gap > F(1 << bits, 1 << 44) / target:
+                assert (n, d) not in calls, (target, off, p)
+                seen.add("float")
+    assert seen == ({"exact", "float"} if prec <= 30 else {"exact"})
+
+
+_EDGE_POINTS = [S(0), S(F(3, 4)), INF, S(1 << 600), S(0, 1 << 600), S(1 << 1100),
+                S(F(1, 1 << 2000)), S(F(3, 1 << 1073), F(1, 7)), S(1), S(1, 1),
+                S(F(-(1 << 90) - 1, 1 << 90), F(5, 3)), S(-1), S(F(2, 3), F(-5, 4))]
+
+
+@pytest.mark.parametrize("prec", [0, 30, 40, 41, 60, 200])
+def test_edge_atoms_match_the_exact_path(prec):
+    """Exact squares (sigma(0, 3/4) = 6/5, sigma(0, inf) = 2, sigma(1, -1) =
+    2), infinity, |z| = 2^600, a quotient beyond float range (2^1100),
+    a quotient that underflows (2^-2000) or is subnormal, next to ordinary
+    atoms: the whole result is the exact path's."""
+    mu = FiniteMeasure.from_atoms(SPHERE, [(p, F(1, 13)) for p in _EDGE_POINTS])
+    nu = FiniteMeasure.from_atoms(SPHERE, [(p, F(1, 13)) for p in _EDGE_POINTS])
+    parts = _detail_parts(mu, nu, prec)
+    assert parts == _exact_path_detail(mu, nu, prec)
+    row, col = ({p: i for i, (p, _) in enumerate(m.atoms)} for m in (mu, nu))
+    cost = parts[4]
+    assert cost[row[S(0)]][col[S(F(3, 4))]] == F(6, 5)
+    assert cost[row[S(0)]][col[INF]] == 2 and cost[row[S(1)]][col[S(-1)]] == 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_scales_match_the_exact_path(seed):
+    """Gaussian rationals spread from 2^-80 to 2^80, at random precisions
+    on both sides of the float path's limit."""
+    rng = random.Random(seed)
+
+    def point():
+        e = rng.randint(-80, 80)
+        d = rng.randint(1, 1 << rng.randint(0, 60))
+        return S(F(rng.randint(-d, d) << max(e, 0), d << max(-e, 0)),
+                 F(rng.randint(-d, d), d << rng.randint(0, 3)))
+
+    mu = FiniteMeasure.from_atoms(SPHERE, [(point(), F(1, 6)) for _ in range(6)])
+    nu = FiniteMeasure.from_atoms(SPHERE, [(point(), F(1, 7)) for _ in range(7)])
+    for prec in (rng.randint(0, 40), rng.randint(41, 80)):
+        assert _detail_parts(mu, nu, prec) == _exact_path_detail(mu, nu, prec)
+
+
+def test_the_float_path_decides_nearly_every_entry(monkeypatch):
+    """On z^2 depth 6 vs 8 at anchor 3 (64 x 256), no entry takes the exact
+    path today; the ceiling of 1% sits below the 9.1% that the first four
+    residue moduli alone let through."""
+    f = parse_map("z^2")
+    mu, nu = (backward_orbit_measure(f, None, S(3), depth) for depth in (6, 8))
+    calls = []
+
+    def counted(n, d, cost_prec):
+        calls.append(n)
+        return sqrt_bracket_parts(n, d, cost_prec)
+
+    monkeypatch.setattr(measures, "sqrt_bracket_parts", counted)
+    wasserstein_detail(mu, nu)
+    assert len(calls) < len(mu) * len(nu) // 100
 
 
 def test_w_space_mismatch():

@@ -11,9 +11,9 @@ from math import lcm
 import pytest
 
 from equistate import transport
-from equistate.measures import wasserstein_detail
+from equistate.measures import SPHERE, FiniteMeasure, wasserstein_detail
 from equistate.serialize import parse_map
-from equistate.sphere import SpherePoint
+from equistate.sphere import INF, SpherePoint
 from equistate.thermo import backward_orbit_measure
 from equistate.thurston import mme_tile_measure
 from equistate.transport import _least_cost_start, min_cost_transport
@@ -265,3 +265,64 @@ def test_pinned_pairs_cover_every_depth_and_level():
     assert set(_DUAL_DIGESTS) == set(_PLAN_DIGESTS) == (
         {("z2", a, b) for a, b in combinations(range(1, 8), 2)}
         | {(rule, a, b) for rule in ("g1", "g2") for a, b in combinations(range(3), 2)})
+
+
+def _random_sphere_measure(seed, n):
+    """n - 1 seeded Gaussian-rational atoms and one at infinity, with
+    seeded weights."""
+    rng = random.Random(seed)
+    points = [SpherePoint.finite(F(rng.randint(-99, 99), rng.randint(1, 30)),
+                                 F(rng.randint(-99, 99), rng.randint(1, 30)))
+              for _ in range(n - 1)] + [INF]
+    weights = [rng.randint(1, 9) for _ in points]
+    return FiniteMeasure.from_atoms(SPHERE, [(p, F(w, sum(weights)))
+                                             for p, w in zip(points, weights)])
+
+
+def _sphere_pair(kind, a, b):
+    if kind == "random":
+        return _random_sphere_measure(a, 9), _random_sphere_measure(b, 14)
+    f = parse_map(kind)
+    return tuple(backward_orbit_measure(f, None, SpherePoint.finite(3), depth)
+                 for depth in (a, b))
+
+
+# The digests of `_DUAL_DIGESTS` and `_PLAN_DIGESTS`, at the given prec, on
+# sphere pairs that the z^2 circles do not reach: other maps' trees at
+# anchor 3, and seeded measures with an atom at infinity.
+_SPHERE_DIGESTS = {
+    ("z^2-2", 4, 5, 30): ("92a36417ff712900d302e77ec82bc51a8aa80d269d826620141ad2ce239c1ec7",
+                          "d8f32c2cf69921e1680914804c81b0e297a404fff0523a4c8944f3770ca5ee9c"),
+    ("z^2-2", 4, 5, 0): ("9edf07c8e37f4ea967fc1a72493fa02ab60b709f92ec00166e2b27a076decb24",
+                         "f1f94c3f1403974a35be031a18d8efccd9515772b4adfa3d56efcbdd9ace3006"),
+    ("(z^2+1)/(z^2-1)", 2, 4, 30): (
+        "604948d77726e269e6bb8620b026ea2debd5342bc2f9f430f92949638434059c",
+        "5b10027c17eb2b22132c249e5c8e9f839a0bfaf68c577f4db2c7689e02f292d0"),
+    ("(z^2+1)/(z^2-1)", 3, 4, 30): (
+        "a346755e77bcaf7e7c9f5a5c3de5340aeb028024a28b0dd5b5b907f8ea0f0b95",
+        "81b3b4a9d6bf6227f46c08ed0306be3e54df2ecf1e81f2c6f59fae1411aecacc"),
+    ("(z^2+1)/(z^2-1)", 4, 5, 30): (
+        "ab3f0f221946bff5915960764b596306b8d261bb406a3482f7f0a5cf60c9e68c",
+        "f22fda7ca9e926305d7bca964528607af85175886a92b8cbb3c927852d812e4f"),
+    ("random", 0, 3, 30): ("d58b5c28f7ad4f6edf6c49b7c86c8ff21425f40d49e944fee99499ed822c996d",
+                           "4f2fe90985b03e372d6ed16ea037dd1bcc5a9f31a87ac16de4aa7fe72a185e5a"),
+    ("random", 0, 3, 0): ("4b3bc2f662b3d8aab8762e68eea3b20e8d660d21e7c2fdedef2886d373927c06",
+                          "e5f0727b6284669b7febb5a805d2b45723c0eda8093af6a47c09f996f9afb4ef"),
+    ("random", 0, 3, 40): ("5b7b8aee39aa7c7b5da4545cd58912acf9317ba3de00134db3496ee9b326d5e7",
+                           "4f2fe90985b03e372d6ed16ea037dd1bcc5a9f31a87ac16de4aa7fe72a185e5a"),
+    ("random", 1, 4, 30): ("155007a57e2c2ead355fbcd2bb5d84d0201531bf5815bbc049d4adc061886719",
+                           "648000f32b215f6b23e581e44ff722ab05728f1b36050648ac409115a1339448"),
+    ("random", 2, 5, 30): ("73a81da2cd8738a886e41fc6a66e4726471c09ed600d4253a243f8558641ef81",
+                           "9b9cd3b53ae7b492c225f0798162a71510813bc5f2f1f39b7971e75221b315b5"),
+}
+
+
+@pytest.mark.parametrize("kind, a, b, prec", sorted(_SPHERE_DIGESTS))
+def test_wasserstein_detail_is_pinned_beyond_the_circles(kind, a, b, prec):
+    mu, nu = _sphere_pair(kind, a, b)
+    wd = wasserstein_detail(mu, nu, prec)
+    assert (_sha256((wd.value.mid, wd.value.rad, wd.transport.potentials_u,
+                     wd.transport.potentials_v, wd.pinned_cost)),
+            _sha256(sorted(wd.plan.items()))) == _SPHERE_DIGESTS[(kind, a, b, prec)]
+    _check_certificate(wd.transport, [w for _, w in mu.atoms], [w for _, w in nu.atoms],
+                       wd.pinned_cost)

@@ -285,13 +285,20 @@ def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
         rows, cols, scale = [None] * len(mu), [None] * len(nu), 0.0
     den = 1 << (cost_prec + 2)
     m0, m1 = SQUARE_MODULI
-    mids = []
+    # Each row is built as ints over row_den, the lcm of the denominators
+    # met so far; it is rescaled only when an entry brings a new one.
+    cost: list[list[int]] = []
+    row_dens = []
+    cost_den = 1
     worst = 0
     for (p, _), a in zip(mu.atoms, rows):
         if a:
             u1, v1, k1, a0, a1 = a
             k1 *= 4
+        row: list[int] = []
+        row_den = cost_den
         for (q, _), b in zip(nu.atoms, cols):
+            d = 0
             if a and b:
                 u2, v2, k2, b0, b1 = b
                 if not (may_be_square(_nd_residue(a0, b0, m0), 0)
@@ -301,19 +308,29 @@ def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
                     if s > _W:
                         t = int(sqrt(s - _W) * scale)
                         if sqrt(s + _W) * scale < t + 1:
-                            mids.append((2 * t + 1, den))
+                            m, d = 2 * t + 1, den
                             worst = 1
-                            continue
-            m, e, d = sqrt_bracket_parts(*squared(p, q), cost_prec)
-            if e:
-                worst = e
-            else:
-                g = gcd(m, d)
-                m, d = m // g, d // g
-            mids.append((m, d))
-    flat, cost_den = _common_parts(mids)
-    n, k = len(mu.atoms), len(nu.atoms)
-    cost = [flat[i * k:(i + 1) * k] for i in range(n)]
+            if not d:
+                m, e, d = sqrt_bracket_parts(*squared(p, q), cost_prec)
+                if e:
+                    worst = e
+                else:
+                    g = gcd(m, d)
+                    m, d = m // g, d // g
+            if d != row_den:
+                if row_den % d:
+                    big = lcm(row_den, d)
+                    row = [x * (big // row_den) for x in row]
+                    row_den = big
+                m *= row_den // d
+            row.append(m)
+        cost.append(row)
+        row_dens.append(row_den)
+        cost_den = row_den
+    for i, d in enumerate(row_dens):
+        if d != cost_den:
+            cost[i] = [x * (cost_den // d) for x in cost[i]]
+    n = len(mu.atoms)
     masses, mass_den = _common_parts([(w.numerator, w.denominator)
                                       for measure in (mu, nu) for _, w in measure.atoms])
     res = min_cost_transport(masses[:n], masses[n:], cost, mass_den, cost_den)

@@ -16,10 +16,11 @@ p(w) = 0 nor Yun's monic factors depend on m, and every bound that reads
 this.
 
 Every operation reads and builds forms alone.  `horner_int` evaluates C
-at a point given by the numerators x, y over the denominator d of its
-triple; `__call__` and `leading` divide once.  Division is pseudo-division
-over Z[i] and the monic gcd runs Euclid on primitive parts; Yun's
-square-free decomposition (exact in characteristic zero) rests on both.
+and C' at a point given by the numerators x, y over the denominator d of
+its triple, `horner_value` C alone; `__call__` and `leading` divide once.
+Division is pseudo-division over Z[i] and the monic gcd runs Euclid on
+primitive parts; Yun's square-free decomposition (exact in characteristic
+zero) rests on both.
 Only equality, hashing and serialization read the `GaussRat` view `coeffs`.
 """
 
@@ -95,7 +96,7 @@ class Polynomial:
     def __call__(self, z: GaussRat) -> GaussRat:
         if self.is_zero():
             return G_ZERO
-        nr, ni, _, _ = horner_int(self.C, z.x, z.y, z.d)
+        nr, ni = horner_value(self.C, z.x, z.y, z.d)
         return gauss_ratio(nr, ni, self.m * z.d ** self.degree)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -215,3 +216,14 @@ def horner_int(coeffs: IntPairs, a: int, b: int, c: int
         scale *= c
         nr, ni = nr * a - ni * b + qr * scale, nr * b + ni * a + qi * scale
     return nr, ni, mr, mi
+
+
+def horner_value(coeffs: IntPairs, a: int, b: int, c: int) -> tuple[int, int]:
+    """The (re, im) of c^d * P(z) that `horner_int` returns first, without
+    the derivative."""
+    nr, ni = coeffs[-1]
+    scale = 1
+    for qr, qi in reversed(coeffs[:-1]):
+        scale *= c
+        nr, ni = nr * a - ni * b + qr * scale, nr * b + ni * a + qi * scale
+    return nr, ni

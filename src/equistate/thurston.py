@@ -23,9 +23,10 @@ degree of each is the number of charts that give it.  Level-n tiles are
 pulled back through the level-1 charts, one pullback per vertex and
 chart, and each tile's barycenter is built with it, as the pullback of
 the barycenter of the tile it maps onto.  The charts' pullback rows and
-sign tests are cached on the level-1 complex, which `tile_complex`'s
-cache owns, so clearing that cache clears them too; a tile is a named
-tuple and holds no cache.
+sign tests are cached on the level-1 complex, and so is the image of each
+barycenter built at level >= 2, which `eval` reads before it locates.
+`tile_complex`'s cache owns that complex, so clearing that cache clears
+all three; a tile is a named tuple and holds no cache.
 """
 
 from __future__ import annotations
@@ -249,6 +250,13 @@ class TileComplex:
         by_face = {face: [x for x in tests if x[0].face == face] for face in (FRONT, BACK)}
         return list(lines), by_face, tests
 
+    @cached_property
+    def _images(self) -> dict[TilePoint, TilePoint]:
+        """Barycenter of each tile built at level >= 2 -> the barycenter of
+        the tile it maps onto, filled by `tile_complex`.  Meant for level 1,
+        whose charts pulled those barycenters back."""
+        return {}
+
 
 def _level_one_tiles(table: RuleTable) -> list[Tile]:
     tiles: list[Tile] = []
@@ -291,6 +299,7 @@ def tile_complex(rule: str, level: int) -> TileComplex:
     for x in tile_complex(rule, level - 1).tiles:
         on_face[x.face].append(x)
     ones = tile_complex(rule, 1)
+    images = ones._images
     new = tuple.__new__
     tiles: list[Tile] = []
     for u, rows in zip(ones.tiles, ones._pullbacks):
@@ -305,9 +314,36 @@ def tile_complex(rule: str, level: int) -> TileComplex:
                 if y is None:
                     y = pulled[v.abc] = _pullback(face, rows, v)
                 verts.append(y)
+            bary = _pullback(face, rows, x.bary)
+            images[bary] = x.bary
             tiles.append(new(Tile, (len(tiles), face, tuple(verts), x.colors, x.target_face,
-                                    x.id, _pullback(face, rows, x.bary))))
+                                    x.id, bary)))
     return TileComplex(rule, level, tiles)
+
+
+def _locate(ones: TileComplex, p: TilePoint) -> TilePoint:
+    """Image of p: locate p in a level-1 tile of `ones` and apply its chart.
+
+    p's values on the distinct edge lines (`TileComplex._sign_tests`),
+    each evaluated once, decide which tiles hold it; times a chart's row
+    factors, the same values are its image.  An interior point tries only
+    the tiles on its face.  The lowest tile id that holds p wins; the
+    charts agree on shared edges, so the tie-break never changes the value.
+    """
+    lines, by_face, tests = ones._sign_tests
+    a, b, c = p.abc
+    vals = [x * a + y * b + z * c for x, y, z in lines]
+    for t, ka, ga, kb, gb, kc, gc in tests if p.on_boundary else by_face[p.face]:
+        qa = ga * vals[ka]
+        if qa < 0:
+            continue
+        qb = gb * vals[kb]
+        if qb < 0:
+            continue
+        qc = gc * vals[kc]
+        if qc >= 0:
+            return homogeneous_point(t.target_face, qa, qb, qc)
+    raise ValueError(f"point {p!r} not located in any level-1 tile")
 
 
 @dataclass(frozen=True)
@@ -324,29 +360,16 @@ class SubdivisionMap:
         return self.eval(p)
 
     def eval(self, p: TilePoint) -> TilePoint:
-        """Image of p: locate p in a level-1 tile and apply its chart.
+        """Image of p: the recorded image of a barycenter built at level
+        >= 2 (`TileComplex._images`), else `_locate`'s.
 
-        p's values on the distinct edge lines (`TileComplex._sign_tests`),
-        each evaluated once, decide which tiles hold it; times a chart's
-        row factors, the same values are its image.  An interior point
-        tries only the tiles on its face.  The lowest tile id that holds p
-        wins; the charts agree on shared edges, so the tie-break never
-        changes the value.
+        The two agree: such a barycenter is interior to its tile, so to the
+        one level-1 tile u it was pulled back through, and u's chart undoes
+        that pullback exactly.
         """
-        lines, by_face, tests = tile_complex(self.rule, 1)._sign_tests
-        a, b, c = p.abc
-        vals = [x * a + y * b + z * c for x, y, z in lines]
-        for t, ka, ga, kb, gb, kc, gc in tests if p.on_boundary else by_face[p.face]:
-            qa = ga * vals[ka]
-            if qa < 0:
-                continue
-            qb = gb * vals[kb]
-            if qb < 0:
-                continue
-            qc = gc * vals[kc]
-            if qc >= 0:
-                return homogeneous_point(t.target_face, qa, qb, qc)
-        raise ValueError(f"point {p!r} not located in any level-1 tile")
+        ones = tile_complex(self.rule, 1)
+        q = ones._images.get(p)
+        return _locate(ones, p) if q is None else q
 
     def preimages(self, x: TilePoint) -> list[tuple[TilePoint, int]]:
         """All preimages of x with their local degrees, exactly.

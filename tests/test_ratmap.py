@@ -176,6 +176,29 @@ def test_apply_basics():
     assert inv.apply(S(0)) == INF
 
 
+@pytest.mark.parametrize("expr", ["z^2", "z^2-2", "(z^2+1)/(z^2-1)", "(z^3+i)/(z-2)",
+                                  "(z-1/3)/(2*z^2+i)", "1/z^2", "3/7*z^4"])
+def test_apply_matches_num_over_den(expr):
+    """One reduction of N conj(D) / |D|^2 gives the point num(z)/den(z)
+    gives, on seeded points, poles and zeros, and along short orbits."""
+    f = parse_map(expr)
+
+    def reference(p):
+        d = f.den(p.value)
+        return INF if d.is_zero() else SpherePoint(f.num(p.value) / d)
+
+    rng = random.Random(f"apply-{expr}")
+    points = [S(F(rng.randint(-60, 60), rng.randint(1, 30)), F(rng.randint(-60, 60),
+                                                            rng.randint(1, 30)))
+              for _ in range(60)]
+    points += [S(0), S(1), S(-1), S(0, 1), S(2), S(F(1, 3)), S(F(1, 2), F(-1, 2))]
+    for p in points[:8]:
+        points += f.orbit(p, 4)[1:]
+    for p in points:
+        if p != INF:
+            assert f.apply(p) == reference(p)
+
+
 def test_preimages_z2_examples():
     pre = preimages(Z2, S(1), 20)
     assert sorted(c.midpoint.re for c in pre) == [F(-1), F(1)]

@@ -757,3 +757,79 @@ def test_tile_caches_do_not_outlive_cache_clear():
     assert not any(holds_tiles(obj) for obj in vars(thurston).values())
     assert [name for name, obj in vars(thurston).items() if hasattr(obj, "cache_info")] \
         == ["tile_complex"]
+
+
+def test_recorded_barycenter_images_are_the_located_images(monkeypatch):
+    """`eval` answers a barycenter built at level >= 2 from the image the
+    tile build recorded, without locating it, so criterion 7 (pushforward
+    of mu_n = mu_(n-1)) re-reads the build; this checks every recorded
+    image against the located one, over criterion 7's levels.  The table
+    holds exactly those barycenters, one per tile, and a cleared cache
+    drops it."""
+    locate, located = thurston._locate, []
+    monkeypatch.setattr(thurston, "_locate", lambda ones, p: located.append(p) or locate(ones, p))
+    tile_complex.cache_clear()
+    for rule, top in (("g1", 5), ("g2", 4)):
+        tile_complex(rule, top)
+        ones = tile_complex(rule, 1)
+        images = ones._images
+        levels = [tile_complex(rule, n).tiles for n in range(2, top + 1)]
+        assert len(images) == sum(map(len, levels))
+        assert images.keys() == {t.bary for tiles in levels for t in tiles}
+        for p, q in images.items():
+            assert locate(ones, p) == q
+        g = SubdivisionMap(rule)
+        assert [g.eval(p) for p in images] == list(images.values()) and not located
+    tile_complex.cache_clear()
+    assert tile_complex("g1", 1)._images == {} == tile_complex("g2", 1)._images
+    tile_complex.cache_clear()
+
+
+def _eval_digest_points():
+    """Seeded points on both faces; per rule, the vertices of levels
+    0-4 (g1) or 0-3 (g2), a seeded point on each tile edge, and the
+    barycenters of level 5 (g1) or 4 (g2)."""
+    rng = random.Random(20261021)
+    points = []
+    for face in (FRONT, BACK):
+        for _ in range(300):
+            a, b, c = (rng.randint(0, 10 ** rng.randint(1, 12)) for _ in range(3))
+            if a + b + c:
+                points.append(homogeneous_point(face, a, b, c))
+    per_rule = {}
+    for rule, top, fresh in (("g1", 4, 5), ("g2", 3, 4)):
+        pts = []
+        for n in range(top + 1):
+            for t in tile_complex(rule, n).tiles:
+                pts += t.verts
+                for i in range(3):
+                    p, q = t.verts[i].abc, t.verts[(i + 1) % 3].abc
+                    sp, sq, k = sum(p), sum(q), rng.randint(1, 7)
+                    pts.append(homogeneous_point(
+                        t.face, *(x * sq + k * y * sp for x, y in zip(p, q))))
+        per_rule[rule] = pts + [t.bary for t in tile_complex(rule, fresh).tiles]
+    return points, per_rule
+
+
+def _eval_digest(points, per_rule):
+    h = hashlib.sha256()
+    for rule in ("g1", "g2"):
+        g = SubdivisionMap(rule)
+        for p in points + per_rule[rule]:
+            q = g.eval(p)
+            h.update(f"{rule}|{p.face}{p.abc}->{q.face}{q.abc};".encode())
+    return h.hexdigest()
+
+
+# SHA-256 over `eval` of `_eval_digest_points`, recorded before `eval`
+# read recorded barycenter images.
+_EVAL_PIN = "54bf9942e662d4c66fb8b2ef9ee195699e803a4a4e628df34e7fb27f79b1d2cf"
+
+
+def test_eval_matches_pin_with_and_without_recorded_images():
+    points, per_rule = _eval_digest_points()
+    tile_complex.cache_clear()  # the fresh levels' barycenters are located
+    assert _eval_digest(points, per_rule) == _EVAL_PIN
+    tile_complex("g1", 5), tile_complex("g2", 4)  # now they are looked up
+    assert _eval_digest(points, per_rule) == _EVAL_PIN
+    tile_complex.cache_clear()

@@ -18,9 +18,9 @@ triple (m, r, d), `add_parts` adds two of them over the lcm of their
 denominators, and `exp_parts` / `exp_ball_parts` give e^(a/b) and the
 exp hull of a ball as (M, R, K), the ball M/2^K +- R/2^K.  Each integer
 step is a function of the values alone, so a triple stands for the same
-rationals as the `BallReal` that `ball_sum`, `exp_point` and `ball_exp`
-build from it, and one Fraction pair built at the end of a sum equals
-theirs digit for digit.
+rationals as the `BallReal` that `ball_sum` and `ball_exp` build from
+it, and one Fraction pair built at the end of a sum equals theirs digit
+for digit.
 """
 
 from __future__ import annotations
@@ -269,13 +269,6 @@ def exp_parts(a: int, b: int, prec: int) -> tuple[int, int, int]:
     return total, r, w
 
 
-def exp_point(q: Fraction, prec: int) -> BallReal:
-    """Ball containing e^q with rad <= 2^-(prec + 24); exact for q = 0.
-    The ball of `exp_parts`."""
-    t, r, w = exp_parts(q.numerator, q.denominator, prec)
-    return BallReal(Fraction(t, 1 << w), Fraction(r, 1 << w))
-
-
 def exp_ball_parts(m: int, r: int, d: int, prec: int) -> tuple[int, int, int]:
     """(M, R, K) with e^x in M/2^K +- R/2^K for every x in m/d +- r/d, for
     d > 0 and r >= 0: `exp_parts` of m/d when r = 0, else the hull
@@ -296,10 +289,8 @@ def exp_ball_parts(m: int, r: int, d: int, prec: int) -> tuple[int, int, int]:
 
 def ball_exp(a: BallReal, prec: int) -> BallReal:
     """Ball containing e^x for every x in a: the ball of `exp_ball_parts`,
-    which is `exp_point`'s for a point."""
+    so rad <= 2^-(prec + 24) for a point, and exactly 1 at 0."""
     mid, rad = a.mid, a.rad
-    if not rad:
-        return exp_point(mid, prec)
     m, r, k = exp_ball_parts(mid.numerator * rad.denominator, rad.numerator * mid.denominator,
                              mid.denominator * rad.denominator, prec)
     return BallReal(Fraction(m, 1 << k), Fraction(r, 1 << k))
@@ -337,7 +328,8 @@ def _ln2(w: int) -> tuple[int, int]:
 
 
 def log_point(q: Fraction, prec: int) -> BallReal:
-    """Ball containing log(q) with rad <= 2^-(prec + 24).  Requires q > 0.
+    """Ball containing log(q) with rad <= 2^-(prec + 24); exactly 0 at
+    q = 1.  Requires q > 0.
 
     Write q = 2^e * m with m in [1, 2); then log q = e*ln 2 + 2*atanh(t)
     with t = (m - 1)/(m + 1) in [0, 1/3), summed by `_two_atanh` on ints.
@@ -346,8 +338,6 @@ def log_point(q: Fraction, prec: int) -> BallReal:
     """
     if q <= 0:
         raise NonPositiveArgument("log of a nonpositive rational")
-    if q == 1:
-        return BallReal.exact(0)
     e = dyadics.bit_floor_log2(q)
     a, b = q.numerator, q.denominator
     if e >= 0:

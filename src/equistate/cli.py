@@ -456,6 +456,11 @@ def main(argv=None) -> int:
             return EXIT_PRECISION
         print(f"equistate: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except RecursionError:
+        # The library recurses only on input nesting: the map parser, JSON
+        # and potential trees.
+        print("equistate: input nested too deeply", file=sys.stderr)
+        return EXIT_PRECONDITION
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, ldexp, log2, sqrt
+from math import lcm, ldexp, log2, sqrt
 from typing import Callable, Iterable, Union
 
 from .balls import SQUARE_MODULI, BallReal, ball_sum, may_be_square, sqrt_bracket_parts
@@ -266,7 +266,7 @@ def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
     The simplex takes integers: the weights as numerators over the lcm of
     their denominators, and the midpoints as numerators over the lcm of
     theirs, which is 2^(prec+6) unless an entry is exact (an exact entry
-    r/d is first reduced by gcd(r, d)).
+    is first reduced).
     """
     if prec < 0:
         raise ValueError(f"precision prec must be nonnegative, got {prec}")
@@ -285,20 +285,20 @@ def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
         rows, cols, scale = [None] * len(mu), [None] * len(nu), 0.0
     den = 1 << (cost_prec + 2)
     m0, m1 = SQUARE_MODULI
-    # Each row is built as ints over row_den, the lcm of the denominators
-    # met so far; it is rescaled only when an entry brings a new one.
-    cost: list[list[int]] = []
-    row_dens = []
-    cost_den = 1
+    # An entry goes in as an int over den, unless it is exact and its
+    # reduced denominator does not divide den: then it goes in as that
+    # Fraction.  exact_den is the lcm of the exact entries' denominators,
+    # and after the loop the rows are rewritten over the lcm of all
+    # denominators if that is not den.
+    cost: list[list] = []
+    exact_den = 1
     worst = 0
     for (p, _), a in zip(mu.atoms, rows):
         if a:
             u1, v1, k1, a0, a1 = a
             k1 *= 4
-        row: list[int] = []
-        row_den = cost_den
+        row = []
         for (q, _), b in zip(nu.atoms, cols):
-            d = 0
             if a and b:
                 u2, v2, k2, b0, b1 = b
                 if not (may_be_square(_nd_residue(a0, b0, m0), 0)
@@ -308,28 +308,23 @@ def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
                     if s > _W:
                         t = int(sqrt(s - _W) * scale)
                         if sqrt(s + _W) * scale < t + 1:
-                            m, d = 2 * t + 1, den
+                            row.append(2 * t + 1)
                             worst = 1
-            if not d:
-                m, e, d = sqrt_bracket_parts(*squared(p, q), cost_prec)
-                if e:
-                    worst = e
-                else:
-                    g = gcd(m, d)
-                    m, d = m // g, d // g
-            if d != row_den:
-                if row_den % d:
-                    big = lcm(row_den, d)
-                    row = [x * (big // row_den) for x in row]
-                    row_den = big
-                m *= row_den // d
-            row.append(m)
+                            continue
+            m, e, d = sqrt_bracket_parts(*squared(p, q), cost_prec)
+            if e:
+                worst = e
+                row.append(m)
+                continue
+            x = Fraction(m, d)
+            exact_den = lcm(exact_den, x.denominator)
+            row.append(x if den % x.denominator else x.numerator * (den // x.denominator))
         cost.append(row)
-        row_dens.append(row_den)
-        cost_den = row_den
-    for i, d in enumerate(row_dens):
-        if d != cost_den:
-            cost[i] = [x * (cost_den // d) for x in cost[i]]
+    cost_den = lcm(den, exact_den) if worst else exact_den
+    if cost_den != den:
+        for row in cost:
+            row[:] = [x * cost_den // den if type(x) is int
+                      else x.numerator * (cost_den // x.denominator) for x in row]
     n = len(mu.atoms)
     masses, mass_den = _common_parts([(w.numerator, w.denominator)
                                       for measure in (mu, nu) for _, w in measure.atoms])

@@ -487,21 +487,17 @@ def backward_orbit_measure(f: RationalMapRec, phi: Potential | None,
 
     Atoms are the stored preimage points; the weight of y is proportional
     to deg(y) * exp(S_depth phi(y)) and weights renormalize to sum to
-    exactly 1.  With phi = 0 (or None) the weights are exact rationals;
+    exactly 1.  With phi = 0 (or None) every phi sum is exactly 0, whose
+    exp is exactly 1, so the weights are the exact deg(y)/d^depth;
     otherwise the rounding, together with the geometric displacement, is
     folded into the measure's atom_error (a Wasserstein discrepancy bound
     against the ideal backward-orbit measure).
     """
     l = 40 + 2 * depth
-    zero_phi = phi is None or phi.is_zero()
     eval_prec = l + 10
-    tree = build_preimage_tree(f, x, depth, l, None if zero_phi else phi, eval_prec)
+    tree = build_preimage_tree(f, x, depth, l, phi, eval_prec)
     leaves = tree.leaves()
     disp = tree.max_leaf_displacement()
-    if zero_phi:
-        d_to_m = Fraction(1, f.degree ** depth)
-        atoms = [(leaf.point, leaf.degree_product * d_to_m) for leaf in leaves]
-        return FiniteMeasure.from_atoms(SPHERE, atoms, atom_error=disp)
     raw = [_leaf_weight(leaf, eval_prec) for leaf in leaves]
     total, rad, den = _sum_parts(raw)
     if total <= rad:

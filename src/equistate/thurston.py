@@ -13,20 +13,21 @@ an orientation-preserving branched covering with postcritical set
 maximal entropy, diameters) is exact rational arithmetic over the rule
 table; no vertex degree or incidence count is ever hard-coded.
 
-The map locates a point by sign tests read off the rule table: each chart
-row of a level-1 tile is a signed multiple of one of the few distinct
-edge lines of the level-1 tiles (six for g1, nine for g2), so a point
-evaluates each line once, and the first tile that holds it, the lowest
-id, gives its chart image from those values.  The preimages of a point
-are its pullbacks through the level-1 charts onto its face, and the local
-degree of each is the number of charts that give it.  Level-n tiles are
-pulled back through the level-1 charts, one pullback per vertex and
-chart, and each tile's barycenter is built with it, as the pullback of
-the barycenter of the tile it maps onto.  The charts' pullback rows and
-sign tests are cached on the level-1 complex, and so is the image of each
-barycenter built at level >= 2, which `eval` reads before it locates.
-`tile_complex`'s cache owns that complex, so clearing that cache clears
-all three; a tile is a named tuple and holds no cache.
+The map locates a point by scanning the level-1 charts in id order: each
+chart row is an edge line of its tile, scaled to be positive on the
+opposite vertex, so a point lies in the closed tile exactly when its
+three row values are >= 0, and then those values are its chart image.
+The first tile that holds it, the lowest id, gives its image.  The
+preimages of a point are its pullbacks through the level-1 charts onto
+its face, and the local degree of each is the number of charts that give
+it.  Level-n tiles are pulled back through the level-1 charts, one
+pullback per vertex and chart, and each tile's barycenter is built with
+it, as the pullback of the barycenter of the tile it maps onto.  The
+charts' pullback rows and chart rows are cached on the level-1 complex,
+and so is the image of each barycenter built at level >= 2, which `eval`
+reads before it locates.  `tile_complex`'s cache owns that complex, so
+clearing that cache clears all three; a tile is a named tuple and holds
+no cache.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import NamedTuple
 
 from .balls import BallReal, sqrt_of_rational
@@ -206,9 +207,6 @@ class TileComplex:
     def __len__(self) -> int:
         return len(self.tiles)
 
-    def incident_tiles(self, v: TilePoint) -> list[int]:
-        return list(self._incidence.get(v, ()))
-
     @cached_property
     def _incidence(self) -> dict[TilePoint, list[int]]:
         """Vertex -> ascending ids of the tiles that hold it."""
@@ -226,29 +224,12 @@ class TileComplex:
         return [_pullback_rows(t) for t in self.tiles]
 
     @cached_property
-    def _sign_tests(self) -> tuple[list[Triple], dict[str, list[tuple]], list[tuple]]:
-        """The chart rows as signed multiples g L of distinct primitive
-        lines L (first nonzero entry positive): the lines, and per face and
-        for all faces, in id order, (tile, k_A, g_A, k_B, g_B, k_C, g_C)
-        with k the index of the line of the row for that corner.
-
-        Each row is an edge line of its tile, scaled so that it is positive
-        on the opposite vertex, so the row's value at p is g L(p), and p is
-        in the closed tile exactly when all three values are >= 0.  Meant
-        for level 1, whose tiles share few lines.
-        """
-        lines: dict[Triple, int] = {}
-        tests = []
-        for t in self.tiles:
-            test: list = [t]
-            for row in t.chart:
-                g = gcd(*row)
-                if next(x for x in row if x) < 0:
-                    g = -g
-                test += [lines.setdefault(tuple(x // g for x in row), len(lines)), g]
-            tests.append(tuple(test))
-        by_face = {face: [x for x in tests if x[0].face == face] for face in (FRONT, BACK)}
-        return list(lines), by_face, tests
+    def _charts(self) -> tuple[dict[str, list[tuple]], list[tuple]]:
+        """Each tile with its chart rows (`Tile.chart`), as (tile, row_A,
+        row_B, row_C), per face and for all faces, in id order.  Meant for
+        level 1, whose charts locate every point."""
+        charts = [(t, *t.chart) for t in self.tiles]
+        return {face: [x for x in charts if x[0].face == face] for face in (FRONT, BACK)}, charts
 
     @cached_property
     def _images(self) -> dict[TilePoint, TilePoint]:
@@ -324,23 +305,24 @@ def tile_complex(rule: str, level: int) -> TileComplex:
 def _locate(ones: TileComplex, p: TilePoint) -> TilePoint:
     """Image of p: locate p in a level-1 tile of `ones` and apply its chart.
 
-    p's values on the distinct edge lines (`TileComplex._sign_tests`),
-    each evaluated once, decide which tiles hold it; times a chart's row
-    factors, the same values are its image.  An interior point tries only
-    the tiles on its face.  The lowest tile id that holds p wins; the
-    charts agree on shared edges, so the tie-break never changes the value.
+    The tiles are tried in id order (`TileComplex._charts`), each by its
+    chart rows' values at p, up to the first negative one; the first tile
+    where all three are >= 0 holds p, and those values are its image.  An
+    interior point tries only the tiles on its face.  The lowest tile id
+    that holds p wins; the charts agree on shared edges, so the tie-break
+    never changes the value.
     """
-    lines, by_face, tests = ones._sign_tests
+    by_face, charts = ones._charts
     a, b, c = p.abc
-    vals = [x * a + y * b + z * c for x, y, z in lines]
-    for t, ka, ga, kb, gb, kc, gc in tests if p.on_boundary else by_face[p.face]:
-        qa = ga * vals[ka]
+    tries = charts if p.on_boundary else by_face[p.face]
+    for t, (xa, ya, za), (xb, yb, zb), (xc, yc, zc) in tries:
+        qa = xa * a + ya * b + za * c
         if qa < 0:
             continue
-        qb = gb * vals[kb]
+        qb = xb * a + yb * b + zb * c
         if qb < 0:
             continue
-        qc = gc * vals[kc]
+        qc = xc * a + yc * b + zc * c
         if qc >= 0:
             return homogeneous_point(t.target_face, qa, qb, qc)
     raise ValueError(f"point {p!r} not located in any level-1 tile")
@@ -393,11 +375,10 @@ def vertex_image(rule: str, v: TilePoint) -> TilePoint:
 
 def vertex_local_degree(rule: str, v: TilePoint) -> Fraction:
     """Local degree at a level-1 vertex, from incidence counts:
-    (tiles at v in level 1) / (tiles at the image of v in level 0)."""
-    up = tile_complex(rule, 1).incident_tiles(v)
-    if not up:
-        raise NotAVertex(f"{v!r} is not a level-1 vertex")
-    down = tile_complex(rule, 0).incident_tiles(vertex_image(rule, v))
+    (tiles at v in level 1) / (tiles at the image of v in level 0).  The
+    image of a level-1 vertex is a corner, a level-0 vertex."""
+    up = flower(tile_complex(rule, 1), v)
+    down = flower(tile_complex(rule, 0), vertex_image(rule, v))
     return Fraction(len(up), len(down))
 
 
@@ -421,8 +402,8 @@ def mme_tile_measure(rule: str, n: int) -> FiniteMeasure:
 
 def flower(c: TileComplex, v: TilePoint) -> set[int]:
     """Ids of the tiles of c whose closure contains the vertex v."""
-    ids = c.incident_tiles(v)
-    if not ids:
+    ids = c._incidence.get(v)
+    if ids is None:
         raise NotAVertex(f"{v!r} is not a vertex of the level-{c.level} complex")
     return set(ids)
 

@@ -15,7 +15,6 @@ from equistate.balls import (
     ball_log,
     exp_ball_parts,
     exp_parts,
-    exp_point,
     log_point,
     may_be_square,
     sqrt_bracket_parts,
@@ -70,12 +69,12 @@ def test_mul_encloses():
 
 
 def test_exp_at_zero_exact():
-    b = exp_point(F(0), 30)
+    b = ball_exp(BallReal.exact(F(0)), 30)
     assert b.mid == 1 and b.rad == 0
 
 
 def test_exp_at_one():
-    b = exp_point(F(1), 30)
+    b = ball_exp(BallReal.exact(F(1)), 30)
     assert b.rad <= F(1, 1 << 30)
     assert abs(float(b.mid) - math.e) < 1e-9
 
@@ -101,7 +100,7 @@ def test_log_domain_error():
 
 def test_radius_contract_on_points():
     for q in (F(1, 3), F(7, 5), F(10), F(-3, 7)):
-        assert exp_point(q, 40).rad <= F(1, 1 << 40)
+        assert ball_exp(BallReal.exact(q), 40).rad <= F(1, 1 << 40)
     for q in (F(1, 3), F(7, 5), F(10)):
         assert log_point(q, 40).rad <= F(1, 1 << 40)
 
@@ -222,9 +221,9 @@ def test_may_be_square_stages():
 @given(small_dyadics, st.integers(5, 25))
 @settings(max_examples=60, deadline=None)
 def test_exp_enclosure_sound(q, prec):
-    ball = exp_point(q, prec)
+    ball = ball_exp(BallReal.exact(q), prec)
     # Compare against a much finer enclosure of the same point.
-    fine = exp_point(q, 60)
+    fine = ball_exp(BallReal.exact(q), 60)
     assert ball.lower() <= fine.mid <= ball.upper()
 
 
@@ -374,8 +373,8 @@ def test_exp_kernel_against_mpmath_and_fraction_kernel(q, prec):
     mpmath = pytest.importorskip("mpmath")
     a = BallReal(q, F(1, 1 << (prec % 50 + 1)))
     with mpmath.workprec(600):
-        _check_kernel(mpmath, exp_point(q, prec), _ref_exp_point(q, prec), mpmath.exp,
-                      BallReal.exact(q), prec)
+        _check_kernel(mpmath, ball_exp(BallReal.exact(q), prec), _ref_exp_point(q, prec),
+                      mpmath.exp, BallReal.exact(q), prec)
         _check_kernel(mpmath, ball_exp(a, prec), _ref_hull(_ref_exp_point, a, prec),
                       mpmath.exp, a, prec)
 
@@ -389,7 +388,7 @@ _exp_args = st.builds(F, st.integers(-(40 << 20), 40 << 20), st.integers(1 << 20
 def test_exp_point_meets_the_fraction_kernel(q, prec):
     """Both kernels enclose e^q, so their balls meet, and the integer one
     keeps its radius bound 2^-(prec + 24)."""
-    got, want = exp_point(q, prec), _ref_exp_point(q, prec)
+    got, want = ball_exp(BallReal.exact(q), prec), _ref_exp_point(q, prec)
     assert got.lower() <= want.upper() and want.lower() <= got.upper()
     assert got.rad <= F(1, 1 << (prec + 24))
 
@@ -406,16 +405,17 @@ def test_exp_parts_depend_on_the_value_only(q, k, prec):
 @settings(max_examples=80, deadline=None)
 def test_exp_ball_parts_is_the_endpoint_hull(q, rn, rd, k, prec):
     """On an unreduced triple (radius at most 4), the ball of
-    `exp_ball_parts` is the hull of the two `exp_point` balls at prec + 2 (or `exp_point` itself for
-    radius 0), as `BallReal.from_endpoints` builds it."""
+    `exp_ball_parts` is the hull of the two `ball_exp` balls of its end
+    points at prec + 2 (or that of its point at prec for radius 0), as
+    `BallReal.from_endpoints` builds it."""
     rad = F(rn, rd)
     m, r, e = exp_ball_parts(q.numerator * rd * k, rn * q.denominator * k,
                              q.denominator * rd * k, prec)
     if rn:
-        want = BallReal.from_endpoints(exp_point(q - rad, prec + 2).lower(),
-                                       exp_point(q + rad, prec + 2).upper())
+        want = BallReal.from_endpoints(ball_exp(BallReal.exact(q - rad), prec + 2).lower(),
+                                       ball_exp(BallReal.exact(q + rad), prec + 2).upper())
     else:
-        want = exp_point(q, prec)
+        want = ball_exp(BallReal.exact(q), prec)
     assert (F(m, 1 << e), F(r, 1 << e)) == (want.mid, want.rad)
     assert ball_exp(BallReal(q, rad), prec) == want
 
@@ -443,7 +443,7 @@ def test_kernels_run_at_their_documented_scale(prec):
     show W."""
     for q in (F(1, 3) / 2, F(1, 4), F(1, 7 << 60)):
         w = _documented_scale(prec + 24 + 2)
-        assert exp_point(q, prec).rad.denominator == 1 << w
+        assert ball_exp(BallReal.exact(q), prec).rad.denominator == 1 << w
     for q in (F(3, 2), F(1) + F(1, 1 << 70)):
         w = _documented_scale(prec + 25)
         assert log_point(q, prec).rad.denominator == 1 << (w - 1)

@@ -658,6 +658,7 @@ def _rejected(argv, capsys):
     ["roots", "--poly", "z^2-1", "--frobnicate"],
     ["pressure", "--map", "z^2", "--potential", "const:0", "--n", "8", "--c0", "1",
      "--visual-c", "2"],
+    ["roots", "--poly", "(" * 3000 + "z" + ")" * 3000],
 ])
 def test_usage_errors_exit_3_with_one_line(argv, tmp_path, capsys):
     _rejected([*argv, "--out", str(tmp_path)], capsys)
@@ -676,6 +677,23 @@ def test_json_infinity_exits_3_with_one_line(content, argv, tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(content))
     _rejected([*(a.format(file=path) for a in argv), "--out", str(tmp_path)], capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["wasserstein", "--a", "{deep}", "--b", "{deep}"],
+    ["verify", "tangent", "--measure", "{deep}", "--phi", "const:0", "--witnesses", "{deep}"],
+    ["verify", "tangent", "--measure", "{measure}", "--phi", "const:0", "--witnesses", "{deep}"],
+    ["pressure", "--map", "z^2", "--potential", "@{deep}", "--n", "4", "--mode", "empirical"],
+])
+def test_deep_json_exits_3_with_one_line(argv, tmp_path, capsys):
+    """JSON nested beyond the recursion limit, written as raw text because
+    `json.dumps` cannot write that nesting."""
+    deep, measure = tmp_path / "deep.json", tmp_path / "measure.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    measure.write_text(json.dumps(
+        {"space": SPHERE, "atoms": [{"point": {"re": "1/4", "im": "0"}, "weight": "1"}]}))
+    _rejected([*(a.format(deep=deep, measure=measure) for a in argv), "--out", str(tmp_path)],
+              capsys)
 
 
 def test_one_parser_serves_a_usage_error_and_the_next_call(tmp_path, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from equistate import polynomials, ratmap, roots, sphere, thermo
-from equistate.balls import BallReal, add_parts, exp_point
+from equistate.balls import BallReal, add_parts, ball_exp
 from equistate.dyadics import ZERO, discs_apart
 from equistate.errors import ExcludedAnchor, ExcludedPoint, PrecisionExhausted
 from equistate.gauss import GaussRat, euclid_sq_parts
@@ -166,7 +166,7 @@ def test_ruelle_constant_potential_collapse():
     c = F(1, 3)
     for m in (1, 2, 3):
         v = ruelle_apply(Z2, const(c), None, S(3), m, 40)
-        closed = exp_point(m * c, 50).scale(2 ** m)
+        closed = ball_exp(BallReal.exact(m * c), 50).scale(2 ** m)
         assert overlaps(v, closed)
 
 

@@ -624,11 +624,6 @@ def _location_points(rule):
 @pytest.mark.parametrize("rule", ["g1", "g2"])
 def test_sign_location_matches_id_order_scan(rule):
     g = SubdivisionMap(rule)
-    lines, _, tests = tile_complex(rule, 1)._sign_tests
-    assert len(lines) == {"g1": 6, "g2": 9}[rule]
-    # Every chart row is its sign test's multiple of a shared line.
-    for t, *kg in tests:
-        assert t.chart == tuple(tuple(s * x for x in lines[k]) for k, s in zip(kg[::2], kg[1::2]))
     points = _location_points(rule)
     assert sum(p.on_boundary for p in points) > 50
     assert {p.face for p in points if not p.on_boundary} == {FRONT, BACK}
@@ -668,7 +663,7 @@ def test_tile_layer_matches_reference_build(rule):
             assert pushforward(mu, g).atoms == pushed.atoms
         if n <= 2:
             for v in _vertices(c):
-                assert c.incident_tiles(v) == [t.id for t in ref if v in t.verts]
+                assert sorted(flower(c, v)) == [t.id for t in ref if v in t.verts]
 
 
 # SHA-256 of the result JSON of two CLI calls, recorded before location by
@@ -717,7 +712,7 @@ def test_tile_measures_pushforwards_and_preimages_match_level4_pin():
 
 
 def test_tile_caches_do_not_outlive_cache_clear():
-    """The pullback rows, sign tests and vertex index live on the level-1
+    """The pullback rows, chart rows and vertex index live on the level-1
     complex that tile_complex's cache owns, and a tile, a named tuple,
     holds no cache: a cleared cache rebuilds them all from new objects, as
     a first call in a new process does."""
@@ -725,8 +720,8 @@ def test_tile_caches_do_not_outlive_cache_clear():
     p = tile_point(BACK, F(1, 5), F(2, 5), F(2, 5))
     image, preimages = g.eval(p), g.preimages(p)
     old_ones, old_two = tile_complex("g2", 1), tile_complex("g2", 2)
-    old_ones.incident_tiles(A)
-    caches = {"_pullbacks", "_sign_tests", "_incidence"}
+    flower(old_ones, A)
+    caches = {"_pullbacks", "_charts", "_incidence"}
     assert caches <= vars(old_ones).keys()
     assert not any(hasattr(t, "__dict__") for t in old_ones.tiles + old_two.tiles)
 
@@ -742,9 +737,9 @@ def test_tile_caches_do_not_outlive_cache_clear():
     assert vars(g) == {"rule": "g2"}  # the map itself holds no cache
 
     assert g.eval(p) == image and g.preimages(p) == preimages
-    assert "_sign_tests" in vars(ones)  # built by eval, on the new complex
-    _, _, tests = ones._sign_tests
-    assert all(x[0] is t for x, t in zip(tests, ones.tiles))
+    assert "_charts" in vars(ones)  # built by eval, on the new complex
+    _, charts = ones._charts
+    assert all(x[0] is t for x, t in zip(charts, ones.tiles))
 
     # No other cache in the module survives the clear.
     def holds_tiles(obj):

@@ -338,7 +338,7 @@ def log_point(q: Fraction, prec: int) -> BallReal:
     """
     if q <= 0:
         raise NonPositiveArgument("log of a nonpositive rational")
-    e = dyadics.bit_floor_log2(q)
+    e = dyadics.floor_log2_ratio(q.numerator, q.denominator)
     a, b = q.numerator, q.denominator
     if e >= 0:
         b <<= e

@@ -444,7 +444,8 @@ def main(argv=None) -> int:
         name, result, *csv = args.func(args)
         _write(args, name, result, started, *csv)
         return EXIT_FAIL if result.get("verdict") == "FAIL" else EXIT_OK
-    except PrecisionExhausted as exc:
+    except (PrecisionExhausted, OverflowError) as exc:
+        # OverflowError: an integer the precision asks for is past Python's size.
         print(f"equistate: precision or iteration budget exhausted: {exc}",
               file=sys.stderr)
         return EXIT_PRECISION

@@ -71,13 +71,6 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"not a rational: {text!r}") from exc
 
 
-def bit_floor_log2(q: Fraction) -> int:
-    """Largest e with 2^e <= q.  Requires q > 0."""
-    if q <= 0:
-        raise ValueError("bit_floor_log2 requires a positive argument")
-    return floor_log2_ratio(q.numerator, q.denominator)
-
-
 def floor_log2_ratio(n: int, d: int) -> int:
     """Largest e with 2^e <= n/d, for n, d > 0 (n/d need not be in lowest
     terms: the bit lengths leave two candidates, and one exact comparison

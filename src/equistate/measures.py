@@ -174,13 +174,6 @@ class WassersteinResult:
         return self.transport.verify_optimal(self.pinned_cost)
 
 
-def _common_parts(pairs: list[tuple[int, int]]) -> tuple[list[int], int]:
-    """The numerators of the fractions n/d over the lcm L of their distinct
-    denominators, and L."""
-    big = lcm(*{d for _, d in pairs})
-    return [n if d == big else n * (big // d) for n, d in pairs], big
-
-
 # -- float-first chordal costs -------------------------------------------
 #
 # A non-exact cost is 2 floor(t) + 1 over 2^(prec+6), t = sigma 2^B, B =
@@ -325,9 +318,11 @@ def wasserstein_detail(mu: FiniteMeasure, nu: FiniteMeasure, prec: int = 30
         for row in cost:
             row[:] = [x * cost_den // den if type(x) is int
                       else x.numerator * (cost_den // x.denominator) for x in row]
+    # The masses of mu and nu over the lcm of their distinct denominators.
     n = len(mu.atoms)
-    masses, mass_den = _common_parts([(w.numerator, w.denominator)
-                                      for measure in (mu, nu) for _, w in measure.atoms])
+    weights = [w for measure in (mu, nu) for _, w in measure.atoms]
+    mass_den = lcm(*{w.denominator for w in weights})
+    masses = [w.numerator * (mass_den // w.denominator) for w in weights]
     res = min_cost_transport(masses[:n], masses[n:], cost, mass_den, cost_den)
     max_rad = Fraction(worst, 1 << (cost_prec + 2))
     slack = max_rad * mu.total + mu.atom_error + nu.atom_error

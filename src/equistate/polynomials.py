@@ -17,7 +17,7 @@ this.
 
 Every operation reads and builds forms alone.  `horner_int` evaluates C
 and C' at a point given by the numerators x, y over the denominator d of
-its triple, `horner_value` C alone; `__call__` and `leading` divide once.
+its triple, `horner_value` C alone; `__call__` divides once.
 Division is pseudo-division over Z[i] and the monic gcd runs Euclid on
 primitive parts; Yun's square-free decomposition (exact in characteristic
 zero) rests on both.
@@ -86,12 +86,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.C
-
-    def leading(self) -> GaussRat:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading coefficient")
-        x, y = self.C[-1]
-        return gauss_ratio(x, y, self.m)
 
     def __call__(self, z: GaussRat) -> GaussRat:
         if self.is_zero():

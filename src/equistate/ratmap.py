@@ -7,8 +7,9 @@ that polynomial's degree collapses, and is rejected.  The same chart rule
 gives `preimage_perturbation`: how far the polynomial can move when x is
 only known to within a Euclidean distance.
 
-A map keeps num and den as Gaussian-integer coefficient tuples N, D over
-one common denominator F (`integer_terms`), and f(inf).  The preimage
+A map keeps num and den as Gaussian-integer coefficient tuples N, D of
+one length over one common denominator F (`integer_terms`), so that
+f(inf) is read from their top pairs like any value.  The preimage
 polynomial g of x = (a + b*i)/c is then one integer pass, and is built
 as the integer form it comes from:
 c F g = c N - (a + b*i) D when |x| <= 1, and
@@ -60,12 +61,16 @@ class RationalMapRec:
     @cached_property
     def integer_terms(self) -> tuple[IntPairs, IntPairs, int]:
         """(N, D, F): num = N/F and den = D/F, with N and D tuples of (re, im)
-        integer pairs, lowest first, over F > 0, the lcm of the multipliers
-        of num and den."""
+        integer pairs, lowest first, of one length deg f + 1 (the shorter
+        padded with (0, 0) at the top), over F > 0, the lcm of the
+        multipliers of num and den."""
         n, d = self.num.m, self.den.m
         F = math.lcm(n, d)
-        return (tuple((x * (F // n), y * (F // n)) for x, y in self.num.C),
-                tuple((x * (F // d), y * (F // d)) for x, y in self.den.C), F)
+        pad = ((0, 0),) * self.degree
+        return (tuple((x * (F // n), y * (F // n)) for x, y in self.num.C)
+                + pad[self.num.degree:],
+                tuple((x * (F // d), y * (F // d)) for x, y in self.den.C)
+                + pad[self.den.degree:], F)
 
     @cached_property
     def at_infinity(self) -> SpherePoint:
@@ -76,36 +81,26 @@ class RationalMapRec:
         return self.apply(p)
 
     def apply(self, p: SpherePoint) -> SpherePoint:
-        if p.is_infinity:
-            dn, dd = self.num.degree, self.den.degree
-            if dn > dd:
-                return INF
-            if dn < dd:
-                return SpherePoint.finite(0)
-            return SpherePoint(self.num.leading() / self.den.leading())
-        # c^e N(z) and c^e D(z), e the larger degree, are Gaussian
-        # integers; F cancels, and f(z) = N conj(D) / |D|^2 is reduced once.
+        # c^d N(z) and c^d D(z), d = deg f, are Gaussian integers, and at
+        # inf N and D read as their top pairs; F cancels, and
+        # f(z) = N conj(D) / |D|^2 is reduced once.
         N, D, _ = self.integer_terms
-        z = p.as_gauss()
-        a, b, c = z.x, z.y, z.d
-        nr, ni = horner_value(N, a, b, c)
-        dr, di = horner_value(D, a, b, c)
-        if len(N) > len(D):
-            s = c ** (len(N) - len(D))
-            dr, di = dr * s, di * s
-        elif len(N) < len(D):
-            s = c ** (len(D) - len(N))
-            nr, ni = nr * s, ni * s
+        z = p.value
+        if z is None:
+            (nr, ni), (dr, di) = N[-1], D[-1]
+        else:
+            nr, ni = horner_value(N, z.x, z.y, z.d)
+            dr, di = horner_value(D, z.x, z.y, z.d)
         n2 = dr * dr + di * di
         if n2 == 0:
             return INF
         return SpherePoint(gauss_ratio(nr * dr + ni * di, ni * dr - nr * di, n2))
 
     def orbit(self, p: SpherePoint, n: int) -> list[SpherePoint]:
-        """[p, f(p), ..., f^(n-1)(p)] computed exactly.  Raises
+        """[p, f(p), ..., f^(n-1)(p)] computed exactly, [] for n = 0.  Raises
         PrecisionExhausted rather than apply f to a point with b bits in a
         numerator or denominator where deg(f) b > `_MAX_ORBIT_BITS`."""
-        out = [p]
+        out = [p][:n]
         for k in range(1, n):
             z = p.value
             if z is not None and max(abs(z.x), abs(z.y), z.d).bit_length() * self.degree \
@@ -153,10 +148,8 @@ def preimage_polynomial(f: RationalMapRec, x: SpherePoint) -> Polynomial:
 
 
 def _combine(r: int, P: IntPairs, u: int, v: int, Q: IntPairs) -> IntPairs:
-    """The coefficients of r*P + (u + v*i)*Q, lowest first."""
-    n = max(len(P), len(Q))
-    P = P + ((0, 0),) * (n - len(P))
-    Q = Q + ((0, 0),) * (n - len(Q))
+    """The coefficients of r*P + (u + v*i)*Q, lowest first, for P and Q
+    of one length."""
     return tuple((r * pr + u * qr - v * qi, r * pi + u * qi + v * qr)
                  for (pr, pi), (qr, qi) in zip(P, Q))
 

@@ -34,10 +34,6 @@ class SpherePoint:
     def finite(re: Fraction | int, im: Fraction | int = 0) -> "SpherePoint":
         return SpherePoint(GaussRat.of(re, im))
 
-    @staticmethod
-    def infinity() -> "SpherePoint":
-        return SpherePoint(None)
-
     @property
     def is_infinity(self) -> bool:
         return self.value is None
@@ -51,7 +47,7 @@ class SpherePoint:
         return "inf" if self.value is None else repr(self.value)
 
 
-INF = SpherePoint.infinity()
+INF = SpherePoint(None)
 
 
 def sphere_order(points: Sequence[SpherePoint]) -> list[int]:
@@ -161,11 +157,10 @@ def chordal_disc_radius(z: GaussRat, euclid_rad: Fraction, bits: int) -> Fractio
     |z| at b = `bits` bits and m = max(0, s - r), it is
     sqrt(4 r^2 / ((1 + |z|^2)(1 + m^2))) rounded up at b bits, capped at 2.
     On the integers of z = (x + y*i)/d and r = rn/rd, with M = m rd 2^b, the
-    radicand is 4 rn^2 d^2 4^b / ((d^2 + x^2 + y^2)(rd^2 4^b + M^2)).
+    radicand is 4 rn^2 d^2 4^b / ((d^2 + x^2 + y^2)(rd^2 4^b + M^2)), which
+    is 0 exactly when r is.
     """
     rn, rd = euclid_rad.numerator, euclid_rad.denominator
-    if rn == 0:
-        return ZERO
     x, y, d = z.x, z.y, z.d
     n2, d2 = x * x + y * y, d * d
     M = sqrt_lower_numerator(n2, d2, bits) * rd - (rn << bits)

@@ -163,10 +163,7 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
         raise ValueError(f"tree depth must be nonnegative, got {depth}")
     if l < 0:
         raise ValueError(f"tree precision l must be nonnegative, got {l}")
-    if f.degree ** depth > _MAX_TREE_LEAVES:
-        raise PrecisionExhausted(
-            f"preimage tree of depth {depth} for degree {f.degree} exceeds the leaf cap"
-        )
+    _check_leaves(f, depth)
     excluded = f.infinity_orbit(depth)
     if x in excluded:
         raise ExcludedPoint(f"anchor {x!r} lies on the forward orbit of infinity")
@@ -174,6 +171,20 @@ def build_preimage_tree(f: RationalMapRec, x: SpherePoint, depth: int, l: int,
     for _level in range(depth):
         levels.append(_grow_level(f, levels[-1], l, phi, eval_prec))
     return PreimageTree(levels)
+
+
+def _too_deep(f: RationalMapRec, depth: int) -> bool:
+    """Whether f's depth-`depth` tree has over `_MAX_TREE_LEAVES` leaves.
+    d^depth >= 2^depth for d >= 2, so no power past the cap's size is formed."""
+    d = f.degree
+    return d > 1 and (depth >= _MAX_TREE_LEAVES.bit_length() or d ** depth > _MAX_TREE_LEAVES)
+
+
+def _check_leaves(f: RationalMapRec, depth: int) -> None:
+    if _too_deep(f, depth):
+        raise PrecisionExhausted(
+            f"preimage tree of depth {depth} for degree {f.degree} exceeds the leaf cap"
+        )
 
 
 def _root_node(x: SpherePoint) -> TreeNode:
@@ -255,8 +266,6 @@ def birkhoff_sum(f: RationalMapRec, phi: Potential, x: SpherePoint, n: int,
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     _check_precision(prec)
-    if n == 0:
-        return BallReal.exact(0)
     return ball_sum(phi.evaluate(p, prec + n.bit_length() + 1) for p in f.orbit(x, n))
 
 
@@ -266,7 +275,8 @@ def ruelle_apply(f: RationalMapRec, phi: Potential | None, u: Potential | None,
 
     L_phi^m(u)(x) = sum over f^-m-preimages y (with local degrees) of
     deg(y) * u(y) * exp(S_m phi(y)).  u = None means the constant 1.
-    Requires m >= 0 and x outside {f^i(inf) : 1 <= i <= m}.
+    Requires m >= 0 and x outside {f^i(inf) : 1 <= i <= m}; m = 0 is the
+    one-leaf tree x, so it gives u(x), exactly 1 without u.
 
     Attempts step through (l, eval_prec) = (l0 * 2^k, e0 * 2^k) and start
     at the first k with eval_prec >= n + bitlen(d^m) + ceil(m * sup+ *
@@ -287,9 +297,7 @@ def ruelle_apply(f: RationalMapRec, phi: Potential | None, u: Potential | None,
     _check_precision(n)
     if m < 0:
         raise ValueError(f"step count m must be nonnegative, got {m}")
-    if m == 0:
-        base = u.evaluate(x, n + 2) if u is not None else BallReal.exact(1)
-        return base
+    _check_leaves(f, m)
     l = n + 8 + 2 * m
     eval_prec = n + 10 + m + (f.degree ** m).bit_length()
     sup = max(ZERO, upper_bound(phi)) if phi is not None else ZERO
@@ -380,8 +388,12 @@ def pressure(f: RationalMapRec, phi: Potential, n: int,
     _check_precision(n)
     if c0 < 0 or R < 0:
         raise ValueError("c0 and R must be nonnegative")
-    N = int(Fraction(2) ** (n + 1) * c0 * R) + 1
-    if N > _MAX_PRESSURE_DEPTH or f.degree ** N > _MAX_TREE_LEAVES:
+    p, q = (c0 * R).as_integer_ratio()
+    # 2^(n+1) p/q > 2^(n + bitlen p - bitlen q), so N is formed only below 2^65.
+    if p and n + p.bit_length() - q.bit_length() >= 64:
+        raise PrecisionExhausted(f"certified pressure to 2^-{n} needs over 2^64 steps")
+    N = (p << (n + 1)) // q + 1
+    if N > _MAX_PRESSURE_DEPTH or _too_deep(f, N):
         raise PrecisionExhausted(
             f"certified pressure needs N = {N} transfer-operator steps; "
             f"the degree-{f.degree} preimage tree is out of desk range"
@@ -419,6 +431,7 @@ def empirical_pressure(f: RationalMapRec, phi: Potential, n: int) -> PressureRes
     precisions in the whole call.
     """
     _check_precision(n)
+    phi.is_zero()  # expands phi's normal form, or refuses it, outside the retries
     agree = Fraction(1, 1 << (n + 2))
     top = 0
     while top < _MAX_PRESSURE_DEPTH and f.degree ** (top + 1) <= _MAX_TREE_LEAVES:

@@ -264,11 +264,10 @@ def tile_complex(rule: str, level: int) -> TileComplex:
     table = _get_rule(rule)
     if level < 0:
         raise ValueError("level must be >= 0")
-    if 2 * table.degree ** level > _MAX_TILES:
-        raise PrecisionExhausted(
-            f"the level-{level} {rule} complex of {2 * table.degree ** level} tiles "
-            f"exceeds the tile cap"
-        )
+    # 2 deg^level >= 2^(level+1), so the count is formed only below 2^(cap bits).
+    if level + 1 >= _MAX_TILES.bit_length() or 2 * table.degree ** level > _MAX_TILES:
+        raise PrecisionExhausted(f"the level-{level} {rule} complex of 2*{table.degree}^{level} "
+                                 f"tiles exceeds the tile cap")
     if level == 0:
         corners = tuple(homogeneous_point(FRONT, *_EDGE_POINTS[k]) for k in CORNERS)
         return TileComplex(rule, 0, [Tile(i, face, corners, CORNERS, face, None,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equistate.dyadics import bit_floor_log2, dyadic_numerator
+from equistate.dyadics import dyadic_numerator, floor_log2_ratio
 from equistate.balls import (
     SQUARE_MODULI,
     BallReal,
@@ -277,7 +277,7 @@ def test_directed_invalid_sequence():
 def _ref_exp_once(q, guard):
     if q == 0:
         return BallReal.exact(1)
-    s = bit_floor_log2(abs(q)) + 3 if abs(q) > F(1, 4) else 0
+    s = floor_log2_ratio(abs(q.numerator), q.denominator) + 3 if abs(q) > F(1, 4) else 0
     y = q / (1 << s)
     term = total = F(1)
     tail = abs(y)
@@ -320,7 +320,7 @@ def _ref_log_point(q, prec):
         return BallReal.exact(0)
     guard = prec + 8
     while True:
-        e = bit_floor_log2(q)
+        e = floor_log2_ratio(q.numerator, q.denominator)
         m = q / F(2) ** e
         ball = _ref_two_atanh((m - 1) / (m + 1), guard)
         if e:

@@ -452,6 +452,15 @@ def test_birkhoff_command(tmp_path):
     assert res["sum"]["mid"] == "15/1"
 
 
+@pytest.mark.parametrize("fmap, point", [("z^2", "1/3"), ("(z^2+1)/(z^2-1)", "inf")])
+def test_birkhoff_zero_steps_is_an_exact_zero(fmap, point, tmp_path):
+    """The empty orbit sums to 0 +- 0."""
+    run_cli(["birkhoff", "--map", fmap, "--potential", "basis:0,0", "--point", point,
+             "--steps", "0"], tmp_path)
+    res = read_json(tmp_path, "birkhoff_result.json")
+    assert res["steps"] == 0 and res["sum"] == {"float": 0.0, "mid": "0/1", "rad": "0/1"}
+
+
 _ORBIT_ARGS = ["birkhoff", "--potential", "basis:0,0", "--map"]
 
 
@@ -944,6 +953,57 @@ def test_coefficients_beyond_float_range_keep_the_exit_contract(argv, expect):
     to 0, where the float seeds once raised OverflowError or read a
     nonzero coefficient as an exact root 0."""
     assert _contract([a.format(H=10 ** 400) for a in argv]) == expect
+
+
+_BIG = str(10 ** 20)
+_Z2_BASIS = ["--map", "z^2", "--potential", "basis:0,0"]
+
+
+@pytest.mark.parametrize("argv", [
+    # every size or precision option at 10^20
+    ["pressure", *_Z2_BASIS, "--n", _BIG, "--c0", "1"],
+    ["pressure", "--map", "z^2", "--potential", "const:0", "--n", _BIG, "--c0", "1"],
+    ["pressure", *_Z2_BASIS, "--n", _BIG, "--mode", "empirical"],
+    ["mme", "--map", "z^2", "--depth", _BIG],
+    ["mme", "--rule", "g2", "--level", _BIG],
+    ["tiles", "--rule", "g1", "--level", _BIG],
+    ["roots", "--poly", "z^2-2", "--l", _BIG],
+    ["preimages", "--map", "z^2", "--point", "2", "--l", _BIG],
+    ["wasserstein", "--a", "{measure}", "--b", "{measure}", "--prec", _BIG],
+    ["birkhoff", *_Z2_BASIS, "--point", "1/3", "--steps", _BIG],
+    ["birkhoff", *_Z2_BASIS, "--point", "1/3", "--steps", "3", "--n", _BIG],
+    # size caps whose power was once formed before the comparison
+    ["tiles", "--rule", "g1", "--level", "20000000000"],
+    ["mme", "--map", "z^2", "--depth", "20000000000"],
+    ["pressure", *_Z2_BASIS, "--n", "10000000000", "--c0", "1"],
+    ["pressure", *_Z2_BASIS, "--n", "20000", "--c0", "1"],
+    ["pressure", *_Z2_BASIS, "--n", "14000", "--c0", "1"],
+    ["tiles", "--rule", "g1", "--level", "10000"],
+    ["tiles", "--rule", "g1", "--level", "2000"],
+    ["mme", "--rule", "g2", "--level", "10000"],
+    # integers past the interpreter's size (OverflowError)
+    ["mme", "--map", "z^2", "--depth", "2", "--potential", "const:1e30"],
+    ["pressure", "--map", "z^2", "--potential", "const:1e30", "--n", "3", "--mode", "empirical"],
+    # a potential whose normal form has 2^24 terms
+    ["pressure", "--map", "z^2", "--potential", "@{phi}", "--n", "3", "--c0", "1"],
+    ["pressure", "--map", "z^2", "--potential", "@{phi}", "--n", "3", "--mode", "empirical"],
+])
+def test_oversized_requests_exit_4_at_once_with_one_short_line(argv, tmp_path, capsys):
+    """Each is refused with exit 4 within 2 s of CPU time, in one
+    `equistate: ` line of at most 300 bytes that names no --prec option
+    the command lacks."""
+    measure, phi = tmp_path / "measure.json", tmp_path / "phi.json"
+    measure.write_text(json.dumps(measure_to_json(FiniteMeasure.from_atoms(
+        SPHERE, [(SpherePoint.finite(1), Fraction(1, 2)), (SpherePoint.finite(3), Fraction(1, 2))]))))
+    phi.write_text(json.dumps(potential_to_json(pot.pprod(*(
+        pot.psum(pot.basis(SpherePoint.finite(k)), pot.basis(SpherePoint.finite(k, 1)))
+        for k in range(24))))))
+    start = time.process_time()
+    assert main([*(a.format(measure=measure, phi=phi) for a in argv), "--out", str(tmp_path)]) == 4
+    assert time.process_time() - start < 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("equistate: ") and len(err.encode()) <= 300, err
+    assert "--prec" not in err or "--prec" in argv
 
 
 _GOOD_POINTS = {

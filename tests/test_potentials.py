@@ -1,9 +1,12 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 
+from equistate import potentials
 from equistate.balls import BallReal, ball_sum
+from equistate.errors import PrecisionExhausted
 from equistate.potentials import (
     basis,
     const,
@@ -58,6 +61,29 @@ def test_constant_detection():
     assert const(3).constant_value() == 3
     assert psum(const(1), scale(-1, const(1))).constant_value() == 0
     assert basis(S(0)).constant_value() is None
+    assert psum(const(1), const(2), pprod(const(3), const(4))).constant_value() == 15
+    assert psum(const(1), basis(S(0))).constant_value() is None
+
+
+def _product_of_sums(k):
+    """A product of k two-term sums of distinct basis functions: 2^k terms."""
+    return pprod(*(psum(basis(S(i)), basis(S(i, 1))) for i in range(k)))
+
+
+def test_a_normal_form_past_the_term_cap_is_refused(monkeypatch):
+    """With the cap at 16 terms, 16 are expanded and 17 refused, in a product
+    and in a sum; at the real cap a product of 20 two-term sums is refused
+    before it is multiplied out, within a second of CPU time."""
+    start = time.process_time()
+    with pytest.raises(PrecisionExhausted, match="normal form has over"):
+        holder_bound(_product_of_sums(20))
+    assert time.process_time() - start < 1
+    monkeypatch.setattr(potentials, "_MAX_TERMS", 16)
+    assert len(normal_form(_product_of_sums(4))) == 16
+    for phi in (_product_of_sums(5), psum(_product_of_sums(4), const(1)),
+                pprod(_product_of_sums(3), psum(const(1), basis(S(9)), basis(S(8))))):
+        with pytest.raises(PrecisionExhausted):
+            holder_bound(phi)
 
 
 def test_evaluate_const_and_basis():

@@ -199,6 +199,30 @@ def test_apply_matches_num_over_den(expr):
             assert f.apply(p) == reference(p)
 
 
+@pytest.mark.parametrize("expr", ["3/7*z^4", "(z^3+i)/(z-2)", "z^2-2", "(z^2+1)/(z^2-1)",
+                                  "(2*z^2+1)/(3*z^2+i)", "(2/3*z-1)/(5/4*z+i)",
+                                  "(z-1/3)/(2*z^2+i)", "1/z^2"])
+def test_apply_at_infinity_matches_the_leading_ratio(expr):
+    """N and D share one length, deg f + 1, and f(inf) read from their top
+    pairs is the leading-ratio rule: inf when deg num > deg den, 0 when
+    deg num < deg den, num's leading coefficient over den's otherwise."""
+    f = parse_map(expr)
+    N, D, _ = f.integer_terms
+    assert len(N) == len(D) == f.degree + 1
+    dn, dd = f.num.degree, f.den.degree
+    expect = (INF if dn > dd else S(0) if dn < dd
+              else SpherePoint(f.num.coeffs[-1] / f.den.coeffs[-1]))
+    assert f.apply(INF) == f.at_infinity == expect
+
+
+def test_orbit_has_n_points():
+    """[p, ..., f^(n-1)(p)]: empty for n = 0."""
+    assert Z2.orbit(S(3), 0) == []
+    assert Z2.orbit(S(3), 1) == [S(3)]
+    assert Z2.orbit(S(3), 3) == [S(3), S(9), S(81)]
+    assert LATTES_LIKE.orbit(INF, 2) == [INF, S(1)]
+
+
 def test_preimages_z2_examples():
     pre = preimages(Z2, S(1), 20)
     assert sorted(c.midpoint.re for c in pre) == [F(-1), F(1)]

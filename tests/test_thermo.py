@@ -157,6 +157,24 @@ def test_ruelle_rejects_a_negative_step_count(phi, monkeypatch):
         ruelle_apply(Z2, phi, None, S(3), -1, 20)
 
 
+@pytest.mark.parametrize("phi", [None, basis(S(0))], ids=["none", "basis"])
+def test_ruelle_at_zero_steps_is_u_itself(phi, monkeypatch):
+    """L^0 u = u: exactly 1 without u, and with u = sigma(., 1) a ball of
+    radius <= 2^-n that holds sigma(x, 1), computed with mpmath at 200
+    digits (sqrt 2 at infinity)."""
+    mpmath = pytest.importorskip("mpmath")
+    oracles = _oracles(monkeypatch)
+    for x in (S(3), S(F(1, 2), F(-1, 3)), INF):
+        assert ruelle_apply(Z2, phi, None, x, 0, 30) == BallReal.exact(1)
+        for n in (0, 10, 40):
+            v = ruelle_apply(Z2, phi, basis(S(1)), x, 0, n)
+            assert v.rad <= F(1, 1 << n)
+            with mpmath.workdps(200):
+                exact = (mpmath.sqrt(2) if x == INF else oracles.chordal_mp(
+                    oracles.mpz(x.value.re, x.value.im), 1))
+                assert oracles.ball_contains(v.mid, v.rad, exact), (x, n)
+
+
 def test_ruelle_excluded_point():
     with pytest.raises(ExcludedPoint):
         ruelle_apply(Z2, None, None, INF, 1, 20)
